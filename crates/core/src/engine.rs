@@ -625,10 +625,10 @@ impl DartEngine {
     /// never mid-batch (same quiescence contract as
     /// [`DartEngine::rotate_epoch`]).
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::framed();
         w.put_u8(SNAP_KIND_ENGINE);
         self.snapshot_into(&mut w);
-        Ok(Snapshot::from_payload(w.into_payload()))
+        Ok(w.into_snapshot())
     }
 
     /// Restore a [`DartEngine::snapshot`] into this engine, replacing all

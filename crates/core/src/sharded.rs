@@ -752,13 +752,13 @@ impl ShardedMonitor {
     /// expires, in which case the worker is declared stalled and
     /// abandoned.
     fn dispatch(&mut self, shard: usize) {
+        if self.bufs[shard].is_empty() {
+            return;
+        }
         let batch = std::mem::replace(
             &mut self.bufs[shard],
             Vec::with_capacity(self.cfg.batch_size),
         );
-        if batch.is_empty() {
-            return;
-        }
         let len = batch.len() as u64;
         let first_idx = batch.first().map(|(i, _)| *i);
         self.send_msg(shard, ShardMsg::Batch(batch), first_idx, len);
@@ -886,7 +886,9 @@ impl ShardedMonitor {
                 None => sections.push(None),
             }
         }
-        let mut w = SnapWriter::new();
+        // Framed in place: the shard state is copied exactly once on its
+        // way from the workers to the snapshot.
+        let mut w = SnapWriter::framed();
         w.put_u8(SNAP_KIND_SHARDED);
         w.put_usize(self.cfg.shards);
         w.put_u64(self.fed);
@@ -905,18 +907,22 @@ impl ShardedMonitor {
             }
         }
         put_stats(&mut w, &snap_extra);
-        for shard in 0..self.cfg.shards {
-            w.put_u64(snap_sent[shard]);
-            match &sections[shard] {
+        // Per shard: `sent`, the presence flag, the section length.
+        let section_bytes: usize = sections.iter().flatten().map(Vec::len).sum();
+        w.reserve(section_bytes + self.cfg.shards * (8 + 1 + 8));
+        for (sent, section) in snap_sent.iter().zip(sections) {
+            w.put_u64(*sent);
+            // Each section is freed as soon as it has been appended.
+            match section {
                 Some(bytes) => {
                     w.put_u8(1);
                     w.put_usize(bytes.len());
-                    w.put_bytes(bytes);
+                    w.put_bytes(&bytes);
                 }
                 None => w.put_u8(0),
             }
         }
-        Ok(Snapshot::from_payload(w.into_payload()))
+        Ok(w.into_snapshot())
     }
 
     /// Restore a [`ShardedMonitor::checkpoint`] into this (freshly
@@ -1150,13 +1156,19 @@ impl RttMonitor for ShardedMonitor {
         self.feed(pkt);
     }
 
-    /// Feed a whole block: one virtual call per block from the batch
-    /// drivers instead of one per packet. Partitioning stays per-packet
-    /// (each packet hashes to its own shard), so this is purely a
-    /// dispatch-cost optimization — ordering and results are unchanged.
+    /// Feed a whole block and hand it off: each packet is partitioned to
+    /// its shard's buffer, and every shard's partial buffer is dispatched
+    /// when the block ends, so nothing fed here is still in a feeder buffer
+    /// when this returns — one send per block per shard. A live driver
+    /// whose blocks run short (or that then waits on a quiet feed) cannot
+    /// strand a residue outside the shard queues. Hand-off batch sizes
+    /// follow the block; sample order and counters do not depend on them.
     fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
         for pkt in pkts {
             self.feed(pkt);
+        }
+        for shard in 0..self.cfg.shards {
+            self.dispatch(shard);
         }
     }
 
@@ -1690,6 +1702,29 @@ mod tests {
         .run(&pkts);
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         assert_eq!(out.samples, serial);
+    }
+
+    #[test]
+    fn on_batch_hands_the_whole_block_off() {
+        // Block lengths that are multiples neither of the batch size nor
+        // of each other: whatever is left in a shard's buffer when the
+        // block ends is dispatched, and the output is the per-packet one.
+        let pkts = trace(30, 5);
+        let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(16);
+        let per_packet = ShardedDartEngine::new(cfg).run(&pkts);
+
+        let mut monitor = ShardedMonitor::new(cfg);
+        let mut sink = Vec::new();
+        let mut fed = 0u64;
+        for block in pkts.chunks(37) {
+            monitor.on_batch(block, &mut sink);
+            fed += block.len() as u64;
+            assert!(monitor.bufs.iter().all(Vec::is_empty));
+            assert_eq!(monitor.sent.iter().sum::<u64>(), fed);
+        }
+        monitor.flush(&mut sink);
+        assert_eq!(sink, per_packet.samples);
+        assert_eq!(RttMonitor::stats(&monitor), per_packet.stats);
     }
 
     #[test]

@@ -88,16 +88,41 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+/// Bytes of frame ahead of the payload: magic, version, payload length.
+const FRAME_HEADER_LEN: usize = 16;
+/// Bytes of frame behind the payload: its fnv1a-64 checksum.
+const FRAME_TRAILER_LEN: usize = 8;
+
 /// Little-endian payload writer used by the per-table serializers.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// Bytes reserved at the front of `buf` for the frame header: zero for
+    /// a bare payload, [`FRAME_HEADER_LEN`] for a writer that will be
+    /// framed in place.
+    reserved: usize,
 }
 
 impl SnapWriter {
     /// Start an empty payload.
     pub fn new() -> SnapWriter {
         SnapWriter::default()
+    }
+
+    /// Start a payload that [`SnapWriter::into_snapshot`] frames in place:
+    /// room for the frame header is reserved ahead of the payload, so
+    /// finishing does not copy it.
+    pub fn framed() -> SnapWriter {
+        SnapWriter {
+            buf: vec![0; FRAME_HEADER_LEN],
+            reserved: FRAME_HEADER_LEN,
+        }
+    }
+
+    /// Make room, in one allocation, for `additional` more payload bytes
+    /// and the frame trailer behind them.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional + FRAME_TRAILER_LEN);
     }
 
     /// Append one byte.
@@ -138,18 +163,41 @@ impl SnapWriter {
     }
 
     /// Finish, yielding the raw payload bytes.
-    pub fn into_payload(self) -> Vec<u8> {
+    pub fn into_payload(mut self) -> Vec<u8> {
+        self.buf.drain(..self.reserved);
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
+    /// Finish as a complete [`Snapshot`] — byte-identical to
+    /// [`Snapshot::from_payload`] on the same payload. A
+    /// [`SnapWriter::framed`] writer patches the header it reserved and
+    /// appends the checksum, so the payload is never copied.
+    pub fn into_snapshot(self) -> Snapshot {
+        if self.reserved == 0 {
+            return Snapshot::from_payload(self.buf);
+        }
+        let mut bytes = self.buf;
+        let payload_len = bytes.len() - FRAME_HEADER_LEN;
+        bytes[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        bytes[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes[8..16].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        let checksum = fnv1a_64(&bytes[FRAME_HEADER_LEN..]);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        Snapshot {
+            bytes,
+            payload_at: FRAME_HEADER_LEN,
+            payload_len,
+        }
     }
 
-    /// True when nothing has been written.
+    /// Payload bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len() - self.reserved
+    }
+
+    /// True when no payload has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -253,21 +301,14 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Frame `payload` into a snapshot (computes the trailing checksum).
+    /// Frame a finished `payload` into a snapshot by copying it behind a
+    /// header. Serializers that can, write into [`SnapWriter::framed`]
+    /// instead and skip the copy.
     pub fn from_payload(payload: Vec<u8>) -> Snapshot {
-        let mut bytes = Vec::with_capacity(payload.len() + 24);
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let payload_at = bytes.len();
-        let payload_len = payload.len();
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        Snapshot {
-            bytes,
-            payload_at,
-            payload_len,
-        }
+        let mut w = SnapWriter::framed();
+        w.reserve(payload.len());
+        w.put_bytes(&payload);
+        w.into_snapshot()
     }
 
     /// Parse and verify a framed snapshot.
@@ -413,6 +454,48 @@ mod tests {
         let back = Snapshot::from_bytes(snap.as_bytes().to_vec()).unwrap();
         assert_eq!(back.payload(), sample_payload().as_slice());
         assert_eq!(back, snap);
+    }
+
+    /// The frame as the module docs specify it, assembled by hand: what
+    /// every build since format version 1 has written.
+    fn frame_by_hand(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = b"DSNP".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn in_place_framing_is_the_version_1_frame() {
+        for payload in [Vec::new(), sample_payload(), vec![0xA5; 70_000]] {
+            let mut framed = SnapWriter::framed();
+            framed.reserve(payload.len());
+            framed.put_bytes(&payload);
+            assert_eq!(framed.len(), payload.len());
+            let in_place = framed.into_snapshot();
+            assert_eq!(in_place.as_bytes(), frame_by_hand(&payload));
+            assert_eq!(in_place.payload(), payload.as_slice());
+            // The copying path and a bare writer frame identically.
+            assert_eq!(Snapshot::from_payload(payload.clone()), in_place);
+            let mut bare = SnapWriter::new();
+            bare.put_bytes(&payload);
+            assert_eq!(bare.into_snapshot(), in_place);
+            // A frame written before in-place framing existed still loads.
+            let old = Snapshot::from_bytes(frame_by_hand(&payload)).unwrap();
+            assert_eq!(old, in_place);
+        }
+    }
+
+    #[test]
+    fn a_framed_writer_still_yields_its_bare_payload() {
+        let mut framed = SnapWriter::framed();
+        assert!(framed.is_empty());
+        framed.put_str("dart");
+        let mut bare = SnapWriter::new();
+        bare.put_str("dart");
+        assert_eq!(framed.into_payload(), bare.into_payload());
     }
 
     #[test]

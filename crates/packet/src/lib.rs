@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod buffer;
 pub mod error;
 pub mod ethernet;
 pub mod flow;

@@ -6,6 +6,7 @@
 //! workflows: simulated traces can be exported for inspection in Wireshark,
 //! and real captures can be replayed through Dart (paper §5).
 
+use crate::buffer::{ReadBuf, WINDOW_BYTES};
 use crate::error::PacketError;
 use std::io::{Read, Write};
 
@@ -75,12 +76,39 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Reads a pcap file, normalizing timestamps to nanoseconds.
+/// A record borrowed from the reader's buffer: what [`PcapRecord`] holds,
+/// without the per-record allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PcapFrame<'a> {
+    /// Capture timestamp, nanoseconds since the epoch of the trace.
+    pub ts: u64,
+    /// Captured frame bytes (possibly truncated to the snap length).
+    pub data: &'a [u8],
+    /// Original (untruncated) length on the wire.
+    pub orig_len: u32,
+}
+
+/// Longest capture length the reader accepts. A global header may declare
+/// more (or zero, "unlimited"); records are still held to this.
+const MAX_SNAPLEN: u32 = 256 * 1024;
+const RECORD_HEADER_LEN: usize = 16;
+// The longest record accepted must fit the window with room to spare.
+const _: () = assert!(RECORD_HEADER_LEN + (MAX_SNAPLEN as usize) < WINDOW_BYTES);
+
+/// Reads a pcap file block by block, normalizing timestamps to nanoseconds.
+///
+/// Records are decoded out of one reusable byte window, and the input is
+/// read only when the next record is not completely buffered. A record
+/// whose header claims more than the capture's snap length is corrupt
+/// ([`PacketError::BadTrace`]) — its length is never trusted with an
+/// allocation.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     input: R,
+    window: ReadBuf,
     swapped: bool,
     nanos: bool,
+    snaplen: u32,
     /// Link type from the global header.
     pub link: u32,
 }
@@ -106,11 +134,17 @@ impl<R: Read> PcapReader<R> {
                 v
             }
         };
+        let snaplen = match read_u32(&hdr[16..20]) {
+            0 => MAX_SNAPLEN,
+            declared => declared.min(MAX_SNAPLEN),
+        };
         let link = read_u32(&hdr[20..24]);
         Ok(PcapReader {
             input,
+            window: ReadBuf::with_capacity(WINDOW_BYTES),
             swapped,
             nanos,
+            snaplen,
             link,
         })
     }
@@ -124,30 +158,75 @@ impl<R: Read> PcapReader<R> {
         }
     }
 
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PacketError> {
-        let mut hdr = [0u8; 16];
-        match self.input.read_exact(&mut hdr) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+    /// The captured length of the record at the front of the window, once
+    /// that record is completely buffered. With `may_read` the input is
+    /// read until it is (`Ok(None)` then means clean end-of-file);
+    /// without, `Ok(None)` means the record is not all here yet.
+    fn buffer_record(&mut self, may_read: bool) -> Result<Option<usize>, PacketError> {
+        loop {
+            let have = self.window.data().len();
+            if have >= RECORD_HEADER_LEN {
+                let incl = self.u32_at(&self.window.data()[8..12]);
+                if incl > self.snaplen {
+                    // The length cannot be trusted to skip the record:
+                    // drop its header and let the caller resynchronize.
+                    self.window.consume(RECORD_HEADER_LEN);
+                    return Err(PacketError::BadTrace(format!(
+                        "record length {incl} exceeds snap length {}",
+                        self.snaplen
+                    )));
+                }
+                if have >= RECORD_HEADER_LEN + incl as usize {
+                    return Ok(Some(incl as usize));
+                }
+            }
+            if !may_read {
+                return Ok(None);
+            }
+            if self.window.fill(&mut self.input)? == 0 {
+                return match self.window.clear() {
+                    0 => Ok(None),
+                    torn => Err(PacketError::BadTrace(format!(
+                        "truncated record: {torn} bytes before end-of-file"
+                    ))),
+                };
+            }
         }
+    }
+
+    /// The next record, borrowed from the reader's buffer. With `may_read`
+    /// the input is read until the record is complete and `Ok(None)` is
+    /// clean end-of-file; without, only an already buffered record is
+    /// returned and `Ok(None)` means "not yet".
+    pub(crate) fn frame(&mut self, may_read: bool) -> Result<Option<PcapFrame<'_>>, PacketError> {
+        let Some(incl) = self.buffer_record(may_read)? else {
+            return Ok(None);
+        };
+        let hdr = &self.window.data()[..RECORD_HEADER_LEN];
         let secs = self.u32_at(&hdr[0..4]) as u64;
         let frac = self.u32_at(&hdr[4..8]) as u64;
-        let incl = self.u32_at(&hdr[8..12]);
-        let orig = self.u32_at(&hdr[12..16]);
-        if incl > 256 * 1024 * 1024 {
-            return Err(PacketError::BadTrace(
-                "record length implausibly large".into(),
-            ));
-        }
-        let mut data = vec![0u8; incl as usize];
-        self.input.read_exact(&mut data)?;
+        let orig_len = self.u32_at(&hdr[12..16]);
         let ts = secs * 1_000_000_000 + if self.nanos { frac } else { frac * 1_000 };
-        Ok(Some(PcapRecord {
+        let record = self.window.take(RECORD_HEADER_LEN + incl);
+        Ok(Some(PcapFrame {
             ts,
-            data,
-            orig_len: orig,
+            data: &record[RECORD_HEADER_LEN..],
+            orig_len,
+        }))
+    }
+
+    /// The next record, borrowed from the reader's buffer; `Ok(None)` at
+    /// clean end-of-file.
+    pub fn next_frame(&mut self) -> Result<Option<PcapFrame<'_>>, PacketError> {
+        self.frame(true)
+    }
+
+    /// Read the next record; `Ok(None)` at clean end-of-file.
+    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PacketError> {
+        Ok(self.next_frame()?.map(|f| PcapRecord {
+            ts: f.ts,
+            data: f.data.to_vec(),
+            orig_len: f.orig_len,
         }))
     }
 

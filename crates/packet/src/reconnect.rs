@@ -238,8 +238,15 @@ impl<S: PacketSource> Reconnecting<S> {
     }
 }
 
-impl<S: PacketSource> PacketSource for Reconnecting<S> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+impl<S: PacketSource> Reconnecting<S> {
+    /// Run one pull against the inner source under both recovery policies:
+    /// decode-class errors are skipped and counted (up to the consecutive
+    /// cap), I/O-class errors rebuild the source, and the pull is retried
+    /// until it yields — a packet, a block, or the end of the stream.
+    fn recovering<T>(
+        &mut self,
+        mut pull: impl FnMut(&mut S) -> Result<T, PacketError>,
+    ) -> Result<T, PacketError> {
         if self.failed {
             return Err(PacketError::Io(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -253,13 +260,13 @@ impl<S: PacketSource> PacketSource for Reconnecting<S> {
             let Some(src) = self.source.as_mut() else {
                 unreachable!("reconnect() leaves a source or errors");
             };
-            match src.next_packet() {
-                Ok(p) => {
+            match pull(src) {
+                Ok(yielded) => {
                     // A genuine end of stream stays an end of stream: the
                     // inner source (e.g. a Follow-tailed fifo) decides
                     // when the data is really over.
                     self.consecutive_skips = 0;
-                    return Ok(p);
+                    return Ok(yielded);
                 }
                 Err(e) if is_decode_error(&e) => {
                     if self.strict_decode {
@@ -284,6 +291,20 @@ impl<S: PacketSource> PacketSource for Reconnecting<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: PacketSource> PacketSource for Reconnecting<S> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        self.recovering(|src| src.next_packet())
+    }
+
+    /// One recovery pass per block, not per packet. The inner source ends a
+    /// block before a bad record and reports it on the next pull, so the
+    /// accounting is the per-packet path's: every bad record is one error
+    /// here, and no good packet on either side of it is dropped.
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        self.recovering(|src| src.next_chunk(buf, max))
     }
 }
 
@@ -461,6 +482,98 @@ mod tests {
         assert_eq!(drain(&mut src), vec![9]);
         assert_eq!(counters.decode_errors(), 3, "capped skips counted");
         assert_eq!(counters.reconnects(), 1, "then the stream was rebuilt");
+    }
+
+    /// A native trace of packets `0..n` (timestamps) with the direction
+    /// byte of every record in `bad` corrupted.
+    fn trace_with_bad_records(n: u64, bad: &[usize]) -> Vec<u8> {
+        let packets: Vec<PacketMeta> = (0..n).map(pkt).collect();
+        let mut bytes = crate::trace::to_bytes(&packets);
+        for &record in bad {
+            bytes[16 + record * crate::trace::RECORD_LEN + 33] = 0xFF;
+        }
+        bytes
+    }
+
+    fn reader(bytes: Vec<u8>) -> crate::trace::TraceReader<io::Cursor<Vec<u8>>> {
+        crate::trace::TraceReader::new(io::Cursor::new(bytes)).expect("valid header")
+    }
+
+    /// Drain block-wise, returning every block's timestamps.
+    fn drain_blocks<S: PacketSource>(src: &mut S, max: usize) -> Vec<Vec<u64>> {
+        let mut blocks = Vec::new();
+        let mut buf = Vec::new();
+        while src.next_chunk(&mut buf, max).expect("source must recover") > 0 {
+            blocks.push(buf.iter().map(|p| p.ts).collect());
+        }
+        blocks
+    }
+
+    #[test]
+    fn a_bad_record_mid_block_costs_one_error_and_no_packet() {
+        let mut src = Reconnecting::with_initial(
+            reader(trace_with_bad_records(10, &[4])),
+            Box::new(|_| None),
+        )
+        .with_sleeper(no_sleep());
+        let counters = src.counters();
+        // The block ends before the bad record; the next one starts after.
+        assert_eq!(
+            drain_blocks(&mut src, 1024),
+            vec![vec![0, 1, 2, 3], vec![5, 6, 7, 8, 9]]
+        );
+        assert_eq!(counters.decode_errors(), 1);
+        assert_eq!(counters.reconnects(), 0);
+        assert_eq!(counters.io_errors(), 0);
+    }
+
+    #[test]
+    fn block_pulls_account_like_packet_pulls() {
+        let bytes = trace_with_bad_records(40, &[0, 7, 8, 21, 39]);
+        let by_packet = {
+            let mut src = Reconnecting::with_initial(reader(bytes.clone()), Box::new(|_| None))
+                .with_sleeper(no_sleep());
+            (drain(&mut src), src.counters().decode_errors())
+        };
+        for max in [1, 3, 1024] {
+            let mut src = Reconnecting::with_initial(reader(bytes.clone()), Box::new(|_| None))
+                .with_sleeper(no_sleep());
+            let by_block: Vec<u64> = drain_blocks(&mut src, max).concat();
+            assert_eq!((by_block, src.counters().decode_errors()), by_packet);
+        }
+        assert_eq!(by_packet.1, 5);
+    }
+
+    #[test]
+    fn skip_cap_in_block_mode_triggers_exactly_one_reconnect() {
+        // Three consecutive bad records reach a cap of three; the good
+        // packets before them are delivered first, the rest of the broken
+        // stream is abandoned with the reconnect.
+        let mut src = Reconnecting::with_initial(
+            reader(trace_with_bad_records(10, &[2, 3, 4])),
+            Box::new(|_| Some(reader(trace_with_bad_records(2, &[])))),
+        )
+        .with_decode_skip_cap(3)
+        .with_sleeper(no_sleep());
+        let counters = src.counters();
+        assert_eq!(drain_blocks(&mut src, 1024), vec![vec![0, 1], vec![0, 1]]);
+        assert_eq!(counters.decode_errors(), 3);
+        assert_eq!(counters.reconnects(), 1);
+    }
+
+    #[test]
+    fn strict_decode_fails_on_the_first_bad_record_of_a_block() {
+        let mut src =
+            Reconnecting::with_initial(reader(trace_with_bad_records(6, &[2])), Box::new(|_| None))
+                .with_strict_decode(true)
+                .with_sleeper(no_sleep());
+        let mut buf = Vec::new();
+        assert_eq!(src.next_chunk(&mut buf, 1024).unwrap(), 2);
+        assert!(matches!(
+            src.next_chunk(&mut buf, 1024),
+            Err(PacketError::BadTrace(_))
+        ));
+        assert_eq!(src.counters().decode_errors(), 0);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!
 //! * [`SliceSource`] — an in-memory trace (tests, the bench harness);
 //! * [`IterSource`] — any infallible packet iterator (simulators);
-//! * [`TraceReader`] — the native on-disk format, already record-streaming;
+//! * [`TraceReader`] — the native on-disk format, decoded a block of
+//!   buffered records at a time;
 //! * [`PcapSource`] — a pcap capture, parsed and direction-classified on
-//!   the fly, skipping non-TCP frames like the hardware parser would;
+//!   the fly out of the reader's buffer, skipping non-TCP frames like the
+//!   hardware parser would;
 //! * [`Follow`] — a [`Read`] adapter that turns end-of-file into "wait for
 //!   more", so the trace/pcap readers can tail a growing capture file or a
 //!   fifo that a producer is still writing (the daemon's live ingest);
@@ -20,9 +22,10 @@
 //! per packet in order, `Ok(None)` exactly once at end of stream (and on
 //! every call after), or an I/O / format error. [`PacketSource::next_chunk`]
 //! batches that into a reusable buffer for consumers that amortize
-//! per-packet dispatch (the sharded engine's feeder), with a default
-//! implementation in terms of `next_packet` so sources only write one
-//! method.
+//! per-packet dispatch (the daemon loop, the sharded engine's feeder), with
+//! a default implementation in terms of `next_packet` so in-memory sources
+//! only write one method; the byte-stream readers override it to decode a
+//! whole block per input read.
 
 use crate::error::PacketError;
 use crate::meta::{Nanos, PacketMeta};
@@ -40,8 +43,18 @@ pub trait PacketSource {
     fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError>;
 
     /// Fill `buf` (cleared first) with up to `max` packets; returns how
-    /// many were read. Zero means end of stream. Lets chunked consumers
-    /// reuse one allocation instead of collecting the whole trace.
+    /// many were read. Lets chunked consumers reuse one allocation instead
+    /// of collecting the whole trace. The contract:
+    ///
+    /// * a block may be short — a live source hands over what it has
+    ///   decoded instead of waiting for `max`, so it never sleeps on its
+    ///   input while holding packets;
+    /// * zero still means end of stream, never "nothing yet";
+    /// * errors surface at block boundaries: the packets decoded before a
+    ///   bad record are returned first and the error by the next call, so
+    ///   `Err` never discards packets. The default fill loop cannot defer
+    ///   an error, so it suits sources whose `next_packet` cannot fail
+    ///   mid-stream; the fallible readers override it.
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         buf.clear();
         while buf.len() < max {
@@ -165,11 +178,15 @@ impl<I: Iterator<Item = PacketMeta>> PacketSource for IterSource<I> {
     }
 }
 
-/// The native trace format already reads record-by-record, so the reader
-/// itself is a source.
+/// The native trace reader is itself a source; both pulls decode out of
+/// its one byte window, so they can be mixed freely.
 impl<R: Read> PacketSource for TraceReader<R> {
     fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
         TraceReader::next_packet(self)
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        TraceReader::next_chunk(self, buf, max)
     }
 }
 
@@ -181,6 +198,9 @@ pub struct PcapSource<R: Read, C: DirectionClassifier> {
     reader: PcapReader<R>,
     classifier: C,
     skipped: u64,
+    /// An error met mid-block, held back until the block before it has
+    /// been handed over.
+    deferred: Option<PacketError>,
 }
 
 impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
@@ -190,6 +210,7 @@ impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
             reader: PcapReader::new(input)?,
             classifier,
             skipped: 0,
+            deferred: None,
         })
     }
 
@@ -197,16 +218,16 @@ impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
-}
 
-impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+    /// The next monitored packet. Without `may_read` only records already
+    /// in the reader's buffer are considered, and `Ok(None)` means they
+    /// ran out rather than that the capture ended.
+    fn pull(&mut self, may_read: bool) -> Result<Option<PacketMeta>, PacketError> {
         loop {
-            let rec = match self.reader.next_record()? {
-                Some(rec) => rec,
-                None => return Ok(None),
+            let Some(frame) = self.reader.frame(may_read)? else {
+                return Ok(None);
             };
-            match parse_ethernet_frame(rec.ts, &rec.data, &self.classifier) {
+            match parse_ethernet_frame(frame.ts, frame.data, &self.classifier) {
                 Ok(meta) => return Ok(Some(meta)),
                 Err(PacketError::Unsupported { .. }) | Err(PacketError::Truncated { .. }) => {
                     self.skipped += 1;
@@ -214,6 +235,35 @@ impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        match self.deferred.take() {
+            Some(e) => Err(e),
+            None => self.pull(true),
+        }
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
+        if let Some(e) = self.deferred.take() {
+            return Err(e);
+        }
+        while buf.len() < max {
+            // Only an empty block may wait on the input.
+            match self.pull(buf.is_empty()) {
+                Ok(Some(p)) => buf.push(p),
+                Ok(None) => break,
+                Err(e) if buf.is_empty() => return Err(e),
+                Err(e) => {
+                    self.deferred = Some(e);
+                    break;
+                }
+            }
+        }
+        Ok(buf.len())
     }
 }
 
@@ -231,10 +281,13 @@ impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
 /// times instead of once per base interval, while a busy stream still
 /// sees the base latency.
 ///
-/// Because [`Read::read_exact`] retries through this adapter too, a record
-/// split mid-write is simply waited out: the reader blocks at the record
-/// boundary until the producer finishes the write, never sees a torn
-/// record, and never spins faster than the poll interval.
+/// The readers ask this adapter for more only when they hold no complete
+/// record, and take whatever one `read` returns: a busy feed is decoded a
+/// block per `read`, and the dry-read sleep never delays packets already
+/// decoded. A record split mid-write stays in the reader's buffer until a
+/// later `read` completes it, so a torn record is never surfaced while the
+/// producer is still writing — only the final end-of-file (stop flag set)
+/// can strand one, and the reader reports that once.
 pub struct Follow<R> {
     inner: R,
     stop: Arc<AtomicBool>,

@@ -9,6 +9,7 @@
 //! Format: 16-byte header (`MAGIC`, version, record count), then fixed-width
 //! little-endian records.
 
+use crate::buffer::{ReadBuf, WINDOW_BYTES};
 use crate::error::PacketError;
 use crate::flow::FlowKey;
 use crate::meta::{Direction, Nanos, PacketMeta};
@@ -18,7 +19,7 @@ use std::io::{Read, Write};
 
 const MAGIC: [u8; 4] = *b"DART";
 const VERSION: u32 = 2;
-const RECORD_LEN: usize = 43;
+pub(crate) const RECORD_LEN: usize = 43;
 
 /// Writes a native trace stream.
 pub struct TraceWriter<W: Write> {
@@ -76,9 +77,72 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Reads a native trace stream.
+/// Reads a native trace stream block by block.
+///
+/// The reader owns a reusable byte window of several 1024-record blocks and
+/// asks the input for more only when no complete record is buffered, so a
+/// live tail (`TraceReader<Follow<File>>`) costs one `read()` per block of
+/// records rather than one per record, and never waits on the input while
+/// it holds records it could hand over. A record split across two reads is
+/// completed by the next one; only the input's end-of-file makes a torn
+/// record an error.
 pub struct TraceReader<R: Read> {
     input: R,
+    window: ReadBuf,
+}
+
+/// Validate the 16-byte stream header.
+fn check_header(hdr: &[u8; 16]) -> Result<(), PacketError> {
+    if hdr[0..4] != MAGIC {
+        return Err(PacketError::BadTrace("bad trace magic".into()));
+    }
+    let version = u32::from_le_bytes(crate::arr(&hdr[4..8]));
+    if version != VERSION {
+        return Err(PacketError::BadTrace(format!(
+            "unsupported trace version {version}"
+        )));
+    }
+    Ok(())
+}
+
+/// Decode one `RECORD_LEN`-byte record.
+fn decode_record(rec: &[u8]) -> Result<PacketMeta, PacketError> {
+    let ts = Nanos::from_le_bytes(crate::arr(&rec[0..8]));
+    let src_ip = u32::from_be_bytes(crate::arr(&rec[8..12]));
+    let dst_ip = u32::from_be_bytes(crate::arr(&rec[12..16]));
+    let src_port = u16::from_le_bytes(crate::arr(&rec[16..18]));
+    let dst_port = u16::from_le_bytes(crate::arr(&rec[18..20]));
+    let seq = SeqNum(u32::from_le_bytes(crate::arr(&rec[20..24])));
+    let ack = SeqNum(u32::from_le_bytes(crate::arr(&rec[24..28])));
+    let payload_len = u32::from_le_bytes(crate::arr(&rec[28..32]));
+    let flags = TcpFlags(rec[32]);
+    let dir = match rec[33] {
+        0 => Direction::Outbound,
+        1 => Direction::Inbound,
+        _ => return Err(PacketError::BadTrace("bad direction byte".into())),
+    };
+    let tsopt = match rec[34] {
+        0 => None,
+        1 => Some((
+            u32::from_le_bytes(crate::arr(&rec[35..39])),
+            u32::from_le_bytes(crate::arr(&rec[39..43])),
+        )),
+        _ => return Err(PacketError::BadTrace("bad tsopt flag byte".into())),
+    };
+    Ok(PacketMeta {
+        ts,
+        flow: FlowKey::from_raw(src_ip, src_port, dst_ip, dst_port),
+        seq,
+        ack,
+        payload_len,
+        flags,
+        dir,
+        tsopt,
+    })
+}
+
+fn truncated_record(got: usize) -> PacketError {
+    PacketError::BadTrace(format!("truncated record: {got} of {RECORD_LEN} bytes"))
 }
 
 impl<R: Read> TraceReader<R> {
@@ -86,69 +150,71 @@ impl<R: Read> TraceReader<R> {
     pub fn new(mut input: R) -> Result<Self, PacketError> {
         let mut hdr = [0u8; 16];
         input.read_exact(&mut hdr)?;
-        if hdr[0..4] != MAGIC {
-            return Err(PacketError::BadTrace("bad trace magic".into()));
+        check_header(&hdr)?;
+        Ok(TraceReader {
+            input,
+            window: ReadBuf::with_capacity(WINDOW_BYTES),
+        })
+    }
+
+    /// Read until a complete record is buffered; `Ok(false)` at clean EOF.
+    /// End-of-file inside a record is a corrupt trace: the torn bytes are
+    /// dropped and reported once.
+    fn buffer_record(&mut self) -> Result<bool, PacketError> {
+        while self.window.data().len() < RECORD_LEN {
+            if self.window.fill(&mut self.input)? == 0 {
+                return match self.window.clear() {
+                    0 => Ok(false),
+                    torn => Err(truncated_record(torn)),
+                };
+            }
         }
-        let version = u32::from_le_bytes(crate::arr(&hdr[4..8]));
-        if version != VERSION {
-            return Err(PacketError::BadTrace(format!(
-                "unsupported trace version {version}"
-            )));
-        }
-        Ok(TraceReader { input })
+        Ok(true)
     }
 
     /// Read the next record; `Ok(None)` at clean EOF.
     pub fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        let mut rec = [0u8; RECORD_LEN];
-        // Distinguish clean EOF (zero bytes available) from a truncated
-        // record (partial read), which is a corrupt trace.
-        let mut filled = 0;
-        while filled < RECORD_LEN {
-            match self.input.read(&mut rec[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(PacketError::BadTrace(format!(
-                        "truncated record: {filled} of {RECORD_LEN} bytes"
-                    )))
+        if !self.buffer_record()? {
+            return Ok(None);
+        }
+        let decoded = decode_record(&self.window.data()[..RECORD_LEN]);
+        // A bad record is consumed with its error, so the next call moves on.
+        self.window.consume(RECORD_LEN);
+        decoded.map(Some)
+    }
+
+    /// Decode every complete buffered record, up to `max`, into `out`
+    /// (cleared first) and return how many; zero means end of stream. The
+    /// input is read only when no complete record is buffered, so the block
+    /// is short when the feed runs dry. A bad record ends the block before
+    /// it and is reported by the next call.
+    pub fn next_chunk(
+        &mut self,
+        out: &mut Vec<PacketMeta>,
+        max: usize,
+    ) -> Result<usize, PacketError> {
+        out.clear();
+        if max == 0 || !self.buffer_record()? {
+            return Ok(0);
+        }
+        let mut failed = None;
+        for rec in self.window.data().chunks_exact(RECORD_LEN).take(max) {
+            match decode_record(rec) {
+                Ok(p) => out.push(p),
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
             }
         }
-        let ts = Nanos::from_le_bytes(crate::arr(&rec[0..8]));
-        let src_ip = u32::from_be_bytes(crate::arr(&rec[8..12]));
-        let dst_ip = u32::from_be_bytes(crate::arr(&rec[12..16]));
-        let src_port = u16::from_le_bytes(crate::arr(&rec[16..18]));
-        let dst_port = u16::from_le_bytes(crate::arr(&rec[18..20]));
-        let seq = SeqNum(u32::from_le_bytes(crate::arr(&rec[20..24])));
-        let ack = SeqNum(u32::from_le_bytes(crate::arr(&rec[24..28])));
-        let payload_len = u32::from_le_bytes(crate::arr(&rec[28..32]));
-        let flags = TcpFlags(rec[32]);
-        let dir = match rec[33] {
-            0 => Direction::Outbound,
-            1 => Direction::Inbound,
-            _ => return Err(PacketError::BadTrace("bad direction byte".into())),
-        };
-        let tsopt = match rec[34] {
-            0 => None,
-            1 => Some((
-                u32::from_le_bytes(crate::arr(&rec[35..39])),
-                u32::from_le_bytes(crate::arr(&rec[39..43])),
-            )),
-            _ => return Err(PacketError::BadTrace("bad tsopt flag byte".into())),
-        };
-        Ok(Some(PacketMeta {
-            ts,
-            flow: FlowKey::from_raw(src_ip, src_port, dst_ip, dst_port),
-            seq,
-            ack,
-            payload_len,
-            flags,
-            dir,
-            tsopt,
-        }))
+        self.window.consume(out.len() * RECORD_LEN);
+        match failed {
+            Some(e) if out.is_empty() => {
+                self.window.consume(RECORD_LEN);
+                Err(e)
+            }
+            _ => Ok(out.len()),
+        }
     }
 
     /// Iterate over remaining records.
@@ -182,9 +248,20 @@ pub fn to_bytes(packets: &[PacketMeta]) -> Vec<u8> {
     buf
 }
 
-/// Deserialize a whole trace from bytes.
-pub fn from_bytes(bytes: &[u8]) -> Result<Vec<PacketMeta>, PacketError> {
-    TraceReader::new(bytes)?.packets().collect()
+/// Deserialize a whole trace from bytes, straight out of the slice.
+pub fn from_bytes(mut bytes: &[u8]) -> Result<Vec<PacketMeta>, PacketError> {
+    let mut hdr = [0u8; 16];
+    bytes.read_exact(&mut hdr)?;
+    check_header(&hdr)?;
+    let mut packets = Vec::with_capacity(bytes.len() / RECORD_LEN);
+    let mut records = bytes.chunks_exact(RECORD_LEN);
+    for rec in &mut records {
+        packets.push(decode_record(rec)?);
+    }
+    match records.remainder().len() {
+        0 => Ok(packets),
+        torn => Err(truncated_record(torn)),
+    }
 }
 
 #[cfg(test)]

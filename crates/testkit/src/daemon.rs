@@ -667,6 +667,65 @@ mod tests {
         assert_eq!(report.packets, pkts.len() as u64, "tail lost packets");
     }
 
+    /// Sum of one metric family over its label sets in a `/metrics` body.
+    #[cfg(unix)]
+    fn family_sum(metrics: &str, family: &str) -> u64 {
+        metrics
+            .lines()
+            .filter(|l| l.starts_with(family) && l[family.len()..].starts_with(['{', ' ']))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum::<f64>() as u64
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_feed_that_goes_quiet_leaves_nothing_short_of_the_shards() {
+        // A live stream (a socket pair standing in for the fifo: reads
+        // block while the writer is merely quiet) is fed a packet count
+        // that is a multiple neither of the block nor of the hand-off
+        // batch, and then nothing. Every packet must reach a shard and show
+        // in /metrics with no further input and before any shutdown: none
+        // may sit in the reader, the block, or a feeder buffer.
+        use std::os::unix::net::UnixStream;
+        let pkts: Vec<PacketMeta> = exchanges(11, 47).into_iter().take(1000 + 37).collect();
+        let fed = pkts.len() as u64;
+        assert!(fed % 128 != 0 && fed % 64 != 0);
+        let bytes = dart_packet::trace::to_bytes(&pkts);
+        let (mut writer, reader) = UnixStream::pair().expect("socket pair");
+        let daemon = Daemon::start(cfg()).expect("bind");
+        let addr = daemon.addr();
+        let stop = daemon.server().shutdown_flag();
+        let follow = dart_packet::Follow::new(reader, Arc::clone(&stop))
+            .with_poll_interval(Duration::from_millis(1));
+        let client = std::thread::spawn(move || {
+            writer.write_all(&bytes).expect("feed");
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let seen = loop {
+                let metrics = get(addr, "/metrics");
+                let seen = family_sum(&metrics, "dart_shard_packets_total")
+                    + family_sum(&metrics, "dart_shard_monitor_miss_total");
+                if seen == fed || Instant::now() > deadline {
+                    break seen;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            // Only now end the run: the flag, then end-of-file to wake the
+            // blocked read.
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            drop(writer);
+            seen
+        });
+        let mut source = dart_packet::trace::TraceReader::new(follow).expect("header");
+        let report = daemon.run(&mut source).expect("clean run");
+        let seen = client.join().expect("client");
+        assert_eq!(
+            seen, fed,
+            "packets stranded short of the shards while the feed was quiet"
+        );
+        assert_eq!(report.packets, fed);
+        assert!(report.shutdown_requested);
+    }
+
     #[test]
     fn in_process_shutdown_request_ends_the_loop() {
         let pkts = exchanges(6, 2);

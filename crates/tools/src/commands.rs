@@ -167,10 +167,8 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
                 // a producer restart or a torn record re-opens the tail
                 // under bounded backoff instead of ending a week-long run.
                 let stop = daemon.server().shutdown_flag();
-                let path = input.to_string();
                 let is_pcap = input.ends_with(".pcap");
-                let open = move |_attempt: u32| -> Option<Box<dyn PacketSource + Send>> {
-                    let file = std::fs::File::open(&path).ok()?;
+                let tail = move |file: std::fs::File| -> Option<Box<dyn PacketSource + Send>> {
                     let follow = Follow::new(file, stop.clone());
                     if is_pcap {
                         let classifier = dart_packet::parse::PrefixClassifier::new([internal]);
@@ -183,11 +181,21 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
                             .map(|s| Box::new(s) as Box<dyn PacketSource + Send>)
                     }
                 };
-                // Open eagerly once so a missing file fails loudly at
-                // startup instead of burning the retry budget.
-                std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-                let mut source =
-                    Reconnecting::new(Box::new(open)).with_strict_decode(strict_decode);
+                // Open eagerly so a missing file fails loudly at startup
+                // instead of burning the retry budget, and tail that same
+                // handle: closing a probe and opening the path again would
+                // leave a fifo without a reader in between, which a
+                // producer sees as EPIPE.
+                let probe = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
+                let first = tail(probe);
+                let path = input.to_string();
+                let reopen = Box::new(move |_attempt: u32| tail(std::fs::File::open(&path).ok()?));
+                let source = match first {
+                    Some(first) => Reconnecting::with_initial(first, reopen),
+                    // An unreadable header is an outage like any other.
+                    None => Reconnecting::new(reopen),
+                };
+                let mut source = source.with_strict_decode(strict_decode);
                 daemon.watch_source(source.counters());
                 Ok((
                     run(daemon, &mut source)?,

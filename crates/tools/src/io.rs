@@ -2,7 +2,7 @@
 
 use dart_packet::parse::PrefixClassifier;
 use dart_packet::{PacketError, PacketMeta};
-use dart_sim::replay::{dump_pcap, load_native, load_pcap};
+use dart_sim::replay::{dump_pcap, load_pcap};
 use std::net::Ipv4Addr;
 
 /// Parse an `A.B.C.D/L` prefix string.
@@ -34,7 +34,9 @@ pub fn load_bytes(
         let classifier = PrefixClassifier::new([internal]);
         load_pcap(bytes, &classifier).map_err(err)
     } else {
-        load_native(bytes).map(|p| (p, 0)).map_err(err)
+        dart_packet::trace::from_bytes(bytes)
+            .map(|p| (p, 0))
+            .map_err(err)
     }
 }
 

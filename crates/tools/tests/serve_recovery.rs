@@ -1,13 +1,25 @@
 //! `dartmon serve` crash-recovery surface: checkpoint/restore flags, the
 //! reconnecting follow source, and the SIGINT/SIGTERM → shutdown path.
 //!
-//! Lives in its own test binary: the signal test exercises the
-//! process-wide shutdown flag, and cargo running test binaries serially
-//! guarantees no other `serve` test is racing for it.
+//! Lives in its own test binary so no other crate's `serve` test shares
+//! the process-wide shutdown flag. Within this binary the tests still run
+//! on parallel threads, and every running `serve` polls that flag — one
+//! test's daemon would consume the request another test raised — so each
+//! test that starts a daemon holds [`serve_lock`] for its whole run.
 
 #![cfg(feature = "telemetry")]
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// One `serve` at a time: the shutdown flag has exactly one consumer.
+fn serve_lock() -> MutexGuard<'static, ()> {
+    static SERVING: Mutex<()> = Mutex::new(());
+    // A test that failed while serving has nothing half-updated to protect.
+    SERVING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tmp(name: &str) -> String {
     std::env::temp_dir()
@@ -34,6 +46,7 @@ fn field(report: &str, name: &str) -> String {
 
 #[test]
 fn serve_checkpoints_then_restores_across_an_incarnation() {
+    let _serving = serve_lock();
     let trace = tmp("dartmon_serve_ckpt.trace");
     let snap = tmp("dartmon_serve_ckpt.dsnp");
     run_line(&[
@@ -129,6 +142,7 @@ fn serve_rejects_bad_recovery_flags() {
 
 #[test]
 fn a_shutdown_request_ends_an_endless_cycle_like_a_signal_would() {
+    let _serving = serve_lock();
     // The signal handler itself lives in the binary (one atomic store into
     // dart_tools::shutdown); this drives the exact path it triggers.
     let trace = tmp("dartmon_serve_signal.trace");
@@ -177,6 +191,7 @@ fn a_shutdown_request_ends_an_endless_cycle_like_a_signal_would() {
 
 #[test]
 fn serve_follow_survives_decode_garbage_and_counts_it() {
+    let _serving = serve_lock();
     // A native trace with trailing garbage: the reconnecting tail skips
     // the torn record (strict decode off) and the run still drains.
     let trace = tmp("dartmon_serve_follow.trace");

@@ -1,0 +1,397 @@
+//! The block-granular readers against their whole-buffer references: however
+//! a serialised capture is cut into `read()`s — single bytes, dry spells
+//! through `Follow`, a torn tail when the tail is stopped — and however the
+//! consumer mixes `next_packet` with `next_chunk`, the packet stream is the
+//! one `trace::from_bytes` / `load_pcap` decode from the same bytes, a torn
+//! tail is reported exactly once, and no byte sequence makes the pcap reader
+//! allocate past its fixed window.
+
+use dart::packet::parse::{synthesize_frame, PrefixClassifier};
+use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
+use dart::packet::trace::{self, TraceReader};
+use dart::packet::{
+    Direction, FlowKey, Follow, PacketMeta, PacketSource, PcapSource, SeqNum, TcpFlags,
+};
+use dart::sim::replay::load_pcap;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::io::Read;
+use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// The system allocator, remembering the largest single request each thread
+/// has made (every test — and every proptest case — runs on one thread).
+struct Watermark;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised
+// thread-local `Cell` (no allocation, no destructor) and tolerates the
+// thread-local being gone during thread teardown.
+unsafe impl GlobalAlloc for Watermark {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOCATOR: Watermark = Watermark;
+
+/// The largest single allocation `work` makes on this thread.
+fn largest_allocation(work: impl FnOnce()) -> usize {
+    LARGEST.with(|largest| largest.set(0));
+    work();
+    LARGEST.with(Cell::get)
+}
+
+/// A scripted input: every `read` serves (a prefix of) the next chunk, an
+/// empty chunk is one dry read, and running out sets the stop flag — a
+/// deterministic stand-in for a fifo whose producer pauses and then exits.
+struct Scripted {
+    chunks: VecDeque<Vec<u8>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(chunk) = self.chunks.front_mut() else {
+            self.stop.store(true, Ordering::Relaxed);
+            return Ok(0);
+        };
+        let n = chunk.len().min(buf.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        chunk.drain(..n);
+        if chunk.is_empty() {
+            self.chunks.pop_front();
+        }
+        Ok(n)
+    }
+}
+
+/// `bytes` behind a `Follow`, handed out in reads of `lens` bytes (cycled;
+/// zero is a dry spell the tail has to sleep through).
+fn tail(bytes: &[u8], lens: &[usize]) -> Follow<Scripted> {
+    let mut chunks = VecDeque::new();
+    let mut rest = bytes;
+    for &len in lens.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(len.min(rest.len()));
+        chunks.push_back(head.to_vec());
+        rest = tail;
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let scripted = Scripted {
+        chunks,
+        stop: Arc::clone(&stop),
+    };
+    Follow::new(scripted, stop).with_sleeper(Box::new(|_| {}))
+}
+
+/// Pull `source` dry the way `pulls` says (cycled): zero is `next_packet`,
+/// anything else `next_chunk` with that `max`. Returns the packets in the
+/// order yielded and every error met on the way.
+fn drain_mixed(source: &mut dyn PacketSource, pulls: &[usize]) -> (Vec<PacketMeta>, Vec<String>) {
+    let mut packets = Vec::new();
+    let mut errors = Vec::new();
+    let mut block = Vec::new();
+    for &max in pulls.iter().cycle() {
+        let pulled = if max == 0 {
+            source.next_packet().map(|p| {
+                block.clear();
+                block.extend(p);
+                block.len()
+            })
+        } else {
+            source.next_chunk(&mut block, max)
+        };
+        match pulled {
+            Ok(0) => break,
+            Ok(n) => {
+                assert!(n <= max.max(1), "block of {n} for max {max}");
+                assert_eq!(n, block.len());
+                packets.extend_from_slice(&block);
+            }
+            Err(e) => {
+                errors.push(e.to_string());
+                assert!(errors.len() < 64, "source never ends: {errors:?}");
+            }
+        }
+    }
+    (packets, errors)
+}
+
+type Fields = (
+    u64,
+    (u32, u16, u32, u16),
+    (u32, u32, u32),
+    u8,
+    bool,
+    (bool, u32, u32),
+);
+
+fn packet(
+    (ts, flow, (seq, ack, payload), flags, inbound, (has_ts, tsval, tsecr)): Fields,
+) -> PacketMeta {
+    PacketMeta {
+        ts,
+        flow: FlowKey::from_raw(flow.0, flow.1, flow.2, flow.3),
+        seq: SeqNum(seq),
+        ack: SeqNum(ack),
+        payload_len: payload,
+        flags: TcpFlags(flags),
+        dir: if inbound {
+            Direction::Inbound
+        } else {
+            Direction::Outbound
+        },
+        tsopt: has_ts.then_some((tsval, tsecr)),
+    }
+}
+
+fn packets(max: usize) -> impl Strategy<Value = Vec<PacketMeta>> {
+    let fields = (
+        any::<u64>(),
+        (any::<u32>(), any::<u16>(), any::<u32>(), any::<u16>()),
+        (any::<u32>(), any::<u32>(), 0u32..1400),
+        any::<u8>(),
+        any::<bool>(),
+        (any::<bool>(), any::<u32>(), any::<u32>()),
+    );
+    prop::collection::vec(fields.prop_map(packet), 0..max)
+}
+
+/// Read lengths: mostly a few records' worth, single bytes and dry spells
+/// among them (and one read that is never dry, so the input advances).
+fn read_lens() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..200, 0..24).prop_map(|mut lens| {
+        lens.push(7);
+        lens
+    })
+}
+
+/// Pull sizes: `next_packet` (0), small blocks, and the daemon's 1024.
+fn pulls() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(
+        (0usize..40).prop_map(|m| if m > 32 { 1024 } else { m }),
+        1..12,
+    )
+}
+
+fn classifier() -> PrefixClassifier {
+    PrefixClassifier::new([(Ipv4Addr::new(10, 0, 0, 0), 8u8)])
+}
+
+/// A pcap of `packets`' synthesized frames; every frame whose index is in
+/// `foreign` carries a non-IPv4 ethertype, which the parser skips.
+fn pcap_bytes(packets: &[PacketMeta], foreign: &[usize]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap();
+    for (i, p) in packets.iter().enumerate() {
+        let mut frame = synthesize_frame(p);
+        if foreign.contains(&i) {
+            frame[12..14].copy_from_slice(&[0x08, 0x06]); // ARP
+        }
+        w.write_record(p.ts % (u64::from(u32::MAX) * 1_000_000_000), &frame)
+            .unwrap();
+    }
+    w.finish().unwrap();
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn trace_blocks_equal_from_bytes_however_the_input_is_cut(
+        packets in packets(300),
+        lens in read_lens(),
+        pulls in pulls(),
+    ) {
+        let bytes = trace::to_bytes(&packets);
+        let mut source = TraceReader::new(tail(&bytes, &lens)).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &pulls);
+        prop_assert_eq!(errors, Vec::<String>::new());
+        prop_assert_eq!(streamed, trace::from_bytes(&bytes).unwrap());
+    }
+
+    #[test]
+    fn torn_trace_tail_is_one_truncated_record_error(
+        packets in packets(120),
+        torn in 1usize..43,
+        lens in read_lens(),
+        pulls in pulls(),
+    ) {
+        prop_assume!(!packets.is_empty());
+        let bytes = trace::to_bytes(&packets);
+        let cut = bytes.len() - torn;
+        let mut source = TraceReader::new(tail(&bytes[..cut], &lens)).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &pulls);
+        prop_assert_eq!(&streamed[..], &packets[..packets.len() - 1]);
+        prop_assert_eq!(errors.len(), 1, "{:?}", errors);
+        prop_assert!(errors[0].contains("truncated record"), "{}", errors[0]);
+        prop_assert!(trace::from_bytes(&bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn pcap_blocks_equal_load_pcap_however_the_input_is_cut(
+        packets in packets(120),
+        foreign in prop::collection::vec(0usize..120, 0..6),
+        lens in read_lens(),
+        pulls in pulls(),
+    ) {
+        let bytes = pcap_bytes(&packets, &foreign);
+        let (reference, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
+        let mut source = PcapSource::new(tail(&bytes, &lens), classifier()).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &pulls);
+        prop_assert_eq!(errors, Vec::<String>::new());
+        prop_assert_eq!(streamed, reference);
+        prop_assert_eq!(source.skipped(), skipped);
+    }
+
+    #[test]
+    fn torn_pcap_tail_is_one_truncated_record_error(
+        packets in packets(60),
+        torn in 1usize..50,
+        lens in read_lens(),
+        pulls in pulls(),
+    ) {
+        prop_assume!(!packets.is_empty());
+        let bytes = pcap_bytes(&packets, &[]);
+        let whole = pcap_bytes(&packets[..packets.len() - 1], &[]);
+        let cut = bytes.len() - torn;
+        prop_assume!(cut > whole.len());
+        let (reference, _) = load_pcap(&whole[..], &classifier()).unwrap();
+        let mut source = PcapSource::new(tail(&bytes[..cut], &lens), classifier()).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &pulls);
+        prop_assert_eq!(streamed, reference);
+        prop_assert_eq!(errors.len(), 1, "{:?}", errors);
+        prop_assert!(errors[0].contains("truncated record"), "{}", errors[0]);
+        prop_assert!(load_pcap(&bytes[..cut], &classifier()).is_err());
+    }
+
+    /// Arbitrary bytes behind a valid global header: whatever lengths the
+    /// record headers claim, the reader's one window is all it allocates.
+    #[test]
+    fn pcap_reader_allocation_is_bounded_on_arbitrary_bytes(
+        snaplen: u32,
+        body in prop::collection::vec(any::<u8>(), 0..600),
+        pulls in pulls(),
+    ) {
+        let mut bytes = Vec::new();
+        PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap().finish().unwrap();
+        bytes[16..20].copy_from_slice(&snaplen.to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let largest = largest_allocation(|| {
+            let mut source = PcapSource::new(&bytes[..], classifier()).unwrap();
+            let _ = drain_mixed(&mut source, &pulls);
+            for record in PcapReader::new(&bytes[..]).unwrap().records().take(64) {
+                if record.is_err() {
+                    break;
+                }
+            }
+        });
+        prop_assert!(largest <= ALLOCATION_CAP, "allocated {} bytes at once", largest);
+    }
+}
+
+/// The reader's window is six 1024-record blocks of the native trace —
+/// 264 192 bytes — and outgrows the largest snap length it accepts
+/// (256 KiB plus a record header); nothing else scales with the input.
+const ALLOCATION_CAP: usize = 6 * 1024 * 43;
+
+#[test]
+fn a_hostile_record_length_is_refused_not_allocated() {
+    let mut bytes = Vec::new();
+    let mut w = PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap();
+    w.write_record(1, &[0xAA; 60]).unwrap();
+    w.finish().unwrap();
+    // A second record header claiming 200 MiB, then a few stray bytes.
+    bytes.extend_from_slice(&[0u8; 8]);
+    bytes.extend_from_slice(&(200u32 << 20).to_le_bytes());
+    bytes.extend_from_slice(&(200u32 << 20).to_le_bytes());
+    bytes.extend_from_slice(&[0x55; 40]);
+
+    let largest = largest_allocation(|| {
+        let mut reader = PcapReader::new(&bytes[..]).unwrap();
+        assert_eq!(reader.next_record().unwrap().unwrap().data, vec![0xAA; 60]);
+        let err = reader.next_record().unwrap_err().to_string();
+        assert!(err.contains("exceeds snap length"), "{err}");
+    });
+    assert!(
+        largest <= ALLOCATION_CAP,
+        "allocated {largest} bytes at once"
+    );
+
+    // One byte over the declared snap length is already too long; the
+    // snap length itself is not.
+    for (incl, accepted) in [(96usize, true), (97, false)] {
+        let mut bytes = Vec::new();
+        PcapWriter::new(&mut bytes, linktype::ETHERNET)
+            .unwrap()
+            .write_record(1, &vec![0xAA; incl])
+            .unwrap();
+        bytes[16..20].copy_from_slice(&96u32.to_le_bytes());
+        let got = PcapReader::new(&bytes[..]).unwrap().next_record();
+        assert_eq!(got.is_ok(), accepted, "incl_len {incl}: {got:?}");
+    }
+}
+
+#[test]
+fn single_byte_reads_with_dry_spells_lose_nothing() {
+    let packets: Vec<PacketMeta> = (0..200u32)
+        .map(|i| {
+            packet((
+                u64::from(i) * 1000,
+                (0x0a00_0001, 40_000, 0x5db8_d822, 443),
+                (i * 1460, 0, 1460),
+                0x10,
+                false,
+                (i % 3 == 0, i, i + 1),
+            ))
+        })
+        .collect();
+    let bytes = trace::to_bytes(&packets);
+    // Every byte its own read, every seventh read dry.
+    let lens = [1, 1, 1, 1, 1, 1, 0];
+    let follow = tail(&bytes, &lens);
+    let polls = follow.poll_counter();
+    let mut source = TraceReader::new(follow).unwrap();
+    let (streamed, errors) = drain_mixed(&mut source, &[1024]);
+    assert_eq!(errors, Vec::<String>::new());
+    assert_eq!(streamed, packets);
+    assert!(
+        polls.load(Ordering::Relaxed) > 1000,
+        "the dry spells were slept through"
+    );
+}
