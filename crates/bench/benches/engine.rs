@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{run_trace_sharded, DartConfig, DartEngine, RttSample};
+use dart_core::{run_monitor_slice, run_trace, DartConfig, ShardedConfig, ShardedMonitor};
 use dart_packet::SECOND;
 use dart_sim::scenario::{campus, CampusConfig};
 
@@ -33,12 +33,7 @@ fn engine_throughput(c: &mut Criterion) {
     ];
     for (name, cfg) in configs {
         g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            b.iter(|| {
-                let mut engine = DartEngine::new(*cfg);
-                let mut sink: Vec<RttSample> = Vec::new();
-                engine.process_trace(trace.packets.iter(), &mut sink);
-                sink.len()
-            });
+            b.iter(|| run_trace(*cfg, &trace.packets).0.len());
         });
     }
     g.finish();
@@ -67,19 +62,17 @@ fn sharded_vs_serial(c: &mut Criterion) {
     g.sample_size(5);
 
     g.bench_function("serial", |b| {
-        b.iter(|| {
-            let mut engine = DartEngine::new(cfg);
-            let mut sink: Vec<RttSample> = Vec::new();
-            engine.process_trace(trace.packets.iter(), &mut sink);
-            sink.len()
-        });
+        b.iter(|| run_trace(cfg, &trace.packets).0.len());
     });
     for shards in [2usize, 4, 8] {
         g.bench_with_input(
             BenchmarkId::new("sharded", shards),
             &shards,
             |b, &shards| {
-                b.iter(|| run_trace_sharded(cfg, shards, &trace.packets).0.len());
+                b.iter(|| {
+                    let mut monitor = ShardedMonitor::new(ShardedConfig::new(cfg, shards));
+                    run_monitor_slice(&mut monitor, &trace.packets).0.len()
+                });
             },
         );
     }

@@ -3,9 +3,9 @@
 //! recirculation gauges). The <3% overhead budget in DESIGN.md §5d is the
 //! `instrumented` / `bare` ratio here.
 //!
-//! The `staged` row adds the daemon driver's per-stage timing
-//! (`StageTimers` around decode/match/flush, exactly as `dartmon serve`
-//! runs the loop) on top of the attached hooks — the clock is in the
+//! The `staged` row adds the driver loop's per-stage timing
+//! (`drive_timed`: `StageTimers` around decode/match/flush, the loop
+//! `dartmon serve` runs) on top of the attached hooks — the clock is in the
 //! driver, once per *block*, so the row must stay inside the same <3%
 //! budget.
 //!
@@ -52,7 +52,8 @@ fn telemetry_overhead(c: &mut Criterion) {
 
     #[cfg(feature = "telemetry")]
     g.bench_function("staged", |b| {
-        use dart_core::{EngineTelemetry, RttMonitor, RttSample, Stage, StageTimers};
+        use dart_core::{drive_timed, EngineTelemetry, RttSample, StageTimers, DEFAULT_BLOCK_PKTS};
+        use dart_packet::SliceSource;
         use dart_telemetry::MetricRegistry;
         let registry = MetricRegistry::new();
         let stage = StageTimers::register(&registry);
@@ -60,13 +61,16 @@ fn telemetry_overhead(c: &mut Criterion) {
             let mut engine = DartEngine::new(cfg);
             engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
             let mut sink: Vec<RttSample> = Vec::new();
-            // The same zero-copy block loop `run_monitor` drives (and the
-            // daemon mirrors), with the stage clock as the only addition.
-            let mut blocks = trace.packets.chunks(dart_core::DEFAULT_BLOCK_PKTS);
-            while let Some(block) = stage.time(Stage::Decode, || blocks.next()) {
-                stage.time(Stage::Match, || engine.on_batch(block, &mut sink));
-            }
-            stage.time(Stage::Flush, || RttMonitor::flush(&mut engine, &mut sink));
+            // The loop `run_monitor_slice` and the daemon run, with the
+            // stage clock as the only addition.
+            drive_timed(
+                &mut engine,
+                &mut SliceSource::new(&trace.packets),
+                &mut sink,
+                &stage,
+                |_, _| Some(DEFAULT_BLOCK_PKTS),
+            )
+            .expect("slice sources are infallible");
             sink.len()
         });
     });

@@ -25,9 +25,10 @@
 //! speedup.
 
 use dart_bench::TraceScale;
-#[cfg(feature = "telemetry")]
-use dart_core::{run_monitor_slice, EngineTelemetry, ShardedConfig, ShardedMonitor};
-use dart_core::{run_trace, run_trace_sharded, DartConfig, DartEngine, EngineStats, RttSample};
+use dart_core::{
+    run_monitor_slice, run_trace, DartConfig, DartEngine, EngineStats, RttSample, ShardedConfig,
+    ShardedMonitor,
+};
 use dart_packet::SECOND;
 use dart_sim::scenario::{campus, CampusConfig};
 #[cfg(feature = "telemetry")]
@@ -166,15 +167,8 @@ fn instrumented_warmup(
     sidecar: &mut String,
 ) -> Vec<dart_core::RttSample> {
     let metrics = MetricRegistry::new();
-    let samples = if shards <= 1 {
-        // Match run_trace_sharded: one shard is the serial engine.
-        let mut engine = DartEngine::new(cfg);
-        engine.attach_telemetry(EngineTelemetry::register(&metrics, 0));
-        run_monitor_slice(&mut engine, packets).0
-    } else {
-        let mut monitor = ShardedMonitor::with_telemetry(ShardedConfig::new(cfg, shards), &metrics);
-        run_monitor_slice(&mut monitor, packets).0
-    };
+    let mut monitor = ShardedMonitor::with_telemetry(ShardedConfig::new(cfg, shards), &metrics);
+    let samples = run_monitor_slice(&mut monitor, packets).0;
     sidecar.push_str(&metrics.scrape().jsonl_line(&[
         ("shards", shards as u64),
         ("packets", packets.len() as u64),
@@ -182,6 +176,17 @@ fn instrumented_warmup(
     ]));
     sidecar.push('\n');
     samples
+}
+
+/// One sharded replay through the block driver. One shard is the full
+/// threaded path too, so that row prices the hand-off itself.
+fn sharded_replay(
+    cfg: DartConfig,
+    shards: usize,
+    packets: &[dart_packet::PacketMeta],
+) -> Vec<RttSample> {
+    let mut monitor = ShardedMonitor::new(ShardedConfig::new(cfg, shards));
+    run_monitor_slice(&mut monitor, packets).0
 }
 
 /// The measured trace: ≥10⁶ packets at default scale, or the standard
@@ -341,11 +346,11 @@ fn main() {
         #[cfg(feature = "telemetry")]
         let samples = instrumented_warmup(cfg, shards, &packets, &mut sidecar);
         #[cfg(not(feature = "telemetry"))]
-        let (samples, _) = run_trace_sharded(cfg, shards, &packets);
+        let samples = sharded_replay(cfg, shards, &packets);
         let mut best = f64::INFINITY;
         for _ in 0..iters {
             let start = Instant::now();
-            let (s, _) = run_trace_sharded(cfg, shards, &packets);
+            let s = sharded_replay(cfg, shards, &packets);
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(s.len(), samples.len(), "nondeterministic sample count");
             best = best.min(elapsed);

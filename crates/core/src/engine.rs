@@ -555,18 +555,6 @@ impl DartEngine {
         slot
     }
 
-    /// Process an entire trace.
-    pub fn process_trace<'a>(
-        &mut self,
-        packets: impl IntoIterator<Item = &'a PacketMeta>,
-        sink: &mut dyn SampleSink,
-    ) {
-        for p in packets {
-            self.process(p, sink);
-        }
-        self.flush();
-    }
-
     /// Drain the recirculation loop at end of trace.
     pub fn flush(&mut self) {
         self.drain_recirc_until(Nanos::MAX);
@@ -1157,12 +1145,21 @@ fn gate_admit(gate: &AdmissionGate, rec: &PtRecord) -> Admission {
     gate.admit(rec)
 }
 
-/// Convenience: run a full trace through a fresh engine and return the
-/// samples plus final statistics.
+/// The per-packet **reference** path: a fresh engine fed one
+/// [`DartEngine::process`] call per packet, then flushed. The golden and
+/// backend-conformance suites compare every other way of running Dart —
+/// the block pipeline behind [`RttMonitor::on_batch`](crate::RttMonitor::on_batch),
+/// the sharded runtime — against this, so it stays off the block loop
+/// ([`drive`](crate::monitor::drive)) on purpose. Everything that is not a
+/// reference comparison uses
+/// [`run_monitor_slice`](crate::monitor::run_monitor_slice).
 pub fn run_trace(cfg: DartConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, EngineStats) {
     let mut engine = DartEngine::new(cfg);
     let mut samples = Vec::new();
-    engine.process_trace(packets.iter(), &mut samples);
+    for p in packets {
+        engine.process(p, &mut samples);
+    }
+    engine.flush();
     (samples, *engine.stats())
 }
 

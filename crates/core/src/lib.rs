@@ -65,8 +65,10 @@ pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPol
 pub use engine::{run_trace, DartEngine, EngineEvent, EventSink, RecircFilter, RecirculateAll};
 pub use error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
+#[cfg(feature = "telemetry")]
+pub use monitor::drive_timed;
 pub use monitor::{
-    run_monitor, run_monitor_slice, run_monitor_ticked, EpochRotation, RttMonitor,
+    drive, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress, RttMonitor, Stage,
     DEFAULT_BLOCK_PKTS,
 };
 pub use packet_tracker::{PacketTracker, PtInsert, PtProbe, PtRecord};
@@ -76,8 +78,8 @@ pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};
 pub use rt_salu::SaluRangeTracker;
 pub use sample::{RttSample, SampleSink, SampleWeight};
 pub use sharded::{
-    run_trace_sharded, shard_of, PacketHook, ShardedConfig, ShardedDartEngine, ShardedMonitor,
-    ShardedRun, SupervisorConfig, SupervisorHealth,
+    shard_of, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun, SupervisorConfig,
+    SupervisorHealth,
 };
 pub use sketch::{
     Admission, AdmissionGate, CountMinSketch, HeavyHitters, SketchPacketTracker, SketchRangeTracker,
@@ -87,4 +89,4 @@ pub use snapshot::{
 };
 pub use stats::EngineStats;
 #[cfg(feature = "telemetry")]
-pub use telemetry::{EngineTelemetry, MeteredMonitor, Stage, StageTimers, SYNC_INTERVAL_PKTS};
+pub use telemetry::{EngineTelemetry, MeteredMonitor, StageTimers, SYNC_INTERVAL_PKTS};

@@ -28,11 +28,24 @@
 //!   and `samples`); Dart's loss-accounting counters stay zero and the
 //!   testkit asserts bounded loss only where the registry promises it.
 //!
-//! [`run_monitor`] drives any monitor from any
-//! [`PacketSource`] — the single helper that
-//! replaced the per-engine `process_trace` copies — so a monitor written
-//! against this trait gets native-trace, pcap, and simulated streaming
-//! (without trace materialization) for free.
+//! # Driving
+//!
+//! [`drive`] is the one place trace-driving lives: the single loop that
+//! pulls blocks from a [`PacketSource`] and feeds them to
+//! [`RttMonitor::on_batch`]. Replay, the bench harness, the differential
+//! runner, the recovery matrix and the `dartmon serve` daemon all go
+//! through it; what differs between them — a progress tick, an epoch
+//! rotation, a checkpoint, a reload, a shutdown — is a decision their
+//! boundary callback takes *between* blocks, never a fork of the loop. A
+//! monitor written against this trait therefore gets native-trace, pcap,
+//! live-tail and simulated streaming (without trace materialization) for
+//! free. [`run_monitor`] and [`run_monitor_slice`] are `drive` with a
+//! boundary that always asks for the default block.
+//!
+//! The per-packet **reference** path, [`run_trace`](crate::engine::run_trace),
+//! is deliberately not built on this loop: it calls `DartEngine::process`
+//! packet by packet, and the golden and backend-conformance suites hold
+//! the block path to it.
 
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -148,77 +161,165 @@ pub trait RttMonitor {
 /// block of [`PacketMeta`] stays cache-resident.
 pub const DEFAULT_BLOCK_PKTS: usize = 1024;
 
-/// Drive a monitor over a packet source to exhaustion, then flush.
+/// What [`drive`] shows its boundary callback between blocks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Packets fed to the monitor so far by this `drive` call.
+    pub packets: u64,
+    /// Timestamp of the newest packet fed (the last packet of the newest
+    /// block); 0 before the first block.
+    pub newest_ts: Nanos,
+    /// True on the one call made after the source reported end of stream,
+    /// just before the flush. The callback's answer to it is ignored.
+    pub drained: bool,
+}
+
+/// Which stage of the loop a wall-clock observation belongs to (see
+/// `StageTimers` under the `telemetry` feature).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Pulling the next block from the packet source.
+    Decode,
+    /// Processing a block through the monitor.
+    Match,
+    /// Flushing buffered state or rotating an epoch.
+    Flush,
+}
+
+/// How the loop clocks its stages: not at all ([`Untimed`]), or into the
+/// `dart_stage_*_ns` histograms (`StageTimers`, `telemetry` feature only).
+/// Statically dispatched, so [`drive`] carries no clock in any build and
+/// `--no-default-features` has no timed instantiation at all.
+trait StageClock {
+    fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R;
+}
+
+struct Untimed;
+
+impl StageClock for Untimed {
+    #[inline(always)]
+    fn time<R>(&self, _stage: Stage, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+#[cfg(feature = "telemetry")]
+impl StageClock for crate::telemetry::StageTimers {
+    #[inline]
+    fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
+        crate::telemetry::StageTimers::time(self, stage, f)
+    }
+}
+
+/// The driver loop: `boundary → source.next_block → monitor.on_batch`,
+/// repeated until the boundary says stop or the source ends, then one
+/// flush. Returns the monitor's final counters; samples land in `sink`.
 ///
-/// Returns the monitor's final counters; samples land in `sink`. This is
-/// the one place trace-driving lives — engines implement [`RttMonitor`],
-/// sources implement [`PacketSource`], and every driver (bench harness,
-/// differential runner, CLI) goes through here. Packets are pulled in
-/// blocks of [`DEFAULT_BLOCK_PKTS`] and handed to [`RttMonitor::on_batch`],
-/// so the per-packet cost is one slice iteration, not a virtual call.
+/// # Boundary contract
+///
+/// `boundary(monitor, progress)` runs before every pull — so also before
+/// the first, with nothing fed yet — and answers `Some(cap)`, the most
+/// packets the next block may hold (at least 1), or `None` to stop. It is
+/// the only point where the caller touches the monitor, and the monitor is
+/// quiescent there: rotate, checkpoint, replace it, or just count. When
+/// the source reports end of stream the boundary runs once more with
+/// [`Progress::drained`] set, so a caller with work to do ahead of the
+/// flush (a final checkpoint) has one place to do it on either exit.
+///
+/// The source contract is [`PacketSource::next_chunk`]'s: a short block is
+/// fed as it is, never waited on; an empty block is end of stream; and an
+/// `Err` is returned as soon as the source reports it — which, for the
+/// block readers, is only after the packets decoded before the bad record
+/// have been handed over and fed. The monitor is *not* flushed on `Err`.
+pub fn drive<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
+    monitor: &mut M,
+    source: &mut S,
+    sink: &mut dyn SampleSink,
+    boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+) -> Result<EngineStats, PacketError> {
+    drive_clocked(monitor, source, sink, &Untimed, boundary)
+}
+
+/// [`drive`] with stage timing: one `dart_stage_decode_ns` and one
+/// `dart_stage_match_ns` observation per block, one `dart_stage_flush_ns`
+/// for the flush. The clock is read here, in the driver, so the engine hot
+/// path stays free of it.
+#[cfg(feature = "telemetry")]
+pub fn drive_timed<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
+    monitor: &mut M,
+    source: &mut S,
+    sink: &mut dyn SampleSink,
+    stage: &crate::telemetry::StageTimers,
+    boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+) -> Result<EngineStats, PacketError> {
+    drive_clocked(monitor, source, sink, stage, boundary)
+}
+
+fn drive_clocked<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
+    monitor: &mut M,
+    source: &mut S,
+    sink: &mut dyn SampleSink,
+    clock: &impl StageClock,
+    mut boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+) -> Result<EngineStats, PacketError> {
+    let mut buf = Vec::new();
+    let mut at = Progress::default();
+    while let Some(cap) = boundary(monitor, at) {
+        debug_assert!(cap > 0, "a zero cap would read as end of stream");
+        let block = clock.time(Stage::Decode, || source.next_block(&mut buf, cap))?;
+        let Some(last) = block.last() else {
+            at.drained = true;
+            boundary(monitor, at);
+            break;
+        };
+        at.packets += block.len() as u64;
+        at.newest_ts = at.newest_ts.max(last.ts);
+        clock.time(Stage::Match, || monitor.on_batch(block, sink));
+    }
+    clock.time(Stage::Flush, || monitor.flush(sink));
+    Ok(monitor.stats())
+}
+
+/// A [`drive`] boundary that calls `tick(packets)` at every multiple of
+/// `every` packets fed. Each block is capped at the distance to the next
+/// multiple, so the tick fires exactly there even when the block size does
+/// not divide `every`. The metrics scraper hangs its periodic snapshot off
+/// this; the end-of-run tick is the caller's, after `drive` returns.
+pub fn tick_every<M: ?Sized>(
+    every: u64,
+    mut tick: impl FnMut(u64),
+) -> impl FnMut(&mut M, Progress) -> Option<usize> {
+    let every = every.max(1);
+    move |_, at| {
+        if at.packets > 0 && !at.drained && at.packets.is_multiple_of(every) {
+            tick(at.packets);
+        }
+        let until_tick = every - at.packets % every;
+        Some(DEFAULT_BLOCK_PKTS.min(usize::try_from(until_tick).unwrap_or(usize::MAX)))
+    }
+}
+
+/// [`drive`] to exhaustion in blocks of [`DEFAULT_BLOCK_PKTS`]: the block
+/// path for any monitor over any source.
 pub fn run_monitor<M: RttMonitor + ?Sized, S: PacketSource>(
     monitor: &mut M,
     mut source: S,
     sink: &mut dyn SampleSink,
 ) -> Result<EngineStats, PacketError> {
-    let mut buf = Vec::new();
-    loop {
-        let block = source.next_block(&mut buf, DEFAULT_BLOCK_PKTS)?;
-        if block.is_empty() {
-            break;
-        }
-        monitor.on_batch(block, sink);
-    }
-    monitor.flush(sink);
-    Ok(monitor.stats())
+    drive(monitor, &mut source, sink, |_, _| Some(DEFAULT_BLOCK_PKTS))
 }
 
-/// [`run_monitor`] with a periodic callback: `tick(processed, done)` fires
-/// at every multiple of `every` packets processed (with `done = false`) and
-/// once more after the flush (with `done = true`, whatever the final
-/// count). The metrics scraper hangs its periodic snapshot emission off
-/// this; anything else needing a progress heartbeat (progress bars,
-/// watchdogs) can use it too.
-///
-/// Ticks are accounted at block boundaries: each pulled block is capped at
-/// the distance to the next tick, so the callback fires exactly at
-/// multiples of `every` even when the block size does not divide it.
-pub fn run_monitor_ticked<M: RttMonitor + ?Sized, S: PacketSource>(
-    monitor: &mut M,
-    mut source: S,
-    sink: &mut dyn SampleSink,
-    every: u64,
-    mut tick: impl FnMut(u64, bool),
-) -> Result<EngineStats, PacketError> {
-    let every = every.max(1);
-    let mut processed = 0u64;
-    let mut buf = Vec::new();
-    loop {
-        let until_tick = every - processed % every;
-        let max = DEFAULT_BLOCK_PKTS.min(usize::try_from(until_tick).unwrap_or(usize::MAX));
-        let block = source.next_block(&mut buf, max)?;
-        if block.is_empty() {
-            break;
-        }
-        monitor.on_batch(block, sink);
-        processed += block.len() as u64;
-        if processed.is_multiple_of(every) {
-            tick(processed, false);
-        }
-    }
-    monitor.flush(sink);
-    tick(processed, true);
-    Ok(monitor.stats())
-}
-
-/// [`run_monitor`] over an in-memory trace, collecting into a fresh vector.
-/// Infallible: slice sources cannot error.
+/// [`run_monitor`] over an in-memory trace, collecting into a fresh
+/// vector: the block path for any monitor, and the whole-trace helper
+/// every caller outside the reference suites uses (a sharded replay is
+/// `run_monitor_slice(&mut ShardedMonitor::new(cfg), pkts)`). Infallible:
+/// slice sources cannot error.
 pub fn run_monitor_slice<M: RttMonitor + ?Sized>(
     monitor: &mut M,
     packets: &[PacketMeta],
 ) -> (Vec<RttSample>, EngineStats) {
     let mut samples = Vec::new();
-    // SliceSource::next_packet never returns Err, so this expect cannot
+    // SliceSource::next_block never returns Err, so this expect cannot
     // fire; the lint exception documents the proof obligation.
     #[allow(clippy::expect_used)]
     let stats = run_monitor(monitor, SliceSource::new(packets), &mut samples)
@@ -284,52 +385,178 @@ mod tests {
             .collect()
     }
 
-    /// `tick(processed, false)` must fire at exact multiples of `every`
-    /// even though the driver pulls blocks — the block-boundary accounting
-    /// caps each block at the distance to the next tick.
+    /// A monitor that records what the loop did to it.
+    #[derive(Default)]
+    struct Recording {
+        blocks: Vec<usize>,
+        flushes: u32,
+    }
+
+    impl RttMonitor for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+        fn on_packet(&mut self, _pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
+            unreachable!("the loop feeds blocks");
+        }
+        fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
+            self.blocks.push(pkts.len());
+        }
+        fn flush(&mut self, _sink: &mut dyn SampleSink) {
+            self.flushes += 1;
+        }
+        fn stats(&self) -> EngineStats {
+            EngineStats {
+                packets: self.blocks.iter().sum::<usize>() as u64,
+                ..EngineStats::default()
+            }
+        }
+    }
+
+    /// A live-style source: each pull answers with the next scripted
+    /// block, however short, or the scripted error; then end of stream.
+    struct Scripted {
+        script: std::vec::IntoIter<Result<Vec<PacketMeta>, PacketError>>,
+        pulls: u32,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Result<Vec<PacketMeta>, PacketError>>) -> Scripted {
+            Scripted {
+                script: script.into_iter(),
+                pulls: 0,
+            }
+        }
+    }
+
+    impl PacketSource for Scripted {
+        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+            unreachable!("the loop pulls blocks");
+        }
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<PacketMeta>,
+            max: usize,
+        ) -> Result<usize, PacketError> {
+            self.pulls += 1;
+            buf.clear();
+            if let Some(step) = self.script.next() {
+                buf.extend(step?);
+                assert!(buf.len() <= max, "scripted block exceeds the cap");
+            }
+            Ok(buf.len())
+        }
+    }
+
+    /// Ticks fire at exact multiples of `every` even though the loop pulls
+    /// blocks: the boundary caps each block at the distance to the next
+    /// tick. An interval longer than the trace never ticks, and either way
+    /// the output is the un-ticked one.
     #[test]
-    fn ticked_driver_fires_at_exact_multiples() {
-        let packets = data_stream(25);
-        let mut engine = DartEngine::new(DartConfig::default());
-        let mut sink: Vec<crate::sample::RttSample> = Vec::new();
-        let mut ticks = Vec::new();
-        run_monitor_ticked(
-            &mut engine,
-            SliceSource::new(&packets),
-            &mut sink,
-            7, // does not divide any power-of-two block size
-            |n, done| ticks.push((n, done)),
-        )
+    fn ticks_fire_at_exact_multiples() {
+        // 7 does not divide any power-of-two block size.
+        for (n, every, expect) in [
+            (25, 7, vec![7, 14, 21]),
+            (21, 7, vec![7, 14, 21]),
+            (40, 1_000_000, vec![]),
+        ] {
+            let packets = data_stream(n);
+            let (expected, expected_stats) =
+                run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &packets);
+            let mut engine = DartEngine::new(DartConfig::default());
+            let mut sink: Vec<RttSample> = Vec::new();
+            let mut ticks = Vec::new();
+            let stats = drive(
+                &mut engine,
+                &mut SliceSource::new(&packets),
+                &mut sink,
+                tick_every(every, |at| ticks.push(at)),
+            )
+            .unwrap();
+            assert_eq!(ticks, expect, "{n} packets, every {every}");
+            assert_eq!(sink, expected);
+            assert_eq!(stats, expected_stats);
+        }
+    }
+
+    #[test]
+    fn a_short_block_is_fed_not_waited_on() {
+        let pkts = data_stream(9);
+        let mut source = Scripted::new(vec![
+            Ok(pkts[..3].to_vec()),
+            Ok(pkts[3..4].to_vec()),
+            Ok(pkts[4..].to_vec()),
+        ]);
+        let mut monitor = Recording::default();
+        let mut seen = Vec::new();
+        drive(&mut monitor, &mut source, &mut Vec::new(), |_, at| {
+            seen.push(at);
+            Some(DEFAULT_BLOCK_PKTS)
+        })
         .unwrap();
+        // One on_batch per pull, each block exactly as the source cut it.
+        assert_eq!(monitor.blocks, vec![3, 1, 5]);
+        assert_eq!(monitor.flushes, 1);
+        assert_eq!(source.pulls, 4, "three blocks and the end of stream");
+        let at = |packets, ts, drained| Progress {
+            packets,
+            newest_ts: ts,
+            drained,
+        };
         assert_eq!(
-            ticks,
-            vec![(7, false), (14, false), (21, false), (25, true)]
+            seen,
+            vec![
+                at(0, 0, false),
+                at(3, pkts[2].ts, false),
+                at(4, pkts[3].ts, false),
+                at(9, pkts[8].ts, false),
+                at(9, pkts[8].ts, true),
+            ]
         );
     }
 
-    /// An interval longer than the trace yields only the final tick, and
-    /// the batch-pulling driver still matches the per-packet result.
     #[test]
-    fn ticked_driver_matches_untick_result() {
-        let packets = data_stream(40);
-        let (expected, expected_stats) = {
-            let mut engine = DartEngine::new(DartConfig::default());
-            run_monitor_slice(&mut engine, &packets)
-        };
-        let mut engine = DartEngine::new(DartConfig::default());
-        let mut sink: Vec<crate::sample::RttSample> = Vec::new();
-        let mut ticks = Vec::new();
-        let stats = run_monitor_ticked(
-            &mut engine,
-            SliceSource::new(&packets),
-            &mut sink,
-            1_000_000,
-            |n, done| ticks.push((n, done)),
-        )
+    fn a_stop_leaves_the_source_unpulled_and_flushes_once() {
+        let pkts = data_stream(8);
+        let mut source = Scripted::new(vec![Ok(pkts[..4].to_vec()), Ok(pkts[4..].to_vec())]);
+        let mut monitor = Recording::default();
+        let stats = drive(&mut monitor, &mut source, &mut Vec::new(), |_, at| {
+            (at.packets == 0).then_some(DEFAULT_BLOCK_PKTS)
+        })
         .unwrap();
-        assert_eq!(ticks, vec![(40, true)]);
-        assert_eq!(sink, expected);
-        assert_eq!(stats, expected_stats);
+        assert_eq!(source.pulls, 1, "no pull after the stop");
+        assert_eq!(monitor.blocks, vec![4]);
+        assert_eq!(monitor.flushes, 1);
+        assert_eq!(stats.packets, 4);
+
+        // A stop before the first pull still flushes, exactly once.
+        let mut source = Scripted::new(vec![Ok(pkts)]);
+        let mut monitor = Recording::default();
+        drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| None).unwrap();
+        assert_eq!((source.pulls, monitor.flushes), (0, 1));
+        assert!(monitor.blocks.is_empty());
+    }
+
+    #[test]
+    fn a_source_error_surfaces_after_the_packets_before_it_are_fed() {
+        // The block readers hand over what they decoded ahead of a bad
+        // record and report the error on the next pull.
+        let pkts = data_stream(5);
+        let mut source = Scripted::new(vec![
+            Ok(pkts.clone()),
+            Err(PacketError::BadTrace("torn record".to_string())),
+        ]);
+        let mut monitor = Recording::default();
+        let mut boundaries = 0;
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+            boundaries += 1;
+            Some(DEFAULT_BLOCK_PKTS)
+        })
+        .expect_err("the source's error is the loop's");
+        assert!(matches!(err, PacketError::BadTrace(_)));
+        assert_eq!(monitor.blocks, vec![5], "fed before the error surfaced");
+        assert_eq!(boundaries, 2, "no drained call on the error path");
+        assert_eq!(monitor.flushes, 0, "an error is not an end of stream");
     }
 
     #[test]

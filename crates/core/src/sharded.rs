@@ -51,8 +51,9 @@
 //! eviction counters at different shard counts. Consequences:
 //!
 //! * `shards == 1` is the faithful reproduction of the paper's single
-//!   pipeline: the output is **bit-identical** to [`run_trace`] — same
-//!   samples, same order, same stats.
+//!   pipeline: the output is **bit-identical** to
+//!   [`run_trace`](crate::engine::run_trace) — same samples, same order,
+//!   same stats.
 //! * Under [`DartConfig::unlimited`] (no collisions, no evictions) every
 //!   shard count yields exactly the serial per-flow samples.
 //! * Under constrained configs, per-flow sample *sets* remain equal except
@@ -66,7 +67,7 @@
 //! emission order.
 
 use crate::config::DartConfig;
-use crate::engine::{run_trace, DartEngine, EngineEvent};
+use crate::engine::{DartEngine, EngineEvent};
 use crate::error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 use crate::monitor::{EpochRotation, RttMonitor};
 use crate::sample::{RttSample, SampleSink};
@@ -459,61 +460,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A flow-sharded Dart engine: `shards` independent [`DartEngine`]s, each
-/// on its own worker thread, partitioned by symmetric flow hash.
-pub struct ShardedDartEngine {
-    cfg: ShardedConfig,
-}
-
-impl ShardedDartEngine {
-    /// Build a sharded engine. Panics when `shards` or `batch_size` is 0.
-    pub fn new(cfg: ShardedConfig) -> ShardedDartEngine {
-        assert!(cfg.shards >= 1, "need at least one shard");
-        assert!(cfg.batch_size >= 1, "batch size must be positive");
-        assert!(cfg.queue_depth >= 1, "queue depth must be positive");
-        ShardedDartEngine { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ShardedConfig {
-        &self.cfg
-    }
-
-    /// Replay a trace across the shards and merge the results, tolerating
-    /// degraded runs: shard failures are recorded in
-    /// [`ShardedRun::failures`] and accounted in the counters, but never
-    /// surfaced as an error. Use [`ShardedDartEngine::try_run`] to get the
-    /// policy-aware `Result`.
-    pub fn run(&self, packets: &[PacketMeta]) -> ShardedRun {
-        let mut monitor = ShardedMonitor::new(self.cfg);
-        for pkt in packets {
-            monitor.feed(pkt);
-        }
-        monitor.into_run()
-    }
-
-    /// Replay a trace and surface failures per the configured
-    /// [`FailurePolicy`]: under `FailFast` a shard failure returns
-    /// `Err(EngineError::ShardFailed)` carrying the partial merged output;
-    /// under the degrading policies the `Ok` run carries its failures.
-    pub fn try_run(&self, packets: &[PacketMeta]) -> Result<ShardedRun, EngineError> {
-        let mut monitor = ShardedMonitor::new(self.cfg);
-        for pkt in packets {
-            monitor.try_feed(pkt)?;
-        }
-        monitor.try_into_run()
-    }
-}
-
-/// The streaming face of the flow-sharded engine: an [`RttMonitor`] whose
-/// `on_packet` partitions packets to worker threads as they arrive, so a
-/// sharded replay can consume any [`PacketSource`](dart_packet::PacketSource)
-/// without materializing the trace.
+/// The flow-sharded engine: `shards` independent [`DartEngine`]s, each on
+/// its own worker thread, partitioned by symmetric flow hash, behind one
+/// [`RttMonitor`] whose `on_packet`/`on_batch` hand packets to the workers
+/// as they arrive — so a sharded replay is any driver over any
+/// [`PacketSource`](dart_packet::PacketSource), without materializing the
+/// trace (`run_monitor_slice(&mut ShardedMonitor::new(cfg), pkts)` for one
+/// in memory).
 ///
 /// Samples cannot be emitted in deterministic merge order until every
 /// worker has finished, so this monitor buffers: `on_packet` emits nothing
 /// and the whole merged stream — ordered by (global packet index, shard
-/// id), byte-identical to [`ShardedDartEngine::run`] — is delivered on
+/// id), whatever the hand-off batching was — is delivered on
 /// [`RttMonitor::flush`]. Memory for results is proportional to the sample
 /// count, not the trace length; in-flight packets stay bounded by
 /// `shards × queue_depth × batch_size`.
@@ -1580,26 +1538,20 @@ fn merge(results: Vec<Option<ShardResult>>) -> ShardedRun {
     }
 }
 
-/// Convenience mirroring [`run_trace`]: replay `packets` across `shards`
-/// engine shards with default hand-off parameters.
-pub fn run_trace_sharded(
-    cfg: DartConfig,
-    shards: usize,
-    packets: &[PacketMeta],
-) -> (Vec<RttSample>, EngineStats) {
-    if shards <= 1 {
-        // Single shard is definitionally the serial engine; skip the
-        // thread machinery (the equivalence is asserted in tests).
-        return run_trace(cfg, packets);
-    }
-    let out = ShardedDartEngine::new(ShardedConfig::new(cfg, shards)).run(packets);
-    (out.samples, out.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_trace;
+    use crate::monitor::run_monitor_slice;
     use dart_packet::{Direction, Nanos, PacketBuilder};
+
+    /// A whole-trace sharded replay through the block driver, with the
+    /// full merged output (events, per-shard counters, failures).
+    fn replay(cfg: ShardedConfig, pkts: &[PacketMeta]) -> ShardedRun {
+        let mut monitor = ShardedMonitor::new(cfg);
+        run_monitor_slice(&mut monitor, pkts);
+        monitor.into_run()
+    }
 
     fn flow(n: u32) -> FlowKey {
         FlowKey::from_raw(0x0a00_0000 + n, 40000 + (n % 1000) as u16, 0x5db8_d822, 443)
@@ -1639,8 +1591,7 @@ mod tests {
     fn one_shard_is_bit_identical_to_serial() {
         let pkts = trace(40, 6);
         let (serial_samples, serial_stats) = run_trace(DartConfig::default(), &pkts);
-        // Through the full threaded path, not the shards<=1 shortcut.
-        let out = ShardedDartEngine::new(ShardedConfig::new(DartConfig::default(), 1)).run(&pkts);
+        let out = replay(ShardedConfig::new(DartConfig::default(), 1), &pkts);
         assert_eq!(out.samples, serial_samples);
         assert_eq!(out.stats, serial_stats);
         assert!(out.healthy());
@@ -1651,9 +1602,9 @@ mod tests {
         let pkts = trace(50, 5);
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         for shards in [2usize, 3, 4, 8] {
-            let (sharded, stats) = run_trace_sharded(DartConfig::unlimited(), shards, &pkts);
-            assert_eq!(sharded, serial, "shards = {shards}");
-            assert_eq!(stats.packets, pkts.len() as u64);
+            let out = replay(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            assert_eq!(out.samples, serial, "shards = {shards}");
+            assert_eq!(out.stats.packets, pkts.len() as u64);
         }
     }
 
@@ -1670,7 +1621,7 @@ mod tests {
     #[test]
     fn shards_cover_all_packets() {
         let pkts = trace(30, 4);
-        let out = ShardedDartEngine::new(ShardedConfig::new(DartConfig::default(), 4)).run(&pkts);
+        let out = replay(ShardedConfig::new(DartConfig::default(), 4), &pkts);
         assert_eq!(out.stats.packets, pkts.len() as u64);
         assert_eq!(out.per_shard.len(), 4);
         let by_shard: u64 = out.per_shard.iter().map(|s| s.packets).sum();
@@ -1683,10 +1634,10 @@ mod tests {
     #[test]
     fn merge_order_is_serial_emission_order() {
         let pkts = trace(25, 4);
-        let out = ShardedDartEngine::new(
+        let out = replay(
             ShardedConfig::new(DartConfig::unlimited(), 4).with_batch_size(7),
-        )
-        .run(&pkts);
+            &pkts,
+        );
         // Samples must be ordered by their ACK's arrival time (ties allowed).
         assert!(out.samples.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
@@ -1694,12 +1645,12 @@ mod tests {
     #[test]
     fn tiny_batches_and_queues_still_complete() {
         let pkts = trace(20, 3);
-        let out = ShardedDartEngine::new(
+        let out = replay(
             ShardedConfig::new(DartConfig::unlimited(), 3)
                 .with_batch_size(1)
                 .with_queue_depth(1),
-        )
-        .run(&pkts);
+            &pkts,
+        );
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         assert_eq!(out.samples, serial);
     }
@@ -1711,7 +1662,11 @@ mod tests {
         // block ends is dispatched, and the output is the per-packet one.
         let pkts = trace(30, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(16);
-        let per_packet = ShardedDartEngine::new(cfg).run(&pkts);
+        let mut per_packet = ShardedMonitor::new(cfg);
+        for p in &pkts {
+            per_packet.feed(p);
+        }
+        let per_packet = per_packet.into_run();
 
         let mut monitor = ShardedMonitor::new(cfg);
         let mut sink = Vec::new();
@@ -1731,7 +1686,7 @@ mod tests {
     fn streaming_monitor_matches_batch_run() {
         let pkts = trace(30, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 4).with_batch_size(16);
-        let batch = ShardedDartEngine::new(cfg).run(&pkts);
+        let batch = replay(cfg, &pkts);
 
         let mut monitor = ShardedMonitor::new(cfg);
         let mut streamed = Vec::new();
@@ -1767,8 +1722,8 @@ mod tests {
         }
         pkts.sort_by_key(|p| p.ts);
         let cfg = DartConfig::unlimited();
-        let a = ShardedDartEngine::new(ShardedConfig::new(cfg, 4)).run(&pkts);
-        let b = ShardedDartEngine::new(ShardedConfig::new(cfg, 4)).run(&pkts);
+        let a = replay(ShardedConfig::new(cfg, 4), &pkts);
+        let b = replay(ShardedConfig::new(cfg, 4), &pkts);
         assert!(!a.events.is_empty(), "expected range-collapse events");
         assert_eq!(a.events, b.events);
         // And the merged events match the serial engine's (unlimited config:
@@ -1779,7 +1734,10 @@ mod tests {
             let _ = tx.send(ev);
         }));
         let mut dump = Vec::new();
-        engine.process_trace(pkts.iter(), &mut dump);
+        for p in &pkts {
+            engine.process(p, &mut dump);
+        }
+        engine.flush();
         drop(engine); // closes the sender so the drain below terminates
         let serial_events: Vec<EngineEvent> = rx.try_iter().collect();
         assert_eq!(a.events, serial_events);
@@ -1969,7 +1927,7 @@ mod tests {
         // continuously-active flows must not change the merged output.
         let pkts = trace(30, 6);
         let cfg = ShardedConfig::new(DartConfig::unlimited(), 4).with_batch_size(16);
-        let baseline = ShardedDartEngine::new(cfg).run(&pkts);
+        let baseline = replay(cfg, &pkts);
 
         let mut monitor = ShardedMonitor::new(cfg);
         for (i, p) in pkts.iter().enumerate() {
@@ -2059,7 +2017,7 @@ mod tests {
     fn keep_samples_off_bounds_memory_but_keeps_counters() {
         let pkts = trace(25, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 3).with_keep_samples(false);
-        let out = ShardedDartEngine::new(cfg).run(&pkts);
+        let out = replay(cfg, &pkts);
         assert!(out.samples.is_empty(), "retention off: no merged samples");
         assert!(out.events.is_empty(), "retention off: no merged events");
         assert_eq!(out.stats.packets, pkts.len() as u64);
@@ -2130,7 +2088,7 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 4).with_batch_size(7);
 
         // Reference: one uninterrupted run over the whole trace.
-        let whole = ShardedDartEngine::new(cfg).run(&pkts);
+        let whole = replay(cfg, &pkts);
 
         let split = pkts.len() * 2 / 3;
         let mut a = ShardedMonitor::new(cfg);

@@ -49,7 +49,7 @@
 //! `dart_shard_flows_lost_total`, `dart_shard_monitor_miss_total`), so
 //! the schema cannot silently drift from this table.
 
-use crate::monitor::{EpochRotation, RttMonitor};
+use crate::monitor::{EpochRotation, RttMonitor, Stage};
 use crate::sample::{RttSample, SampleSink};
 use crate::stats::EngineStats;
 use dart_telemetry::{Counter, Gauge, Histogram, MetricRegistry};
@@ -192,7 +192,8 @@ impl EngineTelemetry {
 
 /// Driver-level per-stage timing histograms (`dart_stage_*_ns`): the
 /// pipeline self-profile a long-running daemon exposes. The *driver* owns
-/// the clock — decode is the time spent pulling the next block from the
+/// the clock ([`drive_timed`](crate::monitor::drive_timed)) — decode is the
+/// time spent pulling the next block from the
 /// [`PacketSource`](dart_packet::PacketSource), match is the
 /// [`RttMonitor::on_batch`] call, flush covers flushes and epoch rotations
 /// — so the engine hot path stays free of timing syscalls and the <3%
@@ -227,47 +228,19 @@ impl StageTimers {
         }
     }
 
-    /// Record one source pull.
-    #[inline]
-    pub fn observe_decode(&self, ns: u64) {
-        self.decode_ns.observe(ns);
-    }
-
-    /// Record one block's match/process time.
-    #[inline]
-    pub fn observe_match(&self, ns: u64) {
-        self.match_ns.observe(ns);
-    }
-
-    /// Record one flush or rotation.
-    #[inline]
-    pub fn observe_flush(&self, ns: u64) {
-        self.flush_ns.observe(ns);
-    }
-
     /// Time `f`, observing the elapsed wall-clock into `stage`'s histogram.
     pub fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
         let start = std::time::Instant::now();
         let out = f();
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         match stage {
-            Stage::Decode => self.observe_decode(ns),
-            Stage::Match => self.observe_match(ns),
-            Stage::Flush => self.observe_flush(ns),
+            Stage::Decode => &self.decode_ns,
+            Stage::Match => &self.match_ns,
+            Stage::Flush => &self.flush_ns,
         }
+        .observe(ns);
         out
     }
-}
-
-/// Which pipeline stage a [`StageTimers::time`] measurement belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// Pulling the next block from the packet source.
-    Decode,
-    /// Processing a block through the monitor.
-    Match,
-    /// Flushing buffered state or rotating an epoch.
-    Flush,
 }
 
 /// Sink adapter: forwards to the real sink and observes each RTT.

@@ -12,8 +12,22 @@
 //! merge bug — and this test pins the mechanism with a minimal two-flow
 //! reproduction.
 
-use dart_core::{run_trace, run_trace_sharded, shard_of, DartConfig};
+use dart_core::{
+    run_monitor_slice, run_trace, shard_of, DartConfig, EngineStats, RttSample, ShardedConfig,
+    ShardedMonitor,
+};
 use dart_packet::{Direction, FlowKey, PacketBuilder, PacketMeta, MILLISECOND};
+
+fn run_sharded(
+    cfg: DartConfig,
+    shards: usize,
+    pkts: &[PacketMeta],
+) -> (Vec<RttSample>, EngineStats) {
+    run_monitor_slice(
+        &mut ShardedMonitor::new(ShardedConfig::new(cfg, shards)),
+        pkts,
+    )
+}
 
 /// Two flows that land on different shards at 2 shards.
 fn flows_on_distinct_shards() -> (FlowKey, FlowKey) {
@@ -72,7 +86,7 @@ fn per_shard_tables_relax_pt_collision_pressure() {
 
     // Sharded over 2: each flow gets its own engine (and its own PT slot),
     // so the collision never happens and both samples survive.
-    let (sharded_samples, sharded) = run_trace_sharded(cfg, 2, &pkts);
+    let (sharded_samples, sharded) = run_sharded(cfg, 2, &pkts);
     assert_eq!(sharded_samples.len(), 2, "sharded: no collision, no loss");
     assert_eq!(sharded.pt_displaced, 0);
     assert_eq!(sharded.recirc_cap_dropped, 0);
@@ -94,8 +108,8 @@ fn identical_shard_counts_stay_deterministic() {
     let pkts = colliding_trace(fa, fb);
     let cfg = DartConfig::default().with_pt(1, 1).with_max_recirc(0);
     for shards in [2, 4] {
-        let a = run_trace_sharded(cfg, shards, &pkts);
-        let b = run_trace_sharded(cfg, shards, &pkts);
+        let a = run_sharded(cfg, shards, &pkts);
+        let b = run_sharded(cfg, shards, &pkts);
         assert_eq!(a.0, b.0, "shards={shards}: nondeterministic samples");
         assert_eq!(a.1, b.1, "shards={shards}: nondeterministic stats");
     }

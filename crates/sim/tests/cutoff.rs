@@ -56,8 +56,7 @@ fn stranded_records_squat_in_darts_pt() {
     let out = simulate(vec![base_spec(Some(10_000))], 2);
     let cfg = DartConfig::default().with_rt(1 << 10).with_pt(1 << 10, 1);
     let mut engine = dart_core::DartEngine::new(cfg);
-    let mut samples: Vec<dart_core::RttSample> = Vec::new();
-    engine.process_trace(out.packets.iter(), &mut samples);
+    let (samples, _) = dart_core::run_monitor_slice(&mut engine, &out.packets);
     // Records for the never-ACKed tail are stranded in the PT, exactly the
     // state lazy eviction exists to reclaim.
     assert!(

@@ -26,10 +26,6 @@
 //! * [`scenarios`] — adversarial scenario suites (QUIC mixes, churn
 //!   storms, interception, wireless tails) running the full differential
 //!   matrix with the spin and histogram engines judged;
-//! * [`daemon`] — the long-lived `dartmon serve` core: a supervised
-//!   sharded engine on a live source with wall-clock epoch rotation,
-//!   crash-consistent checkpointing, and the embedded observability
-//!   server (`telemetry` feature);
 //! * [`recovery`] — the kill–restart harness: seeded crash points
 //!   (mid-block, mid-rotation, mid-checkpoint-write) driven through
 //!   checkpoint/restore cycles and judged against the oracle — zero
@@ -57,8 +53,6 @@
 
 pub mod broken;
 pub mod chaos;
-#[cfg(feature = "telemetry")]
-pub mod daemon;
 pub mod diff;
 pub mod faults;
 pub mod oracle;
@@ -72,8 +66,6 @@ pub use chaos::{
     chaos_hook, quiet_chaos_panics, run_chaos, run_chaos_sweep, ChaosConfig, ChaosReport,
     RuntimeFault,
 };
-#[cfg(feature = "telemetry")]
-pub use daemon::{Daemon, DaemonConfig, DaemonReport};
 pub use diff::{
     hist_within_tolerance, loss_budget, oracle_histogram, run_diff, run_diff_faulted,
     snapshot_from_rows, DiffConfig, DiffReport, EngineOutcome,

@@ -35,8 +35,8 @@
 
 use crate::oracle::{run_oracle, OracleConfig, OracleReport, ScoreCard};
 use dart_core::sharded::{ShardedConfig, ShardedMonitor, ShardedRun};
-use dart_core::{Backend, DartConfig, RttMonitor, RttSample, Snapshot};
-use dart_packet::{Nanos, PacketMeta, SECOND};
+use dart_core::{drive, Backend, DartConfig, RttSample, Snapshot};
+use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource, SECOND};
 use dart_sim::scenario::{campus, CampusConfig};
 
 /// Where the first life dies.
@@ -197,37 +197,60 @@ pub fn recovery_trace(seed: u64) -> Vec<PacketMeta> {
     }
 }
 
-/// Feed `packets[start..end]` in blocks, rotating at every multiple of
-/// `rotate_every`, and hand control to `at_checkpoint` at every multiple
-/// of `checkpoint_every` (both positions measured over the full capture,
-/// so the second life keeps the first life's schedule).
-fn drive(
+/// One life of the monitor over `source` — `packets[span]` of the capture
+/// — through the production driver loop ([`dart_core::drive`]): the same
+/// pull, feed and boundary the daemon runs. The wall-clock schedule becomes
+/// a packet-count one so cells replay exactly: the boundary rotates at
+/// every multiple of `rotate_every` and then hands control to
+/// `at_checkpoint` at every multiple of `checkpoint_every` — rotation
+/// first, as in the daemon, so a snapshot never holds entries a sweep at
+/// the same boundary retired. Both positions are measured over the full
+/// capture, so the second life keeps the first life's schedule. `max_ts`
+/// carries the newest timestamp across lives.
+///
+/// A life ends the way the loop does: with its flush when the source
+/// drains, or — over a [`Killed`] source — with the source's error and no
+/// flush at all.
+fn live(
     monitor: &mut ShardedMonitor,
-    packets: &[PacketMeta],
+    source: &mut dyn PacketSource,
     cfg: &RecoveryConfig,
-    start: usize,
-    end: usize,
+    span: std::ops::Range<usize>,
     max_ts: &mut Nanos,
     mut at_checkpoint: impl FnMut(&mut ShardedMonitor, usize),
-) {
+) -> Result<(), PacketError> {
+    let base_ts = *max_ts;
     let mut sink: Vec<RttSample> = Vec::new();
-    let mut pos = start;
-    while pos < end {
-        let next_ckpt = (pos / cfg.checkpoint_every + 1) * cfg.checkpoint_every;
-        let next_rot = (pos / cfg.rotate_every + 1) * cfg.rotate_every;
-        let stop = end.min(next_ckpt).min(next_rot).min(pos + cfg.block);
-        monitor.on_batch(&packets[pos..stop], &mut sink);
-        if let Some(p) = packets[pos..stop].last() {
-            *max_ts = (*max_ts).max(p.ts);
-        }
-        pos = stop;
-        if pos < end {
+    drive(monitor, source, &mut sink, |monitor, at| {
+        let pos = span.start + at.packets as usize;
+        *max_ts = base_ts.max(at.newest_ts);
+        if at.packets > 0 && pos < span.end {
             if pos % cfg.rotate_every == 0 {
                 ShardedMonitor::rotate_epoch(monitor, max_ts.saturating_sub(SECOND));
             }
             if pos % cfg.checkpoint_every == 0 {
                 at_checkpoint(monitor, pos);
             }
+        }
+        let next_ckpt = (pos / cfg.checkpoint_every + 1) * cfg.checkpoint_every;
+        let next_rot = (pos / cfg.rotate_every + 1) * cfg.rotate_every;
+        Some(next_ckpt.min(next_rot).min(pos + cfg.block) - pos)
+    })
+    .map(|_| ())
+}
+
+/// The first life's input: the capture up to the crash point, then an I/O
+/// error where an end of stream would be — the in-process stand-in for
+/// `kill -9`. The loop's error path returns without a flush (no drain, no
+/// join), and a block the kill interrupts dies with it: the default fill
+/// loop cannot hand over what it pulled ahead of an error.
+struct Killed<'a>(std::slice::Iter<'a, PacketMeta>);
+
+impl PacketSource for Killed<'_> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        match self.0.next() {
+            Some(p) => Ok(Some(*p)),
+            None => Err(PacketError::Io(std::io::Error::other("killed"))),
         }
     }
 }
@@ -254,15 +277,15 @@ pub fn recovery_reference(cfg: &RecoveryConfig, packets: &[PacketMeta]) -> Shard
         .with_keep_samples(true);
     let mut reference = ShardedMonitor::new(scfg);
     let mut ref_ts: Nanos = 0;
-    drive(
+    live(
         &mut reference,
-        packets,
+        &mut SliceSource::new(packets),
         cfg,
-        0,
-        packets.len(),
+        0..packets.len(),
         &mut ref_ts,
         |_, _| {},
-    );
+    )
+    .expect("slice sources are infallible");
     reference.into_run()
 }
 
@@ -349,18 +372,18 @@ pub fn run_recovery_judged(
     let mut first = ShardedMonitor::new(scfg);
     let mut max_ts: Nanos = 0;
     let mut durable: Option<(usize, Vec<u8>)> = None;
-    drive(
+    let killed = live(
         &mut first,
-        packets,
+        &mut Killed(packets[..crash_at].iter()),
         cfg,
-        0,
-        crash_at,
+        0..crash_at,
         &mut max_ts,
         |monitor, pos| match monitor.checkpoint() {
             Ok(snap) => durable = Some((pos, snap.into_bytes())),
             Err(e) => violations.push(format!("checkpoint at {pos} failed: {e}")),
         },
     );
+    debug_assert!(killed.is_err(), "the first life must not reach its flush");
     // The crash itself.
     let mut torn_write_detected = false;
     match cfg.crash {
@@ -424,15 +447,15 @@ pub fn run_recovery_judged(
         );
     }
     let mut max_ts2 = max_ts;
-    drive(
+    live(
         &mut second,
-        packets,
+        &mut SliceSource::new(&packets[crash_at..]),
         cfg,
-        crash_at,
-        n,
+        crash_at..n,
         &mut max_ts2,
         |_, _| {},
-    );
+    )
+    .expect("slice sources are infallible");
     let run = second.into_run();
 
     // ---- Judge.

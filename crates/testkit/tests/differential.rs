@@ -3,7 +3,7 @@
 //! check. CI runs exactly this (`cargo test -p dart-testkit`) and uploads
 //! `tests/shrunk/` when it fails.
 
-use dart_core::DartConfig;
+use dart_core::{DartConfig, ShardedConfig, ShardedMonitor};
 use dart_packet::PacketMeta;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_testkit::oracle::{run_oracle, OracleConfig, SampleClass};
@@ -189,7 +189,8 @@ fn sharded_and_serial_agree_on_faulted_traces() {
         use dart_sim::TraceTransform;
         let faulted = injector.apply(trace(TRACE_SEEDS[0]));
         let (serial, _) = dart_core::run_trace(DartConfig::default(), &faulted);
-        let (sharded, _) = dart_core::run_trace_sharded(DartConfig::default(), 4, &faulted);
+        let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 4));
+        let (sharded, _) = dart_core::run_monitor_slice(&mut monitor, &faulted);
         let count = |samples: &[dart_core::RttSample]| {
             let mut m: HashMap<_, u64> = HashMap::new();
             for s in samples {

@@ -1,11 +1,11 @@
 //! Crash-consistency acceptance: the pinned seeds × crash-points ×
-//! backends recovery matrix, plus the daemon-level checkpoint/restore
-//! round trip.
+//! backends recovery matrix, driven through the production loop
+//! (`dart_core::drive`). The daemon-level checkpoint/restore round trip
+//! lives with the daemon, in `crates/tools/tests/daemon_restart.rs`.
 //!
-//! These live in their own test binary (not `daemon.rs`/`recovery.rs`
-//! unit tests) because they are CPU-heavy: cargo runs test binaries one
-//! at a time, so this load cannot starve the timing-sensitive daemon
-//! tests in the library binary.
+//! These live in their own test binary (not `recovery.rs` unit tests)
+//! because they are CPU-heavy: cargo runs test binaries one at a time, so
+//! this load cannot starve timing-sensitive tests elsewhere.
 
 use dart_core::sharded::ShardedConfig;
 use dart_core::{Backend, DartConfig};
@@ -134,140 +134,5 @@ fn checkpoint_pause_stays_under_ten_milliseconds_at_design_scale() {
             best < Duration::from_millis(10),
             "{backend:?}: checkpoint pause {best:?} over the 10 ms budget"
         );
-    }
-}
-
-#[cfg(feature = "telemetry")]
-mod daemon_restart {
-    use dart_core::sharded::ShardedConfig;
-    use dart_core::DartConfig;
-    use dart_packet::{Direction, FlowKey, Nanos, PacketBuilder, PacketMeta};
-    use dart_testkit::{Daemon, DaemonConfig};
-    use std::time::Duration;
-
-    fn exchanges(flows: u32, count: u32) -> Vec<PacketMeta> {
-        let mut pkts = Vec::new();
-        for e in 0..count {
-            for fi in 0..flows {
-                let flow =
-                    FlowKey::from_raw(0x0a00_0100 + fi, 40_000 + fi as u16, 0x5db8_d822, 443);
-                let t = (e as Nanos) * 10_000_000 + (fi as Nanos) * 1_000;
-                pkts.push(
-                    PacketBuilder::new(flow, t)
-                        .seq(e * 1460)
-                        .payload(1460)
-                        .dir(Direction::Outbound)
-                        .build(),
-                );
-                pkts.push(
-                    PacketBuilder::new(flow.reverse(), t + 5_000_000)
-                        .ack((e * 1460).wrapping_add(1460))
-                        .dir(Direction::Inbound)
-                        .build(),
-                );
-            }
-        }
-        pkts.sort_by_key(|p| p.ts);
-        pkts
-    }
-
-    fn cfg() -> DaemonConfig {
-        DaemonConfig {
-            sharded: ShardedConfig::new(DartConfig::default(), 2).with_batch_size(64),
-            block_pkts: 128,
-            rotate_every: Duration::from_millis(20),
-            retain: 50_000_000,
-            ..DaemonConfig::default()
-        }
-    }
-
-    #[test]
-    fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
-        let dir = std::env::temp_dir().join(format!(
-            "dart_daemon_ckpt_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let snap = dir.join("daemon.dsnp");
-        let pkts = exchanges(10, 6);
-        let total = pkts.len() as u64;
-        let split = pkts.len() / 2;
-
-        // First incarnation: drain the first half, leaving the shutdown
-        // checkpoint behind.
-        let daemon = Daemon::start(DaemonConfig {
-            snapshot_path: Some(snap.clone()),
-            checkpoint_every: Some(Duration::from_millis(5)),
-            ..cfg()
-        })
-        .expect("bind");
-        let mut source = dart_packet::SliceSource::new(&pkts[..split]);
-        let first = daemon.run(&mut source).expect("first run");
-        assert!(first.checkpoints >= 1, "no checkpoint written");
-        assert!(!first.restored);
-        assert!(snap.is_file(), "snapshot missing after shutdown");
-
-        // Second incarnation: restore, then feed the rest. The books must
-        // carry across the boundary — fed == packets + monitor_miss summed
-        // over both lives.
-        let daemon = Daemon::start(DaemonConfig {
-            snapshot_path: Some(snap.clone()),
-            restore_from: Some(snap.clone()),
-            ..cfg()
-        })
-        .expect("bind after restore");
-        let mut source = dart_packet::SliceSource::new(&pkts[split..]);
-        let second = daemon.run(&mut source).expect("second run");
-        assert!(second.restored);
-        assert_eq!(
-            second.stats.packets + second.stats.monitor_miss,
-            total,
-            "conservation across the restart: {:?}",
-            second.stats
-        );
-        assert!(second.stats.samples >= first.stats.samples);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn restore_refuses_a_mismatched_snapshot() {
-        let dir = std::env::temp_dir().join(format!(
-            "dart_daemon_badsnap_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let snap = dir.join("daemon.dsnp");
-        let pkts = exchanges(6, 2);
-        let daemon = Daemon::start(DaemonConfig {
-            snapshot_path: Some(snap.clone()),
-            ..cfg()
-        })
-        .expect("bind");
-        let mut source = dart_packet::SliceSource::new(&pkts);
-        daemon.run(&mut source).expect("run");
-        // Same snapshot, different shard count: must fail loudly at start.
-        let err = match Daemon::start(DaemonConfig {
-            sharded: ShardedConfig::new(DartConfig::default(), 4).with_batch_size(64),
-            restore_from: Some(snap.clone()),
-            ..cfg()
-        }) {
-            Err(e) => e,
-            Ok(_) => panic!("shard-count mismatch must not start"),
-        };
-        assert!(err.to_string().contains("restore"), "{err}");
-        // A torn write (truncated file) must also fail loudly.
-        let bytes = std::fs::read(&snap).expect("snapshot bytes");
-        std::fs::write(&snap, &bytes[..bytes.len() / 2]).expect("truncate");
-        let err = match Daemon::start(DaemonConfig {
-            restore_from: Some(snap.clone()),
-            ..cfg()
-        }) {
-            Err(e) => e,
-            Ok(_) => panic!("torn snapshot must not start"),
-        };
-        assert!(err.to_string().contains("restore"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,12 +6,8 @@ use crate::io::{load_file, parse_prefix, save_file};
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
 use dart_baselines::EngineRegistry;
 use dart_core::FailurePolicy;
-use dart_core::{run_monitor_slice, Backend, DartConfig, Leg};
-#[cfg(feature = "telemetry")]
-use dart_core::{run_monitor_ticked, RttSample};
-#[cfg(feature = "telemetry")]
-use dart_packet::SliceSource;
-use dart_packet::SECOND;
+use dart_core::{drive, run_monitor_slice, tick_every, Backend, DartConfig, Leg, RttSample};
+use dart_packet::{SliceSource, SECOND};
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
@@ -60,9 +56,9 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
     }
     #[cfg(feature = "telemetry")]
     {
+        use crate::daemon::{Daemon, DaemonConfig, DaemonReport};
         use dart_core::sharded::ShardedConfig;
         use dart_packet::{CycleSource, Follow, PacketSource, PcapSource, Reconnecting};
-        use dart_testkit::{Daemon, DaemonConfig};
         use std::sync::atomic::Ordering;
         use std::time::Duration;
 
@@ -125,7 +121,6 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
             snapshot_path,
             checkpoint_every,
             restore_from,
-            ..DaemonConfig::default()
         };
         let internal = internal_prefix(opts)?;
         let mut daemon = Daemon::start(cfg).map_err(|e| format!("serve startup: {e}"))?;
@@ -157,7 +152,7 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
                 .run(source)
                 .map_err(|e| format!("ingest {input}: {e}"))
         };
-        type ModeOutcome = Result<(dart_testkit::DaemonReport, String), String>;
+        type ModeOutcome = Result<(DaemonReport, String), String>;
         let outcome: ModeOutcome = (|| match mode {
             "follow" => {
                 // Build the tail *after* the server is up: the shared
@@ -539,58 +534,69 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     let (packets, skipped) = load_file(input, internal_prefix(opts)?)?;
 
     #[cfg(feature = "telemetry")]
-    let (built, samples, stats, telemetry_note) = {
-        let metrics = MetricRegistry::new();
-        let events = EventLog::new(256);
-        let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
+    let (metrics, events) = (MetricRegistry::new(), EventLog::new(256));
+    #[cfg(feature = "telemetry")]
+    let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
+    #[cfg(not(feature = "telemetry"))]
+    let mut built = registry.build(&engine, &cfg)?;
+    // `--metrics-out`: a JSONL line every `--metrics-interval` packets and
+    // one more after the flush.
+    #[cfg(feature = "telemetry")]
+    let mut jsonl = String::new();
+    #[cfg(feature = "telemetry")]
+    let mut snapshot = |processed: u64, done: bool| {
+        if sinks.jsonl.is_none() {
+            return;
+        }
+        let snap = metrics.scrape();
+        jsonl.push_str(&snap.jsonl_line(&[("packets", processed), ("final", done as u64)]));
+        jsonl.push('\n');
         events.info(
             "replay",
-            "run start",
-            &[
-                ("engine", &engine),
-                ("input", input),
-                ("packets", &packets.len().to_string()),
-            ],
-        );
-        let mut samples: Vec<RttSample> = Vec::new();
-        let mut jsonl = String::new();
-        let mut snapshots = 0u64;
-        let stats = run_monitor_ticked(
-            built.monitor.as_mut(),
-            SliceSource::new(&packets),
-            &mut samples,
-            sinks.interval,
-            |processed, done| {
-                if sinks.jsonl.is_none() {
-                    return;
-                }
-                let snap = metrics.scrape();
-                jsonl.push_str(&snap.jsonl_line(&[("packets", processed), ("final", done as u64)]));
-                jsonl.push('\n');
-                snapshots += 1;
-                events.info(
-                    "replay",
-                    if done {
-                        "final snapshot"
-                    } else {
-                        "periodic snapshot"
-                    },
-                    &[("packets", &processed.to_string())],
-                );
+            if done {
+                "final snapshot"
+            } else {
+                "periodic snapshot"
             },
-        )
-        .expect("slice sources are infallible");
+            &[("packets", &processed.to_string())],
+        );
+    };
+    #[cfg(not(feature = "telemetry"))]
+    let snapshot = |_processed: u64, _done: bool| {};
+    #[cfg(feature = "telemetry")]
+    events.info(
+        "replay",
+        "run start",
+        &[
+            ("engine", &engine),
+            ("input", input),
+            ("packets", &packets.len().to_string()),
+        ],
+    );
+    let mut samples: Vec<RttSample> = Vec::new();
+    let stats = drive(
+        built.monitor.as_mut(),
+        &mut SliceSource::new(&packets),
+        &mut samples,
+        tick_every(sinks.interval, |processed| snapshot(processed, false)),
+    )
+    .expect("slice sources are infallible");
+    snapshot(packets.len() as u64, true);
+    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
+    let mut telemetry_note = String::new();
+    #[cfg(feature = "telemetry")]
+    {
         events.info(
             "replay",
             "run finish",
             &[("samples", &samples.len().to_string())],
         );
-        let mut note = String::new();
         if let Some(path) = &sinks.jsonl {
             std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
             writeln!(
-                note,
-                "metrics           : {snapshots} snapshots (every {} pkts) -> {path}",
+                telemetry_note,
+                "metrics           : {} snapshots (every {} pkts) -> {path}",
+                jsonl.lines().count(),
                 sinks.interval
             )
             .expect("string write");
@@ -598,26 +604,18 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         if let Some(path) = &sinks.prom {
             std::fs::write(path, metrics.scrape().prometheus())
                 .map_err(|e| format!("write {path}: {e}"))?;
-            writeln!(note, "prometheus        : {path}").expect("string write");
+            writeln!(telemetry_note, "prometheus        : {path}").expect("string write");
         }
         if let Some(path) = &sinks.events {
             std::fs::write(path, events.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
             writeln!(
-                note,
+                telemetry_note,
                 "events            : {} entries -> {path}",
                 events.len_logged()
             )
             .expect("string write");
         }
-        (built, samples, stats, note)
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let (built, samples, stats, telemetry_note) = {
-        let _ = &sinks;
-        let mut built = registry.build(&engine, &cfg)?;
-        let (samples, stats) = run_monitor_slice(built.monitor.as_mut(), &packets);
-        (built, samples, stats, String::new())
-    };
+    }
 
     if let Some(csv) = opts.get("csv") {
         let mut text = String::from("ts_ns,src,sport,dst,dport,eack,rtt_ns\n");

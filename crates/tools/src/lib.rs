@@ -1,16 +1,21 @@
 //! # dart-tools
 //!
 //! Library backing the `dartmon` command-line tool: trace loading by file
-//! type, report generation for each subcommand. Kept as a library so the
-//! commands are unit-testable without spawning processes.
+//! type, report generation for each subcommand, and the long-lived
+//! [`daemon`] behind `dartmon serve`. Kept as a library so the commands are
+//! unit-testable without spawning processes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod commands;
+#[cfg(feature = "telemetry")]
+pub mod daemon;
 pub mod io;
 pub mod shutdown;
 
 pub use cli::{parse, Command, Options};
 pub use commands::run;
+#[cfg(feature = "telemetry")]
+pub use daemon::{Daemon, DaemonConfig, DaemonReport};

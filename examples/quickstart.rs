@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use dart::core::{DartConfig, DartEngine, RttSample};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::sim::scenario::{campus, CampusConfig};
 
 fn main() {
@@ -28,8 +28,7 @@ fn main() {
     //    recirculation allowed.
     let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 10, 1);
     let mut dart = DartEngine::new(cfg);
-    let mut samples: Vec<RttSample> = Vec::new();
-    dart.process_trace(trace.packets.iter(), &mut samples);
+    let (samples, _) = run_monitor_slice(&mut dart, &trace.packets);
 
     // 3. Look at what came out.
     println!("\nfirst samples:");

@@ -7,7 +7,7 @@
 //! ```
 
 use dart::baselines::{Strawman, StrawmanConfig};
-use dart::core::{run_monitor_slice, DartConfig, DartEngine, RttSample, SynPolicy};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, SynPolicy};
 use dart::sim::scenario::{syn_flood, SynFloodConfig};
 
 fn main() {
@@ -27,8 +27,7 @@ fn main() {
 
     // Dart with the deployed -SYN policy: tables stay calm.
     let mut dart = DartEngine::new(DartConfig::default().with_rt(1 << 16).with_pt(1 << 14, 1));
-    let mut samples: Vec<RttSample> = Vec::new();
-    dart.process_trace(trace.packets.iter(), &mut samples);
+    let (samples, _) = run_monitor_slice(&mut dart, &trace.packets);
     println!("dart (-SYN):");
     println!("  RT entries after flood : {:6}", dart.rt_occupancy());
     println!("  PT entries after flood : {:6}", dart.pt_occupancy());
@@ -42,8 +41,7 @@ fn main() {
             .with_pt(1 << 14, 1)
             .with_syn(SynPolicy::Include),
     );
-    let mut naive_samples: Vec<RttSample> = Vec::new();
-    naive.process_trace(trace.packets.iter(), &mut naive_samples);
+    let _ = run_monitor_slice(&mut naive, &trace.packets);
     println!("dart (+SYN) — what skipping saves us from:");
     println!("  RT entries after flood : {:6}", naive.rt_occupancy());
     println!("  PT entries after flood : {:6}\n", naive.pt_occupancy());

@@ -3,7 +3,7 @@
 //! pipeline in one process.
 
 use dart::baselines::{run_tcptrace, TcpTraceConfig};
-use dart::core::{run_trace, DartConfig, RttSample, SynPolicy};
+use dart::core::{run_trace, DartConfig, SynPolicy};
 use dart::sim::scenario::{campus, syn_flood, CampusConfig, SynFloodConfig};
 
 fn small_campus() -> dart::sim::scenario::GeneratedTrace {
@@ -67,8 +67,7 @@ fn syn_flood_cannot_inflate_the_tables() {
     });
     let cfg = DartConfig::default().with_rt(1 << 14).with_pt(1 << 12, 1);
     let mut engine = dart::core::DartEngine::new(cfg);
-    let mut samples: Vec<RttSample> = Vec::new();
-    engine.process_trace(trace.packets.iter(), &mut samples);
+    let (samples, _) = dart::core::run_monitor_slice(&mut engine, &trace.packets);
 
     // Only the ~20 legitimate connections may hold RT entries.
     assert!(

@@ -5,9 +5,7 @@ use dart::analytics::{CongestionConfig, CongestionMonitor};
 use dart::baselines::{
     Dapper, DapperConfig, LeanRtt, Pping, PpingConfig, Strawman, StrawmanConfig,
 };
-use dart::core::{
-    run_monitor_slice, run_trace, DartConfig, DartEngine, EngineEvent, Leg, RttSample,
-};
+use dart::core::{run_monitor_slice, run_trace, DartConfig, DartEngine, EngineEvent, Leg};
 use dart::sim::scenario::{campus, CampusConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -134,8 +132,7 @@ fn engine_events_drive_the_congestion_monitor() {
     let sink = events.clone();
     let mut engine = DartEngine::new(DartConfig::unlimited());
     engine.set_event_sink(Box::new(move |ev| sink.borrow_mut().push(ev)));
-    let mut samples: Vec<RttSample> = Vec::new();
-    engine.process_trace(t.packets.iter(), &mut samples);
+    let _ = run_monitor_slice(&mut engine, &t.packets);
 
     let events = events.borrow();
     assert_eq!(

@@ -12,9 +12,9 @@
 //!   serial engine: samples, order, and every stats counter.
 
 use dart::core::{
-    run_trace, run_trace_sharded, DartConfig, RttSample, ShardedConfig, ShardedDartEngine,
+    run_monitor_slice, run_trace, DartConfig, RttSample, ShardedConfig, ShardedMonitor, ShardedRun,
 };
-use dart::packet::FlowKey;
+use dart::packet::{FlowKey, PacketMeta};
 use dart::sim::scenario::{campus, CampusConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -47,6 +47,15 @@ fn make_trace(
     .packets
 }
 
+/// A whole-trace sharded replay through the full threaded
+/// feeder/worker/merge path (at one shard too), with the merged events and
+/// per-shard counters.
+fn run_sharded(cfg: ShardedConfig, pkts: &[PacketMeta]) -> ShardedRun {
+    let mut monitor = ShardedMonitor::new(cfg);
+    run_monitor_slice(&mut monitor, pkts);
+    monitor.into_run()
+}
+
 /// Per-flow sample multiset: flow → sorted (eack, rtt, ts) triples.
 fn per_flow(samples: &[RttSample]) -> HashMap<FlowKey, Vec<(u32, u64, u64)>> {
     let mut map: HashMap<FlowKey, Vec<(u32, u64, u64)>> = HashMap::new();
@@ -71,10 +80,10 @@ proptest! {
         let pkts = make_trace(seed, conns, loss, reorder);
         let (serial, serial_stats) = run_trace(DartConfig::unlimited(), &pkts);
         for shards in [1usize, 2, 4, 8] {
-            let (sharded, stats) = run_trace_sharded(DartConfig::unlimited(), shards, &pkts);
-            prop_assert_eq!(&sharded, &serial, "shards = {}", shards);
-            prop_assert_eq!(stats.packets, serial_stats.packets);
-            prop_assert_eq!(stats.samples, serial_stats.samples);
+            let out = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            prop_assert_eq!(&out.samples, &serial, "shards = {}", shards);
+            prop_assert_eq!(out.stats.packets, serial_stats.packets);
+            prop_assert_eq!(out.stats.samples, serial_stats.samples);
         }
     }
 
@@ -86,8 +95,8 @@ proptest! {
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         let reference = per_flow(&serial);
         for shards in [2usize, 4, 8] {
-            let (sharded, _) = run_trace_sharded(DartConfig::unlimited(), shards, &pkts);
-            prop_assert_eq!(per_flow(&sharded), reference.clone(), "shards = {}", shards);
+            let out = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            prop_assert_eq!(per_flow(&out.samples), reference.clone(), "shards = {}", shards);
         }
     }
 
@@ -98,7 +107,7 @@ proptest! {
         let pkts = make_trace(seed, conns, loss, reorder);
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 8, 1);
         let (serial, serial_stats) = run_trace(cfg, &pkts);
-        let out = ShardedDartEngine::new(ShardedConfig::new(cfg, 1).with_batch_size(256)).run(&pkts);
+        let out = run_sharded(ShardedConfig::new(cfg, 1).with_batch_size(256), &pkts);
         prop_assert_eq!(out.samples, serial);
         prop_assert_eq!(out.stats, serial_stats);
     }
@@ -112,9 +121,9 @@ proptest! {
     ) {
         let pkts = make_trace(seed, conns, loss, reorder);
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 8, 1);
-        let engine = ShardedDartEngine::new(ShardedConfig::new(cfg, 4).with_batch_size(batch));
-        let a = engine.run(&pkts);
-        let b = engine.run(&pkts);
+        let sharded = ShardedConfig::new(cfg, 4).with_batch_size(batch);
+        let a = run_sharded(sharded, &pkts);
+        let b = run_sharded(sharded, &pkts);
         prop_assert_eq!(a.samples, b.samples);
         prop_assert_eq!(a.stats, b.stats);
         prop_assert_eq!(a.events, b.events);
