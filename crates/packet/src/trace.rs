@@ -19,7 +19,8 @@ use std::io::{Read, Write};
 
 const MAGIC: [u8; 4] = *b"DART";
 const VERSION: u32 = 2;
-pub(crate) const RECORD_LEN: usize = 43;
+/// Bytes per record on disk.
+pub const RECORD_LEN: usize = 43;
 
 /// Writes a native trace stream.
 pub struct TraceWriter<W: Write> {
@@ -28,10 +29,9 @@ pub struct TraceWriter<W: Write> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Start a trace; the header's record count is finalized by
-    /// [`TraceWriter::finish`] only when the writer supports seeking — for
-    /// plain streams the count field stores `u64::MAX` ("unknown") and
-    /// readers simply read to EOF.
+    /// Start a trace. The header's record count field always stores
+    /// `u64::MAX` ("unknown") — nothing finalizes it, the writer may be a
+    /// plain stream — and readers read to EOF.
     pub fn new(mut out: W) -> Result<Self, PacketError> {
         out.write_all(&MAGIC)?;
         out.write_all(&VERSION.to_le_bytes())?;

@@ -2,12 +2,14 @@
 //! it would print, keeping the logic testable.
 
 use crate::cli::{Command, Options, USAGE};
-use crate::io::{load_file, parse_prefix, save_file};
+use crate::io::{load_file, open_source, parse_prefix, save_file};
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
 use dart_baselines::EngineRegistry;
+use dart_core::monitor::DEFAULT_BLOCK_PKTS;
 use dart_core::FailurePolicy;
-use dart_core::{drive, run_monitor_slice, tick_every, Backend, DartConfig, Leg, RttSample};
-use dart_packet::{SliceSource, SECOND};
+use dart_core::{drive, run_monitor_slice, tick_every};
+use dart_core::{Backend, DartConfig, DartEngine, Leg, RttSample};
+use dart_packet::SECOND;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
@@ -22,6 +24,8 @@ use dart_testkit::{run_diff, run_diff_faulted};
 #[cfg(feature = "telemetry")]
 use dart_testkit::{run_diff_faulted_instrumented, run_diff_instrumented};
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::net::Ipv4Addr;
 
 /// Execute a parsed command, returning the report text.
@@ -208,10 +212,9 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
                 Ok((report, note))
             }
             _ => {
-                let (packets, _) = load_file(input, internal)?;
-                let mut source = SliceSource::new(&packets);
+                let mut source = open_source(input, internal)?;
                 Ok((
-                    run(daemon, &mut source)?,
+                    run(daemon, source.packets())?,
                     "once (drain and exit)".to_string(),
                 ))
             }
@@ -526,12 +529,60 @@ fn engine_selection(
     Ok(names)
 }
 
+/// `--csv`: one row per sample, written as the engine emits it. The first
+/// write error is held and returned by [`CsvOut::finish`].
+struct CsvOut<'a> {
+    path: &'a str,
+    out: BufWriter<File>,
+    status: std::io::Result<()>,
+}
+
+impl<'a> CsvOut<'a> {
+    fn create(path: &'a str) -> Result<Self, String> {
+        let file = File::create(path).map_err(|e| format!("write {path}: {e}"))?;
+        let mut out = BufWriter::new(file);
+        let status = writeln!(out, "ts_ns,src,sport,dst,dport,eack,rtt_ns");
+        Ok(CsvOut { path, out, status })
+    }
+
+    fn row(&mut self, s: &RttSample) {
+        if self.status.is_ok() {
+            self.status = writeln!(
+                self.out,
+                "{},{},{},{},{},{},{}",
+                s.ts,
+                s.flow.src_ip,
+                s.flow.src_port,
+                s.flow.dst_ip,
+                s.flow.dst_port,
+                s.eack.raw(),
+                s.rtt
+            );
+        }
+    }
+
+    fn finish(mut self) -> Result<(), String> {
+        self.status
+            .and_then(|()| self.out.flush())
+            .map_err(|e| format!("write {}: {e}", self.path))
+    }
+
+    /// A failed run leaves no partial CSV behind. Only a regular file is
+    /// removed: `--csv /dev/null` must not cost the host its device node.
+    fn discard(self) {
+        drop(self.out);
+        if std::fs::symlink_metadata(self.path).is_ok_and(|m| m.is_file()) {
+            let _ = std::fs::remove_file(self.path);
+        }
+    }
+}
+
 fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     let cfg = engine_config(opts)?;
     let registry = EngineRegistry::standard();
     let (engine, shards) = resolve_engine(opts, &registry)?;
     let sinks = telemetry_sinks(opts)?;
-    let (packets, skipped) = load_file(input, internal_prefix(opts)?)?;
+    let mut source = open_source(input, internal_prefix(opts)?)?;
 
     #[cfg(feature = "telemetry")]
     let (metrics, events) = (MetricRegistry::new(), EventLog::new(256));
@@ -567,21 +618,46 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     events.info(
         "replay",
         "run start",
-        &[
-            ("engine", &engine),
-            ("input", input),
-            ("packets", &packets.len().to_string()),
-        ],
+        &[("engine", &engine), ("input", input)],
     );
-    let mut samples: Vec<RttSample> = Vec::new();
-    let stats = drive(
-        built.monitor.as_mut(),
-        &mut SliceSource::new(&packets),
-        &mut samples,
-        tick_every(sinks.interval, |processed| snapshot(processed, false)),
-    )
-    .expect("slice sources are infallible");
-    snapshot(packets.len() as u64, true);
+    // Samples stream too: the distribution keeps 8 bytes of each, the CSV
+    // row goes to disk.
+    let mut dist = RttDistribution::new();
+    let mut csv = opts.get("csv").map(CsvOut::create).transpose()?;
+    let mut packets = 0;
+    let run = {
+        let mut tick = tick_every(sinks.interval, |processed| snapshot(processed, false));
+        let mut sink = |s: RttSample| {
+            dist.push(s.rtt);
+            if let Some(csv) = &mut csv {
+                csv.row(&s);
+            }
+        };
+        drive(
+            built.monitor.as_mut(),
+            source.packets(),
+            &mut sink,
+            |monitor, at| {
+                packets = at.packets;
+                tick(monitor, at)
+            },
+        )
+    };
+    // No partial report: the CSV is the only output written before the run
+    // has succeeded, so it is the only one to take back.
+    let stats = match run {
+        Ok(stats) => stats,
+        Err(e) => {
+            if let Some(csv) = csv {
+                csv.discard();
+            }
+            return Err(format!("{input}: {e}"));
+        }
+    };
+    if let Some(csv) = csv {
+        csv.finish()?;
+    }
+    snapshot(packets, true);
     #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut telemetry_note = String::new();
     #[cfg(feature = "telemetry")]
@@ -589,7 +665,10 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         events.info(
             "replay",
             "run finish",
-            &[("samples", &samples.len().to_string())],
+            &[
+                ("packets", &packets.to_string()),
+                ("samples", &dist.len().to_string()),
+            ],
         );
         if let Some(path) = &sinks.jsonl {
             std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
@@ -617,31 +696,11 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         }
     }
 
-    if let Some(csv) = opts.get("csv") {
-        let mut text = String::from("ts_ns,src,sport,dst,dport,eack,rtt_ns\n");
-        for s in &samples {
-            writeln!(
-                text,
-                "{},{},{},{},{},{},{}",
-                s.ts,
-                s.flow.src_ip,
-                s.flow.src_port,
-                s.flow.dst_ip,
-                s.flow.dst_port,
-                s.eack.raw(),
-                s.rtt
-            )
-            .expect("string write");
-        }
-        std::fs::write(csv, text).map_err(|e| format!("write {csv}: {e}"))?;
-    }
-
-    let mut dist = RttDistribution::from_samples(samples.iter().map(|s| s.rtt));
     let mut out = String::new();
     writeln!(
         out,
-        "input             : {input} ({} packets, {skipped} skipped)",
-        packets.len()
+        "input             : {input} ({packets} packets, {} skipped)",
+        source.skipped()
     )
     .unwrap();
     writeln!(
@@ -684,22 +743,32 @@ fn stats_report(input: &str, opts: &Options) -> Result<String, String> {
     }
     #[cfg(feature = "telemetry")]
     {
-        let (packets, skipped) = load_file(input, internal_prefix(opts)?)?;
+        let mut source = open_source(input, internal_prefix(opts)?)?;
         let cfg = engine_config(opts)?;
         let registry = EngineRegistry::standard();
         let (engine, _) = resolve_engine(opts, &registry)?;
         let metrics = MetricRegistry::new();
         let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
-        let (samples, _) = run_monitor_slice(built.monitor.as_mut(), &packets);
+        let (mut packets, mut samples) = (0, 0u64);
+        drive(
+            built.monitor.as_mut(),
+            source.packets(),
+            &mut |_: RttSample| samples += 1,
+            |_, at| {
+                packets = at.packets;
+                Some(DEFAULT_BLOCK_PKTS)
+            },
+        )
+        .map_err(|e| format!("{input}: {e}"))?;
         let mut out = String::new();
         writeln!(
             out,
-            "input  : {input} ({} packets, {skipped} skipped)",
-            packets.len()
+            "input  : {input} ({packets} packets, {} skipped)",
+            source.skipped()
         )
         .expect("string write");
         writeln!(out, "engine : {}", built.monitor.describe()).expect("string write");
-        writeln!(out, "samples: {}", samples.len()).expect("string write");
+        writeln!(out, "samples: {samples}").expect("string write");
         out.push('\n');
         out.push_str(&metrics.scrape().render_text());
         Ok(out)
@@ -831,21 +900,21 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
 }
 
 fn detect(input: &str, opts: &Options) -> Result<String, String> {
-    let (packets, _) = load_file(input, internal_prefix(opts)?)?;
+    let mut source = open_source(input, internal_prefix(opts)?)?;
     let window = opts.get_num("window", 8u32)?;
     let ratio = opts.get_num("ratio", 2.0f64)?;
-    let (samples, _) = dart_core::run_trace(DartConfig::default(), &packets);
     let mut det = ChangeDetector::new(ChangeDetectorConfig {
         window,
         ratio,
         ..ChangeDetectorConfig::default()
     });
-    let mut out = String::new();
-    writeln!(out, "samples: {}", samples.len()).unwrap();
-    for s in &samples {
+    let mut samples = 0u64;
+    let mut verdicts = String::new();
+    let mut sink = |s: RttSample| {
+        samples += 1;
         match det.offer(s.rtt, s.ts) {
             Verdict::Suspected { baseline, observed } => writeln!(
-                out,
+                verdicts,
                 "t={:9.3}s SUSPECTED min-RTT {:.1} -> {:.1} ms",
                 s.ts as f64 / 1e9,
                 baseline as f64 / 1e6,
@@ -857,7 +926,7 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
                 observed,
                 samples_to_confirm,
             } => writeln!(
-                out,
+                verdicts,
                 "t={:9.3}s CONFIRMED min-RTT {:.1} -> {:.1} ms ({samples_to_confirm} samples)",
                 s.ts as f64 / 1e9,
                 baseline as f64 / 1e6,
@@ -866,7 +935,13 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
             .expect("string write"),
             Verdict::Normal => {}
         }
-    }
+    };
+    let mut engine = DartEngine::new(DartConfig::default());
+    drive(&mut engine, source.packets(), &mut sink, |_, _| {
+        Some(DEFAULT_BLOCK_PKTS)
+    })
+    .map_err(|e| format!("{input}: {e}"))?;
+    let mut out = format!("samples: {samples}\n{verdicts}");
     if !out.contains("SUSPECTED") {
         writeln!(out, "no abnormal min-RTT changes detected").unwrap();
     }

@@ -1,8 +1,12 @@
-//! Trace file loading/saving with format auto-detection.
+//! Trace file opening/loading/saving with format auto-detection.
 
+use dart_core::monitor::DEFAULT_BLOCK_PKTS;
 use dart_packet::parse::PrefixClassifier;
-use dart_packet::{PacketError, PacketMeta};
-use dart_sim::replay::{dump_pcap, load_pcap};
+use dart_packet::trace::{TraceReader, RECORD_LEN};
+use dart_packet::{PacketError, PacketMeta, PacketSource, PcapSource};
+use dart_sim::replay::dump_pcap;
+use std::fs::File;
+use std::io::{Chain, Cursor, ErrorKind, Read};
 use std::net::Ipv4Addr;
 
 /// Parse an `A.B.C.D/L` prefix string.
@@ -18,32 +22,100 @@ pub fn parse_prefix(s: &str) -> Result<(Ipv4Addr, u8), String> {
     Ok((addr, len))
 }
 
-/// Load a trace from bytes, auto-detecting pcap (either endianness /
-/// resolution) vs the native format by magic. Returns the packets and the
-/// number of skipped (non-TCP) pcap records.
+/// An input with its four sniffed magic bytes chained back in front: no
+/// seek, so a fifo works, and no `BufReader`, since the readers' own window
+/// is the buffer.
+type Sniffed<R> = Chain<Cursor<[u8; 4]>, R>;
+
+/// A trace being decoded block by block out of one reusable read window:
+/// pcap (either endianness / resolution) or the native format.
+pub enum TraceSource<R: Read> {
+    /// The native fixed-record format.
+    Native(TraceReader<Sniffed<R>>),
+    /// A pcap capture, parsed and direction-classified on the fly.
+    Pcap(PcapSource<Sniffed<R>, PrefixClassifier>),
+}
+
+impl<R: Read> TraceSource<R> {
+    /// Tell the format of `input` by its magic and open the matching reader.
+    fn sniff(mut input: R, internal: (Ipv4Addr, u8)) -> Result<Self, String> {
+        let mut magic = [0u8; 4];
+        input.read_exact(&mut magic).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => "file too short to identify".to_string(),
+            _ => e.to_string(),
+        })?;
+        let is_pcap = matches!(
+            u32::from_le_bytes(magic),
+            0xa1b2_c3d4 | 0xa1b2_3c4d | 0xd4c3_b2a1 | 0x4d3c_b2a1
+        );
+        let input = Cursor::new(magic).chain(input);
+        if is_pcap {
+            PcapSource::new(input, PrefixClassifier::new([internal])).map(TraceSource::Pcap)
+        } else {
+            TraceReader::new(input).map(TraceSource::Native)
+        }
+        .map_err(err)
+    }
+
+    /// The packet stream, whichever format it is decoded from.
+    pub fn packets(&mut self) -> &mut dyn PacketSource {
+        match self {
+            TraceSource::Native(trace) => trace,
+            TraceSource::Pcap(pcap) => pcap,
+        }
+    }
+
+    /// Pcap frames skipped so far as non-TCP or truncated (the native
+    /// format has none).
+    pub fn skipped(&self) -> u64 {
+        match self {
+            TraceSource::Native(_) => 0,
+            TraceSource::Pcap(pcap) => pcap.skipped(),
+        }
+    }
+
+    /// Drain the source into a vector. `len` is the input's length in bytes
+    /// where known, else 0; it sizes the vector for native input (at most
+    /// one record over, for the header; pcap records vary, so no guess).
+    fn collect(mut self, len: u64) -> Result<(Vec<PacketMeta>, u64), String> {
+        let hint = match self {
+            TraceSource::Native(_) => usize::try_from(len).unwrap_or(0) / RECORD_LEN,
+            TraceSource::Pcap(_) => 0,
+        };
+        let mut packets = Vec::with_capacity(hint);
+        let mut block = Vec::new();
+        let source = self.packets();
+        while source
+            .next_chunk(&mut block, DEFAULT_BLOCK_PKTS)
+            .map_err(err)?
+            > 0
+        {
+            packets.extend_from_slice(&block);
+        }
+        Ok((packets, self.skipped()))
+    }
+}
+
+/// Open the trace at `path` (a file or a fifo) for streaming.
+pub fn open_source(path: &str, internal: (Ipv4Addr, u8)) -> Result<TraceSource<File>, String> {
+    let file = File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+    TraceSource::sniff(file, internal)
+}
+
+/// Load a whole trace from bytes. Returns the packets and the number of
+/// skipped (non-TCP) pcap records.
 pub fn load_bytes(
     bytes: &[u8],
     internal: (Ipv4Addr, u8),
 ) -> Result<(Vec<PacketMeta>, u64), String> {
-    if bytes.len() < 4 {
-        return Err("file too short to identify".into());
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let is_pcap = matches!(magic, 0xa1b2_c3d4 | 0xa1b2_3c4d | 0xd4c3_b2a1 | 0x4d3c_b2a1);
-    if is_pcap {
-        let classifier = PrefixClassifier::new([internal]);
-        load_pcap(bytes, &classifier).map_err(err)
-    } else {
-        dart_packet::trace::from_bytes(bytes)
-            .map(|p| (p, 0))
-            .map_err(err)
-    }
+    TraceSource::sniff(bytes, internal)?.collect(bytes.len() as u64)
 }
 
-/// Load a trace from a path.
+/// Load a whole trace from a path: [`open_source`], collected. For the
+/// commands that need random access to the packets; everything else streams.
 pub fn load_file(path: &str, internal: (Ipv4Addr, u8)) -> Result<(Vec<PacketMeta>, u64), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    load_bytes(&bytes, internal)
+    let source = open_source(path, internal)?;
+    source.collect(std::fs::metadata(path).map_or(0, |m| m.len()))
 }
 
 /// Save packets to `path`, choosing the format by extension (`.pcap` gets
