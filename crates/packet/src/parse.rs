@@ -6,7 +6,9 @@ use crate::ethernet::{ethertype, EthernetHeader};
 use crate::flow::FlowKey;
 use crate::ipv4::{protocol, Ipv4Header};
 use crate::meta::{Direction, Nanos, PacketMeta};
-use crate::tcp::TcpHeader;
+use crate::pcap::linktype;
+use crate::seq::SeqNum;
+use crate::tcp::{timestamps_in, TcpFlags, TcpHeader};
 
 /// A classifier deciding each packet's [`Direction`] relative to the monitor,
 /// typically from the source address (e.g. "10.0.0.0/8 is internal").
@@ -56,56 +58,140 @@ impl DirectionClassifier for PrefixClassifier {
     }
 }
 
+/// Which parser a capture's records go through, chosen once from the pcap
+/// link type when the capture is opened.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LinkLayer {
+    /// `LINKTYPE_ETHERNET`: records are Ethernet II frames.
+    Ethernet,
+    /// `LINKTYPE_RAW`: records start at the IP header.
+    RawIp,
+}
+
+impl LinkLayer {
+    /// The parser for a pcap global header's link type; a capture of any
+    /// other type cannot be decoded at all, which is the file's fault
+    /// ([`PacketError::BadTrace`]), not a frame's.
+    pub fn from_linktype(link: u32) -> Result<LinkLayer, PacketError> {
+        match link {
+            linktype::ETHERNET => Ok(LinkLayer::Ethernet),
+            linktype::RAW => Ok(LinkLayer::RawIp),
+            other => Err(PacketError::BadTrace(format!(
+                "unsupported pcap link type {other}"
+            ))),
+        }
+    }
+
+    /// Parse one captured record into a [`PacketMeta`]. Every error is
+    /// damage inside a well-framed record — the network's, not the file's —
+    /// so capture readers skip and count it, as the hardware parser would
+    /// pass the frame through unmonitored.
+    #[inline]
+    pub fn parse<C: DirectionClassifier + ?Sized>(
+        self,
+        ts: Nanos,
+        record: &[u8],
+        classifier: &C,
+    ) -> Result<PacketMeta, PacketError> {
+        match self {
+            LinkLayer::Ethernet => parse_ethernet_frame(ts, record, classifier),
+            LinkLayer::RawIp => parse_ipv4_packet(ts, record, classifier),
+        }
+    }
+}
+
+fn truncated(layer: &'static str, needed: usize, got: usize) -> PacketError {
+    PacketError::Truncated { layer, needed, got }
+}
+
+fn malformed(layer: &'static str, reason: &'static str) -> PacketError {
+    PacketError::Malformed { layer, reason }
+}
+
+fn unsupported(what: &'static str) -> PacketError {
+    PacketError::Unsupported { what }
+}
+
 /// Parse a full Ethernet frame into a [`PacketMeta`].
 ///
 /// Returns [`PacketError::Unsupported`] for non-IPv4 ethertypes, non-TCP
 /// protocols, and IP fragments other than the first — the same traffic a
 /// Dart deployment would pass through unmonitored.
-pub fn parse_ethernet_frame(
+#[inline]
+pub fn parse_ethernet_frame<C: DirectionClassifier + ?Sized>(
     ts: Nanos,
     frame: &[u8],
-    classifier: &dyn DirectionClassifier,
+    classifier: &C,
 ) -> Result<PacketMeta, PacketError> {
-    let eth = EthernetHeader::decode(frame)?;
-    if eth.ethertype != ethertype::IPV4 {
-        return Err(PacketError::Unsupported {
-            what: "non-ipv4 ethertype",
-        });
+    let Some((eth, packet)) = crate::split_head::<{ EthernetHeader::LEN }>(frame) else {
+        return Err(truncated("ethernet", EthernetHeader::LEN, frame.len()));
+    };
+    if u16::from_be_bytes([eth[12], eth[13]]) != ethertype::IPV4 {
+        return Err(unsupported("non-ipv4 ethertype"));
     }
-    parse_ipv4_packet(ts, &frame[EthernetHeader::LEN..], classifier)
+    parse_ipv4_packet(ts, packet, classifier)
 }
 
 /// Parse an IPv4 packet (starting at the IP header) into a [`PacketMeta`].
-pub fn parse_ipv4_packet(
+///
+/// One pass over the borrowed bytes: each layer is bounds-checked once and
+/// the fields the monitor keeps are read at fixed offsets from the IHL /
+/// data-offset bases; nothing is copied or allocated. The checks run in the
+/// order the [`Ipv4Header`] and then the [`TcpHeader`] decoder make them,
+/// and raise the same errors (DESIGN.md §5c, "The wire parse").
+#[inline]
+pub fn parse_ipv4_packet<C: DirectionClassifier + ?Sized>(
     ts: Nanos,
     packet: &[u8],
-    classifier: &dyn DirectionClassifier,
+    classifier: &C,
 ) -> Result<PacketMeta, PacketError> {
-    let ip = Ipv4Header::decode(packet)?;
-    if ip.proto != protocol::TCP {
-        return Err(PacketError::Unsupported {
-            what: "non-tcp protocol",
-        });
+    let Some((ip, _)) = crate::split_head::<{ Ipv4Header::MIN_LEN }>(packet) else {
+        return Err(truncated("ipv4", Ipv4Header::MIN_LEN, packet.len()));
+    };
+    if ip[0] >> 4 != 4 {
+        return Err(malformed("ipv4", "version is not 4"));
     }
-    if ip.flags_frag & 0x1FFF != 0 {
-        return Err(PacketError::Unsupported {
-            what: "ip fragment",
-        });
+    let ip_len = (ip[0] & 0x0F) as usize * 4;
+    if ip_len < Ipv4Header::MIN_LEN {
+        return Err(malformed("ipv4", "ihl below 5"));
     }
-    let tcp_bytes = &packet[ip.header_len()..];
-    let tcp = TcpHeader::decode(tcp_bytes)?;
-    let payload_len = ip.payload_len().saturating_sub(tcp.header_len()) as u32;
-    let flow = FlowKey::new(ip.src, tcp.src_port, ip.dst, tcp.dst_port);
-    let dir = classifier.classify(&flow);
+    let Some(segment) = packet.get(ip_len..) else {
+        return Err(truncated("ipv4", ip_len, packet.len()));
+    };
+    if ip[9] != protocol::TCP {
+        return Err(unsupported("non-tcp protocol"));
+    }
+    if u16::from_be_bytes([ip[6], ip[7]]) & 0x1FFF != 0 {
+        return Err(unsupported("ip fragment"));
+    }
+    let Some((tcp, _)) = crate::split_head::<{ TcpHeader::MIN_LEN }>(segment) else {
+        return Err(truncated("tcp", TcpHeader::MIN_LEN, segment.len()));
+    };
+    let tcp_len = (tcp[12] >> 4) as usize * 4;
+    if tcp_len < TcpHeader::MIN_LEN {
+        return Err(malformed("tcp", "data offset below 5"));
+    }
+    let Some(options) = segment.get(TcpHeader::MIN_LEN..tcp_len) else {
+        return Err(truncated("tcp", tcp_len, segment.len()));
+    };
+    // The payload is what the length fields say, not what the capture
+    // kept: a snap length cuts the bytes, not the count.
+    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
+    let flow = FlowKey::from_raw(
+        u32::from_be_bytes(crate::arr(&ip[12..16])),
+        u16::from_be_bytes([tcp[0], tcp[1]]),
+        u32::from_be_bytes(crate::arr(&ip[16..20])),
+        u16::from_be_bytes([tcp[2], tcp[3]]),
+    );
     Ok(PacketMeta {
         ts,
         flow,
-        seq: tcp.seq,
-        ack: tcp.ack,
-        payload_len,
-        flags: tcp.flags,
-        dir,
-        tsopt: tcp.timestamps(),
+        seq: SeqNum(u32::from_be_bytes(crate::arr(&tcp[4..8]))),
+        ack: SeqNum(u32::from_be_bytes(crate::arr(&tcp[8..12]))),
+        payload_len: total_len.saturating_sub(ip_len + tcp_len) as u32,
+        flags: TcpFlags(tcp[13]),
+        dir: classifier.classify(&flow),
+        tsopt: timestamps_in(options),
     })
 }
 

@@ -106,11 +106,56 @@ const _: () = assert!(RECORD_HEADER_LEN + (MAX_SNAPLEN as usize) < WINDOW_BYTES)
 pub struct PcapReader<R: Read> {
     input: R,
     window: ReadBuf,
+    format: RecordFormat,
+    /// Link type from the global header.
+    pub link: u32,
+}
+
+/// What the global header says of the records behind it.
+#[derive(Clone, Copy, Debug)]
+struct RecordFormat {
     swapped: bool,
     nanos: bool,
     snaplen: u32,
-    /// Link type from the global header.
-    pub link: u32,
+}
+
+impl RecordFormat {
+    fn u32_at(&self, b: [u8; 4]) -> u32 {
+        let v = u32::from_le_bytes(b);
+        if self.swapped {
+            v.swap_bytes()
+        } else {
+            v
+        }
+    }
+
+    /// The record at the front of `data` and its length there, header
+    /// included, once all of it is buffered; `Ok(None)` until then. A
+    /// captured length over the snap length is corrupt, and cannot be
+    /// trusted to skip the record either.
+    fn record_in<'a>(&self, data: &'a [u8]) -> Result<Option<(PcapFrame<'a>, usize)>, PacketError> {
+        let Some((hdr, rest)) = crate::split_head::<RECORD_HEADER_LEN>(data) else {
+            return Ok(None);
+        };
+        let field = |at: usize| self.u32_at(crate::arr(&hdr[at..at + 4]));
+        let incl = field(8);
+        if incl > self.snaplen {
+            return Err(PacketError::BadTrace(format!(
+                "record length {incl} exceeds snap length {}",
+                self.snaplen
+            )));
+        }
+        let Some(data) = rest.get(..incl as usize) else {
+            return Ok(None);
+        };
+        let (secs, frac) = (field(0) as u64, field(4) as u64);
+        let frame = PcapFrame {
+            ts: secs * 1_000_000_000 + if self.nanos { frac } else { frac * 1_000 },
+            data,
+            orig_len: field(12),
+        };
+        Ok(Some((frame, RECORD_HEADER_LEN + data.len())))
+    }
 }
 
 impl<R: Read> PcapReader<R> {
@@ -126,99 +171,91 @@ impl<R: Read> PcapReader<R> {
             m if m.swap_bytes() == MAGIC_NS => (true, true),
             _ => return Err(PacketError::BadTrace("unknown pcap magic".into())),
         };
-        let read_u32 = |b: &[u8]| {
-            let v = u32::from_le_bytes(crate::arr(b));
-            if swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
+        let unlimited = RecordFormat {
+            swapped,
+            nanos,
+            snaplen: MAX_SNAPLEN,
         };
-        let snaplen = match read_u32(&hdr[16..20]) {
-            0 => MAX_SNAPLEN,
-            declared => declared.min(MAX_SNAPLEN),
+        let format = match unlimited.u32_at(crate::arr(&hdr[16..20])) {
+            0 => unlimited,
+            declared => RecordFormat {
+                snaplen: declared.min(MAX_SNAPLEN),
+                ..unlimited
+            },
         };
-        let link = read_u32(&hdr[20..24]);
+        let link = format.u32_at(crate::arr(&hdr[20..24]));
         Ok(PcapReader {
             input,
             window: ReadBuf::with_capacity(WINDOW_BYTES),
-            swapped,
-            nanos,
-            snaplen,
+            format,
             link,
         })
     }
 
-    fn u32_at(&self, b: &[u8]) -> u32 {
-        let v = u32::from_le_bytes(crate::arr(b));
-        if self.swapped {
-            v.swap_bytes()
-        } else {
-            v
+    /// Append one `read()` to the window: `Ok(false)` is clean end-of-file,
+    /// end-of-file inside a record an error reported once.
+    pub(crate) fn fill(&mut self) -> Result<bool, PacketError> {
+        if self.window.fill(&mut self.input)? > 0 {
+            return Ok(true);
+        }
+        match self.window.clear() {
+            0 => Ok(false),
+            torn => Err(PacketError::BadTrace(format!(
+                "truncated record: {torn} bytes before end-of-file"
+            ))),
         }
     }
 
-    /// The captured length of the record at the front of the window, once
-    /// that record is completely buffered. With `may_read` the input is
-    /// read until it is (`Ok(None)` then means clean end-of-file);
-    /// without, `Ok(None)` means the record is not all here yet.
-    fn buffer_record(&mut self, may_read: bool) -> Result<Option<usize>, PacketError> {
-        loop {
-            let have = self.window.data().len();
-            if have >= RECORD_HEADER_LEN {
-                let incl = self.u32_at(&self.window.data()[8..12]);
-                if incl > self.snaplen {
-                    // The length cannot be trusted to skip the record:
-                    // drop its header and let the caller resynchronize.
-                    self.window.consume(RECORD_HEADER_LEN);
-                    return Err(PacketError::BadTrace(format!(
-                        "record length {incl} exceeds snap length {}",
-                        self.snaplen
-                    )));
+    /// Hand the completely buffered records, oldest first, to `each` until
+    /// it answers `false` or the next record is not all here yet; the input
+    /// is not read. A bad record header ends the walk as an error after the
+    /// records before it have been handed over; the header is dropped, so
+    /// the caller can resynchronize.
+    pub(crate) fn drain_buffered(
+        &mut self,
+        mut each: impl FnMut(PcapFrame<'_>) -> bool,
+    ) -> Result<(), PacketError> {
+        let data = self.window.data();
+        let mut at = 0;
+        let walked = loop {
+            match self.format.record_in(&data[at..]) {
+                Ok(Some((frame, len))) => {
+                    at += len;
+                    if !each(frame) {
+                        break Ok(());
+                    }
                 }
-                if have >= RECORD_HEADER_LEN + incl as usize {
-                    return Ok(Some(incl as usize));
+                Ok(None) => break Ok(()),
+                Err(e) => {
+                    at += RECORD_HEADER_LEN;
+                    break Err(e);
                 }
             }
-            if !may_read {
-                return Ok(None);
-            }
-            if self.window.fill(&mut self.input)? == 0 {
-                return match self.window.clear() {
-                    0 => Ok(None),
-                    torn => Err(PacketError::BadTrace(format!(
-                        "truncated record: {torn} bytes before end-of-file"
-                    ))),
-                };
-            }
-        }
-    }
-
-    /// The next record, borrowed from the reader's buffer. With `may_read`
-    /// the input is read until the record is complete and `Ok(None)` is
-    /// clean end-of-file; without, only an already buffered record is
-    /// returned and `Ok(None)` means "not yet".
-    pub(crate) fn frame(&mut self, may_read: bool) -> Result<Option<PcapFrame<'_>>, PacketError> {
-        let Some(incl) = self.buffer_record(may_read)? else {
-            return Ok(None);
         };
-        let hdr = &self.window.data()[..RECORD_HEADER_LEN];
-        let secs = self.u32_at(&hdr[0..4]) as u64;
-        let frac = self.u32_at(&hdr[4..8]) as u64;
-        let orig_len = self.u32_at(&hdr[12..16]);
-        let ts = secs * 1_000_000_000 + if self.nanos { frac } else { frac * 1_000 };
-        let record = self.window.take(RECORD_HEADER_LEN + incl);
-        Ok(Some(PcapFrame {
-            ts,
-            data: &record[RECORD_HEADER_LEN..],
-            orig_len,
-        }))
+        self.window.consume(at);
+        walked
     }
 
     /// The next record, borrowed from the reader's buffer; `Ok(None)` at
     /// clean end-of-file.
     pub fn next_frame(&mut self) -> Result<Option<PcapFrame<'_>>, PacketError> {
-        self.frame(true)
+        let format = self.format;
+        let len = loop {
+            match format.record_in(self.window.data()) {
+                Ok(Some((_, len))) => break len,
+                Ok(None) => {}
+                Err(e) => {
+                    self.window.consume(RECORD_HEADER_LEN);
+                    return Err(e);
+                }
+            }
+            if !self.fill()? {
+                return Ok(None);
+            }
+        };
+        Ok(format
+            .record_in(self.window.take(len))?
+            .map(|(frame, _)| frame))
     }
 
     /// Read the next record; `Ok(None)` at clean end-of-file.

@@ -29,7 +29,7 @@
 
 use crate::error::PacketError;
 use crate::meta::{Nanos, PacketMeta};
-use crate::parse::{parse_ethernet_frame, DirectionClassifier};
+use crate::parse::{DirectionClassifier, LinkLayer};
 use crate::pcap::PcapReader;
 use crate::trace::TraceReader;
 use std::io::Read;
@@ -191,11 +191,14 @@ impl<R: Read> PacketSource for TraceReader<R> {
 }
 
 /// A streaming pcap source: each record is parsed and direction-classified
-/// as it is read. Frames the monitor would not see (non-TCP, fragments,
-/// truncated) are skipped and counted, matching the batch
-/// `load_pcap` semantics.
+/// where it lies in the reader's window, by the parser the capture's link
+/// type selects. Frames the monitor would not see (non-TCP, fragments,
+/// truncated, malformed) are skipped and counted, matching the batch
+/// `load_pcap` semantics; only a damaged *record* or the input itself is
+/// an error.
 pub struct PcapSource<R: Read, C: DirectionClassifier> {
     reader: PcapReader<R>,
+    link: LinkLayer,
     classifier: C,
     skipped: u64,
     /// An error met mid-block, held back until the block before it has
@@ -204,10 +207,13 @@ pub struct PcapSource<R: Read, C: DirectionClassifier> {
 }
 
 impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
-    /// Open a pcap stream; fails on a bad global header.
+    /// Open a pcap stream; fails on a bad global header or a link type
+    /// other than Ethernet and raw IP.
     pub fn new(input: R, classifier: C) -> Result<Self, PacketError> {
+        let reader = PcapReader::new(input)?;
         Ok(PcapSource {
-            reader: PcapReader::new(input)?,
+            link: LinkLayer::from_linktype(reader.link)?,
+            reader,
             classifier,
             skipped: 0,
             deferred: None,
@@ -219,51 +225,57 @@ impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
         self.skipped
     }
 
-    /// The next monitored packet. Without `may_read` only records already
-    /// in the reader's buffer are considered, and `Ok(None)` means they
-    /// ran out rather than that the capture ended.
-    fn pull(&mut self, may_read: bool) -> Result<Option<PacketMeta>, PacketError> {
-        loop {
-            let Some(frame) = self.reader.frame(may_read)? else {
-                return Ok(None);
-            };
-            match parse_ethernet_frame(frame.ts, frame.data, &self.classifier) {
-                Ok(meta) => return Ok(Some(meta)),
-                Err(PacketError::Unsupported { .. }) | Err(PacketError::Truncated { .. }) => {
-                    self.skipped += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        match self.deferred.take() {
-            Some(e) => Err(e),
-            None => self.pull(true),
-        }
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
-        buf.clear();
+    /// Decode the buffered records into `push` until it has taken `max`
+    /// packets or they run out, and return how many it took. An error
+    /// behind decoded packets is deferred to the next call.
+    fn decode(
+        &mut self,
+        max: usize,
+        mut push: impl FnMut(PacketMeta),
+    ) -> Result<usize, PacketError> {
         if let Some(e) = self.deferred.take() {
             return Err(e);
         }
-        while buf.len() < max {
-            // Only an empty block may wait on the input.
-            match self.pull(buf.is_empty()) {
-                Ok(Some(p)) => buf.push(p),
-                Ok(None) => break,
-                Err(e) if buf.is_empty() => return Err(e),
+        let mut taken = 0;
+        while taken < max {
+            let walked = self.reader.drain_buffered(|frame| {
+                match self.link.parse(frame.ts, frame.data, &self.classifier) {
+                    Ok(meta) => {
+                        push(meta);
+                        taken += 1;
+                    }
+                    Err(_) => self.skipped += 1,
+                }
+                taken < max
+            });
+            match walked {
+                Ok(()) => {
+                    // Only an empty block may wait on the input.
+                    if taken > 0 || !self.reader.fill()? {
+                        break;
+                    }
+                }
+                Err(e) if taken == 0 => return Err(e),
                 Err(e) => {
                     self.deferred = Some(e);
                     break;
                 }
             }
         }
-        Ok(buf.len())
+        Ok(taken)
+    }
+}
+
+impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        let mut next = None;
+        self.decode(1, |p| next = Some(p))?;
+        Ok(next)
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
+        self.decode(max, |p| buf.push(p))
     }
 }
 

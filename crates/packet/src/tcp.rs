@@ -229,36 +229,42 @@ pub mod option {
     pub const TIMESTAMPS: u8 = 8;
 }
 
+/// Extract the RFC 7323 timestamp option `(TSval, TSecr)` from a header's
+/// raw option bytes, if present and well-formed. The walk borrows the bytes
+/// where they lie, so the frame parser runs it over the capture buffer.
+pub fn timestamps_in(mut opts: &[u8]) -> Option<(u32, u32)> {
+    while let [kind, rest @ ..] = opts {
+        match *kind {
+            option::EOL => return None,
+            option::NOP => opts = rest,
+            option::TIMESTAMPS => {
+                // kind(1) + len(1) + tsval(4) + tsecr(4)
+                if rest.len() >= 9 && rest[0] == 10 {
+                    let tsval = u32::from_be_bytes(crate::arr(&rest[1..5]));
+                    let tsecr = u32::from_be_bytes(crate::arr(&rest[5..9]));
+                    return Some((tsval, tsecr));
+                }
+                return None;
+            }
+            _ => {
+                // Any other option: skip by its length byte.
+                let [len, tail @ ..] = rest else { return None };
+                let skip = (*len as usize).checked_sub(2)?;
+                if tail.len() < skip {
+                    return None;
+                }
+                opts = &tail[skip..];
+            }
+        }
+    }
+    None
+}
+
 impl TcpHeader {
     /// Extract the RFC 7323 timestamp option `(TSval, TSecr)`, if present
     /// and well-formed.
     pub fn timestamps(&self) -> Option<(u32, u32)> {
-        let mut opts = &self.options[..];
-        while let [kind, rest @ ..] = opts {
-            match *kind {
-                option::EOL => return None,
-                option::NOP => opts = rest,
-                option::TIMESTAMPS => {
-                    // kind(1) + len(1) + tsval(4) + tsecr(4)
-                    if rest.len() >= 9 && rest[0] == 10 {
-                        let tsval = u32::from_be_bytes(crate::arr(&rest[1..5]));
-                        let tsecr = u32::from_be_bytes(crate::arr(&rest[5..9]));
-                        return Some((tsval, tsecr));
-                    }
-                    return None;
-                }
-                _ => {
-                    // Any other option: skip by its length byte.
-                    let [len, tail @ ..] = rest else { return None };
-                    let skip = (*len as usize).checked_sub(2)?;
-                    if tail.len() < skip {
-                        return None;
-                    }
-                    opts = &tail[skip..];
-                }
-            }
-        }
-        None
+        timestamps_in(&self.options)
     }
 
     /// Encode a timestamp option (with two leading NOPs for alignment, as

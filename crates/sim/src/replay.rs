@@ -1,7 +1,7 @@
 //! Trace replay: feed stored traces (native or pcap) through any consumer —
 //! the `tcpreplay`-through-the-switch workflow of paper §5, in software.
 
-use dart_packet::parse::{parse_ethernet_frame, DirectionClassifier};
+use dart_packet::parse::{DirectionClassifier, LinkLayer};
 use dart_packet::pcap::PcapReader;
 use dart_packet::trace::TraceReader;
 use dart_packet::{PacketError, PacketMeta, PacketSource};
@@ -45,25 +45,24 @@ pub fn load_native_with<R: Read>(
     Ok(transform.apply(load_native(reader)?))
 }
 
-/// Read an entire pcap capture, parsing Ethernet/IPv4/TCP frames and
-/// classifying directions. Unsupported packets (non-TCP, fragments, ARP...)
-/// are skipped, exactly as the hardware parser would pass them through
-/// unmonitored; `skipped` counts them.
+/// Read an entire pcap capture (Ethernet or raw-IP link type), parsing
+/// IPv4/TCP frames and classifying directions. Frames the monitor does not
+/// see (non-TCP, fragments, ARP, truncated or malformed headers...) are
+/// skipped, exactly as the hardware parser would pass them through
+/// unmonitored; `skipped` counts them. A damaged record or an unsupported
+/// link type is an error.
 pub fn load_pcap<R: Read>(
     reader: R,
     classifier: &dyn DirectionClassifier,
 ) -> Result<(Vec<PacketMeta>, u64), PacketError> {
-    let pcap = PcapReader::new(reader)?;
+    let mut pcap = PcapReader::new(reader)?;
+    let link = LinkLayer::from_linktype(pcap.link)?;
     let mut packets = Vec::new();
     let mut skipped = 0u64;
-    for rec in pcap.records() {
-        let rec = rec?;
-        match parse_ethernet_frame(rec.ts, &rec.data, classifier) {
+    while let Some(frame) = pcap.next_frame()? {
+        match link.parse(frame.ts, frame.data, classifier) {
             Ok(meta) => packets.push(meta),
-            Err(PacketError::Unsupported { .. }) | Err(PacketError::Truncated { .. }) => {
-                skipped += 1
-            }
-            Err(e) => return Err(e),
+            Err(_) => skipped += 1,
         }
     }
     Ok((packets, skipped))

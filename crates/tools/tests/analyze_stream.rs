@@ -422,6 +422,80 @@ mod equivalence {
         remove(&[&input]);
     }
 
+    /// Write `records` as a pcap of link type `link` and return its path.
+    fn capture(tag: &str, link: u32, records: &[(u64, Vec<u8>)]) -> String {
+        let mut bytes = Vec::new();
+        let mut w = PcapWriter::new(&mut bytes, link).expect("header");
+        for (ts, frame) in records {
+            w.write_record(*ts, frame).expect("record");
+        }
+        w.finish().expect("flush");
+        let path = tmp(tag);
+        std::fs::write(&path, &bytes).expect("write");
+        path
+    }
+
+    /// The report below its `input` line, which names the file.
+    fn body(report: &str) -> &str {
+        report.split_once('\n').expect("a multi-line report").1
+    }
+
+    /// Damage inside a well-framed record is the network's, not the
+    /// file's: one frame with an impossible header among N good ones is
+    /// N packets and 1 skipped, and the same report as without it.
+    #[test]
+    fn a_malformed_frame_is_one_skip_not_a_failed_run() {
+        let packets = &campus_packets(60, 2)[..3000];
+        let clean: Vec<(u64, Vec<u8>)> = packets
+            .iter()
+            .map(|p| (p.ts, synthesize_frame(p)))
+            .collect();
+        let mut damaged = clean.clone();
+        let mut bad = clean[1500].clone();
+        bad.1[14] = 0x65; // IP version 6 under the IPv4 ethertype
+        damaged.insert(1500, bad);
+
+        let clean = capture("clean.pcap", linktype::ETHERNET, &clean);
+        let damaged = capture("damaged.pcap", linktype::ETHERNET, &damaged);
+        let want = run_line(&["analyze", &clean]).expect("analyze clean");
+        let got = run_line(&["analyze", &damaged]).expect("analyze damaged");
+        assert!(want.contains("(3000 packets, 0 skipped)"), "{want}");
+        assert!(got.contains("(3000 packets, 1 skipped)"), "{got}");
+        assert_eq!(body(&got), body(&want));
+        let (loaded, skipped) = load_file(&damaged, INTERNAL).expect("load_file");
+        assert_eq!((loaded.as_slice(), skipped), (packets, 1));
+        remove(&[&clean, &damaged]);
+    }
+
+    /// The link type picks the parser: a raw-IP capture analyses to the
+    /// report of its Ethernet twin, and a link type with no parser is an
+    /// error naming it, not a report of zero packets.
+    #[test]
+    fn the_link_type_is_honoured_or_refused() {
+        let packets = &campus_packets(60, 2)[..3000];
+        let frames: Vec<(u64, Vec<u8>)> = packets
+            .iter()
+            .map(|p| (p.ts, synthesize_frame(p)))
+            .collect();
+        let stripped: Vec<(u64, Vec<u8>)> = frames
+            .iter()
+            .map(|(ts, frame)| (*ts, frame[14..].to_vec()))
+            .collect();
+        let ethernet = capture("twin_eth.pcap", linktype::ETHERNET, &frames);
+        let raw = capture("twin_raw.pcap", linktype::RAW, &stripped);
+        let cooked = capture("twin_sll.pcap", 113, &frames);
+
+        let want = run_line(&["analyze", &ethernet]).expect("analyze ethernet");
+        let got = run_line(&["analyze", &raw]).expect("analyze raw ip");
+        assert!(got.contains("(3000 packets, 0 skipped)"), "{got}");
+        assert_eq!(body(&got), body(&want));
+        for command in ["analyze", "stats"] {
+            let err = run_line(&[command, &cooked]).expect_err("no parser for link type 113");
+            assert!(err.contains("unsupported pcap link type 113"), "{err}");
+        }
+        remove(&[&ethernet, &raw, &cooked]);
+    }
+
     #[test]
     fn serve_once_reports_what_the_materialised_run_did() {
         use dart_core::sharded::{ShardedConfig, ShardedMonitor};

@@ -23,11 +23,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The system allocator, remembering the largest single request each thread
-/// has made (every test — and every proptest case — runs on one thread).
+/// has made and how many (every test — and every proptest case — runs on
+/// one thread).
 struct Watermark;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -61,6 +63,7 @@ unsafe impl GlobalAlloc for Watermark {
 
 fn note(size: usize) {
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = REQUESTS.try_with(|requests| requests.set(requests.get() + 1));
 }
 
 #[global_allocator]
@@ -71,6 +74,13 @@ fn largest_allocation(work: impl FnOnce()) -> usize {
     LARGEST.with(|largest| largest.set(0));
     work();
     LARGEST.with(Cell::get)
+}
+
+/// How many allocations (and reallocations) `work` makes on this thread.
+fn allocations(work: impl FnOnce()) -> usize {
+    let before = REQUESTS.with(Cell::get);
+    work();
+    REQUESTS.with(Cell::get) - before
 }
 
 /// A scripted input: every `read` serves (a prefix of) the next chunk, an
@@ -213,14 +223,20 @@ fn classifier() -> PrefixClassifier {
 }
 
 /// A pcap of `packets`' synthesized frames; every frame whose index is in
-/// `foreign` carries a non-IPv4 ethertype, which the parser skips.
+/// `foreign` is one the parser skips: a non-IPv4 ethertype, or a header
+/// field no IPv4/TCP packet can carry.
 fn pcap_bytes(packets: &[PacketMeta], foreign: &[usize]) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut w = PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap();
     for (i, p) in packets.iter().enumerate() {
         let mut frame = synthesize_frame(p);
         if foreign.contains(&i) {
-            frame[12..14].copy_from_slice(&[0x08, 0x06]); // ARP
+            match i % 4 {
+                0 => frame[12..14].copy_from_slice(&[0x08, 0x06]), // ARP
+                1 => frame[14] = 0x65,                             // IP version 6
+                2 => frame[14] = 0x43,                             // IHL 3
+                _ => frame[14 + 20 + 12] = 0x40,                   // data offset 4
+            }
         }
         w.write_record(p.ts % (u64::from(u32::MAX) * 1_000_000_000), &frame)
             .unwrap();
@@ -367,9 +383,10 @@ fn a_hostile_record_length_is_refused_not_allocated() {
     }
 }
 
-#[test]
-fn single_byte_reads_with_dry_spells_lose_nothing() {
-    let packets: Vec<PacketMeta> = (0..200u32)
+/// `n` data packets of one outbound flow, one in every `ts_every` of them
+/// carrying a timestamp option.
+fn steady(n: u32, ts_every: u32) -> Vec<PacketMeta> {
+    (0..n)
         .map(|i| {
             packet((
                 u64::from(i) * 1000,
@@ -377,10 +394,15 @@ fn single_byte_reads_with_dry_spells_lose_nothing() {
                 (i * 1460, 0, 1460),
                 0x10,
                 false,
-                (i % 3 == 0, i, i + 1),
+                (i % ts_every == 0, i, i + 1),
             ))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn single_byte_reads_with_dry_spells_lose_nothing() {
+    let packets = steady(200, 3);
     let bytes = trace::to_bytes(&packets);
     // Every byte its own read, every seventh read dry.
     let lens = [1, 1, 1, 1, 1, 1, 0];
@@ -394,4 +416,114 @@ fn single_byte_reads_with_dry_spells_lose_nothing() {
         polls.load(Ordering::Relaxed) > 1000,
         "the dry spells were slept through"
     );
+}
+
+/// Both block readers decode out of their one window into the caller's one
+/// block: once the first block has sized it, a run allocates nothing more —
+/// in particular nothing per packet, timestamp option or not.
+#[test]
+fn steady_state_decode_allocates_nothing() {
+    // Short payloads, so that one window holds more than one block.
+    let packets: Vec<PacketMeta> = steady(10_000, 1)
+        .into_iter()
+        .map(|p| PacketMeta {
+            payload_len: 24,
+            ..p
+        })
+        .collect();
+    let pcap = pcap_bytes(&packets, &[]);
+    let native = trace::to_bytes(&packets);
+    let readers: [(&str, Box<dyn PacketSource>); 2] = [
+        (
+            "pcap",
+            Box::new(PcapSource::new(&pcap[..], classifier()).unwrap()),
+        ),
+        ("trace", Box::new(TraceReader::new(&native[..]).unwrap())),
+    ];
+    for (name, mut source) in readers {
+        let mut block = Vec::new();
+        let mut decoded = source.next_chunk(&mut block, 1024).unwrap();
+        assert_eq!(decoded, 1024, "{name}: a full first block");
+        let after_first = allocations(|| loop {
+            match source.next_chunk(&mut block, 1024).unwrap() {
+                0 => break,
+                n => decoded += n,
+            }
+        });
+        assert_eq!(decoded, packets.len(), "{name}");
+        assert_eq!(after_first, 0, "{name}: allocations after the first block");
+    }
+}
+
+/// Damage inside a well-framed record is the network's, not the file's: a
+/// header field no IPv4/TCP packet can carry costs that one frame, counted,
+/// and the capture reads on — from both pcap decoders alike.
+#[test]
+fn a_malformed_frame_is_skipped_and_counted_not_fatal() {
+    let packets = steady(50, 3);
+    let cases = [
+        (14, 0x65, "ip version 6 under the ipv4 ethertype"),
+        (14, 0x43, "ihl 3"),
+        (14 + 20 + 12, 0x40, "tcp data offset 4"),
+    ];
+    for (at, byte, what) in cases {
+        let mut bytes = Vec::new();
+        let mut w = PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap();
+        for (i, p) in packets.iter().enumerate() {
+            let frame = synthesize_frame(p);
+            if i == 20 {
+                let mut bad = frame.clone();
+                bad[at] = byte;
+                w.write_record(p.ts, &bad).unwrap();
+            }
+            w.write_record(p.ts, &frame).unwrap();
+        }
+        w.finish().unwrap();
+
+        let mut source = PcapSource::new(&bytes[..], classifier()).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &[0, 7, 1024]);
+        assert_eq!(errors, Vec::<String>::new(), "{what}");
+        assert_eq!((&streamed, source.skipped()), (&packets, 1), "{what}");
+        let (loaded, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
+        assert_eq!((&loaded, skipped), (&packets, 1), "{what}");
+    }
+}
+
+/// The global header's link type picks the parser once, at open: a raw-IP
+/// capture of the same packets decodes to the same stream as its Ethernet
+/// twin, and a link type with no parser is refused there by number instead
+/// of being read as 100 % skipped frames.
+#[test]
+fn the_link_type_selects_the_parser_or_fails_the_open() {
+    let packets = steady(300, 3);
+    let capture = |link: u32, strip: usize| {
+        let mut bytes = Vec::new();
+        let mut w = PcapWriter::new(&mut bytes, link).unwrap();
+        for p in &packets {
+            w.write_record(p.ts, &synthesize_frame(p)[strip..]).unwrap();
+        }
+        w.finish().unwrap();
+        bytes
+    };
+    for (link, strip) in [(linktype::ETHERNET, 0), (linktype::RAW, 14)] {
+        let bytes = capture(link, strip);
+        let mut source = PcapSource::new(&bytes[..], classifier()).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &[1024]);
+        assert_eq!(errors, Vec::<String>::new(), "link type {link}");
+        assert_eq!((&streamed, source.skipped()), (&packets, 0), "{link}");
+        let (loaded, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
+        assert_eq!((&loaded, skipped), (&packets, 0), "link type {link}");
+    }
+    let cooked = capture(113, 0); // LINKTYPE_LINUX_SLL
+    let refusals = [
+        PcapSource::new(&cooked[..], classifier()).err(),
+        load_pcap(&cooked[..], &classifier()).err(),
+    ];
+    for refusal in refusals {
+        let refusal = refusal.expect("refused at open").to_string();
+        assert!(
+            refusal.contains("unsupported pcap link type 113"),
+            "{refusal}"
+        );
+    }
 }
