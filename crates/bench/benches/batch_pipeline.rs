@@ -2,7 +2,8 @@
 //! packet-by-packet (`DartEngine::process`) and through the SoA batch
 //! pipeline (`process_batch`) at block sizes 32, 256, and 1024. The
 //! speedup targeted by DESIGN.md §5f is the `batch/*` / `per_packet`
-//! ratio here; `BENCH_throughput.json` records the full-trace numbers.
+//! ratio here; the ledger's `core.engine.exact.{batch,packet}_ns_per_pkt`
+//! rows (`bash crates/perf/run.sh --trace 1`) are the full-trace numbers.
 //!
 //! ```text
 //! cargo bench -p dart-bench --bench batch_pipeline

@@ -26,10 +26,11 @@
 //! * `--iters N` — timed replays per row, best-of reported (default 2);
 //! * `--out PATH` — output path (default `BENCH_memory_frontier.json`).
 //!
-//! Every row replays through the batch pipeline (block size 1024, the
-//! best row of `BENCH_throughput.json`), so samples/sec here is directly
-//! comparable to the throughput benchmark; split-invariance of all
-//! backends is pinned by `tests/backend_conformance.rs`.
+//! Every row replays through the batch pipeline at the drivers' block
+//! size (1024, `DEFAULT_BLOCK_PKTS`), so samples/sec here is directly
+//! comparable to the ledger's `core.engine.*.batch_ns_per_pkt` rows;
+//! split-invariance of all backends is pinned by
+//! `tests/backend_conformance.rs`.
 
 use dart_core::{Backend, DartConfig, DartEngine, EngineStats, PtMode, RtMode, RttSample};
 use dart_packet::{FlowKey, PacketMeta, SECOND};
@@ -40,8 +41,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Batch block size: the best-throughput row of `BENCH_throughput.json`.
-const BLOCK: usize = 1024;
+/// Batch block size: what the driver loop feeds.
+const BLOCK: usize = dart_core::DEFAULT_BLOCK_PKTS;
 
 /// The sustain floor is this fraction of the exact backend's base-load
 /// recall: "sustaining" a population multiple means still delivering

@@ -1,123 +1,51 @@
-//! The flow-state backend seam: [`RtBackend`] / [`PtBackend`] contracts
-//! and the [`RtTable`] / [`PtTable`] dispatchers the engine stores.
+//! The flow-state backend seam: the [`RtTable`] / [`PtTable`] enums the
+//! engine stores, one `match` away from the concrete trackers.
 //!
-//! [`crate::DartEngine`] is generic over *behaviour*, not over types: it
-//! holds the closed enums [`RtTable`] and [`PtTable`], whose variants are
-//! the exact register tables (the reference implementation — byte-identical
-//! to the pre-seam engine, enforced by the golden conformance suite) and
-//! the sketch tables of [`crate::sketch`]. Static enum dispatch keeps the
-//! batch hot path free of virtual calls: each table operation costs one
-//! predictable branch, which is what holds the <5% batch-throughput budget
-//! the refactor was accepted under.
+//! [`crate::DartEngine`] is generic over *behaviour*, not over types. The
+//! backend set is closed — the exact register tables (the reference,
+//! byte-identical to the pre-seam engine under the golden conformance
+//! suite), the sketch tables of [`crate::sketch`], and probabilistic
+//! recirculation admission, which is an engine gate over the exact tables —
+//! so every table operation is an inherent method matching on two variants:
+//! one predictable branch, no virtual call and no trait between the engine
+//! and the tracker. Each arm spells out the argument mapping of its tracker
+//! (the sketch takes no `flow`, the exact RT no `now` or `cutoff`); exact arms
+//! inline into the caller, sketch arms run behind `outlined`.
 //!
-//! The traits name the contract every backend must satisfy:
+//! Every variant must satisfy three contracts (DESIGN.md §5h):
 //!
-//! 1. **Pure resolution** — [`RtBackend::locate`] and [`PtBackend::probe`]
-//!    must not read or write table contents. The batch pipeline pre-hashes
-//!    whole blocks (and memoizes locations across packets of one batch)
-//!    before any mutation; a backend whose resolution depended on table
-//!    state would silently diverge between the streaming and batch paths.
+//! 1. **Pure resolution** — `locate` must not read or write table contents.
+//!    The batch pipeline resolves locations ahead of execution and memoizes
+//!    them across packets; resolution that depended on table state would
+//!    silently diverge between the streaming and batch paths.
 //! 2. **Located ≡ self-locating** — `on_seq_at(.., locate(f), ..)` must
-//!    behave exactly like a self-locating `on_seq(f, ..)`; likewise for
-//!    ACKs and probes. Every backend carries a property test for this.
-//! 3. **No fabrication** — a backend may *lose* state (collisions,
-//!    recency eviction, fingerprint overwrite) but must never answer a
-//!    lookup with state that was not inserted under a verifying identity.
-//!    Loss must surface in outcomes the engine counts
-//!    (`sketch_overwritten`, `ack_no_flow`, unmatched `ack_advanced`), so
-//!    the testkit loss budget stays a sound upper bound.
-//!
-//! Future backends (victim-cache hybrids, per-shard heterogeneous tables)
-//! add an enum variant and a trait impl; the engine does not change.
+//!    behave exactly like the tracker's self-locating `on_seq(f, ..)`;
+//!    likewise for ACKs. Every tracker carries a property test for this.
+//! 3. **No fabrication** — a backend may *lose* state (collisions, recency
+//!    eviction, fingerprint overwrite) but must never answer a lookup with
+//!    state that was not inserted under a verifying identity. Loss must
+//!    surface in outcomes the engine counts (`sketch_overwritten`,
+//!    `ack_no_flow`, unmatched `ack_advanced`), so the testkit loss budget
+//!    stays a sound upper bound.
 
 use crate::config::{PtMode, RtMode};
-use crate::packet_tracker::{PacketTracker, PtInsert, PtProbe, PtRecord};
+use crate::packet_tracker::{PacketTracker, PtInsert, PtRecord};
 use crate::range::MeasurementRange;
 use crate::range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sketch::{SketchPacketTracker, SketchRangeTracker};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, SeqNum, SignatureWidth};
 
-/// The Range Tracker backend contract (per-flow measurement ranges).
-///
-/// `now` is the packet timestamp: backends with recency state (the sketch)
-/// age entries by it; stateless-in-time backends (exact) ignore it.
-pub trait RtBackend {
+/// The decode half of the batch pipeline, per tracker: the one generic
+/// bound left, so `steady!` can monomorphise `decode_and_warm` over the
+/// concrete tracker it matched (see `DartEngine::process_batch`).
+pub(crate) trait RtLocate {
     /// Resolve where `flow` lives. **Pure**: no table access.
     fn locate(&self, flow: &FlowKey) -> RtSlot;
     /// Warm a located slot into cache (no register access).
     fn prefetch(&self, at: &RtSlot);
-    /// Offer a data packet occupying `[seq, eack)` at a pre-resolved
-    /// location (`at` must come from `locate(flow)` on this backend).
-    fn on_seq_at(
-        &mut self,
-        flow: &FlowKey,
-        at: &RtSlot,
-        seq: SeqNum,
-        eack: SeqNum,
-        now: Nanos,
-    ) -> RtSeqOutcome;
-    /// Offer an ACK numbered `ack` at a pre-resolved location; `pure`
-    /// marks a payload-free ACK.
-    fn on_ack_at(
-        &mut self,
-        flow: &FlowKey,
-        at: &RtSlot,
-        ack: SeqNum,
-        pure: bool,
-        now: Nanos,
-    ) -> RtAckOutcome;
-    /// Re-validate an evicted PT record during recirculation (§3.2).
-    fn revalidate(&mut self, sig: FlowSignature, eack: SeqNum) -> bool;
-    /// Epoch rotation (control-plane): sweep entries stale at `cutoff`,
-    /// returning `(carried, dropped)` flow counts. The sketch judges
-    /// staleness by its recency stamps against `cutoff`; the exact tracker
-    /// carries no timestamps and uses activity generations instead
-    /// (entries untouched for a whole epoch are swept — `cutoff` ignored).
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64);
-    /// Live entries (control plane).
-    fn occupancy(&self) -> usize;
-    /// A flow's current range, if present (tests / control plane).
-    fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange>;
 }
 
-/// The Packet Tracker backend contract (outstanding data packets).
-pub trait PtBackend {
-    /// Pre-resolve the stage/way indices for `id`. **Pure**: no table
-    /// access.
-    fn probe(&self, id: &PacketId) -> PtProbe;
-    /// Warm every pre-resolved slot into cache.
-    fn prefetch(&self, p: &PtProbe);
-    /// Insert a freshly tracked data packet at a pre-resolved probe.
-    fn insert_new_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert;
-    /// Re-insert a recirculated record that passed RT re-validation.
-    fn insert_recirculated(&mut self, rec: PtRecord, displaced_by: Option<PacketId>) -> PtInsert;
-    /// Match an arriving ACK at a pre-resolved probe, consuming the record.
-    fn match_ack_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos>;
-    /// Epoch rotation (control-plane): sweep records whose send timestamp
-    /// predates `cutoff`, returning `(carried, dropped)` record counts.
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64);
-    /// Live records (control plane).
-    fn occupancy(&self) -> usize;
-    /// Total slots (`usize::MAX` for unlimited).
-    fn capacity(&self) -> usize;
-}
-
-// --- trait impls for the concrete backends ---------------------------------
-
-impl RtBackend for RangeTracker {
+impl RtLocate for RangeTracker {
     #[inline]
     fn locate(&self, flow: &FlowKey) -> RtSlot {
         RangeTracker::locate(self, flow)
@@ -127,262 +55,60 @@ impl RtBackend for RangeTracker {
     fn prefetch(&self, at: &RtSlot) {
         RangeTracker::prefetch(self, at)
     }
-
-    #[inline]
-    fn on_seq_at(
-        &mut self,
-        flow: &FlowKey,
-        at: &RtSlot,
-        seq: SeqNum,
-        eack: SeqNum,
-        _now: Nanos,
-    ) -> RtSeqOutcome {
-        RangeTracker::on_seq_at(self, flow, at, seq, eack)
-    }
-
-    #[inline]
-    fn on_ack_at(
-        &mut self,
-        flow: &FlowKey,
-        at: &RtSlot,
-        ack: SeqNum,
-        pure: bool,
-        _now: Nanos,
-    ) -> RtAckOutcome {
-        RangeTracker::on_ack_at(self, flow, at, ack, pure)
-    }
-
-    #[inline]
-    fn revalidate(&mut self, sig: FlowSignature, eack: SeqNum) -> bool {
-        RangeTracker::revalidate(self, sig, eack)
-    }
-
-    fn rotate(&mut self, _cutoff: Nanos) -> (u64, u64) {
-        RangeTracker::rotate(self)
-    }
-
-    fn occupancy(&self) -> usize {
-        RangeTracker::occupancy(self)
-    }
-
-    fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
-        RangeTracker::peek(self, flow)
-    }
 }
 
-// The sketch forwarders are deliberately outlined (`#[cold]`,
-// `#[inline(never)]`): the engine's fused batch loop inlines the table
-// calls of whichever variants the optimizer pulls in, and carrying *both*
-// backends' bodies in the loop costs the exact path its batch-throughput
-// edge (~12% measured). Keeping the sketch arms behind a call keeps the
-// exact reference path as tight as it was before the seam; the sketch
-// backend pays one predicted call per table op, noise next to its own
-// cache behaviour.
-impl RtBackend for SketchRangeTracker {
-    #[cold]
-    #[inline(never)]
+/// Runs a sketch arm out of line. The engine's fused batch loop inlines the
+/// table calls of whichever variants the optimizer pulls in, and carrying
+/// *both* backends' bodies in the loop cost the exact path ~12 % of its batch
+/// rate when the seam went in (PR 8, campus trace, in-memory `on_batch`:
+/// ≈ 29 → ≈ 25.5 M pkts/s; `core.engine.exact.batch_ns_per_pkt` is the ledger
+/// row that would show it today). Behind one call the exact reference path
+/// stays as tight as it was before the seam; the sketch backend pays a
+/// predicted call per table op, noise next to its own cache behaviour.
+#[cold]
+#[inline(never)]
+fn outlined<T, R>(tracker: T, op: impl FnOnce(T) -> R) -> R {
+    op(tracker)
+}
+
+impl RtLocate for SketchRangeTracker {
+    #[inline]
     fn locate(&self, flow: &FlowKey) -> RtSlot {
-        SketchRangeTracker::locate(self, flow)
+        outlined(self, |t| t.locate(flow))
     }
 
-    #[cold]
-    #[inline(never)]
+    #[inline]
     fn prefetch(&self, at: &RtSlot) {
-        SketchRangeTracker::prefetch(self, at)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn on_seq_at(
-        &mut self,
-        _flow: &FlowKey,
-        at: &RtSlot,
-        seq: SeqNum,
-        eack: SeqNum,
-        now: Nanos,
-    ) -> RtSeqOutcome {
-        SketchRangeTracker::on_seq_at(self, at, seq, eack, now)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn on_ack_at(
-        &mut self,
-        _flow: &FlowKey,
-        at: &RtSlot,
-        ack: SeqNum,
-        pure: bool,
-        now: Nanos,
-    ) -> RtAckOutcome {
-        SketchRangeTracker::on_ack_at(self, at, ack, pure, now)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn revalidate(&mut self, sig: FlowSignature, eack: SeqNum) -> bool {
-        SketchRangeTracker::revalidate(self, sig, eack)
-    }
-
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
-        SketchRangeTracker::rotate(self, cutoff)
-    }
-
-    fn occupancy(&self) -> usize {
-        SketchRangeTracker::occupancy(self)
-    }
-
-    fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
-        SketchRangeTracker::peek(self, flow)
+        outlined(self, |t| t.prefetch(at))
     }
 }
 
-impl PtBackend for PacketTracker {
+impl RtLocate for RtTable {
     #[inline]
-    fn probe(&self, id: &PacketId) -> PtProbe {
-        PacketTracker::probe(self, id)
-    }
-
-    #[inline]
-    fn prefetch(&self, p: &PtProbe) {
-        PacketTracker::prefetch(self, p)
+    fn locate(&self, flow: &FlowKey) -> RtSlot {
+        match self {
+            RtTable::Exact(t) => t.locate(flow),
+            RtTable::Sketch(t) => RtLocate::locate(t, flow),
+        }
     }
 
     #[inline]
-    fn insert_new_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert {
-        PacketTracker::insert_new_probed(self, flow, sig, eack, ts, probe)
-    }
-
-    #[inline]
-    fn insert_recirculated(&mut self, rec: PtRecord, displaced_by: Option<PacketId>) -> PtInsert {
-        PacketTracker::insert_recirculated(self, rec, displaced_by)
-    }
-
-    #[inline]
-    fn match_ack_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos> {
-        PacketTracker::match_ack_probed(self, flow, sig, ack, probe)
-    }
-
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
-        PacketTracker::rotate(self, cutoff)
-    }
-
-    fn occupancy(&self) -> usize {
-        PacketTracker::occupancy(self)
-    }
-
-    fn capacity(&self) -> usize {
-        PacketTracker::capacity(self)
+    fn prefetch(&self, at: &RtSlot) {
+        match self {
+            RtTable::Exact(t) => t.prefetch(at),
+            RtTable::Sketch(t) => RtLocate::prefetch(t, at),
+        }
     }
 }
 
-impl PtBackend for SketchPacketTracker {
-    #[cold]
-    #[inline(never)]
-    fn probe(&self, id: &PacketId) -> PtProbe {
-        SketchPacketTracker::probe(self, id)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn prefetch(&self, p: &PtProbe) {
-        SketchPacketTracker::prefetch(self, p)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn insert_new_probed(
-        &mut self,
-        _flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert {
-        SketchPacketTracker::insert_new_probed(self, sig, eack, ts, probe)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn insert_recirculated(&mut self, rec: PtRecord, _displaced_by: Option<PacketId>) -> PtInsert {
-        SketchPacketTracker::insert_recirculated(self, rec)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn match_ack_probed(
-        &mut self,
-        _flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos> {
-        SketchPacketTracker::match_ack_probed(self, sig, ack, probe)
-    }
-
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
-        SketchPacketTracker::rotate(self, cutoff)
-    }
-
-    fn occupancy(&self) -> usize {
-        SketchPacketTracker::occupancy(self)
-    }
-
-    fn capacity(&self) -> usize {
-        SketchPacketTracker::capacity(self)
-    }
-}
-
-// Outlined sketch arms for the inherent dispatchers, same rationale as the
-// cold trait forwarders above: keep the sketch bodies out of the engine's
-// fused batch loop.
-#[cold]
-#[inline(never)]
-fn sketch_insert_new(
-    t: &mut SketchPacketTracker,
-    sig: FlowSignature,
-    eack: SeqNum,
-    ts: Nanos,
-) -> PtInsert {
-    t.insert_new(sig, eack, ts)
-}
-
-#[cold]
-#[inline(never)]
-fn sketch_match_ack(t: &mut SketchPacketTracker, sig: FlowSignature, ack: SeqNum) -> Option<Nanos> {
-    t.match_ack(sig, ack)
-}
-
-// --- the engine-facing dispatchers -----------------------------------------
-
-/// Closed static dispatch over the Range Tracker backends.
+/// Closed static dispatch over the Range Tracker backends (per-flow
+/// measurement ranges). `now` is the packet timestamp: the sketch ages
+/// entries by it; the exact tracker is stateless in time and ignores it.
 pub enum RtTable {
     /// The exact reference tables (unlimited or constrained).
     Exact(RangeTracker),
     /// The recency-aged set-associative sketch.
     Sketch(SketchRangeTracker),
-}
-
-/// Delegate one method call to whichever backend is live.
-macro_rules! rt_dispatch {
-    ($self:expr, $t:ident => $body:expr) => {
-        match $self {
-            RtTable::Exact($t) => $body,
-            RtTable::Sketch($t) => $body,
-        }
-    };
 }
 
 impl RtTable {
@@ -394,29 +120,9 @@ impl RtTable {
         }
     }
 
-    /// The data-plane signature of a flow.
+    /// Offer a data packet occupying `[seq, eack)` at `at = locate(flow)`.
     #[inline]
-    pub fn sig(&self, flow: &FlowKey) -> FlowSignature {
-        match self {
-            RtTable::Exact(t) => t.sig(flow),
-            RtTable::Sketch(t) => t.sig(flow),
-        }
-    }
-}
-
-impl RtBackend for RtTable {
-    #[inline]
-    fn locate(&self, flow: &FlowKey) -> RtSlot {
-        rt_dispatch!(self, t => RtBackend::locate(t, flow))
-    }
-
-    #[inline]
-    fn prefetch(&self, at: &RtSlot) {
-        rt_dispatch!(self, t => RtBackend::prefetch(t, at))
-    }
-
-    #[inline]
-    fn on_seq_at(
+    pub fn on_seq_at(
         &mut self,
         flow: &FlowKey,
         at: &RtSlot,
@@ -424,11 +130,16 @@ impl RtBackend for RtTable {
         eack: SeqNum,
         now: Nanos,
     ) -> RtSeqOutcome {
-        rt_dispatch!(self, t => RtBackend::on_seq_at(t, flow, at, seq, eack, now))
+        match self {
+            RtTable::Exact(t) => t.on_seq_at(flow, at, seq, eack),
+            RtTable::Sketch(t) => outlined(t, move |t| t.on_seq_at(at, seq, eack, now)),
+        }
     }
 
+    /// Offer an ACK numbered `ack` at `at = locate(flow)`; `pure` marks a
+    /// payload-free ACK.
     #[inline]
-    fn on_ack_at(
+    pub fn on_ack_at(
         &mut self,
         flow: &FlowKey,
         at: &RtSlot,
@@ -436,43 +147,57 @@ impl RtBackend for RtTable {
         pure: bool,
         now: Nanos,
     ) -> RtAckOutcome {
-        rt_dispatch!(self, t => RtBackend::on_ack_at(t, flow, at, ack, pure, now))
+        match self {
+            RtTable::Exact(t) => t.on_ack_at(flow, at, ack, pure),
+            RtTable::Sketch(t) => outlined(t, move |t| t.on_ack_at(at, ack, pure, now)),
+        }
     }
 
+    /// Re-validate an evicted PT record during recirculation (§3.2).
     #[inline]
-    fn revalidate(&mut self, sig: FlowSignature, eack: SeqNum) -> bool {
-        rt_dispatch!(self, t => RtBackend::revalidate(t, sig, eack))
+    pub fn revalidate(&mut self, sig: FlowSignature, eack: SeqNum) -> bool {
+        match self {
+            RtTable::Exact(t) => t.revalidate(sig, eack),
+            RtTable::Sketch(t) => outlined(t, move |t| t.revalidate(sig, eack)),
+        }
     }
 
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
-        rt_dispatch!(self, t => RtBackend::rotate(t, cutoff))
+    /// Epoch rotation (control plane): `(carried, dropped)` flow counts. The
+    /// sketch sweeps entries whose recency stamp predates `cutoff`; the exact
+    /// tracker carries no timestamps and sweeps entries untouched for a whole
+    /// activity generation instead (`cutoff` unused).
+    pub fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
+        match self {
+            RtTable::Exact(t) => t.rotate(),
+            RtTable::Sketch(t) => t.rotate(cutoff),
+        }
     }
 
-    fn occupancy(&self) -> usize {
-        rt_dispatch!(self, t => RtBackend::occupancy(t))
+    /// Live entries (control plane).
+    pub fn occupancy(&self) -> usize {
+        match self {
+            RtTable::Exact(t) => t.occupancy(),
+            RtTable::Sketch(t) => t.occupancy(),
+        }
     }
 
-    fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
-        rt_dispatch!(self, t => RtBackend::peek(t, flow))
+    /// A flow's current range, if present (tests / control plane).
+    pub fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
+        match self {
+            RtTable::Exact(t) => t.peek(flow),
+            RtTable::Sketch(t) => t.peek(flow),
+        }
     }
 }
 
-/// Closed static dispatch over the Packet Tracker backends.
+/// Closed static dispatch over the Packet Tracker backends (outstanding
+/// data packets). Self-hashing only: the PT is consulted after a rare RT
+/// outcome, so nothing pre-resolves its slots (DESIGN.md §5f).
 pub enum PtTable {
     /// The exact reference tables (unlimited or constrained).
     Exact(PacketTracker),
     /// The compact fingerprint sketch.
     Sketch(SketchPacketTracker),
-}
-
-/// Delegate one method call to whichever backend is live.
-macro_rules! pt_dispatch {
-    ($self:expr, $t:ident => $body:expr) => {
-        match $self {
-            PtTable::Exact($t) => $body,
-            PtTable::Sketch($t) => $body,
-        }
-    };
 }
 
 impl PtTable {
@@ -484,7 +209,7 @@ impl PtTable {
         }
     }
 
-    /// Self-hashing insert (streaming path; the batch path pre-probes).
+    /// Insert a freshly tracked data packet.
     #[inline]
     pub fn insert_new(
         &mut self,
@@ -495,79 +220,68 @@ impl PtTable {
     ) -> PtInsert {
         match self {
             PtTable::Exact(t) => t.insert_new(flow, sig, eack, ts),
-            PtTable::Sketch(t) => sketch_insert_new(t, sig, eack, ts),
+            PtTable::Sketch(t) => outlined(t, move |t| t.insert_new(sig, eack, ts)),
         }
     }
 
-    /// Self-hashing ACK match (streaming path).
+    /// Re-insert a recirculated record that passed RT re-validation.
+    #[inline]
+    pub fn insert_recirculated(
+        &mut self,
+        rec: PtRecord,
+        displaced_by: Option<PacketId>,
+    ) -> PtInsert {
+        match self {
+            PtTable::Exact(t) => t.insert_recirculated(rec, displaced_by),
+            PtTable::Sketch(t) => outlined(t, move |t| t.insert_recirculated(rec)),
+        }
+    }
+
+    /// Match an arriving ACK, consuming the record.
     #[inline]
     pub fn match_ack(&mut self, flow: &FlowKey, sig: FlowSignature, ack: SeqNum) -> Option<Nanos> {
         match self {
             PtTable::Exact(t) => t.match_ack(flow, sig, ack),
-            PtTable::Sketch(t) => sketch_match_ack(t, sig, ack),
+            PtTable::Sketch(t) => outlined(t, move |t| t.match_ack(sig, ack)),
         }
     }
-}
 
-impl PtBackend for PtTable {
-    #[inline]
-    fn probe(&self, id: &PacketId) -> PtProbe {
-        pt_dispatch!(self, t => PtBackend::probe(t, id))
+    /// Epoch rotation (control plane): sweep records sent before `cutoff`,
+    /// returning `(carried, dropped)` record counts.
+    pub fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
+        match self {
+            PtTable::Exact(t) => t.rotate(cutoff),
+            PtTable::Sketch(t) => t.rotate(cutoff),
+        }
     }
 
-    #[inline]
-    fn prefetch(&self, p: &PtProbe) {
-        pt_dispatch!(self, t => PtBackend::prefetch(t, p))
+    /// Live records (control plane).
+    pub fn occupancy(&self) -> usize {
+        match self {
+            PtTable::Exact(t) => t.occupancy(),
+            PtTable::Sketch(t) => t.occupancy(),
+        }
     }
 
-    #[inline]
-    fn insert_new_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert {
-        pt_dispatch!(self, t => PtBackend::insert_new_probed(t, flow, sig, eack, ts, probe))
-    }
-
-    #[inline]
-    fn insert_recirculated(&mut self, rec: PtRecord, displaced_by: Option<PacketId>) -> PtInsert {
-        pt_dispatch!(self, t => PtBackend::insert_recirculated(t, rec, displaced_by))
-    }
-
-    #[inline]
-    fn match_ack_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos> {
-        pt_dispatch!(self, t => PtBackend::match_ack_probed(t, flow, sig, ack, probe))
-    }
-
-    fn rotate(&mut self, cutoff: Nanos) -> (u64, u64) {
-        pt_dispatch!(self, t => PtBackend::rotate(t, cutoff))
-    }
-
-    fn occupancy(&self) -> usize {
-        pt_dispatch!(self, t => PtBackend::occupancy(t))
-    }
-
-    fn capacity(&self) -> usize {
-        pt_dispatch!(self, t => PtBackend::capacity(t))
+    /// Total slots (`usize::MAX` for unlimited).
+    pub fn capacity(&self) -> usize {
+        match self {
+            PtTable::Exact(t) => t.capacity(),
+            PtTable::Sketch(t) => t.capacity(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PtMode, RtMode};
 
     fn flow(n: u32) -> FlowKey {
         FlowKey::from_raw(0x0a00_0000 + n, 40000, 0x0808_0808, 443)
+    }
+
+    fn show(outcome: impl std::fmt::Debug) -> String {
+        format!("{outcome:?}")
     }
 
     /// Both dispatcher variants satisfy the backend contract through one
@@ -588,30 +302,127 @@ mod tests {
         assert!(matches!(sketch_pt, PtTable::Sketch(_)));
     }
 
+    /// One pinned op sequence through each enum and through the concrete
+    /// tracker it wraps (reached by destructuring a twin): equal outcomes at
+    /// every step and equal occupancy after it, for all four variants. No
+    /// trait signature holds the arms to their argument mapping any more —
+    /// a swapped `seq`/`eack`, a dropped `cutoff` or a lost `displaced_by`
+    /// diverges here.
     #[test]
     fn enum_dispatch_matches_direct_calls() {
+        let width = SignatureWidth::W32;
+        // Step → (flow, op, time). Ops 0–5 cycle against 11 (RT) or 23 (PT)
+        // flows, op 6 (rotation) comes every 150 steps, and after step 450
+        // only five flows stay active so a rotation has idle state to drop.
+        let schedule = |step: u32, flows: u32| {
+            let n = step % if step < 450 { flows } else { 5 };
+            let op = if step % 150 == 149 { 6 } else { step % 6 };
+            (n as usize, flow(n), op, u64::from(step) * 1_000)
+        };
         for mode in [
             RtMode::Constrained { slots: 32 },
             RtMode::Sketch { slots: 32, ways: 2 },
         ] {
-            let mut via_enum = RtTable::new(mode, SignatureWidth::W32);
-            for step in 0..100u32 {
-                let f = flow(step % 9);
-                let at = via_enum.locate(&f);
-                via_enum.prefetch(&at);
-                assert_eq!(at.sig(), via_enum.sig(&f));
-                let now = u64::from(step);
-                if step % 3 == 2 {
-                    let out = via_enum.on_ack_at(&f, &at, SeqNum(step * 40), true, now);
-                    // Self-locating call must agree with the located one on
-                    // the *next* identical offer (state already updated).
-                    let _ = out;
-                } else {
-                    via_enum.on_seq_at(&f, &at, SeqNum(step * 100), SeqNum(step * 100 + 100), now);
+            let (mut table, mut twin) = (RtTable::new(mode, width), RtTable::new(mode, width));
+            let mut sent = [0u32; 11]; // per flow: the next byte to send
+            for step in 0..900u32 {
+                let (n, f, op, now) = schedule(step, 11);
+                let (seq, eack) = (SeqNum(sent[n]), SeqNum(sent[n] + 100));
+                let (pure, cutoff) = (step % 2 == 0, now.saturating_sub(100_000));
+                let at = table.locate(&f);
+                table.prefetch(&at);
+                let got = match op {
+                    0 | 1 => show(table.on_seq_at(&f, &at, seq, eack, now)),
+                    2 => show(table.peek(&f)),
+                    3 | 4 => show(table.on_ack_at(&f, &at, seq, pure, now)),
+                    5 => show(table.revalidate(at.sig(), seq)),
+                    _ => show(table.rotate(cutoff)),
+                };
+                let want = match (&mut twin, op) {
+                    (RtTable::Exact(t), 0 | 1) => show(t.on_seq_at(&f, &t.locate(&f), seq, eack)),
+                    (RtTable::Exact(t), 3 | 4) => show(t.on_ack_at(&f, &t.locate(&f), seq, pure)),
+                    (RtTable::Exact(t), 5) => show(t.revalidate(t.sig(&f), seq)),
+                    (RtTable::Exact(t), 2) => show(t.peek(&f)),
+                    (RtTable::Exact(t), _) => show(t.rotate()),
+                    (RtTable::Sketch(t), 0 | 1) => show(t.on_seq_at(&t.locate(&f), seq, eack, now)),
+                    (RtTable::Sketch(t), 3 | 4) => show(t.on_ack_at(&t.locate(&f), seq, pure, now)),
+                    (RtTable::Sketch(t), 5) => show(t.revalidate(t.sig(&f), seq)),
+                    (RtTable::Sketch(t), 2) => show(t.peek(&f)),
+                    (RtTable::Sketch(t), _) => show(t.rotate(cutoff)),
+                };
+                assert_eq!(got, want, "{mode:?} step {step} op {op}");
+                if op <= 1 {
+                    sent[n] += 100;
                 }
             }
-            assert!(via_enum.occupancy() <= 9);
-            assert!(via_enum.peek(&flow(0)).is_some() || via_enum.peek(&flow(1)).is_some());
+            let live = match &twin {
+                RtTable::Exact(t) => t.occupancy(),
+                RtTable::Sketch(t) => t.occupancy(),
+            };
+            assert!(live > 0);
+            assert_eq!(table.occupancy(), live, "{mode:?}");
+        }
+
+        let (slots, stages) = (16, 2);
+        for mode in [
+            PtMode::Constrained { slots, stages },
+            PtMode::Sketch { slots, ways: 4 },
+        ] {
+            let (mut table, mut twin) = (PtTable::new(mode), PtTable::new(mode));
+            assert_eq!(table.capacity(), slots);
+            let mut sent = [0u32; 23];
+            // The last eviction, re-offered at the next op 4 the way the
+            // engine does: its displacer's identity alongside, for cycle
+            // detection.
+            let mut evicted: Option<(PtRecord, PacketId)> = None;
+            for step in 0..900u32 {
+                let (n, f, op, now) = schedule(step, 23);
+                let (sig, acked, eack) =
+                    (f.signature(width), SeqNum(sent[n]), SeqNum(sent[n] + 100));
+                let (trips, cutoff) = (step % 3, now.saturating_sub(30_000));
+                let reoffered = if op == 4 { evicted.take() } else { None };
+                let (rec, by) = match reoffered {
+                    Some((old, by)) => (old, Some(by)),
+                    None => (
+                        PtRecord {
+                            sig,
+                            eack,
+                            ts: now,
+                            trips,
+                        },
+                        None,
+                    ),
+                };
+                let got = match op {
+                    0..=2 | 5 => show(table.insert_new(&f, sig, eack, now)),
+                    3 => show(table.match_ack(&f, sig, acked)),
+                    4 => show(table.insert_recirculated(rec, by)),
+                    _ => show(table.rotate(cutoff)),
+                };
+                let (want, live) = match (&mut twin, op) {
+                    (PtTable::Exact(t), 0..=2 | 5) => {
+                        let out = t.insert_new(&f, sig, eack, now);
+                        if let PtInsert::StoredEvicting(old) = out {
+                            evicted = Some((old, PacketId::new(sig, eack)));
+                        }
+                        (show(out), t.occupancy())
+                    }
+                    (PtTable::Exact(t), 3) => (show(t.match_ack(&f, sig, acked)), t.occupancy()),
+                    (PtTable::Exact(t), 4) => (show(t.insert_recirculated(rec, by)), t.occupancy()),
+                    (PtTable::Exact(t), _) => (show(t.rotate(cutoff)), t.occupancy()),
+                    (PtTable::Sketch(t), 0..=2 | 5) => {
+                        (show(t.insert_new(sig, eack, now)), t.occupancy())
+                    }
+                    (PtTable::Sketch(t), 3) => (show(t.match_ack(sig, acked)), t.occupancy()),
+                    (PtTable::Sketch(t), 4) => (show(t.insert_recirculated(rec)), t.occupancy()),
+                    (PtTable::Sketch(t), _) => (show(t.rotate(cutoff)), t.occupancy()),
+                };
+                assert_eq!(got, want, "{mode:?} step {step} op {op}");
+                assert_eq!(table.occupancy(), live, "{mode:?} step {step}");
+                if matches!(op, 0..=2 | 5) {
+                    sent[n] += 100;
+                }
+            }
         }
     }
 }

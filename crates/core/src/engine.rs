@@ -1,10 +1,10 @@
 //! The Dart engine: Range Tracker → Packet Tracker → analytics, with lazy
 //! eviction and second-chance recirculation (paper Fig. 3 / Fig. 5).
 
-use crate::backend::{PtBackend, PtTable, RtBackend, RtTable};
+use crate::backend::{PtTable, RtLocate, RtTable};
 use crate::config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, SynPolicy};
 use crate::filter::FlowFilter;
-use crate::packet_tracker::{PtInsert, PtProbe, PtRecord};
+use crate::packet_tracker::{PtInsert, PtRecord};
 use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sample::{RttSample, SampleSink};
@@ -412,18 +412,22 @@ impl DartEngine {
         scratch.ring.fill(Decoded::default());
         let mut counts = BlockCounts::default();
 
-        // The steady-state loop is stamped out once per RT backend variant
-        // so the decode half — the per-packet locate/prefetch stream this
-        // loop exists to overlap — inlines exactly one backend's hashing.
-        // Dispatching per call instead keeps both variants' bodies (or a
-        // call, and its register spills) inside the hot loop and costs the
-        // exact path its batch edge. The `unreachable!()` arms are
-        // genuinely unreachable: the variant is matched right before the
-        // loop and nothing in the loop can change it. The short prologue
-        // and epilogue (≤ PREFETCH_DIST packets each) stay on the
-        // dispatching path (`RtTable` is itself an `RtBackend`) to keep
-        // this function's code size — and its instruction-cache bill —
-        // down.
+        // The steady-state loop is stamped out once per RT variant so the
+        // decode half — the per-packet locate/prefetch stream this loop
+        // exists to overlap — is monomorphised over the one concrete
+        // tracker (`RtLocate`) instead of dispatching per call, which keeps
+        // both variants' arms, and their register spills, inside the hot
+        // loop. Priced before it was kept (ISSUE 18, `dartmon analyze`
+        // through the ledger, ten alternated 10 s pairs): with plain
+        // `RtTable` dispatch here `campus-native` lost `throughput_mpps` in
+        // 10 of 10 pairs, median 12.27 → 11.57 Mpkt/s (−5.7 %);
+        // `churn-pressure` was unresolved (6.73 → 6.69, 3 of 10). The
+        // `unreachable!()` arms are genuinely unreachable: the variant is
+        // matched right before the loop and nothing in the loop can change
+        // it. The short prologue and epilogue (≤ PREFETCH_DIST packets
+        // each) stay on the dispatching path (`RtTable` is itself
+        // `RtLocate`) to keep this function's code size — and its
+        // instruction-cache bill — down.
 
         // Prologue: decode the first DIST packets to fill the ring.
         let fill = pkts.len().min(PREFETCH_DIST);
@@ -489,10 +493,10 @@ impl DartEngine {
         self.drain_recirc_until(pkt.ts);
         if d.lane & LANE_ACK != 0 {
             let data_flow = pkt.flow.reverse();
-            self.handle_ack_at(pkt, &data_flow, &d.ack_rt, None, sink);
+            self.handle_ack_at(pkt, &data_flow, &d.ack_rt, sink);
         }
         if d.lane & LANE_SEQ != 0 {
-            self.handle_seq_at(pkt, d.eack, &d.seq_rt, None);
+            self.handle_seq_at(pkt, d.eack, &d.seq_rt);
         }
     }
 
@@ -502,7 +506,7 @@ impl DartEngine {
     /// nothing here writes the tables, so decoding ahead of execution
     /// cannot change results.
     #[inline]
-    fn decode_and_warm<R: RtBackend>(
+    fn decode_and_warm<R: RtLocate>(
         &self,
         rt: &R,
         pkt: &PacketMeta,
@@ -539,7 +543,7 @@ impl DartEngine {
 
     /// `rt.locate(flow)` through the direct-mapped flow memo.
     #[inline]
-    fn locate_memo<R: RtBackend>(
+    fn locate_memo<R: RtLocate>(
         rt: &R,
         memo: &mut [Option<(FlowKey, RtSlot)>],
         flow: &FlowKey,
@@ -782,7 +786,16 @@ impl DartEngine {
             }
         }
 
+        // The lengths and trip counts below steer later packets (a spill, a
+        // re-insert), so what this configuration could never have produced
+        // is refused here, not trusted behind the checksum.
         let vc = r.get_usize()?;
+        if vc > self.cfg.victim_cache {
+            return Err(SnapshotError::Corrupt(format!(
+                "{vc} victim-cache records, this engine caches at most {}",
+                self.cfg.victim_cache
+            )));
+        }
         self.victim_cache.clear();
         for _ in 0..vc {
             self.victim_cache.push_back(PtRecord::restore_from(r)?);
@@ -794,12 +807,25 @@ impl DartEngine {
             max_queue_depth: r.get_usize()?,
         };
         let depth = r.get_usize()?;
+        // Only a constrained exact PT evicts; the unlimited store and the
+        // sketch never hand a record to the recirculation loop.
+        if depth > 0 && !matches!(self.cfg.pt, PtMode::Constrained { .. }) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{depth} records in recirculation, but this engine's PT never evicts"
+            )));
+        }
         let mut entries = Vec::with_capacity(depth.min(1 << 20));
         for _ in 0..depth {
             let rec = PtRecord::restore_from(r)?;
             let displaced_by = PacketId::new(FlowSignature(r.get_u64()?), SeqNum(r.get_u32()?));
             let ready = r.get_u64()?;
             let trips = r.get_u32()?;
+            if trips > self.cfg.max_recirc {
+                return Err(SnapshotError::Corrupt(format!(
+                    "recirculating record on trip {trips}, the cap is {}",
+                    self.cfg.max_recirc
+                )));
+            }
             entries.push(Recirculated {
                 record: RecircEntry {
                     rec,
@@ -867,20 +893,12 @@ impl DartEngine {
 
     fn handle_seq(&mut self, pkt: &PacketMeta) {
         let at = self.rt.locate(&pkt.flow);
-        self.handle_seq_at(pkt, pkt.eack(), &at, None);
+        self.handle_seq_at(pkt, pkt.eack(), &at);
     }
 
-    /// The SEQ role with a pre-resolved RT location and (on the batch
-    /// path) a pre-hashed PT probe. `at` must come from
-    /// `rt.locate(&pkt.flow)`; `probe`, when given, from
-    /// `pt.probe(&PacketId::new(at.sig(), eack))`.
-    fn handle_seq_at(
-        &mut self,
-        pkt: &PacketMeta,
-        eack: SeqNum,
-        at: &RtSlot,
-        probe: Option<&PtProbe>,
-    ) {
+    /// The SEQ role with a pre-resolved RT location: `at` must come from
+    /// `rt.locate(&pkt.flow)`.
+    fn handle_seq_at(&mut self, pkt: &PacketMeta, eack: SeqNum, at: &RtSlot) {
         let outcome = self.rt.on_seq_at(&pkt.flow, at, pkt.seq, eack, pkt.ts);
         match outcome {
             RtSeqOutcome::Created | RtSeqOutcome::Ruled(SeqVerdict::Extend) => {}
@@ -898,11 +916,10 @@ impl DartEngine {
             RtSeqOutcome::Ruled(SeqVerdict::Wraparound) => self.stats.seq_wraparound += 1,
             RtSeqOutcome::Collision => self.stats.seq_rt_collision += 1,
         }
+        self.sync_rt_copy(pkt);
         if !outcome.track() {
-            self.sync_rt_copy(pkt);
             return;
         }
-        self.sync_rt_copy(pkt);
         self.stats.seq_tracked += 1;
         let sig = at.sig();
         // The admission gate's heavy-hitter sketch observes every tracked
@@ -912,10 +929,7 @@ impl DartEngine {
         if let Some(gate) = &mut self.admission {
             gate_on_tracked(gate, sig);
         }
-        let result = match probe {
-            Some(p) => self.pt.insert_new_probed(&pkt.flow, sig, eack, pkt.ts, p),
-            None => self.pt.insert_new(&pkt.flow, sig, eack, pkt.ts),
-        };
+        let result = self.pt.insert_new(&pkt.flow, sig, eack, pkt.ts);
         let inserted_id = PacketId::new(sig, eack);
         self.account_insert(result, inserted_id, pkt.ts);
     }
@@ -932,7 +946,7 @@ impl DartEngine {
             pkt.flow.reverse()
         };
         if let Some(range) = self.rt.peek(&data_flow) {
-            let sig = self.rt.sig(&data_flow);
+            let sig = data_flow.signature(self.cfg.sig_width);
             if let Some(copy) = &mut self.rt_copy {
                 copy.record(pkt.ts, sig, range);
             }
@@ -942,19 +956,16 @@ impl DartEngine {
     fn handle_ack(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         let data_flow = pkt.flow.reverse();
         let at = self.rt.locate(&data_flow);
-        self.handle_ack_at(pkt, &data_flow, &at, None, sink);
+        self.handle_ack_at(pkt, &data_flow, &at, sink);
     }
 
-    /// The ACK role with a pre-resolved RT location and (on the batch
-    /// path) a pre-hashed PT probe. `data_flow` is `pkt.flow.reverse()`;
-    /// `at` must come from `rt.locate(data_flow)`; `probe`, when given,
-    /// from `pt.probe(&PacketId::new(at.sig(), pkt.ack))`.
+    /// The ACK role with a pre-resolved RT location: `data_flow` is
+    /// `pkt.flow.reverse()` and `at` must come from `rt.locate(data_flow)`.
     fn handle_ack_at(
         &mut self,
         pkt: &PacketMeta,
         data_flow: &FlowKey,
         at: &RtSlot,
-        probe: Option<&PtProbe>,
         sink: &mut dyn SampleSink,
     ) {
         let data_flow = *data_flow;
@@ -965,11 +976,7 @@ impl DartEngine {
             RtAckOutcome::Ruled(AckVerdict::Advance) => {
                 self.stats.ack_advanced += 1;
                 let sig = at.sig();
-                let pt_hit = match probe {
-                    Some(p) => self.pt.match_ack_probed(&data_flow, sig, pkt.ack, p),
-                    None => self.pt.match_ack(&data_flow, sig, pkt.ack),
-                };
-                let hit = pt_hit.or_else(|| {
+                let hit = self.pt.match_ack(&data_flow, sig, pkt.ack).or_else(|| {
                     // Victim cache (§7): evicted records get matched here
                     // instead of being lost to a missed recirculation.
                     let id = PacketId::new(sig, pkt.ack);
@@ -1185,8 +1192,9 @@ impl crate::monitor::RttMonitor for DartEngine {
         self.process(pkt, sink);
     }
 
-    /// The real batch pipeline (SoA decode → prefetch → match loop), not
-    /// the default per-packet loop.
+    /// The real batch pipeline (the fused, software-pipelined decode/match
+    /// loop of [`DartEngine::process_batch`]), not the default per-packet
+    /// loop.
     fn on_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
         self.process_batch(pkts, sink);
     }
@@ -1214,11 +1222,6 @@ impl crate::monitor::RttMonitor for DartEngine {
         self.stats
     }
 }
-
-// The engine in unlimited mode never evicts, so `PtMode::Unlimited` combined
-// with recirculation settings is harmless; assert that invariant in tests.
-#[allow(unused_imports)]
-use PtMode as _PtModeUsedInDocs;
 
 #[cfg(test)]
 mod tests {
@@ -1826,6 +1829,137 @@ mod tests {
         padded.extend_from_slice(&[0u8; 5]);
         let mut fresh = DartEngine::new(DartConfig::default());
         assert!(fresh.restore(&Snapshot::from_payload(padded)).is_err());
+    }
+
+    /// Hostile bytes behind a valid checksum and fingerprint: recirculation
+    /// and victim-cache state the configuration could never have produced is
+    /// refused at restore. The first case used to restore and then reach
+    /// `PacketTracker::insert_recirculated`'s `unreachable!` on the next
+    /// packet — a panic from snapshot bytes.
+    #[test]
+    fn restore_refuses_recirculation_state_the_config_cannot_hold() {
+        let f = flow(41);
+        let data = PacketBuilder::new(f, 0)
+            .seq(0u32)
+            .payload(100)
+            .dir(Direction::Outbound)
+            .build();
+        // One record the restored RT validates: `f`'s in-flight packet.
+        let rec = |cfg: &DartConfig, trips| PtRecord {
+            sig: f.signature(cfg.sig_width),
+            eack: SeqNum(100),
+            ts: 0,
+            trips,
+        };
+        // The engine section ends `vc | port books (3 words) | depth |
+        // rt-copy tag | admission tag`, empty in all three configs below:
+        // rewrite that 42-byte tail with the given records in it.
+        let forge = |cfg: DartConfig, cached: &[PtRecord], looping: &[PtRecord]| {
+            let mut a = DartEngine::new(cfg);
+            a.process(&data, &mut Vec::<RttSample>::new());
+            let snap = a.snapshot().unwrap();
+            let payload = snap.payload();
+            let tail = payload.len() - 42;
+            let mut w = SnapWriter::new();
+            w.put_bytes(&payload[..tail]);
+            w.put_usize(cached.len());
+            for r in cached {
+                r.snapshot_into(&mut w);
+            }
+            w.put_bytes(&payload[tail + 8..tail + 32]);
+            w.put_usize(looping.len());
+            for r in looping {
+                r.snapshot_into(&mut w);
+                w.put_u64(r.sig.0 ^ 1); // displaced_by: some other record
+                w.put_u32(r.eack.0);
+                w.put_u64(0); // ready: re-enters with the next packet
+                w.put_u32(r.trips);
+            }
+            w.put_bytes(&payload[tail + 40..]);
+            let mut fresh = DartEngine::new(cfg);
+            let restored = fresh.restore(&Snapshot::from_payload(w.into_payload()));
+            if restored.is_ok() {
+                // What the refusal prevents: the forged record re-enters.
+                fresh.process(&data, &mut Vec::<RttSample>::new());
+            }
+            restored
+        };
+        let unlimited_pt = DartConfig::unlimited().with_rt(64);
+        let capped = DartConfig::default().with_pt(4, 1).with_max_recirc(1);
+        for (what, restored) in [
+            (
+                "depth > 0 on a PT that never evicts",
+                forge(unlimited_pt, &[], &[rec(&unlimited_pt, 1)]),
+            ),
+            ("trips over the cap", forge(capped, &[], &[rec(&capped, 2)])),
+            (
+                "victim cache over its size",
+                forge(capped, &[rec(&capped, 0)], &[]),
+            ),
+        ] {
+            assert!(
+                matches!(restored, Err(SnapshotError::Corrupt(_))),
+                "{what}: {restored:?}"
+            );
+        }
+        // The same surgery with nothing added is the original frame, and a
+        // record the config allows still restores.
+        forge(capped, &[], &[]).unwrap();
+        forge(capped, &[], &[rec(&capped, 1)]).unwrap();
+    }
+
+    /// The other side of the refusal above: a frontier-sized engine (RT 4096,
+    /// PT 512, two recirculations, both legs) checkpointed with records still
+    /// in the recirculation loop restores them and resumes identically.
+    #[test]
+    fn frontier_snapshot_with_live_recirculation_round_trips() {
+        let cfg = DartConfig::default()
+            .with_leg(Leg::Both)
+            .with_rt(4096)
+            .with_pt(512, 1)
+            .with_max_recirc(2);
+        // 900 flows' data 1 µs apart — more than the PT holds, and far
+        // inside the 10 µs recirculation delay — then their ACKs.
+        let mut pkts = Vec::new();
+        for n in 0..2700u32 {
+            let (f, t) = (flow(1000 + n % 900), u64::from(n) * 1_000);
+            pkts.push(
+                PacketBuilder::new(f, t)
+                    .seq(n / 900 * 100)
+                    .payload(100)
+                    .dir(Direction::Outbound)
+                    .build(),
+            );
+            if n >= 1800 {
+                pkts.push(
+                    PacketBuilder::new(f.reverse(), t + 500)
+                        .ack(n / 900 * 100)
+                        .dir(Direction::Inbound)
+                        .build(),
+                );
+            }
+        }
+        let (first, second) = pkts.split_at(1500);
+        let (expected, expected_stats) = run_trace(cfg, &pkts);
+
+        let mut a = DartEngine::new(cfg);
+        let mut samples: Vec<RttSample> = Vec::new();
+        for p in first {
+            a.process(p, &mut samples);
+        }
+        assert!(a.recirc.in_flight() > 0, "nothing in the loop to restore");
+        let snap = a.snapshot().unwrap();
+        let mut b = DartEngine::new(cfg);
+        b.restore(&snap).unwrap();
+        assert_eq!(b.recirc.in_flight(), a.recirc.in_flight());
+        assert_eq!(b.snapshot().unwrap().as_bytes(), snap.as_bytes());
+        for p in second {
+            b.process(p, &mut samples);
+        }
+        b.flush();
+        assert!(!expected.is_empty());
+        assert_eq!(samples, expected);
+        assert_eq!(*b.stats(), expected_stats);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod stats;
 #[cfg(feature = "telemetry")]
 pub mod telemetry;
 
-pub use backend::{PtBackend, PtTable, RtBackend, RtTable};
+pub use backend::{PtTable, RtTable};
 pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy};
 pub use engine::{run_trace, DartEngine, EngineEvent, EventSink, RecircFilter, RecirculateAll};
 pub use error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
@@ -71,7 +71,7 @@ pub use monitor::{
     drive, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress, RttMonitor, Stage,
     DEFAULT_BLOCK_PKTS,
 };
-pub use packet_tracker::{PacketTracker, PtInsert, PtProbe, PtRecord};
+pub use packet_tracker::{PacketTracker, PtInsert, PtRecord};
 pub use pt_salu::{SaluPtSlot, SlotRecord};
 pub use range::{AckVerdict, MeasurementRange, SeqVerdict};
 pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};

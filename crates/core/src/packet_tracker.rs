@@ -86,44 +86,6 @@ pub enum PtInsert {
     StoredOverwriting,
 }
 
-/// Pre-computed per-stage slot indices for one [`PacketId`] — the batch
-/// pipeline's pre-hash product, consumed by
-/// [`PacketTracker::insert_new_probed`] / [`PacketTracker::match_ack_probed`].
-/// Covers up to [`PtProbe::MAX`] stages; deeper configurations (ablation
-/// sweeps) compute the overflow stages inline, so a probe is always safe to
-/// use. Empty (`n == 0`) for the unlimited store, which probes by exact key.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PtProbe {
-    n: u8,
-    idx: [u32; PtProbe::MAX],
-}
-
-impl PtProbe {
-    /// Number of stages a probe can pre-resolve.
-    pub const MAX: usize = 8;
-
-    /// The pre-resolved index for `stage`, if covered.
-    #[inline]
-    pub(crate) fn get(&self, stage: usize) -> Option<usize> {
-        (stage < self.n as usize).then(|| self.idx[stage] as usize)
-    }
-
-    /// Assemble a probe from per-way indices (backend implementations in
-    /// this crate; the sketch tracker reuses the probe as its pre-hash).
-    #[inline]
-    pub(crate) fn from_ways(ways: &[usize]) -> PtProbe {
-        let n = ways.len().min(PtProbe::MAX);
-        let mut p = PtProbe {
-            n: n as u8,
-            idx: [0; PtProbe::MAX],
-        };
-        for (slot, &w) in p.idx.iter_mut().zip(ways.iter()).take(n) {
-            *slot = w as u32;
-        }
-        p
-    }
-}
-
 enum PtStore {
     Unlimited(HashMap<(FlowKey, SeqNum), Nanos>),
     Constrained {
@@ -174,37 +136,6 @@ impl PacketTracker {
         hashers[stage].index(&key, size)
     }
 
-    /// Pre-resolve the per-stage slot indices for `id`. Pure (no table
-    /// access), so the batch decode pass can hash a whole block up front.
-    #[inline]
-    pub fn probe(&self, id: &PacketId) -> PtProbe {
-        match &self.store {
-            PtStore::Unlimited(_) => PtProbe::default(),
-            PtStore::Constrained { stages, hashers } => {
-                let size = stages[0].size();
-                let n = stages.len().min(PtProbe::MAX);
-                let mut p = PtProbe {
-                    n: n as u8,
-                    idx: [0; PtProbe::MAX],
-                };
-                for (s, slot) in p.idx.iter_mut().enumerate().take(n) {
-                    *slot = Self::index(hashers, s, size, id) as u32;
-                }
-                p
-            }
-        }
-    }
-
-    /// Warm every pre-resolved stage slot into cache (no register access).
-    #[inline]
-    pub fn prefetch(&self, p: &PtProbe) {
-        if let PtStore::Constrained { stages, .. } = &self.store {
-            for (stage, idx) in stages.iter().zip(p.idx.iter()).take(p.n as usize) {
-                stage.prefetch(*idx as usize);
-            }
-        }
-    }
-
     /// Insert a freshly tracked data packet. `flow` keys the unlimited
     /// store exactly; constrained mode uses only the signature.
     pub fn insert_new(
@@ -213,30 +144,6 @@ impl PacketTracker {
         sig: FlowSignature,
         eack: SeqNum,
         ts: Nanos,
-    ) -> PtInsert {
-        self.insert_new_inner(flow, sig, eack, ts, None)
-    }
-
-    /// [`PacketTracker::insert_new`] with pre-resolved stage indices (batch
-    /// path). `probe` must come from `self.probe(&PacketId::new(sig, eack))`.
-    pub fn insert_new_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert {
-        self.insert_new_inner(flow, sig, eack, ts, Some(probe))
-    }
-
-    fn insert_new_inner(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: Option<&PtProbe>,
     ) -> PtInsert {
         match &mut self.store {
             PtStore::Unlimited(map) => {
@@ -252,7 +159,6 @@ impl PacketTracker {
                 },
                 None,
                 0,
-                probe,
             ),
         }
     }
@@ -276,7 +182,7 @@ impl PacketTracker {
             }
             PtStore::Constrained { stages, .. } => {
                 let entry = rec.trips as usize % stages.len();
-                self.insert_constrained(rec, displaced_by, entry, None)
+                self.insert_constrained(rec, displaced_by, entry)
             }
         }
     }
@@ -286,18 +192,13 @@ impl PacketTracker {
         rec: PtRecord,
         displaced_by: Option<PacketId>,
         entry_stage: usize,
-        probe: Option<&PtProbe>,
     ) -> PtInsert {
         let PtStore::Constrained { stages, hashers } = &mut self.store else {
             unreachable!()
         };
         let n = stages.len();
         let size = stages[0].size();
-        let idx_at = |s: usize| {
-            probe
-                .and_then(|p| p.get(s))
-                .unwrap_or_else(|| Self::index(hashers, s, size, &rec.id()))
-        };
+        let idx_at = |s: usize| Self::index(hashers, s, size, &rec.id());
 
         // Probe pass: one access per stage, looking for an empty home (or a
         // duplicate of ourselves to refresh) from the entry stage onward.
@@ -349,28 +250,6 @@ impl PacketTracker {
     /// Match an arriving ACK: look up (flow/sig, ack) in every stage and
     /// remove the record on a hit, returning its stored timestamp.
     pub fn match_ack(&mut self, flow: &FlowKey, sig: FlowSignature, ack: SeqNum) -> Option<Nanos> {
-        self.match_ack_inner(flow, sig, ack, None)
-    }
-
-    /// [`PacketTracker::match_ack`] with pre-resolved stage indices (batch
-    /// path). `probe` must come from `self.probe(&PacketId::new(sig, ack))`.
-    pub fn match_ack_probed(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos> {
-        self.match_ack_inner(flow, sig, ack, Some(probe))
-    }
-
-    fn match_ack_inner(
-        &mut self,
-        flow: &FlowKey,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: Option<&PtProbe>,
-    ) -> Option<Nanos> {
         match &mut self.store {
             PtStore::Unlimited(map) => map.remove(&(*flow, ack)),
             PtStore::Constrained { stages, hashers } => {
@@ -378,9 +257,7 @@ impl PacketTracker {
                 let size = stages[0].size();
                 #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
                 for s in 0..stages.len() {
-                    let idx = probe
-                        .and_then(|p| p.get(s))
-                        .unwrap_or_else(|| Self::index(hashers, s, size, &id));
+                    let idx = Self::index(hashers, s, size, &id);
                     let hit =
                         matches!(stages[s].read(idx), Some(r) if r.sig == sig && r.eack == ack);
                     if hit {
@@ -724,38 +601,6 @@ mod tests {
                 assert_eq!(old.sig, sig(b));
             }
             other => panic!("{other:?}"),
-        }
-    }
-
-    /// Probed entry points must behave identically to the self-hashing
-    /// ones, across multi-stage configs — the batch path rides on this.
-    #[test]
-    fn probed_paths_match_plain_paths() {
-        for (slots, stages) in [(8, 1), (8, 2), (16, 4)] {
-            let mode = PtMode::Constrained { slots, stages };
-            let mut plain = PacketTracker::new(mode);
-            let mut probed = PacketTracker::new(mode);
-            for step in 0..300u32 {
-                let n = step % 23;
-                let eack = SeqNum(100 + step % 7);
-                let id = PacketId::new(sig(n), eack);
-                let p = probed.probe(&id);
-                probed.prefetch(&p);
-                if step % 3 == 2 {
-                    assert_eq!(
-                        plain.match_ack(&flow(n), sig(n), eack),
-                        probed.match_ack_probed(&flow(n), sig(n), eack, &p),
-                        "match step {step}"
-                    );
-                } else {
-                    assert_eq!(
-                        plain.insert_new(&flow(n), sig(n), eack, u64::from(step)),
-                        probed.insert_new_probed(&flow(n), sig(n), eack, u64::from(step), &p),
-                        "insert step {step}"
-                    );
-                }
-            }
-            assert_eq!(plain.occupancy(), probed.occupancy());
         }
     }
 

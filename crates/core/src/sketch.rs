@@ -25,7 +25,7 @@
 //! are order-independent, and every test can pin seeds.
 
 use crate::config::{PtMode, RtMode};
-use crate::packet_tracker::{PtInsert, PtProbe, PtRecord};
+use crate::packet_tracker::{PtInsert, PtRecord};
 use crate::range::MeasurementRange;
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -672,6 +672,9 @@ pub struct SketchPacketTracker {
 }
 
 impl SketchPacketTracker {
+    /// Most ways a sketch PT may be built with.
+    const MAX_WAYS: usize = 8;
+
     /// Build a sketch PT from its mode. Panics if handed a non-sketch mode
     /// (the engine routes those to the exact tracker).
     pub fn new(mode: PtMode) -> SketchPacketTracker {
@@ -679,9 +682,9 @@ impl SketchPacketTracker {
             panic!("SketchPacketTracker requires PtMode::Sketch, got {mode:?}")
         };
         assert!(
-            (1..=PtProbe::MAX).contains(&ways),
+            (1..=Self::MAX_WAYS).contains(&ways),
             "sketch PT supports 1..={} ways",
-            PtProbe::MAX
+            Self::MAX_WAYS
         );
         assert!(slots >= ways, "sketch PT needs at least one cell per way");
         let way_size = slots / ways;
@@ -710,72 +713,14 @@ impl SketchPacketTracker {
         self.fp_hasher.hash(&Self::key_bytes(id))
     }
 
-    /// Pre-resolve the per-way cell indices for `id`. Pure, reusing the
-    /// batch pipeline's [`PtProbe`] pre-hash product.
-    #[inline]
-    pub fn probe(&self, id: &PacketId) -> PtProbe {
-        let key = Self::key_bytes(id);
-        let mut idx = [0usize; PtProbe::MAX];
-        for (slot, hasher) in idx.iter_mut().zip(&self.hashers) {
-            *slot = hasher.index(&key, self.way_size);
-        }
-        PtProbe::from_ways(&idx[..self.ways.len()])
-    }
-
-    /// Warm every pre-resolved way cell into cache.
-    #[inline]
-    pub fn prefetch(&self, p: &PtProbe) {
-        for (w, way) in self.ways.iter().enumerate() {
-            if let Some(i) = p.get(w) {
-                way.prefetch(i);
-            }
-        }
-    }
-
-    #[inline]
-    fn idx_at(&self, probe: Option<&PtProbe>, w: usize, id: &PacketId) -> usize {
-        probe
-            .and_then(|p| p.get(w))
-            .unwrap_or_else(|| self.hashers[w].index(&Self::key_bytes(id), self.way_size))
-    }
-
     /// Insert a freshly tracked data packet.
     pub fn insert_new(&mut self, sig: FlowSignature, eack: SeqNum, ts: Nanos) -> PtInsert {
-        self.insert_inner(sig, eack, ts, None)
-    }
-
-    /// [`SketchPacketTracker::insert_new`] with a pre-resolved probe
-    /// (batch path).
-    pub fn insert_new_probed(
-        &mut self,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: &PtProbe,
-    ) -> PtInsert {
-        self.insert_inner(sig, eack, ts, Some(probe))
-    }
-
-    /// Defensive re-insert path: the sketch never evicts a recirculatable
-    /// record, but the engine's recirculation port is backend-agnostic, so
-    /// route any stray record through the ordinary insert.
-    pub fn insert_recirculated(&mut self, rec: PtRecord) -> PtInsert {
-        self.insert_inner(rec.sig, rec.eack, rec.ts, None)
-    }
-
-    fn insert_inner(
-        &mut self,
-        sig: FlowSignature,
-        eack: SeqNum,
-        ts: Nanos,
-        probe: Option<&PtProbe>,
-    ) -> PtInsert {
         let id = PacketId::new(sig, eack);
         let fp = self.fp(&id);
         let fresh = SketchPtCell { fp, ts };
         let mut oldest: Option<(Nanos, usize, usize)> = None;
         for w in 0..self.ways.len() {
-            let i = self.idx_at(probe, w, &id);
+            let i = self.hashers[w].index(&Self::key_bytes(&id), self.way_size);
             match self.ways[w].read(i).copied() {
                 None => {
                     self.ways[w].write(i, fresh);
@@ -803,33 +748,20 @@ impl SketchPacketTracker {
         PtInsert::StoredOverwriting
     }
 
+    /// Defensive re-insert path: the sketch never evicts a recirculatable
+    /// record, but the engine's recirculation port is backend-agnostic, so
+    /// route any stray record through the ordinary insert.
+    pub fn insert_recirculated(&mut self, rec: PtRecord) -> PtInsert {
+        self.insert_new(rec.sig, rec.eack, rec.ts)
+    }
+
     /// Match an arriving ACK: probe every way for a verifying fingerprint,
     /// clear the cell on a hit, and return its stored timestamp.
     pub fn match_ack(&mut self, sig: FlowSignature, ack: SeqNum) -> Option<Nanos> {
-        self.match_inner(sig, ack, None)
-    }
-
-    /// [`SketchPacketTracker::match_ack`] with a pre-resolved probe (batch
-    /// path).
-    pub fn match_ack_probed(
-        &mut self,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: &PtProbe,
-    ) -> Option<Nanos> {
-        self.match_inner(sig, ack, Some(probe))
-    }
-
-    fn match_inner(
-        &mut self,
-        sig: FlowSignature,
-        ack: SeqNum,
-        probe: Option<&PtProbe>,
-    ) -> Option<Nanos> {
         let id = PacketId::new(sig, ack);
         let fp = self.fp(&id);
         for w in 0..self.ways.len() {
-            let i = self.idx_at(probe, w, &id);
+            let i = self.hashers[w].index(&Self::key_bytes(&id), self.way_size);
             let hit = matches!(self.ways[w].read(i), Some(c) if c.fp == fp);
             if hit {
                 return self.ways[w].clear(i).map(|c| c.ts);
@@ -1140,35 +1072,6 @@ mod tests {
         assert_eq!(t.insert_new(sig(1), SeqNum(100), 99), PtInsert::Stored);
         assert_eq!(t.occupancy(), 1);
         assert_eq!(t.match_ack(sig(1), SeqNum(100)), Some(99));
-    }
-
-    #[test]
-    fn sketch_pt_probed_paths_match_plain_paths() {
-        for ways in [1usize, 2, 4] {
-            let mut plain = pt(32, ways);
-            let mut probed = pt(32, ways);
-            for step in 0..400u32 {
-                let n = step % 29;
-                let eack = SeqNum(100 + step % 11);
-                let id = PacketId::new(sig(n), eack);
-                let p = probed.probe(&id);
-                probed.prefetch(&p);
-                if step % 3 == 2 {
-                    assert_eq!(
-                        plain.match_ack(sig(n), eack),
-                        probed.match_ack_probed(sig(n), eack, &p),
-                        "match step {step} ways {ways}"
-                    );
-                } else {
-                    assert_eq!(
-                        plain.insert_new(sig(n), eack, u64::from(step)),
-                        probed.insert_new_probed(sig(n), eack, u64::from(step), &p),
-                        "insert step {step} ways {ways}"
-                    );
-                }
-            }
-            assert_eq!(plain.occupancy(), probed.occupancy());
-        }
     }
 
     /// Rotation sweeps by the recency stamp (RT) / send timestamp (PT):

@@ -1,5 +1,5 @@
 //! Regression coverage for the ±1 sample divergence across shard counts
-//! first seen in `BENCH_throughput.json` (14644 samples at 1–2 shards,
+//! first seen on the campus benchmark trace (14644 samples at 1–2 shards,
 //! 14645 at 4–8).
 //!
 //! The per-shard telemetry counters localize it: sharding splits flows
@@ -93,7 +93,7 @@ fn per_shard_tables_relax_pt_collision_pressure() {
     assert_eq!(sharded.pt_matched, 2);
 
     // The divergence is exactly the collision-pressure delta the counters
-    // admit to — the BENCH_throughput ±1 in miniature.
+    // admit to — the benchmark trace's ±1 in miniature.
     assert_eq!(
         sharded_samples.len() - serial_samples.len(),
         (serial.pt_displaced - sharded.pt_displaced) as usize

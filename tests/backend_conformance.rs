@@ -2,7 +2,7 @@
 //! `exact` engine **byte-identical** to the pre-refactor engine.
 //!
 //! The golden digests under `tests/golden/exact_backend.txt` were generated
-//! from the engine *before* the `RtBackend`/`PtBackend` seam was introduced
+//! from the engine *before* the `RtTable`/`PtTable` seam was introduced
 //! (same pinned traces, same configs, streaming and batch paths). Any
 //! behavioural drift in the exact backend — a reordered table probe, a
 //! changed eviction decision, a different sample or counter — changes a
