@@ -1,9 +1,10 @@
 //! Supervision overhead: what the fault-tolerant sharded runtime costs on
 //! the healthy path. Every row replays the same trace with zero injected
 //! faults, so the differences are pure supervision machinery — the
-//! per-batch `catch_unwind`, the watchdog's `try_send` loop, the health
+//! per-block `catch_unwind`, the watchdog-guarded ring hand-off, the health
 //! bookkeeping — plus, for the `hooked` row, one dynamic call per packet
-//! through an installed no-op [`PacketHook`] (the chaos-injection seam).
+//! through an installed no-op [`PacketHook`] (the chaos-injection seam),
+//! made in a loop of its own before each block enters the engine.
 //!
 //! The `serial` row is the un-sharded engine; `sharded4/*` rows run four
 //! shards under each [`FailurePolicy`]. Policies only diverge *after* a

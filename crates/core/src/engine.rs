@@ -16,6 +16,7 @@ use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
 use dart_packet::flow::fnv1a_64;
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
 use dart_switch::{RecircPort, Recirculated};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
 /// Engine-kind tag leading every single-engine snapshot payload; the
@@ -405,6 +406,21 @@ impl DartEngine {
     /// cadence differs (per block instead of every
     /// [`SYNC_INTERVAL_PKTS`] packets).
     pub fn process_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
+        self.process_batch_at(pkts, sink, &Cell::new(0));
+    }
+
+    /// [`DartEngine::process_batch`], publishing into `at` the offset in
+    /// `pkts` of the packet being matched — stored before that packet's
+    /// recirculation drain, so every sample and [`EngineEvent`] it causes
+    /// is emitted while `at` names it. A caller whose sinks read `at` can
+    /// tag what they receive with a per-packet index (the sharded worker's
+    /// merge order) without leaving the batch pipeline.
+    pub fn process_batch_at(
+        &mut self,
+        pkts: &[PacketMeta],
+        sink: &mut dyn SampleSink,
+        at: &Cell<usize>,
+    ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.memo.is_empty() {
             scratch.memo.resize(FLOW_MEMO_SLOTS, None);
@@ -447,6 +463,7 @@ impl DartEngine {
                 ($variant:path) => {
                     for (mp, dp) in pkts.iter().zip(pkts[PREFETCH_DIST..].iter()) {
                         let d = scratch.ring[j & (PREFETCH_DIST - 1)];
+                        at.set(j);
                         self.match_one(mp, &d, sink);
                         let $variant(rt) = &self.rt else {
                             unreachable!()
@@ -465,6 +482,7 @@ impl DartEngine {
         // Epilogue: drain the last DIST decoded packets from the ring.
         for pkt in pkts[j..].iter() {
             let d = scratch.ring[j & (PREFETCH_DIST - 1)];
+            at.set(j);
             self.match_one(pkt, &d, sink);
             j += 1;
         }
@@ -1626,17 +1644,11 @@ mod tests {
         );
     }
 
-    /// The batch pipeline must be observationally identical to the
-    /// per-packet path — samples, stats, and subsequent table state — for
-    /// every config family (unlimited, constrained, multi-stage, victim
-    /// cache, RT copy) and for any block split, including empty and
-    /// size-1 blocks.
-    #[test]
-    fn batch_pipeline_matches_per_packet_across_configs() {
-        // A workload exercising every role: data, ACKs, dup-ACKs,
-        // retransmissions, piggybacks, SYNs, and eviction pressure.
+    /// A workload exercising every role: data, ACKs, dup-ACKs,
+    /// retransmissions, piggybacks, SYNs, and eviction pressure.
+    fn mixed_trace(rounds: u32) -> Vec<PacketMeta> {
         let mut pkts = Vec::new();
-        for n in 0..200u32 {
+        for n in 0..rounds {
             let f = flow(n % 13);
             let base = u64::from(n) * 400_000;
             if n % 17 == 0 {
@@ -1685,6 +1697,17 @@ mod tests {
                 );
             }
         }
+        pkts
+    }
+
+    /// The batch pipeline must be observationally identical to the
+    /// per-packet path — samples, stats, and subsequent table state — for
+    /// every config family (unlimited, constrained, multi-stage, victim
+    /// cache, RT copy) and for any block split, including empty and
+    /// size-1 blocks.
+    #[test]
+    fn batch_pipeline_matches_per_packet_across_configs() {
+        let pkts = mixed_trace(200);
         let cfgs = [
             DartConfig::unlimited(),
             DartConfig::default(),
@@ -1710,6 +1733,57 @@ mod tests {
             engine.flush();
             assert_eq!(got, expected, "samples diverge for {cfg:?}");
             assert_eq!(*engine.stats(), expected_stats, "stats diverge for {cfg:?}");
+        }
+    }
+
+    /// The offset `process_batch_at` publishes names the packet whose
+    /// processing emitted each sample and event — recirculation drains and
+    /// dual-role packets included — for any block split: tagging with
+    /// `block start + at` reproduces the per-packet path's tags exactly.
+    #[test]
+    fn batch_position_names_the_emitting_packet() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let pkts = mixed_trace(1000);
+        let cfg = DartConfig::default()
+            .with_pt(16, 4)
+            .with_max_recirc(4)
+            .with_leg(Leg::Both);
+        type Tagged = (Vec<(usize, RttSample)>, Vec<(usize, EngineEvent)>);
+        // Feed `pkts` in blocks of `split` (0: the per-packet reference
+        // path), tagging every emission with the global packet index.
+        let tagged = |split: usize| -> (Tagged, EngineStats) {
+            let at = Rc::new(Cell::new(0usize));
+            let base = Rc::new(Cell::new(0usize));
+            let events = Rc::new(RefCell::new(Vec::new()));
+            let mut engine = DartEngine::new(cfg);
+            let (ev_at, ev_base, ev_out) = (at.clone(), base.clone(), events.clone());
+            engine.set_event_sink(Box::new(move |ev| {
+                ev_out.borrow_mut().push((ev_base.get() + ev_at.get(), ev));
+            }));
+            let mut samples = Vec::new();
+            let mut sink = |s: RttSample| samples.push((base.get() + at.get(), s));
+            if split == 0 {
+                for (i, p) in pkts.iter().enumerate() {
+                    base.set(i);
+                    engine.process(p, &mut sink);
+                }
+            } else {
+                for (b, block) in pkts.chunks(split).enumerate() {
+                    base.set(b * split);
+                    engine.process_batch_at(block, &mut sink, &at);
+                }
+            }
+            let stats = *engine.stats();
+            drop(engine);
+            let events = events.take();
+            ((samples, events), stats)
+        };
+        let (reference, stats) = tagged(0);
+        assert!(stats.recirc_issued > 0 && stats.dual_role_recirc > 0);
+        assert!(!reference.0.is_empty() && !reference.1.is_empty());
+        for split in [1usize, 7, 1024] {
+            assert_eq!(tagged(split).0, reference, "block split {split}");
         }
     }
 

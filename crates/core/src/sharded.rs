@@ -8,8 +8,12 @@
 //! packet and its ACK — which arrive under reversed 4-tuples — always land
 //! on the same shard. Each shard owns its own Range Tracker, Packet
 //! Tracker, victim cache, and recirculation loop, and is driven by a worker
-//! thread fed over a bounded channel in batches of
-//! [`ShardedConfig::batch_size`] packets.
+//! thread. The feeder partitions the feed into per-shard blocks of at most
+//! [`ShardedConfig::batch_size`] packets and hands each one over a bounded
+//! blocking ring ([`ShardedConfig::queue_depth`] slots); the worker runs the
+//! engine's batch pipeline over the block as it stands and passes the
+//! emptied block back on the same ring, so the steady state allocates
+//! nothing and neither side polls.
 //!
 //! ## Supervision
 //!
@@ -21,9 +25,10 @@
 //! * every worker batch runs under panic isolation
 //!   ([`std::panic::catch_unwind`]) — a panicking shard becomes a recorded
 //!   [`ShardFailure`], never a process abort;
-//! * the feeder hands batches off with a watchdog
-//!   ([`SupervisorConfig::stall_timeout`]): a worker that stops consuming
-//!   is declared [`Stalled`](FailureKind::Stalled) and abandoned;
+//! * the feeder hands blocks off with a watchdog
+//!   ([`SupervisorConfig::stall_timeout`] bounds its wait for a free ring
+//!   slot): a worker that stops consuming is declared
+//!   [`Stalled`](FailureKind::Stalled) and abandoned;
 //! * what happens next is the [`FailurePolicy`]: stop and surface a typed
 //!   [`EngineError`] with the partial merged output (`FailFast`), respawn
 //!   the shard's engine with fresh RT/PT state (`RestartShard`), or keep
@@ -79,22 +84,28 @@ use dart_packet::{FlowKey, Nanos, PacketMeta};
 #[cfg(feature = "telemetry")]
 use dart_telemetry::{Counter, Gauge, MetricRegistry};
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, Sender as MpscSender, SyncSender, TrySendError,
-};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender as MpscSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Per-packet instrumentation hook run inside each worker, *before* the
-/// packet reaches the engine, with `(global packet index, shard)`. This is
-/// the chaos-injection seam: the testkit builds hooks that panic or stall
-/// at a seeded packet to drive the supervised failure paths
-/// deterministically. A hook that does nothing costs one indirect call per
-/// packet.
+/// Per-packet instrumentation hook run inside each worker with `(global
+/// packet index, shard)`. This is the chaos-injection seam: the testkit
+/// builds hooks that panic or stall at a seeded packet to drive the
+/// supervised failure paths deterministically.
+///
+/// The worker calls it once for every packet of a hand-off block, in
+/// order, *before* the block enters the engine — so it sees packet `k`
+/// before the engine has seen any packet of `k`'s block. A hook that
+/// panics at packet `k` ends the block there: the packets before `k` are
+/// measured, `k` and the rest of the block are written off to
+/// `monitor_miss`, and the failure's `at_packet` is `k`. A run without a
+/// hook pays nothing; an installed one costs an indirect call per packet
+/// in a loop of its own.
 pub type PacketHook = Arc<dyn Fn(u64, usize) + Send + Sync>;
 
 /// How the supervised runtime reacts to shard failures.
@@ -102,9 +113,9 @@ pub type PacketHook = Arc<dyn Fn(u64, usize) + Send + Sync>;
 pub struct SupervisorConfig {
     /// What to do when a shard worker panics or stalls.
     pub policy: FailurePolicy,
-    /// How long the feeder may wait on a full hand-off channel before
-    /// declaring the worker stalled and abandoning it. Generous by
-    /// default: a slow consumer is backpressure, not a failure.
+    /// How long the feeder may wait for a free slot on a full hand-off
+    /// ring before declaring the worker stalled and abandoning it.
+    /// Generous by default: a slow consumer is backpressure, not a failure.
     pub stall_timeout: Duration,
     /// Respawn budget per shard under [`FailurePolicy::RestartShard`];
     /// a shard that exhausts it degrades to shedding its traffic.
@@ -129,10 +140,10 @@ pub struct ShardedConfig {
     pub engine: DartConfig,
     /// Number of independent engine shards (≥ 1).
     pub shards: usize,
-    /// Packets per hand-off batch. Larger batches amortize channel
-    /// synchronization; smaller ones reduce feeder-to-worker latency.
+    /// Most packets in one hand-off block. Larger blocks amortize the
+    /// ring's synchronization; smaller ones reduce feeder-to-worker latency.
     pub batch_size: usize,
-    /// Bounded channel capacity, in batches, per shard. Bounds feeder
+    /// Hand-off ring capacity, in blocks, per shard. Bounds feeder
     /// run-ahead so memory stays proportional to
     /// `shards × queue_depth × batch_size`.
     pub queue_depth: usize,
@@ -276,32 +287,206 @@ impl ShardedRun {
 }
 
 /// Which shard a flow belongs to: both directions of a connection map to
-/// the same shard.
+/// the same shard. A single shard takes everything without hashing.
 #[inline]
 pub fn shard_of(flow: &FlowKey, shards: usize) -> usize {
     debug_assert!(shards > 0);
+    if shards == 1 {
+        return 0;
+    }
     (flow.symmetric_hash() % shards as u64) as usize
 }
 
-/// One unit of hand-off: packets tagged with their global trace index.
-type Batch = Vec<(u64, PacketMeta)>;
+/// One unit of hand-off: one shard's packets from a stretch of the feed,
+/// with each one's global trace index beside it — two parallel vectors, so
+/// the worker hands `pkts` to the engine's batch pipeline as it stands.
+#[derive(Default)]
+struct Block {
+    idx: Vec<u64>,
+    pkts: Vec<PacketMeta>,
+}
 
-/// What travels over a shard's hand-off channel: a batch of packets, or a
-/// control message asking the worker to rotate its engine's epoch. Control
-/// messages ride the same bounded queue as traffic, so a rotation is
-/// ordered after every batch dispatched before it and never preempts one
-/// mid-batch.
+impl Block {
+    fn with_capacity(packets: usize) -> Block {
+        Block {
+            idx: Vec::with_capacity(packets),
+            pkts: Vec::with_capacity(packets),
+        }
+    }
+
+    fn push(&mut self, idx: u64, pkt: &PacketMeta) {
+        self.idx.push(idx);
+        self.pkts.push(*pkt);
+    }
+
+    fn len(&self) -> usize {
+        self.pkts.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pkts.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.idx.clear();
+        self.pkts.clear();
+    }
+}
+
+/// What travels over a shard's hand-off ring: a block of packets, or a
+/// control message for the worker's engine. Control messages ride the same
+/// bounded queue as traffic, so each is ordered after every block
+/// dispatched before it and never preempts one mid-block — the quiescence
+/// seam rotation and checkpointing rely on.
 enum ShardMsg {
-    Batch(Batch),
+    Block(Block),
+    /// Rotate the engine's epoch (see [`DartEngine::rotate_epoch`]).
     Rotate(Nanos),
     /// Serialize the live engine's state section and reply with the raw
-    /// payload bytes. Rides the same bounded queue as traffic, so the
-    /// checkpoint is ordered after every batch dispatched before it — the
-    /// same quiescence seam [`ShardMsg::Rotate`] uses.
+    /// payload bytes.
     Checkpoint(MpscSender<Result<Vec<u8>, SnapshotError>>),
     /// Replace the live engine's state with a serialized section produced
     /// by [`ShardMsg::Checkpoint`] and acknowledge over the channel.
     Restore(Vec<u8>, MpscSender<Result<(), SnapshotError>>),
+}
+
+/// Why [`Ring::send`] did not enqueue.
+#[derive(Debug)]
+enum SendError {
+    /// The ring stayed full for the whole timeout (the time waited).
+    Stalled(Duration),
+    /// The other end is gone.
+    Closed,
+}
+
+struct RingState {
+    queue: VecDeque<ShardMsg>,
+    /// Emptied blocks on their way back to the feeder, newest last.
+    spare: Vec<Block>,
+    closed: bool,
+}
+
+/// One shard's hand-off: a FIFO of at most `depth` messages from the feeder
+/// to the worker, and the emptied blocks coming back. Both sides block on a
+/// condition variable instead of polling — the worker while the queue is
+/// empty, the feeder from when it is full until it is half empty — and each
+/// takes the lock once per message: the feeder leaves with a spare block
+/// for its next fill, the worker arrives with the block it has just
+/// emptied. At most `depth + 2` blocks ever exist (one filling, `depth`
+/// queued, one being processed), so once they do the hand-off allocates
+/// nothing.
+struct Ring {
+    state: Mutex<RingState>,
+    depth: usize,
+    slot_free: Condvar,
+    msg_ready: Condvar,
+}
+
+/// The feeder's or the worker's hold on a [`Ring`]. Dropping either one —
+/// at flush, on abandon, or by a worker unwinding — closes the ring: a
+/// closed ring refuses sends, and hands out what is still queued before
+/// `recv` reports the end.
+struct RingEnd(Arc<Ring>);
+
+impl std::ops::Deref for RingEnd {
+    type Target = Ring;
+    fn deref(&self) -> &Ring {
+        &self.0
+    }
+}
+
+impl Drop for RingEnd {
+    fn drop(&mut self) {
+        self.lock().closed = true;
+        self.slot_free.notify_all();
+        self.msg_ready.notify_all();
+    }
+}
+
+impl Ring {
+    fn pair(depth: usize) -> (RingEnd, RingEnd) {
+        let ring = Arc::new(Ring {
+            state: Mutex::new(RingState {
+                queue: VecDeque::with_capacity(depth),
+                spare: Vec::with_capacity(depth + 2),
+                closed: false,
+            }),
+            depth,
+            slot_free: Condvar::new(),
+            msg_ready: Condvar::new(),
+        });
+        (RingEnd(Arc::clone(&ring)), RingEnd(ring))
+    }
+
+    /// Every update under the lock is one push, pop or flag store, so the
+    /// state is valid wherever a holder might have panicked and a poisoned
+    /// lock is taken over as it is.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueue `msg`, waiting up to `timeout` for a free slot. A block
+    /// sent is paid for with a spare one when the worker has returned any.
+    fn send(&self, msg: ShardMsg, timeout: Duration) -> Result<Option<Block>, SendError> {
+        let started = Instant::now();
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return Err(SendError::Closed);
+            }
+            if state.queue.len() < self.depth {
+                break;
+            }
+            let waited = started.elapsed();
+            if waited >= timeout {
+                return Err(SendError::Stalled(waited));
+            }
+            state = self
+                .slot_free
+                .wait_timeout(state, timeout - waited)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        let spare = match msg {
+            ShardMsg::Block(_) => state.spare.pop(),
+            _ => None,
+        };
+        state.queue.push_back(msg);
+        // One producer, one consumer: the worker can only be waiting if
+        // the queue was empty.
+        if state.queue.len() == 1 {
+            self.msg_ready.notify_one();
+        }
+        Ok(spare)
+    }
+
+    /// Return `emptied` to the feeder and take the next message, waiting
+    /// for one; `None` once the ring is closed and drained.
+    fn recv(&self, emptied: Option<Block>) -> Option<ShardMsg> {
+        let mut state = self.lock();
+        state.spare.extend(emptied);
+        loop {
+            if let Some(msg) = state.queue.pop_front() {
+                // Likewise the feeder can only be waiting if the queue has
+                // been full, and it is woken once the queue has drained to
+                // half, not at the first free slot: it then refills several
+                // slots per wake-up while the worker still has the other
+                // half to work on (a wake-up costs the worker ~9 µs here,
+                // a fifth of a 1024-packet block's engine time).
+                if state.queue.len() == self.depth / 2 {
+                    self.slot_free.notify_one();
+                }
+                return Some(msg);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .msg_ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Kind tag of a sharded-runtime snapshot payload (the serial engine
@@ -412,22 +597,12 @@ fn read_event(r: &mut SnapReader<'_>) -> Result<(u64, EngineEvent), SnapshotErro
 /// What a worker sends back: index-tagged samples and events, the shard's
 /// final counters (retired engines + live engine + runtime accounting),
 /// and every failure it survived.
+#[derive(Default)]
 struct ShardResult {
     samples: Vec<(u64, RttSample)>,
     events: Vec<(u64, EngineEvent)>,
     stats: EngineStats,
     failures: Vec<ShardFailure>,
-}
-
-impl ShardResult {
-    fn empty() -> ShardResult {
-        ShardResult {
-            samples: Vec::new(),
-            events: Vec::new(),
-            stats: EngineStats::default(),
-            failures: Vec::new(),
-        }
-    }
 }
 
 /// Per-shard instrumentation handles, cloned into the worker thread.
@@ -438,15 +613,28 @@ struct ShardHooks {
     /// In-engine metric handles for this shard.
     #[cfg(feature = "telemetry")]
     tel: Option<EngineTelemetry>,
-    /// Hand-off batches queued or being processed: the feeder adds one per
-    /// send, the worker subtracts one per batch completed, so the gauge is
-    /// the live channel depth.
+    /// Hand-off blocks queued or being processed: the feeder adds one per
+    /// send, the worker subtracts one per block completed, so the gauge is
+    /// the live ring depth.
     #[cfg(feature = "telemetry")]
     channel: Option<Gauge>,
     /// Runtime-level health gauge (`dart_supervisor_healthy_shards`),
     /// decremented once when this shard stops measuring.
     #[cfg(feature = "telemetry")]
     healthy: Option<Gauge>,
+}
+
+impl ShardHooks {
+    /// Flip a shard's `dead` flag, decrementing the health gauge exactly
+    /// once across feeder and worker.
+    fn mark_dead(&self, dead: &AtomicBool) {
+        if !dead.swap(true, Ordering::Relaxed) {
+            #[cfg(feature = "telemetry")]
+            if let Some(g) = &self.healthy {
+                g.sub(1);
+            }
+        }
+    }
 }
 
 /// Render a caught panic payload for [`FailureKind::Panicked`].
@@ -457,6 +645,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// The failure record of a caught panic.
+fn panicked(
+    shard: usize,
+    at_packet: Option<u64>,
+    payload: Box<dyn std::any::Any + Send>,
+) -> ShardFailure {
+    ShardFailure {
+        shard,
+        at_packet,
+        kind: FailureKind::Panicked {
+            message: panic_message(payload),
+        },
     }
 }
 
@@ -482,16 +685,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct ShardedMonitor {
     cfg: ShardedConfig,
     name: String,
-    /// `None` once a shard has been abandoned (watchdog) or its worker
-    /// ended early — no further sends.
-    txs: Vec<Option<SyncSender<ShardMsg>>>,
+    /// The feeder's end of each shard's hand-off ring; `None` once a shard
+    /// has been abandoned (watchdog) or its worker ended early — no
+    /// further sends.
+    rings: Vec<Option<RingEnd>>,
     /// `None` for abandoned shards: their stuck worker is detached, never
     /// joined, and its results are written off into `monitor_miss`.
     handles: Vec<Option<JoinHandle<ShardResult>>>,
-    bufs: Vec<Batch>,
+    /// The block being filled for each shard.
+    bufs: Vec<Block>,
+    /// Which shards take traffic, refreshed from `abandoned` and `dead`
+    /// once per [`ShardedMonitor::partition`] call rather than per packet.
+    live: Vec<bool>,
     /// Per-shard instrumentation handles (empty structs when the
     /// `telemetry` feature is off).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     hooks: Vec<ShardHooks>,
     /// Set by a worker that stopped measuring (panic under any policy,
     /// restart budget exhausted) or by the feeder on abandon; the feeder
@@ -500,7 +707,7 @@ pub struct ShardedMonitor {
     /// Set on the first fatal failure under [`FailurePolicy::FailFast`]:
     /// feeder and workers stop processing new packets everywhere.
     fatal: Arc<AtomicBool>,
-    /// Packets handed to each shard's channel (abandon accounting).
+    /// Packets handed to each shard's ring (abandon accounting).
     sent: Vec<u64>,
     abandoned: Vec<bool>,
     feeder_failures: Vec<ShardFailure>,
@@ -532,7 +739,7 @@ impl ShardedMonitor {
     /// `shard`-labelled counters, RTT and batch-latency histograms, and
     /// recirculation queue-depth gauges to `registry`, live while the
     /// replay runs. A `dart_shard_channel_batches` gauge per shard tracks
-    /// the hand-off channel depth; the supervisor publishes
+    /// the hand-off ring depth; the supervisor publishes
     /// `dart_supervisor_healthy_shards` and
     /// `dart_supervisor_stalls_total`.
     #[cfg(feature = "telemetry")]
@@ -590,12 +797,12 @@ impl ShardedMonitor {
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.queue_depth >= 1, "queue depth must be positive");
         let fatal = Arc::new(AtomicBool::new(false));
-        let mut txs = Vec::with_capacity(cfg.shards);
+        let mut rings = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         let mut hooks = Vec::with_capacity(cfg.shards);
         let mut dead = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
-            let (tx, rx) = sync_channel::<ShardMsg>(cfg.queue_depth);
+            let (feeder_end, worker_end) = Ring::pair(cfg.queue_depth);
             let shard_hooks = make_hooks(shard);
             let shard_dead = Arc::new(AtomicBool::new(false));
             let ctx = ShardCtx {
@@ -610,27 +817,23 @@ impl ShardedMonitor {
             };
             hooks.push(shard_hooks);
             dead.push(shard_dead);
-            txs.push(Some(tx));
+            rings.push(Some(feeder_end));
             let fallback_dead = Arc::clone(&ctx.dead);
             let fallback_fatal = Arc::clone(&ctx.fatal);
             handles.push(Some(thread::spawn(move || {
                 // Last-resort isolation: even a panic in the worker's own
                 // scaffolding becomes a failure record, not a poisoned
-                // join.
-                match catch_unwind(AssertUnwindSafe(|| run_shard(ctx, rx))) {
+                // join (the unwinding drops the worker's ring end, so the
+                // feeder's next send finds the ring closed).
+                match catch_unwind(AssertUnwindSafe(|| run_shard(ctx, worker_end))) {
                     Ok(result) => result,
                     Err(payload) => {
                         fallback_dead.store(true, Ordering::Relaxed);
                         fallback_fatal.store(true, Ordering::Relaxed);
-                        let mut result = ShardResult::empty();
-                        result.failures.push(ShardFailure {
-                            shard,
-                            at_packet: None,
-                            kind: FailureKind::Panicked {
-                                message: panic_message(payload),
-                            },
-                        });
-                        result
+                        ShardResult {
+                            failures: vec![panicked(shard, None, payload)],
+                            ..ShardResult::default()
+                        }
                     }
                 }
             })));
@@ -638,14 +841,15 @@ impl ShardedMonitor {
         ShardedMonitor {
             name: format!("dart-sharded-{}", cfg.shards),
             bufs: (0..cfg.shards)
-                .map(|_| Vec::with_capacity(cfg.batch_size))
+                .map(|_| Block::with_capacity(cfg.batch_size))
                 .collect(),
+            live: vec![true; cfg.shards],
             sent: vec![0; cfg.shards],
             abandoned: vec![false; cfg.shards],
             feeder_failures: Vec::new(),
             feeder_extra: EngineStats::default(),
             cfg,
-            txs,
+            rings,
             handles,
             hooks,
             dead,
@@ -658,44 +862,14 @@ impl ShardedMonitor {
         }
     }
 
-    /// Account one batch handed to `shard`'s channel.
-    fn note_batch_sent(&self, shard: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(g) = &self.hooks[shard].channel {
-            g.add(1);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = shard;
-    }
-
-    /// Hand one packet to its shard (buffered into hand-off batches).
+    /// Hand one packet to its shard (buffered into hand-off blocks).
     ///
     /// Never blocks past the watchdog timeout and never panics: a packet
     /// that cannot reach a healthy engine (failed shard, fail-fast stop)
     /// is dropped into `monitor_miss`. The only error is
     /// [`EngineError::FedAfterFlush`] — the run already ended.
     pub fn try_feed(&mut self, pkt: &PacketMeta) -> Result<(), EngineError> {
-        if self.done.is_some() {
-            return Err(EngineError::FedAfterFlush);
-        }
-        let idx = self.fed;
-        self.fed += 1;
-        if self.cfg.supervisor.policy == FailurePolicy::FailFast
-            && self.fatal.load(Ordering::Relaxed)
-        {
-            self.feeder_extra.monitor_miss += 1;
-            return Ok(());
-        }
-        let shard = shard_of(&pkt.flow, self.cfg.shards);
-        if self.abandoned[shard] || self.dead[shard].load(Ordering::Relaxed) {
-            self.feeder_extra.monitor_miss += 1;
-            return Ok(());
-        }
-        self.bufs[shard].push((idx, *pkt));
-        if self.bufs[shard].len() >= self.cfg.batch_size {
-            self.dispatch(shard);
-        }
-        Ok(())
+        self.partition(std::slice::from_ref(pkt))
     }
 
     /// [`ShardedMonitor::try_feed`], swallowing the post-flush case (the
@@ -705,62 +879,97 @@ impl ShardedMonitor {
         debug_assert!(!fed_after_flush, "packet fed to a flushed ShardedMonitor");
     }
 
-    /// Send `shard`'s buffered batch under the watchdog: spin on
-    /// `try_send` until it lands or [`SupervisorConfig::stall_timeout`]
-    /// expires, in which case the worker is declared stalled and
-    /// abandoned.
+    /// Route `pkts` into their shards' blocks, sending each block as it
+    /// fills. Whether the run has ended, has stopped under `FailFast`, or a
+    /// shard has stopped measuring is looked up once per call: a shard
+    /// that dies while the call runs still receives the rest of its
+    /// packets, and its worker counts them into `monitor_miss` itself.
+    fn partition(&mut self, pkts: &[PacketMeta]) -> Result<(), EngineError> {
+        if self.done.is_some() {
+            return Err(EngineError::FedAfterFlush);
+        }
+        let first = self.fed;
+        self.fed += pkts.len() as u64;
+        if self.cfg.supervisor.policy == FailurePolicy::FailFast
+            && self.fatal.load(Ordering::Relaxed)
+        {
+            self.feeder_extra.monitor_miss += pkts.len() as u64;
+            return Ok(());
+        }
+        for shard in 0..self.cfg.shards {
+            self.live[shard] = self.is_live(shard);
+        }
+        for (idx, pkt) in (first..).zip(pkts) {
+            let shard = shard_of(&pkt.flow, self.cfg.shards);
+            if !self.live[shard] {
+                self.feeder_extra.monitor_miss += 1;
+                continue;
+            }
+            self.bufs[shard].push(idx, pkt);
+            if self.bufs[shard].len() >= self.cfg.batch_size {
+                self.dispatch(shard);
+            }
+        }
+        Ok(())
+    }
+
+    /// True while `shard` is measuring: not abandoned by the watchdog and
+    /// not flagged dead by its worker.
+    fn is_live(&self, shard: usize) -> bool {
+        !self.abandoned[shard] && !self.dead[shard].load(Ordering::Relaxed)
+    }
+
+    /// Send `shard`'s block, if it holds anything, and start the next one
+    /// in a block the worker has handed back — a fresh allocation only
+    /// while fewer than `queue_depth + 2` are in circulation.
     fn dispatch(&mut self, shard: usize) {
         if self.bufs[shard].is_empty() {
             return;
         }
-        let batch = std::mem::replace(
-            &mut self.bufs[shard],
-            Vec::with_capacity(self.cfg.batch_size),
-        );
-        let len = batch.len() as u64;
-        let first_idx = batch.first().map(|(i, _)| *i);
-        self.send_msg(shard, ShardMsg::Batch(batch), first_idx, len);
+        let block = std::mem::take(&mut self.bufs[shard]);
+        self.bufs[shard] = self
+            .send_msg(shard, ShardMsg::Block(block))
+            .unwrap_or_else(|| Block::with_capacity(self.cfg.batch_size));
     }
 
-    /// Watchdog-guarded send of one message to `shard`. `pkts` is the
-    /// number of packets the message carries (0 for control messages) —
-    /// it drives the channel gauge, the abandon accounting, and the
-    /// monitor-miss write-off on a dead worker.
-    fn send_msg(&mut self, shard: usize, msg: ShardMsg, first_idx: Option<u64>, pkts: u64) {
-        let Some(tx) = self.txs[shard].clone() else {
-            self.feeder_extra.monitor_miss += pkts;
-            return;
+    /// Watchdog-guarded send of one message to `shard`: blocks while the
+    /// ring is full, and when [`SupervisorConfig::stall_timeout`] expires
+    /// first the worker is declared stalled and abandoned. The number of
+    /// packets the message carries (0 for control messages) drives the
+    /// channel gauge, the abandon accounting, and the monitor-miss
+    /// write-off on a dead worker. Returns the spare block the ring gave
+    /// in exchange for a block sent, if it had one.
+    fn send_msg(&mut self, shard: usize, msg: ShardMsg) -> Option<Block> {
+        let (first_idx, pkts) = match &msg {
+            ShardMsg::Block(block) => (block.idx.first().copied(), block.len() as u64),
+            _ => (None, 0),
         };
-        let started = Instant::now();
-        let mut pending = msg;
-        loop {
-            match tx.try_send(pending) {
-                Ok(()) => {
-                    if pkts > 0 {
-                        self.note_batch_sent(shard);
-                        self.sent[shard] += pkts;
+        let sent = match &self.rings[shard] {
+            Some(ring) => ring.send(msg, self.cfg.supervisor.stall_timeout),
+            None => Err(SendError::Closed),
+        };
+        match sent {
+            Ok(spare) => {
+                if pkts > 0 {
+                    #[cfg(feature = "telemetry")]
+                    if let Some(g) = &self.hooks[shard].channel {
+                        g.add(1);
                     }
-                    return;
+                    self.sent[shard] += pkts;
                 }
-                Err(TrySendError::Full(back)) => {
-                    let waited = started.elapsed();
-                    if waited >= self.cfg.supervisor.stall_timeout {
-                        self.abandon(shard, waited, first_idx, pkts);
-                        return;
-                    }
-                    pending = back;
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(TrySendError::Disconnected(back)) => {
-                    // The worker ended early (catastrophic fallback); its
-                    // result is still joinable — just stop sending.
-                    self.txs[shard] = None;
-                    self.mark_dead(shard);
-                    if let ShardMsg::Batch(b) = back {
-                        self.feeder_extra.monitor_miss += b.len() as u64;
-                    }
-                    return;
-                }
+                spare
+            }
+            Err(SendError::Stalled(waited)) => {
+                self.abandon(shard, waited, first_idx, pkts);
+                None
+            }
+            Err(SendError::Closed) => {
+                // The worker ended early (catastrophic fallback); its
+                // result is still joinable — just stop sending.
+                self.rings[shard] = None;
+                self.hooks[shard].mark_dead(&self.dead[shard]);
+                self.feeder_extra.monitor_miss += pkts;
+                None
             }
         }
     }
@@ -780,11 +989,11 @@ impl ShardedMonitor {
             return;
         }
         for shard in 0..self.cfg.shards {
-            if self.abandoned[shard] || self.dead[shard].load(Ordering::Relaxed) {
+            if !self.is_live(shard) {
                 continue;
             }
             self.dispatch(shard);
-            self.send_msg(shard, ShardMsg::Rotate(cutoff), None, 0);
+            self.send_msg(shard, ShardMsg::Rotate(cutoff));
         }
     }
 
@@ -820,13 +1029,13 @@ impl ShardedMonitor {
         type SectionReply = Receiver<Result<Vec<u8>, SnapshotError>>;
         let mut pending: Vec<Option<SectionReply>> = Vec::with_capacity(self.cfg.shards);
         for shard in 0..self.cfg.shards {
-            if self.abandoned[shard] || self.dead[shard].load(Ordering::Relaxed) {
+            if !self.is_live(shard) {
                 pending.push(None);
                 continue;
             }
             self.dispatch(shard);
             let (reply_tx, reply_rx) = channel();
-            self.send_msg(shard, ShardMsg::Checkpoint(reply_tx), None, 0);
+            self.send_msg(shard, ShardMsg::Checkpoint(reply_tx));
             pending.push(Some(reply_rx));
         }
         // The watchdog allows `stall_timeout` per hand-off and at most
@@ -852,7 +1061,7 @@ impl ShardedMonitor {
         w.put_u64(self.fed);
         // Snapshot-local books: a shard without a section loses its
         // worker-side state across the crash, so its packets — everything
-        // ever handed to its channel plus anything still sitting in its
+        // ever handed to its ring plus anything still sitting in its
         // feeder buffer — move to `monitor_miss` in the serialized feeder
         // accounting (the live run's own books are untouched — the worker
         // still reports at join time).
@@ -885,7 +1094,7 @@ impl ShardedMonitor {
 
     /// Restore a [`ShardedMonitor::checkpoint`] into this (freshly
     /// spawned, never fed) monitor: each shard section is shipped to its
-    /// worker over the hand-off channel and installed before any traffic,
+    /// worker over the hand-off ring and installed before any traffic,
     /// and the feeder books (`fed`, write-offs) resume where the snapshot
     /// left them. Shard count and per-shard engine configuration must
     /// match; a shard whose section was written off at checkpoint time
@@ -928,7 +1137,7 @@ impl ShardedMonitor {
             let len = r.get_usize()?;
             let bytes = r.get_bytes(len)?.to_vec();
             let (reply_tx, reply_rx) = channel();
-            self.send_msg(shard, ShardMsg::Restore(bytes, reply_tx), None, 0);
+            self.send_msg(shard, ShardMsg::Restore(bytes, reply_tx));
             match reply_rx.recv_timeout(budget) {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => return Err(e),
@@ -953,9 +1162,7 @@ impl ShardedMonitor {
 
     /// Point-in-time health of the runtime — see [`SupervisorHealth`].
     pub fn health(&self) -> SupervisorHealth {
-        let dead = (0..self.cfg.shards)
-            .filter(|&s| self.abandoned[s] || self.dead[s].load(Ordering::Relaxed))
-            .count();
+        let dead = (0..self.cfg.shards).filter(|&s| !self.is_live(s)).count();
         SupervisorHealth {
             shards: self.cfg.shards,
             healthy_shards: self.cfg.shards - dead,
@@ -978,17 +1185,6 @@ impl ShardedMonitor {
         }
     }
 
-    /// Flip `shard`'s dead flag, decrementing the health gauge exactly
-    /// once across feeder and worker.
-    fn mark_dead(&self, shard: usize) {
-        if !self.dead[shard].swap(true, Ordering::Relaxed) {
-            #[cfg(feature = "telemetry")]
-            if let Some(g) = &self.hooks[shard].healthy {
-                g.sub(1);
-            }
-        }
-    }
-
     /// Watchdog expiry: record the stall, stop talking to the worker, and
     /// write off everything it was ever sent (its results are
     /// unrecoverable without joining a possibly-hung thread).
@@ -999,11 +1195,11 @@ impl ShardedMonitor {
             kind: FailureKind::Stalled { waited },
         });
         self.abandoned[shard] = true;
-        self.txs[shard] = None;
+        self.rings[shard] = None;
         // Detach the stuck thread: dropping the handle lets it finish (or
         // hang) on its own without ever blocking the supervisor.
         self.handles[shard] = None;
-        self.mark_dead(shard);
+        self.hooks[shard].mark_dead(&self.dead[shard]);
         if self.cfg.supervisor.policy == FailurePolicy::FailFast {
             self.fatal.store(true, Ordering::Relaxed);
         }
@@ -1015,14 +1211,14 @@ impl ShardedMonitor {
         }
     }
 
-    /// Close the channels, collect the workers, and cache the merged
+    /// Close the rings, collect the workers, and cache the merged
     /// result.
     fn finish(&mut self) {
         if self.done.is_some() {
             return;
         }
         for shard in 0..self.cfg.shards {
-            if self.abandoned[shard] || self.dead[shard].load(Ordering::Relaxed) {
+            if !self.is_live(shard) {
                 // The worker is not (or no longer) measuring; don't bother
                 // queueing — the drain loop would only count them anyway.
                 self.feeder_extra.monitor_miss += self.bufs[shard].len() as u64;
@@ -1031,10 +1227,9 @@ impl ShardedMonitor {
                 self.dispatch(shard);
             }
         }
-        // Closing the senders ends each worker's receive loop.
-        for tx in &mut self.txs {
-            *tx = None;
-        }
+        // Dropping the feeder's ends closes the rings: each worker drains
+        // what is queued and returns.
+        self.rings.clear();
         let mut results: Vec<Option<ShardResult>> = Vec::with_capacity(self.cfg.shards);
         for shard in 0..self.cfg.shards {
             match self.handles[shard].take() {
@@ -1044,13 +1239,7 @@ impl ShardedMonitor {
                     Err(payload) => {
                         // Unreachable in practice (the worker closure is
                         // catch_unwind-wrapped), kept as defense in depth.
-                        self.feeder_failures.push(ShardFailure {
-                            shard,
-                            at_packet: None,
-                            kind: FailureKind::Panicked {
-                                message: panic_message(payload),
-                            },
-                        });
+                        self.feeder_failures.push(panicked(shard, None, payload));
                         self.feeder_extra.monitor_miss += self.sent[shard];
                         results.push(None);
                     }
@@ -1115,16 +1304,17 @@ impl RttMonitor for ShardedMonitor {
     }
 
     /// Feed a whole block and hand it off: each packet is partitioned to
-    /// its shard's buffer, and every shard's partial buffer is dispatched
-    /// when the block ends, so nothing fed here is still in a feeder buffer
-    /// when this returns — one send per block per shard. A live driver
-    /// whose blocks run short (or that then waits on a quiet feed) cannot
-    /// strand a residue outside the shard queues. Hand-off batch sizes
-    /// follow the block; sample order and counters do not depend on them.
+    /// its shard's hand-off block, and every shard's partial block is
+    /// dispatched when the driver's block ends, so nothing fed here is
+    /// still on the feeder when this returns. A live driver whose blocks
+    /// run short (or that then waits on a quiet feed) cannot strand a
+    /// residue outside the shard rings. A shard's share of a driver block
+    /// goes out as one hand-off block, or several of
+    /// [`ShardedConfig::batch_size`] packets when it is longer than that;
+    /// sample order and counters do not depend on the split.
     fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
-        for pkt in pkts {
-            self.feed(pkt);
-        }
+        let fed_after_flush = self.partition(pkts).is_err();
+        debug_assert!(!fed_after_flush, "block fed to a flushed ShardedMonitor");
         for shard in 0..self.cfg.shards {
             self.dispatch(shard);
         }
@@ -1193,24 +1383,40 @@ struct ShardCtx {
     dead: Arc<AtomicBool>,
 }
 
-/// Worker body: one engine (respawned under `RestartShard`), fed batches
-/// until the channel closes, every batch under panic isolation.
-#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
-    let ShardCtx {
-        shard,
-        engine_cfg,
-        sup,
-        keep_samples,
-        hooks,
-        packet_hook,
-        fatal,
-        dead,
-    } = ctx;
-    // The event sink is installed once per engine but must tag events with
-    // the packet being processed; share the current index (and the buffer,
-    // across respawns) through Rc cells.
-    let current = Rc::new(Cell::new(0u64));
+impl ShardCtx {
+    /// True once a failure anywhere has stopped a `FailFast` run.
+    fn failfast_stop(&self) -> bool {
+        self.sup.policy == FailurePolicy::FailFast && self.fatal.load(Ordering::Relaxed)
+    }
+
+    /// This shard has stopped measuring for good: stop the whole run under
+    /// `FailFast`, and flag the shard dead.
+    fn stop_measuring(&self) {
+        if self.sup.policy == FailurePolicy::FailFast {
+            self.fatal.store(true, Ordering::Relaxed);
+        }
+        self.hooks.mark_dead(&self.dead);
+    }
+}
+
+/// Swap the in-block offsets that tag `entries` for the global packet
+/// indices they stand for.
+fn retag<T>(entries: &mut [(u64, T)], idx: &[u64]) {
+    for (tag, _) in entries {
+        *tag = idx[*tag as usize];
+    }
+}
+
+/// Worker body: one engine (respawned under `RestartShard`), fed blocks
+/// until the ring closes, every block under panic isolation.
+fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
+    let (shard, keep_samples) = (ctx.shard, ctx.keep_samples);
+    // The engine's batch pipeline publishes the in-block offset of the
+    // packet it is matching into `at`; samples and events are tagged with
+    // it as they are emitted and re-tagged with the block's global indices
+    // when the block is done. The event sink is installed once per engine,
+    // so it shares `at` (and the buffer, across respawns) through Rc cells.
+    let at = Rc::new(Cell::new(0usize));
     let events = Rc::new(RefCell::new(Vec::new()));
     let install_sink = |engine: &mut DartEngine| {
         // Without sample retention there is no merged run to feed: leave
@@ -1219,15 +1425,15 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
         if !keep_samples {
             return;
         }
-        let current = Rc::clone(&current);
+        let at = Rc::clone(&at);
         let events = Rc::clone(&events);
         engine.set_event_sink(Box::new(move |ev| {
-            events.borrow_mut().push((current.get(), ev))
+            events.borrow_mut().push((at.get() as u64, ev))
         }));
     };
-    let mut engine = DartEngine::new(engine_cfg);
+    let mut engine = DartEngine::new(ctx.engine_cfg);
     #[cfg(feature = "telemetry")]
-    if let Some(tel) = hooks.tel.clone() {
+    if let Some(tel) = ctx.hooks.tel.clone() {
         engine.attach_telemetry(tel);
     }
     install_sink(&mut engine);
@@ -1242,13 +1448,13 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
     // True once this shard stopped measuring its own traffic.
     let mut shedding = false;
 
-    for msg in rx {
-        let batch = match msg {
-            ShardMsg::Batch(batch) => batch,
+    let mut emptied = None;
+    while let Some(msg) = ring.recv(emptied.take()) {
+        let stopped = shedding || ctx.failfast_stop();
+        let mut block = match msg {
+            ShardMsg::Block(block) => block,
             ShardMsg::Rotate(cutoff) => {
-                let failfast_stop =
-                    sup.policy == FailurePolicy::FailFast && fatal.load(Ordering::Relaxed);
-                if !(shedding || failfast_stop) {
+                if !stopped {
                     // The engine publishes rotation counters and the pause
                     // histogram itself through its attached telemetry.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1260,22 +1466,8 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
                         // measuring under every policy (a respawn would
                         // also forfeit all live flows — shedding is the
                         // same loss, honestly accounted).
-                        failures.push(ShardFailure {
-                            shard,
-                            at_packet: None,
-                            kind: FailureKind::Panicked {
-                                message: panic_message(payload),
-                            },
-                        });
-                        if sup.policy == FailurePolicy::FailFast {
-                            fatal.store(true, Ordering::Relaxed);
-                        }
-                        if !dead.swap(true, Ordering::Relaxed) {
-                            #[cfg(feature = "telemetry")]
-                            if let Some(g) = &hooks.healthy {
-                                g.sub(1);
-                            }
-                        }
+                        failures.push(panicked(shard, None, payload));
+                        ctx.stop_measuring();
                         shedding = true;
                     }
                     #[cfg(feature = "telemetry")]
@@ -1284,9 +1476,7 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
                 continue;
             }
             ShardMsg::Checkpoint(reply) => {
-                let failfast_stop =
-                    sup.policy == FailurePolicy::FailFast && fatal.load(Ordering::Relaxed);
-                let res = if shedding || failfast_stop {
+                let res = if stopped {
                     Err(SnapshotError::Unsupported(format!(
                         "shard {shard} is shedding and holds no restorable state"
                     )))
@@ -1326,9 +1516,7 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
                 continue;
             }
             ShardMsg::Restore(bytes, reply) => {
-                let failfast_stop =
-                    sup.policy == FailurePolicy::FailFast && fatal.load(Ordering::Relaxed);
-                let res = if shedding || failfast_stop {
+                let res = if stopped {
                     Err(SnapshotError::Unsupported(format!(
                         "shard {shard} is shedding and cannot accept state"
                     )))
@@ -1368,45 +1556,56 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
             }
         };
         #[cfg(feature = "telemetry")]
-        let batch_start = Instant::now();
-        let batch_len = batch.len() as u64;
-        let failfast_stop = sup.policy == FailurePolicy::FailFast && fatal.load(Ordering::Relaxed);
-        if shedding || failfast_stop {
+        let block_start = Instant::now();
+        if stopped {
             // Drain mode: keep consuming so the feeder never blocks on a
-            // channel nobody reads, but count every packet as missed.
-            extra.monitor_miss += batch_len;
+            // ring nobody reads, but count every packet as missed.
+            extra.monitor_miss += block.len() as u64;
         } else {
-            let before = engine.stats().packets;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                for (idx, pkt) in batch {
-                    current.set(idx);
-                    if let Some(hook) = &packet_hook {
-                        hook(idx, shard);
+            // The chaos hook sees the whole block before the engine sees
+            // any of it. A panic at offset `k` ends the block there: the
+            // packets before `k` are measured, the rest written off.
+            let mut run = block.len();
+            let mut failure = None;
+            if let Some(hook) = &ctx.packet_hook {
+                // `at` names the packet in hand here as it does in the
+                // engine, so a panic on either side is located the same way.
+                let hooked = catch_unwind(AssertUnwindSafe(|| {
+                    for (k, idx) in block.idx.iter().enumerate() {
+                        at.set(k);
+                        hook(*idx, shard);
                     }
-                    let mut sink = |s: RttSample| {
-                        if keep_samples {
-                            samples.push((idx, s));
-                        }
-                    };
-                    engine.process(&pkt, &mut sink);
+                }));
+                if let Err(payload) = hooked {
+                    run = at.get();
+                    failure = Some((run, payload));
                 }
+            }
+            let before = engine.stats().packets;
+            let marks = (samples.len(), events.borrow().len());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut sink = |s: RttSample| {
+                    if keep_samples {
+                        samples.push((at.get() as u64, s));
+                    }
+                };
+                at.set(0);
+                engine.process_batch_at(&block.pkts[..run], &mut sink, &at);
             }));
             if let Err(payload) = outcome {
-                // Whether the panic fired before or after the engine
-                // counted the packet, `packets + monitor_miss` covers the
-                // batch exactly.
+                failure = Some((at.get(), payload));
+            }
+            retag(&mut samples[marks.0..], &block.idx);
+            retag(&mut events.borrow_mut()[marks.1..], &block.idx);
+            if let Some((k, payload)) = failure {
+                // The batch pipeline counts a block's packets when it
+                // completes, so whichever side panicked `packets +
+                // monitor_miss` covers the block exactly.
                 let processed = engine.stats().packets - before;
-                extra.monitor_miss += batch_len - processed;
-                failures.push(ShardFailure {
-                    shard,
-                    at_packet: Some(current.get()),
-                    kind: FailureKind::Panicked {
-                        message: panic_message(payload),
-                    },
-                });
-                let restart =
-                    sup.policy == FailurePolicy::RestartShard && restarts < sup.max_restarts;
-                if restart {
+                extra.monitor_miss += block.len() as u64 - processed;
+                failures.push(panicked(shard, Some(block.idx[k]), payload));
+                if ctx.sup.policy == FailurePolicy::RestartShard && restarts < ctx.sup.max_restarts
+                {
                     // Respawn: fresh RT/PT state. The discarded engine's
                     // counters stay (they describe real processing); its
                     // live flows can no longer close.
@@ -1414,9 +1613,9 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
                     extra.shard_restarts += 1;
                     extra.flows_lost += engine.rt_occupancy() as u64;
                     retired.merge(engine.stats());
-                    engine = DartEngine::new(engine_cfg);
+                    engine = DartEngine::new(ctx.engine_cfg);
                     #[cfg(feature = "telemetry")]
-                    if let Some(tel) = hooks.tel.clone() {
+                    if let Some(tel) = ctx.hooks.tel.clone() {
                         // Base the fresh engine's published series on the
                         // retired totals so per-shard counters stay
                         // monotone across the restart.
@@ -1426,56 +1625,41 @@ fn run_shard(ctx: ShardCtx, rx: Receiver<ShardMsg>) -> ShardResult {
                     }
                     install_sink(&mut engine);
                 } else {
-                    if sup.policy == FailurePolicy::FailFast {
-                        fatal.store(true, Ordering::Relaxed);
-                    }
-                    if !dead.swap(true, Ordering::Relaxed) {
-                        #[cfg(feature = "telemetry")]
-                        if let Some(g) = &hooks.healthy {
-                            g.sub(1);
-                        }
-                    }
+                    ctx.stop_measuring();
                     shedding = true;
                 }
             }
         }
+        // The batch pipeline has already published the engine's counters
+        // at the block boundary.
         #[cfg(feature = "telemetry")]
         {
-            if let Some(tel) = &hooks.tel {
-                tel.observe_batch_ns(batch_start.elapsed().as_nanos() as u64);
+            if let Some(tel) = &ctx.hooks.tel {
+                tel.observe_batch_ns(block_start.elapsed().as_nanos() as u64);
             }
-            engine.sync_telemetry();
-            if let Some(g) = &hooks.channel {
+            if let Some(g) = &ctx.hooks.channel {
                 g.sub(1);
             }
         }
+        block.clear();
+        emptied = Some(block);
     }
     if !shedding {
-        current.set(FLUSH_TAG);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| engine.flush())) {
-            failures.push(ShardFailure {
-                shard,
-                at_packet: None,
-                kind: FailureKind::Panicked {
-                    message: panic_message(payload),
-                },
-            });
-            if sup.policy == FailurePolicy::FailFast {
-                fatal.store(true, Ordering::Relaxed);
-            }
-            if !dead.swap(true, Ordering::Relaxed) {
-                #[cfg(feature = "telemetry")]
-                if let Some(g) = &hooks.healthy {
-                    g.sub(1);
-                }
-            }
+        let mark = events.borrow().len();
+        let flushed = catch_unwind(AssertUnwindSafe(|| engine.flush()));
+        for (tag, _) in &mut events.borrow_mut()[mark..] {
+            *tag = FLUSH_TAG;
+        }
+        if let Err(payload) = flushed {
+            failures.push(panicked(shard, None, payload));
+            ctx.stop_measuring();
         }
     }
     let mut stats = retired;
     stats.merge(engine.stats());
     stats.merge(&extra);
     #[cfg(feature = "telemetry")]
-    if let Some(tel) = &hooks.tel {
+    if let Some(tel) = &ctx.hooks.tel {
         // Publish the shard's true final totals (runtime accounting
         // included) regardless of any restart bases.
         tel.clone()
@@ -1674,7 +1858,7 @@ mod tests {
         for block in pkts.chunks(37) {
             monitor.on_batch(block, &mut sink);
             fed += block.len() as u64;
-            assert!(monitor.bufs.iter().all(Vec::is_empty));
+            assert!(monitor.bufs.iter().all(Block::is_empty));
             assert_eq!(monitor.sent.iter().sum::<u64>(), fed);
         }
         monitor.flush(&mut sink);
@@ -1741,6 +1925,147 @@ mod tests {
         drop(engine); // closes the sender so the drain below terminates
         let serial_events: Vec<EngineEvent> = rx.try_iter().collect();
         assert_eq!(a.events, serial_events);
+    }
+
+    // ---- hand-off ring tests -------------------------------------------
+
+    /// A block holding packets `first..first + n` of [`trace`].
+    fn block_of(first: u64, n: usize) -> Block {
+        let pkts = trace(4, 8);
+        let mut block = Block::with_capacity(n);
+        for (idx, pkt) in (first..).zip(&pkts[..n]) {
+            block.push(idx, pkt);
+        }
+        block
+    }
+
+    const PATIENT: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn ring_delivers_blocks_and_control_messages_in_send_order() {
+        let (feeder, worker) = Ring::pair(4);
+        feeder
+            .send(ShardMsg::Block(block_of(0, 3)), PATIENT)
+            .unwrap();
+        feeder.send(ShardMsg::Rotate(7), PATIENT).unwrap();
+        feeder
+            .send(ShardMsg::Block(block_of(3, 2)), PATIENT)
+            .unwrap();
+        feeder.send(ShardMsg::Rotate(9), PATIENT).unwrap();
+        drop(feeder);
+        // A closed ring still hands out what was queued, then ends.
+        let mut seen = Vec::new();
+        while let Some(msg) = worker.recv(None) {
+            seen.push(match msg {
+                ShardMsg::Block(b) => format!("block {:?}", b.idx),
+                ShardMsg::Rotate(cutoff) => format!("rotate {cutoff}"),
+                _ => unreachable!(),
+            });
+        }
+        assert_eq!(
+            seen,
+            ["block [0, 1, 2]", "rotate 7", "block [3, 4]", "rotate 9"]
+        );
+    }
+
+    #[test]
+    fn full_ring_blocks_the_sender_until_one_recv() {
+        let (feeder, worker) = Ring::pair(2);
+        feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap();
+        feeder.send(ShardMsg::Rotate(1), PATIENT).unwrap();
+        // Full: with no patience at all the send gives up at once.
+        assert!(matches!(
+            feeder.send(ShardMsg::Rotate(2), Duration::ZERO),
+            Err(SendError::Stalled(_))
+        ));
+        // With patience it waits; the only thing that can let it through is
+        // the `recv` below, so the join proves the wake-up.
+        let sender = thread::spawn(move || {
+            let sent = feeder.send(ShardMsg::Rotate(2), PATIENT);
+            (feeder, sent)
+        });
+        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(0))));
+        let (feeder, sent) = sender.join().unwrap();
+        assert!(sent.is_ok());
+        // And it never held more than `depth`: full again.
+        assert!(matches!(
+            feeder.send(ShardMsg::Rotate(3), Duration::ZERO),
+            Err(SendError::Stalled(_))
+        ));
+        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(1))));
+        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(2))));
+    }
+
+    #[test]
+    fn blocked_sender_stalls_after_the_timeout_and_not_before() {
+        let (feeder, _worker) = Ring::pair(1);
+        feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap();
+        let timeout = Duration::from_millis(30);
+        let started = Instant::now();
+        let sent = feeder.send(ShardMsg::Rotate(1), timeout);
+        let elapsed = started.elapsed();
+        let Err(SendError::Stalled(waited)) = sent else {
+            panic!("a full ring took the message");
+        };
+        assert!(waited >= timeout, "gave up after {waited:?}");
+        assert!(elapsed >= waited);
+    }
+
+    #[test]
+    fn unwinding_worker_closes_the_ring_and_the_next_send_is_written_off() {
+        let pkts = trace(6, 4);
+        let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 1));
+        // Stand in for a worker that unwound outside its `catch_unwind`:
+        // a thread that panics while it holds the worker's end of a ring
+        // the feeder is sending on.
+        let (feeder_end, worker_end) = Ring::pair(2);
+        let worker = thread::spawn(move || {
+            let _end = worker_end;
+            std::panic::resume_unwind(Box::new("worker scaffolding gave way"));
+        });
+        assert!(worker.join().is_err());
+        assert!(matches!(
+            feeder_end.send(ShardMsg::Rotate(0), PATIENT),
+            Err(SendError::Closed)
+        ));
+        monitor.rings[0] = Some(feeder_end);
+        let mut sink = Vec::new();
+        monitor.on_batch(&pkts, &mut sink);
+        assert!(monitor.rings[0].is_none());
+        assert_eq!(monitor.health().healthy_shards, 0);
+        monitor.on_batch(&pkts, &mut sink);
+        let run = monitor.into_run();
+        assert_eq!(run.stats.packets, 0);
+        assert_eq!(run.stats.monitor_miss, 2 * pkts.len() as u64);
+    }
+
+    #[test]
+    fn returned_block_is_the_one_reused_next() {
+        let (feeder, worker) = Ring::pair(4);
+        // Nothing has come back yet: the feeder must allocate.
+        assert!(feeder
+            .send(ShardMsg::Block(block_of(0, 5)), PATIENT)
+            .unwrap()
+            .is_none());
+        let Some(ShardMsg::Block(mut first)) = worker.recv(None) else {
+            panic!("expected the block");
+        };
+        let storage = (first.idx.as_ptr(), first.pkts.as_ptr());
+        first.clear();
+        feeder
+            .send(ShardMsg::Block(block_of(5, 5)), PATIENT)
+            .unwrap();
+        // The worker returns the emptied block as it takes the next one...
+        assert!(matches!(worker.recv(Some(first)), Some(ShardMsg::Block(_))));
+        // ...a control message leaves it on the ring...
+        assert!(feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap().is_none());
+        // ...and the next block sent is paid for with it.
+        let spare = feeder
+            .send(ShardMsg::Block(block_of(10, 5)), PATIENT)
+            .unwrap()
+            .expect("the emptied block");
+        assert!(spare.is_empty());
+        assert_eq!((spare.idx.as_ptr(), spare.pkts.as_ptr()), storage);
     }
 
     // ---- supervised-runtime tests -------------------------------------

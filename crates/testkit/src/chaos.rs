@@ -136,7 +136,7 @@ impl ChaosConfig {
     }
 
     /// A seeded slow consumer: no failure, just sustained backpressure on
-    /// the bounded channels. The run must stay healthy and lossless.
+    /// the bounded hand-off rings. The run must stay healthy and lossless.
     pub fn seeded_slow(seed: u64, policy: FailurePolicy) -> ChaosConfig {
         let mut rng = SimRng::new(seed);
         let every = rng.range(16, 64);
