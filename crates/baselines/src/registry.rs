@@ -19,8 +19,10 @@ use crate::seglist::SegListMonitor;
 use crate::spin::{SpinConfig, SpinMonitor};
 use crate::strawman::{Strawman, StrawmanConfig};
 use crate::tcptrace::{TcpTrace, TcpTraceConfig};
-use dart_core::{Backend, DartConfig, DartEngine, RttMonitor, ShardedConfig, ShardedMonitor};
-#[cfg(feature = "telemetry")]
+use dart_core::{
+    Backend, DartConfig, DartEngine, EngineTelemetry, MeteredMonitor, RttMonitor, ShardedConfig,
+    ShardedMonitor,
+};
 use dart_telemetry::MetricRegistry;
 
 /// How strictly the differential runner may judge an engine's output
@@ -279,21 +281,25 @@ impl EngineRegistry {
 
     /// [`build`](EngineRegistry::build) with instrumentation attached to
     /// `metrics`: Dart engines get in-engine per-shard series
-    /// (`dart_shard_*`, `dart_rtt_ns{shard}`, recirculation gauges);
-    /// every other engine is wrapped in a
-    /// [`MeteredMonitor`](dart_core::MeteredMonitor), which mirrors its
-    /// run-level counters without touching baseline code.
-    #[cfg(feature = "telemetry")]
+    /// (`dart_shard_*`, `dart_rtt_ns{shard}`, recirculation gauges) — every
+    /// serial one as `shard="0"` — and every other engine is wrapped in a
+    /// [`MeteredMonitor`], which mirrors its run-level counters without
+    /// touching baseline code.
     pub fn build_instrumented(
         &self,
         name: &str,
         cfg: &DartConfig,
         metrics: &MetricRegistry,
     ) -> Result<BuiltEngine, String> {
-        use dart_core::{EngineTelemetry, MeteredMonitor};
         let judgement = self.judgement(name)?;
-        let monitor: Box<dyn RttMonitor> = if name == "dart" {
-            let mut engine = DartEngine::new(*cfg);
+        let serial_dart = match name {
+            "dart" => Some(*cfg),
+            "dart@sketch" => Some(cfg.with_backend(Backend::Sketch)),
+            "dart@precision" => Some(cfg.with_backend(Backend::Precision)),
+            _ => None,
+        };
+        let monitor: Box<dyn RttMonitor> = if let Some(cfg) = serial_dart {
+            let mut engine = DartEngine::new(cfg);
             engine.attach_telemetry(EngineTelemetry::register(metrics, 0));
             Box::new(engine)
         } else if let Some(shards) = sharded_shards(name) {
@@ -388,13 +394,17 @@ mod tests {
         assert!(reg.build("dart-sharded-x", &DartConfig::default()).is_err());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn build_instrumented_registers_series_for_every_engine() {
-        use dart_telemetry::MetricRegistry;
         let reg = EngineRegistry::standard();
         let packets = exchange();
-        for name in ["dart", "dart-sharded-2", "tcptrace"] {
+        for name in [
+            "dart",
+            "dart@sketch",
+            "dart@precision",
+            "dart-sharded-2",
+            "tcptrace",
+        ] {
             let metrics = MetricRegistry::new();
             let mut built = reg
                 .build_instrumented(name, &DartConfig::default(), &metrics)

@@ -9,52 +9,62 @@
 //! driver, once per *block*, so the row must stay inside the same <3%
 //! budget.
 //!
-//! The `bare` row compiled with `--no-default-features` is the true
-//! feature-off baseline; compiled with default features it still measures
-//! the engine without hooks attached (the `telemetry` field is `None`, so
-//! the hot path pays one untaken branch per sync interval). Run both to
-//! separate "feature compiled in" from "hooks attached":
+//! Neither row is a build variant: `bare` is the engine with no hooks
+//! attached (the `telemetry` field is `None`, so the hot path pays one
+//! untaken branch per sync point), `instrumented` the same engine with
+//! them attached at run time.
+//!
+//! The `churn_*` rows repeat bare/instrumented on the geometry where the
+//! attach cost is actually spent — RT 4096 / PT 512 / recirc 2 / both legs
+//! (the ledger's `churn-pressure`), where PT displacement keeps the
+//! recirculation port busy and the port publishes its depth gauge and
+//! histogram on every submit and pop. The 3% budget holds on the default
+//! rows only; see DESIGN.md §5d and EXPERIMENTS.md "One build (PR 20)".
 //!
 //! ```text
 //! cargo bench -p dart-bench --bench telemetry_overhead
-//! cargo bench -p dart-bench --bench telemetry_overhead --no-default-features
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{run_monitor_slice, DartConfig, DartEngine};
+use dart_core::{
+    drive_timed, run_monitor_slice, DartConfig, DartEngine, EngineTelemetry, Leg, RttSample,
+    StageTimers, DEFAULT_BLOCK_PKTS,
+};
+use dart_packet::SliceSource;
+use dart_telemetry::MetricRegistry;
 
 fn telemetry_overhead(c: &mut Criterion) {
     let trace = standard_trace(TraceScale::Small);
     let cfg = DartConfig::default();
+    let churn = DartConfig::default()
+        .with_leg(Leg::Both)
+        .with_rt(4096)
+        .with_pt(512, 1)
+        .with_max_recirc(2);
     let mut g = c.benchmark_group("telemetry_overhead");
     g.throughput(Throughput::Elements(trace.len() as u64));
     g.sample_size(20);
 
-    g.bench_function("bare", |b| {
-        b.iter(|| {
-            let mut engine = DartEngine::new(cfg);
-            run_monitor_slice(&mut engine, &trace.packets).0.len()
+    for (prefix, cfg) in [("", cfg), ("churn_", churn)] {
+        g.bench_function(format!("{prefix}bare"), |b| {
+            b.iter(|| {
+                let mut engine = DartEngine::new(cfg);
+                run_monitor_slice(&mut engine, &trace.packets).0.len()
+            });
         });
-    });
 
-    #[cfg(feature = "telemetry")]
-    g.bench_function("instrumented", |b| {
-        use dart_core::EngineTelemetry;
-        use dart_telemetry::MetricRegistry;
-        let registry = MetricRegistry::new();
-        b.iter(|| {
-            let mut engine = DartEngine::new(cfg);
-            engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
-            run_monitor_slice(&mut engine, &trace.packets).0.len()
+        g.bench_function(format!("{prefix}instrumented"), |b| {
+            let registry = MetricRegistry::new();
+            b.iter(|| {
+                let mut engine = DartEngine::new(cfg);
+                engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
+                run_monitor_slice(&mut engine, &trace.packets).0.len()
+            });
         });
-    });
+    }
 
-    #[cfg(feature = "telemetry")]
     g.bench_function("staged", |b| {
-        use dart_core::{drive_timed, EngineTelemetry, RttSample, StageTimers, DEFAULT_BLOCK_PKTS};
-        use dart_packet::SliceSource;
-        use dart_telemetry::MetricRegistry;
         let registry = MetricRegistry::new();
         let stage = StageTimers::register(&registry);
         b.iter(|| {

@@ -11,7 +11,6 @@ use crate::sample::{RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
 use crate::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
 use dart_packet::flow::fnv1a_64;
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
@@ -240,7 +239,6 @@ pub struct DartEngine {
     events: Option<EventSink>,
     stats: EngineStats,
     scratch: BatchScratch,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<EngineTelemetry>,
 }
 
@@ -271,7 +269,6 @@ impl DartEngine {
             events: None,
             stats: EngineStats::default(),
             scratch: BatchScratch::default(),
-            #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg,
         }
@@ -280,7 +277,6 @@ impl DartEngine {
     /// Attach metric handles: the engine publishes its counters to them at
     /// sync points (periodically, per batch, and at flush) and observes RTT
     /// samples and recirculation queue depth as they happen.
-    #[cfg(feature = "telemetry")]
     pub fn attach_telemetry(&mut self, telemetry: EngineTelemetry) {
         let (gauge, dist) = telemetry.queue_depth_handles();
         self.recirc.set_telemetry(gauge, dist);
@@ -289,7 +285,6 @@ impl DartEngine {
     }
 
     /// The attached metric handles, if any.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> Option<&EngineTelemetry> {
         self.telemetry.as_ref()
     }
@@ -299,7 +294,6 @@ impl DartEngine {
     /// [`SYNC_INTERVAL_PKTS`] packets and at flush; the sharded workers
     /// also call it at every batch boundary so per-shard scrapes stay
     /// fresh.
-    #[cfg(feature = "telemetry")]
     pub fn sync_telemetry(&self) {
         if let Some(t) = &self.telemetry {
             t.sync_stats(&self.stats);
@@ -352,7 +346,6 @@ impl DartEngine {
     pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         self.drain_recirc_until(pkt.ts);
         self.stats.packets += 1;
-        #[cfg(feature = "telemetry")]
         if self.stats.packets.is_multiple_of(SYNC_INTERVAL_PKTS) {
             self.sync_telemetry();
         }
@@ -499,7 +492,6 @@ impl DartEngine {
         self.scratch = scratch;
         // Batch-boundary sync point: one publication per block instead of
         // a per-packet interval check.
-        #[cfg(feature = "telemetry")]
         self.sync_telemetry();
     }
 
@@ -580,7 +572,6 @@ impl DartEngine {
     /// Drain the recirculation loop at end of trace.
     pub fn flush(&mut self) {
         self.drain_recirc_until(Nanos::MAX);
-        #[cfg(feature = "telemetry")]
         self.sync_telemetry();
     }
 
@@ -596,7 +587,6 @@ impl DartEngine {
     /// rotation is instrumented: `dart_epoch_rotations_total`, the
     /// carried/dropped counters, and the rotation-pause histogram.
     pub fn rotate_epoch(&mut self, cutoff: Nanos) -> crate::monitor::EpochRotation {
-        #[cfg(feature = "telemetry")]
         let start = std::time::Instant::now();
         let (flows_carried, flows_dropped) = self.rt.rotate(cutoff);
         let (records_carried, mut records_dropped) = self.pt.rotate(cutoff);
@@ -612,7 +602,6 @@ impl DartEngine {
             records_carried,
             records_dropped,
         };
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &self.telemetry {
             let pause_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             t.observe_rotation(&rotation, pause_ns);
@@ -904,7 +893,6 @@ impl DartEngine {
         // The batch scratch is a pure cache (locations are pure functions
         // of packet and geometry), but start it cold anyway.
         self.scratch = BatchScratch::default();
-        #[cfg(feature = "telemetry")]
         self.sync_telemetry();
         Ok(())
     }
@@ -1011,7 +999,6 @@ impl DartEngine {
                     self.stats.pt_matched += 1;
                     self.stats.samples += 1;
                     let rtt = pkt.ts.saturating_sub(ts0);
-                    #[cfg(feature = "telemetry")]
                     if let Some(t) = &self.telemetry {
                         t.observe_rtt(rtt);
                     }

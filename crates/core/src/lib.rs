@@ -57,7 +57,6 @@ pub mod sharded;
 pub mod sketch;
 pub mod snapshot;
 pub mod stats;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 
 pub use backend::{PtTable, RtTable};
@@ -65,11 +64,9 @@ pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPol
 pub use engine::{run_trace, DartEngine, EngineEvent, EventSink, RecircFilter, RecirculateAll};
 pub use error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
-#[cfg(feature = "telemetry")]
-pub use monitor::drive_timed;
 pub use monitor::{
-    drive, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress, RttMonitor, Stage,
-    DEFAULT_BLOCK_PKTS,
+    drive, drive_timed, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress,
+    RttMonitor, Stage, DEFAULT_BLOCK_PKTS,
 };
 pub use packet_tracker::{PacketTracker, PtInsert, PtRecord};
 pub use pt_salu::{SaluPtSlot, SlotRecord};
@@ -88,5 +85,4 @@ pub use snapshot::{
     SnapReader, SnapWriter, Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use stats::EngineStats;
-#[cfg(feature = "telemetry")]
 pub use telemetry::{EngineTelemetry, MeteredMonitor, StageTimers, SYNC_INTERVAL_PKTS};

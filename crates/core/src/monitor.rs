@@ -50,6 +50,7 @@
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::EngineStats;
+use crate::telemetry::StageTimers;
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource};
 
 /// What one epoch rotation swept: flow counts from the Range Tracker,
@@ -175,7 +176,7 @@ pub struct Progress {
 }
 
 /// Which stage of the loop a wall-clock observation belongs to (see
-/// `StageTimers` under the `telemetry` feature).
+/// [`StageTimers`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Pulling the next block from the packet source.
@@ -184,31 +185,6 @@ pub enum Stage {
     Match,
     /// Flushing buffered state or rotating an epoch.
     Flush,
-}
-
-/// How the loop clocks its stages: not at all ([`Untimed`]), or into the
-/// `dart_stage_*_ns` histograms (`StageTimers`, `telemetry` feature only).
-/// Statically dispatched, so [`drive`] carries no clock in any build and
-/// `--no-default-features` has no timed instantiation at all.
-trait StageClock {
-    fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R;
-}
-
-struct Untimed;
-
-impl StageClock for Untimed {
-    #[inline(always)]
-    fn time<R>(&self, _stage: Stage, f: impl FnOnce() -> R) -> R {
-        f()
-    }
-}
-
-#[cfg(feature = "telemetry")]
-impl StageClock for crate::telemetry::StageTimers {
-    #[inline]
-    fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        crate::telemetry::StageTimers::time(self, stage, f)
-    }
 }
 
 /// The driver loop: `boundary → source.next_block → monitor.on_batch`,
@@ -237,36 +213,44 @@ pub fn drive<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     sink: &mut dyn SampleSink,
     boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
-    drive_clocked(monitor, source, sink, &Untimed, boundary)
+    drive_loop(monitor, source, sink, None, boundary)
 }
 
 /// [`drive`] with stage timing: one `dart_stage_decode_ns` and one
 /// `dart_stage_match_ns` observation per block, one `dart_stage_flush_ns`
 /// for the flush. The clock is read here, in the driver, so the engine hot
 /// path stays free of it.
-#[cfg(feature = "telemetry")]
 pub fn drive_timed<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     monitor: &mut M,
     source: &mut S,
     sink: &mut dyn SampleSink,
-    stage: &crate::telemetry::StageTimers,
+    stage: &StageTimers,
     boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
-    drive_clocked(monitor, source, sink, stage, boundary)
+    drive_loop(monitor, source, sink, Some(stage), boundary)
 }
 
-fn drive_clocked<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
+/// Run `f`, clocked into `stage`'s histogram when timers are attached.
+#[inline]
+fn timed<R>(timers: Option<&StageTimers>, stage: Stage, f: impl FnOnce() -> R) -> R {
+    match timers {
+        Some(t) => t.time(stage, f),
+        None => f(),
+    }
+}
+
+fn drive_loop<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     monitor: &mut M,
     source: &mut S,
     sink: &mut dyn SampleSink,
-    clock: &impl StageClock,
+    timers: Option<&StageTimers>,
     mut boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
     let mut buf = Vec::new();
     let mut at = Progress::default();
     while let Some(cap) = boundary(monitor, at) {
         debug_assert!(cap > 0, "a zero cap would read as end of stream");
-        let block = clock.time(Stage::Decode, || source.next_block(&mut buf, cap))?;
+        let block = timed(timers, Stage::Decode, || source.next_block(&mut buf, cap))?;
         let Some(last) = block.last() else {
             at.drained = true;
             boundary(monitor, at);
@@ -274,9 +258,9 @@ fn drive_clocked<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
         };
         at.packets += block.len() as u64;
         at.newest_ts = at.newest_ts.max(last.ts);
-        clock.time(Stage::Match, || monitor.on_batch(block, sink));
+        timed(timers, Stage::Match, || monitor.on_batch(block, sink));
     }
-    clock.time(Stage::Flush, || monitor.flush(sink));
+    timed(timers, Stage::Flush, || monitor.flush(sink));
     Ok(monitor.stats())
 }
 

@@ -78,10 +78,8 @@ use crate::monitor::{EpochRotation, RttMonitor};
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::EngineTelemetry;
 use dart_packet::{FlowKey, Nanos, PacketMeta};
-#[cfg(feature = "telemetry")]
 use dart_telemetry::{Counter, Gauge, MetricRegistry};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -605,22 +603,18 @@ struct ShardResult {
     failures: Vec<ShardFailure>,
 }
 
-/// Per-shard instrumentation handles, cloned into the worker thread.
-/// Zero-sized (and all code paths compiled out) without the `telemetry`
-/// feature.
-#[derive(Clone, Default)]
+/// Per-shard instrumentation handles, cloned into the worker thread; all
+/// `None` unless the monitor was spawned with a registry.
+#[derive(Clone)]
 struct ShardHooks {
     /// In-engine metric handles for this shard.
-    #[cfg(feature = "telemetry")]
     tel: Option<EngineTelemetry>,
     /// Hand-off blocks queued or being processed: the feeder adds one per
     /// send, the worker subtracts one per block completed, so the gauge is
     /// the live ring depth.
-    #[cfg(feature = "telemetry")]
     channel: Option<Gauge>,
     /// Runtime-level health gauge (`dart_supervisor_healthy_shards`),
     /// decremented once when this shard stops measuring.
-    #[cfg(feature = "telemetry")]
     healthy: Option<Gauge>,
 }
 
@@ -629,7 +623,6 @@ impl ShardHooks {
     /// once across feeder and worker.
     fn mark_dead(&self, dead: &AtomicBool) {
         if !dead.swap(true, Ordering::Relaxed) {
-            #[cfg(feature = "telemetry")]
             if let Some(g) = &self.healthy {
                 g.sub(1);
             }
@@ -697,8 +690,7 @@ pub struct ShardedMonitor {
     /// Which shards take traffic, refreshed from `abandoned` and `dead`
     /// once per [`ShardedMonitor::partition`] call rather than per packet.
     live: Vec<bool>,
-    /// Per-shard instrumentation handles (empty structs when the
-    /// `telemetry` feature is off).
+    /// Per-shard instrumentation handles.
     hooks: Vec<ShardHooks>,
     /// Set by a worker that stopped measuring (panic under any policy,
     /// restart budget exhausted) or by the feeder on abandon; the feeder
@@ -719,20 +711,19 @@ pub struct ShardedMonitor {
     /// First fatal failure, kept for [`ShardedMonitor::try_into_run`]
     /// under `FailFast`.
     fatal_failure: Option<ShardFailure>,
-    #[cfg(feature = "telemetry")]
     sup_stalls: Option<Counter>,
 }
 
 impl ShardedMonitor {
     /// Spawn the shard workers and stand ready to feed them.
     pub fn new(cfg: ShardedConfig) -> ShardedMonitor {
-        Self::spawn(cfg, |_| ShardHooks::default(), None)
+        Self::spawn(cfg, None, None)
     }
 
     /// Spawn with a per-packet [`PacketHook`] installed in every worker
     /// (the chaos-injection seam — see the type docs).
     pub fn with_packet_hook(cfg: ShardedConfig, hook: PacketHook) -> ShardedMonitor {
-        Self::spawn(cfg, |_| ShardHooks::default(), Some(hook))
+        Self::spawn(cfg, None, Some(hook))
     }
 
     /// Spawn with per-shard telemetry: each worker's engine publishes
@@ -742,60 +733,38 @@ impl ShardedMonitor {
     /// the hand-off ring depth; the supervisor publishes
     /// `dart_supervisor_healthy_shards` and
     /// `dart_supervisor_stalls_total`.
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(cfg: ShardedConfig, registry: &MetricRegistry) -> ShardedMonitor {
-        Self::with_telemetry_and_hook(cfg, registry, None)
+        Self::spawn(cfg, Some(registry), None)
     }
 
-    /// [`ShardedMonitor::with_telemetry`] plus an optional chaos hook —
-    /// what the instrumented chaos harness uses.
-    #[cfg(feature = "telemetry")]
-    pub fn with_telemetry_and_hook(
+    /// The one constructor: spawn the workers, publishing to `registry`
+    /// when there is one (see [`ShardedMonitor::with_telemetry`]) and
+    /// running `packet_hook` in every worker when there is one (see
+    /// [`ShardedMonitor::with_packet_hook`]).
+    pub fn spawn(
         cfg: ShardedConfig,
-        registry: &MetricRegistry,
-        hook: Option<PacketHook>,
-    ) -> ShardedMonitor {
-        let healthy = registry.gauge(
-            "dart_supervisor_healthy_shards",
-            &[],
-            "shard workers still measuring their traffic",
-        );
-        healthy.set(cfg.shards as i64);
-        let stalls = registry.counter(
-            "dart_supervisor_stalls_total",
-            &[],
-            "shard workers abandoned by the feeder watchdog",
-        );
-        let reg = registry.clone();
-        let healthy_for_hooks = healthy.clone();
-        let mut monitor = Self::spawn(
-            cfg,
-            move |shard| {
-                let shard_label = shard.to_string();
-                ShardHooks {
-                    tel: Some(EngineTelemetry::register(&reg, shard)),
-                    channel: Some(reg.gauge(
-                        "dart_shard_channel_batches",
-                        &[("shard", &shard_label)],
-                        "hand-off batches queued or being processed by this shard worker",
-                    )),
-                    healthy: Some(healthy_for_hooks.clone()),
-                }
-            },
-            hook,
-        );
-        monitor.sup_stalls = Some(stalls);
-        monitor
-    }
-
-    fn spawn(
-        cfg: ShardedConfig,
-        make_hooks: impl Fn(usize) -> ShardHooks,
+        registry: Option<&MetricRegistry>,
         packet_hook: Option<PacketHook>,
     ) -> ShardedMonitor {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.queue_depth >= 1, "queue depth must be positive");
+        let healthy = registry.map(|reg| {
+            let healthy = reg.gauge(
+                "dart_supervisor_healthy_shards",
+                &[],
+                "shard workers still measuring their traffic",
+            );
+            healthy.set(cfg.shards as i64);
+            healthy
+        });
+        let sup_stalls = registry.map(|reg| {
+            reg.counter(
+                "dart_supervisor_stalls_total",
+                &[],
+                "shard workers abandoned by the feeder watchdog",
+            )
+        });
         let fatal = Arc::new(AtomicBool::new(false));
         let mut rings = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
@@ -803,7 +772,17 @@ impl ShardedMonitor {
         let mut dead = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (feeder_end, worker_end) = Ring::pair(cfg.queue_depth);
-            let shard_hooks = make_hooks(shard);
+            let shard_hooks = ShardHooks {
+                tel: registry.map(|reg| EngineTelemetry::register(reg, shard)),
+                channel: registry.map(|reg| {
+                    reg.gauge(
+                        "dart_shard_channel_batches",
+                        &[("shard", &shard.to_string())],
+                        "hand-off batches queued or being processed by this shard worker",
+                    )
+                }),
+                healthy: healthy.clone(),
+            };
             let shard_dead = Arc::new(AtomicBool::new(false));
             let ctx = ShardCtx {
                 shard,
@@ -857,8 +836,7 @@ impl ShardedMonitor {
             fed: 0,
             done: None,
             fatal_failure: None,
-            #[cfg(feature = "telemetry")]
-            sup_stalls: None,
+            sup_stalls,
         }
     }
 
@@ -951,7 +929,6 @@ impl ShardedMonitor {
         match sent {
             Ok(spare) => {
                 if pkts > 0 {
-                    #[cfg(feature = "telemetry")]
                     if let Some(g) = &self.hooks[shard].channel {
                         g.add(1);
                     }
@@ -1205,7 +1182,6 @@ impl ShardedMonitor {
         }
         self.feeder_extra.monitor_miss += self.sent[shard] + pending;
         self.sent[shard] = 0;
-        #[cfg(feature = "telemetry")]
         if let Some(c) = &self.sup_stalls {
             c.add(1);
         }
@@ -1432,7 +1408,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
         }));
     };
     let mut engine = DartEngine::new(ctx.engine_cfg);
-    #[cfg(feature = "telemetry")]
     if let Some(tel) = ctx.hooks.tel.clone() {
         engine.attach_telemetry(tel);
     }
@@ -1470,7 +1445,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                         ctx.stop_measuring();
                         shedding = true;
                     }
-                    #[cfg(feature = "telemetry")]
                     engine.sync_telemetry();
                 }
                 continue;
@@ -1555,7 +1529,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                 continue;
             }
         };
-        #[cfg(feature = "telemetry")]
         let block_start = Instant::now();
         if stopped {
             // Drain mode: keep consuming so the feeder never blocks on a
@@ -1614,7 +1587,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                     extra.flows_lost += engine.rt_occupancy() as u64;
                     retired.merge(engine.stats());
                     engine = DartEngine::new(ctx.engine_cfg);
-                    #[cfg(feature = "telemetry")]
                     if let Some(tel) = ctx.hooks.tel.clone() {
                         // Base the fresh engine's published series on the
                         // retired totals so per-shard counters stay
@@ -1632,14 +1604,11 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
         }
         // The batch pipeline has already published the engine's counters
         // at the block boundary.
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(tel) = &ctx.hooks.tel {
-                tel.observe_batch_ns(block_start.elapsed().as_nanos() as u64);
-            }
-            if let Some(g) = &ctx.hooks.channel {
-                g.sub(1);
-            }
+        if let Some(tel) = &ctx.hooks.tel {
+            tel.observe_batch_ns(block_start.elapsed().as_nanos() as u64);
+        }
+        if let Some(g) = &ctx.hooks.channel {
+            g.sub(1);
         }
         block.clear();
         emptied = Some(block);
@@ -1658,7 +1627,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
     let mut stats = retired;
     stats.merge(engine.stats());
     stats.merge(&extra);
-    #[cfg(feature = "telemetry")]
     if let Some(tel) = &ctx.hooks.tel {
         // Publish the shard's true final totals (runtime accounting
         // included) regardless of any restart bases.
@@ -2350,7 +2318,6 @@ mod tests {
         assert!(out.healthy());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rotation_publishes_per_shard_epoch_series() {
         use dart_telemetry::MetricRegistry;
@@ -2377,16 +2344,15 @@ mod tests {
         assert_eq!(rotations, 2, "one rotation on each of the two shards");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn supervisor_metrics_track_health() {
         use dart_telemetry::MetricRegistry;
         let pkts = trace(20, 6);
         let registry = MetricRegistry::new();
         let target = (pkts.len() / 2) as u64;
-        let mut monitor = ShardedMonitor::with_telemetry_and_hook(
+        let mut monitor = ShardedMonitor::spawn(
             sup_cfg(FailurePolicy::ShedLoad, 4),
-            &registry,
+            Some(&registry),
             Some(panic_at(target)),
         );
         let healthy = registry.gauge("dart_supervisor_healthy_shards", &[], "");

@@ -15,7 +15,7 @@
 //! partitions `handle_ack` calls; `dual_role_recirc` corrects for packets
 //! that fired both roles (possible only in `Leg::Both`). On top of that,
 //! every sample comes from a Packet Tracker match (`samples == pt_matched`)
-//! and, with the `telemetry` feature, the RTT histogram observes each match
+//! and, with telemetry attached, the RTT histogram observes each match
 //! exactly once (`histogram count == pt_matched`).
 
 use dart_core::{run_monitor_slice, DartConfig, DartEngine, EngineStats, Leg};
@@ -203,7 +203,6 @@ mod degraded {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod telemetry_laws {
     use super::*;
     use dart_core::EngineTelemetry;

@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-#[cfg(feature = "telemetry")]
 use dart_telemetry::{Gauge, Histogram};
 
 /// A record traveling through the recirculation port.
@@ -39,9 +38,8 @@ pub struct RecircPort<T> {
     queue: VecDeque<Recirculated<T>>,
     max_trips: u32,
     stats: RecircStats,
-    /// Live queue-depth gauge plus at-submission depth histogram
-    /// (`telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// Live queue-depth gauge plus at-submission depth histogram, when
+    /// attached.
     telemetry: Option<(Gauge, Histogram)>,
 }
 
@@ -53,7 +51,6 @@ impl<T> RecircPort<T> {
             queue: VecDeque::new(),
             max_trips,
             stats: RecircStats::default(),
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -62,13 +59,11 @@ impl<T> RecircPort<T> {
     /// histogram. The gauge tracks [`RecircPort::in_flight`] exactly (set
     /// on every submit and pop); the histogram records the depth each
     /// accepted submission found.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, depth: Gauge, depth_dist: Histogram) {
         depth.set(self.queue.len() as i64);
         self.telemetry = Some((depth, depth_dist));
     }
 
-    #[cfg(feature = "telemetry")]
     fn publish_depth(&self, observe: bool) {
         if let Some((gauge, dist)) = &self.telemetry {
             gauge.set(self.queue.len() as i64);
@@ -99,7 +94,6 @@ impl<T> RecircPort<T> {
         });
         self.stats.accepted += 1;
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-        #[cfg(feature = "telemetry")]
         self.publish_depth(true);
         Ok(())
     }
@@ -107,7 +101,6 @@ impl<T> RecircPort<T> {
     /// Take the next record re-entering the ingress pipeline, if any.
     pub fn pop(&mut self) -> Option<Recirculated<T>> {
         let popped = self.queue.pop_front();
-        #[cfg(feature = "telemetry")]
         if popped.is_some() {
             self.publish_depth(false);
         }
@@ -142,7 +135,6 @@ impl<T> RecircPort<T> {
     pub fn restore(&mut self, entries: Vec<Recirculated<T>>, stats: RecircStats) {
         self.queue = entries.into();
         self.stats = stats;
-        #[cfg(feature = "telemetry")]
         self.publish_depth(false);
     }
 }
@@ -185,7 +177,6 @@ mod tests {
         assert!(port.submit(9, 0).is_err());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_tracks_live_depth() {
         let mut port: RecircPort<u8> = RecircPort::new(10);

@@ -33,6 +33,7 @@ use dart_core::{run_monitor_slice, DartConfig, EngineStats, RttSample};
 use dart_packet::PacketMeta;
 use dart_sim::TraceTransform;
 use dart_telemetry::histogram::{Histogram, HistogramSnapshot, BUCKETS};
+use dart_telemetry::{EventLog, MetricRegistry};
 use std::fmt;
 
 /// What to run and how strictly to judge it.
@@ -360,6 +361,80 @@ fn judge_engine(
     }
 }
 
+/// The one oracle-and-judge loop behind every `run_diff*` entry point:
+/// apply `fault` to the capture if there is one, run the oracle and every
+/// configured implementation over the result, and judge each against it.
+/// With `telemetry`, engines are built instrumented into the registry and
+/// the loop narrates into the event log; the report is the same either way.
+fn diff(
+    cfg: &DiffConfig,
+    fault: Option<FaultConfig>,
+    packets: &[PacketMeta],
+    telemetry: Option<(&MetricRegistry, &EventLog)>,
+) -> DiffReport {
+    let mut injector = fault.map(FaultInjector::new);
+    let faulted = injector.as_mut().map(|i| i.apply(packets.to_vec()));
+    let packets = faulted.as_deref().unwrap_or(packets);
+
+    let oracle = run_oracle(
+        OracleConfig {
+            syn_policy: cfg.engine.syn_policy,
+            leg: cfg.engine.leg,
+        },
+        packets,
+    );
+    let spin = run_spin_oracle(packets);
+    let oracle_hist = oracle_histogram(&oracle);
+
+    let registry = EngineRegistry::standard();
+    let mut outcomes = Vec::new();
+    let packet_count = packets.len().to_string();
+    for name in cfg.engine_names() {
+        let built = match telemetry {
+            Some((metrics, events)) => {
+                events.info(
+                    "diff",
+                    "engine start",
+                    &[("engine", &name), ("packets", &packet_count)],
+                );
+                registry.build_instrumented(&name, &cfg.engine, metrics)
+            }
+            None => registry.build(&name, &cfg.engine),
+        };
+        let mut built = built.unwrap_or_else(|e| panic!("diff config: {e}"));
+        let (samples, stats) = run_monitor_slice(built.monitor.as_mut(), packets);
+        let outcome = judge_engine(
+            name,
+            built.judgement,
+            &samples,
+            stats,
+            &oracle,
+            &spin,
+            &oracle_hist,
+            cfg.impossible_budget,
+        );
+        if let Some((_, events)) = telemetry {
+            events.info(
+                "diff",
+                "engine judged",
+                &[
+                    ("engine", &outcome.name),
+                    ("exact", &outcome.card.exact.to_string()),
+                    ("impossible", &outcome.card.impossible.to_string()),
+                    ("ok", if outcome.ok() { "true" } else { "false" }),
+                ],
+            );
+        }
+        outcomes.push(outcome);
+    }
+
+    DiffReport {
+        oracle_valid: oracle.valid_count() as u64,
+        outcomes,
+        faults: injector.map(|i| i.log()),
+    }
+}
+
 /// Run every configured implementation over `packets` (already faulted or
 /// clean) and judge them against the oracle.
 ///
@@ -373,41 +448,7 @@ fn judge_engine(
 /// Panics when a name in `cfg` is not in the registry; validate user input
 /// with [`EngineRegistry::build`] before constructing a [`DiffConfig`].
 pub fn run_diff(cfg: &DiffConfig, packets: &[PacketMeta]) -> DiffReport {
-    let oracle = run_oracle(
-        OracleConfig {
-            syn_policy: cfg.engine.syn_policy,
-            leg: cfg.engine.leg,
-        },
-        packets,
-    );
-
-    let spin = run_spin_oracle(packets);
-    let oracle_hist = oracle_histogram(&oracle);
-
-    let registry = EngineRegistry::standard();
-    let mut outcomes = Vec::new();
-    for name in cfg.engine_names() {
-        let mut built = registry
-            .build(&name, &cfg.engine)
-            .unwrap_or_else(|e| panic!("diff config: {e}"));
-        let (samples, stats) = run_monitor_slice(built.monitor.as_mut(), packets);
-        outcomes.push(judge_engine(
-            name,
-            built.judgement,
-            &samples,
-            stats,
-            &oracle,
-            &spin,
-            &oracle_hist,
-            cfg.impossible_budget,
-        ));
-    }
-
-    DiffReport {
-        oracle_valid: oracle.valid_count() as u64,
-        outcomes,
-        faults: None,
-    }
+    diff(cfg, None, packets, None)
 }
 
 /// [`run_diff`] with telemetry attached: engines are built through
@@ -415,62 +456,13 @@ pub fn run_diff(cfg: &DiffConfig, packets: &[PacketMeta]) -> DiffReport {
 /// per-shard series into `metrics` and baselines get run-level mirrors,
 /// and the runner narrates progress into `events` (one entry per engine
 /// started and judged). The report is identical to [`run_diff`]'s.
-#[cfg(feature = "telemetry")]
 pub fn run_diff_instrumented(
     cfg: &DiffConfig,
     packets: &[PacketMeta],
-    metrics: &dart_telemetry::MetricRegistry,
-    events: &dart_telemetry::EventLog,
+    metrics: &MetricRegistry,
+    events: &EventLog,
 ) -> DiffReport {
-    let oracle = run_oracle(
-        OracleConfig {
-            syn_policy: cfg.engine.syn_policy,
-            leg: cfg.engine.leg,
-        },
-        packets,
-    );
-    let spin = run_spin_oracle(packets);
-    let oracle_hist = oracle_histogram(&oracle);
-    let registry = EngineRegistry::standard();
-    let mut outcomes = Vec::new();
-    let packet_count = packets.len().to_string();
-    for name in cfg.engine_names() {
-        events.info(
-            "diff",
-            "engine start",
-            &[("engine", &name), ("packets", &packet_count)],
-        );
-        let mut built = registry
-            .build_instrumented(&name, &cfg.engine, metrics)
-            .unwrap_or_else(|e| panic!("diff config: {e}"));
-        let (samples, stats) = run_monitor_slice(built.monitor.as_mut(), packets);
-        let outcome = judge_engine(
-            name,
-            built.judgement,
-            &samples,
-            stats,
-            &oracle,
-            &spin,
-            &oracle_hist,
-            cfg.impossible_budget,
-        );
-        events.info(
-            "diff",
-            "engine judged",
-            &[
-                ("engine", &outcome.name),
-                ("exact", &outcome.card.exact.to_string()),
-                ("impossible", &outcome.card.impossible.to_string()),
-                ("ok", if outcome.ok() { "true" } else { "false" }),
-            ],
-        );
-        outcomes.push(outcome);
-    }
-    DiffReport {
-        oracle_valid: oracle.valid_count() as u64,
-        outcomes,
-        faults: None,
-    }
+    diff(cfg, None, packets, Some((metrics, events)))
 }
 
 /// Apply a seeded fault configuration to `packets`, then run the
@@ -481,28 +473,19 @@ pub fn run_diff_faulted(
     fault: FaultConfig,
     packets: &[PacketMeta],
 ) -> DiffReport {
-    let mut injector = FaultInjector::new(fault);
-    let faulted = injector.apply(packets.to_vec());
-    let mut report = run_diff(cfg, &faulted);
-    report.faults = Some(injector.log());
-    report
+    diff(cfg, Some(fault), packets, None)
 }
 
 /// [`run_diff_faulted`] through the instrumented runner (see
 /// [`run_diff_instrumented`]).
-#[cfg(feature = "telemetry")]
 pub fn run_diff_faulted_instrumented(
     cfg: &DiffConfig,
     fault: FaultConfig,
     packets: &[PacketMeta],
-    metrics: &dart_telemetry::MetricRegistry,
-    events: &dart_telemetry::EventLog,
+    metrics: &MetricRegistry,
+    events: &EventLog,
 ) -> DiffReport {
-    let mut injector = FaultInjector::new(fault);
-    let faulted = injector.apply(packets.to_vec());
-    let mut report = run_diff_instrumented(cfg, &faulted, metrics, events);
-    report.faults = Some(injector.log());
-    report
+    diff(cfg, Some(fault), packets, Some((metrics, events)))
 }
 
 #[cfg(test)]
@@ -543,10 +526,8 @@ mod tests {
         assert!(!text.contains("EngineStats"), "debug formatting leaked");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn instrumented_diff_matches_plain_and_narrates() {
-        use dart_telemetry::{EventLog, MetricRegistry};
         let packets = trace(5);
         let plain = run_diff(&DiffConfig::default(), &packets);
         let metrics = MetricRegistry::new();

@@ -68,10 +68,9 @@ pub use chaos::{
 };
 pub use diff::{
     hist_within_tolerance, loss_budget, oracle_histogram, run_diff, run_diff_faulted,
-    snapshot_from_rows, DiffConfig, DiffReport, EngineOutcome,
+    run_diff_faulted_instrumented, run_diff_instrumented, snapshot_from_rows, DiffConfig,
+    DiffReport, EngineOutcome,
 };
-#[cfg(feature = "telemetry")]
-pub use diff::{run_diff_faulted_instrumented, run_diff_instrumented};
 pub use faults::{
     apply_config_fault, backend_sweep, register_sweep, ConfigFault, FaultConfig, FaultInjector,
     FaultLog, PT_RECORD_BITS, PT_SKETCH_CELL_BITS,

@@ -2,7 +2,7 @@
 //! it would print, keeping the logic testable.
 
 use crate::cli::{Command, Options, USAGE};
-use crate::io::{load_file, open_source, parse_prefix, save_file};
+use crate::io::{load_file, open_boxed, open_source, parse_prefix, save_file};
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
 use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
@@ -13,16 +13,11 @@ use dart_packet::SECOND;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
-#[cfg(feature = "telemetry")]
 use dart_telemetry::{EventLog, MetricRegistry};
 use dart_testkit::{
-    run_chaos, run_scenario, scenario_artifact_dir, write_scorecards, ChaosConfig, DiffConfig,
-    FaultConfig, ScenarioConfig,
+    run_chaos, run_diff_faulted_instrumented, run_diff_instrumented, run_scenario,
+    scenario_artifact_dir, write_scorecards, ChaosConfig, DiffConfig, FaultConfig, ScenarioConfig,
 };
-#[cfg(not(feature = "telemetry"))]
-use dart_testkit::{run_diff, run_diff_faulted};
-#[cfg(feature = "telemetry")]
-use dart_testkit::{run_diff_faulted_instrumented, run_diff_instrumented};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -51,215 +46,194 @@ pub fn run(cmd: Command, opts: &Options) -> Result<String, String> {
 /// `/healthz`, `/snapshot`, `/events`; `POST /control/shutdown`,
 /// `/control/reload`).
 fn serve(input: &str, opts: &Options) -> Result<String, String> {
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (input, opts);
-        Err("`dartmon serve` needs the `telemetry` feature; \
-             this binary was built with --no-default-features"
-            .to_string())
-    }
-    #[cfg(feature = "telemetry")]
-    {
-        use crate::daemon::{Daemon, DaemonConfig, DaemonReport};
-        use dart_core::sharded::ShardedConfig;
-        use dart_packet::{CycleSource, Follow, PacketSource, PcapSource, Reconnecting};
-        use std::sync::atomic::Ordering;
-        use std::time::Duration;
+    use crate::daemon::{Daemon, DaemonConfig, DaemonReport};
+    use dart_core::sharded::ShardedConfig;
+    use dart_packet::{CycleSource, Follow, PacketSource, Reconnecting};
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
 
-        let mode = opts.get("mode").unwrap_or("once");
-        if !matches!(mode, "once" | "follow" | "cycle") {
-            return Err(format!(
-                "unknown --mode {mode:?} (expected once | follow | cycle)"
-            ));
-        }
-        let passes = match opts.get("passes") {
-            None => None,
-            Some(_) if mode != "cycle" => return Err("--passes needs --mode cycle".to_string()),
-            Some(_) => Some(opts.get_num("passes", 0u64)?),
-        };
-        let shards = opts.get_num("shards", 2usize)?;
-        if shards == 0 {
-            return Err("--shards must be at least 1".to_string());
-        }
-        let shards = clamp_shards(shards);
-        let rotate_millis = opts.get_num("rotate-millis", 900_000u64)?;
-        if rotate_millis == 0 {
-            return Err("--rotate-millis must be at least 1".to_string());
-        }
-        let snapshot_path = opts.get("snapshot-path").map(std::path::PathBuf::from);
-        let checkpoint_every = match opts.get("checkpoint-millis") {
-            None => None,
-            Some(_) => {
-                let ms = opts.get_num("checkpoint-millis", 0u64)?;
-                if ms == 0 {
-                    return Err("--checkpoint-millis must be at least 1".to_string());
-                }
-                Some(Duration::from_millis(ms))
-            }
-        };
-        if checkpoint_every.is_some() && snapshot_path.is_none() {
-            return Err("--checkpoint-millis needs --snapshot-path".to_string());
-        }
-        let restore_from = opts.get("restore").map(std::path::PathBuf::from);
-        let strict_decode = match opts.get("strict-decode") {
-            None => false,
-            Some(_) if mode != "follow" => {
-                return Err("--strict-decode needs --mode follow \
-                     (decode tolerance only applies to live tails)"
-                    .to_string())
-            }
-            Some("true") => true,
-            Some("false") => false,
-            Some(other) => {
-                return Err(format!(
-                    "--strict-decode expects true | false, got {other:?}"
-                ))
-            }
-        };
-        let cfg = DaemonConfig {
-            sharded: ShardedConfig::new(engine_config(opts)?, shards),
-            block_pkts: opts.get_num("block", 1024usize)?.max(1),
-            rotate_every: Duration::from_millis(rotate_millis),
-            retain: opts.get_num("retain-secs", 10u64)?.saturating_mul(SECOND),
-            bind: opts.get("listen").unwrap_or("127.0.0.1:9464").to_string(),
-            snapshot_path,
-            checkpoint_every,
-            restore_from,
-        };
-        let internal = internal_prefix(opts)?;
-        let mut daemon = Daemon::start(cfg).map_err(|e| format!("serve startup: {e}"))?;
-        let addr = daemon.addr();
-        eprintln!(
-            "dartmon serve: observability plane on http://{addr} \
-             (POST /control/shutdown to stop)"
-        );
-        // SIGINT/SIGTERM land in the process-wide shutdown flag (the
-        // binary installs the handlers); this watcher routes each request
-        // into the daemon's control plane exactly as POST
-        // /control/shutdown would, so the drain + final checkpoint path
-        // is the same for a Ctrl-C as for an operator POST.
-        let server_stop = daemon.server().shutdown_flag();
-        let watcher_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let watcher = {
-            let done = watcher_done.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if crate::shutdown::take() {
-                        server_stop.store(true, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        };
-        let run = |daemon: Daemon, source: &mut dyn PacketSource| {
-            daemon
-                .run(source)
-                .map_err(|e| format!("ingest {input}: {e}"))
-        };
-        type ModeOutcome = Result<(DaemonReport, String), String>;
-        let outcome: ModeOutcome = (|| match mode {
-            "follow" => {
-                // Build the tail *after* the server is up: the shared
-                // shutdown flag is what wakes a source parked at
-                // end-of-data, so a quiet fifo cannot outlive a POSTed
-                // shutdown. The whole thing is wrapped in `Reconnecting`:
-                // a producer restart or a torn record re-opens the tail
-                // under bounded backoff instead of ending a week-long run.
-                let stop = daemon.server().shutdown_flag();
-                let is_pcap = input.ends_with(".pcap");
-                let tail = move |file: std::fs::File| -> Option<Box<dyn PacketSource + Send>> {
-                    let follow = Follow::new(file, stop.clone());
-                    if is_pcap {
-                        let classifier = dart_packet::parse::PrefixClassifier::new([internal]);
-                        PcapSource::new(follow, classifier)
-                            .ok()
-                            .map(|s| Box::new(s) as Box<dyn PacketSource + Send>)
-                    } else {
-                        dart_packet::trace::TraceReader::new(follow)
-                            .ok()
-                            .map(|s| Box::new(s) as Box<dyn PacketSource + Send>)
-                    }
-                };
-                // Open eagerly so a missing file fails loudly at startup
-                // instead of burning the retry budget, and tail that same
-                // handle: closing a probe and opening the path again would
-                // leave a fifo without a reader in between, which a
-                // producer sees as EPIPE.
-                let probe = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-                let first = tail(probe);
-                let path = input.to_string();
-                let reopen = Box::new(move |_attempt: u32| tail(std::fs::File::open(&path).ok()?));
-                let source = match first {
-                    Some(first) => Reconnecting::with_initial(first, reopen),
-                    // An unreadable header is an outage like any other.
-                    None => Reconnecting::new(reopen),
-                };
-                let mut source = source.with_strict_decode(strict_decode);
-                daemon.watch_source(source.counters());
-                Ok((
-                    run(daemon, &mut source)?,
-                    "follow (tail until shutdown)".to_string(),
-                ))
-            }
-            "cycle" => {
-                let (packets, _) = load_file(input, internal)?;
-                let mut source = CycleSource::new(packets);
-                if let Some(n) = passes {
-                    source = source.with_passes(n);
-                }
-                let report = run(daemon, &mut source)?;
-                let note = format!("cycle ({} passes completed)", source.passes_completed());
-                Ok((report, note))
-            }
-            _ => {
-                let mut source = open_source(input, internal)?;
-                Ok((
-                    run(daemon, source.packets())?,
-                    "once (drain and exit)".to_string(),
-                ))
-            }
-        })();
-        // Stop the signal watcher before propagating any error so a
-        // failed run never leaks the polling thread.
-        watcher_done.store(true, Ordering::Relaxed);
-        let _ = watcher.join();
-        let (report, mode_note) = outcome?;
-        let mut out = String::new();
-        writeln!(out, "listened          : http://{addr}").expect("string write");
-        writeln!(out, "mode              : {mode_note}").expect("string write");
-        writeln!(out, "packets           : {}", report.packets).expect("string write");
-        writeln!(out, "samples           : {}", report.stats.samples).expect("string write");
-        writeln!(out, "epoch rotations   : {}", report.rotations).expect("string write");
-        writeln!(out, "reloads           : {}", report.reloads).expect("string write");
-        writeln!(out, "checkpoints       : {}", report.checkpoints).expect("string write");
-        writeln!(
-            out,
-            "restored          : {}",
-            if report.restored { "yes" } else { "no" }
-        )
-        .expect("string write");
-        writeln!(
-            out,
-            "ended by          : {}",
-            if report.shutdown_requested {
-                "shutdown request"
-            } else {
-                "source drained"
-            }
-        )
-        .expect("string write");
-        writeln!(
-            out,
-            "supervisor        : {}",
-            if report.health.healthy() {
-                "healthy"
-            } else {
-                "degraded"
-            }
-        )
-        .expect("string write");
-        Ok(out)
+    let mode = opts.get("mode").unwrap_or("once");
+    if !matches!(mode, "once" | "follow" | "cycle") {
+        return Err(format!(
+            "unknown --mode {mode:?} (expected once | follow | cycle)"
+        ));
     }
+    let passes = match opts.get("passes") {
+        None => None,
+        Some(_) if mode != "cycle" => return Err("--passes needs --mode cycle".to_string()),
+        Some(_) => Some(opts.get_num("passes", 0u64)?),
+    };
+    let shards = opts.get_num("shards", 2usize)?;
+    if shards == 0 {
+        return Err("--shards must be at least 1".to_string());
+    }
+    let shards = clamp_shards(shards);
+    let rotate_millis = opts.get_num("rotate-millis", 900_000u64)?;
+    if rotate_millis == 0 {
+        return Err("--rotate-millis must be at least 1".to_string());
+    }
+    let snapshot_path = opts.get("snapshot-path").map(std::path::PathBuf::from);
+    let checkpoint_every = match opts.get("checkpoint-millis") {
+        None => None,
+        Some(_) => {
+            let ms = opts.get_num("checkpoint-millis", 0u64)?;
+            if ms == 0 {
+                return Err("--checkpoint-millis must be at least 1".to_string());
+            }
+            Some(Duration::from_millis(ms))
+        }
+    };
+    if checkpoint_every.is_some() && snapshot_path.is_none() {
+        return Err("--checkpoint-millis needs --snapshot-path".to_string());
+    }
+    let restore_from = opts.get("restore").map(std::path::PathBuf::from);
+    let strict_decode = match opts.get("strict-decode") {
+        None => false,
+        Some(_) if mode != "follow" => {
+            return Err("--strict-decode needs --mode follow \
+                 (decode tolerance only applies to live tails)"
+                .to_string())
+        }
+        Some("true") => true,
+        Some("false") => false,
+        Some(other) => {
+            return Err(format!(
+                "--strict-decode expects true | false, got {other:?}"
+            ))
+        }
+    };
+    let cfg = DaemonConfig {
+        sharded: ShardedConfig::new(engine_config(opts)?, shards),
+        block_pkts: opts.get_num("block", 1024usize)?.max(1),
+        rotate_every: Duration::from_millis(rotate_millis),
+        retain: opts.get_num("retain-secs", 10u64)?.saturating_mul(SECOND),
+        bind: opts.get("listen").unwrap_or("127.0.0.1:9464").to_string(),
+        snapshot_path,
+        checkpoint_every,
+        restore_from,
+    };
+    let internal = internal_prefix(opts)?;
+    let mut daemon = Daemon::start(cfg).map_err(|e| format!("serve startup: {e}"))?;
+    let addr = daemon.addr();
+    eprintln!(
+        "dartmon serve: observability plane on http://{addr} \
+         (POST /control/shutdown to stop)"
+    );
+    // SIGINT/SIGTERM land in the process-wide shutdown flag (the
+    // binary installs the handlers); this watcher routes each request
+    // into the daemon's control plane exactly as POST
+    // /control/shutdown would, so the drain + final checkpoint path
+    // is the same for a Ctrl-C as for an operator POST.
+    let server_stop = daemon.server().shutdown_flag();
+    let watcher_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let watcher = {
+        let done = watcher_done.clone();
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                if crate::shutdown::take() {
+                    server_stop.store(true, Ordering::Relaxed);
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        })
+    };
+    let run = |daemon: Daemon, source: &mut dyn PacketSource| {
+        daemon
+            .run(source)
+            .map_err(|e| format!("ingest {input}: {e}"))
+    };
+    type ModeOutcome = Result<(DaemonReport, String), String>;
+    let outcome: ModeOutcome = (|| match mode {
+        "follow" => {
+            // Build the tail *after* the server is up: the shared
+            // shutdown flag is what wakes a source parked at
+            // end-of-data, so a quiet fifo cannot outlive a POSTed
+            // shutdown. The whole thing is wrapped in `Reconnecting`:
+            // a producer restart or a torn record re-opens the tail
+            // under bounded backoff instead of ending a week-long run.
+            let stop = daemon.server().shutdown_flag();
+            let tail = move |file: std::fs::File| {
+                open_boxed(Follow::new(file, stop.clone()), internal).ok()
+            };
+            // Open eagerly so a missing file fails loudly at startup
+            // instead of burning the retry budget, and tail that same
+            // handle: closing a probe and opening the path again would
+            // leave a fifo without a reader in between, which a
+            // producer sees as EPIPE.
+            let probe = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
+            let first = tail(probe);
+            let path = input.to_string();
+            let reopen = Box::new(move |_attempt: u32| tail(std::fs::File::open(&path).ok()?));
+            let source = match first {
+                Some(first) => Reconnecting::with_initial(first, reopen),
+                // An unreadable header is an outage like any other.
+                None => Reconnecting::new(reopen),
+            };
+            let mut source = source.with_strict_decode(strict_decode);
+            daemon.watch_source(source.counters());
+            Ok((
+                run(daemon, &mut source)?,
+                "follow (tail until shutdown)".to_string(),
+            ))
+        }
+        "cycle" => {
+            let (packets, _) = load_file(input, internal)?;
+            let mut source = CycleSource::new(packets);
+            if let Some(n) = passes {
+                source = source.with_passes(n);
+            }
+            let report = run(daemon, &mut source)?;
+            let note = format!("cycle ({} passes completed)", source.passes_completed());
+            Ok((report, note))
+        }
+        _ => {
+            let mut source = open_source(input, internal)?;
+            Ok((
+                run(daemon, source.packets())?,
+                "once (drain and exit)".to_string(),
+            ))
+        }
+    })();
+    // Stop the signal watcher before propagating any error so a
+    // failed run never leaks the polling thread.
+    watcher_done.store(true, Ordering::Relaxed);
+    let _ = watcher.join();
+    let (report, mode_note) = outcome?;
+    let mut out = String::new();
+    writeln!(out, "listened          : http://{addr}").expect("string write");
+    writeln!(out, "mode              : {mode_note}").expect("string write");
+    writeln!(out, "packets           : {}", report.packets).expect("string write");
+    writeln!(out, "samples           : {}", report.stats.samples).expect("string write");
+    writeln!(out, "epoch rotations   : {}", report.rotations).expect("string write");
+    writeln!(out, "reloads           : {}", report.reloads).expect("string write");
+    writeln!(out, "checkpoints       : {}", report.checkpoints).expect("string write");
+    writeln!(
+        out,
+        "restored          : {}",
+        if report.restored { "yes" } else { "no" }
+    )
+    .expect("string write");
+    writeln!(
+        out,
+        "ended by          : {}",
+        if report.shutdown_requested {
+            "shutdown request"
+        } else {
+            "source drained"
+        }
+    )
+    .expect("string write");
+    writeln!(
+        out,
+        "supervisor        : {}",
+        if report.health.healthy() {
+            "healthy"
+        } else {
+            "degraded"
+        }
+    )
+    .expect("string write");
+    Ok(out)
 }
 
 /// `dartmon scenarios`: run the adversarial scenario matrix — generated
@@ -376,8 +350,6 @@ fn chaos(input: &str, opts: &Options) -> Result<String, String> {
 }
 
 /// Where the telemetry run should land, parsed from the shared flags.
-/// Validated even in feature-off builds so the flags fail loudly instead
-/// of being silently ignored.
 struct TelemetrySinks {
     jsonl: Option<String>,
     prom: Option<String>,
@@ -398,18 +370,12 @@ fn telemetry_sinks(opts: &Options) -> Result<TelemetrySinks, String> {
     if sinks.interval == 0 {
         return Err("--metrics-interval must be at least 1".to_string());
     }
-    #[cfg(not(feature = "telemetry"))]
-    if sinks.jsonl.is_some() || sinks.prom.is_some() || sinks.events.is_some() {
-        return Err("this dartmon was built without the `telemetry` feature; \
-             rebuild with default features to export metrics"
-            .to_string());
-    }
     Ok(sinks)
 }
 
 /// Cap a requested shard count at the host's parallelism: shards beyond
-/// the core count measure oversubscription, not speedup (the throughput
-/// benchmark applies the same cap). Warns on stderr when it bites.
+/// the core count measure oversubscription, not speedup. Warns on stderr
+/// when it bites.
 fn clamp_shards(requested: usize) -> usize {
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -584,17 +550,11 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     let sinks = telemetry_sinks(opts)?;
     let mut source = open_source(input, internal_prefix(opts)?)?;
 
-    #[cfg(feature = "telemetry")]
     let (metrics, events) = (MetricRegistry::new(), EventLog::new(256));
-    #[cfg(feature = "telemetry")]
     let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
-    #[cfg(not(feature = "telemetry"))]
-    let mut built = registry.build(&engine, &cfg)?;
     // `--metrics-out`: a JSONL line every `--metrics-interval` packets and
     // one more after the flush.
-    #[cfg(feature = "telemetry")]
     let mut jsonl = String::new();
-    #[cfg(feature = "telemetry")]
     let mut snapshot = |processed: u64, done: bool| {
         if sinks.jsonl.is_none() {
             return;
@@ -612,9 +572,6 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
             &[("packets", &processed.to_string())],
         );
     };
-    #[cfg(not(feature = "telemetry"))]
-    let snapshot = |_processed: u64, _done: bool| {};
-    #[cfg(feature = "telemetry")]
     events.info(
         "replay",
         "run start",
@@ -658,42 +615,38 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         csv.finish()?;
     }
     snapshot(packets, true);
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut telemetry_note = String::new();
-    #[cfg(feature = "telemetry")]
-    {
-        events.info(
-            "replay",
-            "run finish",
-            &[
-                ("packets", &packets.to_string()),
-                ("samples", &dist.len().to_string()),
-            ],
-        );
-        if let Some(path) = &sinks.jsonl {
-            std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
-            writeln!(
-                telemetry_note,
-                "metrics           : {} snapshots (every {} pkts) -> {path}",
-                jsonl.lines().count(),
-                sinks.interval
-            )
-            .expect("string write");
-        }
-        if let Some(path) = &sinks.prom {
-            std::fs::write(path, metrics.scrape().prometheus())
-                .map_err(|e| format!("write {path}: {e}"))?;
-            writeln!(telemetry_note, "prometheus        : {path}").expect("string write");
-        }
-        if let Some(path) = &sinks.events {
-            std::fs::write(path, events.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-            writeln!(
-                telemetry_note,
-                "events            : {} entries -> {path}",
-                events.len_logged()
-            )
-            .expect("string write");
-        }
+    events.info(
+        "replay",
+        "run finish",
+        &[
+            ("packets", &packets.to_string()),
+            ("samples", &dist.len().to_string()),
+        ],
+    );
+    if let Some(path) = &sinks.jsonl {
+        std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
+        writeln!(
+            telemetry_note,
+            "metrics           : {} snapshots (every {} pkts) -> {path}",
+            jsonl.lines().count(),
+            sinks.interval
+        )
+        .expect("string write");
+    }
+    if let Some(path) = &sinks.prom {
+        std::fs::write(path, metrics.scrape().prometheus())
+            .map_err(|e| format!("write {path}: {e}"))?;
+        writeln!(telemetry_note, "prometheus        : {path}").expect("string write");
+    }
+    if let Some(path) = &sinks.events {
+        std::fs::write(path, events.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
+        writeln!(
+            telemetry_note,
+            "events            : {} entries -> {path}",
+            events.len_logged()
+        )
+        .expect("string write");
     }
 
     let mut out = String::new();
@@ -734,45 +687,35 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
 /// `dartmon stats`: run one engine and print the full metric snapshot
 /// through the shared `dart-telemetry` renderer.
 fn stats_report(input: &str, opts: &Options) -> Result<String, String> {
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (input, opts);
-        Err("`dartmon stats` needs the `telemetry` feature; \
-             this binary was built with --no-default-features"
-            .to_string())
-    }
-    #[cfg(feature = "telemetry")]
-    {
-        let mut source = open_source(input, internal_prefix(opts)?)?;
-        let cfg = engine_config(opts)?;
-        let registry = EngineRegistry::standard();
-        let (engine, _) = resolve_engine(opts, &registry)?;
-        let metrics = MetricRegistry::new();
-        let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
-        let (mut packets, mut samples) = (0, 0u64);
-        drive(
-            built.monitor.as_mut(),
-            source.packets(),
-            &mut |_: RttSample| samples += 1,
-            |_, at| {
-                packets = at.packets;
-                Some(DEFAULT_BLOCK_PKTS)
-            },
-        )
-        .map_err(|e| format!("{input}: {e}"))?;
-        let mut out = String::new();
-        writeln!(
-            out,
-            "input  : {input} ({packets} packets, {} skipped)",
-            source.skipped()
-        )
-        .expect("string write");
-        writeln!(out, "engine : {}", built.monitor.describe()).expect("string write");
-        writeln!(out, "samples: {samples}").expect("string write");
-        out.push('\n');
-        out.push_str(&metrics.scrape().render_text());
-        Ok(out)
-    }
+    let mut source = open_source(input, internal_prefix(opts)?)?;
+    let cfg = engine_config(opts)?;
+    let registry = EngineRegistry::standard();
+    let (engine, _) = resolve_engine(opts, &registry)?;
+    let metrics = MetricRegistry::new();
+    let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
+    let (mut packets, mut samples) = (0, 0u64);
+    drive(
+        built.monitor.as_mut(),
+        source.packets(),
+        &mut |_: RttSample| samples += 1,
+        |_, at| {
+            packets = at.packets;
+            Some(DEFAULT_BLOCK_PKTS)
+        },
+    )
+    .map_err(|e| format!("{input}: {e}"))?;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "input  : {input} ({packets} packets, {} skipped)",
+        source.skipped()
+    )
+    .expect("string write");
+    writeln!(out, "engine : {}", built.monitor.describe()).expect("string write");
+    writeln!(out, "samples: {samples}").expect("string write");
+    out.push('\n');
+    out.push_str(&metrics.scrape().render_text());
+    Ok(out)
 }
 
 fn compare(input: &str, opts: &Options) -> Result<String, String> {
@@ -847,7 +790,6 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
         baseline_engines,
     };
     let sinks = telemetry_sinks(opts)?;
-    #[cfg(feature = "telemetry")]
     let report = {
         let metrics = MetricRegistry::new();
         let events = EventLog::new(256);
@@ -879,17 +821,6 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
             std::fs::write(path, events.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
         }
         report
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let report = {
-        let _ = &sinks;
-        match opts.get("fault-seed") {
-            None => run_diff(&cfg, &packets),
-            Some(_) => {
-                let seed = opts.get_num("fault-seed", 0u64)?;
-                run_diff_faulted(&cfg, FaultConfig::stress(seed), &packets)
-            }
-        }
     };
     let mut out = report.to_string();
     out.push('\n');
@@ -1133,7 +1064,6 @@ mod tests {
         let _ = std::fs::remove_file(&csv);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn replay_emits_periodic_snapshots_and_prometheus_validates() {
         let path = tmp("dartmon_metrics.trace");
@@ -1192,7 +1122,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn stats_prints_the_metric_table() {
         let path = tmp("dartmon_stats.trace");
@@ -1370,7 +1299,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn serve_once_drains_and_reports() {
         let path = tmp("dartmon_serve_once.trace");
@@ -1393,7 +1321,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn serve_cycle_rotates_epochs_over_a_looped_trace() {
         let path = tmp("dartmon_serve_cycle.trace");
@@ -1432,7 +1359,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn serve_rejects_bad_flags() {
         let err = run_line(&["serve", "x.trace", "--mode", "sideways"]).unwrap_err();
@@ -1441,13 +1367,6 @@ mod tests {
         assert!(err.contains("--passes needs --mode cycle"), "{err}");
         let err = run_line(&["serve", "x.trace", "--shards", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn serve_without_telemetry_points_at_the_feature() {
-        let err = run_line(&["serve", "x.trace"]).unwrap_err();
-        assert!(err.contains("telemetry"), "{err}");
     }
 
     #[test]

@@ -102,6 +102,18 @@ pub fn open_source(path: &str, internal: (Ipv4Addr, u8)) -> Result<TraceSource<F
     TraceSource::sniff(file, internal)
 }
 
+/// Open an already-open input (a live tail) by its magic, boxed for the
+/// combinators that hold a source chosen at run time.
+pub fn open_boxed<R: Read + Send + 'static>(
+    input: R,
+    internal: (Ipv4Addr, u8),
+) -> Result<Box<dyn PacketSource + Send>, String> {
+    Ok(match TraceSource::sniff(input, internal)? {
+        TraceSource::Native(trace) => Box::new(trace),
+        TraceSource::Pcap(pcap) => Box::new(pcap),
+    })
+}
+
 /// Load a whole trace from bytes. Returns the packets and the number of
 /// skipped (non-TCP) pcap records.
 pub fn load_bytes(

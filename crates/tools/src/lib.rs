@@ -10,12 +10,10 @@
 
 pub mod cli;
 pub mod commands;
-#[cfg(feature = "telemetry")]
 pub mod daemon;
 pub mod io;
 pub mod shutdown;
 
 pub use cli::{parse, Command, Options};
 pub use commands::run;
-#[cfg(feature = "telemetry")]
 pub use daemon::{Daemon, DaemonConfig, DaemonReport};

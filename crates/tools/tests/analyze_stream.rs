@@ -146,7 +146,6 @@ fn analyze_memory_does_not_scale_with_packets() {
 /// What the streamed `analyze` must reproduce: the materialised pipeline
 /// it replaced, rebuilt from `load_file`, a slice source and the same
 /// formatters.
-#[cfg(feature = "telemetry")]
 mod equivalence {
     use super::{campus_packets, field, remove, run_line, tmp};
     use dart_analytics::RttDistribution;

@@ -7,8 +7,6 @@
 //! harness in `dart-testkit`. `serve_recovery.rs` covers the same daemon
 //! from the command line down.
 
-#![cfg(feature = "telemetry")]
-
 mod common;
 
 use common::{cfg, exchanges};
@@ -167,6 +165,48 @@ fn follow_mode_shutdown_is_attributed_to_the_request() {
     client.join().expect("client");
     assert!(report.shutdown_requested, "wake-by-shutdown misattributed");
     assert_eq!(report.packets, pkts.len() as u64, "tail lost packets");
+}
+
+#[test]
+fn follow_mode_tells_pcap_by_its_magic_not_by_the_file_name() {
+    // `serve --mode follow` from the command line down: the same pcap
+    // bytes under a `.pcap` name and under a name that says nothing (a
+    // fifo called `feed`) must measure alike. This is the only test in
+    // this binary whose daemon polls the process-wide shutdown flag.
+    let pkts = exchanges(6, 20);
+    let mut pcap = Vec::new();
+    dart_sim::replay::dump_pcap(&pkts, &mut pcap).expect("pcap bytes");
+    let serve = |name: &str| {
+        let path = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        std::fs::write(&path, &pcap).expect("write capture");
+        let file = path.to_str().expect("utf-8 temp path");
+        let line = ["serve", file, "--listen", "127.0.0.1:0", "--mode", "follow"];
+        let (cmd, opts) = dart_tools::parse(&line.map(String::from)).expect("parse");
+        // The tail drains the file in a few milliseconds, then parks at
+        // end-of-data until this request ends the run.
+        let stopper = std::thread::spawn(|| {
+            std::thread::sleep(Duration::from_millis(700));
+            dart_tools::shutdown::request();
+        });
+        let report = dart_tools::run(cmd, &opts).expect("serve follow");
+        stopper.join().expect("stopper");
+        while dart_tools::shutdown::take() {}
+        let _ = std::fs::remove_file(&path);
+        let count = |field: &str| -> u64 {
+            let line = report.lines().find(|l| l.starts_with(field));
+            line.and_then(|l| l.split(':').nth(1)?.trim().parse().ok())
+                .unwrap_or_else(|| panic!("no {field} count in:\n{report}"))
+        };
+        (count("packets"), count("samples"))
+    };
+    let named = serve("dartmon_follow_sniff.pcap");
+    assert_eq!(
+        named.0,
+        pkts.len() as u64,
+        "the .pcap-named tail lost packets"
+    );
+    assert!(named.1 > 0, "the .pcap-named tail measured nothing");
+    assert_eq!(serve("dartmon_follow_sniff_feed"), named);
 }
 
 /// Sum of one metric family over its label sets in a `/metrics` body.

@@ -3,8 +3,6 @@
 //! tables, and that load must not starve the timing-sensitive tests in
 //! `daemon.rs`.
 
-#![cfg(feature = "telemetry")]
-
 mod common;
 
 use common::{cfg, exchanges};

@@ -7,8 +7,6 @@
 //! test's daemon would consume the request another test raised — so each
 //! test that starts a daemon holds [`serve_lock`] for its whole run.
 
-#![cfg(feature = "telemetry")]
-
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 

@@ -15,8 +15,7 @@
 //!
 //! The digests cover only the counters that existed before the seam, so
 //! adding *new* counters (admission/sketch accounting) cannot disturb
-//! them; the suite also runs under `--no-default-features` (it uses no
-//! telemetry hooks), which CI exercises.
+//! them.
 
 use dart::core::{DartConfig, DartEngine, EngineStats, Leg, RttSample};
 use dart::packet::{FlowKey, PacketMeta};
