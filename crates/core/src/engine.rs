@@ -9,12 +9,12 @@ use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sample::{RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
-use crate::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
 use dart_packet::flow::fnv1a_64;
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
-use dart_switch::{RecircPort, Recirculated};
+use dart_switch::{RecircPort, RecircStats, Recirculated};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
@@ -22,6 +22,10 @@ use std::collections::{HashMap, VecDeque};
 /// sharded monitor writes [`crate::sharded`]'s own tag so the two formats
 /// can never be restored into the wrong monitor shape.
 pub(crate) const SNAP_KIND_ENGINE: u8 = 1;
+
+/// Bytes one record in the recirculation loop occupies in a snapshot: the
+/// PT record (24), who displaced it (12), its re-entry time and trip count.
+const RECIRC_ENTRY_WIRE_LEN: usize = 24 + 12 + 8 + 4;
 
 /// A notable per-flow event the engine can report to the analytics module
 /// beyond RTT samples: range collapses are the §3.1 congestion indicator
@@ -240,6 +244,9 @@ pub struct DartEngine {
     stats: EngineStats,
     scratch: BatchScratch,
     telemetry: Option<EngineTelemetry>,
+    /// The recirculation port's books as of the last publication: its depth
+    /// distribution reaches the registry as the difference since.
+    recirc_synced: RecircStats,
 }
 
 impl DartEngine {
@@ -270,17 +277,18 @@ impl DartEngine {
             stats: EngineStats::default(),
             scratch: BatchScratch::default(),
             telemetry: None,
+            recirc_synced: RecircStats::default(),
             cfg,
         }
     }
 
     /// Attach metric handles: the engine publishes its counters to them at
-    /// sync points (periodically, per batch, and at flush) and observes RTT
-    /// samples and recirculation queue depth as they happen.
+    /// sync points (periodically, per batch, and at flush) — the
+    /// recirculation port's queue-depth books among them, from this moment
+    /// on — and observes RTT samples as they happen.
     pub fn attach_telemetry(&mut self, telemetry: EngineTelemetry) {
-        let (gauge, dist) = telemetry.queue_depth_handles();
-        self.recirc.set_telemetry(gauge, dist);
         self.telemetry = Some(telemetry);
+        self.recirc_synced = self.recirc.stats();
         self.sync_telemetry();
     }
 
@@ -294,9 +302,12 @@ impl DartEngine {
     /// [`SYNC_INTERVAL_PKTS`] packets and at flush; the sharded workers
     /// also call it at every batch boundary so per-shard scrapes stay
     /// fresh.
-    pub fn sync_telemetry(&self) {
+    pub fn sync_telemetry(&mut self) {
         if let Some(t) = &self.telemetry {
             t.sync_stats(&self.stats);
+            let now = self.recirc.stats();
+            t.sync_recirc(self.recirc.in_flight(), &self.recirc_synced, &now);
+            self.recirc_synced = now;
         }
     }
 
@@ -661,14 +672,7 @@ impl DartEngine {
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.config_fingerprint());
 
-        // Counters, name-tagged: a snapshot taken before a counter existed
-        // restores every field it knows about (see EngineStats::set_metric).
-        let rows = self.stats.metric_rows();
-        w.put_u32(rows.len() as u32);
-        for (name, value) in rows {
-            w.put_str(name);
-            w.put_u64(value);
-        }
+        self.stats.snapshot_into(w);
 
         match &self.rt {
             RtTable::Exact(t) => {
@@ -761,16 +765,7 @@ impl DartEngine {
             )));
         }
 
-        let mut stats = EngineStats::default();
-        let rows = r.get_u32()?;
-        for _ in 0..rows {
-            let name = r.get_str()?;
-            let value = r.get_u64()?;
-            // Unknown names are tolerated: a newer build's snapshot may
-            // carry counters this build does not have.
-            let _ = stats.set_metric(name, value);
-        }
-        self.stats = stats;
+        self.stats = EngineStats::restore_from(r)?;
 
         let rt_tag = r.get_u8()?;
         match (&mut self.rt, rt_tag) {
@@ -808,10 +803,13 @@ impl DartEngine {
             self.victim_cache.push_back(PtRecord::restore_from(r)?);
         }
 
-        let rstats = dart_switch::RecircStats {
-            accepted: r.get_u64()?,
-            refused_cap: r.get_u64()?,
+        // The depth distribution is live telemetry, not measurement state:
+        // it is not in the snapshot and restarts empty.
+        let rstats = RecircStats {
+            accepted: sane_count("recirculations accepted", r.get_u64()?)?,
+            refused_cap: sane_count("recirculations refused", r.get_u64()?)?,
             max_queue_depth: r.get_usize()?,
+            ..RecircStats::default()
         };
         let depth = r.get_usize()?;
         // Only a constrained exact PT evicts; the unlimited store and the
@@ -821,7 +819,8 @@ impl DartEngine {
                 "{depth} records in recirculation, but this engine's PT never evicts"
             )));
         }
-        let mut entries = Vec::with_capacity(depth.min(1 << 20));
+        // Room for what the payload can still hold, not for what it claims.
+        let mut entries = Vec::with_capacity(depth.min(r.remaining() / RECIRC_ENTRY_WIRE_LEN));
         for _ in 0..depth {
             let rec = PtRecord::restore_from(r)?;
             let displaced_by = PacketId::new(FlowSignature(r.get_u64()?), SeqNum(r.get_u32()?));
@@ -843,12 +842,19 @@ impl DartEngine {
             });
         }
         self.recirc.restore(entries, rstats);
+        self.recirc_synced = rstats;
 
         let copy_tag = r.get_u8()?;
         match (&mut self.rt_copy, copy_tag) {
             (None, 0) => {}
             (Some(copy), 1) => {
-                copy.sync = r.get_u64()?;
+                let sync = r.get_u64()?;
+                if sync != copy.sync {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "RT-copy sync lag {sync} ns, this engine is configured for {}",
+                        copy.sync
+                    )));
+                }
                 copy.shadow.clear();
                 let n = r.get_usize()?;
                 for _ in 0..n {

@@ -103,7 +103,7 @@ impl fmt::Display for FailureKind {
 /// One shard failure observed by the supervised runtime. Every failure —
 /// fatal or survived — is recorded in
 /// [`ShardedRun::failures`](crate::ShardedRun) in shard order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Eq)]
 pub struct ShardFailure {
     /// Which shard failed.
     pub shard: usize,
@@ -112,15 +112,31 @@ pub struct ShardFailure {
     pub at_packet: Option<u64>,
     /// What happened.
     pub kind: FailureKind,
+    /// Under [`FailurePolicy::RestartShard`], how long the shard stood
+    /// still while its replacement engine was built and wired up, in
+    /// microseconds; `None` when the failure respawned nothing.
+    pub respawn_us: Option<u64>,
+}
+
+/// The same failure is the same shard, packet and kind: how long the
+/// respawn took is a measurement of one run, and two runs of one seed must
+/// still compare equal.
+impl PartialEq for ShardFailure {
+    fn eq(&self, other: &ShardFailure) -> bool {
+        (self.shard, self.at_packet, &self.kind) == (other.shard, other.at_packet, &other.kind)
+    }
 }
 
 impl fmt::Display for ShardFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {} ", self.shard)?;
-        match self.at_packet {
-            Some(at) => write!(f, "{} at packet {at}", self.kind),
-            None => write!(f, "{}", self.kind),
+        write!(f, "shard {} {}", self.shard, self.kind)?;
+        if let Some(at) = self.at_packet {
+            write!(f, " at packet {at}")?;
         }
+        if let Some(us) = self.respawn_us {
+            write!(f, " (respawned in {us} us)")?;
+        }
+        Ok(())
     }
 }
 
@@ -201,10 +217,16 @@ mod tests {
             kind: FailureKind::Panicked {
                 message: "chaos: injected panic".into(),
             },
+            respawn_us: Some(310),
         };
         let text = failure.to_string();
         assert!(text.contains("shard 2"), "{text}");
         assert!(text.contains("packet 1042"), "{text}");
+        assert!(text.contains("respawned in 310 us"), "{text}");
+        // The respawn time is a measurement, not part of what failed.
+        let mut timed_otherwise = failure.clone();
+        timed_otherwise.respawn_us = None;
+        assert_eq!(timed_otherwise, failure);
         let err = EngineError::ShardFailed {
             failure,
             partial: Box::default(),

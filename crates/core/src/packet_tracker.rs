@@ -21,7 +21,7 @@ use crate::config::PtMode;
 use crate::range_tracker::flow_key_from_wire;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, SeqNum};
-use dart_switch::{HashUnit, RegisterArray};
+use dart_switch::{HashUnit, Packed, RegisterArray, LIVE};
 use std::collections::HashMap;
 
 /// One constrained-mode PT record.
@@ -35,6 +35,30 @@ pub struct PtRecord {
     pub ts: Nanos,
     /// Recirculation trips this record has survived.
     pub trips: u32,
+}
+
+/// Four words: signature, eACK beside the trip count, timestamp — 192 value
+/// bits with none to spare, so [`LIVE`] gets a word of its own.
+impl Packed for PtRecord {
+    type Words = [u64; 4];
+
+    fn pack(&self) -> [u64; 4] {
+        [
+            self.sig.raw(),
+            u64::from(self.eack.raw()) | u64::from(self.trips) << 32,
+            self.ts,
+            LIVE,
+        ]
+    }
+
+    fn unpack(w: &[u64; 4]) -> PtRecord {
+        PtRecord {
+            sig: FlowSignature(w[0]),
+            eack: SeqNum(w[1] as u32),
+            ts: w[2],
+            trips: (w[1] >> 32) as u32,
+        }
+    }
 }
 
 impl PtRecord {
@@ -205,7 +229,7 @@ impl PacketTracker {
         #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
         for s in entry_stage..n {
             let idx = idx_at(s);
-            match stages[s].read(idx).copied() {
+            match stages[s].read(idx) {
                 None => {
                     stages[s].write(idx, rec);
                     return PtInsert::Stored;
@@ -227,7 +251,6 @@ impl PacketTracker {
         #[allow(clippy::expect_used)]
         let occupant = stages[entry_stage]
             .read(idx0)
-            .copied()
             .expect("probed occupied just above");
         if displaced_by == Some(occupant.id()) {
             // Cycle: the incumbent is the record that displaced us. Keep
@@ -376,13 +399,9 @@ impl PacketTracker {
                     }
                     let count = r.get_usize()?;
                     stage.sweep(|_| false);
+                    let mut prev = None;
                     for _ in 0..count {
-                        let idx = r.get_usize()?;
-                        if idx >= size {
-                            return Err(SnapshotError::Corrupt(format!(
-                                "PT record index {idx} out of bounds ({size} slots)"
-                            )));
-                        }
+                        let idx = r.get_slot("PT record", size, &mut prev)?;
                         stage.load(idx, PtRecord::restore_from(r)?);
                     }
                 }
@@ -713,6 +732,46 @@ mod tests {
                 "{wrong:?} must be refused"
             );
         }
+    }
+
+    proptest::proptest! {
+        /// Every field value survives the slot's word form — the all-zero
+        /// record (`sig 0, eack 0, ts 0, trips 0` is legal) included, which
+        /// must not pack to the empty slot.
+        #[test]
+        fn record_words_round_trip(sig: u64, eack: u32, ts: u64, trips: u32) {
+            for r in [
+                PtRecord { sig: FlowSignature(sig), eack: SeqNum(eack), ts, trips },
+                PtRecord { sig: FlowSignature(0), eack: SeqNum(0), ts: 0, trips: 0 },
+                PtRecord {
+                    sig: FlowSignature(u64::MAX),
+                    eack: SeqNum(u32::MAX),
+                    ts: u64::MAX,
+                    trips: u32::MAX,
+                },
+            ] {
+                let words = r.pack();
+                proptest::prop_assert_ne!(words, [0; 4]);
+                proptest::prop_assert_eq!(PtRecord::unpack(&words), r);
+            }
+        }
+    }
+
+    /// The all-zero record in a table: stored, occupied, matched.
+    #[test]
+    fn the_all_zero_record_is_tracked() {
+        let mut pt = PacketTracker::new(PtMode::Constrained {
+            slots: 4,
+            stages: 1,
+        });
+        let zero = FlowSignature(0);
+        assert_eq!(
+            pt.insert_new(&flow(0), zero, SeqNum(0), 0),
+            PtInsert::Stored
+        );
+        assert_eq!(pt.occupancy(), 1);
+        assert_eq!(pt.match_ack(&flow(0), zero, SeqNum(0)), Some(0));
+        assert_eq!(pt.occupancy(), 0);
     }
 
     #[test]

@@ -28,6 +28,22 @@ pub struct MeasurementRange {
     pub right: SeqNum,
 }
 
+impl MeasurementRange {
+    /// Both edges as one register word, `left` in the low half — the word
+    /// every RT slot layout keeps its range in.
+    pub(crate) fn to_word(self) -> u64 {
+        u64::from(self.left.raw()) | u64::from(self.right.raw()) << 32
+    }
+
+    /// The range [`MeasurementRange::to_word`] packed.
+    pub(crate) fn from_word(w: u64) -> MeasurementRange {
+        MeasurementRange {
+            left: SeqNum(w as u32),
+            right: SeqNum((w >> 32) as u32),
+        }
+    }
+}
+
 /// What the range tracker decided about a data (SEQ) packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeqVerdict {

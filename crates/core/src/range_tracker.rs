@@ -16,7 +16,7 @@ use crate::config::RtMode;
 use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dart_packet::{FlowKey, FlowSignature, SeqNum, SignatureWidth};
-use dart_switch::{HashUnit, RegisterArray};
+use dart_switch::{HashUnit, Packed, RegisterArray, LIVE};
 use std::collections::HashMap;
 
 /// Outcome of offering a data packet to the RT.
@@ -69,11 +69,33 @@ impl RtAckOutcome {
 /// was last touched in: RT entries carry no timestamps in the data plane,
 /// so epoch rotation judges staleness by activity generations instead (an
 /// entry untouched for a full epoch is swept).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct RtEntry {
     sig: FlowSignature,
     range: MeasurementRange,
     gen: u32,
+}
+
+/// Three words, the shape `rt_salu` splits across its stages: the signature,
+/// the two range edges, and the generation with [`LIVE`] in the spare half.
+impl Packed for RtEntry {
+    type Words = [u64; 3];
+
+    fn pack(&self) -> [u64; 3] {
+        [
+            self.sig.raw(),
+            self.range.to_word(),
+            u64::from(self.gen) | LIVE,
+        ]
+    }
+
+    fn unpack(w: &[u64; 3]) -> RtEntry {
+        RtEntry {
+            sig: FlowSignature(w[0]),
+            range: MeasurementRange::from_word(w[1]),
+            gen: w[2] as u32,
+        }
+    }
 }
 
 /// Unlimited-mode record: the range plus the same activity generation.
@@ -432,13 +454,9 @@ impl RangeTracker {
                 }
                 let count = r.get_usize()?;
                 slots.sweep(|_| false);
+                let mut prev = None;
                 for _ in 0..count {
-                    let idx = r.get_usize()?;
-                    if idx >= size {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "RT entry index {idx} out of bounds ({size} slots)"
-                        )));
-                    }
+                    let idx = r.get_slot("RT entry", size, &mut prev)?;
                     let sig = FlowSignature(r.get_u64()?);
                     let left = SeqNum(r.get_u32()?);
                     let right = SeqNum(r.get_u32()?);
@@ -713,6 +731,65 @@ mod tests {
             wrong_kind.restore_from(&mut SnapReader::new(&payload)),
             Err(SnapshotError::Mismatch(_))
         ));
+    }
+
+    /// A hostile table section: an index that repeats (or steps back) is not
+    /// something `snapshot_into`'s ascending walk wrote, and with it goes any
+    /// entry count the table could not hold.
+    #[test]
+    fn restore_refuses_slot_indices_out_of_order() {
+        let mut rt = rt_small(8);
+        for (what, indices) in [("repeated", [3usize, 3]), ("descending", [5, 2])] {
+            let mut w = SnapWriter::new();
+            w.put_u32(0); // epoch
+            w.put_u8(1); // constrained
+            w.put_usize(8);
+            w.put_usize(indices.len());
+            for idx in indices {
+                w.put_usize(idx);
+                w.put_u64(7);
+                w.put_u32(0);
+                w.put_u32(100);
+                w.put_u32(0);
+            }
+            let payload = w.into_payload();
+            assert!(
+                matches!(
+                    rt.restore_from(&mut SnapReader::new(&payload)),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{what} indices must be refused"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Every field value survives the slot's word form — the all-zero
+        /// entry included, which must not pack to the empty slot.
+        #[test]
+        fn entry_words_round_trip(sig: u64, left: u32, right: u32, gen: u32) {
+            for e in [
+                RtEntry {
+                    sig: FlowSignature(sig),
+                    range: MeasurementRange { left: SeqNum(left), right: SeqNum(right) },
+                    gen,
+                },
+                RtEntry {
+                    sig: FlowSignature(0),
+                    range: MeasurementRange { left: SeqNum(0), right: SeqNum(0) },
+                    gen: 0,
+                },
+                RtEntry {
+                    sig: FlowSignature(u64::MAX),
+                    range: MeasurementRange { left: SeqNum(u32::MAX), right: SeqNum(u32::MAX) },
+                    gen: u32::MAX,
+                },
+            ] {
+                let words = e.pack();
+                proptest::prop_assert_ne!(words, [0; 3]);
+                proptest::prop_assert_eq!(RtEntry::unpack(&words), e);
+            }
+        }
     }
 
     #[test]

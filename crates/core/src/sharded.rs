@@ -76,7 +76,7 @@ use crate::engine::{DartEngine, EngineEvent};
 use crate::error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 use crate::monitor::{EpochRotation, RttMonitor};
 use crate::sample::{RttSample, SampleSink};
-use crate::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::EngineTelemetry;
 use dart_packet::{FlowKey, Nanos, PacketMeta};
@@ -143,7 +143,13 @@ pub struct ShardedConfig {
     pub batch_size: usize,
     /// Hand-off ring capacity, in blocks, per shard. Bounds feeder
     /// run-ahead so memory stays proportional to
-    /// `shards × queue_depth × batch_size`.
+    /// `shards × queue_depth × batch_size`. The default, 16, is the
+    /// worker's runway while the feeder is being woken: the feeder sleeps
+    /// on a full ring until it is half empty, and at 8 the four blocks
+    /// left (~135 µs of engine time) were less than the wake-up chain
+    /// pipe writer → feeder → worker takes on a two-core VM, so the ring
+    /// kept running dry and `live-fifo` runs fell into one of two rates
+    /// (EXPERIMENTS.md, "Cold tables", ring depth).
     pub queue_depth: usize,
     /// Failure handling: policy, watchdog timeout, restart budget.
     pub supervisor: SupervisorConfig,
@@ -162,7 +168,7 @@ impl ShardedConfig {
             engine,
             shards,
             batch_size: 1024,
-            queue_depth: 8,
+            queue_depth: 16,
             supervisor: SupervisorConfig::default(),
             keep_samples: true,
         }
@@ -340,9 +346,9 @@ enum ShardMsg {
     Block(Block),
     /// Rotate the engine's epoch (see [`DartEngine::rotate_epoch`]).
     Rotate(Nanos),
-    /// Serialize the live engine's state section and reply with the raw
-    /// payload bytes.
-    Checkpoint(MpscSender<Result<Vec<u8>, SnapshotError>>),
+    /// Serialize the live engine's state section into the buffer sent
+    /// along (the last checkpoint's, emptied) and reply with it.
+    Checkpoint(MpscSender<Result<Vec<u8>, SnapshotError>>, Vec<u8>),
     /// Replace the live engine's state with a serialized section produced
     /// by [`ShardMsg::Checkpoint`] and acknowledge over the channel.
     Restore(Vec<u8>, MpscSender<Result<(), SnapshotError>>),
@@ -492,31 +498,6 @@ impl Ring {
 /// monitor kind fails loudly instead of misparsing.
 pub(crate) const SNAP_KIND_SHARDED: u8 = 2;
 
-/// Serialize one name-tagged counter block — the same forward-compatible
-/// shape the engine section uses for its stats.
-fn put_stats(w: &mut SnapWriter, stats: &EngineStats) {
-    let rows = stats.metric_rows();
-    w.put_u32(rows.len() as u32);
-    for (name, value) in rows {
-        w.put_str(name);
-        w.put_u64(value);
-    }
-}
-
-/// Read a counter block written by [`put_stats`]. Unknown counter names
-/// are tolerated (a newer writer may track counters this build does not);
-/// counters absent from the block keep their zero default.
-fn read_stats(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
-    let mut stats = EngineStats::default();
-    let rows = r.get_u32()?;
-    for _ in 0..rows {
-        let name = r.get_str()?;
-        let value = r.get_u64()?;
-        let _ = stats.set_metric(name, value);
-    }
-    Ok(stats)
-}
-
 /// Serialize one buffered `(global index, sample)` pair. Samples a worker
 /// holds for the flush-time merge would otherwise be lost across a crash,
 /// so they travel in the shard's checkpoint section.
@@ -653,6 +634,7 @@ fn panicked(
         kind: FailureKind::Panicked {
             message: panic_message(payload),
         },
+        respawn_us: None,
     }
 }
 
@@ -712,6 +694,16 @@ pub struct ShardedMonitor {
     /// under `FailFast`.
     fatal_failure: Option<ShardFailure>,
     sup_stalls: Option<Counter>,
+    /// Checkpoint buffers, kept from one checkpoint to the next: each
+    /// shard's section travels to its worker inside the `Checkpoint`
+    /// message and comes back filled, and the frame returns through
+    /// [`ShardedMonitor::reclaim`]. Megabyte buffers allocated and freed
+    /// once a second walk glibc's mmap threshold up until they are carved
+    /// from the heap, where what they leave behind stays resident — the
+    /// daemon's peak RSS then depended on whether a snapshot had crossed
+    /// 4 MiB yet.
+    section_bufs: Vec<Vec<u8>>,
+    frame_buf: Vec<u8>,
 }
 
 impl ShardedMonitor {
@@ -837,6 +829,8 @@ impl ShardedMonitor {
             done: None,
             fatal_failure: None,
             sup_stalls,
+            section_bufs: vec![Vec::new(); cfg.shards],
+            frame_buf: Vec::new(),
         }
     }
 
@@ -1012,7 +1006,8 @@ impl ShardedMonitor {
             }
             self.dispatch(shard);
             let (reply_tx, reply_rx) = channel();
-            self.send_msg(shard, ShardMsg::Checkpoint(reply_tx));
+            let buf = std::mem::take(&mut self.section_bufs[shard]);
+            self.send_msg(shard, ShardMsg::Checkpoint(reply_tx, buf));
             pending.push(Some(reply_rx));
         }
         // The watchdog allows `stall_timeout` per hand-off and at most
@@ -1032,7 +1027,7 @@ impl ShardedMonitor {
         }
         // Framed in place: the shard state is copied exactly once on its
         // way from the workers to the snapshot.
-        let mut w = SnapWriter::framed();
+        let mut w = SnapWriter::framed_in(std::mem::take(&mut self.frame_buf));
         w.put_u8(SNAP_KIND_SHARDED);
         w.put_usize(self.cfg.shards);
         w.put_u64(self.fed);
@@ -1050,23 +1045,29 @@ impl ShardedMonitor {
                 snap_sent[shard] = 0;
             }
         }
-        put_stats(&mut w, &snap_extra);
+        snap_extra.snapshot_into(&mut w);
         // Per shard: `sent`, the presence flag, the section length.
         let section_bytes: usize = sections.iter().flatten().map(Vec::len).sum();
         w.reserve(section_bytes + self.cfg.shards * (8 + 1 + 8));
-        for (sent, section) in snap_sent.iter().zip(sections) {
-            w.put_u64(*sent);
-            // Each section is freed as soon as it has been appended.
+        for (shard, section) in sections.into_iter().enumerate() {
+            w.put_u64(snap_sent[shard]);
             match section {
                 Some(bytes) => {
                     w.put_u8(1);
                     w.put_usize(bytes.len());
                     w.put_bytes(&bytes);
+                    self.section_bufs[shard] = bytes;
                 }
                 None => w.put_u8(0),
             }
         }
         Ok(w.into_snapshot())
+    }
+
+    /// Hand a written-out [`ShardedMonitor::checkpoint`] back, so that the
+    /// next one is framed in the same buffer.
+    pub fn reclaim(&mut self, snap: Snapshot) {
+        self.frame_buf = snap.into_bytes();
     }
 
     /// Restore a [`ShardedMonitor::checkpoint`] into this (freshly
@@ -1102,12 +1103,12 @@ impl ShardedMonitor {
                 self.cfg.shards
             )));
         }
-        let fed = r.get_u64()?;
-        let extra = read_stats(&mut r)?;
+        let fed = sane_count("fed", r.get_u64()?)?;
+        let extra = EngineStats::restore_from(&mut r)?;
         let mut sent = vec![0u64; shards];
         let budget = self.cfg.supervisor.stall_timeout * (self.cfg.queue_depth as u32 + 1);
         for (shard, slot) in sent.iter_mut().enumerate() {
-            *slot = r.get_u64()?;
+            *slot = sane_count("sent", r.get_u64()?)?;
             if r.get_u8()? == 0 {
                 continue; // written off at checkpoint time: starts fresh
             }
@@ -1170,6 +1171,7 @@ impl ShardedMonitor {
             shard,
             at_packet,
             kind: FailureKind::Stalled { waited },
+            respawn_us: None,
         });
         self.abandoned[shard] = true;
         self.rings[shard] = None;
@@ -1449,7 +1451,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                 }
                 continue;
             }
-            ShardMsg::Checkpoint(reply) => {
+            ShardMsg::Checkpoint(reply, buf) => {
                 let res = if stopped {
                     Err(SnapshotError::Unsupported(format!(
                         "shard {shard} is shedding and holds no restorable state"
@@ -1459,10 +1461,10 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                     // (there is no known path) would still leave the engine
                     // intact, but treat it like a failed rotation anyway.
                     catch_unwind(AssertUnwindSafe(|| {
-                        let mut w = SnapWriter::new();
+                        let mut w = SnapWriter::reusing(buf);
                         w.put_u32(restarts);
-                        put_stats(&mut w, &retired);
-                        put_stats(&mut w, &extra);
+                        retired.snapshot_into(&mut w);
+                        extra.snapshot_into(&mut w);
                         // Flush-time buffers: without them every sample
                         // produced since the run began would vanish in a
                         // crash even with a fresh checkpoint.
@@ -1498,8 +1500,8 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                     let mut r = SnapReader::new(&bytes);
                     (|| {
                         let snap_restarts = r.get_u32()?;
-                        let snap_retired = read_stats(&mut r)?;
-                        let snap_extra = read_stats(&mut r)?;
+                        let snap_retired = EngineStats::restore_from(&mut r)?;
+                        let snap_extra = EngineStats::restore_from(&mut r)?;
                         let n = r.get_usize()?;
                         let mut snap_samples = Vec::with_capacity(n.min(4096));
                         for _ in 0..n {
@@ -1576,12 +1578,13 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                 // monitor_miss` covers the block exactly.
                 let processed = engine.stats().packets - before;
                 extra.monitor_miss += block.len() as u64 - processed;
-                failures.push(panicked(shard, Some(block.idx[k]), payload));
+                let mut failure = panicked(shard, Some(block.idx[k]), payload);
                 if ctx.sup.policy == FailurePolicy::RestartShard && restarts < ctx.sup.max_restarts
                 {
                     // Respawn: fresh RT/PT state. The discarded engine's
                     // counters stay (they describe real processing); its
                     // live flows can no longer close.
+                    let respawn = Instant::now();
                     restarts += 1;
                     extra.shard_restarts += 1;
                     extra.flows_lost += engine.rt_occupancy() as u64;
@@ -1596,10 +1599,12 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                         engine.attach_telemetry(tel.with_base(base));
                     }
                     install_sink(&mut engine);
+                    failure.respawn_us = Some(respawn.elapsed().as_micros() as u64);
                 } else {
                     ctx.stop_measuring();
                     shedding = true;
                 }
+                failures.push(failure);
             }
         }
         // The batch pipeline has already published the engine's counters
@@ -1645,6 +1650,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
                 shard,
                 at_packet: None,
                 kind: FailureKind::SinkLeaked,
+                respawn_us: None,
             });
             std::mem::take(&mut *shared.borrow_mut())
         }
@@ -2097,6 +2103,7 @@ mod tests {
         assert_eq!(run.stats.shard_restarts, 1);
         assert!(run.failures.len() == 1, "{:?}", run.failures);
         assert_eq!(run.failures[0].at_packet, Some(target));
+        assert!(run.failures[0].respawn_us.is_some(), "the respawn is timed");
         // Only the failed batch's tail is missed; everything else measured.
         assert_eq!(
             run.stats.packets + run.stats.monitor_miss,
@@ -2119,6 +2126,7 @@ mod tests {
             .try_into_run()
             .expect("shed policy degrades, not errors");
         assert_eq!(run.stats.shard_restarts, 0);
+        assert!(run.failures.iter().all(|f| f.respawn_us.is_none()));
         assert!(!run.healthy());
         assert_eq!(
             run.stats.packets + run.stats.monitor_miss,
@@ -2404,6 +2412,33 @@ mod tests {
             pkts.len() as u64
         );
         assert!(run.healthy());
+    }
+
+    #[test]
+    fn checkpoint_buffers_are_reused_without_changing_the_bytes() {
+        let pkts = trace(30, 6);
+        let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(7);
+        let mut m = ShardedMonitor::new(cfg);
+        for p in &pkts[..pkts.len() / 2] {
+            m.feed(p);
+        }
+        let first = m.checkpoint().expect("checkpoint");
+        let bytes = first.as_bytes().to_vec();
+        let frame_at = first.as_bytes().as_ptr() as usize;
+        m.reclaim(first);
+        // Nothing fed in between: the same cut, written over the first.
+        let again = m.checkpoint().expect("checkpoint");
+        assert_eq!(again.as_bytes(), bytes.as_slice());
+        assert_eq!(again.as_bytes().as_ptr() as usize, frame_at);
+        // A longer state after a shorter one leaves nothing of it behind.
+        for p in &pkts[pkts.len() / 2..] {
+            m.feed(p);
+        }
+        m.reclaim(again);
+        let later = m.checkpoint().expect("checkpoint");
+        let mut b = ShardedMonitor::new(cfg);
+        b.restore(&later).expect("restore");
+        assert_eq!(b.into_run().stats, replay(cfg, &pkts).stats);
     }
 
     #[test]

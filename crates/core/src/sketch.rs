@@ -30,7 +30,7 @@ use crate::range::MeasurementRange;
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, SeqNum, SignatureWidth};
-use dart_switch::{HashUnit, RegisterArray};
+use dart_switch::{HashUnit, Packed, RegisterArray, LIVE};
 
 /// Deterministic 64-bit finalizer (splitmix64): the admission coin flip
 /// and fingerprint whitening.
@@ -338,11 +338,30 @@ impl AdmissionGate {
 // ---------------------------------------------------------------------------
 
 /// One sketch-RT entry: the exact entry plus a recency stamp.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SketchRtEntry {
     sig: FlowSignature,
     range: MeasurementRange,
     last: Nanos,
+}
+
+/// Four words: the exact entry's first two, then the 64-bit recency stamp
+/// where the exact entry keeps a 32-bit generation — which leaves no spare
+/// bit, so [`LIVE`] gets a word of its own and the entry stays 32 bytes.
+impl Packed for SketchRtEntry {
+    type Words = [u64; 4];
+
+    fn pack(&self) -> [u64; 4] {
+        [self.sig.raw(), self.range.to_word(), self.last, LIVE]
+    }
+
+    fn unpack(w: &[u64; 4]) -> SketchRtEntry {
+        SketchRtEntry {
+            sig: FlowSignature(w[0]),
+            range: MeasurementRange::from_word(w[1]),
+            last: w[2],
+        }
+    }
 }
 
 /// A set-associative Range Tracker with recency eviction: `ways`
@@ -617,13 +636,9 @@ impl SketchRangeTracker {
         for way in &mut self.ways {
             let count = r.get_usize()?;
             way.sweep(|_| false);
+            let mut prev = None;
             for _ in 0..count {
-                let idx = r.get_usize()?;
-                if idx >= way_size {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "sketch RT entry index {idx} out of bounds ({way_size} slots)"
-                    )));
-                }
+                let idx = r.get_slot("sketch RT entry", way_size, &mut prev)?;
                 let sig = FlowSignature(r.get_u64()?);
                 let left = SeqNum(r.get_u32()?);
                 let right = SeqNum(r.get_u32()?);
@@ -650,10 +665,27 @@ impl SketchRangeTracker {
 /// timestamp — 80 bits against the exact record's 112 (32-bit signature +
 /// 32-bit eACK + 48-bit timestamp), a 1.4× density win before any
 /// behavioural difference.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SketchPtCell {
     fp: u32,
     ts: Nanos,
+}
+
+/// Two words: the timestamp, and the fingerprint with [`LIVE`] in the spare
+/// half.
+impl Packed for SketchPtCell {
+    type Words = [u64; 2];
+
+    fn pack(&self) -> [u64; 2] {
+        [self.ts, u64::from(self.fp) | LIVE]
+    }
+
+    fn unpack(w: &[u64; 2]) -> SketchPtCell {
+        SketchPtCell {
+            fp: w[1] as u32,
+            ts: w[0],
+        }
+    }
 }
 
 /// A compact fingerprint Packet Tracker: `ways` independently hashed ways
@@ -721,7 +753,7 @@ impl SketchPacketTracker {
         let mut oldest: Option<(Nanos, usize, usize)> = None;
         for w in 0..self.ways.len() {
             let i = self.hashers[w].index(&Self::key_bytes(&id), self.way_size);
-            match self.ways[w].read(i).copied() {
+            match self.ways[w].read(i) {
                 None => {
                     self.ways[w].write(i, fresh);
                     return PtInsert::Stored;
@@ -823,13 +855,9 @@ impl SketchPacketTracker {
         for way in &mut self.ways {
             let count = r.get_usize()?;
             way.sweep(|_| false);
+            let mut prev = None;
             for _ in 0..count {
-                let idx = r.get_usize()?;
-                if idx >= way_size {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "sketch PT cell index {idx} out of bounds ({way_size} cells)"
-                    )));
-                }
+                let idx = r.get_slot("sketch PT cell", way_size, &mut prev)?;
                 let fp = r.get_u32()?;
                 let ts = r.get_u64()?;
                 way.load(idx, SketchPtCell { fp, ts });
@@ -1166,6 +1194,31 @@ mod tests {
             wrong_seed.restore_from(&mut SnapReader::new(&payload)),
             Err(SnapshotError::Mismatch(_))
         ));
+    }
+
+    proptest::proptest! {
+        /// Every field value of both sketch records survives the slot's word
+        /// form — the all-zero ones included, which must not pack to the
+        /// empty slot.
+        #[test]
+        fn sketch_words_round_trip(sig: u64, left: u32, right: u32, last: u64, fp: u32) {
+            for (sig, left, right, last, fp) in [
+                (sig, left, right, last, fp),
+                (0, 0, 0, 0, 0),
+                (u64::MAX, u32::MAX, u32::MAX, u64::MAX, u32::MAX),
+            ] {
+                let e = SketchRtEntry {
+                    sig: FlowSignature(sig),
+                    range: MeasurementRange { left: SeqNum(left), right: SeqNum(right) },
+                    last,
+                };
+                proptest::prop_assert_ne!(e.pack(), [0; 4]);
+                proptest::prop_assert_eq!(SketchRtEntry::unpack(&e.pack()), e);
+                let c = SketchPtCell { fp, ts: last };
+                proptest::prop_assert_ne!(c.pack(), [0; 2]);
+                proptest::prop_assert_eq!(SketchPtCell::unpack(&c.pack()), c);
+            }
+        }
     }
 
     #[test]

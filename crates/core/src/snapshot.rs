@@ -88,6 +88,19 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+/// Counters are incremented for as long as the engine runs, so a restored
+/// one must leave room to count in: 2^60 is centuries of packets at line
+/// rate, and anything above it is refused as hostile rather than left to
+/// overflow on some later packet.
+pub(crate) fn sane_count(what: &str, value: u64) -> Result<u64, SnapshotError> {
+    if value > 1 << 60 {
+        return Err(SnapshotError::Corrupt(format!(
+            "counter `{what}` reads {value}, beyond anything a run can count to"
+        )));
+    }
+    Ok(value)
+}
+
 /// Bytes of frame ahead of the payload: magic, version, payload length.
 const FRAME_HEADER_LEN: usize = 16;
 /// Bytes of frame behind the payload: its fnv1a-64 checksum.
@@ -115,6 +128,24 @@ impl SnapWriter {
     pub fn framed() -> SnapWriter {
         SnapWriter {
             buf: vec![0; FRAME_HEADER_LEN],
+            reserved: FRAME_HEADER_LEN,
+        }
+    }
+
+    /// [`SnapWriter::new`] over the allocation of `buf`, whose contents
+    /// are discarded.
+    pub fn reusing(mut buf: Vec<u8>) -> SnapWriter {
+        buf.clear();
+        SnapWriter { buf, reserved: 0 }
+    }
+
+    /// [`SnapWriter::framed`] over the allocation of `buf`, whose contents
+    /// are discarded.
+    pub fn framed_in(mut buf: Vec<u8>) -> SnapWriter {
+        buf.clear();
+        buf.resize(FRAME_HEADER_LEN, 0);
+        SnapWriter {
+            buf,
             reserved: FRAME_HEADER_LEN,
         }
     }
@@ -266,6 +297,27 @@ impl<'a> SnapReader<'a> {
         let v = self.get_u64()?;
         usize::try_from(v)
             .map_err(|_| SnapshotError::Corrupt(format!("snapshot count {v} exceeds usize")))
+    }
+
+    /// Read the next slot index of a `what` table section: inside the
+    /// table's `size` slots and above `prev`, the index before it. Writers
+    /// walk a table in ascending slot order, so an index that repeats or
+    /// steps back — and with it any count the table cannot hold — is no
+    /// checkpoint of ours.
+    pub(crate) fn get_slot(
+        &mut self,
+        what: &str,
+        size: usize,
+        prev: &mut Option<usize>,
+    ) -> Result<usize, SnapshotError> {
+        let idx = self.get_usize()?;
+        if idx >= size || prev.is_some_and(|p| idx <= p) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{what} index {idx} is outside the {size} slots or does not follow {prev:?}"
+            )));
+        }
+        *prev = Some(idx);
+        Ok(idx)
     }
 
     /// Read `n` raw bytes.
@@ -486,6 +538,20 @@ mod tests {
             let old = Snapshot::from_bytes(frame_by_hand(&payload)).unwrap();
             assert_eq!(old, in_place);
         }
+    }
+
+    #[test]
+    fn a_reused_buffer_writes_what_a_fresh_one_does() {
+        let payload = sample_payload();
+        let dirty = || vec![0xEE; 3 * payload.len()];
+        let mut framed = SnapWriter::framed_in(dirty());
+        framed.put_bytes(&payload);
+        assert_eq!(framed.len(), payload.len());
+        assert_eq!(framed.into_snapshot().as_bytes(), frame_by_hand(&payload));
+        let mut bare = SnapWriter::reusing(dirty());
+        assert!(bare.is_empty());
+        bare.put_bytes(&payload);
+        assert_eq!(bare.into_payload(), payload);
     }
 
     #[test]

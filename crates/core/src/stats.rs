@@ -1,5 +1,7 @@
 //! Engine counters: everything the evaluation metrics are computed from.
 
+use crate::snapshot::{sane_count, SnapReader, SnapWriter, SnapshotError};
+
 /// Counters accumulated by a [`crate::engine::DartEngine`] over a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -151,6 +153,34 @@ macro_rules! merge_counters {
             }
         }
     };
+}
+
+impl EngineStats {
+    /// Serialize the counters as a name-tagged block — the forward-compatible
+    /// shape every snapshot section uses for its books.
+    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+        let rows = self.metric_rows();
+        w.put_u32(rows.len() as u32);
+        for (name, value) in rows {
+            w.put_str(name);
+            w.put_u64(value);
+        }
+    }
+
+    /// Read a block written by [`EngineStats::snapshot_into`]. Unknown names
+    /// are tolerated (a newer writer may track counters this build does
+    /// not), absent ones keep their zero default, and a value no run can
+    /// count to is refused (see [`sane_count`]).
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
+        let mut stats = EngineStats::default();
+        let rows = r.get_u32()?;
+        for _ in 0..rows {
+            let name = r.get_str()?;
+            let value = sane_count(name, r.get_u64()?)?;
+            let _ = stats.set_metric(name, value);
+        }
+        Ok(stats)
+    }
 }
 
 merge_counters!(

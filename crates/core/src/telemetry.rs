@@ -52,6 +52,7 @@
 use crate::monitor::{EpochRotation, RttMonitor, Stage};
 use crate::sample::{RttSample, SampleSink};
 use crate::stats::EngineStats;
+use dart_switch::RecircStats;
 use dart_telemetry::{Counter, Gauge, Histogram, MetricRegistry};
 
 /// How many packets between periodic counter publications on the serial
@@ -183,10 +184,17 @@ impl EngineTelemetry {
         self.rot_pause_ns.observe(pause_ns);
     }
 
-    /// The handles the recirculation port updates live (depth gauge and the
-    /// at-submission depth histogram).
-    pub(crate) fn queue_depth_handles(&self) -> (Gauge, Histogram) {
-        (self.queue_depth.clone(), self.queue_depth_records.clone())
+    /// Publish the recirculation port's depth books: the gauge shows the
+    /// records `in_flight` now, the histogram gains the submissions the
+    /// port has counted between `since` and `now`.
+    pub(crate) fn sync_recirc(&self, in_flight: usize, since: &RecircStats, now: &RecircStats) {
+        self.queue_depth.set(in_flight as i64);
+        let mut fresh = now.depth_log2;
+        for (n, before) in fresh.iter_mut().zip(since.depth_log2) {
+            *n -= before;
+        }
+        self.queue_depth_records
+            .add_counts(&fresh, now.depth_sum - since.depth_sum);
     }
 }
 
@@ -476,6 +484,8 @@ mod tests {
             );
         }
         let gauge = registry.gauge("dart_recirc_queue_depth", &[("shard", "0")], "");
+        assert_eq!(gauge.get(), 0, "the port publishes nothing per operation");
+        engine.sync_telemetry();
         assert_eq!(gauge.get(), 1, "one record in flight after the eviction");
         engine.flush();
         assert_eq!(gauge.get(), 0, "flush drains the loop");

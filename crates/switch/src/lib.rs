@@ -28,7 +28,7 @@ pub use hash::{crc32, HashUnit};
 pub use placement::{dart_dependencies, place, Dependency, Placement, PlacementError, StageLimits};
 pub use profile::TargetProfile;
 pub use program::{dart_program, DartProgramParams, ProgramSpec, TableKind, TableSpec};
-pub use recirc::{RecircPort, RecircStats, Recirculated};
-pub use register::RegisterArray;
+pub use recirc::{RecircPort, RecircStats, Recirculated, DEPTH_BUCKETS};
+pub use register::{Packed, RegisterArray, LIVE};
 pub use resources::{estimate, ResourceReport};
 pub use salu::{Cmp, Condition, Guard, Operand, OutputSel, SaluProgram, SaluResult, Update};

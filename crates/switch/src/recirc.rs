@@ -9,8 +9,6 @@
 
 use std::collections::VecDeque;
 
-use dart_telemetry::{Gauge, Histogram};
-
 /// A record traveling through the recirculation port.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Recirculated<T> {
@@ -30,7 +28,19 @@ pub struct RecircStats {
     pub refused_cap: u64,
     /// High-water mark of the queue depth.
     pub max_queue_depth: usize,
+    /// The queue depth each accepted submission left behind, as a log2
+    /// distribution: bucket `i` counts depths of bit length `i` (`2^(i-1) ≤
+    /// depth < 2^i`), the last bucket everything deeper. Whoever publishes
+    /// metrics reads it at its own sync points; the port touches no shared
+    /// state per operation.
+    pub depth_log2: [u64; DEPTH_BUCKETS],
+    /// Sum of those depths.
+    pub depth_sum: u64,
 }
+
+/// Buckets in [`RecircStats::depth_log2`]: depths up to 2^14 resolved, and
+/// the loop is drained every packet.
+pub const DEPTH_BUCKETS: usize = 16;
 
 /// The recirculation port model.
 #[derive(Debug)]
@@ -38,9 +48,6 @@ pub struct RecircPort<T> {
     queue: VecDeque<Recirculated<T>>,
     max_trips: u32,
     stats: RecircStats,
-    /// Live queue-depth gauge plus at-submission depth histogram, when
-    /// attached.
-    telemetry: Option<(Gauge, Histogram)>,
 }
 
 impl<T> RecircPort<T> {
@@ -51,25 +58,6 @@ impl<T> RecircPort<T> {
             queue: VecDeque::new(),
             max_trips,
             stats: RecircStats::default(),
-            telemetry: None,
-        }
-    }
-
-    /// Attach a live queue-depth gauge and an at-submission depth
-    /// histogram. The gauge tracks [`RecircPort::in_flight`] exactly (set
-    /// on every submit and pop); the histogram records the depth each
-    /// accepted submission found.
-    pub fn set_telemetry(&mut self, depth: Gauge, depth_dist: Histogram) {
-        depth.set(self.queue.len() as i64);
-        self.telemetry = Some((depth, depth_dist));
-    }
-
-    fn publish_depth(&self, observe: bool) {
-        if let Some((gauge, dist)) = &self.telemetry {
-            gauge.set(self.queue.len() as i64);
-            if observe {
-                dist.observe(self.queue.len() as u64);
-            }
         }
     }
 
@@ -93,18 +81,17 @@ impl<T> RecircPort<T> {
             trips: prior_trips + 1,
         });
         self.stats.accepted += 1;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-        self.publish_depth(true);
+        let depth = self.queue.len();
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth);
+        let bucket = (usize::BITS - depth.leading_zeros()) as usize;
+        self.stats.depth_log2[bucket.min(DEPTH_BUCKETS - 1)] += 1;
+        self.stats.depth_sum += depth as u64;
         Ok(())
     }
 
     /// Take the next record re-entering the ingress pipeline, if any.
     pub fn pop(&mut self) -> Option<Recirculated<T>> {
-        let popped = self.queue.pop_front();
-        if popped.is_some() {
-            self.publish_depth(false);
-        }
-        popped
+        self.queue.pop_front()
     }
 
     /// Inspect the next record without removing it.
@@ -135,7 +122,6 @@ impl<T> RecircPort<T> {
     pub fn restore(&mut self, entries: Vec<Recirculated<T>>, stats: RecircStats) {
         self.queue = entries.into();
         self.stats = stats;
-        self.publish_depth(false);
     }
 }
 
@@ -178,23 +164,24 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tracks_live_depth() {
+    fn depth_statistics_are_kept_per_submission() {
         let mut port: RecircPort<u8> = RecircPort::new(10);
-        let gauge = dart_telemetry::Gauge::new();
-        let dist = dart_telemetry::Histogram::new();
-        port.submit(1, 0).unwrap();
-        port.set_telemetry(gauge.clone(), dist.clone());
-        assert_eq!(gauge.get(), 1, "attach publishes the current depth");
-        port.submit(2, 0).unwrap();
-        port.submit(3, 0).unwrap();
-        assert_eq!(gauge.get(), 3);
-        assert_eq!(dist.count(), 2, "only post-attach submissions observed");
+        for i in 0..5 {
+            port.submit(i, 0).unwrap(); // leaves depths 1, 2, 3, 4, 5
+        }
         port.pop();
-        assert_eq!(gauge.get(), 2);
-        // A cap refusal leaves the depth untouched.
-        let _ = port.submit(4, 10);
-        assert_eq!(gauge.get(), 2);
-        assert_eq!(dist.count(), 2);
+        // A cap refusal is no submission: the books stay as they are.
+        let _ = port.submit(9, 10);
+        let stats = port.stats();
+        assert_eq!(stats.depth_log2[..4], [0, 1, 2, 2]);
+        assert_eq!(stats.depth_log2.iter().sum::<u64>(), stats.accepted);
+        assert_eq!(stats.depth_sum, 15);
+        // Depths past the resolved range land in the last bucket.
+        let mut deep: RecircPort<u32> = RecircPort::new(1);
+        for i in 0..(1 << 14) + 3 {
+            deep.submit(i, 0).unwrap();
+        }
+        assert_eq!(deep.stats().depth_log2[DEPTH_BUCKETS - 1], 4);
     }
 
     #[test]

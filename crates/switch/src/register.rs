@@ -11,29 +11,115 @@
 
 use std::fmt;
 
-/// A fixed-size register array holding `T` per slot.
-pub struct RegisterArray<T> {
-    name: &'static str,
-    slots: Vec<Option<T>>,
-    /// One bit per slot, set iff the slot is occupied. Control-plane walks
-    /// (checkpoint serialization, epoch sweeps) scan this instead of the
-    /// slot vector, so their cost scales with occupancy — a sparse 2^20
-    /// table walk touches 16 KiB of words, not tens of megabytes of slots.
+/// The bit [`Packed::pack`] sets in the last word of every record it
+/// writes, so that no record — not even one whose fields are all zero — packs
+/// to the all-zero words that mean "empty slot".
+pub const LIVE: u64 = 1 << 63;
+
+/// A record that lives in a register slot as fixed-width integer words, the
+/// way a Tofino register does (and the way `rt_salu`/`pt_salu` in
+/// `dart-core` model it): `Words` is `[u64; N]`, the slot array is a plain
+/// `Vec<[u64; N]>`, and an all-zero slot is an empty one.
+pub trait Packed: Copy {
+    /// The word form, `[u64; N]`.
+    type Words: Copy + Default + AsRef<[u64]>;
+
+    /// The record as words. Must set [`LIVE`] in a bit no field uses (a
+    /// record with no spare bit takes one more word rather than giving up a
+    /// value bit), so the result is never all zero.
+    fn pack(&self) -> Self::Words;
+
+    /// The record `words` were packed from.
+    fn unpack(words: &Self::Words) -> Self;
+}
+
+/// Is this slot occupied? Decided in the slot itself: OR of its words.
+#[inline]
+fn live<W: AsRef<[u64]>>(words: &W) -> bool {
+    words.as_ref().iter().fold(0, |acc, w| acc | w) != 0
+}
+
+/// The record in `slot`, if it holds one.
+#[inline]
+fn get<Rec: Packed>(slot: &Rec::Words) -> Option<Rec> {
+    live(slot).then(|| Rec::unpack(slot))
+}
+
+/// The control plane's index of occupied slots: one bit per slot and their
+/// count, kept in step on every empty↔occupied transition. Checkpoint
+/// serialization and epoch sweeps walk the bitmap instead of the slot
+/// vector, so their cost scales with occupancy — a sparse 2^20 table walk
+/// touches 128 KiB of words, not tens of megabytes of slots (most of them
+/// pages that do not exist yet) — and the count makes `occupancy()` O(1).
+/// The data plane never reads it: there, occupancy is the slot's words.
+struct Occupancy {
     bitmap: Vec<u64>,
-    occupied: usize,
+    count: usize,
+}
+
+impl Occupancy {
+    #[inline]
+    fn mark(&mut self, idx: usize, occupied: bool) {
+        if occupied {
+            self.count += 1;
+            self.bitmap[idx / 64] |= 1u64 << (idx % 64);
+        } else {
+            self.count -= 1;
+            self.bitmap[idx / 64] &= !(1u64 << (idx % 64));
+        }
+    }
+}
+
+/// Store `new` into `slot` — slot `idx`, which held a record iff `was`.
+/// Empty over empty stores nothing: the slot's page may still be the shared
+/// zero page, and writing zeros to it would make the kernel hand over a
+/// private one.
+#[inline]
+fn put<Rec: Packed>(
+    slot: &mut Rec::Words,
+    index: &mut Occupancy,
+    idx: usize,
+    was: bool,
+    new: Option<Rec>,
+) {
+    match new {
+        Some(value) => {
+            *slot = value.pack();
+            if !was {
+                index.mark(idx, true);
+            }
+        }
+        None if was => {
+            *slot = Rec::Words::default();
+            index.mark(idx, false);
+        }
+        None => {}
+    }
+}
+
+/// A fixed-size register array holding one `Rec` per slot, as words.
+pub struct RegisterArray<Rec: Packed> {
+    name: &'static str,
+    /// `vec![zero; size]` of plain integers reaches `alloc_zeroed`: building
+    /// the array writes nothing, and a slot no packet ever touched is a page
+    /// the kernel never had to hand over.
+    slots: Vec<Rec::Words>,
+    index: Occupancy,
     reads: u64,
     writes: u64,
 }
 
-impl<T: Clone> RegisterArray<T> {
+impl<Rec: Packed> RegisterArray<Rec> {
     /// Allocate an array of `size` empty slots.
     pub fn new(name: &'static str, size: usize) -> Self {
         assert!(size > 0, "register array must have at least one slot");
         RegisterArray {
             name,
-            slots: vec![None; size],
-            bitmap: vec![0; size.div_ceil(64)],
-            occupied: 0,
+            slots: vec![Rec::Words::default(); size],
+            index: Occupancy {
+                bitmap: vec![0; size.div_ceil(64)],
+                count: 0,
+            },
             reads: 0,
             writes: 0,
         }
@@ -50,9 +136,9 @@ impl<T: Clone> RegisterArray<T> {
     }
 
     /// Read the slot at `idx`.
-    pub fn read(&mut self, idx: usize) -> Option<&T> {
+    pub fn read(&mut self, idx: usize) -> Option<Rec> {
         self.reads += 1;
-        self.slots[idx].as_ref()
+        get(&self.slots[idx])
     }
 
     /// Warm the slot at `idx` into cache without performing a register
@@ -60,47 +146,43 @@ impl<T: Clone> RegisterArray<T> {
     /// match loop so the table probes overlap in the memory system. Not
     /// counted as a read — hardware prefetch is not a register port access,
     /// and resource reports must stay identical between the per-packet and
-    /// batch paths. (`black_box` forces the load; the crate forbids unsafe,
-    /// so an explicit prefetch intrinsic is not available.)
+    /// batch paths. (`black_box` forces the load of every word, so a slot
+    /// straddling two cache lines warms both; the crate forbids unsafe, so
+    /// an explicit prefetch intrinsic is not available.)
     #[inline]
     pub fn prefetch(&self, idx: usize) {
-        std::hint::black_box(self.slots[idx].is_some());
+        std::hint::black_box(live(&self.slots[idx]));
     }
 
     /// Overwrite the slot at `idx`, returning the previous occupant.
-    pub fn write(&mut self, idx: usize, value: T) -> Option<T> {
+    pub fn write(&mut self, idx: usize, value: Rec) -> Option<Rec> {
         self.writes += 1;
-        let prev = self.slots[idx].replace(value);
-        self.occupied += usize::from(prev.is_none());
-        self.bitmap[idx / 64] |= 1u64 << (idx % 64);
+        let slot = &mut self.slots[idx];
+        let prev = get(slot);
+        put(slot, &mut self.index, idx, prev.is_some(), Some(value));
         prev
     }
 
     /// Clear the slot at `idx`, returning the previous occupant.
-    pub fn clear(&mut self, idx: usize) -> Option<T> {
+    pub fn clear(&mut self, idx: usize) -> Option<Rec> {
         self.writes += 1;
-        let prev = self.slots[idx].take();
-        self.occupied -= usize::from(prev.is_some());
-        self.bitmap[idx / 64] &= !(1u64 << (idx % 64));
+        let slot = &mut self.slots[idx];
+        let prev = get::<Rec>(slot);
+        put::<Rec>(slot, &mut self.index, idx, prev.is_some(), None);
         prev
     }
 
     /// Single-traversal read-modify-write: the only pattern the hardware
     /// supports. `f` observes the current occupant and returns the new slot
     /// contents plus a result forwarded to the caller.
-    pub fn rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<T>) -> (Option<T>, R)) -> R {
+    pub fn rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
         self.reads += 1;
         self.writes += 1;
-        let old = self.slots[idx].take();
-        self.occupied -= usize::from(old.is_some());
+        let slot = &mut self.slots[idx];
+        let old = get(slot);
+        let was = old.is_some();
         let (new, result) = f(old);
-        if new.is_some() {
-            self.occupied += 1;
-            self.bitmap[idx / 64] |= 1u64 << (idx % 64);
-        } else {
-            self.bitmap[idx / 64] &= !(1u64 << (idx % 64));
-        }
-        self.slots[idx] = new;
+        put(slot, &mut self.index, idx, was, new);
         result
     }
 
@@ -109,7 +191,7 @@ impl<T: Clone> RegisterArray<T> {
     /// mutation so checkpoint serialization never needs a counting scan
     /// of a multi-megabyte array on top of its entry walk.
     pub fn occupancy(&self) -> usize {
-        self.occupied
+        self.index.count
     }
 
     /// Control-plane sweep: clear every occupied slot `keep` rejects,
@@ -118,26 +200,22 @@ impl<T: Clone> RegisterArray<T> {
     /// epochs, not a data-plane register access — so it is deliberately
     /// **not** counted in [`RegisterArray::reads`]/[`RegisterArray::writes`]:
     /// resource reports must reflect per-packet access costs only.
-    pub fn sweep(&mut self, mut keep: impl FnMut(&T) -> bool) -> (u64, u64) {
+    pub fn sweep(&mut self, mut keep: impl FnMut(&Rec) -> bool) -> (u64, u64) {
         let (mut kept, mut cleared) = (0u64, 0u64);
-        for word_idx in 0..self.bitmap.len() {
-            let mut word = self.bitmap[word_idx];
+        for word_idx in 0..self.index.bitmap.len() {
+            let mut word = self.index.bitmap[word_idx];
             while word != 0 {
-                let bit = word.trailing_zeros();
+                let idx = word_idx * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let idx = word_idx * 64 + bit as usize;
-                match &self.slots[idx] {
-                    Some(v) if keep(v) => kept += 1,
-                    Some(_) => {
-                        self.slots[idx] = None;
-                        self.bitmap[word_idx] &= !(1u64 << bit);
-                        cleared += 1;
-                    }
-                    None => {}
+                let slot = &mut self.slots[idx];
+                if keep(&Rec::unpack(slot)) {
+                    kept += 1;
+                } else {
+                    put::<Rec>(slot, &mut self.index, idx, true, None);
+                    cleared += 1;
                 }
             }
         }
-        self.occupied -= cleared as usize;
         (kept, cleared)
     }
 
@@ -154,8 +232,9 @@ impl<T: Clone> RegisterArray<T> {
     /// Iterate occupied slots (control-plane only). Walks the occupancy
     /// bitmap, so the cost is proportional to `size / 64` plus the number
     /// of occupied slots — not to the full slot vector.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.bitmap
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Rec)> + '_ {
+        self.index
+            .bitmap
             .iter()
             .enumerate()
             .flat_map(|(word_idx, &bits)| {
@@ -169,7 +248,7 @@ impl<T: Clone> RegisterArray<T> {
                     Some(word_idx * 64 + bit as usize)
                 })
             })
-            .filter_map(|idx| self.slots[idx].as_ref().map(|v| (idx, v)))
+            .map(|idx| (idx, Rec::unpack(&self.slots[idx])))
     }
 
     /// Control-plane slot load: place `value` at `idx` without counting a
@@ -178,13 +257,13 @@ impl<T: Clone> RegisterArray<T> {
     /// traversing the stage — so like [`RegisterArray::sweep`] it is
     /// deliberately uncounted: resource reports must reflect per-packet
     /// access costs only.
-    pub fn load(&mut self, idx: usize, value: T) {
-        self.occupied += usize::from(self.slots[idx].replace(value).is_none());
-        self.bitmap[idx / 64] |= 1u64 << (idx % 64);
+    pub fn load(&mut self, idx: usize, value: Rec) {
+        let slot = &mut self.slots[idx];
+        put(slot, &mut self.index, idx, live(slot), Some(value));
     }
 }
 
-impl<T> fmt::Debug for RegisterArray<T> {
+impl<Rec: Packed> fmt::Debug for RegisterArray<Rec> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RegisterArray")
             .field("name", &self.name)
@@ -198,13 +277,35 @@ impl<T> fmt::Debug for RegisterArray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The suites' records: an integer in one word, LIVE beside it.
+    impl Packed for u32 {
+        type Words = [u64; 1];
+        fn pack(&self) -> [u64; 1] {
+            [u64::from(*self) | LIVE]
+        }
+        fn unpack(words: &[u64; 1]) -> u32 {
+            words[0] as u32
+        }
+    }
+
+    impl Packed for u8 {
+        type Words = [u64; 1];
+        fn pack(&self) -> [u64; 1] {
+            [u64::from(*self) | LIVE]
+        }
+        fn unpack(words: &[u64; 1]) -> u8 {
+            words[0] as u8
+        }
+    }
 
     #[test]
     fn read_write_clear() {
         let mut r: RegisterArray<u32> = RegisterArray::new("t", 4);
         assert_eq!(r.read(0), None);
         assert_eq!(r.write(0, 42), None);
-        assert_eq!(r.read(0), Some(&42));
+        assert_eq!(r.read(0), Some(42));
         assert_eq!(r.write(0, 43), Some(42));
         assert_eq!(r.clear(0), Some(43));
         assert_eq!(r.read(0), None);
@@ -216,7 +317,7 @@ mod tests {
         r.write(1, 7);
         let evicted = r.rmw(1, |old| (Some(9), old));
         assert_eq!(evicted, Some(7));
-        assert_eq!(r.read(1), Some(&9));
+        assert_eq!(r.read(1), Some(9));
     }
 
     #[test]
@@ -227,6 +328,21 @@ mod tests {
         assert_eq!(r.occupancy(), 2);
         r.clear(1);
         assert_eq!(r.occupancy(), 1);
+    }
+
+    /// The record whose every field is zero is a record: it reads back
+    /// occupied, is counted, walked, swept and cleared like any other.
+    #[test]
+    fn the_all_zero_record_is_occupied() {
+        let mut r: RegisterArray<u32> = RegisterArray::new("t", 4);
+        assert_eq!(r.write(2, 0), None);
+        assert_eq!(r.read(2), Some(0));
+        assert_eq!(r.occupancy(), 1);
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![(2, 0)]);
+        assert_eq!(r.rmw(2, |old| (old, old)), Some(0));
+        assert_eq!(r.sweep(|v| *v == 0), (1, 0));
+        assert_eq!(r.clear(2), Some(0));
+        assert_eq!(r.occupancy(), 0);
     }
 
     #[test]
@@ -275,5 +391,79 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_size_rejected() {
         let _ = RegisterArray::<u8>::new("t", 0);
+    }
+
+    proptest! {
+        /// Any sequence of accesses against the obvious model — a
+        /// `Vec` of `Option`s, which is what the array used to be — leaves
+        /// equal contents, occupancy, walk order and access counts.
+        #[test]
+        fn behaves_like_a_vec_of_options(
+            ops in prop::collection::vec((0u8..6, 0usize..70, 0u32..4), 0..200),
+        ) {
+            const SIZE: usize = 70; // two bitmap words, the second partial
+            let mut array: RegisterArray<u32> = RegisterArray::new("t", SIZE);
+            let mut model: Vec<Option<u32>> = vec![None; SIZE];
+            let (mut reads, mut writes) = (0u64, 0u64);
+            for (op, idx, value) in ops {
+                match op {
+                    0 => {
+                        reads += 1;
+                        prop_assert_eq!(array.read(idx), model[idx]);
+                    }
+                    1 => {
+                        writes += 1;
+                        prop_assert_eq!(array.write(idx, value), model[idx].replace(value));
+                    }
+                    2 => {
+                        writes += 1;
+                        prop_assert_eq!(array.clear(idx), model[idx].take());
+                    }
+                    3 => {
+                        // One closure covering all four transitions: an empty
+                        // slot stays empty or fills, a full one empties or
+                        // changes, by the value's parity.
+                        let step = |old: Option<u32>| match (old, value % 2) {
+                            (None, 0) | (Some(_), 1) => None,
+                            (None, _) => Some(value),
+                            (Some(v), _) => Some(v.wrapping_add(value)),
+                        };
+                        reads += 1;
+                        writes += 1;
+                        let seen = array.rmw(idx, |old| (step(old), old));
+                        prop_assert_eq!(seen, model[idx]);
+                        model[idx] = step(model[idx]);
+                    }
+                    4 => {
+                        let keep = |v: &u32| *v != value;
+                        let before = model.iter().flatten().count() as u64;
+                        for slot in &mut model {
+                            if slot.is_some_and(|v| !keep(&v)) {
+                                *slot = None;
+                            }
+                        }
+                        let kept = model.iter().flatten().count() as u64;
+                        prop_assert_eq!(array.sweep(keep), (kept, before - kept));
+                    }
+                    _ => {
+                        array.load(idx, value);
+                        model[idx] = Some(value);
+                    }
+                }
+                prop_assert_eq!(array.occupancy(), model.iter().flatten().count());
+            }
+            let walked: Vec<(usize, u32)> = array.iter().collect();
+            let expected: Vec<(usize, u32)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, slot)| slot.map(|v| (idx, v)))
+                .collect();
+            prop_assert_eq!(walked, expected);
+            prop_assert_eq!((array.reads(), array.writes()), (reads, writes));
+            for (idx, slot) in model.iter().enumerate() {
+                prop_assert_eq!(get::<u32>(&array.slots[idx]), *slot);
+                prop_assert_eq!(array.index.bitmap[idx / 64] >> (idx % 64) & 1 == 1, slot.is_some());
+            }
+        }
     }
 }

@@ -63,6 +63,19 @@ impl Histogram {
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Fold in observations bucketed elsewhere: `counts[i]` more in bucket
+    /// `i` (indexed as [`bucket_index`]; entries past the last bucket are
+    /// ignored), `sum` more in the sum. For a producer that keeps a plain
+    /// log2 array on its hot path and publishes it at sync points.
+    pub fn add_counts(&self, counts: &[u64], sum: u64) {
+        for (bucket, &n) in self.inner.buckets.iter().zip(counts) {
+            if n != 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.inner.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// Total observations so far.
     pub fn count(&self) -> u64 {
         self.inner
@@ -158,6 +171,22 @@ mod tests {
         assert_eq!(bucket_le(1), Some(1));
         assert_eq!(bucket_le(2), Some(3));
         assert_eq!(bucket_le(64), None);
+    }
+
+    /// Counts bucketed elsewhere land where observing the values would
+    /// have put them.
+    #[test]
+    fn add_counts_equals_observing() {
+        let (observed, folded) = (Histogram::new(), Histogram::new());
+        let mut counts = [0u64; 16];
+        let mut sum = 0;
+        for v in [0, 1, 1, 5, 1000, 1000] {
+            observed.observe(v);
+            counts[bucket_index(v)] += 1;
+            sum += v;
+        }
+        folded.add_counts(&counts, sum);
+        assert_eq!(folded.snapshot(), observed.snapshot());
     }
 
     #[test]

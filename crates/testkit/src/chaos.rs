@@ -231,6 +231,9 @@ impl fmt::Display for ChaosReport {
                 self.run.failures.len()
             )?,
         }
+        for failure in &self.run.failures {
+            writeln!(f, "    {failure}")?;
+        }
         writeln!(
             f,
             "  fed {} → processed {} + missed {} · samples {} · restarts {} · flows lost {}",

@@ -220,7 +220,11 @@ impl Checkpointer {
             return;
         };
         let start = Instant::now();
-        let result = monitor.checkpoint().and_then(|snap| snap.to_file(path));
+        let result = monitor.checkpoint().and_then(|snap| {
+            let written = snap.to_file(path);
+            monitor.reclaim(snap);
+            written
+        });
         let pause = start.elapsed();
         self.pause_ns.observe(pause.as_nanos() as u64);
         match result {
@@ -457,14 +461,19 @@ impl Daemon {
             if server.take_reload_request() {
                 // SIGHUP analogue: retire the current monitor cleanly and
                 // spawn a fresh one into the same registry series.
+                let start = Instant::now();
                 let fresh = ShardedMonitor::with_telemetry(cfg.sharded, &registry);
                 carried.merge(&std::mem::replace(monitor, fresh).into_run().stats);
+                let pause = start.elapsed();
                 reloads += 1;
                 last_rotate = Instant::now();
                 events.info(
                     "daemon",
                     "monitor reloaded",
-                    &[("generation", &reloads.to_string())],
+                    &[
+                        ("generation", &reloads.to_string()),
+                        ("pause_us", &(pause.as_micros() as u64).to_string()),
+                    ],
                 );
             }
             Some(cfg.block_pkts)

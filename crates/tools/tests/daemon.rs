@@ -130,11 +130,19 @@ fn reload_rebuilds_the_monitor_and_keeps_counting() {
         std::thread::sleep(Duration::from_millis(40));
         post(addr, "/control/reload");
         await_health(addr, "reloads", 1);
+        let events = get(addr, "/events");
         post(addr, "/control/shutdown");
+        events
     });
     let mut source = CycleSource::with_gap(pkts, 1_000_000);
     let report = daemon.run(&mut source).expect("clean run");
-    client.join().expect("client");
+    let events = client.join().expect("client");
+    // The reload says how long the ingest loop stood still for it.
+    let reloaded = events
+        .lines()
+        .find(|line| line.contains("monitor reloaded"))
+        .unwrap_or_else(|| panic!("no reload event in {events}"));
+    assert!(reloaded.contains("\"pause_us\""), "{reloaded}");
     assert_eq!(report.reloads, 1);
     assert!(report.shutdown_requested);
     // Conservation holds across the generation boundary.

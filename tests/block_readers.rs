@@ -6,6 +6,9 @@
 //! tail is reported exactly once, and no byte sequence makes the pcap reader
 //! allocate past its fixed window.
 
+mod common;
+
+use common::{allocations, largest_allocation};
 use dart::packet::parse::{synthesize_frame, PrefixClassifier};
 use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
 use dart::packet::trace::{self, TraceReader};
@@ -14,74 +17,11 @@ use dart::packet::{
 };
 use dart::sim::replay::load_pcap;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// The system allocator, remembering the largest single request each thread
-/// has made and how many (every test — and every proptest case — runs on
-/// one thread).
-struct Watermark;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    static REQUESTS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised
-// thread-local `Cell` (no allocation, no destructor) and tolerates the
-// thread-local being gone during thread teardown.
-unsafe impl GlobalAlloc for Watermark {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-    let _ = REQUESTS.try_with(|requests| requests.set(requests.get() + 1));
-}
-
-#[global_allocator]
-static ALLOCATOR: Watermark = Watermark;
-
-/// The largest single allocation `work` makes on this thread.
-fn largest_allocation(work: impl FnOnce()) -> usize {
-    LARGEST.with(|largest| largest.set(0));
-    work();
-    LARGEST.with(Cell::get)
-}
-
-/// How many allocations (and reallocations) `work` makes on this thread.
-fn allocations(work: impl FnOnce()) -> usize {
-    let before = REQUESTS.with(Cell::get);
-    work();
-    REQUESTS.with(Cell::get) - before
-}
 
 /// A scripted input: every `read` serves (a prefix of) the next chunk, an
 /// empty chunk is one dry read, and running out sets the stop flag — a
