@@ -80,9 +80,9 @@ impl BufferbloatDetector {
     /// confirmed (once per episode).
     pub fn offer(&mut self, rtt: Nanos, ts: Nanos) -> Option<BloatEvent> {
         // The baseline tracks the global minimum: propagation delay.
-        self.baseline = Some(self.baseline.map_or(rtt, |b| b.min(rtt)));
+        let base = self.baseline.map_or(rtt, |b| b.min(rtt));
+        self.baseline = Some(base);
         let w = self.filter.offer(rtt, ts)?;
-        let base = self.baseline.expect("baseline set above");
         let bloated = w.min_rtt as f64 > base as f64 * self.cfg.inflation;
         if bloated {
             self.bloated_streak += 1;

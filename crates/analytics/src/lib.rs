@@ -18,6 +18,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Analytics run inside the monitoring process: panicking unwraps are banned
+// from lib code, as in `dart-core` (tests keep them).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bufferbloat;
 pub mod change;

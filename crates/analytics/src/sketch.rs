@@ -65,7 +65,7 @@ impl P2Quantile {
         if self.init.len() < 5 {
             self.init.push(x);
             if self.init.len() == 5 {
-                self.init.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                self.init.sort_by(f64::total_cmp);
                 for (i, v) in self.init.iter().enumerate() {
                     self.heights[i] = *v;
                 }
@@ -141,7 +141,7 @@ impl P2Quantile {
             }
             // Small-sample fallback: nearest rank over the buffer.
             let mut v = self.init.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v.sort_by(f64::total_cmp);
             let rank = ((self.q * v.len() as f64).ceil() as usize).clamp(1, v.len());
             return Some(v[rank - 1] as Nanos);
         }

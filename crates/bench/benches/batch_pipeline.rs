@@ -1,9 +1,10 @@
-//! Batch pipeline vs. per-packet hot path: the same serial replay driven
-//! packet-by-packet (`DartEngine::process`) and through the SoA batch
-//! pipeline (`process_batch`) at block sizes 32, 256, and 1024. The
-//! speedup targeted by DESIGN.md §5f is the `batch/*` / `per_packet`
-//! ratio here; the ledger's `core.engine.exact.{batch,packet}_ns_per_pkt`
-//! rows (`bash crates/perf/run.sh --trace 1`) are the full-trace numbers.
+//! The block body's cost against block size: the same serial replay fed
+//! through `DartEngine::process` — the engine's one body over one-packet
+//! blocks, the `per_packet` series and the left end of the curve — and
+//! through `process_batch` at block sizes 32, 256, and 1024. What DESIGN.md
+//! §5f says blocks buy is the `batch/*` / `per_packet` ratio here; the
+//! ledger's `core.engine.exact.{batch,packet,block1}_ns_per_pkt` rows
+//! (`bash crates/perf/run.sh --trace 1`) are the full-trace numbers.
 //!
 //! ```text
 //! cargo bench -p dart-bench --bench batch_pipeline

@@ -178,18 +178,6 @@ struct Decoded {
 /// staying a few cache lines per way.
 const FLOW_MEMO_SLOTS: usize = 1024;
 
-/// Bulk [`EngineStats`] increments computed by the decode pass; the match
-/// loop adds them once per block instead of once per packet. Counter
-/// totals are only observable at block boundaries (sync points), so
-/// bulk-adding is indistinguishable from per-packet increments.
-#[derive(Default)]
-struct BlockCounts {
-    syn_skipped: u64,
-    filtered: u64,
-    no_role: u64,
-    dual_role_recirc: u64,
-}
-
 /// Reusable scratch for the batch pipeline (DESIGN.md §5f): the decode
 /// ring of the software pipeline plus a flow-locality memo of RT
 /// locations that persists across blocks. The ring holds exactly
@@ -198,18 +186,10 @@ struct BlockCounts {
 /// memory. `locate` is a pure function of packet and table geometry, so
 /// memoizing it is invisible to results; packet trains within a flow make
 /// it hit often, skipping the FNV/CRC dependency chains entirely.
+#[derive(Default)]
 struct BatchScratch {
     ring: [Decoded; PREFETCH_DIST],
     memo: Vec<Option<(FlowKey, RtSlot)>>,
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch {
-            ring: [Decoded::default(); PREFETCH_DIST],
-            memo: Vec::new(),
-        }
-    }
 }
 
 impl BatchScratch {
@@ -225,8 +205,10 @@ impl BatchScratch {
     }
 }
 
-/// The Dart engine. Feed it packets in capture order via
-/// [`DartEngine::process`]; it emits [`RttSample`]s into the supplied sink.
+/// The Dart engine. Feed it packets in capture order — in blocks via
+/// [`DartEngine::process_batch`], or one at a time via
+/// [`DartEngine::process`], the same body over a one-packet block; it
+/// emits [`RttSample`]s into the supplied sink.
 pub struct DartEngine {
     cfg: DartConfig,
     rt: RtTable,
@@ -298,10 +280,9 @@ impl DartEngine {
     }
 
     /// Publish the current counters to the attached metric handles (no-op
-    /// without attached telemetry). Called automatically every
-    /// [`SYNC_INTERVAL_PKTS`] packets and at flush; the sharded workers
-    /// also call it at every batch boundary so per-shard scrapes stay
-    /// fresh.
+    /// without attached telemetry). Called automatically at every
+    /// [`DartEngine::process_batch`] boundary, every [`SYNC_INTERVAL_PKTS`]
+    /// packets under [`DartEngine::process`], and at flush.
     pub fn sync_telemetry(&mut self) {
         if let Some(t) = &self.telemetry {
             t.sync_stats(&self.stats);
@@ -353,40 +334,13 @@ impl DartEngine {
         self.pt.occupancy()
     }
 
-    /// Process one packet in capture order.
+    /// Process one packet in capture order: the block body of
+    /// [`DartEngine::process_batch`] over a one-packet block. Telemetry is
+    /// published every [`SYNC_INTERVAL_PKTS`] packets, not per call.
     pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.drain_recirc_until(pkt.ts);
-        self.stats.packets += 1;
+        self.run_block(std::slice::from_ref(pkt), sink, &Cell::new(0));
         if self.stats.packets.is_multiple_of(SYNC_INTERVAL_PKTS) {
             self.sync_telemetry();
-        }
-
-        if self.cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
-            self.stats.syn_skipped += 1;
-            return;
-        }
-        if !self.flow_filter.matches(&pkt.flow) {
-            self.stats.filtered_flows += 1;
-            return;
-        }
-
-        // ACK role first: an acknowledgment refers to previously seen data,
-        // while the SEQ role introduces new bytes.
-        let ack_fired = self.cfg.ack_role_active(pkt.dir) && pkt.is_ack() && {
-            self.handle_ack(pkt, sink);
-            true
-        };
-        let seq_fired = self.cfg.seq_role_active(pkt.dir) && pkt.is_seq() && {
-            self.handle_seq(pkt);
-            true
-        };
-        // In both-legs mode a dual-role packet costs one recirculation to be
-        // re-processed with a pseudo header (§5).
-        if ack_fired && seq_fired && self.cfg.leg == Leg::Both {
-            self.stats.dual_role_recirc += 1;
-        }
-        if !ack_fired && !seq_fired {
-            self.stats.no_role += 1;
         }
     }
 
@@ -398,17 +352,15 @@ impl DartEngine {
     /// already-decoded state. Decode is pure ALU work (hashing, flag
     /// tests) and match is load-bound table work, so the two streams
     /// overlap in the core instead of serializing per packet; the decode
-    /// ring stays L1-resident. Per-disposition counters are bulk-added
-    /// per block.
+    /// ring stays L1-resident.
     ///
-    /// Observationally identical to calling [`DartEngine::process`] per
-    /// packet — same samples, same [`EngineStats`], same table state — for
-    /// any block split: decode computes only pure functions of packet and
-    /// configuration (RT locations do not depend on table contents), and
-    /// the match half performs exactly the per-packet path's state
-    /// transitions in the same order. Only the telemetry publication
-    /// cadence differs (per block instead of every
-    /// [`SYNC_INTERVAL_PKTS`] packets).
+    /// Split-invariant: the same samples, [`EngineStats`] and table state
+    /// for any division of a packet stream into blocks, one-packet blocks
+    /// ([`DartEngine::process`]) included — decode computes only pure
+    /// functions of packet and configuration (RT locations do not depend
+    /// on table contents), and the match half runs in capture order. Only
+    /// the telemetry publication cadence follows the entry point: here,
+    /// once per block.
     pub fn process_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
         self.process_batch_at(pkts, sink, &Cell::new(0));
     }
@@ -425,12 +377,20 @@ impl DartEngine {
         sink: &mut dyn SampleSink,
         at: &Cell<usize>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if scratch.memo.is_empty() {
-            scratch.memo.resize(FLOW_MEMO_SLOTS, None);
+        self.run_block(pkts, sink, at);
+        self.sync_telemetry();
+    }
+
+    /// The engine's one packet path, behind every entry point. Publishes
+    /// nothing: each entry point keeps its own telemetry cadence. Nothing
+    /// ring-sized is set up per call, so a one-packet block costs one
+    /// packet: the ring is used in place, uncleared — every slot the match
+    /// half reads was written by the prologue or the preceding decode of
+    /// this same call.
+    fn run_block(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink, at: &Cell<usize>) {
+        if self.scratch.memo.is_empty() {
+            self.scratch.memo.resize(FLOW_MEMO_SLOTS, None);
         }
-        scratch.ring.fill(Decoded::default());
-        let mut counts = BlockCounts::default();
 
         // The steady-state loop is stamped out once per RT variant so the
         // decode half — the per-packet locate/prefetch stream this loop
@@ -452,7 +412,14 @@ impl DartEngine {
         // Prologue: decode the first DIST packets to fill the ring.
         let fill = pkts.len().min(PREFETCH_DIST);
         for (i, pkt) in pkts[..fill].iter().enumerate() {
-            scratch.ring[i] = self.decode_and_warm(&self.rt, pkt, &mut scratch.memo, &mut counts);
+            self.scratch.ring[i] = decode_and_warm(
+                &self.cfg,
+                &self.flow_filter,
+                &self.rt,
+                pkt,
+                &mut self.scratch.memo,
+                &mut self.stats,
+            );
         }
         // Steady state, bounds-check-free via the zip: match packet `j`
         // with its decoded state, then decode packet `j + PREFETCH_DIST`
@@ -466,14 +433,20 @@ impl DartEngine {
             macro_rules! steady {
                 ($variant:path) => {
                     for (mp, dp) in pkts.iter().zip(pkts[PREFETCH_DIST..].iter()) {
-                        let d = scratch.ring[j & (PREFETCH_DIST - 1)];
+                        let d = self.scratch.ring[j & (PREFETCH_DIST - 1)];
                         at.set(j);
                         self.match_one(mp, &d, sink);
                         let $variant(rt) = &self.rt else {
                             unreachable!()
                         };
-                        scratch.ring[j & (PREFETCH_DIST - 1)] =
-                            self.decode_and_warm(rt, dp, &mut scratch.memo, &mut counts);
+                        self.scratch.ring[j & (PREFETCH_DIST - 1)] = decode_and_warm(
+                            &self.cfg,
+                            &self.flow_filter,
+                            rt,
+                            dp,
+                            &mut self.scratch.memo,
+                            &mut self.stats,
+                        );
                         j += 1;
                     }
                 };
@@ -485,99 +458,29 @@ impl DartEngine {
         }
         // Epilogue: drain the last DIST decoded packets from the ring.
         for pkt in pkts[j..].iter() {
-            let d = scratch.ring[j & (PREFETCH_DIST - 1)];
+            let d = self.scratch.ring[j & (PREFETCH_DIST - 1)];
             at.set(j);
             self.match_one(pkt, &d, sink);
             j += 1;
         }
 
-        // Bulk per-disposition counters: totals are only observable at
-        // block boundaries, so adding them once per block is
-        // indistinguishable from the per-packet path's increments.
         self.stats.packets += pkts.len() as u64;
-        self.stats.syn_skipped += counts.syn_skipped;
-        self.stats.filtered_flows += counts.filtered;
-        self.stats.no_role += counts.no_role;
-        self.stats.dual_role_recirc += counts.dual_role_recirc;
-
-        self.scratch = scratch;
-        // Batch-boundary sync point: one publication per block instead of
-        // a per-packet interval check.
-        self.sync_telemetry();
     }
 
-    /// The match half of the batch pipeline: exactly the per-packet path's
-    /// state transitions for one packet, with classification and RT
-    /// hashing already done by [`DartEngine::decode_and_warm`].
+    /// The match half of the batch pipeline: one packet's state
+    /// transitions, with classification and RT hashing already done by
+    /// [`decode_and_warm`].
     #[inline]
     fn match_one(&mut self, pkt: &PacketMeta, d: &Decoded, sink: &mut dyn SampleSink) {
         self.drain_recirc_until(pkt.ts);
+        // ACK role first: an acknowledgment refers to previously seen data,
+        // while the SEQ role introduces new bytes.
         if d.lane & LANE_ACK != 0 {
-            let data_flow = pkt.flow.reverse();
-            self.handle_ack_at(pkt, &data_flow, &d.ack_rt, sink);
+            self.handle_ack_at(pkt, &d.ack_rt, sink);
         }
         if d.lane & LANE_SEQ != 0 {
             self.handle_seq_at(pkt, d.eack, &d.seq_rt);
         }
-    }
-
-    /// The decode half of the batch pipeline: classify one packet,
-    /// pre-resolve the RT locations its roles will touch (through the flow
-    /// memo), and issue warming reads for them. Pure per-packet compute —
-    /// nothing here writes the tables, so decoding ahead of execution
-    /// cannot change results.
-    #[inline]
-    fn decode_and_warm<R: RtLocate>(
-        &self,
-        rt: &R,
-        pkt: &PacketMeta,
-        memo: &mut [Option<(FlowKey, RtSlot)>],
-        counts: &mut BlockCounts,
-    ) -> Decoded {
-        let mut d = Decoded::default();
-        if self.cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
-            d.lane = LANE_SYN_SKIP;
-            counts.syn_skipped += 1;
-        } else if !self.flow_filter.matches(&pkt.flow) {
-            d.lane = LANE_FILTERED;
-            counts.filtered += 1;
-        } else {
-            if self.cfg.ack_role_active(pkt.dir) && pkt.is_ack() {
-                d.lane |= LANE_ACK;
-                d.ack_rt = Self::locate_memo(rt, memo, &pkt.flow.reverse());
-                rt.prefetch(&d.ack_rt);
-            }
-            if self.cfg.seq_role_active(pkt.dir) && pkt.is_seq() {
-                d.lane |= LANE_SEQ;
-                d.eack = pkt.eack();
-                d.seq_rt = Self::locate_memo(rt, memo, &pkt.flow);
-                rt.prefetch(&d.seq_rt);
-            }
-            if d.lane == 0 {
-                counts.no_role += 1;
-            } else if d.lane == LANE_ACK | LANE_SEQ && self.cfg.leg == Leg::Both {
-                counts.dual_role_recirc += 1;
-            }
-        }
-        d
-    }
-
-    /// `rt.locate(flow)` through the direct-mapped flow memo.
-    #[inline]
-    fn locate_memo<R: RtLocate>(
-        rt: &R,
-        memo: &mut [Option<(FlowKey, RtSlot)>],
-        flow: &FlowKey,
-    ) -> RtSlot {
-        let idx = BatchScratch::memo_idx(flow);
-        if let Some((key, slot)) = &memo[idx] {
-            if key == flow {
-                return *slot;
-            }
-        }
-        let slot = rt.locate(flow);
-        memo[idx] = Some((*flow, slot));
-        slot
     }
 
     /// Drain the recirculation loop at end of trace.
@@ -903,11 +806,6 @@ impl DartEngine {
         Ok(())
     }
 
-    fn handle_seq(&mut self, pkt: &PacketMeta) {
-        let at = self.rt.locate(&pkt.flow);
-        self.handle_seq_at(pkt, pkt.eack(), &at);
-    }
-
     /// The SEQ role with a pre-resolved RT location: `at` must come from
     /// `rt.locate(&pkt.flow)`.
     fn handle_seq_at(&mut self, pkt: &PacketMeta, eack: SeqNum, at: &RtSlot) {
@@ -928,7 +826,7 @@ impl DartEngine {
             RtSeqOutcome::Ruled(SeqVerdict::Wraparound) => self.stats.seq_wraparound += 1,
             RtSeqOutcome::Collision => self.stats.seq_rt_collision += 1,
         }
-        self.sync_rt_copy(pkt);
+        self.sync_rt_copy(&pkt.flow, pkt.ts);
         if !outcome.track() {
             return;
         }
@@ -946,41 +844,20 @@ impl DartEngine {
         self.account_insert(result, inserted_id, pkt.ts);
     }
 
-    /// Write-through the flow's current range to the §7 RT copy (applied
-    /// after the sync lag).
-    fn sync_rt_copy(&mut self, pkt: &PacketMeta) {
-        if self.rt_copy.is_none() {
-            return;
-        }
-        let data_flow = if self.cfg.seq_role_active(pkt.dir) && pkt.is_seq() {
-            pkt.flow
-        } else {
-            pkt.flow.reverse()
-        };
-        if let Some(range) = self.rt.peek(&data_flow) {
-            let sig = data_flow.signature(self.cfg.sig_width);
-            if let Some(copy) = &mut self.rt_copy {
-                copy.record(pkt.ts, sig, range);
+    /// Write-through `data_flow`'s current range — the flow the caller just
+    /// updated — to the §7 RT copy (applied after the sync lag).
+    fn sync_rt_copy(&mut self, data_flow: &FlowKey, now: Nanos) {
+        if let Some(copy) = &mut self.rt_copy {
+            if let Some(range) = self.rt.peek(data_flow) {
+                copy.record(now, data_flow.signature(self.cfg.sig_width), range);
             }
         }
     }
 
-    fn handle_ack(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
+    /// The ACK role with a pre-resolved RT location: `at` must come from
+    /// `rt.locate(&pkt.flow.reverse())`.
+    fn handle_ack_at(&mut self, pkt: &PacketMeta, at: &RtSlot, sink: &mut dyn SampleSink) {
         let data_flow = pkt.flow.reverse();
-        let at = self.rt.locate(&data_flow);
-        self.handle_ack_at(pkt, &data_flow, &at, sink);
-    }
-
-    /// The ACK role with a pre-resolved RT location: `data_flow` is
-    /// `pkt.flow.reverse()` and `at` must come from `rt.locate(data_flow)`.
-    fn handle_ack_at(
-        &mut self,
-        pkt: &PacketMeta,
-        data_flow: &FlowKey,
-        at: &RtSlot,
-        sink: &mut dyn SampleSink,
-    ) {
-        let data_flow = *data_flow;
         match self
             .rt
             .on_ack_at(&data_flow, at, pkt.ack, pkt.is_pure_ack(), pkt.ts)
@@ -1030,7 +907,7 @@ impl DartEngine {
             }
             RtAckOutcome::NoFlow => self.stats.ack_no_flow += 1,
         }
-        self.sync_rt_copy(pkt);
+        self.sync_rt_copy(&data_flow, pkt.ts);
     }
 
     fn account_insert(&mut self, result: PtInsert, inserted_id: PacketId, now: Nanos) {
@@ -1147,6 +1024,70 @@ impl DartEngine {
     }
 }
 
+/// The decode half of the batch pipeline: classify one packet, pre-resolve
+/// the RT locations its roles will touch (through the flow memo), and issue
+/// warming reads for them. Pure per-packet compute — nothing here writes
+/// the tables, so decoding ahead of execution cannot change results; the
+/// disposition counters it bumps run at most [`PREFETCH_DIST`] packets
+/// ahead of the match stream, and are read only between calls. Takes the
+/// engine's fields apart so the block loop can lend them side by side.
+#[inline]
+fn decode_and_warm<R: RtLocate>(
+    cfg: &DartConfig,
+    flow_filter: &FlowFilter,
+    rt: &R,
+    pkt: &PacketMeta,
+    memo: &mut [Option<(FlowKey, RtSlot)>],
+    stats: &mut EngineStats,
+) -> Decoded {
+    let mut d = Decoded::default();
+    if cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
+        d.lane = LANE_SYN_SKIP;
+        stats.syn_skipped += 1;
+    } else if !flow_filter.matches(&pkt.flow) {
+        d.lane = LANE_FILTERED;
+        stats.filtered_flows += 1;
+    } else {
+        if cfg.ack_role_active(pkt.dir) && pkt.is_ack() {
+            d.lane |= LANE_ACK;
+            d.ack_rt = locate_memo(rt, memo, &pkt.flow.reverse());
+            rt.prefetch(&d.ack_rt);
+        }
+        if cfg.seq_role_active(pkt.dir) && pkt.is_seq() {
+            d.lane |= LANE_SEQ;
+            d.eack = pkt.eack();
+            d.seq_rt = locate_memo(rt, memo, &pkt.flow);
+            rt.prefetch(&d.seq_rt);
+        }
+        if d.lane == 0 {
+            stats.no_role += 1;
+        } else if d.lane == LANE_ACK | LANE_SEQ && cfg.leg == Leg::Both {
+            // In both-legs mode a dual-role packet costs one recirculation
+            // to be re-processed with a pseudo header (§5).
+            stats.dual_role_recirc += 1;
+        }
+    }
+    d
+}
+
+/// `rt.locate(flow)` through the direct-mapped flow memo.
+#[inline]
+fn locate_memo<R: RtLocate>(
+    rt: &R,
+    memo: &mut [Option<(FlowKey, RtSlot)>],
+    flow: &FlowKey,
+) -> RtSlot {
+    let idx = BatchScratch::memo_idx(flow);
+    if let Some((key, slot)) = &memo[idx] {
+        if key == flow {
+            return *slot;
+        }
+    }
+    let slot = rt.locate(flow);
+    memo[idx] = Some((*flow, slot));
+    slot
+}
+
 /// Outlined CMS update for the admission gate (see the call site in
 /// [`DartEngine`]): precision-backend work that must not be compiled into
 /// the fused batch loop of the default exact path.
@@ -1163,13 +1104,11 @@ fn gate_admit(gate: &AdmissionGate, rec: &PtRecord) -> Admission {
     gate.admit(rec)
 }
 
-/// The per-packet **reference** path: a fresh engine fed one
-/// [`DartEngine::process`] call per packet, then flushed. The golden and
-/// backend-conformance suites compare every other way of running Dart —
-/// the block pipeline behind [`RttMonitor::on_batch`](crate::RttMonitor::on_batch),
-/// the sharded runtime — against this, so it stays off the block loop
-/// ([`drive`](crate::monitor::drive)) on purpose. Everything that is not a
-/// reference comparison uses
+/// The one-packet-block extreme of split invariance: a fresh engine fed
+/// one [`DartEngine::process`] call per packet, then flushed. The golden
+/// and backend-conformance suites pin this stream and the irregular-split
+/// one separately, byte for byte, and compare the sharded runtime against
+/// it. Everything that is not such a comparison uses
 /// [`run_monitor_slice`](crate::monitor::run_monitor_slice).
 pub fn run_trace(cfg: DartConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, EngineStats) {
     let mut engine = DartEngine::new(cfg);
@@ -1203,9 +1142,8 @@ impl crate::monitor::RttMonitor for DartEngine {
         self.process(pkt, sink);
     }
 
-    /// The real batch pipeline (the fused, software-pipelined decode/match
-    /// loop of [`DartEngine::process_batch`]), not the default per-packet
-    /// loop.
+    /// One call of the block body per block, not the trait's default
+    /// per-packet loop.
     fn on_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
         self.process_batch(pkts, sink);
     }
@@ -1693,14 +1631,19 @@ mod tests {
         pkts
     }
 
-    /// The batch pipeline must be observationally identical to the
-    /// per-packet path — samples, stats, and subsequent table state — for
-    /// every config family (unlimited, constrained, multi-stage, victim
-    /// cache, RT copy) and for any block split, including empty and
-    /// size-1 blocks.
+    /// Split invariance: every division of a stream into blocks yields the
+    /// samples, stats and final table state of its one-packet-block stream
+    /// (`run_trace`), for every config family (unlimited, constrained,
+    /// multi-stage, victim cache, RT copy, both legs). The block lengths sit
+    /// on both sides of each ring edge (`PREFETCH_DIST` and twice it, ± 1)
+    /// beside empty and one-packet blocks, every rotation of the list moves
+    /// the boundaries, the flow memo is carried from block to block, and one
+    /// boundary per run is a snapshot/restore (the scratch restarts cold).
+    /// The ring is never cleared, so a slot read before the same call wrote
+    /// it would show here as a packet matched at another packet's location.
     #[test]
     fn batch_pipeline_matches_per_packet_across_configs() {
-        let pkts = mixed_trace(200);
+        let pkts = mixed_trace(400);
         let cfgs = [
             DartConfig::unlimited(),
             DartConfig::default(),
@@ -1709,30 +1652,47 @@ mod tests {
             DartConfig::default().with_pt(8, 1).with_rt_copy(1_000_000),
             DartConfig::default().with_leg(Leg::Both),
         ];
-        // Irregular splits, including empty and size-1 blocks.
-        let split_lens = [0usize, 1, 7, 0, 64, 3, 1, 200, 13];
+        const D: usize = PREFETCH_DIST;
+        let split_lens = [0, 1, D - 1, D, D + 1, 2 * D - 1, 2 * D, 2 * D + 1];
         for cfg in cfgs {
             let (expected, expected_stats) = run_trace(cfg, &pkts);
-            let mut engine = DartEngine::new(cfg);
-            let mut got: Vec<RttSample> = Vec::new();
-            let mut off = 0;
-            let mut s = 0;
-            while off < pkts.len() {
-                let len = split_lens[s % split_lens.len()].min(pkts.len() - off);
-                engine.process_batch(&pkts[off..off + len], &mut got);
-                off += len;
-                s += 1;
+            let mut reference = DartEngine::new(cfg);
+            reference.process_batch(&pkts, &mut Vec::<RttSample>::new());
+            reference.flush();
+            let expected_tables = reference.snapshot().unwrap();
+            for rotation in 0..split_lens.len() {
+                let mut engine = DartEngine::new(cfg);
+                let mut got: Vec<RttSample> = Vec::new();
+                let mut rest = &pkts[..];
+                let mut s = rotation;
+                while !rest.is_empty() {
+                    let len = split_lens[s % split_lens.len()].min(rest.len());
+                    engine.process_batch(&rest[..len], &mut got);
+                    rest = &rest[len..];
+                    s += 1;
+                    if s == rotation + 5 {
+                        let snap = engine.snapshot().unwrap();
+                        engine.restore(&snap).unwrap();
+                        assert!(engine.scratch.memo.is_empty(), "restore leaves a cold memo");
+                    }
+                }
+                engine.flush();
+                let what = format!("rotation {rotation} of {cfg:?}");
+                assert_eq!(got, expected, "samples diverge: {what}");
+                assert_eq!(*engine.stats(), expected_stats, "stats diverge: {what}");
+                assert_eq!(
+                    engine.snapshot().unwrap().as_bytes(),
+                    expected_tables.as_bytes(),
+                    "table state diverges: {what}"
+                );
             }
-            engine.flush();
-            assert_eq!(got, expected, "samples diverge for {cfg:?}");
-            assert_eq!(*engine.stats(), expected_stats, "stats diverge for {cfg:?}");
         }
     }
 
     /// The offset `process_batch_at` publishes names the packet whose
     /// processing emitted each sample and event — recirculation drains and
     /// dual-role packets included — for any block split: tagging with
-    /// `block start + at` reproduces the per-packet path's tags exactly.
+    /// `block start + at` reproduces the one-packet-block tags exactly.
     #[test]
     fn batch_position_names_the_emitting_packet() {
         use std::cell::RefCell;
@@ -1743,8 +1703,8 @@ mod tests {
             .with_max_recirc(4)
             .with_leg(Leg::Both);
         type Tagged = (Vec<(usize, RttSample)>, Vec<(usize, EngineEvent)>);
-        // Feed `pkts` in blocks of `split` (0: the per-packet reference
-        // path), tagging every emission with the global packet index.
+        // Feed `pkts` in blocks of `split` (0: one `process` call per
+        // packet), tagging every emission with the global packet index.
         let tagged = |split: usize| -> (Tagged, EngineStats) {
             let at = Rc::new(Cell::new(0usize));
             let base = Rc::new(Cell::new(0usize));

@@ -42,10 +42,10 @@
 //! free. [`run_monitor`] and [`run_monitor_slice`] are `drive` with a
 //! boundary that always asks for the default block.
 //!
-//! The per-packet **reference** path, [`run_trace`](crate::engine::run_trace),
-//! is deliberately not built on this loop: it calls `DartEngine::process`
-//! packet by packet, and the golden and backend-conformance suites hold
-//! the block path to it.
+//! [`run_trace`](crate::engine::run_trace) does not go through this loop:
+//! it calls `DartEngine::process` packet by packet — the engine's block
+//! body over one-packet blocks — and the golden and backend-conformance
+//! suites pin that extreme of split invariance beside an irregular split.
 
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -99,10 +99,10 @@ pub trait RttMonitor {
     /// identical to calling [`RttMonitor::on_packet`] per packet — same
     /// samples in the same order, same final [`RttMonitor::stats`] — for
     /// any split of the stream into blocks (the conformance suite pins
-    /// this). The default does exactly that; engines with a real batch
-    /// pipeline (SoA decode, pre-hashed and prefetched table probes)
-    /// override it for throughput, and drivers call this so virtual
-    /// dispatch is paid per block, not per packet.
+    /// this). The default does exactly that; Dart's engine has one body,
+    /// written for blocks (decode-ahead, prefetched table probes), and its
+    /// `on_packet` is the one-packet block of it. Drivers call this so
+    /// virtual dispatch is paid per block, not per packet.
     fn on_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
         for pkt in pkts {
             self.on_packet(pkt, sink);
@@ -295,7 +295,7 @@ pub fn run_monitor<M: RttMonitor + ?Sized, S: PacketSource>(
 
 /// [`run_monitor`] over an in-memory trace, collecting into a fresh
 /// vector: the block path for any monitor, and the whole-trace helper
-/// every caller outside the reference suites uses (a sharded replay is
+/// every caller outside the split-invariance suites uses (a sharded replay is
 /// `run_monitor_slice(&mut ShardedMonitor::new(cfg), pkts)`). Infallible:
 /// slice sources cannot error.
 pub fn run_monitor_slice<M: RttMonitor + ?Sized>(

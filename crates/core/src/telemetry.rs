@@ -6,11 +6,11 @@
 //! * [`EngineTelemetry`] lives **inside** a [`DartEngine`](crate::DartEngine)
 //!   (one per shard; the serial engine is `shard="0"`). The engine keeps
 //!   accumulating its plain [`EngineStats`] on the hot path and *publishes*
-//!   the totals to the shared atomic counters at sync points — every
-//!   [`SYNC_INTERVAL_PKTS`] packets, at every batch boundary in the sharded
-//!   engine, and at flush — so the per-packet cost is a predictable branch,
-//!   not thirty atomic writes. Only the RTT histogram observes on the hot
-//!   path (one `fetch_add` per *sample*, not per packet).
+//!   the totals to the shared atomic counters at sync points — at every
+//!   `process_batch` boundary, every [`SYNC_INTERVAL_PKTS`] packets under
+//!   `process`, and at flush — so the per-packet cost is a predictable
+//!   branch, not thirty atomic writes. Only the RTT histogram observes on
+//!   the hot path (one `fetch_add` per *sample*, not per packet).
 //! * [`MeteredMonitor`] wraps **any** [`RttMonitor`] from the outside: it
 //!   mirrors the monitor's whole-run counters (`dart_run_*`) and feeds every
 //!   emitted sample into a run-level RTT histogram. This is what makes the
@@ -424,6 +424,32 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    /// One block body serves every entry point and publishes nothing; the
+    /// cadence is the entry point's own. A per-packet caller does not pay a
+    /// publication per packet.
+    #[test]
+    fn publication_cadence_follows_the_entry_point() {
+        let registry = MetricRegistry::new();
+        let mut engine = DartEngine::new(DartConfig::default());
+        engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
+        let published = registry.counter("dart_shard_packets_total", &[("shard", "0")], "");
+        let interval = SYNC_INTERVAL_PKTS as usize;
+        let pkts = exchange(SYNC_INTERVAL_PKTS as u32);
+        let mut sink: Vec<RttSample> = Vec::new();
+        for p in &pkts[..interval - 1] {
+            engine.process(p, &mut sink);
+        }
+        assert_eq!(published.get(), 0, "nothing published below the interval");
+        engine.process(&pkts[interval - 1], &mut sink);
+        assert_eq!(published.get(), SYNC_INTERVAL_PKTS);
+        engine.process_batch(&pkts[interval..interval + 3], &mut sink);
+        assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 3, "block boundary");
+        engine.process(&pkts[interval + 3], &mut sink);
+        assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 3, "off the interval");
+        engine.flush();
+        assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 4, "flush publishes");
     }
 
     #[test]

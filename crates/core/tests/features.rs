@@ -1,7 +1,7 @@
 //! Tests for the §4/§7 engine extensions: flow-selection rules, the victim
 //! cache, and the RT-copy recirculation-avoidance approximation.
 
-use dart_core::{DartConfig, DartEngine, FlowFilter, FlowRule, RttSample};
+use dart_core::{DartConfig, DartEngine, FlowFilter, FlowRule, Leg, RttSample};
 use dart_packet::{Direction, FlowKey, Nanos, PacketBuilder, PacketMeta, MILLISECOND};
 use std::net::Ipv4Addr;
 
@@ -186,6 +186,52 @@ fn rt_copy_staleness_can_drop_valid_records() {
     let (samples, stats) = dart_core::run_trace(cfg, &pkts);
     assert_eq!(stats.rt_copy_dropped, 1);
     assert!(samples.is_empty(), "the lagging copy sacrificed the sample");
+}
+
+#[test]
+fn rt_copy_follows_a_piggybacked_ack() {
+    // Both legs, 1-slot PT: A's first record survives A's second segment
+    // (the copy validates it, the cycle break gives the older record the
+    // slot back), then a data segment from the far end acknowledges both
+    // segments. That ACK must reach A's shadow: once the sync lag has
+    // passed, the dead record is evicted by flow C's packet and has to be
+    // dropped. Judged against A's old range it would be reinserted over
+    // C's live record, and C's sample lost.
+    let cfg = DartConfig::default()
+        .with_leg(Leg::Both)
+        .with_rt(1 << 12)
+        .with_pt(1, 1)
+        .with_max_recirc(4)
+        .with_rt_copy(1_000);
+    let (a, c) = (flow(50), flow(51));
+    let data = |f: FlowKey, seq: u32, t: Nanos| {
+        PacketBuilder::new(f, t)
+            .seq(seq)
+            .payload(100)
+            .dir(Direction::Outbound)
+            .build()
+    };
+    let pkts = [
+        data(a, 0, 0),
+        data(a, 100, 50_000),
+        PacketBuilder::new(a.reverse(), 100_000)
+            .seq(500u32)
+            .payload(50)
+            .ack(200u32)
+            .dir(Direction::Inbound)
+            .build(),
+        data(c, 0, 200_000),
+        PacketBuilder::new(c.reverse(), 300_000)
+            .ack(100u32)
+            .dir(Direction::Inbound)
+            .build(),
+    ];
+    let (samples, stats) = dart_core::run_trace(cfg, &pkts);
+    assert_eq!(stats.dual_role_recirc, 1, "the ACK rode on a data segment");
+    assert_eq!(stats.rt_copy_dropped, 1, "A's acknowledged record is dead");
+    assert_eq!(stats.rt_copy_reinserted, 2);
+    assert_eq!(samples.len(), 1);
+    assert_eq!(samples[0].flow, c);
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //!          - dual_role_recirc
 //! ```
 //!
-//! The SEQ group partitions `handle_seq` calls (`seq_hole_reset` is a
+//! The SEQ group partitions `handle_seq_at` calls (`seq_hole_reset` is a
 //! refinement of `seq_tracked`, not a separate bucket) and the ACK group
-//! partitions `handle_ack` calls; `dual_role_recirc` corrects for packets
+//! partitions `handle_ack_at` calls; `dual_role_recirc` corrects for packets
 //! that fired both roles (possible only in `Leg::Both`). On top of that,
 //! every sample comes from a Packet Tracker match (`samples == pt_matched`)
 //! and, with telemetry attached, the RTT histogram observes each match

@@ -14,6 +14,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The engine's tables and recirculation port live here: panicking unwraps
+// are banned from lib code, as in `dart-core` (tests keep them).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod hash;
 pub mod placement;

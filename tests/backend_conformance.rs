@@ -3,7 +3,9 @@
 //!
 //! The golden digests under `tests/golden/exact_backend.txt` were generated
 //! from the engine *before* the `RtTable`/`PtTable` seam was introduced
-//! (same pinned traces, same configs, streaming and batch paths). Any
+//! (same pinned traces, same configs; `streaming=` is the one-packet split
+//! — the engine has one body, `process` is a one-packet block of it — and
+//! `batch=` an irregular one, pinned separately as bytes). Any
 //! behavioural drift in the exact backend — a reordered table probe, a
 //! changed eviction decision, a different sample or counter — changes a
 //! digest and fails here. Regenerate (only when a divergence is both

@@ -10,8 +10,10 @@
 //!   `run_monitor_slice` on a fresh instance.
 //! * **Block-split invariance** — delivering the stream through `on_batch`
 //!   over *any* split into blocks (empty and size-1 included) is
-//!   indistinguishable from the per-packet path, for the default
-//!   per-packet fallback and Dart's specialized SoA pipeline alike.
+//!   indistinguishable from the per-packet path. For the baselines that
+//!   is a real `on_packet` body under the default `on_batch` loop; for the
+//!   Dart rows, whose engine has one body, "per-packet" is the one-packet
+//!   split of it.
 //! * **Flush idempotence** — a second `flush` emits nothing and leaves
 //!   `stats()` unchanged, through the batch path too.
 //! * **Chunked sources** — streaming through a [`PacketSource`] in bounded
