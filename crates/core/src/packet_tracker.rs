@@ -6,7 +6,9 @@
 //! * **Unlimited** — fully associative and unbounded, keyed by the exact
 //!   (4-tuple, eACK); the §6.1 idealization.
 //! * **Constrained** — `stages` one-way associative register arrays, each
-//!   indexed by an independent hash. A packet gets one register access per
+//!   indexed by its own seeded hash unit (one CRC under different seeds:
+//!   records sharing a slot in one stage share one in every stage, see
+//!   `dart_switch::hash`). A packet gets one register access per
 //!   stage per pass, so insertion probes the record's slot in each stage
 //!   for an empty home; only when every probed slot is occupied does it
 //!   displace the occupant of its *entry stage*, which must then
@@ -110,6 +112,16 @@ pub enum PtInsert {
     StoredOverwriting,
 }
 
+/// The bytes every PT stage or way hashes for one record identity, exact
+/// and sketch alike: signature then eACK, little-endian.
+#[inline]
+pub(crate) fn pt_key(id: &PacketId) -> [u8; 12] {
+    let mut key = [0u8; 12];
+    key[0..8].copy_from_slice(&id.sig.raw().to_le_bytes());
+    key[8..12].copy_from_slice(&id.eack.raw().to_le_bytes());
+    key
+}
+
 enum PtStore {
     Unlimited(HashMap<(FlowKey, SeqNum), Nanos>),
     Constrained {
@@ -151,13 +163,6 @@ impl PacketTracker {
             }
         };
         PacketTracker { store }
-    }
-
-    fn index(hashers: &[HashUnit], stage: usize, size: usize, id: &PacketId) -> usize {
-        let mut key = [0u8; 12];
-        key[0..8].copy_from_slice(&id.sig.raw().to_le_bytes());
-        key[8..12].copy_from_slice(&id.eack.raw().to_le_bytes());
-        hashers[stage].index(&key, size)
     }
 
     /// Insert a freshly tracked data packet. `flow` keys the unlimited
@@ -222,13 +227,20 @@ impl PacketTracker {
         };
         let n = stages.len();
         let size = stages[0].size();
-        let idx_at = |s: usize| Self::index(hashers, s, size, &rec.id());
+        let key = pt_key(&rec.id());
+        // The entry stage is hashed once: the displacement below lands on
+        // the slot the probe pass read first.
+        let idx0 = hashers[entry_stage].index(&key, size);
 
         // Probe pass: one access per stage, looking for an empty home (or a
         // duplicate of ourselves to refresh) from the entry stage onward.
         #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
         for s in entry_stage..n {
-            let idx = idx_at(s);
+            let idx = if s == entry_stage {
+                idx0
+            } else {
+                hashers[s].index(&key, size)
+            };
             match stages[s].read(idx) {
                 None => {
                     stages[s].write(idx, rec);
@@ -245,7 +257,6 @@ impl PacketTracker {
         }
 
         // Every probed slot is occupied: displace the entry-stage occupant.
-        let idx0 = idx_at(entry_stage);
         // The probe loop above returned without finding a free slot, so the
         // entry stage is occupied; the lint exception documents that proof.
         #[allow(clippy::expect_used)]
@@ -276,11 +287,11 @@ impl PacketTracker {
         match &mut self.store {
             PtStore::Unlimited(map) => map.remove(&(*flow, ack)),
             PtStore::Constrained { stages, hashers } => {
-                let id = PacketId::new(sig, ack);
+                let key = pt_key(&PacketId::new(sig, ack));
                 let size = stages[0].size();
                 #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
                 for s in 0..stages.len() {
-                    let idx = Self::index(hashers, s, size, &id);
+                    let idx = hashers[s].index(&key, size);
                     let hit =
                         matches!(stages[s].read(idx), Some(r) if r.sig == sig && r.eack == ack);
                     if hit {

@@ -25,7 +25,7 @@
 //! are order-independent, and every test can pin seeds.
 
 use crate::config::{PtMode, RtMode};
-use crate::packet_tracker::{PtInsert, PtRecord};
+use crate::packet_tracker::{pt_key, PtInsert, PtRecord};
 use crate::range::MeasurementRange;
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -49,9 +49,13 @@ fn mix64(mut x: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A count-min sketch: `depth` rows of `width` counters, each row indexed
-/// by an independent seeded hash. Estimates are upper bounds — collisions
+/// by its own seeded [`HashUnit`]. Estimates are upper bounds — collisions
 /// only inflate counts — which is the right direction for a heavy-hitter
 /// gate (false *admissions*, never false denials of a true elephant).
+/// The rows are one CRC under different seeds, not independent hashes: over
+/// a power-of-two `width`, two keys that collide in one row collide in
+/// every row, so extra depth tightens nothing there (DESIGN.md §5f, "One
+/// linear map"). The bound's direction does not depend on it.
 ///
 /// This is the one CMS implementation in the workspace; `analytics`
 /// re-exports it next to the P² quantile sketch.
@@ -688,20 +692,31 @@ impl Packed for SketchPtCell {
     }
 }
 
-/// A compact fingerprint Packet Tracker: `ways` independently hashed ways
-/// of `(fingerprint, ts)` cells. Insertion into a full way set overwrites
+/// A compact fingerprint Packet Tracker: `ways` seeded-CRC ways of
+/// `(fingerprint, ts)` cells. Insertion into a full way set overwrites
 /// the oldest-timestamp cell ([`PtInsert::StoredOverwriting`]) instead of
 /// recirculating — the sketch spends zero recirculation bandwidth. An ACK
-/// matches only when the stored fingerprint verifies, so a fingerprint
-/// collision can *lose* a sample (overwrite) or mis-time one with
-/// probability ~2⁻³² per probe, but the structure never invents a record
-/// that was not inserted.
+/// matches only when the stored fingerprint verifies; the structure never
+/// invents a record that was not inserted, but a probe for identity *A*
+/// that lands on a cell holding *B* with `fp(A) == fp(B)` takes *B*'s
+/// timestamp. The fingerprint is `mix64`, not a [`HashUnit`]: every
+/// `HashUnit` is one linear map under a different seed, so a CRC
+/// fingerprint repeats the way index in its low log2(`way_size`) bits and
+/// two cell-mates differ in only 32 − log2(`way_size`) of them (25 at
+/// `--pt 512`, which fabricated one sample in 3.4 M packets — ROADMAP
+/// item 1). With all 32 bits independent of the index the mis-match
+/// probability is 2⁻³² per probe of an occupied cell, `ways` probes an ACK.
 pub struct SketchPacketTracker {
     ways: Vec<RegisterArray<SketchPtCell>>,
     hashers: Vec<HashUnit>,
-    fp_hasher: HashUnit,
     way_size: usize,
 }
+
+/// Salt of the sketch-PT fingerprint ("mix64"), and the word its checkpoint
+/// section opens with: a section whose first word is anything else — a way
+/// count, before PR 23 — holds fingerprints of another function, which
+/// would restore into cells no ACK can ever match.
+const FP_SCHEME: u64 = 0x6D_6978_3634;
 
 impl SketchPacketTracker {
     /// Most ways a sketch PT may be built with.
@@ -727,32 +742,23 @@ impl SketchPacketTracker {
             hashers: (0..ways)
                 .map(|w| HashUnit::new(0xB8 + w as u32, 32))
                 .collect(),
-            fp_hasher: HashUnit::new(0xD7, 32),
             way_size,
         }
     }
 
     #[inline]
-    fn key_bytes(id: &PacketId) -> [u8; 12] {
-        let mut key = [0u8; 12];
-        key[0..8].copy_from_slice(&id.sig.raw().to_le_bytes());
-        key[8..12].copy_from_slice(&id.eack.raw().to_le_bytes());
-        key
-    }
-
-    #[inline]
-    fn fp(&self, id: &PacketId) -> u32 {
-        self.fp_hasher.hash(&Self::key_bytes(id))
+    fn fp(id: &PacketId) -> u32 {
+        (mix64(id.sig.raw() ^ (u64::from(id.eack.raw()) << 32) ^ FP_SCHEME) >> 32) as u32
     }
 
     /// Insert a freshly tracked data packet.
     pub fn insert_new(&mut self, sig: FlowSignature, eack: SeqNum, ts: Nanos) -> PtInsert {
         let id = PacketId::new(sig, eack);
-        let fp = self.fp(&id);
+        let (key, fp) = (pt_key(&id), Self::fp(&id));
         let fresh = SketchPtCell { fp, ts };
         let mut oldest: Option<(Nanos, usize, usize)> = None;
         for w in 0..self.ways.len() {
-            let i = self.hashers[w].index(&Self::key_bytes(&id), self.way_size);
+            let i = self.hashers[w].index(&key, self.way_size);
             match self.ways[w].read(i) {
                 None => {
                     self.ways[w].write(i, fresh);
@@ -791,9 +797,9 @@ impl SketchPacketTracker {
     /// clear the cell on a hit, and return its stored timestamp.
     pub fn match_ack(&mut self, sig: FlowSignature, ack: SeqNum) -> Option<Nanos> {
         let id = PacketId::new(sig, ack);
-        let fp = self.fp(&id);
+        let (key, fp) = (pt_key(&id), Self::fp(&id));
         for w in 0..self.ways.len() {
-            let i = self.hashers[w].index(&Self::key_bytes(&id), self.way_size);
+            let i = self.hashers[w].index(&key, self.way_size);
             let hit = matches!(self.ways[w].read(i), Some(c) if c.fp == fp);
             if hit {
                 return self.ways[w].clear(i).map(|c| c.ts);
@@ -827,6 +833,7 @@ impl SketchPacketTracker {
 
     /// Serialize every live cell of every way into `w` (control plane).
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+        w.put_u64(FP_SCHEME);
         w.put_usize(self.ways.len());
         w.put_usize(self.way_size);
         for way in &self.ways {
@@ -840,9 +847,17 @@ impl SketchPacketTracker {
     }
 
     /// Replace this tracker's contents with a checkpointed state written by
-    /// [`SketchPacketTracker::snapshot_into`]. Way count and way size must
-    /// match.
+    /// [`SketchPacketTracker::snapshot_into`]. The fingerprint scheme, way
+    /// count and way size must match.
     pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let scheme = r.get_u64()?;
+        if scheme != FP_SCHEME {
+            return Err(SnapshotError::Mismatch(format!(
+                "sketch PT snapshot opens with {scheme:#x}, not fingerprint scheme \
+                 {FP_SCHEME:#x}: its cells (CRC fingerprints, if it predates PR 23) \
+                 could never match an ACK here"
+            )));
+        }
         let ways = r.get_usize()?;
         let way_size = r.get_usize()?;
         if ways != self.ways.len() || way_size != self.way_size {
@@ -1221,6 +1236,58 @@ mod tests {
         }
     }
 
+    /// What stands between a shared cell and a fabricated sample is the
+    /// fingerprint, so none of its bits may be implied by the cell: among
+    /// identities sharing a way-0 cell the low log2(`way_size`) fingerprint
+    /// bits agree only as often as chance has it (1 in 128). A CRC
+    /// fingerprint — any [`HashUnit`] — agrees on them every time.
+    #[test]
+    fn sketch_pt_fingerprint_is_independent_of_the_way_index() {
+        let t = pt(512, 4);
+        assert_eq!(t.way_size, 128);
+        let mut first_in_cell: Vec<Option<u32>> = vec![None; t.way_size];
+        let (mut mates, mut agree) = (0u32, 0u32);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..100_000 {
+            x = mix64(x);
+            let id = PacketId::new(FlowSignature(x >> 32), SeqNum(x as u32));
+            let cell = t.hashers[0].index(&pt_key(&id), t.way_size);
+            let fp = SketchPacketTracker::fp(&id);
+            match first_in_cell[cell] {
+                None => first_in_cell[cell] = Some(fp),
+                Some(mate) => {
+                    mates += 1;
+                    agree += u32::from((mate ^ fp) & 127 == 0);
+                }
+            }
+        }
+        assert!(mates > 99_000);
+        assert!(
+            agree < 2 * mates / 128,
+            "{agree} of {mates} cell-mates repeat the index bits in the fingerprint"
+        );
+    }
+
+    /// A checkpoint section that does not open with this build's
+    /// fingerprint scheme is refused — one from before the scheme word
+    /// existed opens with its way count.
+    #[test]
+    fn sketch_pt_restore_refuses_another_fingerprint_scheme() {
+        let mut w = SnapWriter::new();
+        w.put_usize(2); // ways
+        w.put_usize(32); // way size
+        w.put_usize(0);
+        w.put_usize(0);
+        let before_the_scheme_word = w.into_payload();
+        let err = pt(64, 2)
+            .restore_from(&mut SnapReader::new(&before_the_scheme_word))
+            .unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Mismatch(m) if m.contains("fingerprint")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn sketch_pt_never_fabricates() {
         let mut t = pt(64, 4);
@@ -1228,8 +1295,8 @@ mod tests {
             t.insert_new(sig(n), SeqNum(n * 10), u64::from(n));
         }
         // ACKs for never-inserted identities miss (fingerprint verification)
-        // — modulo the ~2^-32 collision probability, which these 500 probes
-        // stay clear of for this pinned hash seed.
+        // — modulo the 2^-32 collision probability per occupied cell probed,
+        // which these 500 probes stay clear of for this pinned salt.
         for n in 0..500u32 {
             assert_eq!(t.match_ack(sig(n + 10_000), SeqNum(n * 10 + 7)), None);
         }
