@@ -292,12 +292,15 @@ impl EngineRegistry {
         metrics: &MetricRegistry,
     ) -> Result<BuiltEngine, String> {
         let judgement = self.judgement(name)?;
-        let serial_dart = match name {
-            "dart" => Some(*cfg),
-            "dart@sketch" => Some(cfg.with_backend(Backend::Sketch)),
-            "dart@precision" => Some(cfg.with_backend(Backend::Precision)),
-            _ => None,
-        };
+        // `dart` runs the configuration as given; the other two names set
+        // their backend on it, as their registry entries do.
+        let serial_dart = [Backend::Exact, Backend::Sketch, Backend::Precision]
+            .into_iter()
+            .find(|b| b.engine_name() == name)
+            .map(|b| match b {
+                Backend::Exact => *cfg,
+                b => cfg.with_backend(b),
+            });
         let monitor: Box<dyn RttMonitor> = if let Some(cfg) = serial_dart {
             let mut engine = DartEngine::new(cfg);
             engine.attach_telemetry(EngineTelemetry::register(metrics, 0));

@@ -1,101 +1,34 @@
-//! One Criterion bench per paper artifact: times the regeneration of each
-//! table/figure at small scale, so `cargo bench` exercises the entire
-//! evaluation pipeline end to end.
+//! One Criterion bench per paper artifact: times the `dart_bench::figures`
+//! function that regenerates it at small scale — the experiment the bins
+//! print and `tests/paper_shapes.rs` gates, not a copy of it — so
+//! `cargo bench` exercises the entire evaluation pipeline end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
-use dart_bench::{
-    run_fig9_variant, run_point, standard_trace, sweep_config, tcptrace_const, Fig9Variant,
-    TraceScale,
-};
-use dart_core::{run_trace, DartConfig, Leg};
-use dart_sim::scenario::{interception, AttackConfig};
-use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
+use dart_bench::figures::{self, SweepAxis};
+use dart_bench::{standard_trace, TraceScale};
 
 fn figures(c: &mut Criterion) {
     let scale = TraceScale::Small;
     let trace = standard_trace(scale);
-    let (baseline, _) = tcptrace_const(&trace.packets);
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
 
-    g.bench_function("table1_resources", |b| {
-        b.iter(|| {
-            let prog = dart_program(DartProgramParams {
-                spans_egress: true,
-                ..DartProgramParams::default()
-            });
-            estimate(&prog, &TargetProfile::tofino1()).fits()
-        });
-    });
-
+    g.bench_function("table1_resources", |b| b.iter(figures::table1));
     g.bench_function("fig6_internal_leg", |b| {
-        b.iter(|| {
-            let cfg = DartConfig::default()
-                .with_leg(Leg::Internal)
-                .with_rt(scale.rt_large())
-                .with_pt(scale.pt_fixed() * 8, 1);
-            run_trace(cfg, &trace.packets).0.len()
-        });
+        b.iter(|| figures::fig6(scale, &trace))
     });
-
-    g.bench_function("fig8_attack_detection", |b| {
-        let attack = interception(AttackConfig {
-            rounds: 60,
-            attack_at: 6_000_000_000,
-            ..AttackConfig::default()
-        });
-        b.iter(|| {
-            let (samples, _) = run_trace(DartConfig::default(), &attack.packets);
-            let mut det = ChangeDetector::new(ChangeDetectorConfig::default());
-            samples
-                .iter()
-                .filter(|s| matches!(det.offer(s.rtt, s.ts), Verdict::Confirmed { .. }))
-                .count()
-        });
+    g.bench_function("fig8_attack_detection", |b| b.iter(figures::fig8));
+    g.bench_function("fig9_four_way", |b| b.iter(|| figures::fig9(&trace)));
+    g.bench_function("fig10_handshake_skipping", |b| {
+        b.iter(|| figures::fig10(&trace))
     });
-
-    g.bench_function("fig9_four_way", |b| {
-        b.iter(|| {
-            let d = run_fig9_variant(Fig9Variant::DartMinusSyn, &trace.packets);
-            let t = run_fig9_variant(Fig9Variant::TcptraceMinusSyn, &trace.packets);
-            let mut dist = RttDistribution::from_samples(d.iter().map(|s| s.rtt));
-            (t.len(), dist.percentile(99.0))
-        });
-    });
-
-    g.bench_function("fig11_pt_size_point", |b| {
-        b.iter(|| {
-            run_point(
-                sweep_config(scale, scale.pt_fixed(), 1, 1),
-                &trace.packets,
-                &baseline,
-            )
-            .fraction_collected
-        });
-    });
-
-    g.bench_function("fig12_stage_point", |b| {
-        b.iter(|| {
-            run_point(
-                sweep_config(scale, scale.pt_fixed(), 8, 1),
-                &trace.packets,
-                &baseline,
-            )
-            .fraction_collected
-        });
-    });
-
-    g.bench_function("fig13_recirc_point", |b| {
-        b.iter(|| {
-            run_point(
-                sweep_config(scale, scale.pt_fixed(), 8, 8),
-                &trace.packets,
-                &baseline,
-            )
-            .fraction_collected
-        });
-    });
+    for (name, axis) in [
+        ("fig11_pt_size_sweep", SweepAxis::PtSize),
+        ("fig12_stage_sweep", SweepAxis::Stages),
+        ("fig13_recirc_sweep", SweepAxis::Recirc),
+    ] {
+        g.bench_function(name, |b| b.iter(|| figures::sweep(axis, scale, &trace)));
+    }
 
     g.finish();
 }

@@ -1,46 +1,8 @@
 //! Fig. 10: skipping handshake (SYN) packets — Range Tracker memory saved
-//! vs RTT samples foregone.
-//!
-//! Paper: 72.5% of connections (1M of 1.38M) never complete a handshake, so
-//! skipping SYNs saves their RT entries entirely while losing only 4.2% of
-//! samples (0.32M of 7.53M).
+//! vs RTT samples foregone. Defined in `dart_bench::figures`.
 
-use dart_bench::{run_fig9_variant, standard_trace, Fig9Variant, TraceScale};
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!("trace: {} packets", trace.len());
-
-    let total = trace.conns.len();
-    let incomplete = trace.conns.iter().filter(|c| !c.complete).count();
-
-    let dart_plus = run_fig9_variant(Fig9Variant::DartPlusSyn, &trace.packets);
-    let dart_minus = run_fig9_variant(Fig9Variant::DartMinusSyn, &trace.packets);
-    let lost = dart_plus.len().saturating_sub(dart_minus.len());
-
-    println!("Fig 10: the handshake-skipping tradeoff");
-    println!();
-    println!("connections total            : {total}");
-    println!(
-        "incomplete handshakes        : {incomplete} ({:.1}%)   (paper: 72.5%)",
-        incomplete as f64 / total as f64 * 100.0
-    );
-    println!();
-    println!(
-        "RT entries saved by -SYN     : {incomplete} ({:.1}% of connections)",
-        incomplete as f64 / total as f64 * 100.0
-    );
-    println!("samples with +SYN            : {}", dart_plus.len());
-    println!("samples with -SYN            : {}", dart_minus.len());
-    println!(
-        "samples foregone             : {lost} ({:.1}%)   (paper: 4.2%)",
-        lost as f64 / dart_plus.len().max(1) as f64 * 100.0
-    );
-    println!();
-    println!(
-        "memory saved per 1% of samples foregone: {:.1}% of connections",
-        (incomplete as f64 / total as f64 * 100.0)
-            / (lost as f64 / dart_plus.len().max(1) as f64 * 100.0).max(0.01)
-    );
+    figures::print_section(|_, trace| figures::fig10(trace));
 }

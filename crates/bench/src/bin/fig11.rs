@@ -1,33 +1,8 @@
-//! Fig. 11: performance of Dart with a large RT table and varying PT size
-//! (one stage, one recirculation allowed).
-//!
-//! Paper (135M-packet trace, PT 2^10..2^20): error falls with PT size; more
-//! than 90% of samples already at 2^13; recirculations/packet fall from
-//! 0.16 to 0.06. This harness sweeps a grid shifted to the synthetic
-//! trace's scale (see `TraceScale::pt_sweep_log2` and EXPERIMENTS.md).
+//! Fig. 11: Dart with a large RT table and varying PT size (one stage, one
+//! recirculation allowed). Defined in `dart_bench::figures`.
 
-use dart_bench::{
-    run_point, standard_trace, sweep_config, tcptrace_const, AccuracyReport, TraceScale,
-};
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!("trace: {} packets", trace.len());
-    let (baseline, _) = tcptrace_const(&trace.packets);
-    eprintln!("baseline (tcptrace_const) samples: {}", baseline.len());
-
-    println!("Fig 11: PT size sweep (1 stage, max 1 recirculation)");
-    println!();
-    println!("{}", AccuracyReport::header());
-    for log2 in scale.pt_sweep_log2() {
-        let cfg = sweep_config(scale, 1 << log2, 1, 1);
-        let rep = run_point(cfg, &trace.packets, &baseline);
-        println!("{}", rep.row(&format!("PT=2^{log2}")));
-    }
-    println!();
-    println!(
-        "(paper shape: errors -> 0 and fraction -> 100% as PT grows; recirc/pkt\n\
-         falls from ~0.16 to ~0.06; >90% of samples at modest PT sizes)"
-    );
+    figures::print_section(|s, t| figures::sweep(figures::SweepAxis::PtSize, s, t));
 }

@@ -1,35 +1,8 @@
-//! Fig. 12: performance of Dart with a fixed-size PT split across 1–8
-//! stages, still allowing only 1 recirculation.
-//!
-//! Paper: splitting the same memory into more one-way stages *hurts* —
-//! the sample fraction drops, the median is overestimated (negative error),
-//! and recirculations jump — because later-stage records are never
-//! displaced ("older records are preferred") while the shrunken first stage
-//! thrashes.
+//! Fig. 12: a fixed-size PT split across 1–8 stages, still allowing only one
+//! recirculation. Defined in `dart_bench::figures`.
 
-use dart_bench::{
-    run_point, standard_trace, sweep_config, tcptrace_const, AccuracyReport, TraceScale,
-};
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!("trace: {} packets", trace.len());
-    let (baseline, _) = tcptrace_const(&trace.packets);
-    eprintln!("baseline samples: {}", baseline.len());
-
-    let pt = scale.pt_fixed();
-    println!("Fig 12: PT stage sweep (PT = {pt} slots total, max 1 recirculation)");
-    println!();
-    println!("{}", AccuracyReport::header());
-    for stages in 1..=8usize {
-        let cfg = sweep_config(scale, pt, stages, 1);
-        let rep = run_point(cfg, &trace.packets, &baseline);
-        println!("{}", rep.row(&format!("{stages} stage(s)")));
-    }
-    println!();
-    println!(
-        "(paper shape: 1 stage is best; >=2 stages lose samples, overestimate\n\
-         the median (negative error), and recirculate more)"
-    );
+    figures::print_section(|s, t| figures::sweep(figures::SweepAxis::Stages, s, t));
 }

@@ -1,33 +1,8 @@
-//! Fig. 13: performance of an 8-stage PT as the per-record recirculation
-//! cap grows from 1 to 8.
-//!
-//! Paper: with ≥4 recirculations allowed, the 8-stage PT recovers —
-//! errors near zero, ≥99% of samples — while recirculations/packet stay
-//! ≤0.16: multi-stage memory *plus* recirculation headroom works.
+//! Fig. 13: an 8-stage PT as the per-record recirculation cap grows from 1
+//! to 8. Defined in `dart_bench::figures`.
 
-use dart_bench::{
-    run_point, standard_trace, sweep_config, tcptrace_const, AccuracyReport, TraceScale,
-};
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!("trace: {} packets", trace.len());
-    let (baseline, _) = tcptrace_const(&trace.packets);
-    eprintln!("baseline samples: {}", baseline.len());
-
-    let pt = scale.pt_fixed();
-    println!("Fig 13: recirculation sweep (PT = {pt} slots across 8 stages)");
-    println!();
-    println!("{}", AccuracyReport::header());
-    for max_recirc in 1..=8u32 {
-        let cfg = sweep_config(scale, pt, 8, max_recirc);
-        let rep = run_point(cfg, &trace.packets, &baseline);
-        println!("{}", rep.row(&format!("recirc<={max_recirc}")));
-    }
-    println!();
-    println!(
-        "(paper shape: accuracy recovers by ~4 allowed recirculations while\n\
-         recirc/pkt stays bounded)"
-    );
+    figures::print_section(|s, t| figures::sweep(figures::SweepAxis::Recirc, s, t));
 }

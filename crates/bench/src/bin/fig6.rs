@@ -1,65 +1,8 @@
 //! Fig. 6: CDF of internal-leg RTTs, wired vs wireless campus subnets.
-//!
-//! Paper: >80% of wired internal RTTs below 1 ms; <40% of wireless below
-//! 1 ms; >20% of wireless above 20 ms.
+//! Defined in `dart_bench::figures`.
 
-use dart_analytics::RttDistribution;
-use dart_bench::{standard_trace, TraceScale};
-use dart_core::{run_trace, DartConfig, Leg};
-use dart_packet::MILLISECOND;
-use dart_sim::flowgen::is_wireless;
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!(
-        "trace: {} packets, {} conns",
-        trace.len(),
-        trace.conns.len()
-    );
-
-    // Internal leg: data inbound (server → client), ACKs outbound.
-    let cfg = DartConfig::default()
-        .with_leg(Leg::Internal)
-        .with_rt(scale.rt_large())
-        .with_pt(scale.pt_fixed() * 4, 1);
-    let (samples, stats) = run_trace(cfg, &trace.packets);
-    eprintln!(
-        "internal-leg samples: {} ({} tracked)",
-        samples.len(),
-        stats.seq_tracked
-    );
-
-    // For the internal leg the data direction is server → campus client, so
-    // the sample's flow.dst_ip is the campus client address.
-    let mut wired = RttDistribution::new();
-    let mut wireless = RttDistribution::new();
-    for s in &samples {
-        if is_wireless(s.flow.dst_ip) {
-            wireless.push(s.rtt);
-        } else {
-            wired.push(s.rtt);
-        }
-    }
-
-    println!("Fig 6: internal-leg RTT CDF by subnet (model vs paper)");
-    println!();
-    println!("samples: wired={} wireless={}", wired.len(), wireless.len());
-    println!();
-    println!("{:<14} {:>12} {:>12}", "CDF at", "wired", "wireless");
-    for us in [500u64, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000] {
-        println!(
-            "{:<14} {:>11.1}% {:>11.1}%",
-            format!("{} ms", us as f64 / 1000.0),
-            wired.cdf_at(us * 1_000) * 100.0,
-            wireless.cdf_at(us * 1_000) * 100.0
-        );
-    }
-    println!();
-    let w1 = wired.cdf_at(MILLISECOND) * 100.0;
-    let wl1 = wireless.cdf_at(MILLISECOND) * 100.0;
-    let wl20 = (1.0 - wireless.cdf_at(20 * MILLISECOND)) * 100.0;
-    println!("paper: wired <1ms > 80%        | measured: {w1:.1}%");
-    println!("paper: wireless <1ms < 40%     | measured: {wl1:.1}%");
-    println!("paper: wireless >20ms > 20%    | measured: {wl20:.1}%");
+    figures::print_section(figures::fig6);
 }

@@ -1,83 +1,7 @@
 //! Fig. 8: detecting a traffic-interception attack from the min-RTT of
 //! 8-sample windows — suspect on an abrupt rise, confirm when it sustains.
-//!
-//! Paper: attack takes effect at t≈36 s (RTT 25 → 120 ms); suspected almost
-//! immediately, confirmed one window later, 63 packets / 2.58 s after the
-//! attack takes effect.
-
-use dart_analytics::{ChangeDetector, ChangeDetectorConfig, Verdict};
-use dart_core::{run_trace, DartConfig};
-use dart_packet::SECOND;
-use dart_sim::scenario::{interception, AttackConfig};
+//! Defined in `dart_bench::figures`.
 
 fn main() {
-    let cfg = AttackConfig::default();
-    let trace = interception(cfg);
-    eprintln!("attack trace: {} packets", trace.len());
-
-    let (samples, _) = run_trace(DartConfig::default(), &trace.packets);
-    eprintln!("samples: {}", samples.len());
-
-    let mut det = ChangeDetector::new(ChangeDetectorConfig::default());
-    let mut suspected_at = None;
-    let mut confirmed_at = None;
-    for s in &samples {
-        match det.offer(s.rtt, s.ts) {
-            Verdict::Suspected { baseline, observed } if suspected_at.is_none() => {
-                suspected_at = Some((s.ts, baseline, observed));
-            }
-            Verdict::Confirmed {
-                baseline,
-                observed,
-                samples_to_confirm,
-            } if confirmed_at.is_none() => {
-                confirmed_at = Some((s.ts, baseline, observed, samples_to_confirm));
-            }
-            _ => {}
-        }
-    }
-
-    println!("Fig 8: interception-attack detection");
-    println!();
-    println!(
-        "attack takes effect at t = {:.2} s (RTT {} -> {} ms)",
-        cfg.attack_at as f64 / 1e9,
-        cfg.normal_rtt / 1_000_000,
-        cfg.attacked_rtt / 1_000_000
-    );
-    match suspected_at {
-        Some((ts, base, obs)) => println!(
-            "suspected  at t = {:.2} s (window min {:.1} -> {:.1} ms)",
-            ts as f64 / 1e9,
-            base as f64 / 1e6,
-            obs as f64 / 1e6
-        ),
-        None => println!("suspected  : NEVER"),
-    }
-    match confirmed_at {
-        Some((ts, base, obs, n)) => {
-            // Count packet exchanges between attack effect and confirmation
-            // — the paper's headline "63 packets".
-            let pkts_between = trace
-                .packets
-                .iter()
-                .filter(|p| p.ts >= cfg.attack_at && p.ts <= ts)
-                .count();
-            println!(
-                "confirmed  at t = {:.2} s (window min {:.1} -> {:.1} ms, {n} samples)",
-                ts as f64 / 1e9,
-                base as f64 / 1e6,
-                obs as f64 / 1e6
-            );
-            println!();
-            println!("packets between attack effect and confirmation : {pkts_between} (paper: 63)");
-            println!(
-                "time    between attack effect and confirmation : {:.2} s (paper: 2.58 s)",
-                (ts - cfg.attack_at) as f64 / 1e9
-            );
-            let within = ts - cfg.attack_at < 10 * SECOND;
-            println!("confirmed within 10 s of effect: {within}");
-        }
-        None => println!("confirmed  : NEVER"),
-    }
+    print!("{}", dart_bench::figures::fig8());
 }

@@ -1,123 +1,9 @@
 //! Fig. 9: Dart (unlimited memory) vs the tcptrace baseline — sample counts
-//! (±SYN), RTT CDF, and the large-RTT CCDF tail.
-//!
-//! Paper: Dart(+SYN) 7.53M vs tcptrace(+SYN) 9.12M (82.6%); Dart(-SYN)
-//! 7.21M vs tcptrace(-SYN) 8.66M (83.3%); medians 13–15 ms; p99 ≈ 215 ms
-//! for both; tails converge out to 100 s.
+//! (±SYN), RTT CDF, and the large-RTT CCDF tail. Defined in
+//! `dart_bench::figures`.
 
-use dart_analytics::RttDistribution;
-use dart_bench::{run_fig9_variant, standard_trace, Fig9Variant, TraceScale};
-use dart_packet::{MILLISECOND, SECOND};
+use dart_bench::figures;
 
 fn main() {
-    let scale = TraceScale::from_env();
-    let trace = standard_trace(scale);
-    eprintln!("trace: {} packets", trace.len());
-
-    let tc_plus = run_fig9_variant(Fig9Variant::TcptracePlusSyn, &trace.packets);
-    let tc_minus = run_fig9_variant(Fig9Variant::TcptraceMinusSyn, &trace.packets);
-    let dart_plus = run_fig9_variant(Fig9Variant::DartPlusSyn, &trace.packets);
-    let dart_minus = run_fig9_variant(Fig9Variant::DartMinusSyn, &trace.packets);
-
-    println!("Fig 9a: RTT sample counts");
-    println!();
-    println!(
-        "{:<18} {:>10} {:>10} {:>10}",
-        "variant", "tcptrace", "Dart", "ratio"
-    );
-    println!(
-        "{:<18} {:>10} {:>10} {:>9.1}%   (paper: 82.6%)",
-        "+SYN",
-        tc_plus.len(),
-        dart_plus.len(),
-        dart_plus.len() as f64 / tc_plus.len() as f64 * 100.0
-    );
-    println!(
-        "{:<18} {:>10} {:>10} {:>9.1}%   (paper: 83.3%)",
-        "-SYN",
-        tc_minus.len(),
-        dart_minus.len(),
-        dart_minus.len() as f64 / tc_minus.len() as f64 * 100.0
-    );
-
-    let mut dists: Vec<(&str, RttDistribution)> = vec![
-        (
-            "tcptrace(+SYN)",
-            RttDistribution::from_samples(tc_plus.iter().map(|s| s.rtt)),
-        ),
-        (
-            "Dart(+SYN)",
-            RttDistribution::from_samples(dart_plus.iter().map(|s| s.rtt)),
-        ),
-        (
-            "tcptrace(-SYN)",
-            RttDistribution::from_samples(tc_minus.iter().map(|s| s.rtt)),
-        ),
-        (
-            "Dart(-SYN)",
-            RttDistribution::from_samples(dart_minus.iter().map(|s| s.rtt)),
-        ),
-    ];
-
-    println!();
-    println!("Fig 9b: percentiles (ms)");
-    println!();
-    println!(
-        "{:<18} {:>8} {:>8} {:>8} {:>8}",
-        "variant", "p50", "p90", "p95", "p99"
-    );
-    for (name, d) in dists.iter_mut() {
-        let p = |d: &mut RttDistribution, q: f64| {
-            d.percentile(q).map(|v| v as f64 / 1e6).unwrap_or(f64::NAN)
-        };
-        println!(
-            "{name:<18} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-            p(d, 50.0),
-            p(d, 90.0),
-            p(d, 95.0),
-            p(d, 99.0)
-        );
-    }
-    println!("(paper: medians 13-15 ms; p95 39-62 ms; p99 ~215 ms)");
-
-    println!();
-    println!("Fig 9b: CDF checkpoints");
-    println!();
-    print!("{:<18}", "variant");
-    let checkpoints = [5u64, 10, 25, 50, 75, 100, 125];
-    for c in checkpoints {
-        print!(" {:>7}", format!("{c}ms"));
-    }
-    println!();
-    for (name, d) in dists.iter_mut() {
-        print!("{name:<18}");
-        for c in checkpoints {
-            print!(" {:>6.1}%", d.cdf_at(c * MILLISECOND) * 100.0);
-        }
-        println!();
-    }
-
-    println!();
-    println!("Fig 9c: CCDF of large RTTs");
-    println!();
-    print!("{:<18}", "variant");
-    let tails = [
-        (100 * MILLISECOND, "100ms"),
-        (250 * MILLISECOND, "250ms"),
-        (SECOND, "1s"),
-        (5 * SECOND, "5s"),
-        (10 * SECOND, "10s"),
-    ];
-    for (_, label) in tails {
-        print!(" {:>9}", label);
-    }
-    println!();
-    for (name, d) in dists.iter_mut() {
-        print!("{name:<18}");
-        for (t, _) in tails {
-            print!(" {:>8.3}%", d.ccdf_at(t) * 100.0);
-        }
-        println!();
-    }
-    println!("(paper: tails converge; multi-second keep-alive RTTs present in both tools)");
+    figures::print_section(|_, trace| figures::fig9(trace));
 }

@@ -1,78 +1,7 @@
 //! Table 1: data-plane resource usage of the Dart program on Tofino 1
-//! (ingress+egress layout) and Tofino 2 (ingress-only layout).
-
-use dart_switch::{
-    dart_dependencies, dart_program, estimate, place, DartProgramParams, TargetProfile,
-};
+//! (ingress+egress layout) and Tofino 2 (ingress-only layout). Defined in
+//! `dart_bench::figures`.
 
 fn main() {
-    let t1_prog = dart_program(DartProgramParams {
-        rt_entries: 1 << 16,
-        pt_entries: 1 << 17,
-        pt_stages: 1,
-        spans_egress: true,
-    });
-    let t2_prog = dart_program(DartProgramParams {
-        rt_entries: 1 << 14,
-        pt_entries: 1 << 14,
-        pt_stages: 1,
-        spans_egress: false,
-    });
-    let t1 = estimate(&t1_prog, &TargetProfile::tofino1());
-    let t2 = estimate(&t2_prog, &TargetProfile::tofino2());
-
-    println!("Table 1: Data Plane Resource Usage (model) vs paper");
-    println!();
-    println!(
-        "{:<18} {:>10} {:>10} {:>12} {:>12}",
-        "Resource Type", "Tofino1", "Tofino2", "paper T1", "paper T2"
-    );
-    let rows = [
-        ("TCAM", t1.tcam_pct, t2.tcam_pct, 4.9, 2.9),
-        ("SRAM", t1.sram_pct, t2.sram_pct, 13.9, 1.4),
-        (
-            "Hash Units",
-            t1.hash_units_pct,
-            t2.hash_units_pct,
-            16.7,
-            35.8,
-        ),
-        (
-            "Logical Tables",
-            t1.logical_tables_pct,
-            t2.logical_tables_pct,
-            47.9,
-            36.9,
-        ),
-        (
-            "Input Crossbars",
-            t1.crossbar_pct,
-            t2.crossbar_pct,
-            15.4,
-            10.1,
-        ),
-    ];
-    for (name, m1, m2, p1, p2) in rows {
-        println!("{name:<18} {m1:>9.1}% {m2:>9.1}% {p1:>11.1}% {p2:>11.1}%");
-    }
-    println!();
-    println!("fits: tofino1={} tofino2={}", t1.fits(), t2.fits());
-    for (name, prog, profile) in [
-        ("tofino1", &t1_prog, TargetProfile::tofino1()),
-        ("tofino2", &t2_prog, TargetProfile::tofino2()),
-    ] {
-        match place(prog, &profile, &dart_dependencies(prog)) {
-            Ok(p) => println!(
-                "stage placement ({name}): {} of {} stages used",
-                p.stages_used(),
-                profile.stages
-            ),
-            Err(e) => println!("stage placement ({name}): FAILED: {e:?}"),
-        }
-    }
-    println!(
-        "(model calibrated from public per-stage block structure; paper-vs-model\n\
-         agreement is qualitative — both builds fit with headroom, the T1 layout\n\
-         is hungrier in SRAM/TCAM/logical tables — see EXPERIMENTS.md)"
-    );
+    print!("{}", dart_bench::figures::table1());
 }

@@ -79,46 +79,6 @@ impl TraceScale {
     }
 }
 
-/// Parse one shard-count value. `source` names where the value came from
-/// (`--shards` or `DART_SHARDS`) so both paths report identical,
-/// attributable errors.
-fn parse_shard_count(source: &str, v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Err(_) => Err(format!(
-            "{source}: cannot parse {v:?} (want an integer ≥ 1)"
-        )),
-        Ok(0) => Err(format!("{source}: shard count must be at least 1")),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// Shard count from the `DART_SHARDS` environment variable alone; unset
-/// means 1 (the serial engine).
-pub fn shards_from_env_var() -> Result<usize, String> {
-    match std::env::var("DART_SHARDS") {
-        Ok(v) => parse_shard_count("DART_SHARDS", &v),
-        Err(_) => Ok(1),
-    }
-}
-
-/// Shard count for sharded replays: `--shards N` in `args` wins, then the
-/// `DART_SHARDS` environment variable, then 1 (the serial engine).
-pub fn shards_from(args: &[String]) -> Result<usize, String> {
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let v = args
-            .get(i + 1)
-            .ok_or_else(|| "--shards needs a value".to_string())?;
-        return parse_shard_count("--shards", v);
-    }
-    shards_from_env_var()
-}
-
-/// Shard count from the process's own arguments and environment.
-pub fn shards_from_env() -> Result<usize, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    shards_from(&args)
-}
-
 /// Generate the standard campus trace for a scale (deterministic).
 pub fn standard_trace(scale: TraceScale) -> GeneratedTrace {
     campus(CampusConfig {
@@ -162,35 +122,14 @@ pub fn sweep_config(
         .with_max_recirc(max_recirc)
 }
 
-/// Run one sweep point and score it against the baseline.
-///
-/// Honors the `DART_SHARDS` environment knob (like `DART_SCALE` for trace
-/// sizing), so every figure runner can replay sharded; unset means the
-/// serial engine. Panics on an unparseable value — a misconfigured sweep
-/// should stop, not silently fall back to serial.
+/// Run one sweep point through the serial engine and score it against the
+/// baseline.
 pub fn run_point(
     cfg: DartConfig,
     packets: &[PacketMeta],
     baseline: &[RttSample],
 ) -> AccuracyReport {
-    let shards = shards_from_env_var().unwrap_or_else(|e| panic!("{e}"));
-    run_point_sharded(cfg, shards, packets, baseline)
-}
-
-/// [`run_point`] through the flow-sharded engine (`shards == 1` is the
-/// serial engine; see `dart_core::sharded` for the fidelity contract).
-pub fn run_point_sharded(
-    cfg: DartConfig,
-    shards: usize,
-    packets: &[PacketMeta],
-    baseline: &[RttSample],
-) -> AccuracyReport {
-    let name = if shards <= 1 {
-        "dart".to_string()
-    } else {
-        format!("dart-sharded-{shards}")
-    };
-    let (samples, stats) = run_engine(&name, cfg, packets);
+    let (samples, stats) = run_engine("dart", cfg, packets);
     AccuracyReport::compare(baseline, &samples, &stats)
 }
 
@@ -245,51 +184,13 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_wins_over_default() {
-        let args: Vec<String> = vec!["--shards".into(), "4".into()];
-        assert_eq!(shards_from(&args).unwrap(), 4);
-        assert!(shards_from(&["--shards".to_string()]).is_err());
-        assert!(shards_from(&["--shards".to_string(), "0".to_string()]).is_err());
-        assert!(shards_from(&["--shards".to_string(), "x".to_string()]).is_err());
-        // No flag and no env (this test does not set DART_SHARDS): serial.
-        if std::env::var("DART_SHARDS").is_err() {
-            assert_eq!(shards_from(&[]).unwrap(), 1);
-            assert_eq!(shards_from_env_var().unwrap(), 1);
-        }
-    }
-
-    #[test]
-    fn shard_count_errors_are_uniform_and_attributed() {
-        // Both the flag and env paths go through the same parser, so the
-        // wording differs only in the attributed source.
-        let flag_err = parse_shard_count("--shards", "abc").unwrap_err();
-        let env_err = parse_shard_count("DART_SHARDS", "abc").unwrap_err();
-        assert_eq!(
-            flag_err,
-            "--shards: cannot parse \"abc\" (want an integer ≥ 1)"
-        );
-        assert_eq!(
-            env_err,
-            "DART_SHARDS: cannot parse \"abc\" (want an integer ≥ 1)"
-        );
-        assert_eq!(
-            parse_shard_count("--shards", "0").unwrap_err(),
-            "--shards: shard count must be at least 1"
-        );
-        assert_eq!(
-            parse_shard_count("DART_SHARDS", "0").unwrap_err(),
-            "DART_SHARDS: shard count must be at least 1"
-        );
-        assert_eq!(parse_shard_count("--shards", "8").unwrap(), 8);
-    }
-
-    #[test]
     fn sharded_point_matches_serial_point() {
         let t = standard_trace(TraceScale::Small);
         let (baseline, _) = tcptrace_const(&t.packets);
         let cfg = sweep_config(TraceScale::Small, 1 << 10, 1, 1);
         let serial = run_point(cfg, &t.packets, &baseline);
-        let sharded = run_point_sharded(cfg, 4, &t.packets, &baseline);
+        let (samples, stats) = run_engine("dart-sharded-4", cfg, &t.packets);
+        let sharded = AccuracyReport::compare(&baseline, &samples, &stats);
         // Cross-flow collision patterns differ with shard count, but the
         // overall accuracy must stay in the same regime.
         assert!((serial.fraction_collected - sharded.fraction_collected).abs() < 0.1);

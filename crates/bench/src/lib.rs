@@ -1,9 +1,12 @@
 //! # dart-bench
 //!
 //! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation against the synthetic campus substrate. Each `bin/`
-//! target prints one table/figure's data; `bin/all` runs the full suite and
-//! rewrites EXPERIMENTS.md. Criterion micro-benches live under `benches/`.
+//! paper's evaluation against the synthetic campus substrate. Every
+//! artifact is defined once, in [`figures`]: each `bin/` target prints one
+//! artifact's Markdown section, `bin/all` runs the full suite and rewrites
+//! the generated region of EXPERIMENTS.md, `benches/figures.rs` times the
+//! same functions and `tests/paper_shapes.rs` holds the paper's claims on
+//! them. Other Criterion micro-benches live under `benches/`.
 //!
 //! | paper artifact | binary |
 //! |---|---|
@@ -19,11 +22,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod figures;
 pub mod harness;
 pub mod metrics;
 
 pub use harness::{
-    run_fig9_variant, run_point, run_point_sharded, shards_from, shards_from_env,
-    shards_from_env_var, standard_trace, sweep_config, tcptrace_const, Fig9Variant, TraceScale,
+    run_fig9_variant, run_point, standard_trace, sweep_config, tcptrace_const, Fig9Variant,
+    TraceScale,
 };
 pub use metrics::AccuracyReport;

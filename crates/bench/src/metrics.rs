@@ -53,10 +53,10 @@ impl AccuracyReport {
         }
     }
 
-    /// Format as a fixed-width row: `label err50 err95 err99 errMax frac recirc`.
+    /// One Markdown table row under [`AccuracyReport::header`].
     pub fn row(&self, label: &str) -> String {
         format!(
-            "{label:>12} | {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% | {:>7.2}% | {:>6.3}",
+            "| {label} | {:.2}% | {:.2}% | {:.2}% | {:.2}% | {:.2}% | {:.3} |",
             self.err_p50 * 100.0,
             self.err_p95 * 100.0,
             self.err_p99 * 100.0,
@@ -66,12 +66,11 @@ impl AccuracyReport {
         )
     }
 
-    /// Header matching [`AccuracyReport::row`].
-    pub fn header() -> String {
-        format!(
-            "{:>12} | {:>8} {:>8} {:>8} {:>8} | {:>8} | {:>6}",
-            "config", "err p50", "err p95", "err p99", "err max", "frac", "rec/pkt"
-        )
+    /// The Markdown table header (title and separator lines) matching
+    /// [`AccuracyReport::row`].
+    pub fn header() -> &'static str {
+        "| config | err p50 | err p95 | err p99 | err max(5..95) | fraction | recirc/pkt |\n\
+         |---|---|---|---|---|---|---|"
     }
 }
 
@@ -108,10 +107,9 @@ mod tests {
     fn row_and_header_align() {
         let base = samples(&[10, 20]);
         let r = AccuracyReport::compare(&base, &base, &EngineStats::default());
-        // Both contain the same number of column separators.
-        assert_eq!(
-            r.row("x").matches('|').count(),
-            AccuracyReport::header().matches('|').count()
-        );
+        // Every line has the same number of column separators.
+        for line in AccuracyReport::header().lines() {
+            assert_eq!(r.row("x").matches('|').count(), line.matches('|').count());
+        }
     }
 }

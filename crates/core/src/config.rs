@@ -122,6 +122,17 @@ pub enum Backend {
     Precision,
 }
 
+impl Backend {
+    /// The registry name of the serial Dart engine over this backend.
+    pub fn engine_name(self) -> &'static str {
+        match self {
+            Backend::Exact => "dart",
+            Backend::Sketch => "dart@sketch",
+            Backend::Precision => "dart@precision",
+        }
+    }
+}
+
 impl std::str::FromStr for Backend {
     type Err = String;
 

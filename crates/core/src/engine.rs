@@ -1122,11 +1122,7 @@ pub fn run_trace(cfg: DartConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, En
 
 impl crate::monitor::RttMonitor for DartEngine {
     fn name(&self) -> &str {
-        match self.cfg.backend() {
-            Backend::Exact => "dart",
-            Backend::Sketch => "dart@sketch",
-            Backend::Precision => "dart@precision",
-        }
+        self.cfg.backend().engine_name()
     }
 
     fn describe(&self) -> String {

@@ -190,6 +190,27 @@ impl Default for DartProgramParams {
     }
 }
 
+impl DartProgramParams {
+    /// The paper's Tofino 1 build (Table 1, left): 2^16 RT and 2^17 PT
+    /// slots, spread over ingress and egress.
+    pub fn tofino1() -> Self {
+        DartProgramParams {
+            spans_egress: true,
+            ..DartProgramParams::default()
+        }
+    }
+
+    /// The paper's Tofino 2 build (Table 1, right): 2^14 RT and 2^14 PT
+    /// slots, ingress only.
+    pub fn tofino2() -> Self {
+        DartProgramParams {
+            rt_entries: 1 << 14,
+            pt_entries: 1 << 14,
+            ..DartProgramParams::default()
+        }
+    }
+}
+
 /// Build the Dart program layout for the given parameters.
 ///
 /// The structure follows §4: the RT and PT are each spread across 3

@@ -5,9 +5,8 @@
 //! perform **one** read-modify-write on **one** slot as it traverses that
 //! stage (paper §4, "Accessing memory sequentially"). Revisiting a register
 //! requires recirculating the packet. The [`RegisterArray::rmw`] access is
-//! the only pattern the hardware supports; accesses are counted for the
-//! benchmark harness, and the per-access compute constraints live in
-//! [`crate::salu`].
+//! the only pattern the hardware supports; the per-access compute
+//! constraints live in [`crate::salu`].
 
 use std::fmt;
 
@@ -105,8 +104,6 @@ pub struct RegisterArray<Rec: Packed> {
     /// the kernel never had to hand over.
     slots: Vec<Rec::Words>,
     index: Occupancy,
-    reads: u64,
-    writes: u64,
 }
 
 impl<Rec: Packed> RegisterArray<Rec> {
@@ -120,8 +117,6 @@ impl<Rec: Packed> RegisterArray<Rec> {
                 bitmap: vec![0; size.div_ceil(64)],
                 count: 0,
             },
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -136,19 +131,16 @@ impl<Rec: Packed> RegisterArray<Rec> {
     }
 
     /// Read the slot at `idx`.
-    pub fn read(&mut self, idx: usize) -> Option<Rec> {
-        self.reads += 1;
+    pub fn read(&self, idx: usize) -> Option<Rec> {
         get(&self.slots[idx])
     }
 
     /// Warm the slot at `idx` into cache without performing a register
     /// access: the batch pipeline issues these for a whole block before its
-    /// match loop so the table probes overlap in the memory system. Not
-    /// counted as a read — hardware prefetch is not a register port access,
-    /// and resource reports must stay identical between the per-packet and
-    /// batch paths. (`black_box` forces the load of every word, so a slot
-    /// straddling two cache lines warms both; the crate forbids unsafe, so
-    /// an explicit prefetch intrinsic is not available.)
+    /// match loop so the table probes overlap in the memory system.
+    /// (`black_box` forces the load of every word, so a slot straddling two
+    /// cache lines warms both; the crate forbids unsafe, so an explicit
+    /// prefetch intrinsic is not available.)
     #[inline]
     pub fn prefetch(&self, idx: usize) {
         std::hint::black_box(live(&self.slots[idx]));
@@ -156,7 +148,6 @@ impl<Rec: Packed> RegisterArray<Rec> {
 
     /// Overwrite the slot at `idx`, returning the previous occupant.
     pub fn write(&mut self, idx: usize, value: Rec) -> Option<Rec> {
-        self.writes += 1;
         let slot = &mut self.slots[idx];
         let prev = get(slot);
         put(slot, &mut self.index, idx, prev.is_some(), Some(value));
@@ -165,7 +156,6 @@ impl<Rec: Packed> RegisterArray<Rec> {
 
     /// Clear the slot at `idx`, returning the previous occupant.
     pub fn clear(&mut self, idx: usize) -> Option<Rec> {
-        self.writes += 1;
         let slot = &mut self.slots[idx];
         let prev = get::<Rec>(slot);
         put::<Rec>(slot, &mut self.index, idx, prev.is_some(), None);
@@ -176,8 +166,6 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// supports. `f` observes the current occupant and returns the new slot
     /// contents plus a result forwarded to the caller.
     pub fn rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
-        self.reads += 1;
-        self.writes += 1;
         let slot = &mut self.slots[idx];
         let old = get(slot);
         let was = old.is_some();
@@ -197,9 +185,7 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// Control-plane sweep: clear every occupied slot `keep` rejects,
     /// returning `(kept, cleared)`. Like [`RegisterArray::occupancy`] this
     /// is a control-plane scan — the switch CPU walking the array between
-    /// epochs, not a data-plane register access — so it is deliberately
-    /// **not** counted in [`RegisterArray::reads`]/[`RegisterArray::writes`]:
-    /// resource reports must reflect per-packet access costs only.
+    /// epochs, not a data-plane register access.
     pub fn sweep(&mut self, mut keep: impl FnMut(&Rec) -> bool) -> (u64, u64) {
         let (mut kept, mut cleared) = (0u64, 0u64);
         for word_idx in 0..self.index.bitmap.len() {
@@ -217,16 +203,6 @@ impl<Rec: Packed> RegisterArray<Rec> {
             }
         }
         (kept, cleared)
-    }
-
-    /// Total reads performed.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 
     /// Iterate occupied slots (control-plane only). Walks the occupancy
@@ -251,12 +227,9 @@ impl<Rec: Packed> RegisterArray<Rec> {
             .map(|idx| (idx, Rec::unpack(&self.slots[idx])))
     }
 
-    /// Control-plane slot load: place `value` at `idx` without counting a
-    /// register access. This is the restore half of [`RegisterArray::iter`]
-    /// — the switch CPU repopulating a table from a checkpoint, not a packet
-    /// traversing the stage — so like [`RegisterArray::sweep`] it is
-    /// deliberately uncounted: resource reports must reflect per-packet
-    /// access costs only.
+    /// Control-plane slot load: place `value` at `idx`. This is the restore
+    /// half of [`RegisterArray::iter`] — the switch CPU repopulating a table
+    /// from a checkpoint, not a packet traversing the stage.
     pub fn load(&mut self, idx: usize, value: Rec) {
         let slot = &mut self.slots[idx];
         put(slot, &mut self.index, idx, live(slot), Some(value));
@@ -268,8 +241,6 @@ impl<Rec: Packed> fmt::Debug for RegisterArray<Rec> {
         f.debug_struct("RegisterArray")
             .field("name", &self.name)
             .field("size", &self.slots.len())
-            .field("reads", &self.reads)
-            .field("writes", &self.writes)
             .finish()
     }
 }
@@ -346,44 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_counts_no_access() {
-        let mut r: RegisterArray<u8> = RegisterArray::new("t", 4);
-        r.write(1, 7);
-        r.prefetch(0);
-        r.prefetch(1);
-        assert_eq!(r.reads(), 0);
-        assert_eq!(r.writes(), 1);
-    }
-
-    #[test]
     fn sweep_clears_rejected_without_counting_accesses() {
         let mut r: RegisterArray<u8> = RegisterArray::new("t", 8);
         r.write(0, 10);
         r.write(3, 20);
         r.write(5, 30);
-        let (reads0, writes0) = (r.reads(), r.writes());
         let (kept, cleared) = r.sweep(|v| *v >= 20);
         assert_eq!((kept, cleared), (2, 1));
         assert_eq!(r.occupancy(), 2);
         assert_eq!(r.read(0), None);
-        assert_eq!(r.writes(), writes0, "sweep must not count as writes");
-        assert_eq!(r.reads(), reads0 + 1, "only the assertion read counts");
-    }
-
-    #[test]
-    fn access_counters_track() {
-        let mut r: RegisterArray<u8> = RegisterArray::new("t", 2);
-        r.read(0);
-        r.write(0, 1);
-        r.rmw(0, |o| (o, ()));
-        assert_eq!(r.reads(), 2);
-        assert_eq!(r.writes(), 2);
     }
 
     #[test]
     #[should_panic]
     fn out_of_bounds_panics() {
-        let mut r: RegisterArray<u8> = RegisterArray::new("t", 2);
+        let r: RegisterArray<u8> = RegisterArray::new("t", 2);
         r.read(2);
     }
 
@@ -396,7 +344,7 @@ mod tests {
     proptest! {
         /// Any sequence of accesses against the obvious model — a
         /// `Vec` of `Option`s, which is what the array used to be — leaves
-        /// equal contents, occupancy, walk order and access counts.
+        /// equal contents, occupancy and walk order.
         #[test]
         fn behaves_like_a_vec_of_options(
             ops in prop::collection::vec((0u8..6, 0usize..70, 0u32..4), 0..200),
@@ -404,21 +352,11 @@ mod tests {
             const SIZE: usize = 70; // two bitmap words, the second partial
             let mut array: RegisterArray<u32> = RegisterArray::new("t", SIZE);
             let mut model: Vec<Option<u32>> = vec![None; SIZE];
-            let (mut reads, mut writes) = (0u64, 0u64);
             for (op, idx, value) in ops {
                 match op {
-                    0 => {
-                        reads += 1;
-                        prop_assert_eq!(array.read(idx), model[idx]);
-                    }
-                    1 => {
-                        writes += 1;
-                        prop_assert_eq!(array.write(idx, value), model[idx].replace(value));
-                    }
-                    2 => {
-                        writes += 1;
-                        prop_assert_eq!(array.clear(idx), model[idx].take());
-                    }
+                    0 => prop_assert_eq!(array.read(idx), model[idx]),
+                    1 => prop_assert_eq!(array.write(idx, value), model[idx].replace(value)),
+                    2 => prop_assert_eq!(array.clear(idx), model[idx].take()),
                     3 => {
                         // One closure covering all four transitions: an empty
                         // slot stays empty or fills, a full one empties or
@@ -428,8 +366,6 @@ mod tests {
                             (None, _) => Some(value),
                             (Some(v), _) => Some(v.wrapping_add(value)),
                         };
-                        reads += 1;
-                        writes += 1;
                         let seen = array.rmw(idx, |old| (step(old), old));
                         prop_assert_eq!(seen, model[idx]);
                         model[idx] = step(model[idx]);
@@ -459,7 +395,6 @@ mod tests {
                 .filter_map(|(idx, slot)| slot.map(|v| (idx, v)))
                 .collect();
             prop_assert_eq!(walked, expected);
-            prop_assert_eq!((array.reads(), array.writes()), (reads, writes));
             for (idx, slot) in model.iter().enumerate() {
                 prop_assert_eq!(get::<u32>(&array.slots[idx]), *slot);
                 prop_assert_eq!(array.index.bitmap[idx / 64] >> (idx % 64) & 1 == 1, slot.is_some());

@@ -74,11 +74,7 @@ impl DiffConfig {
     /// actually run; building that name re-applies `with_backend`, which
     /// is idempotent on an already-normalized config.
     pub fn engine_names(&self) -> Vec<String> {
-        let serial = match self.engine.backend() {
-            dart_core::Backend::Exact => "dart",
-            dart_core::Backend::Sketch => "dart@sketch",
-            dart_core::Backend::Precision => "dart@precision",
-        };
+        let serial = self.engine.backend().engine_name();
         let mut names: Vec<String> = self
             .shards
             .iter()

@@ -42,11 +42,7 @@ fn backend_sweeps_pass_the_differential_matrix() {
     let fractions = [0.0005, 0.005];
     for backend in [Backend::Sketch, Backend::Precision] {
         for cfg in backend_sweep(&TargetProfile::tofino1(), &fractions, backend) {
-            let name = match backend {
-                Backend::Sketch => "dart@sketch",
-                Backend::Precision => "dart@precision",
-                Backend::Exact => unreachable!("sweep covers non-exact backends"),
-            };
+            let name = backend.engine_name();
             let diff = DiffConfig {
                 engine: cfg,
                 shards: vec![1],

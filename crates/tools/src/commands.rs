@@ -402,11 +402,7 @@ fn resolve_engine(opts: &Options, registry: &EngineRegistry) -> Result<(String, 
     }
     let shards = clamp_shards(shards);
     let default_engine = if shards <= 1 {
-        match backend_flag(opts)? {
-            Backend::Exact => "dart".to_string(),
-            Backend::Sketch => "dart@sketch".to_string(),
-            Backend::Precision => "dart@precision".to_string(),
-        }
+        backend_flag(opts)?.engine_name().to_string()
     } else {
         format!("dart-sharded-{shards}")
     };
@@ -762,11 +758,7 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
     };
     // The serial Dart row is labeled by its backend so a `--backend` run
     // reads as the registry engine it actually is.
-    let serial_name = match backend_flag(opts)? {
-        Backend::Exact => "dart",
-        Backend::Sketch => "dart@sketch",
-        Backend::Precision => "dart@precision",
-    };
+    let serial_name = backend_flag(opts)?.engine_name();
     let shard_names: Vec<String> = shard_list
         .iter()
         .map(|&s| {
@@ -884,15 +876,12 @@ fn resources() -> Result<String, String> {
     for (name, params, profile) in [
         (
             "Tofino 1 (ingress+egress)",
-            DartProgramParams {
-                spans_egress: true,
-                ..DartProgramParams::default()
-            },
+            DartProgramParams::tofino1(),
             TargetProfile::tofino1(),
         ),
         (
             "Tofino 2 (ingress only)",
-            DartProgramParams::default(),
+            DartProgramParams::tofino2(),
             TargetProfile::tofino2(),
         ),
     ] {
@@ -1384,7 +1373,10 @@ mod tests {
         let r = run_line(&["resources"]).unwrap();
         assert!(r.contains("Tofino 1"));
         assert!(r.contains("Tofino 2"));
-        assert!(r.contains("SRAM"));
+        // The paper's Tofino 2 build is 2^14 / 2^14 slots: the figure
+        // `table1` and EXPERIMENTS.md print, not the Tofino 1 sizing's 11.3%.
+        let tofino2 = r.split("Tofino 2").nth(1).unwrap();
+        assert!(tofino2.contains("SRAM              2.3%"), "{r}");
     }
 
     #[test]
