@@ -32,6 +32,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Baselines run inside the same process as the engine: panicking unwraps
+// are banned from lib code, as in `dart-core` (tests keep them).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dapper;
 pub mod fridge;

@@ -117,8 +117,9 @@ impl Pping {
             st.order.push_back(tsval);
             self.stats.tsvals_recorded += 1;
             while st.order.len() > self.cfg.per_flow_capacity {
-                let evict = st.order.pop_front().expect("nonempty");
-                st.pending.remove(&evict);
+                if let Some(evict) = st.order.pop_front() {
+                    st.pending.remove(&evict);
+                }
             }
         }
     }

@@ -84,7 +84,7 @@ pub struct EngineRegistry {
 }
 
 /// Shard count encoded in a `dart-sharded-N` name, if it is one.
-fn sharded_shards(name: &str) -> Option<usize> {
+pub fn sharded_shards(name: &str) -> Option<usize> {
     let n = name.strip_prefix("dart-sharded-")?.parse().ok()?;
     (n >= 1).then_some(n)
 }
@@ -259,10 +259,14 @@ impl EngineRegistry {
         if sharded_shards(name).is_some() {
             return Ok(Judgement::ExactAnchored);
         }
-        Err(format!(
+        Err(self.unknown(name))
+    }
+
+    fn unknown(&self, name: &str) -> String {
+        format!(
             "unknown engine {name:?} (registered: {})",
             self.names().join(", ")
-        ))
+        )
     }
 
     /// Construct the engine registered under `name` from `cfg`. Beyond the
@@ -272,9 +276,10 @@ impl EngineRegistry {
         let judgement = self.judgement(name)?;
         let monitor: Box<dyn RttMonitor> = if let Some(entry) = self.get(name) {
             entry.build(cfg)
-        } else {
-            let shards = sharded_shards(name).expect("judgement() validated the name");
+        } else if let Some(shards) = sharded_shards(name) {
             Box::new(ShardedMonitor::new(ShardedConfig::new(*cfg, shards)))
+        } else {
+            return Err(self.unknown(name));
         };
         Ok(BuiltEngine { monitor, judgement })
     }
@@ -310,9 +315,10 @@ impl EngineRegistry {
                 ShardedConfig::new(*cfg, shards),
                 metrics,
             ))
-        } else {
-            let entry = self.get(name).expect("judgement() validated the name");
+        } else if let Some(entry) = self.get(name) {
             Box::new(MeteredMonitor::new(entry.build(cfg), metrics))
+        } else {
+            return Err(self.unknown(name));
         };
         Ok(BuiltEngine { monitor, judgement })
     }

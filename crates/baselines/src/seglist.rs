@@ -160,8 +160,7 @@ impl SegmentList {
         let covered: Vec<u64> = self.segs.range(..=ack).map(|(k, _)| *k).collect();
         let mut matched = None;
         let retired = covered.len();
-        for k in covered {
-            let seg = self.segs.remove(&k).expect("key just enumerated");
+        for seg in covered.into_iter().filter_map(|k| self.segs.remove(&k)) {
             // tcptrace samples the segment this ACK acknowledges at its
             // exact edge; cumulative ACKs sample the newest covered segment.
             if !seg.ambiguous {

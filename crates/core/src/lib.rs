@@ -51,6 +51,7 @@ pub mod packet_tracker;
 pub mod pt_salu;
 pub mod range;
 pub mod range_tracker;
+mod ring;
 pub mod rt_salu;
 pub mod sample;
 pub mod sharded;
@@ -66,7 +67,7 @@ pub use error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
 pub use monitor::{
     drive, drive_timed, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress,
-    RttMonitor, Stage, DEFAULT_BLOCK_PKTS,
+    ReadAhead, RttMonitor, Stage, DEFAULT_BLOCK_PKTS,
 };
 pub use packet_tracker::{PacketTracker, PtInsert, PtRecord};
 pub use pt_salu::{SaluPtSlot, SlotRecord};

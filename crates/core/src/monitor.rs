@@ -47,11 +47,15 @@
 //! body over one-packet blocks — and the golden and backend-conformance
 //! suites pin that extreme of split invariance beside an irregular split.
 
+use crate::ring::{Parcel, Ring, RingEnd};
 use crate::sample::{RttSample, SampleSink};
+use crate::sharded::panic_message;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::StageTimers;
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// What one epoch rotation swept: flow counts from the Range Tracker,
 /// record counts from the Packet Tracker (plus any auxiliary state the
@@ -283,6 +287,162 @@ pub fn tick_every<M: ?Sized>(
     }
 }
 
+/// Blocks a [`ReadAhead`] helper may decode ahead of the driver. Measured
+/// with `dart-perf` on a 2-vCPU VM against the parent: depth 2 ran
+/// `campus-pcap` 1.3 % faster than depth 1 (19.93 / 19.68 Mpkt/s, parent
+/// 13.13) but raised `churn-pressure` peak RSS 5.3 % where depth 1 raises
+/// it 3.5 % (5.29 / 5.20 MB, parent 5.02).
+pub const READ_AHEAD_DEPTH: usize = 1;
+
+/// What the helper hands over: decoded blocks, then the source itself
+/// with how its stream ended.
+enum Ahead<S> {
+    Block(Vec<PacketMeta>),
+    Last(S, Result<(), PacketError>),
+}
+
+impl<S> Parcel for Ahead<S> {
+    type Spare = Vec<PacketMeta>;
+    fn takes_spare(&self) -> bool {
+        matches!(self, Ahead::Block(_))
+    }
+}
+
+/// A [`PacketSource`] decoded one block ahead on a helper thread, so that
+/// reading and parsing block *k + 1* overlaps the monitor matching block
+/// *k*. Recycled blocks travel over the sharded runtime's ring and are lent
+/// out split at `max`; the [`PacketSource::next_chunk`] contract carries
+/// over, a panicking helper is an `Err`, and dropping never waits for a
+/// helper blocked in `read()` (DESIGN.md §5c).
+pub struct ReadAhead<S> {
+    /// This side of the ring, held until drop: that is the helper's cue.
+    ring: Option<RingEnd<Ahead<S>>>,
+    /// Joined only to report a panic.
+    helper: Option<JoinHandle<()>>,
+    /// The inner source, once the helper has handed it back.
+    source: Option<S>,
+    /// The block being lent out, and how much of it has been.
+    block: Vec<PacketMeta>,
+    lent: usize,
+}
+
+impl<S: PacketSource + Send + 'static> ReadAhead<S> {
+    /// Start decoding `source` on a helper thread if a core is left for it
+    /// beside the `busy` threads of the monitor it feeds (1 for a serial
+    /// engine, the shards and their feeder for the sharded runtime), else
+    /// inline: where the two could only take turns, a turn per block cost
+    /// 14 % of serial `analyze` on one core (71.5 → 81.6 ms) and 22 % of
+    /// `--engine dart-sharded-1` on two (51.2 → 62.7 ms).
+    pub fn new(source: S, busy: usize) -> ReadAhead<S> {
+        let inline = thread::available_parallelism().map_or(1, |n| n.get()) <= busy;
+        let (ring, helper, source) = if inline {
+            (None, None, Some(source))
+        } else {
+            let (sender, receiver) = Ring::pair(READ_AHEAD_DEPTH);
+            let helper = thread::spawn(move || decode_ahead(source, sender));
+            (Some(receiver), Some(helper), None)
+        };
+        ReadAhead {
+            ring,
+            helper,
+            source,
+            block: Vec::new(),
+            lent: 0,
+        }
+    }
+}
+
+impl<S> ReadAhead<S> {
+    /// The inner source, once the helper has handed it back at the end of
+    /// the stream or after an error: read what it counted from it then.
+    pub fn source(&self) -> Option<&S> {
+        self.source.as_ref()
+    }
+
+    /// Hand the spent block back and take the next one, or the source at
+    /// the end; a ring closed without a last message is a helper's panic.
+    fn pull(&mut self) -> Result<(), PacketError> {
+        let Some(ring) = &self.ring else {
+            return Ok(());
+        };
+        let spent = std::mem::take(&mut self.block);
+        self.lent = 0;
+        match ring.recv((spent.capacity() > 0).then_some(spent)) {
+            Some(Ahead::Block(block)) => {
+                self.block = block;
+                Ok(())
+            }
+            Some(Ahead::Last(source, end)) => {
+                self.source = Some(source);
+                end
+            }
+            None => {
+                self.ring = None;
+                let panic = self.helper.take().and_then(|h| h.join().err());
+                Err(PacketError::Io(std::io::Error::other(format!(
+                    "packet decoder panicked: {}",
+                    panic.map_or_else(String::new, panic_message)
+                ))))
+            }
+        }
+    }
+}
+
+/// The helper: fill, send, refill the spare that comes back, until the
+/// stream ends or fails; then send the source and wait for the driver to
+/// hang up. A thread that exits runs libc's per-thread teardown, which
+/// faults in ≈ 100 KB of library code: waiting moves that to the driver's
+/// drop (`churn-pressure` peak RSS 5.42 → 5.25 MB at depth 2, parent 5.03).
+fn decode_ahead<S: PacketSource>(mut source: S, ring: RingEnd<Ahead<S>>) {
+    let mut block = Vec::with_capacity(DEFAULT_BLOCK_PKTS);
+    let end = loop {
+        match source.next_chunk(&mut block, DEFAULT_BLOCK_PKTS) {
+            Ok(0) => break Ok(()),
+            Ok(_) => match ring.send(Ahead::Block(block), Duration::MAX) {
+                Ok(spare) => {
+                    block = spare.unwrap_or_else(|| Vec::with_capacity(DEFAULT_BLOCK_PKTS));
+                }
+                Err(_) => return,
+            },
+            Err(e) => break Err(e),
+        }
+    };
+    if ring.send(Ahead::Last(source, end), Duration::MAX).is_ok() {
+        ring.wait_closed();
+    }
+}
+
+impl<S: PacketSource> PacketSource for ReadAhead<S> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        Ok(self.next_block(&mut Vec::new(), 1)?.first().copied())
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        let mut unused = Vec::new();
+        let block = self.next_block(&mut unused, max)?;
+        buf.clear();
+        buf.extend_from_slice(block);
+        Ok(buf.len())
+    }
+
+    fn next_block<'a>(
+        &'a mut self,
+        buf: &'a mut Vec<PacketMeta>,
+        max: usize,
+    ) -> Result<&'a [PacketMeta], PacketError> {
+        if self.lent == self.block.len() {
+            if self.source.is_none() {
+                self.pull()?;
+            } else if let Some(source) = &mut self.source {
+                return source.next_block(buf, max);
+            }
+        }
+        let start = self.lent;
+        self.lent += max.min(self.block.len() - start);
+        Ok(&self.block[start..self.lent])
+    }
+}
+
 /// [`drive`] to exhaustion in blocks of [`DEFAULT_BLOCK_PKTS`]: the block
 /// path for any monitor over any source.
 pub fn run_monitor<M: RttMonitor + ?Sized, S: PacketSource>(
@@ -316,7 +476,7 @@ mod tests {
     use super::*;
     use crate::config::DartConfig;
     use crate::engine::{run_trace, DartEngine};
-    use dart_packet::{Direction, FlowKey, PacketBuilder};
+    use dart_packet::{Direction, FlowKey, IterSource, PacketBuilder};
 
     fn handshake_free_exchange() -> Vec<PacketMeta> {
         let flow = FlowKey::from_raw(0x0a00_0001, 44123, 0x5db8_d822, 443);
@@ -541,6 +701,226 @@ mod tests {
         assert_eq!(monitor.blocks, vec![5], "fed before the error surfaced");
         assert_eq!(boundaries, 2, "no drained call on the error path");
         assert_eq!(monitor.flushes, 0, "an error is not an end of stream");
+    }
+
+    // ---- read-ahead ------------------------------------------------------
+
+    /// False on a one-CPU host, where [`ReadAhead`] decodes inline.
+    fn helper_runs() -> bool {
+        thread::available_parallelism().map_or(1, |n| n.get()) > 1
+    }
+
+    /// `rounds` data/ACK exchanges on each of 40 flows, interleaved.
+    fn exchanges(rounds: u32) -> Vec<PacketMeta> {
+        let mut pkts = Vec::new();
+        for r in 0..rounds {
+            for f in 0..40u32 {
+                let flow = FlowKey::from_raw(0x0a00_0000 + f, 40_000, 0x5db8_d822, 443);
+                let t = u64::from(r) * 10_000_000 + u64::from(f) * 1_000;
+                pkts.push(
+                    PacketBuilder::new(flow, t)
+                        .seq(r * 1460)
+                        .payload(1460)
+                        .dir(Direction::Outbound)
+                        .build(),
+                );
+                pkts.push(
+                    PacketBuilder::new(flow.reverse(), t + 5_000_000)
+                        .ack((r + 1) * 1460)
+                        .dir(Direction::Inbound)
+                        .build(),
+                );
+            }
+        }
+        pkts.sort_by_key(|p| p.ts);
+        pkts
+    }
+
+    /// A source that notes the thread each pull runs on.
+    struct Watched {
+        inner: IterSource<std::vec::IntoIter<PacketMeta>>,
+        threads: std::sync::mpsc::Sender<thread::ThreadId>,
+    }
+
+    impl PacketSource for Watched {
+        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+            unreachable!("the helper pulls blocks");
+        }
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<PacketMeta>,
+            max: usize,
+        ) -> Result<usize, PacketError> {
+            let _ = self.threads.send(thread::current().id());
+            self.inner.next_chunk(buf, max)
+        }
+    }
+
+    /// The thread each pull of a whole run ran on, `busy` threads declared.
+    fn pulled_on(busy: usize) -> Vec<thread::ThreadId> {
+        let (threads, pulled_on) = std::sync::mpsc::channel();
+        let inner = IterSource::new(exchanges(30).into_iter());
+        let source = ReadAhead::new(Watched { inner, threads }, busy);
+        let mut engine = DartEngine::new(DartConfig::default());
+        run_monitor(&mut engine, source, &mut Vec::new()).unwrap();
+        pulled_on.into_iter().collect()
+    }
+
+    #[test]
+    fn read_ahead_decodes_on_another_thread() {
+        let here = thread::current().id();
+        let pulled = pulled_on(1);
+        assert_eq!(pulled.len(), 4, "three blocks and the end of stream");
+        assert!(pulled.iter().all(|&t| (t != here) == helper_runs()));
+        // With no core left beside the monitor's threads, decode is inline.
+        assert!(pulled_on(usize::MAX).iter().all(|&t| t == here));
+    }
+
+    /// Whatever the cap, the monitor sees the plain source's stream: the
+    /// same samples and counters, and no block over the cap.
+    #[test]
+    fn read_ahead_drives_like_the_plain_source_under_any_cap() {
+        let pkts = exchanges(40);
+        assert!(pkts.len() > 3 * DEFAULT_BLOCK_PKTS);
+        for cap in [1, 7, 777, 1024] {
+            let drive_with = |source: &mut dyn PacketSource| {
+                let mut engine = DartEngine::new(DartConfig::default());
+                let mut samples: Vec<RttSample> = Vec::new();
+                let mut fed = 0;
+                let stats = drive(&mut engine, source, &mut samples, |_, at| {
+                    assert!(at.packets - fed <= cap as u64, "a block over the cap");
+                    fed = at.packets;
+                    Some(cap)
+                })
+                .unwrap();
+                (samples, stats)
+            };
+            let want = drive_with(&mut SliceSource::new(&pkts));
+            let got = drive_with(&mut ReadAhead::new(
+                IterSource::new(pkts.clone().into_iter()),
+                1,
+            ));
+            assert!(!want.0.is_empty());
+            assert_eq!(got, want, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn a_read_ahead_error_surfaces_after_the_packets_before_it_are_fed() {
+        let pkts = data_stream(5);
+        let mut source = ReadAhead::new(
+            Scripted::new(vec![
+                Ok(pkts.clone()),
+                Err(PacketError::BadTrace("torn record".to_string())),
+            ]),
+            1,
+        );
+        let mut monitor = Recording::default();
+        let mut boundaries = 0;
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+            boundaries += 1;
+            Some(DEFAULT_BLOCK_PKTS)
+        })
+        .expect_err("the source's error is the loop's");
+        assert!(matches!(err, PacketError::BadTrace(_)));
+        assert_eq!(monitor.blocks, vec![5], "fed before the error surfaced");
+        assert_eq!(boundaries, 2, "no drained call on the error path");
+        assert_eq!(monitor.flushes, 0, "an error is not an end of stream");
+        let inner = source.source().expect("handed back after the error");
+        assert_eq!(inner.pulls, 2, "no pull after the error");
+    }
+
+    /// A source whose second pull panics.
+    struct Panicking(Vec<PacketMeta>);
+
+    impl PacketSource for Panicking {
+        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+            unreachable!("the helper pulls blocks");
+        }
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<PacketMeta>,
+            _max: usize,
+        ) -> Result<usize, PacketError> {
+            assert!(!self.0.is_empty(), "decoder gave way");
+            *buf = std::mem::take(&mut self.0);
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_panicking_decoder_is_an_error_not_an_end_of_stream() {
+        if !helper_runs() {
+            return; // inline, the panic is the caller's own
+        }
+        let mut source = ReadAhead::new(Panicking(data_stream(3)), 1);
+        let mut monitor = Recording::default();
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+            Some(DEFAULT_BLOCK_PKTS)
+        })
+        .expect_err("a dead decoder is no end of stream");
+        assert!(err.to_string().contains("decoder gave way"), "{err}");
+        assert_eq!(monitor.blocks, vec![3]);
+        assert_eq!(monitor.flushes, 0);
+    }
+
+    /// A source blocked in its first pull until `release` is dropped, as a
+    /// `read()` on a quiet fifo is; it reports entering, and its own drop.
+    struct Stuck {
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+        _dropped: std::sync::mpsc::Sender<()>,
+    }
+
+    impl PacketSource for Stuck {
+        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+            unreachable!("the helper pulls blocks");
+        }
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<PacketMeta>,
+            _: usize,
+        ) -> Result<usize, PacketError> {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            buf.clear();
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn dropping_a_read_ahead_does_not_wait_for_a_blocked_decoder() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        if !helper_runs() {
+            return; // inline, nothing runs until the caller pulls
+        }
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel::<()>();
+        let (dropped_tx, dropped) = channel::<()>();
+        let source = ReadAhead::new(
+            Stuck {
+                entered: entered_tx,
+                release: release_rx,
+                _dropped: dropped_tx,
+            },
+            1,
+        );
+        entered.recv().unwrap();
+        let started = std::time::Instant::now();
+        drop(source);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop waited");
+        // Unblocked, the helper finds the ring closed and ends, dropping
+        // the source with it.
+        assert_eq!(
+            dropped.recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Timeout),
+            "the source is still held"
+        );
+        drop(release);
+        assert_eq!(
+            dropped.recv_timeout(Duration::from_secs(30)),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]

@@ -75,6 +75,7 @@ use crate::config::DartConfig;
 use crate::engine::{DartEngine, EngineEvent};
 use crate::error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
 use crate::monitor::{EpochRotation, RttMonitor};
+use crate::ring::{Parcel, Ring, RingEnd, SendError};
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
@@ -82,12 +83,11 @@ use crate::telemetry::EngineTelemetry;
 use dart_packet::{FlowKey, Nanos, PacketMeta};
 use dart_telemetry::{Counter, Gauge, MetricRegistry};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender as MpscSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -354,142 +354,10 @@ enum ShardMsg {
     Restore(Vec<u8>, MpscSender<Result<(), SnapshotError>>),
 }
 
-/// Why [`Ring::send`] did not enqueue.
-#[derive(Debug)]
-enum SendError {
-    /// The ring stayed full for the whole timeout (the time waited).
-    Stalled(Duration),
-    /// The other end is gone.
-    Closed,
-}
-
-struct RingState {
-    queue: VecDeque<ShardMsg>,
-    /// Emptied blocks on their way back to the feeder, newest last.
-    spare: Vec<Block>,
-    closed: bool,
-}
-
-/// One shard's hand-off: a FIFO of at most `depth` messages from the feeder
-/// to the worker, and the emptied blocks coming back. Both sides block on a
-/// condition variable instead of polling — the worker while the queue is
-/// empty, the feeder from when it is full until it is half empty — and each
-/// takes the lock once per message: the feeder leaves with a spare block
-/// for its next fill, the worker arrives with the block it has just
-/// emptied. At most `depth + 2` blocks ever exist (one filling, `depth`
-/// queued, one being processed), so once they do the hand-off allocates
-/// nothing.
-struct Ring {
-    state: Mutex<RingState>,
-    depth: usize,
-    slot_free: Condvar,
-    msg_ready: Condvar,
-}
-
-/// The feeder's or the worker's hold on a [`Ring`]. Dropping either one —
-/// at flush, on abandon, or by a worker unwinding — closes the ring: a
-/// closed ring refuses sends, and hands out what is still queued before
-/// `recv` reports the end.
-struct RingEnd(Arc<Ring>);
-
-impl std::ops::Deref for RingEnd {
-    type Target = Ring;
-    fn deref(&self) -> &Ring {
-        &self.0
-    }
-}
-
-impl Drop for RingEnd {
-    fn drop(&mut self) {
-        self.lock().closed = true;
-        self.slot_free.notify_all();
-        self.msg_ready.notify_all();
-    }
-}
-
-impl Ring {
-    fn pair(depth: usize) -> (RingEnd, RingEnd) {
-        let ring = Arc::new(Ring {
-            state: Mutex::new(RingState {
-                queue: VecDeque::with_capacity(depth),
-                spare: Vec::with_capacity(depth + 2),
-                closed: false,
-            }),
-            depth,
-            slot_free: Condvar::new(),
-            msg_ready: Condvar::new(),
-        });
-        (RingEnd(Arc::clone(&ring)), RingEnd(ring))
-    }
-
-    /// Every update under the lock is one push, pop or flag store, so the
-    /// state is valid wherever a holder might have panicked and a poisoned
-    /// lock is taken over as it is.
-    fn lock(&self) -> MutexGuard<'_, RingState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueue `msg`, waiting up to `timeout` for a free slot. A block
-    /// sent is paid for with a spare one when the worker has returned any.
-    fn send(&self, msg: ShardMsg, timeout: Duration) -> Result<Option<Block>, SendError> {
-        let started = Instant::now();
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(SendError::Closed);
-            }
-            if state.queue.len() < self.depth {
-                break;
-            }
-            let waited = started.elapsed();
-            if waited >= timeout {
-                return Err(SendError::Stalled(waited));
-            }
-            state = self
-                .slot_free
-                .wait_timeout(state, timeout - waited)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        let spare = match msg {
-            ShardMsg::Block(_) => state.spare.pop(),
-            _ => None,
-        };
-        state.queue.push_back(msg);
-        // One producer, one consumer: the worker can only be waiting if
-        // the queue was empty.
-        if state.queue.len() == 1 {
-            self.msg_ready.notify_one();
-        }
-        Ok(spare)
-    }
-
-    /// Return `emptied` to the feeder and take the next message, waiting
-    /// for one; `None` once the ring is closed and drained.
-    fn recv(&self, emptied: Option<Block>) -> Option<ShardMsg> {
-        let mut state = self.lock();
-        state.spare.extend(emptied);
-        loop {
-            if let Some(msg) = state.queue.pop_front() {
-                // Likewise the feeder can only be waiting if the queue has
-                // been full, and it is woken once the queue has drained to
-                // half, not at the first free slot: it then refills several
-                // slots per wake-up while the worker still has the other
-                // half to work on (a wake-up costs the worker ~9 µs here,
-                // a fifth of a 1024-packet block's engine time).
-                if state.queue.len() == self.depth / 2 {
-                    self.slot_free.notify_one();
-                }
-                return Some(msg);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .msg_ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+impl Parcel for ShardMsg {
+    type Spare = Block;
+    fn takes_spare(&self) -> bool {
+        matches!(self, ShardMsg::Block(_))
     }
 }
 
@@ -612,7 +480,7 @@ impl ShardHooks {
 }
 
 /// Render a caught panic payload for [`FailureKind::Panicked`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -663,7 +531,7 @@ pub struct ShardedMonitor {
     /// The feeder's end of each shard's hand-off ring; `None` once a shard
     /// has been abandoned (watchdog) or its worker ended early — no
     /// further sends.
-    rings: Vec<Option<RingEnd>>,
+    rings: Vec<Option<RingEnd<ShardMsg>>>,
     /// `None` for abandoned shards: their stuck worker is detached, never
     /// joined, and its results are written off into `monitor_miss`.
     handles: Vec<Option<JoinHandle<ShardResult>>>,
@@ -1387,7 +1255,7 @@ fn retag<T>(entries: &mut [(u64, T)], idx: &[u64]) {
 
 /// Worker body: one engine (respawned under `RestartShard`), fed blocks
 /// until the ring closes, every block under panic isolation.
-fn run_shard(ctx: ShardCtx, ring: RingEnd) -> ShardResult {
+fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     let (shard, keep_samples) = (ctx.shard, ctx.keep_samples);
     // The engine's batch pipeline publishes the in-block offset of the
     // packet it is matching into `at`; samples and events are tagged with
@@ -1901,89 +1769,9 @@ mod tests {
         assert_eq!(a.events, serial_events);
     }
 
-    // ---- hand-off ring tests -------------------------------------------
-
-    /// A block holding packets `first..first + n` of [`trace`].
-    fn block_of(first: u64, n: usize) -> Block {
-        let pkts = trace(4, 8);
-        let mut block = Block::with_capacity(n);
-        for (idx, pkt) in (first..).zip(&pkts[..n]) {
-            block.push(idx, pkt);
-        }
-        block
-    }
+    // ---- hand-off ring tests (the ring's own contract is in `ring.rs`) ---
 
     const PATIENT: Duration = Duration::from_secs(30);
-
-    #[test]
-    fn ring_delivers_blocks_and_control_messages_in_send_order() {
-        let (feeder, worker) = Ring::pair(4);
-        feeder
-            .send(ShardMsg::Block(block_of(0, 3)), PATIENT)
-            .unwrap();
-        feeder.send(ShardMsg::Rotate(7), PATIENT).unwrap();
-        feeder
-            .send(ShardMsg::Block(block_of(3, 2)), PATIENT)
-            .unwrap();
-        feeder.send(ShardMsg::Rotate(9), PATIENT).unwrap();
-        drop(feeder);
-        // A closed ring still hands out what was queued, then ends.
-        let mut seen = Vec::new();
-        while let Some(msg) = worker.recv(None) {
-            seen.push(match msg {
-                ShardMsg::Block(b) => format!("block {:?}", b.idx),
-                ShardMsg::Rotate(cutoff) => format!("rotate {cutoff}"),
-                _ => unreachable!(),
-            });
-        }
-        assert_eq!(
-            seen,
-            ["block [0, 1, 2]", "rotate 7", "block [3, 4]", "rotate 9"]
-        );
-    }
-
-    #[test]
-    fn full_ring_blocks_the_sender_until_one_recv() {
-        let (feeder, worker) = Ring::pair(2);
-        feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap();
-        feeder.send(ShardMsg::Rotate(1), PATIENT).unwrap();
-        // Full: with no patience at all the send gives up at once.
-        assert!(matches!(
-            feeder.send(ShardMsg::Rotate(2), Duration::ZERO),
-            Err(SendError::Stalled(_))
-        ));
-        // With patience it waits; the only thing that can let it through is
-        // the `recv` below, so the join proves the wake-up.
-        let sender = thread::spawn(move || {
-            let sent = feeder.send(ShardMsg::Rotate(2), PATIENT);
-            (feeder, sent)
-        });
-        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(0))));
-        let (feeder, sent) = sender.join().unwrap();
-        assert!(sent.is_ok());
-        // And it never held more than `depth`: full again.
-        assert!(matches!(
-            feeder.send(ShardMsg::Rotate(3), Duration::ZERO),
-            Err(SendError::Stalled(_))
-        ));
-        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(1))));
-        assert!(matches!(worker.recv(None), Some(ShardMsg::Rotate(2))));
-    }
-
-    #[test]
-    fn blocked_sender_stalls_after_the_timeout_and_not_before() {
-        let (feeder, _worker) = Ring::pair(1);
-        feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap();
-        let timeout = Duration::from_millis(30);
-        let started = Instant::now();
-        let sent = feeder.send(ShardMsg::Rotate(1), timeout);
-        let elapsed = started.elapsed();
-        let Err(SendError::Stalled(waited)) = sent else {
-            panic!("a full ring took the message");
-        };
-        assert!(waited >= timeout, "gave up after {waited:?}");
-        assert!(elapsed >= waited);
-    }
 
     #[test]
     fn unwinding_worker_closes_the_ring_and_the_next_send_is_written_off() {
@@ -2011,35 +1799,6 @@ mod tests {
         let run = monitor.into_run();
         assert_eq!(run.stats.packets, 0);
         assert_eq!(run.stats.monitor_miss, 2 * pkts.len() as u64);
-    }
-
-    #[test]
-    fn returned_block_is_the_one_reused_next() {
-        let (feeder, worker) = Ring::pair(4);
-        // Nothing has come back yet: the feeder must allocate.
-        assert!(feeder
-            .send(ShardMsg::Block(block_of(0, 5)), PATIENT)
-            .unwrap()
-            .is_none());
-        let Some(ShardMsg::Block(mut first)) = worker.recv(None) else {
-            panic!("expected the block");
-        };
-        let storage = (first.idx.as_ptr(), first.pkts.as_ptr());
-        first.clear();
-        feeder
-            .send(ShardMsg::Block(block_of(5, 5)), PATIENT)
-            .unwrap();
-        // The worker returns the emptied block as it takes the next one...
-        assert!(matches!(worker.recv(Some(first)), Some(ShardMsg::Block(_))));
-        // ...a control message leaves it on the ring...
-        assert!(feeder.send(ShardMsg::Rotate(0), PATIENT).unwrap().is_none());
-        // ...and the next block sent is paid for with it.
-        let spare = feeder
-            .send(ShardMsg::Block(block_of(10, 5)), PATIENT)
-            .unwrap()
-            .expect("the emptied block");
-        assert!(spare.is_empty());
-        assert_eq!((spare.idx.as_ptr(), spare.pkts.as_ptr()), storage);
     }
 
     // ---- supervised-runtime tests -------------------------------------

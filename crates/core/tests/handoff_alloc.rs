@@ -1,14 +1,22 @@
-//! The sharded hand-off recycles its blocks: once `queue_depth + 2` of them
-//! are in circulation per shard (one filling, `queue_depth` queued, one
-//! being processed), feeding allocates nothing — on the feeder or on a
-//! worker — and the live heap does not grow with the number of blocks fed.
+//! Both hand-offs over the ring recycle their blocks. The sharded one: once
+//! `queue_depth + 2` of them are in circulation per shard (one filling,
+//! `queue_depth` queued, one being processed), feeding allocates nothing —
+//! on the feeder or on a worker. The read-ahead source: once its helper has
+//! filled `READ_AHEAD_DEPTH + 2`, decoding and matching allocate nothing on
+//! either thread. Neither grows the live heap with the number of blocks.
 //!
 //! One test only: the counters below are process-wide, so nothing else may
 //! run in this binary while it measures.
 
-use dart_core::{DartConfig, PacketHook, RttMonitor, ShardedConfig, ShardedMonitor};
-use dart_packet::{Direction, FlowKey, PacketBuilder, PacketMeta};
+use dart_core::monitor::READ_AHEAD_DEPTH;
+use dart_core::{
+    drive, DartConfig, DartEngine, PacketHook, ReadAhead, RttMonitor, RttSample, ShardedConfig,
+    ShardedMonitor,
+};
+use dart_packet::trace::TraceReader;
+use dart_packet::{Direction, FlowKey, PacketBuilder, PacketError, PacketMeta, PacketSource};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Cursor;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -90,9 +98,23 @@ fn steady_trace(blocks: usize) -> Vec<PacketMeta> {
     unreachable!()
 }
 
+/// The allocator's books: requests so far, bytes live.
+fn books() -> (usize, isize) {
+    (
+        REQUESTS.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+const MEASURED: usize = 96;
+
 #[test]
 fn steady_state_hand_off_allocates_nothing() {
-    const MEASURED: usize = 96;
+    sharded_hand_off();
+    read_ahead();
+}
+
+fn sharded_hand_off() {
     for shards in [1usize, 2] {
         let cfg = ShardedConfig::new(DartConfig::default(), shards).with_keep_samples(false);
         let warm_up = cfg.queue_depth + 2;
@@ -131,10 +153,7 @@ fn steady_state_hand_off_allocates_nothing() {
         // has been processed: the workers are idle when it returns.
         monitor.checkpoint().expect("checkpoint");
 
-        let (requests, live) = (
-            REQUESTS.load(Ordering::Relaxed),
-            LIVE_BYTES.load(Ordering::Relaxed),
-        );
+        let (requests, live) = books();
         for block in blocks {
             monitor.on_batch(block, &mut sink);
         }
@@ -157,4 +176,75 @@ fn steady_state_hand_off_allocates_nothing() {
         assert_eq!(stats.monitor_miss, 0);
         assert!(stats.samples > 0);
     }
+}
+
+/// A source counting the blocks it has filled.
+struct Counted<S> {
+    inner: S,
+    fills: Arc<AtomicUsize>,
+}
+
+impl<S: PacketSource> PacketSource for Counted<S> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        unreachable!("the helper pulls blocks");
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        let filled = self.inner.next_chunk(buf, max);
+        self.fills.fetch_add(1, Ordering::Relaxed);
+        filled
+    }
+}
+
+fn read_ahead() {
+    let ahead = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    // One block held by the driver, `READ_AHEAD_DEPTH` queued, and the one
+    // the helper is blocked sending; inline, the driver's one.
+    let warm_up = if ahead { READ_AHEAD_DEPTH + 2 } else { 1 };
+    let pkts = steady_trace(warm_up + MEASURED + 2);
+    let trace = TraceReader::new(Cursor::new(dart_packet::trace::to_bytes(&pkts))).expect("header");
+    let fills = Arc::new(AtomicUsize::new(0));
+    let mut source = ReadAhead::new(
+        Counted {
+            inner: trace,
+            fills: Arc::clone(&fills),
+        },
+        1,
+    );
+    let mut engine = DartEngine::new(DartConfig::default());
+    let (mut samples, mut pulls, mut marks) = (0u64, 0, Vec::with_capacity(2));
+    let stats = drive(
+        &mut engine,
+        &mut source,
+        &mut |_: RttSample| samples += 1,
+        |_, _| {
+            pulls += 1;
+            if pulls == 2 {
+                // The driver holds the first block: let every other block
+                // that can be in flight come into being.
+                while fills.load(Ordering::Relaxed) < warm_up {
+                    std::thread::yield_now();
+                }
+            }
+            if pulls == 2 || pulls == 2 + MEASURED {
+                marks.push(books());
+            }
+            Some(BLOCK)
+        },
+    )
+    .expect("an intact trace");
+    assert_eq!(stats.packets, pkts.len() as u64);
+    assert!(samples > 0);
+    let [(requests, live), (after, live_after)] = marks[..] else {
+        panic!("{} marks", marks.len());
+    };
+    assert_eq!(
+        after - requests,
+        0,
+        "read-ahead: allocations while decoding {MEASURED} blocks in steady state"
+    );
+    assert!(
+        live_after <= live,
+        "read-ahead: the live heap grew while decoding in steady state"
+    );
 }

@@ -4,6 +4,7 @@
 //! uploads `target/tmp/scenarios/` (the scorecards) on every run plus
 //! `tests/shrunk/` when a run fails.
 
+use dart_core::Backend;
 use dart_packet::PacketMeta;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::TraceTransform;
@@ -105,7 +106,7 @@ fn histogram_engine_tracks_the_oracle_distribution() {
 
 #[test]
 fn matrix_writes_scorecard_artifacts() {
-    let outcomes = run_scenario_matrix(SCALE, SEED, Some(FAULT_SEED), dart_core::Backend::Exact);
+    let outcomes = run_scenario_matrix(SCALE, SEED, Some(FAULT_SEED), Backend::Exact);
     assert_eq!(outcomes.len(), 2 * ScenarioKind::ALL.len());
     let dir = scenario_artifact_dir();
     let summary = write_scorecards(&dir, &outcomes).expect("write scorecards");
@@ -122,6 +123,25 @@ fn matrix_writes_scorecard_artifacts() {
         );
     }
     assert!(!text.contains("FAIL"), "scorecard has failures:\n{text}");
+}
+
+/// The lossy backends are held to the exact one's standard: every run of
+/// the matrix passes, and their serial row is judged `ExactAnchored` with
+/// no impossible sample allowed.
+#[test]
+fn sketch_and_precision_pass_the_matrix() {
+    assert_eq!(scenario_diff_config().impossible_budget, 0);
+    for backend in [Backend::Sketch, Backend::Precision] {
+        let outcomes = run_scenario_matrix(SCALE, SEED, Some(FAULT_SEED), backend);
+        assert_eq!(outcomes.len(), 2 * ScenarioKind::ALL.len());
+        for outcome in outcomes {
+            let dart = &outcome.report.outcomes[0];
+            assert_eq!(dart.name, backend.engine_name());
+            assert_eq!(dart.sound, Some(true), "{outcome}");
+            assert_eq!(dart.card.impossible, 0, "{outcome}");
+            assert!(outcome.pass(), "{outcome}");
+        }
+    }
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! it would print, keeping the logic testable.
 
 use crate::cli::{Command, Options, USAGE};
-use crate::io::{load_file, open_boxed, open_source, parse_prefix, save_file};
+use crate::io::{load_file, open_boxed, open_source, parse_prefix, save_file, TraceSource};
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
+use dart_baselines::registry::sharded_shards;
 use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
 use dart_core::FailurePolicy;
@@ -187,9 +188,9 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
             Ok((report, note))
         }
         _ => {
-            let mut source = open_source(input, internal)?;
+            let mut source = open_source(input, internal, shards + 1)?;
             Ok((
-                run(daemon, source.packets())?,
+                run(daemon, &mut source)?,
                 "once (drain and exit)".to_string(),
             ))
         }
@@ -200,20 +201,19 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
     let _ = watcher.join();
     let (report, mode_note) = outcome?;
     let mut out = String::new();
-    writeln!(out, "listened          : http://{addr}").expect("string write");
-    writeln!(out, "mode              : {mode_note}").expect("string write");
-    writeln!(out, "packets           : {}", report.packets).expect("string write");
-    writeln!(out, "samples           : {}", report.stats.samples).expect("string write");
-    writeln!(out, "epoch rotations   : {}", report.rotations).expect("string write");
-    writeln!(out, "reloads           : {}", report.reloads).expect("string write");
-    writeln!(out, "checkpoints       : {}", report.checkpoints).expect("string write");
-    writeln!(
+    let _ = writeln!(out, "listened          : http://{addr}");
+    let _ = writeln!(out, "mode              : {mode_note}");
+    let _ = writeln!(out, "packets           : {}", report.packets);
+    let _ = writeln!(out, "samples           : {}", report.stats.samples);
+    let _ = writeln!(out, "epoch rotations   : {}", report.rotations);
+    let _ = writeln!(out, "reloads           : {}", report.reloads);
+    let _ = writeln!(out, "checkpoints       : {}", report.checkpoints);
+    let _ = writeln!(
         out,
         "restored          : {}",
         if report.restored { "yes" } else { "no" }
-    )
-    .expect("string write");
-    writeln!(
+    );
+    let _ = writeln!(
         out,
         "ended by          : {}",
         if report.shutdown_requested {
@@ -221,9 +221,8 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
         } else {
             "source drained"
         }
-    )
-    .expect("string write");
-    writeln!(
+    );
+    let _ = writeln!(
         out,
         "supervisor        : {}",
         if report.health.healthy() {
@@ -231,8 +230,7 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
         } else {
             "degraded"
         }
-    )
-    .expect("string write");
+    );
     Ok(out)
 }
 
@@ -289,17 +287,16 @@ fn scenarios(opts: &Options) -> Result<String, String> {
         .map_err(|e| format!("write scorecards to {}: {e}", dir.display()))?;
     let mut out = String::new();
     for o in &outcomes {
-        writeln!(out, "{o}").expect("string write");
+        let _ = writeln!(out, "{o}");
     }
-    writeln!(out, "scorecards: {}", summary.display()).expect("string write");
+    let _ = writeln!(out, "scorecards: {}", summary.display());
     let all_pass = outcomes.iter().all(|o| o.pass());
-    writeln!(
+    let _ = writeln!(
         out,
         "scenario verdict: {} ({} runs)",
         if all_pass { "PASS" } else { "FAIL" },
         outcomes.len()
-    )
-    .expect("string write");
+    );
     Ok(out)
 }
 
@@ -338,14 +335,13 @@ fn chaos(input: &str, opts: &Options) -> Result<String, String> {
         cfg.engine = engine;
         let report = run_chaos(&cfg, &packets);
         all_pass &= report.pass();
-        writeln!(out, "{report}\n").expect("string write");
+        let _ = writeln!(out, "{report}\n");
     }
-    writeln!(
+    let _ = writeln!(
         out,
         "chaos verdict: {} (process survived every injected fault)",
         if all_pass { "PASS" } else { "FAIL" }
-    )
-    .expect("string write");
+    );
     Ok(out)
 }
 
@@ -411,6 +407,12 @@ fn resolve_engine(opts: &Options, registry: &EngineRegistry) -> Result<(String, 
         .judgement(&engine)
         .map_err(|e| format!("--engine: {e}"))?;
     Ok((engine, shards))
+}
+
+/// Threads a registry engine keeps running: its shards and their feeder
+/// for the sharded runtime, the caller's own for the rest.
+fn engine_threads(engine: &str) -> usize {
+    sharded_shards(engine).map_or(1, |shards| shards + 1)
 }
 
 fn internal_prefix(opts: &Options) -> Result<(Ipv4Addr, u8), String> {
@@ -544,7 +546,7 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     let registry = EngineRegistry::standard();
     let (engine, shards) = resolve_engine(opts, &registry)?;
     let sinks = telemetry_sinks(opts)?;
-    let mut source = open_source(input, internal_prefix(opts)?)?;
+    let mut source = open_source(input, internal_prefix(opts)?, engine_threads(&engine))?;
 
     let (metrics, events) = (MetricRegistry::new(), EventLog::new(256));
     let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
@@ -588,7 +590,7 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         };
         drive(
             built.monitor.as_mut(),
-            source.packets(),
+            &mut source,
             &mut sink,
             |monitor, at| {
                 packets = at.packets;
@@ -622,60 +624,55 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     );
     if let Some(path) = &sinks.jsonl {
         std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
-        writeln!(
+        let _ = writeln!(
             telemetry_note,
             "metrics           : {} snapshots (every {} pkts) -> {path}",
             jsonl.lines().count(),
             sinks.interval
-        )
-        .expect("string write");
+        );
     }
     if let Some(path) = &sinks.prom {
         std::fs::write(path, metrics.scrape().prometheus())
             .map_err(|e| format!("write {path}: {e}"))?;
-        writeln!(telemetry_note, "prometheus        : {path}").expect("string write");
+        let _ = writeln!(telemetry_note, "prometheus        : {path}");
     }
     if let Some(path) = &sinks.events {
         std::fs::write(path, events.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-        writeln!(
+        let _ = writeln!(
             telemetry_note,
             "events            : {} entries -> {path}",
             events.len_logged()
-        )
-        .expect("string write");
+        );
     }
 
     let mut out = String::new();
-    writeln!(
+    let _ = writeln!(
         out,
         "input             : {input} ({packets} packets, {} skipped)",
-        source.skipped()
-    )
-    .unwrap();
-    writeln!(
+        source.source().map_or(0, TraceSource::skipped)
+    );
+    let _ = writeln!(
         out,
         "engine            : {} — {}",
         built.monitor.name(),
         built.monitor.describe()
-    )
-    .unwrap();
-    writeln!(
+    );
+    let _ = writeln!(
         out,
         "config            : {:?} leg, PT {:?}, RT {:?}, recirc<={}, shards={shards}",
         cfg.leg, cfg.pt, cfg.rt, cfg.max_recirc
-    )
-    .unwrap();
-    writeln!(out, "samples           : {}", dist.len()).unwrap();
+    );
+    let _ = writeln!(out, "samples           : {}", dist.len());
     for (label, p) in [("p50", 50.0), ("p90", 90.0), ("p95", 95.0), ("p99", 99.0)] {
         if let Some(v) = dist.percentile(p) {
-            writeln!(out, "{label:<18}: {:.3} ms", v as f64 / 1e6).unwrap();
+            let _ = writeln!(out, "{label:<18}: {:.3} ms", v as f64 / 1e6);
         }
     }
-    writeln!(out, "tracked data pkts : {}", stats.seq_tracked).unwrap();
-    writeln!(out, "retransmissions   : {}", stats.seq_retransmission).unwrap();
-    writeln!(out, "range collapses   : {}", stats.range_collapses).unwrap();
-    writeln!(out, "optimistic ACKs   : {}", stats.ack_optimistic).unwrap();
-    writeln!(out, "recirc / packet   : {:.4}", stats.recirc_per_packet()).unwrap();
+    let _ = writeln!(out, "tracked data pkts : {}", stats.seq_tracked);
+    let _ = writeln!(out, "retransmissions   : {}", stats.seq_retransmission);
+    let _ = writeln!(out, "range collapses   : {}", stats.range_collapses);
+    let _ = writeln!(out, "optimistic ACKs   : {}", stats.ack_optimistic);
+    let _ = writeln!(out, "recirc / packet   : {:.4}", stats.recirc_per_packet());
     out.push_str(&telemetry_note);
     Ok(out)
 }
@@ -683,16 +680,16 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
 /// `dartmon stats`: run one engine and print the full metric snapshot
 /// through the shared `dart-telemetry` renderer.
 fn stats_report(input: &str, opts: &Options) -> Result<String, String> {
-    let mut source = open_source(input, internal_prefix(opts)?)?;
     let cfg = engine_config(opts)?;
     let registry = EngineRegistry::standard();
     let (engine, _) = resolve_engine(opts, &registry)?;
+    let mut source = open_source(input, internal_prefix(opts)?, engine_threads(&engine))?;
     let metrics = MetricRegistry::new();
     let mut built = registry.build_instrumented(&engine, &cfg, &metrics)?;
     let (mut packets, mut samples) = (0, 0u64);
     drive(
         built.monitor.as_mut(),
-        source.packets(),
+        &mut source,
         &mut |_: RttSample| samples += 1,
         |_, at| {
             packets = at.packets;
@@ -701,14 +698,13 @@ fn stats_report(input: &str, opts: &Options) -> Result<String, String> {
     )
     .map_err(|e| format!("{input}: {e}"))?;
     let mut out = String::new();
-    writeln!(
+    let _ = writeln!(
         out,
         "input  : {input} ({packets} packets, {} skipped)",
-        source.skipped()
-    )
-    .expect("string write");
-    writeln!(out, "engine : {}", built.monitor.describe()).expect("string write");
-    writeln!(out, "samples: {samples}").expect("string write");
+        source.source().map_or(0, TraceSource::skipped)
+    );
+    let _ = writeln!(out, "engine : {}", built.monitor.describe());
+    let _ = writeln!(out, "samples: {samples}");
     out.push('\n');
     out.push_str(&metrics.scrape().render_text());
     Ok(out)
@@ -720,24 +716,22 @@ fn compare(input: &str, opts: &Options) -> Result<String, String> {
     let registry = EngineRegistry::standard();
     let names = engine_selection(opts, &registry, "all")?;
     let mut out = String::new();
-    writeln!(
+    let _ = writeln!(
         out,
         "{:<22} {:>9} {:>10} {:>10}",
         "tool", "samples", "p50 (ms)", "p99 (ms)"
-    )
-    .unwrap();
+    );
     for name in names {
         let mut built = registry.build(&name, &cfg)?;
         let (samples, _) = run_monitor_slice(built.monitor.as_mut(), &packets);
         let mut d = RttDistribution::from_samples(samples.iter().map(|s| s.rtt));
-        writeln!(
+        let _ = writeln!(
             out,
             "{name:<22} {:>9} {:>10.2} {:>10.2}",
             d.len(),
             d.percentile(50.0).unwrap_or(0) as f64 / 1e6,
             d.percentile(99.0).unwrap_or(0) as f64 / 1e6
-        )
-        .expect("string write");
+        );
     }
     Ok(out)
 }
@@ -823,7 +817,7 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
 }
 
 fn detect(input: &str, opts: &Options) -> Result<String, String> {
-    let mut source = open_source(input, internal_prefix(opts)?)?;
+    let mut source = open_source(input, internal_prefix(opts)?, 1)?;
     let window = opts.get_num("window", 8u32)?;
     let ratio = opts.get_num("ratio", 2.0f64)?;
     let mut det = ChangeDetector::new(ChangeDetectorConfig {
@@ -835,15 +829,14 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
     let mut verdicts = String::new();
     let mut sink = |s: RttSample| {
         samples += 1;
-        match det.offer(s.rtt, s.ts) {
+        let _ = match det.offer(s.rtt, s.ts) {
             Verdict::Suspected { baseline, observed } => writeln!(
                 verdicts,
                 "t={:9.3}s SUSPECTED min-RTT {:.1} -> {:.1} ms",
                 s.ts as f64 / 1e9,
                 baseline as f64 / 1e6,
                 observed as f64 / 1e6
-            )
-            .expect("string write"),
+            ),
             Verdict::Confirmed {
                 baseline,
                 observed,
@@ -854,19 +847,18 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
                 s.ts as f64 / 1e9,
                 baseline as f64 / 1e6,
                 observed as f64 / 1e6
-            )
-            .expect("string write"),
-            Verdict::Normal => {}
-        }
+            ),
+            Verdict::Normal => Ok(()),
+        };
     };
     let mut engine = DartEngine::new(DartConfig::default());
-    drive(&mut engine, source.packets(), &mut sink, |_, _| {
+    drive(&mut engine, &mut source, &mut sink, |_, _| {
         Some(DEFAULT_BLOCK_PKTS)
     })
     .map_err(|e| format!("{input}: {e}"))?;
     let mut out = format!("samples: {samples}\n{verdicts}");
     if !out.contains("SUSPECTED") {
-        writeln!(out, "no abnormal min-RTT changes detected").unwrap();
+        let _ = writeln!(out, "no abnormal min-RTT changes detected");
     }
     Ok(out)
 }
@@ -886,9 +878,9 @@ fn resources() -> Result<String, String> {
         ),
     ] {
         let report = estimate(&dart_program(params), &profile);
-        writeln!(out, "== {name} ==").unwrap();
-        writeln!(out, "{report}").unwrap();
-        writeln!(out, "fits: {}\n", report.fits()).unwrap();
+        let _ = writeln!(out, "== {name} ==");
+        let _ = writeln!(out, "{report}");
+        let _ = writeln!(out, "fits: {}\n", report.fits());
     }
     Ok(out)
 }

@@ -1,6 +1,6 @@
 //! Trace file opening/loading/saving with format auto-detection.
 
-use dart_core::monitor::DEFAULT_BLOCK_PKTS;
+use dart_core::monitor::{ReadAhead, DEFAULT_BLOCK_PKTS};
 use dart_packet::parse::PrefixClassifier;
 use dart_packet::trace::{TraceReader, RECORD_LEN};
 use dart_packet::{PacketError, PacketMeta, PacketSource, PcapSource};
@@ -57,14 +57,6 @@ impl<R: Read> TraceSource<R> {
         .map_err(err)
     }
 
-    /// The packet stream, whichever format it is decoded from.
-    pub fn packets(&mut self) -> &mut dyn PacketSource {
-        match self {
-            TraceSource::Native(trace) => trace,
-            TraceSource::Pcap(pcap) => pcap,
-        }
-    }
-
     /// Pcap frames skipped so far as non-TCP or truncated (the native
     /// format has none).
     pub fn skipped(&self) -> u64 {
@@ -84,8 +76,7 @@ impl<R: Read> TraceSource<R> {
         };
         let mut packets = Vec::with_capacity(hint);
         let mut block = Vec::new();
-        let source = self.packets();
-        while source
+        while self
             .next_chunk(&mut block, DEFAULT_BLOCK_PKTS)
             .map_err(err)?
             > 0
@@ -96,8 +87,35 @@ impl<R: Read> TraceSource<R> {
     }
 }
 
-/// Open the trace at `path` (a file or a fifo) for streaming.
-pub fn open_source(path: &str, internal: (Ipv4Addr, u8)) -> Result<TraceSource<File>, String> {
+/// The packet stream, whichever format it is decoded from.
+impl<R: Read> PacketSource for TraceSource<R> {
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        match self {
+            TraceSource::Native(trace) => trace.next_packet(),
+            TraceSource::Pcap(pcap) => pcap.next_packet(),
+        }
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        match self {
+            TraceSource::Native(trace) => trace.next_chunk(buf, max),
+            TraceSource::Pcap(pcap) => pcap.next_chunk(buf, max),
+        }
+    }
+}
+
+/// Open the trace at `path` (a file or a fifo) for streaming, decoded one
+/// block ahead of the engine on a helper thread where a core is left
+/// beside the `busy` threads of the monitor it feeds (DESIGN.md §5c).
+pub fn open_source(
+    path: &str,
+    internal: (Ipv4Addr, u8),
+    busy: usize,
+) -> Result<ReadAhead<TraceSource<File>>, String> {
+    open(path, internal).map(|source| ReadAhead::new(source, busy))
+}
+
+fn open(path: &str, internal: (Ipv4Addr, u8)) -> Result<TraceSource<File>, String> {
     let file = File::open(path).map_err(|e| format!("read {path}: {e}"))?;
     TraceSource::sniff(file, internal)
 }
@@ -123,10 +141,10 @@ pub fn load_bytes(
     TraceSource::sniff(bytes, internal)?.collect(bytes.len() as u64)
 }
 
-/// Load a whole trace from a path: [`open_source`], collected. For the
-/// commands that need random access to the packets; everything else streams.
+/// Load a whole trace from a path, collected. For the commands that need
+/// random access to the packets; everything else streams ([`open_source`]).
 pub fn load_file(path: &str, internal: (Ipv4Addr, u8)) -> Result<(Vec<PacketMeta>, u64), String> {
-    let source = open_source(path, internal)?;
+    let source = open(path, internal)?;
     source.collect(std::fs::metadata(path).map_or(0, |m| m.len()))
 }
 

@@ -7,6 +7,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The production daemon loop lives here: panicking unwraps are banned from
+// lib code, as in `dart-core` (tests keep them).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cli;
 pub mod commands;
