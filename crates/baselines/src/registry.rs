@@ -334,6 +334,7 @@ impl Default for EngineRegistry {
 mod tests {
     use super::*;
     use dart_core::run_monitor_slice;
+    use dart_core::telemetry::{Surface, RUN_COUNTERS, SHARD_COUNTERS, VOCABULARY};
     use dart_packet::{Direction, FlowKey, PacketBuilder, PacketMeta};
 
     fn exchange() -> Vec<PacketMeta> {
@@ -403,17 +404,14 @@ mod tests {
         assert!(reg.build("dart-sharded-x", &DartConfig::default()).is_err());
     }
 
+    /// Every engine `dartmon` can name: each scraped family is a row of
+    /// that engine's surface in the vocabulary, and its packet counter is
+    /// synced.
     #[test]
     fn build_instrumented_registers_series_for_every_engine() {
         let reg = EngineRegistry::standard();
         let packets = exchange();
-        for name in [
-            "dart",
-            "dart@sketch",
-            "dart@precision",
-            "dart-sharded-2",
-            "tcptrace",
-        ] {
+        for name in reg.names().into_iter().chain(["dart-sharded-2"]) {
             let metrics = MetricRegistry::new();
             let mut built = reg
                 .build_instrumented(name, &DartConfig::default(), &metrics)
@@ -421,14 +419,30 @@ mod tests {
             assert_eq!(built.monitor.name(), name);
             let (_, stats) = run_monitor_slice(built.monitor.as_mut(), &packets);
             assert_eq!(stats.packets, packets.len() as u64);
+            let serial = [Backend::Exact, Backend::Sketch, Backend::Precision]
+                .iter()
+                .any(|b| b.engine_name() == name);
+            let (surface, counters) = match (serial, sharded_shards(name)) {
+                (true, _) => (Surface::Analyze, SHARD_COUNTERS),
+                (false, Some(_)) => (Surface::Sharded, SHARD_COUNTERS),
+                (false, None) => (Surface::Baseline, RUN_COUNTERS),
+            };
+            let rows: Vec<String> = (VOCABULARY.iter())
+                .filter(|row| row.surfaces.contains(&surface))
+                .flat_map(|row| row.instances())
+                .map(|(family, _)| family)
+                .collect();
+            let snap = metrics.scrape();
+            for s in &snap.samples {
+                assert!(
+                    rows.contains(&s.name),
+                    "{name}: {} is no {surface:?} row",
+                    s.name
+                );
+            }
             // Both packets of the one flow land on a single shard, so sum
             // the packet counter across every registered series.
-            let family = if name == "tcptrace" {
-                "dart_run_packets_total"
-            } else {
-                "dart_shard_packets_total"
-            };
-            let snap = metrics.scrape();
+            let family = counters.name_for("packets");
             let total: u64 = snap
                 .samples
                 .iter()

@@ -79,7 +79,9 @@ use crate::ring::{Parcel, Ring, RingEnd, SendError};
 use crate::sample::{RttSample, SampleSink};
 use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
-use crate::telemetry::EngineTelemetry;
+use crate::telemetry::{
+    EngineTelemetry, SHARD_CHANNEL_BATCHES, SUPERVISOR_HEALTHY_SHARDS, SUPERVISOR_STALLS,
+};
 use dart_packet::{FlowKey, Nanos, PacketMeta};
 use dart_telemetry::{Counter, Gauge, MetricRegistry};
 use std::cell::{Cell, RefCell};
@@ -589,10 +591,10 @@ impl ShardedMonitor {
     /// Spawn with per-shard telemetry: each worker's engine publishes
     /// `shard`-labelled counters, RTT and batch-latency histograms, and
     /// recirculation queue-depth gauges to `registry`, live while the
-    /// replay runs. A `dart_shard_channel_batches` gauge per shard tracks
-    /// the hand-off ring depth; the supervisor publishes
-    /// `dart_supervisor_healthy_shards` and
-    /// `dart_supervisor_stalls_total`.
+    /// replay runs. A gauge per shard tracks the hand-off ring depth and
+    /// the supervisor publishes its health: the
+    /// [`Surface::Sharded`](crate::telemetry::Surface::Sharded) rows of
+    /// [`VOCABULARY`](crate::telemetry::VOCABULARY).
     pub fn with_telemetry(cfg: ShardedConfig, registry: &MetricRegistry) -> ShardedMonitor {
         Self::spawn(cfg, Some(registry), None)
     }
@@ -610,21 +612,13 @@ impl ShardedMonitor {
         assert!(cfg.batch_size >= 1, "batch size must be positive");
         assert!(cfg.queue_depth >= 1, "queue depth must be positive");
         let healthy = registry.map(|reg| {
-            let healthy = reg.gauge(
-                "dart_supervisor_healthy_shards",
-                &[],
-                "shard workers still measuring their traffic",
-            );
+            let row = SUPERVISOR_HEALTHY_SHARDS;
+            let healthy = reg.gauge(row.name, &[], row.help);
             healthy.set(cfg.shards as i64);
             healthy
         });
-        let sup_stalls = registry.map(|reg| {
-            reg.counter(
-                "dart_supervisor_stalls_total",
-                &[],
-                "shard workers abandoned by the feeder watchdog",
-            )
-        });
+        let sup_stalls =
+            registry.map(|reg| reg.counter(SUPERVISOR_STALLS.name, &[], SUPERVISOR_STALLS.help));
         let fatal = Arc::new(AtomicBool::new(false));
         let mut rings = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
@@ -635,11 +629,8 @@ impl ShardedMonitor {
             let shard_hooks = ShardHooks {
                 tel: registry.map(|reg| EngineTelemetry::register(reg, shard)),
                 channel: registry.map(|reg| {
-                    reg.gauge(
-                        "dart_shard_channel_batches",
-                        &[("shard", &shard.to_string())],
-                        "hand-off batches queued or being processed by this shard worker",
-                    )
+                    let row = SHARD_CHANNEL_BATCHES;
+                    reg.gauge(row.name, &[("shard", &shard.to_string())], row.help)
                 }),
                 healthy: healthy.clone(),
             };
@@ -1569,6 +1560,7 @@ mod tests {
     use super::*;
     use crate::engine::run_trace;
     use crate::monitor::run_monitor_slice;
+    use crate::telemetry::{EPOCH_ROTATIONS, SHARD_COUNTERS};
     use dart_packet::{Direction, Nanos, PacketBuilder};
 
     /// A whole-trace sharded replay through the block driver, with the
@@ -2102,7 +2094,7 @@ mod tests {
         let rotations: u64 = snap
             .samples
             .iter()
-            .filter(|s| s.name == "dart_epoch_rotations_total")
+            .filter(|s| s.name == EPOCH_ROTATIONS.name)
             .map(|s| match s.value {
                 dart_telemetry::MetricValue::Counter { total, .. } => total,
                 _ => 0,
@@ -2122,7 +2114,7 @@ mod tests {
             Some(&registry),
             Some(panic_at(target)),
         );
-        let healthy = registry.gauge("dart_supervisor_healthy_shards", &[], "");
+        let healthy = registry.gauge(SUPERVISOR_HEALTHY_SHARDS.name, &[], "");
         assert_eq!(healthy.get(), 4);
         for p in &pkts {
             monitor.feed(p);
@@ -2135,7 +2127,7 @@ mod tests {
         assert!(snap
             .samples
             .iter()
-            .any(|s| s.name == "dart_shard_monitor_miss_total"));
+            .any(|s| s.name == SHARD_COUNTERS.name_for("monitor_miss")));
     }
 
     // ---- checkpoint/restore tests --------------------------------------

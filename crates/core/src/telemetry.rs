@@ -1,4 +1,4 @@
-//! In-engine metric hooks (the `telemetry` cargo feature).
+//! In-engine metric hooks and the one metric vocabulary.
 //!
 //! Two layers of instrumentation, matching the two places an observer can
 //! stand:
@@ -16,44 +16,144 @@
 //!   emitted sample into a run-level RTT histogram. This is what makes the
 //!   software baselines scrape-able without touching their code.
 //!
-//! Metric families (see the naming scheme in `dart-telemetry`'s crate docs
-//! and DESIGN.md §5d):
-//!
-//! | family | kind | labels |
-//! |---|---|---|
-//! | `dart_shard_<counter>_total` | counter | `shard` |
-//! | `dart_rtt_ns` | histogram | `shard` |
-//! | `dart_batch_process_ns` | histogram | `shard` |
-//! | `dart_recirc_queue_depth` | gauge | `shard` |
-//! | `dart_recirc_queue_depth_records` | histogram | `shard` |
-//! | `dart_epoch_rotations_total` | counter | `shard` |
-//! | `dart_epoch_flows_carried_total` | counter | `shard` |
-//! | `dart_epoch_flows_dropped_total` | counter | `shard` |
-//! | `dart_epoch_records_dropped_total` | counter | `shard` |
-//! | `dart_epoch_rotation_pause_ns` | histogram | `shard` |
-//! | `dart_stage_decode_ns` | histogram | — |
-//! | `dart_stage_match_ns` | histogram | — |
-//! | `dart_stage_flush_ns` | histogram | — |
-//! | `dart_shard_channel_batches` | gauge | `shard` |
-//! | `dart_supervisor_healthy_shards` | gauge | — |
-//! | `dart_supervisor_stalls_total` | counter | — |
-//! | `dart_run_<counter>_total` | counter | — |
-//! | `dart_run_rtt_ns` | histogram | — |
-//!
-//! The two `dart_supervisor_*` families are owned by the supervised
-//! sharded runtime (`sharded.rs`): the gauge drops by one each time a
-//! worker is retired (panicked past its restart budget, shedding, or
-//! abandoned by the watchdog) and the counter records watchdog firings.
-//! CI's `--example check --require` run lists them, together with the
-//! degradation counters (`dart_shard_shard_restarts_total`,
-//! `dart_shard_flows_lost_total`, `dart_shard_monitor_miss_total`), so
-//! the schema cannot silently drift from this table.
+//! Every exposed family is one row of [`VOCABULARY`]: name, kind, label
+//! keys, HELP text and the [`Surface`]s that expose it. Registration sites
+//! read their row; `crates/tools/tests/vocabulary.rs` holds each surface's
+//! exposition to exactly its rows and DESIGN.md §5d's table to their
+//! rendering.
 
 use crate::monitor::{EpochRotation, RttMonitor, Stage};
 use crate::sample::{RttSample, SampleSink};
 use crate::stats::EngineStats;
 use dart_switch::RecircStats;
-use dart_telemetry::{Counter, Gauge, Histogram, MetricRegistry};
+use dart_telemetry::{Counter, Gauge, Histogram, MetricKind, MetricRegistry};
+
+/// A run whose exposition the vocabulary fixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Surface {
+    /// A serial Dart engine (`dart`, `dart@sketch`, `dart@precision`).
+    Analyze,
+    /// Any other registry engine, wrapped in a [`MeteredMonitor`].
+    Baseline,
+    /// The supervised sharded runtime (`dart-sharded-N`).
+    Sharded,
+    /// `dartmon serve`; the `dart_source_*` rows only while it tails a
+    /// live source (`--mode follow`).
+    Serve,
+}
+
+/// One row of [`VOCABULARY`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Family {
+    /// Exposed name. In a template row `{counter}` stands for each
+    /// [`EngineStats::metric_rows`] counter, one family apiece.
+    pub name: &'static str,
+    /// The `# TYPE`.
+    pub kind: MetricKind,
+    /// Label keys every series of the family carries.
+    pub labels: &'static [&'static str],
+    /// The `# HELP` text, `{counter}` expanded as in the name.
+    pub help: &'static str,
+    /// Where the family is exposed.
+    pub surfaces: &'static [Surface],
+}
+
+/// The placeholder of a template row.
+const COUNTER: &str = "{counter}";
+
+impl Family {
+    /// The family name for EngineStats counter `counter` (a template row's
+    /// instance; a plain row's name is returned as is).
+    pub fn name_for(&self, counter: &str) -> String {
+        self.name.replace(COUNTER, counter)
+    }
+
+    /// Every `(name, help)` the row stands for: one per EngineStats counter
+    /// for a template row, in [`EngineStats::metric_rows`] order.
+    pub fn instances(&self) -> Vec<(String, String)> {
+        if !self.name.contains(COUNTER) {
+            return vec![(self.name.to_string(), self.help.to_string())];
+        }
+        let rows = EngineStats::default().metric_rows();
+        rows.iter()
+            .map(|(c, _)| (self.name_for(c), self.help.replace(COUNTER, c)))
+            .collect()
+    }
+}
+
+const ENGINE: &[Surface] = &[Surface::Analyze, Surface::Sharded, Surface::Serve];
+const SHARDED: &[Surface] = &[Surface::Sharded, Surface::Serve];
+const SERVE: &[Surface] = &[Surface::Serve];
+const BASELINE: &[Surface] = &[Surface::Baseline];
+
+/// Declares one `pub const` [`Family`] per row, documented by its HELP
+/// text, and [`VOCABULARY`] over all of them in declaration order.
+macro_rules! vocabulary {
+    ($($id:ident: $kind:ident $name:literal [$($label:literal)?] $on:ident $help:literal;)*) => {
+        $(
+            #[doc = $help]
+            pub const $id: Family = Family {
+                name: $name,
+                kind: MetricKind::$kind,
+                labels: &[$($label)?],
+                help: $help,
+                surfaces: $on,
+            };
+        )*
+
+        /// Every metric family, grouped by the surfaces that expose it.
+        pub const VOCABULARY: &[Family] = &[$($id),*];
+    };
+}
+
+vocabulary! {
+    SHARD_COUNTERS: Counter "dart_shard_{counter}_total" ["shard"] ENGINE
+        "engine disposition counter `{counter}` (see EngineStats)";
+    RTT_NS: Histogram "dart_rtt_ns" ["shard"] ENGINE "RTT samples in nanoseconds";
+    BATCH_PROCESS_NS: Histogram "dart_batch_process_ns" ["shard"] ENGINE
+        "processing latency per hand-off batch in nanoseconds";
+    RECIRC_QUEUE_DEPTH: Gauge "dart_recirc_queue_depth" ["shard"] ENGINE
+        "records currently in flight around the recirculation loop";
+    RECIRC_QUEUE_DEPTH_RECORDS: Histogram "dart_recirc_queue_depth_records" ["shard"] ENGINE
+        "recirculation queue depth observed at each submission";
+    EPOCH_ROTATIONS: Counter "dart_epoch_rotations_total" ["shard"] ENGINE
+        "epoch rotations performed on this shard";
+    EPOCH_FLOWS_CARRIED: Counter "dart_epoch_flows_carried_total" ["shard"] ENGINE
+        "RT flows that survived an epoch rotation";
+    EPOCH_FLOWS_DROPPED: Counter "dart_epoch_flows_dropped_total" ["shard"] ENGINE
+        "RT flows swept as stale by epoch rotations";
+    EPOCH_RECORDS_DROPPED: Counter "dart_epoch_records_dropped_total" ["shard"] ENGINE
+        "PT and auxiliary records swept as stale by epoch rotations";
+    EPOCH_ROTATION_PAUSE_NS: Histogram "dart_epoch_rotation_pause_ns" ["shard"] ENGINE
+        "wall-clock pause of each epoch rotation in nanoseconds";
+    SUPERVISOR_HEALTHY_SHARDS: Gauge "dart_supervisor_healthy_shards" [] SHARDED
+        "shard workers still measuring their traffic";
+    SUPERVISOR_STALLS: Counter "dart_supervisor_stalls_total" [] SHARDED
+        "shard workers abandoned by the feeder watchdog";
+    SHARD_CHANNEL_BATCHES: Gauge "dart_shard_channel_batches" ["shard"] SHARDED
+        "hand-off batches queued or being processed by this shard worker";
+    STAGE_DECODE_NS: Histogram "dart_stage_decode_ns" [] SERVE
+        "time pulling one block from the packet source, nanoseconds";
+    STAGE_MATCH_NS: Histogram "dart_stage_match_ns" [] SERVE
+        "time processing one block through the monitor, nanoseconds";
+    STAGE_FLUSH_NS: Histogram "dart_stage_flush_ns" [] SERVE
+        "time spent in flush or epoch rotation, nanoseconds";
+    DAEMON_CHECKPOINTS: Counter "dart_daemon_checkpoints_total" [] SERVE
+        "snapshots durably written (cadence + rotation + on-demand)";
+    DAEMON_CHECKPOINT_FAILURES: Counter "dart_daemon_checkpoint_failures_total" [] SERVE
+        "checkpoint attempts that failed (engine degraded or I/O error)";
+    DAEMON_CHECKPOINT_PAUSE_NS: Histogram "dart_daemon_checkpoint_pause_ns" [] SERVE
+        "ingest-loop pause per checkpoint (quiesce + serialize + fsync)";
+    SOURCE_RECONNECTS: Counter "dart_source_reconnects_total" [] SERVE
+        "successful packet-source reconnections";
+    SOURCE_DECODE_ERRORS: Counter "dart_source_decode_errors_total" [] SERVE
+        "malformed records skipped by decode tolerance";
+    SOURCE_IO_ERRORS: Counter "dart_source_io_errors_total" [] SERVE
+        "I/O failures that triggered reconnection";
+    RUN_COUNTERS: Counter "dart_run_{counter}_total" [] BASELINE
+        "whole-run engine counter `{counter}` (see EngineStats)";
+    RUN_RTT_NS: Histogram "dart_run_rtt_ns" [] BASELINE "RTT samples in nanoseconds";
+}
 
 /// How many packets between periodic counter publications on the serial
 /// hot path. Scrapes between sync points read totals at most this stale;
@@ -84,61 +184,22 @@ impl EngineTelemetry {
     pub fn register(registry: &MetricRegistry, shard: usize) -> EngineTelemetry {
         let shard_label = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &shard_label)];
-        let counters = EngineStats::default()
-            .metric_rows()
-            .iter()
-            .map(|(name, _)| {
-                registry.counter(
-                    &format!("dart_shard_{name}_total"),
-                    labels,
-                    &format!("engine disposition counter `{name}` (see EngineStats)"),
-                )
-            })
-            .collect();
+        let counter = |row: Family| registry.counter(row.name, labels, row.help);
+        let histogram = |row: Family| registry.histogram(row.name, labels, row.help);
         EngineTelemetry {
-            counters,
+            counters: (SHARD_COUNTERS.instances().iter())
+                .map(|(name, help)| registry.counter(name, labels, help))
+                .collect(),
             base: EngineStats::default(),
-            rtt_ns: registry.histogram("dart_rtt_ns", labels, "RTT samples in nanoseconds"),
-            batch_ns: registry.histogram(
-                "dart_batch_process_ns",
-                labels,
-                "processing latency per hand-off batch in nanoseconds",
-            ),
-            queue_depth: registry.gauge(
-                "dart_recirc_queue_depth",
-                labels,
-                "records currently in flight around the recirculation loop",
-            ),
-            queue_depth_records: registry.histogram(
-                "dart_recirc_queue_depth_records",
-                labels,
-                "recirculation queue depth observed at each submission",
-            ),
-            rotations: registry.counter(
-                "dart_epoch_rotations_total",
-                labels,
-                "epoch rotations performed on this shard",
-            ),
-            rot_flows_carried: registry.counter(
-                "dart_epoch_flows_carried_total",
-                labels,
-                "RT flows that survived an epoch rotation",
-            ),
-            rot_flows_dropped: registry.counter(
-                "dart_epoch_flows_dropped_total",
-                labels,
-                "RT flows swept as stale by epoch rotations",
-            ),
-            rot_records_dropped: registry.counter(
-                "dart_epoch_records_dropped_total",
-                labels,
-                "PT and auxiliary records swept as stale by epoch rotations",
-            ),
-            rot_pause_ns: registry.histogram(
-                "dart_epoch_rotation_pause_ns",
-                labels,
-                "wall-clock pause of each epoch rotation in nanoseconds",
-            ),
+            rtt_ns: histogram(RTT_NS),
+            batch_ns: histogram(BATCH_PROCESS_NS),
+            queue_depth: registry.gauge(RECIRC_QUEUE_DEPTH.name, labels, RECIRC_QUEUE_DEPTH.help),
+            queue_depth_records: histogram(RECIRC_QUEUE_DEPTH_RECORDS),
+            rotations: counter(EPOCH_ROTATIONS),
+            rot_flows_carried: counter(EPOCH_FLOWS_CARRIED),
+            rot_flows_dropped: counter(EPOCH_FLOWS_DROPPED),
+            rot_records_dropped: counter(EPOCH_RECORDS_DROPPED),
+            rot_pause_ns: histogram(EPOCH_ROTATION_PAUSE_NS),
         }
     }
 
@@ -217,22 +278,11 @@ pub struct StageTimers {
 impl StageTimers {
     /// Register the three stage histograms in `registry`.
     pub fn register(registry: &MetricRegistry) -> StageTimers {
+        let histogram = |row: Family| registry.histogram(row.name, &[], row.help);
         StageTimers {
-            decode_ns: registry.histogram(
-                "dart_stage_decode_ns",
-                &[],
-                "time pulling one block from the packet source, nanoseconds",
-            ),
-            match_ns: registry.histogram(
-                "dart_stage_match_ns",
-                &[],
-                "time processing one block through the monitor, nanoseconds",
-            ),
-            flush_ns: registry.histogram(
-                "dart_stage_flush_ns",
-                &[],
-                "time spent in flush or epoch rotation, nanoseconds",
-            ),
+            decode_ns: histogram(STAGE_DECODE_NS),
+            match_ns: histogram(STAGE_MATCH_NS),
+            flush_ns: histogram(STAGE_FLUSH_NS),
         }
     }
 
@@ -280,20 +330,11 @@ pub struct MeteredMonitor {
 impl MeteredMonitor {
     /// Wrap `inner`, registering the `dart_run_*` series in `registry`.
     pub fn new(inner: Box<dyn RttMonitor>, registry: &MetricRegistry) -> MeteredMonitor {
-        let counters = EngineStats::default()
-            .metric_rows()
-            .iter()
-            .map(|(name, _)| {
-                registry.counter(
-                    &format!("dart_run_{name}_total"),
-                    &[],
-                    &format!("whole-run engine counter `{name}` (see EngineStats)"),
-                )
-            })
-            .collect();
         let monitor = MeteredMonitor {
-            counters,
-            rtt_ns: registry.histogram("dart_run_rtt_ns", &[], "RTT samples in nanoseconds"),
+            counters: (RUN_COUNTERS.instances().iter())
+                .map(|(name, help)| registry.counter(name, &[], help))
+                .collect(),
+            rtt_ns: registry.histogram(RUN_RTT_NS.name, &[], RUN_RTT_NS.help),
             seen: 0,
             inner,
         };
@@ -402,7 +443,7 @@ mod tests {
         let packets = snap
             .samples
             .iter()
-            .find(|s| s.key() == "dart_shard_packets_total{shard=\"0\"}")
+            .find(|s| s.key() == format!("{}{{shard=\"0\"}}", SHARD_COUNTERS.name_for("packets")))
             .expect("per-shard packet counter registered");
         match &packets.value {
             dart_telemetry::MetricValue::Counter { total, .. } => {
@@ -413,7 +454,7 @@ mod tests {
         let rtt = snap
             .samples
             .iter()
-            .find(|s| s.key() == "dart_rtt_ns{shard=\"0\"}")
+            .find(|s| s.key() == format!("{}{{shard=\"0\"}}", RTT_NS.name))
             .expect("rtt histogram registered");
         match &rtt.value {
             dart_telemetry::MetricValue::Histogram { hist, .. } => {
@@ -434,7 +475,8 @@ mod tests {
         let registry = MetricRegistry::new();
         let mut engine = DartEngine::new(DartConfig::default());
         engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
-        let published = registry.counter("dart_shard_packets_total", &[("shard", "0")], "");
+        let published =
+            registry.counter(&SHARD_COUNTERS.name_for("packets"), &[("shard", "0")], "");
         let interval = SYNC_INTERVAL_PKTS as usize;
         let pkts = exchange(SYNC_INTERVAL_PKTS as u32);
         let mut sink: Vec<RttSample> = Vec::new();
@@ -468,19 +510,19 @@ mod tests {
                 .value
                 .clone()
         };
-        match get("dart_run_packets_total") {
+        match get(&RUN_COUNTERS.name_for("packets")) {
             dart_telemetry::MetricValue::Counter { total, .. } => {
                 assert_eq!(total, stats.packets);
             }
             other => panic!("expected counter, got {other:?}"),
         }
-        match get("dart_run_samples_total") {
+        match get(&RUN_COUNTERS.name_for("samples")) {
             dart_telemetry::MetricValue::Counter { total, .. } => {
                 assert_eq!(total, stats.samples);
             }
             other => panic!("expected counter, got {other:?}"),
         }
-        match get("dart_run_rtt_ns") {
+        match get(RUN_RTT_NS.name) {
             dart_telemetry::MetricValue::Histogram { hist, .. } => {
                 assert_eq!(hist.count(), stats.samples);
             }
@@ -509,13 +551,13 @@ mod tests {
                 &mut sink,
             );
         }
-        let gauge = registry.gauge("dart_recirc_queue_depth", &[("shard", "0")], "");
+        let gauge = registry.gauge(RECIRC_QUEUE_DEPTH.name, &[("shard", "0")], "");
         assert_eq!(gauge.get(), 0, "the port publishes nothing per operation");
         engine.sync_telemetry();
         assert_eq!(gauge.get(), 1, "one record in flight after the eviction");
         engine.flush();
         assert_eq!(gauge.get(), 0, "flush drains the loop");
-        let dist = registry.histogram("dart_recirc_queue_depth_records", &[("shard", "0")], "");
+        let dist = registry.histogram(RECIRC_QUEUE_DEPTH_RECORDS.name, &[("shard", "0")], "");
         assert_eq!(dist.count(), 1, "one submission observed");
     }
 }

@@ -205,6 +205,7 @@ mod degraded {
 
 mod telemetry_laws {
     use super::*;
+    use dart_core::telemetry::RTT_NS;
     use dart_core::EngineTelemetry;
     use dart_telemetry::MetricRegistry;
 
@@ -221,7 +222,7 @@ mod telemetry_laws {
             engine.attach_telemetry(EngineTelemetry::register(&registry, 0));
             let (_, stats) = run_monitor_slice(&mut engine, &packets);
             check_conservation(&stats);
-            let hist = registry.histogram("dart_rtt_ns", &[("shard", "0")], "");
+            let hist = registry.histogram(RTT_NS.name, &[("shard", "0")], "");
             prop_assert_eq!(hist.count(), stats.pt_matched);
         }
     }

@@ -3,21 +3,18 @@
 //! a dedicated binary crate:
 //!
 //! ```text
-//! cargo run -p dart-telemetry --example check -- \
-//!     --prom m.prom --jsonl m.jsonl --require dart_supervisor_stalls_total
+//! cargo run -p dart-telemetry --example check -- --prom m.prom --jsonl m.jsonl
 //! ```
 //!
-//! `--require <name>` (repeatable) asserts the named metric family appears
-//! in at least one of the checked documents — the drift guard that keeps
-//! newly added counters (e.g. the supervisor's stall/restart series) from
-//! silently vanishing from the expositions.
+//! Which families a run must expose is not checked here: that is the
+//! vocabulary test (`crates/tools/tests/vocabulary.rs`).
 //!
 //! Exits nonzero and prints every error if any document fails validation.
 
-use dart_telemetry::{check_jsonl_series, check_prometheus, check_required, SchemaReport};
+use dart_telemetry::{check_jsonl_series, check_prometheus, SchemaReport};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: check [--prom <file>] [--jsonl <file>] [--require <series>] ...";
+const USAGE: &str = "usage: check [--prom <file>] [--jsonl <file>] ...";
 
 fn report(kind: &str, path: &str, rep: &SchemaReport) -> bool {
     if rep.ok() {
@@ -39,28 +36,20 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ok = true;
     let mut checked = 0;
-    let mut required: Vec<String> = Vec::new();
-    let mut corpus = String::new();
     let mut i = 0;
     while i < args.len() {
-        let (kind, value) = match (args[i].as_str(), args.get(i + 1)) {
-            ("--prom", Some(p)) | ("--jsonl", Some(p)) | ("--require", Some(p)) => {
-                (args[i].clone(), p.clone())
-            }
+        let (kind, path) = match (args[i].as_str(), args.get(i + 1)) {
+            ("--prom", Some(p)) | ("--jsonl", Some(p)) => (args[i].as_str(), p.as_str()),
             _ => {
                 eprintln!("{USAGE}");
                 return ExitCode::FAILURE;
             }
         };
         i += 2;
-        if kind == "--require" {
-            required.push(value);
-            continue;
-        }
-        let text = match std::fs::read_to_string(&value) {
+        let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("read {value}: {e}");
+                eprintln!("read {path}: {e}");
                 ok = false;
                 continue;
             }
@@ -70,19 +59,12 @@ fn main() -> ExitCode {
         } else {
             check_jsonl_series(&text)
         };
-        ok &= report(&kind[2..], &value, &rep);
+        ok &= report(&kind[2..], path, &rep);
         checked += 1;
-        corpus.push_str(&text);
-        corpus.push('\n');
     }
     if checked == 0 {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
-    }
-    if !required.is_empty() {
-        let names: Vec<&str> = required.iter().map(String::as_str).collect();
-        let rep = check_required(&corpus, &names);
-        ok &= report("require", &format!("{} series", names.len()), &rep);
     }
     if ok {
         ExitCode::SUCCESS

@@ -48,7 +48,7 @@ pub use events::{Event, EventLog, Level};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metric::{Counter, Gauge};
 pub use registry::{MetricKind, MetricRegistry};
-pub use schema::{check_jsonl_series, check_prometheus, check_required, SchemaReport};
+pub use schema::{check_jsonl_series, check_prometheus, SchemaReport};
 pub use server::{HealthProvider, HttpServer};
 pub use snapshot::{render_rows, MetricSample, MetricValue, Snapshot};
 

@@ -1,9 +1,10 @@
 //! Exposition validators — the in-repo "schema checker" CI runs.
 //!
 //! [`check_prometheus`] lints one Prometheus text exposition: every sample
-//! belongs to a `# TYPE`-declared family, names are legal, counters end in
-//! `_total`, histogram bucket series are cumulative with ascending `le`
-//! and a `+Inf` bucket that matches `_count`, and no series appears twice.
+//! belongs to a `# TYPE`-declared family, each family's samples form one
+//! contiguous group, names are legal, counters end in `_total`, histogram
+//! bucket series are cumulative with ascending `le` and a `+Inf` bucket
+//! that matches `_count`, and no series appears twice.
 //! [`check_jsonl_series`] replays a `--metrics-out` JSONL file and checks
 //! each line parses, `seq` strictly increases, and counter totals are
 //! monotone per series — the properties a time-series consumer relies on.
@@ -140,6 +141,9 @@ pub fn check_prometheus(text: &str) -> SchemaReport {
     let mut buckets: BTreeMap<String, BucketRun> = BTreeMap::new();
     let mut counts: HashMap<String, f64> = HashMap::new();
     let mut sums: HashSet<String> = HashSet::new();
+    // Families whose samples have begun, and the one in progress.
+    let mut started: HashSet<String> = HashSet::new();
+    let mut current = String::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim_end();
@@ -190,6 +194,14 @@ pub fn check_prometheus(text: &str) -> SchemaReport {
         }
         report.series += 1;
         let family = family_of(&sample.name).to_string();
+        if family != current {
+            if !started.insert(family.clone()) {
+                report.errors.push(err(format!(
+                    "family {family} split: its samples resume after another family's"
+                )));
+            }
+            current.clone_from(&family);
+        }
         let kind = match types.get(&family) {
             Some(k) => k.clone(),
             None => {
@@ -302,51 +314,6 @@ pub fn check_prometheus(text: &str) -> SchemaReport {
         }
     }
 
-    report
-}
-
-/// Check that every metric family in `required` appears somewhere in the
-/// document. Works on both exposition formats this crate writes (a
-/// Prometheus text exposition or a JSONL snapshot series): a family is
-/// present when its exact name occurs as a metric identifier, with
-/// histogram suffixes (`_bucket`/`_sum`/`_count`) folded onto their base
-/// family.
-///
-/// This is the drift guard CI runs: a counter added to `EngineStats` (or a
-/// supervisor series added to the sharded runtime) is listed in the CI
-/// `--require` set, so it can never silently vanish from the expositions.
-pub fn check_required(text: &str, required: &[&str]) -> SchemaReport {
-    let mut report = SchemaReport::default();
-    let mut present: HashSet<String> = HashSet::new();
-    // Scan every maximal identifier token; this covers bare Prometheus
-    // sample names and the quoted `name{labels}` keys in JSONL snapshots.
-    for line in text.lines() {
-        report.lines += 1;
-        let mut start = None;
-        let push = |present: &mut HashSet<String>, token: &str| {
-            if !token.is_empty() {
-                present.insert(family_of(token).to_string());
-            }
-        };
-        for (i, c) in line.char_indices() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                start.get_or_insert(i);
-            } else if let Some(s) = start.take() {
-                push(&mut present, &line[s..i]);
-            }
-        }
-        if let Some(s) = start {
-            push(&mut present, &line[s..]);
-        }
-    }
-    report.series = present.len();
-    for name in required {
-        if !present.contains(family_of(name)) {
-            report
-                .errors
-                .push(format!("required series {name} not found"));
-        }
-    }
     report
 }
 
@@ -501,6 +468,23 @@ mod tests {
     }
 
     #[test]
+    fn catches_a_split_family() {
+        let text = concat!(
+            "# TYPE a_total counter\n",
+            "a_total{shard=\"0\"} 1\n",
+            "# TYPE b gauge\n",
+            "b 2\n",
+            "a_total{shard=\"1\"} 3\n",
+        );
+        let report = check_prometheus(text);
+        assert!(
+            report.errors.iter().any(|e| e.contains("a_total split")),
+            "{:?}",
+            report.errors
+        );
+    }
+
+    #[test]
     fn catches_counter_regression_in_jsonl() {
         let lines = concat!(
             "{\"seq\":1,\"counters\":{\"x_total\":{\"total\":10,\"delta\":10}},\"gauges\":{},\"histograms\":{}}\n",
@@ -508,41 +492,6 @@ mod tests {
         );
         let report = check_jsonl_series(lines);
         assert!(report.errors.iter().any(|e| e.contains("went backwards")));
-    }
-
-    #[test]
-    fn required_series_found_in_both_formats() {
-        let r = instrumented();
-        let required = [
-            "dart_packets_total",
-            "dart_recirc_queue_depth",
-            "dart_rtt_ns",
-        ];
-        let prom = check_required(&r.scrape().prometheus(), &required);
-        assert!(prom.ok(), "prometheus: {:?}", prom.errors);
-        let jsonl = check_required(&r.scrape().jsonl_line(&[]), &required);
-        assert!(jsonl.ok(), "jsonl: {:?}", jsonl.errors);
-    }
-
-    #[test]
-    fn missing_required_series_is_an_error() {
-        let r = instrumented();
-        let report = check_required(
-            &r.scrape().prometheus(),
-            &["dart_packets_total", "dart_supervisor_stalls_total"],
-        );
-        assert!(!report.ok());
-        assert!(
-            report.errors[0].contains("dart_supervisor_stalls_total"),
-            "{:?}",
-            report.errors
-        );
-    }
-
-    #[test]
-    fn required_folds_histogram_suffixes() {
-        let text = "h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n";
-        assert!(check_required(text, &["h"]).ok());
     }
 
     #[test]

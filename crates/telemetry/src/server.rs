@@ -29,7 +29,8 @@
 //!
 //! Connections are handled serially on one accept thread with short I/O
 //! timeouts: an observability plane for a handful of curl/Prometheus
-//! clients, not a web server. A stuck client costs at most the timeout.
+//! clients, not a web server. A stuck client costs at most the timeout:
+//! the whole request head shares one deadline, however slowly it arrives.
 
 use crate::events::EventLog;
 use crate::registry::MetricRegistry;
@@ -38,15 +39,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Caller-supplied provider for the `/healthz` body: returns one JSON
 /// object describing the daemon's current health (see
 /// `SupervisorHealth::to_json` in `dart-core` for the canonical shape).
 pub type HealthProvider = Arc<dyn Fn() -> String + Send + Sync>;
 
-/// Per-connection I/O timeout: generous for a local scrape, small enough
-/// that a wedged client cannot stall the accept loop for long.
+/// Deadline for a whole request head, and the timeout of each response
+/// write: generous for a local scrape, small enough that a wedged client
+/// cannot stall the accept loop for long.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Longest request head (request line + headers) we accept.
@@ -235,10 +237,32 @@ impl Response {
     }
 }
 
+/// The request head's reader: every read waits only for what is left of
+/// one deadline, so a client trickling bytes cannot hold the accept loop
+/// past it.
+struct HeadReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for HeadReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 fn handle_connection(stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_HEAD_BYTES);
+    let head = HeadReader {
+        stream: &stream,
+        deadline: Instant::now() + IO_TIMEOUT,
+    };
+    let mut reader = BufReader::new(head).take(MAX_HEAD_BYTES);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain the headers so well-behaved clients see their whole request
@@ -248,7 +272,7 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
         header.clear();
     }
     let response = route(&request_line, ctx);
-    let mut stream = stream;
+    let mut stream = &stream;
     write!(
         stream,
         "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -315,6 +339,7 @@ fn route(request_line: &str, ctx: &ServeCtx) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Minimal test client: send `req`, return (status line, body).
     fn request(addr: SocketAddr, req: &str) -> (String, String) {
@@ -510,6 +535,94 @@ mod tests {
         );
         drop(s);
         server.stop();
+    }
+
+    #[test]
+    fn trickled_head_is_cut_at_one_deadline() {
+        let (server, registry, _events) = spawn_server();
+        registry
+            .counter("dart_abuse_probe_total", &[], "canary")
+            .add(1);
+        // One byte every 500 ms never lets a single read time out; only a
+        // deadline over the whole head stops it holding the loop for as
+        // long as it keeps trickling (8 s here).
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        s.write_all(b"G").expect("first byte");
+        let trickler = std::thread::spawn(move || {
+            for &b in b"ET /metrics HTTP/1.1\r\n".iter().cycle().take(16) {
+                std::thread::sleep(Duration::from_millis(500));
+                if s.write_all(&[b]).is_err() {
+                    break;
+                }
+            }
+        });
+        let start = std::time::Instant::now();
+        assert_scrape_ok(server.addr());
+        assert!(
+            start.elapsed() < IO_TIMEOUT + Duration::from_secs(2),
+            "a trickled head held the loop past the deadline: {:?}",
+            start.elapsed()
+        );
+        trickler.join().expect("trickler");
+        server.stop();
+    }
+
+    /// The only heads that may set a control flag: `POST` of that path.
+    fn controls(head: &[u8], path: &str) -> bool {
+        let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+        let mut parts = std::str::from_utf8(line).unwrap_or("").split_whitespace();
+        parts.next() == Some("POST")
+            && parts.next().map(|p| p.split('?').next()) == Some(Some(path))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arbitrary request heads — valid lines, raw and non-UTF-8 bytes,
+        /// heads past `MAX_HEAD_BYTES` — are answered with a known status
+        /// or closed, never panic the loop, set a control flag only for
+        /// that exact POST, and leave the next scrape clean.
+        #[test]
+        fn arbitrary_heads_are_answered_or_closed(
+            prefix in 0usize..6,
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+            filler in 0usize..3,
+        ) {
+            let (server, registry, _events) = spawn_server();
+            registry.counter("dart_abuse_probe_total", &[], "canary").add(1);
+            let mut head = [
+                "GET /metrics HTTP/1.1\r\n",
+                "POST /control/shutdown HTTP/1.1\r\n",
+                "POST /control/reload?x HTTP/1.1\r\n",
+                "GET /control/checkpoint HTTP/1.1\r\n",
+                "POST /control/checkpointz HTTP/1.1\r\n",
+                "",
+            ][prefix]
+                .as_bytes()
+                .to_vec();
+            head.extend(&tail);
+            // None, a head well inside MAX_HEAD_BYTES, one twice past it.
+            head.extend(b"X: y\r\n".repeat([0, 1_000, 6_000][filler]));
+            let mut s = TcpStream::connect(server.addr()).expect("connect");
+            // The server may answer and close before taking all of it.
+            let _ = s.write_all(&head);
+            let _ = s.shutdown(std::net::Shutdown::Write);
+            let mut raw = Vec::new();
+            let _ = s.read_to_end(&mut raw);
+            let status = raw.get(9..12).unwrap_or_default();
+            prop_assert!(
+                raw.is_empty() || [&b"200"[..], b"400", b"404", b"405"].contains(&status),
+                "answered {:?}",
+                String::from_utf8_lossy(&raw[..raw.len().min(40)])
+            );
+            prop_assert!(!server.shutdown_requested() || controls(&head, "/control/shutdown"));
+            prop_assert!(!server.take_reload_request() || controls(&head, "/control/reload"));
+            prop_assert!(
+                !server.take_checkpoint_request() || controls(&head, "/control/checkpoint")
+            );
+            assert_scrape_ok(server.addr());
+            server.stop();
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::histogram::{bucket_le, HistogramSnapshot};
 use crate::json::escape;
 use crate::registry::MetricKind;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One series in a snapshot.
@@ -103,16 +104,25 @@ fn prom_sample_line(out: &mut String, name: &str, labels: &[(String, String)], v
 impl Snapshot {
     /// Prometheus text exposition of the cumulative values.
     ///
-    /// Families keep registration order; `# HELP`/`# TYPE` are emitted
-    /// once per family, before its first sample. Histograms emit
-    /// cumulative `_bucket` lines up to the highest non-empty bucket plus
-    /// the mandatory `le="+Inf"`, then `_sum` and `_count`.
+    /// Each family is one group — `# HELP`, `# TYPE`, then every series
+    /// of it, as the text format requires — and families come in the
+    /// order of their first registration, series in registration order
+    /// within each. Histograms emit cumulative `_bucket` lines up to the
+    /// highest non-empty bucket plus the mandatory `le="+Inf"`, then
+    /// `_sum` and `_count`.
     pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut seen: Vec<&str> = Vec::new();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut families: Vec<Vec<&MetricSample>> = Vec::new();
         for s in &self.samples {
-            if !seen.contains(&s.name.as_str()) {
-                seen.push(&s.name);
+            let i = *index.entry(&s.name).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[i].push(s);
+        }
+        let mut out = String::new();
+        for s in families.iter().flatten() {
+            if index.remove(s.name.as_str()).is_some() {
                 let _ = writeln!(out, "# HELP {} {}", s.name, s.help.replace('\n', " "));
                 let _ = writeln!(out, "# TYPE {} {}", s.name, s.kind.as_str());
             }
@@ -331,6 +341,25 @@ mod tests {
         assert!(text.contains("dart_rtt_ns_count 2"));
         // Buckets are cumulative: the 25ms bucket line counts both.
         assert!(text.contains("dart_rtt_ns_bucket{le=\"33554431\"} 2"));
+    }
+
+    /// A sharded run registers shard 0's families, then shard 1's: each
+    /// family must still come out as one group, in first-registration order.
+    #[test]
+    fn a_family_registered_around_another_stays_one_group() {
+        let r = MetricRegistry::new();
+        r.counter("a_total", &[("shard", "0")], "first").add(1);
+        r.gauge("b", &[("shard", "0")], "second").set(2);
+        r.counter("a_total", &[("shard", "1")], "first").add(3);
+        let text = r.scrape().prometheus();
+        assert_eq!(
+            text,
+            "# HELP a_total first\n# TYPE a_total counter\n\
+             a_total{shard=\"0\"} 1\na_total{shard=\"1\"} 3\n\
+             # HELP b second\n# TYPE b gauge\nb{shard=\"0\"} 2\n"
+        );
+        let check = crate::check_prometheus(&text);
+        assert!(check.ok(), "{:?}", check.errors);
     }
 
     #[test]

@@ -487,6 +487,7 @@ pub fn run_diff_faulted_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dart_core::telemetry::{RUN_COUNTERS, SHARD_COUNTERS};
     use dart_sim::scenario::{campus, CampusConfig};
 
     fn trace(seed: u64) -> Vec<PacketMeta> {
@@ -539,13 +540,13 @@ mod tests {
         assert!(
             snap.samples
                 .iter()
-                .any(|s| s.name == "dart_shard_packets_total"),
+                .any(|s| s.name == SHARD_COUNTERS.name_for("packets")),
             "per-shard series registered"
         );
         assert!(
             snap.samples
                 .iter()
-                .any(|s| s.name == "dart_run_packets_total"),
+                .any(|s| s.name == RUN_COUNTERS.name_for("packets")),
             "baseline run-level series registered"
         );
         // One start + one judged entry per engine.

@@ -889,6 +889,7 @@ fn resources() -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::cli::parse;
+    use dart_core::telemetry::{RECIRC_QUEUE_DEPTH, RTT_NS, SHARD_COUNTERS};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir()
@@ -1080,10 +1081,11 @@ mod tests {
             series.lines().count() >= 2,
             "expected >= 2 snapshots:\n{series}"
         );
+        let packets = SHARD_COUNTERS.name_for("packets");
         for needle in [
-            "dart_shard_packets_total",
-            "dart_rtt_ns",
-            "dart_recirc_queue_depth",
+            &packets,
+            RTT_NS.name,
+            RECIRC_QUEUE_DEPTH.name,
             "\"buckets\":[",
         ] {
             assert!(series.contains(needle), "missing {needle} in snapshots");
@@ -1116,7 +1118,7 @@ mod tests {
         ])
         .unwrap();
         let report = run_line(&["stats", &path]).unwrap();
-        for needle in ["dart_shard_packets_total", "dart_rtt_ns", "p99"] {
+        for needle in [&SHARD_COUNTERS.name_for("packets"), RTT_NS.name, "p99"] {
             assert!(report.contains(needle), "missing {needle} in:\n{report}");
         }
         let par = std::thread::available_parallelism()

@@ -7,15 +7,15 @@
 //! to the workspace's one driver loop ([`dart_core::drive_timed`]) and
 //! everything that makes a daemon a daemon — shutdown, checkpoints, reload,
 //! rotation — is a decision its boundary callback takes between blocks.
-//! Everything observable flows through `dart-telemetry`:
+//! Everything observable flows through `dart-telemetry`, each family a row
+//! of [`VOCABULARY`](dart_core::telemetry::VOCABULARY):
 //!
 //! * the engine's per-shard series and the supervisor gauges, via
 //!   [`ShardedMonitor::with_telemetry`];
-//! * stage timing (`dart_stage_decode_ns` / `dart_stage_match_ns` /
-//!   `dart_stage_flush_ns`), via [`StageTimers`] — the clock lives in the
-//!   driver loop so the engine hot path stays timing-free;
-//! * rotation accounting (`dart_epoch_*`), published by each shard's
-//!   engine as it rotates;
+//! * stage timing, via [`StageTimers`] — the clock lives in the driver
+//!   loop so the engine hot path stays timing-free;
+//! * rotation accounting, published by each shard's engine as it rotates;
+//! * checkpoint and source-recovery books, registered here;
 //! * milestones (started, rotated, reloaded, shutting down) in the bounded
 //!   [`EventLog`] served at `/events`.
 //!
@@ -52,6 +52,10 @@
 
 use dart_core::sharded::{ShardedConfig, ShardedMonitor, SupervisorHealth};
 use dart_core::stats::EngineStats;
+use dart_core::telemetry::{
+    Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_FAILURES, DAEMON_CHECKPOINT_PAUSE_NS,
+    SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
+};
 use dart_core::{drive_timed, Progress, RttSample, Snapshot, StageTimers};
 use dart_packet::{Nanos, PacketError, PacketSource, SourceCounters};
 use dart_telemetry::{Counter, EventLog, Histogram, HttpServer, MetricRegistry};
@@ -169,6 +173,11 @@ pub struct Daemon {
     source_watch: Option<SourceWatch>,
 }
 
+/// Register the daemon's unlabelled counter `row`.
+fn counter(registry: &MetricRegistry, row: Family) -> Counter {
+    registry.counter(row.name, &[], row.help)
+}
+
 /// Writes checkpoints and keeps their books: how many, when the last one
 /// was, how long the ingest loop paused, and how many attempts failed
 /// (engine degraded, disk trouble).
@@ -189,20 +198,12 @@ impl Checkpointer {
             events,
             written: 0,
             last: Instant::now(),
-            written_total: registry.counter(
-                "dart_daemon_checkpoints_total",
-                &[],
-                "snapshots durably written (cadence + rotation + on-demand)",
-            ),
-            failed_total: registry.counter(
-                "dart_daemon_checkpoint_failures_total",
-                &[],
-                "checkpoint attempts that failed (engine degraded or I/O error)",
-            ),
+            written_total: counter(registry, DAEMON_CHECKPOINTS),
+            failed_total: counter(registry, DAEMON_CHECKPOINT_FAILURES),
             pause_ns: registry.histogram(
-                "dart_daemon_checkpoint_pause_ns",
+                DAEMON_CHECKPOINT_PAUSE_NS.name,
                 &[],
-                "ingest-loop pause per checkpoint (quiesce + serialize + fsync)",
+                DAEMON_CHECKPOINT_PAUSE_NS.help,
             ),
         }
     }
@@ -338,21 +339,9 @@ impl Daemon {
     pub fn watch_source(&mut self, counters: SourceCounters) {
         self.source_watch = Some(SourceWatch {
             counters,
-            reconnects: self.registry.counter(
-                "dart_source_reconnects_total",
-                &[],
-                "successful packet-source reconnections",
-            ),
-            decode_errors: self.registry.counter(
-                "dart_source_decode_errors_total",
-                &[],
-                "malformed records skipped by decode tolerance",
-            ),
-            io_errors: self.registry.counter(
-                "dart_source_io_errors_total",
-                &[],
-                "I/O failures that triggered reconnection",
-            ),
+            reconnects: counter(&self.registry, SOURCE_RECONNECTS),
+            decode_errors: counter(&self.registry, SOURCE_DECODE_ERRORS),
+            io_errors: counter(&self.registry, SOURCE_IO_ERRORS),
         });
     }
 

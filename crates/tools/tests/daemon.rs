@@ -10,6 +10,9 @@
 mod common;
 
 use common::{cfg, exchanges};
+use dart_core::telemetry::{
+    EPOCH_ROTATIONS, SHARD_COUNTERS, STAGE_DECODE_NS, SUPERVISOR_HEALTHY_SHARDS,
+};
 use dart_packet::{CycleSource, PacketMeta};
 use dart_tools::Daemon;
 use std::io::{Read as _, Write as _};
@@ -108,12 +111,10 @@ fn healthz_and_metrics_reflect_the_run_live() {
     let v = dart_telemetry::json::parse(health.trim()).expect("healthz is JSON");
     let sup = v.get("supervisor").expect("supervisor block");
     assert_eq!(sup.get("shards").and_then(|s| s.as_u64()), Some(2));
-    assert!(
-        metrics.contains("dart_supervisor_healthy_shards 2"),
-        "{metrics}"
-    );
-    assert!(metrics.contains("dart_stage_decode_ns"), "{metrics}");
-    assert!(metrics.contains("dart_epoch_rotations_total"), "{metrics}");
+    let healthy = format!("{} 2", SUPERVISOR_HEALTHY_SHARDS.name);
+    assert!(metrics.contains(&healthy), "{metrics}");
+    assert!(metrics.contains(STAGE_DECODE_NS.name), "{metrics}");
+    assert!(metrics.contains(EPOCH_ROTATIONS.name), "{metrics}");
     assert!(
         events.contains("observability server listening"),
         "{events}"
@@ -252,8 +253,8 @@ fn a_feed_that_goes_quiet_leaves_nothing_short_of_the_shards() {
         let deadline = Instant::now() + Duration::from_secs(20);
         let seen = loop {
             let metrics = get(addr, "/metrics");
-            let seen = family_sum(&metrics, "dart_shard_packets_total")
-                + family_sum(&metrics, "dart_shard_monitor_miss_total");
+            let seen = family_sum(&metrics, &SHARD_COUNTERS.name_for("packets"))
+                + family_sum(&metrics, &SHARD_COUNTERS.name_for("monitor_miss"));
             if seen == fed || Instant::now() > deadline {
                 break seen;
             }

@@ -14,7 +14,7 @@ use std::time::Duration;
 #[test]
 fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
     let dir = std::env::temp_dir().join(format!(
-        "dart_daemon_ckpt_{}_{:?}",
+        "dartmon_ckpt_{}_{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -63,7 +63,7 @@ fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
 #[test]
 fn restore_refuses_a_mismatched_snapshot() {
     let dir = std::env::temp_dir().join(format!(
-        "dart_daemon_badsnap_{}_{:?}",
+        "dartmon_badsnap_{}_{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
