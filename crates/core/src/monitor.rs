@@ -413,10 +413,6 @@ fn decode_ahead<S: PacketSource>(mut source: S, ring: RingEnd<Ahead<S>>) {
 }
 
 impl<S: PacketSource> PacketSource for ReadAhead<S> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        Ok(self.next_block(&mut Vec::new(), 1)?.first().copied())
-    }
-
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         let mut unused = Vec::new();
         let block = self.next_block(&mut unused, max)?;
@@ -476,7 +472,7 @@ mod tests {
     use super::*;
     use crate::config::DartConfig;
     use crate::engine::{run_trace, DartEngine};
-    use dart_packet::{Direction, FlowKey, IterSource, PacketBuilder};
+    use dart_packet::{Direction, FlowKey, PacketBuilder};
 
     fn handshake_free_exchange() -> Vec<PacketMeta> {
         let flow = FlowKey::from_raw(0x0a00_0001, 44123, 0x5db8_d822, 443);
@@ -574,9 +570,6 @@ mod tests {
     }
 
     impl PacketSource for Scripted {
-        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-            unreachable!("the loop pulls blocks");
-        }
         fn next_chunk(
             &mut self,
             buf: &mut Vec<PacketMeta>,
@@ -738,14 +731,11 @@ mod tests {
 
     /// A source that notes the thread each pull runs on.
     struct Watched {
-        inner: IterSource<std::vec::IntoIter<PacketMeta>>,
+        inner: SliceSource<'static>,
         threads: std::sync::mpsc::Sender<thread::ThreadId>,
     }
 
     impl PacketSource for Watched {
-        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-            unreachable!("the helper pulls blocks");
-        }
         fn next_chunk(
             &mut self,
             buf: &mut Vec<PacketMeta>,
@@ -759,7 +749,7 @@ mod tests {
     /// The thread each pull of a whole run ran on, `busy` threads declared.
     fn pulled_on(busy: usize) -> Vec<thread::ThreadId> {
         let (threads, pulled_on) = std::sync::mpsc::channel();
-        let inner = IterSource::new(exchanges(30).into_iter());
+        let inner = SliceSource::new(exchanges(30).leak());
         let source = ReadAhead::new(Watched { inner, threads }, busy);
         let mut engine = DartEngine::new(DartConfig::default());
         run_monitor(&mut engine, source, &mut Vec::new()).unwrap();
@@ -797,7 +787,7 @@ mod tests {
             };
             let want = drive_with(&mut SliceSource::new(&pkts));
             let got = drive_with(&mut ReadAhead::new(
-                IterSource::new(pkts.clone().into_iter()),
+                SliceSource::new(pkts.clone().leak()),
                 1,
             ));
             assert!(!want.0.is_empty());
@@ -834,9 +824,6 @@ mod tests {
     struct Panicking(Vec<PacketMeta>);
 
     impl PacketSource for Panicking {
-        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-            unreachable!("the helper pulls blocks");
-        }
         fn next_chunk(
             &mut self,
             buf: &mut Vec<PacketMeta>,
@@ -873,9 +860,6 @@ mod tests {
     }
 
     impl PacketSource for Stuck {
-        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-            unreachable!("the helper pulls blocks");
-        }
         fn next_chunk(
             &mut self,
             buf: &mut Vec<PacketMeta>,

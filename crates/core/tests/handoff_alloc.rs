@@ -185,10 +185,6 @@ struct Counted<S> {
 }
 
 impl<S: PacketSource> PacketSource for Counted<S> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        unreachable!("the helper pulls blocks");
-    }
-
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         let filled = self.inner.next_chunk(buf, max);
         self.fills.fetch_add(1, Ordering::Relaxed);

@@ -41,7 +41,7 @@ pub use flow::{FlowKey, FlowSignature, PacketId, SignatureWidth};
 pub use meta::{Direction, Nanos, PacketBuilder, PacketMeta, MICROSECOND, MILLISECOND, SECOND};
 pub use reconnect::{Reconnecting, SourceCounters, SourceFactory};
 pub use seq::SeqNum;
-pub use source::{CycleSource, Follow, IterSource, PacketSource, PcapSource, SliceSource};
+pub use source::{CycleSource, Follow, PacketSource, PcapSource, SliceSource};
 pub use tcp::TcpFlags;
 
 /// Copy the first `N` bytes of `b` into a fixed array. Callers pass

@@ -12,23 +12,30 @@
 //!   surfaced, on the theory that one bad record should not end a run that
 //!   has been healthy for a week. `--strict-decode` semantics
 //!   ([`Reconnecting::with_strict_decode`]) restore fail-on-first-error for
-//!   operators who prefer loud ingestion. A cap on *consecutive* skips
-//!   ([`Reconnecting::with_decode_skip_cap`]) keeps a permanently
-//!   desynchronized stream from spinning forever: past the cap the stream
-//!   is declared broken and handed to the reconnect policy.
+//!   operators who prefer loud ingestion. A cap of 4096 *consecutive*
+//!   skips keeps a permanently desynchronized stream from spinning
+//!   forever: past the cap the stream is declared broken and handed to the
+//!   reconnect policy.
 //! * **Reconnection** — I/O-class errors drop the inner source and rebuild
-//!   it through a caller-supplied factory, under bounded exponential
-//!   backoff with deterministic jitter and a finite retry budget. The
-//!   factory receives the attempt number and may itself decline (`None`) —
-//!   that consumes an attempt and backs off like a failed open.
+//!   it through a caller-supplied factory, under exponential backoff from
+//!   50 ms to 5 s with deterministic jitter and a budget of 8 attempts per
+//!   outage. The factory receives the attempt number and may itself
+//!   decline (`None`) — that consumes an attempt and backs off like a
+//!   failed open.
 //!
 //! Every outcome is counted in a shared [`SourceCounters`] handle that the
 //! telemetry plane can keep after the source moves into the feed loop
 //! (`dart_source_reconnects_total`, `dart_source_decode_errors_total`).
 //!
-//! Backoff is deterministic: the jitter derives from a seed and the attempt
-//! number, never from wall-clock entropy, so recovery schedules replay
-//! identically in tests. Sleeping is injectable for the same reason.
+//! Both policies recover one block pull at a time: the first connection
+//! is made by the first pull (attempt `0`, no backoff before it), and the
+//! inner source ends a block before a bad record and reports it on the
+//! next pull, so every bad record is one skip and no good packet on either
+//! side of it is dropped.
+//!
+//! Backoff is deterministic: the jitter derives from a fixed seed and the
+//! attempt number, never from wall-clock entropy, so recovery schedules
+//! replay identically in tests. Sleeping is injectable for the same reason.
 
 use crate::error::PacketError;
 use crate::meta::PacketMeta;
@@ -37,6 +44,19 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Consecutive decode errors tolerated before the stream is declared
+/// desynchronized and rebuilt.
+const DECODE_SKIP_CAP: u32 = 4096;
+/// Connection attempts allowed per outage (the initial open of each outage
+/// is attempt 1) before the source is declared dead.
+const RETRY_BUDGET: u32 = 8;
+/// The pause before the second attempt of an outage, doubling with each
+/// attempt after it up to the maximum.
+const BASE_BACKOFF: Duration = Duration::from_millis(50);
+const MAX_BACKOFF: Duration = Duration::from_secs(5);
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0xDA27_0001;
 
 /// Shared, cloneable recovery counters: clone a handle before the source
 /// moves into the feed loop and the telemetry plane can publish them live.
@@ -79,18 +99,9 @@ pub struct Reconnecting<S> {
     factory: SourceFactory<S>,
     counters: SourceCounters,
     strict_decode: bool,
-    /// Consecutive decode errors tolerated before the stream is declared
-    /// desynchronized and rebuilt.
-    decode_skip_cap: u32,
     consecutive_skips: u32,
     /// Failed connection attempts in the current outage.
     attempts: u32,
-    /// Attempts allowed per outage (the initial open of each outage is
-    /// attempt 1).
-    retry_budget: u32,
-    base_backoff: Duration,
-    max_backoff: Duration,
-    jitter_seed: u64,
     sleeper: Box<dyn FnMut(Duration) + Send>,
     /// Set once the retry budget is exhausted; every later call returns
     /// the same terminal error.
@@ -117,23 +128,29 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// The backoff after failed attempt `n` (1-based within an outage):
+/// `50 ms × 2ⁿ⁻¹` capped at 5 s, plus up to 50% jitter derived from the
+/// seed and `n` — fully deterministic.
+fn backoff(attempt: u32) -> Duration {
+    let base = BASE_BACKOFF.as_nanos() as u64;
+    let max = MAX_BACKOFF.as_nanos() as u64;
+    let shift = attempt.saturating_sub(1).min(20);
+    let exp = base.saturating_mul(1u64 << shift).min(max);
+    let jitter = mix64(JITTER_SEED ^ u64::from(attempt)) % (exp / 2 + 1);
+    Duration::from_nanos(exp.saturating_add(jitter))
+}
+
 impl<S: PacketSource> Reconnecting<S> {
     /// Wrap `factory`'s sources. The first connection happens lazily on
-    /// the first [`PacketSource::next_packet`] call (attempt `0`, no
-    /// backoff before it).
+    /// the first pull.
     pub fn new(factory: SourceFactory<S>) -> Reconnecting<S> {
         Reconnecting {
             source: None,
             factory,
             counters: SourceCounters::default(),
             strict_decode: false,
-            decode_skip_cap: 4096,
             consecutive_skips: 0,
             attempts: 0,
-            retry_budget: 8,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(5),
-            jitter_seed: 0xDA27_0001,
             sleeper: Box::new(std::thread::sleep),
             failed: false,
         }
@@ -154,34 +171,6 @@ impl<S: PacketSource> Reconnecting<S> {
         self
     }
 
-    /// Consecutive decode errors tolerated before the stream is treated
-    /// as broken (and the reconnect policy takes over).
-    pub fn with_decode_skip_cap(mut self, cap: u32) -> Reconnecting<S> {
-        self.decode_skip_cap = cap.max(1);
-        self
-    }
-
-    /// Connection attempts allowed per outage before giving up for good.
-    pub fn with_retry_budget(mut self, budget: u32) -> Reconnecting<S> {
-        self.retry_budget = budget.max(1);
-        self
-    }
-
-    /// Exponential backoff bounds: the n-th failed attempt in an outage
-    /// sleeps `base × 2ⁿ⁻¹` capped at `max`, plus up to 50% deterministic
-    /// jitter.
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Reconnecting<S> {
-        self.base_backoff = base;
-        self.max_backoff = max.max(base);
-        self
-    }
-
-    /// Seed for the deterministic backoff jitter.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Reconnecting<S> {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// Replace the sleep implementation (virtual time in tests).
     pub fn with_sleeper(mut self, sleeper: Box<dyn FnMut(Duration) + Send>) -> Reconnecting<S> {
         self.sleeper = sleeper;
@@ -194,38 +183,25 @@ impl<S: PacketSource> Reconnecting<S> {
         self.counters.clone()
     }
 
-    /// The backoff before attempt `n` (1-based within an outage):
-    /// exponential from the base, capped, plus up to 50% jitter derived
-    /// from the seed and `n` — fully deterministic.
-    fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.base_backoff.as_nanos() as u64;
-        let max = self.max_backoff.as_nanos() as u64;
-        let shift = attempt.saturating_sub(1).min(20);
-        let exp = base.saturating_mul(1u64 << shift).min(max);
-        let jitter = mix64(self.jitter_seed ^ u64::from(attempt)) % (exp / 2 + 1);
-        Duration::from_nanos(exp.saturating_add(jitter))
-    }
-
     /// Drop the broken source and rebuild it under backoff. `Ok` leaves
     /// `self.source` connected; `Err` means the budget ran out.
     fn reconnect(&mut self, cause: &str) -> Result<(), PacketError> {
         self.source = None;
         loop {
             self.attempts += 1;
-            if self.attempts > self.retry_budget {
+            if self.attempts > RETRY_BUDGET {
                 self.failed = true;
                 return Err(PacketError::Io(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
-                        "source lost ({cause}); retry budget of {} attempts exhausted",
-                        self.retry_budget
+                        "source lost ({cause}); retry budget of {RETRY_BUDGET} attempts exhausted"
                     ),
                 )));
             }
             // First attempt of an outage reconnects immediately; later
             // ones back off exponentially.
             if self.attempts > 1 {
-                let pause = self.backoff(self.attempts - 1);
+                let pause = backoff(self.attempts - 1);
                 (self.sleeper)(pause);
             }
             if let Some(src) = (self.factory)(self.attempts) {
@@ -242,7 +218,7 @@ impl<S: PacketSource> Reconnecting<S> {
     /// Run one pull against the inner source under both recovery policies:
     /// decode-class errors are skipped and counted (up to the consecutive
     /// cap), I/O-class errors rebuild the source, and the pull is retried
-    /// until it yields — a packet, a block, or the end of the stream.
+    /// until it yields a block or the end of the stream.
     fn recovering<T>(
         &mut self,
         mut pull: impl FnMut(&mut S) -> Result<T, PacketError>,
@@ -274,7 +250,7 @@ impl<S: PacketSource> Reconnecting<S> {
                     }
                     self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                     self.consecutive_skips += 1;
-                    if self.consecutive_skips >= self.decode_skip_cap {
+                    if self.consecutive_skips >= DECODE_SKIP_CAP {
                         // The stream never recovers alignment: stop
                         // skipping and rebuild it.
                         self.consecutive_skips = 0;
@@ -294,15 +270,8 @@ impl<S: PacketSource> Reconnecting<S> {
     }
 }
 
+/// One recovery pass per block, not per packet.
 impl<S: PacketSource> PacketSource for Reconnecting<S> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        self.recovering(|src| src.next_packet())
-    }
-
-    /// One recovery pass per block, not per packet. The inner source ends a
-    /// block before a bad record and reports it on the next pull, so the
-    /// accounting is the per-packet path's: every bad record is one error
-    /// here, and no good packet on either side of it is dropped.
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         self.recovering(|src| src.next_chunk(buf, max))
     }
@@ -323,7 +292,8 @@ mod tests {
             .build()
     }
 
-    /// A scripted source: each step yields a packet, an error, or ends.
+    /// A scripted source: each step is a one-packet block, an error, or
+    /// the end.
     enum Step {
         Pkt(u64),
         Decode,
@@ -344,16 +314,24 @@ mod tests {
     }
 
     impl PacketSource for Scripted {
-        fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        fn next_chunk(
+            &mut self,
+            buf: &mut Vec<PacketMeta>,
+            _: usize,
+        ) -> Result<usize, PacketError> {
+            buf.clear();
             match self.steps.next() {
-                None | Some(Step::End) => Ok(None),
-                Some(Step::Pkt(ts)) => Ok(Some(pkt(ts))),
-                Some(Step::Decode) => Err(PacketError::BadTrace("torn record".into())),
-                Some(Step::Io) => Err(PacketError::Io(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "producer died",
-                ))),
+                None | Some(Step::End) => {}
+                Some(Step::Pkt(ts)) => buf.push(pkt(ts)),
+                Some(Step::Decode) => return Err(PacketError::BadTrace("torn record".into())),
+                Some(Step::Io) => {
+                    return Err(PacketError::Io(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "producer died",
+                    )))
+                }
             }
+            Ok(buf.len())
         }
     }
 
@@ -428,13 +406,17 @@ mod tests {
             calls2.fetch_add(1, Ordering::Relaxed);
             None
         }))
-        .with_retry_budget(3)
         .with_sleeper(no_sleep());
         assert!(matches!(src.next_packet(), Err(PacketError::Io(_))));
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "budget caps attempts");
+        let budget = u64::from(RETRY_BUDGET);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            budget,
+            "budget caps attempts"
+        );
         // Dead is dead: no further factory calls.
         assert!(matches!(src.next_packet(), Err(PacketError::Io(_))));
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(calls.load(Ordering::Relaxed), budget);
     }
 
     #[test]
@@ -446,23 +428,22 @@ mod tests {
                 as Box<dyn FnMut(Duration) + Send>
         };
         let run = |log: Arc<Mutex<Vec<Duration>>>| {
-            let mut src: Reconnecting<Scripted> = Reconnecting::new(Box::new(|_| None))
-                .with_retry_budget(6)
-                .with_backoff(Duration::from_millis(10), Duration::from_millis(100))
-                .with_sleeper(record(&log));
+            let mut src: Reconnecting<Scripted> =
+                Reconnecting::new(Box::new(|_| None)).with_sleeper(record(&log));
             let _ = src.next_packet();
         };
         run(Arc::clone(&sleeps));
         let first: Vec<Duration> = sleeps.lock().unwrap().clone();
-        // Attempt 1 is immediate; 5 backoffs follow for attempts 2..=6.
-        assert_eq!(first.len(), 5);
-        // Monotone non-decreasing up to the cap, and every pause is within
-        // [exp, 1.5×exp] of the ideal exponential (jitter ≤ 50%).
-        let ideal = [10u64, 20, 40, 80, 100];
-        for (d, &ms) in first.iter().zip(&ideal) {
-            let lo = Duration::from_millis(ms);
+        // Attempt 1 is immediate; 7 backoffs follow for attempts 2..=8.
+        assert_eq!(first.len(), RETRY_BUDGET as usize - 1);
+        // Every pause is within [exp, 1.5×exp] of the ideal exponential
+        // (jitter ≤ 50%), and past the budget's reach the 5 s cap holds.
+        let ideal = (1..).map(|attempt| (BASE_BACKOFF * 2u32.pow(attempt - 1)).min(MAX_BACKOFF));
+        let reachable = first.iter().copied();
+        let capped = (RETRY_BUDGET..RETRY_BUDGET + 4).map(backoff);
+        for (d, lo) in reachable.chain(capped).zip(ideal) {
             let hi = lo + lo / 2;
-            assert!(*d >= lo && *d <= hi, "pause {d:?} outside [{lo:?}, {hi:?}]");
+            assert!(d >= lo && d <= hi, "pause {d:?} outside [{lo:?}, {hi:?}]");
         }
         // Deterministic: a second run produces the identical schedule.
         let sleeps2 = Arc::new(Mutex::new(Vec::new()));
@@ -472,15 +453,15 @@ mod tests {
 
     #[test]
     fn decode_skip_cap_escalates_to_reconnect() {
+        let cap = DECODE_SKIP_CAP as usize;
         let mut src = Reconnecting::with_initial(
-            Scripted::new(vec![Step::Decode, Step::Decode, Step::Decode, Step::Decode]),
+            Scripted::new((0..=cap).map(|_| Step::Decode).collect()),
             Box::new(|_| Some(Scripted::new(vec![Step::Pkt(9), Step::End]))),
         )
-        .with_decode_skip_cap(3)
         .with_sleeper(no_sleep());
         let counters = src.counters();
         assert_eq!(drain(&mut src), vec![9]);
-        assert_eq!(counters.decode_errors(), 3, "capped skips counted");
+        assert_eq!(counters.decode_errors(), cap as u64, "capped skips counted");
         assert_eq!(counters.reconnects(), 1, "then the stream was rebuilt");
     }
 
@@ -546,18 +527,19 @@ mod tests {
 
     #[test]
     fn skip_cap_in_block_mode_triggers_exactly_one_reconnect() {
-        // Three consecutive bad records reach a cap of three; the good
-        // packets before them are delivered first, the rest of the broken
-        // stream is abandoned with the reconnect.
+        // A cap's worth of consecutive bad records; the good packets
+        // before them are delivered first, the rest of the broken stream
+        // is abandoned with the reconnect.
+        let cap = DECODE_SKIP_CAP as usize;
+        let bad: Vec<usize> = (2..2 + cap).collect();
         let mut src = Reconnecting::with_initial(
-            reader(trace_with_bad_records(10, &[2, 3, 4])),
+            reader(trace_with_bad_records(cap as u64 + 10, &bad)),
             Box::new(|_| Some(reader(trace_with_bad_records(2, &[])))),
         )
-        .with_decode_skip_cap(3)
         .with_sleeper(no_sleep());
         let counters = src.counters();
         assert_eq!(drain_blocks(&mut src, 1024), vec![vec![0, 1], vec![0, 1]]);
-        assert_eq!(counters.decode_errors(), 3);
+        assert_eq!(counters.decode_errors(), cap as u64);
         assert_eq!(counters.reconnects(), 1);
     }
 

@@ -1,13 +1,13 @@
 //! Streaming packet sources: feed a monitor without materializing a trace.
 //!
-//! A [`PacketSource`] yields [`PacketMeta`] one packet at a time in capture
+//! A [`PacketSource`] hands out [`PacketMeta`] a block at a time in capture
 //! order, so engines can process traces far larger than RAM. Sources exist
 //! for every place packets come from:
 //!
-//! * [`SliceSource`] — an in-memory trace (tests, the bench harness);
-//! * [`IterSource`] — any infallible packet iterator (simulators);
-//! * [`TraceReader`] — the native on-disk format, decoded a block of
-//!   buffered records at a time;
+//! * [`SliceSource`] — an in-memory trace (tests, the bench harness), lent
+//!   out as borrowed subslices;
+//! * [`TraceReader`](crate::trace::TraceReader) — the native on-disk
+//!   format, decoded a block of buffered records at a time;
 //! * [`PcapSource`] — a pcap capture, parsed and direction-classified on
 //!   the fly out of the reader's buffer, skipping non-TCP frames like the
 //!   hardware parser would;
@@ -18,60 +18,42 @@
 //!   rebased each pass, so a finite capture drives an indefinitely long
 //!   run with ever-advancing time (soak tests, epoch-rotation exercise).
 //!
-//! The contract is deliberately minimal: `next_packet` returns `Ok(Some)`
-//! per packet in order, `Ok(None)` exactly once at end of stream (and on
-//! every call after), or an I/O / format error. [`PacketSource::next_chunk`]
-//! batches that into a reusable buffer for consumers that amortize
-//! per-packet dispatch (the daemon loop, the sharded engine's feeder), with
-//! a default implementation in terms of `next_packet` so in-memory sources
-//! only write one method; the byte-stream readers override it to decode a
-//! whole block per input read.
+//! Every source writes one pull, [`PacketSource::next_chunk`]: fill a
+//! reusable buffer with the next block. [`PacketSource::next_block`] lends
+//! that block out as a slice — the driver loop's pull, which the zero-copy
+//! sources override to skip the buffer — and [`PacketSource::next_packet`]
+//! is the one-packet block, for tests and small tools.
 
 use crate::error::PacketError;
 use crate::meta::{Nanos, PacketMeta};
 use crate::parse::{DirectionClassifier, LinkLayer};
 use crate::pcap::PcapReader;
-use crate::trace::TraceReader;
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A stream of packets in capture order.
+/// A stream of packets in capture order, pulled a block at a time.
 pub trait PacketSource {
-    /// The next packet, `Ok(None)` at (and after) end of stream.
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError>;
-
     /// Fill `buf` (cleared first) with up to `max` packets; returns how
-    /// many were read. Lets chunked consumers reuse one allocation instead
-    /// of collecting the whole trace. The contract:
+    /// many were read. Chunked consumers reuse one allocation instead of
+    /// collecting the whole trace. The contract:
     ///
     /// * a block may be short — a live source hands over what it has
     ///   decoded instead of waiting for `max`, so it never sleeps on its
     ///   input while holding packets;
-    /// * zero still means end of stream, never "nothing yet";
+    /// * zero means end of stream (and stays so on every later call),
+    ///   never "nothing yet";
     /// * errors surface at block boundaries: the packets decoded before a
     ///   bad record are returned first and the error by the next call, so
-    ///   `Err` never discards packets. The default fill loop cannot defer
-    ///   an error, so it suits sources whose `next_packet` cannot fail
-    ///   mid-stream; the fallible readers override it.
-    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
-        buf.clear();
-        while buf.len() < max {
-            match self.next_packet()? {
-                Some(p) => buf.push(p),
-                None => break,
-            }
-        }
-        Ok(buf.len())
-    }
+    ///   `Err` never discards packets.
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError>;
 
     /// The next block of up to `max` packets as a slice; an empty slice
     /// means end of stream. This is the batch drivers' pull point: the
-    /// default buffers through `next_chunk` (so the trace readers get a
-    /// buffered-slice path for free), while in-memory sources like
-    /// [`SliceSource`] override it to hand out a borrowed subslice of the
-    /// trace with no copy at all.
+    /// default buffers through `next_chunk`, while sources that already
+    /// hold their packets in memory, like [`SliceSource`], override it to
+    /// hand out a borrowed subslice with no copy at all.
     fn next_block<'a>(
         &'a mut self,
         buf: &'a mut Vec<PacketMeta>,
@@ -80,18 +62,19 @@ pub trait PacketSource {
         let n = self.next_chunk(buf, max)?;
         Ok(&buf[..n])
     }
+
+    /// The next packet, `Ok(None)` at (and after) end of stream: the
+    /// one-packet block, so it mixes freely with the block pulls.
+    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
+        Ok(self.next_block(&mut Vec::new(), 1)?.first().copied())
+    }
 }
 
 /// Boxed sources are sources — this is what lets combinators like
 /// `Reconnecting` wrap a `Box<dyn PacketSource + Send>` chosen at runtime
-/// by file type. All three methods forward so a concrete source's
-/// overrides (e.g. [`SliceSource::next_block`]'s no-copy path) survive
-/// the indirection.
+/// by file type. Both pulls forward, so a concrete source's no-copy
+/// [`PacketSource::next_block`] survives the indirection.
 impl<P: PacketSource + ?Sized> PacketSource for Box<P> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        (**self).next_packet()
-    }
-
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         (**self).next_chunk(buf, max)
     }
@@ -122,15 +105,20 @@ impl<'a> SliceSource<'a> {
     pub fn remaining(&self) -> usize {
         self.packets.len() - self.next
     }
+
+    /// Step past the next block of up to `max` packets and return it.
+    fn take(&mut self, max: usize) -> &'a [PacketMeta] {
+        let start = self.next;
+        self.next += max.min(self.remaining());
+        &self.packets[start..self.next]
+    }
 }
 
 impl PacketSource for SliceSource<'_> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        let p = self.packets.get(self.next).copied();
-        if p.is_some() {
-            self.next += 1;
-        }
-        Ok(p)
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
+        buf.extend_from_slice(self.take(max));
+        Ok(buf.len())
     }
 
     /// Zero-copy override: the block is a subslice of the backing trace;
@@ -140,10 +128,7 @@ impl PacketSource for SliceSource<'_> {
         _buf: &'a mut Vec<PacketMeta>,
         max: usize,
     ) -> Result<&'a [PacketMeta], PacketError> {
-        let start = self.next;
-        let end = start + max.min(self.remaining());
-        self.next = end;
-        Ok(&self.packets[start..end])
+        Ok(self.take(max))
     }
 }
 
@@ -156,37 +141,6 @@ impl<'a> From<&'a [PacketMeta]> for SliceSource<'a> {
 impl<'a> From<&'a Vec<PacketMeta>> for SliceSource<'a> {
     fn from(packets: &'a Vec<PacketMeta>) -> Self {
         SliceSource::new(packets)
-    }
-}
-
-/// A source over any infallible packet iterator (generators, simulators).
-#[derive(Clone, Debug)]
-pub struct IterSource<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = PacketMeta>> IterSource<I> {
-    /// Stream the iterator's packets in order.
-    pub fn new(iter: I) -> Self {
-        IterSource { iter }
-    }
-}
-
-impl<I: Iterator<Item = PacketMeta>> PacketSource for IterSource<I> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        Ok(self.iter.next())
-    }
-}
-
-/// The native trace reader is itself a source; both pulls decode out of
-/// its one byte window, so they can be mixed freely.
-impl<R: Read> PacketSource for TraceReader<R> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        TraceReader::next_packet(self)
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
-        TraceReader::next_chunk(self, buf, max)
     }
 }
 
@@ -224,60 +178,45 @@ impl<R: Read, C: DirectionClassifier> PcapSource<R, C> {
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
+}
 
-    /// Decode the buffered records into `push` until it has taken `max`
-    /// packets or they run out, and return how many it took. An error
-    /// behind decoded packets is deferred to the next call.
-    fn decode(
-        &mut self,
-        max: usize,
-        mut push: impl FnMut(PacketMeta),
-    ) -> Result<usize, PacketError> {
+/// Decodes the buffered records until `max` packets are taken or they run
+/// out; an error behind decoded packets is deferred to the next call.
+impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
         if let Some(e) = self.deferred.take() {
             return Err(e);
         }
-        let mut taken = 0;
-        while taken < max {
+        while buf.len() < max {
             let walked = self.reader.drain_buffered(|frame| {
                 match self.link.parse(frame.ts, frame.data, &self.classifier) {
-                    Ok(meta) => {
-                        push(meta);
-                        taken += 1;
-                    }
+                    Ok(meta) => buf.push(meta),
                     Err(_) => self.skipped += 1,
                 }
-                taken < max
+                buf.len() < max
             });
             match walked {
                 Ok(()) => {
                     // Only an empty block may wait on the input.
-                    if taken > 0 || !self.reader.fill()? {
+                    if !buf.is_empty() || !self.reader.fill()? {
                         break;
                     }
                 }
-                Err(e) if taken == 0 => return Err(e),
+                Err(e) if buf.is_empty() => return Err(e),
                 Err(e) => {
                     self.deferred = Some(e);
                     break;
                 }
             }
         }
-        Ok(taken)
+        Ok(buf.len())
     }
 }
 
-impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        let mut next = None;
-        self.decode(1, |p| next = Some(p))?;
-        Ok(next)
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
-        buf.clear();
-        self.decode(max, |p| buf.push(p))
-    }
-}
+/// The cap on [`Follow`]'s dry-read sleep (or its base interval, if that
+/// is longer).
+const MAX_POLL: Duration = Duration::from_millis(640);
 
 /// A [`Read`] adapter that tails a growing input: where the inner reader
 /// reports end-of-file, `Follow` sleeps briefly and retries, so a
@@ -288,10 +227,10 @@ impl<R: Read, C: DirectionClassifier> PacketSource for PcapSource<R, C> {
 ///
 /// The poll sleep backs off: the first dry read waits the base interval
 /// (10 ms by default), each consecutive dry read doubles the wait up to a
-/// cap (640 ms by default), and any data resets the ladder. A daemon
-/// tailing an idle capture therefore wakes O(log idle-time + idle-time/cap)
-/// times instead of once per base interval, while a busy stream still
-/// sees the base latency.
+/// 640 ms cap, and any data resets the ladder. A daemon tailing an idle
+/// capture therefore wakes O(log idle-time + idle-time/cap) times instead
+/// of once per base interval, while a busy stream still sees the base
+/// latency.
 ///
 /// The readers ask this adapter for more only when they hold no complete
 /// record, and take whatever one `read` returns: a busy feed is decoded a
@@ -304,7 +243,6 @@ pub struct Follow<R> {
     inner: R,
     stop: Arc<AtomicBool>,
     poll: Duration,
-    max_poll: Duration,
     /// The next dry-read sleep (reset to `poll` whenever data arrives).
     current: Duration,
     /// Dry-read sleeps performed, shared so tests (and gauges) can
@@ -323,7 +261,6 @@ impl<R: Read> Follow<R> {
             inner,
             stop,
             poll,
-            max_poll: Duration::from_millis(640),
             current: poll,
             polls: Arc::new(AtomicU64::new(0)),
             sleeper: Box::new(std::thread::sleep),
@@ -335,15 +272,6 @@ impl<R: Read> Follow<R> {
     pub fn with_poll_interval(mut self, poll: Duration) -> Follow<R> {
         self.poll = poll;
         self.current = poll;
-        if self.max_poll < poll {
-            self.max_poll = poll;
-        }
-        self
-    }
-
-    /// Override the backoff cap (clamped to at least the base interval).
-    pub fn with_max_poll_interval(mut self, max: Duration) -> Follow<R> {
-        self.max_poll = max.max(self.poll);
         self
     }
 
@@ -373,7 +301,7 @@ impl<R: Read> Read for Follow<R> {
                     }
                     self.polls.fetch_add(1, Ordering::Relaxed);
                     (self.sleeper)(self.current);
-                    self.current = (self.current * 2).min(self.max_poll);
+                    self.current = (self.current * 2).min(MAX_POLL).max(self.poll);
                 }
                 other => {
                     if matches!(other, Ok(n) if n > 0) {
@@ -422,21 +350,22 @@ impl CycleSource {
             _ => 0,
         };
         CycleSource {
+            ended: packets.is_empty(),
             packets,
             next: 0,
             offset: 0,
             period: span.saturating_add(gap).max(1),
             passes_done: 0,
             max_passes: None,
-            ended: false,
         }
     }
 
     /// Stop after `passes` full replays instead of looping forever (the
     /// unbounded default is for daemons that end via their own shutdown
-    /// signal, not stream exhaustion).
+    /// signal, not stream exhaustion). Zero passes is an ended source.
     pub fn with_passes(mut self, passes: u64) -> CycleSource {
         self.max_passes = Some(passes);
+        self.ended |= passes == 0;
         self
     }
 
@@ -451,24 +380,31 @@ impl CycleSource {
     }
 }
 
+/// A block may straddle a pass boundary: the packets after it carry the
+/// next pass's offset. A pass counts as completed once a pull reaches past
+/// its last packet.
 impl PacketSource for CycleSource {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        if self.packets.is_empty() || self.ended {
-            return Ok(None);
-        }
-        if self.next == self.packets.len() {
-            self.passes_done += 1;
-            if self.max_passes.is_some_and(|max| self.passes_done >= max) {
-                self.ended = true;
-                return Ok(None);
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
+        while buf.len() < max && !self.ended {
+            if self.next == self.packets.len() {
+                self.passes_done += 1;
+                if self.max_passes.is_some_and(|n| self.passes_done >= n) {
+                    self.ended = true;
+                    break;
+                }
+                self.next = 0;
+                self.offset = self.offset.saturating_add(self.period);
             }
-            self.next = 0;
-            self.offset = self.offset.saturating_add(self.period);
+            let end = self.next + (max - buf.len()).min(self.packets.len() - self.next);
+            let offset = self.offset;
+            buf.extend(self.packets[self.next..end].iter().map(|p| PacketMeta {
+                ts: p.ts.saturating_add(offset),
+                ..*p
+            }));
+            self.next = end;
         }
-        let mut p = self.packets[self.next];
-        self.next += 1;
-        p.ts = p.ts.saturating_add(self.offset);
-        Ok(Some(p))
+        Ok(buf.len())
     }
 }
 
@@ -477,6 +413,7 @@ mod tests {
     use super::*;
     use crate::flow::FlowKey;
     use crate::meta::PacketBuilder;
+    use crate::trace::TraceReader;
 
     fn pkt(ts: u64) -> PacketMeta {
         let flow = FlowKey::from_raw(0x0a00_0001, 443, 0xc0a8_0001, 55_000);
@@ -545,16 +482,6 @@ mod tests {
         let b2 = src.next_block(&mut buf, 2).unwrap().to_vec();
         assert_eq!(b2, &packets[2..3]);
         assert!(src.next_block(&mut buf, 2).unwrap().is_empty());
-    }
-
-    #[test]
-    fn iter_source_wraps_generators() {
-        let mut src = IterSource::new((0..3).map(pkt));
-        let mut seen = Vec::new();
-        while let Some(p) = src.next_packet().unwrap() {
-            seen.push(p.ts);
-        }
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     /// A scripted reader: each `read` yields the next chunk, an empty
@@ -711,6 +638,10 @@ mod tests {
     #[test]
     fn empty_cycle_source_ends_immediately() {
         let mut src = CycleSource::new(Vec::new());
+        assert_eq!(src.next_packet().unwrap(), None);
+        assert_eq!(src.passes_completed(), 0);
+        // So is a trace asked for no passes at all.
+        let mut src = CycleSource::new(vec![pkt(1)]).with_passes(0);
         assert_eq!(src.next_packet().unwrap(), None);
         assert_eq!(src.passes_completed(), 0);
     }

@@ -14,6 +14,7 @@ use crate::error::PacketError;
 use crate::flow::FlowKey;
 use crate::meta::{Direction, Nanos, PacketMeta};
 use crate::seq::SeqNum;
+use crate::source::PacketSource;
 use crate::tcp::TcpFlags;
 use std::io::{Read, Write};
 
@@ -172,27 +173,18 @@ impl<R: Read> TraceReader<R> {
         Ok(true)
     }
 
-    /// Read the next record; `Ok(None)` at clean EOF.
-    pub fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        if !self.buffer_record()? {
-            return Ok(None);
-        }
-        let decoded = decode_record(&self.window.data()[..RECORD_LEN]);
-        // A bad record is consumed with its error, so the next call moves on.
-        self.window.consume(RECORD_LEN);
-        decoded.map(Some)
+    /// Iterate over remaining records.
+    pub fn packets(self) -> TracePackets<R> {
+        TracePackets { reader: self }
     }
+}
 
-    /// Decode every complete buffered record, up to `max`, into `out`
-    /// (cleared first) and return how many; zero means end of stream. The
-    /// input is read only when no complete record is buffered, so the block
-    /// is short when the feed runs dry. A bad record ends the block before
-    /// it and is reported by the next call.
-    pub fn next_chunk(
-        &mut self,
-        out: &mut Vec<PacketMeta>,
-        max: usize,
-    ) -> Result<usize, PacketError> {
+/// Decodes every complete buffered record, up to `max`, in one pass. The
+/// input is read only when no complete record is buffered, so the block is
+/// short when the feed runs dry. A bad record ends the block before it and
+/// is reported, and consumed, by the next call.
+impl<R: Read> PacketSource for TraceReader<R> {
+    fn next_chunk(&mut self, out: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         out.clear();
         if max == 0 || !self.buffer_record()? {
             return Ok(0);
@@ -215,11 +207,6 @@ impl<R: Read> TraceReader<R> {
             }
             _ => Ok(out.len()),
         }
-    }
-
-    /// Iterate over remaining records.
-    pub fn packets(self) -> TracePackets<R> {
-        TracePackets { reader: self }
     }
 }
 

@@ -45,9 +45,7 @@ pub use endpoint::{Action, AppSend, ConnState, Endpoint, EndpointCfg, SimPacket}
 pub use event::EventQueue;
 pub use flowgen::{Access, AddressPlan, ExternalRttModel, InternalRttModel, SizeModel};
 pub use netsim::{simulate, ConnReport, ConnSpec, Exchange, NetSim, PathParams, SimOutput};
-pub use replay::{
-    load_native, load_native_with, load_pcap, load_pcap_with, ReplaySource, TraceTransform,
-};
+pub use replay::{load_native, load_native_with, load_pcap, TraceTransform};
 pub use rng::SimRng;
 pub use scenario::{
     campus, interception, syn_flood, AttackConfig, CampusConfig, ConnInfo, GeneratedTrace,

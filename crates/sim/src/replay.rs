@@ -4,7 +4,7 @@
 use dart_packet::parse::{DirectionClassifier, LinkLayer};
 use dart_packet::pcap::PcapReader;
 use dart_packet::trace::TraceReader;
-use dart_packet::{PacketError, PacketMeta, PacketSource};
+use dart_packet::{PacketError, PacketMeta};
 use std::io::Read;
 
 /// A transformation applied to a captured packet sequence between loading
@@ -68,67 +68,6 @@ pub fn load_pcap<R: Read>(
     Ok((packets, skipped))
 }
 
-/// Read a pcap capture and pass the parsed packets through `transform` —
-/// the pcap-side fault-injection hook.
-pub fn load_pcap_with<R: Read>(
-    reader: R,
-    classifier: &dyn DirectionClassifier,
-    transform: &mut dyn TraceTransform,
-) -> Result<(Vec<PacketMeta>, u64), PacketError> {
-    let (packets, skipped) = load_pcap(reader, classifier)?;
-    Ok((transform.apply(packets), skipped))
-}
-
-/// A replay-transformed [`PacketSource`]: an owned packet sequence —
-/// sim-generated, loaded from a stored trace, or doctored by a
-/// [`TraceTransform`] — streamed one packet at a time through the common
-/// monitor path. The transform runs once, up front (fault injectors
-/// reorder, so they need the whole capture); the consumer still reads
-/// incrementally and never learns the trace was doctored.
-#[derive(Clone, Debug)]
-pub struct ReplaySource {
-    packets: std::vec::IntoIter<PacketMeta>,
-}
-
-impl ReplaySource {
-    /// Replay an owned packet sequence as captured.
-    pub fn new(packets: Vec<PacketMeta>) -> ReplaySource {
-        ReplaySource {
-            packets: packets.into_iter(),
-        }
-    }
-
-    /// Replay a packet sequence after passing it through `transform`.
-    pub fn with_transform(
-        packets: Vec<PacketMeta>,
-        transform: &mut dyn TraceTransform,
-    ) -> ReplaySource {
-        ReplaySource::new(transform.apply(packets))
-    }
-
-    /// Replay a stored native trace.
-    pub fn from_native<R: Read>(reader: R) -> Result<ReplaySource, PacketError> {
-        Ok(ReplaySource::new(load_native(reader)?))
-    }
-
-    /// Packets not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.packets.len()
-    }
-}
-
-impl PacketSource for ReplaySource {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        Ok(self.packets.next())
-    }
-}
-
-impl From<Vec<PacketMeta>> for ReplaySource {
-    fn from(packets: Vec<PacketMeta>) -> ReplaySource {
-        ReplaySource::new(packets)
-    }
-}
-
 /// Write packets as a pcap file (synthesized Ethernet frames).
 pub fn dump_pcap<W: std::io::Write>(packets: &[PacketMeta], out: W) -> Result<u64, PacketError> {
     let mut w = dart_packet::pcap::PcapWriter::new(out, dart_packet::pcap::linktype::ETHERNET)?;
@@ -181,30 +120,6 @@ mod tests {
         let half = load_native_with(&bytes[..], &mut KeepHalf).unwrap();
         assert_eq!(half.len(), t.packets.len() / 2);
         assert_eq!(half[..], t.packets[..half.len()]);
-    }
-
-    #[test]
-    fn replay_source_streams_the_transformed_capture() {
-        struct KeepHalf;
-        impl TraceTransform for KeepHalf {
-            fn apply(&mut self, packets: Vec<PacketMeta>) -> Vec<PacketMeta> {
-                let keep = packets.len() / 2;
-                packets.into_iter().take(keep).collect()
-            }
-        }
-        let t = campus(CampusConfig {
-            connections: 20,
-            duration: dart_packet::SECOND,
-            ..CampusConfig::default()
-        });
-        let mut src = ReplaySource::with_transform(t.packets.clone(), &mut KeepHalf);
-        assert_eq!(src.remaining(), t.packets.len() / 2);
-        let mut streamed = Vec::new();
-        while let Some(p) = src.next_packet().unwrap() {
-            streamed.push(p);
-        }
-        assert_eq!(streamed[..], t.packets[..t.packets.len() / 2]);
-        assert!(src.next_packet().unwrap().is_none(), "stays exhausted");
     }
 
     #[test]

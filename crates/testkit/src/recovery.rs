@@ -242,16 +242,20 @@ fn live(
 /// The first life's input: the capture up to the crash point, then an I/O
 /// error where an end of stream would be — the in-process stand-in for
 /// `kill -9`. The loop's error path returns without a flush (no drain, no
-/// join), and a block the kill interrupts dies with it: the default fill
-/// loop cannot hand over what it pulled ahead of an error.
-struct Killed<'a>(std::slice::Iter<'a, PacketMeta>);
+/// join), and a block the kill interrupts dies with it: a pull that the
+/// rest of the capture cannot fill is the error, not a short block.
+struct Killed<'a>(&'a [PacketMeta]);
 
 impl PacketSource for Killed<'_> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        match self.0.next() {
-            Some(p) => Ok(Some(*p)),
-            None => Err(PacketError::Io(std::io::Error::other("killed"))),
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        buf.clear();
+        if self.0.len() < max {
+            return Err(PacketError::Io(std::io::Error::other("killed")));
         }
+        let (block, rest) = self.0.split_at(max);
+        buf.extend_from_slice(block);
+        self.0 = rest;
+        Ok(max)
     }
 }
 
@@ -374,7 +378,7 @@ pub fn run_recovery_judged(
     let mut durable: Option<(usize, Vec<u8>)> = None;
     let killed = live(
         &mut first,
-        &mut Killed(packets[..crash_at].iter()),
+        &mut Killed(&packets[..crash_at]),
         cfg,
         0..crash_at,
         &mut max_ts,

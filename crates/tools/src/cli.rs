@@ -168,7 +168,7 @@ dapper, strawman, seglist, lean, spin, dart-hist.
                            follow: tail the file/fifo until a shutdown is
                            POSTed; cycle: loop the trace, rebasing
                            timestamps each pass — default once)
-        --passes N        (cycle mode: stop after N passes, default endless)
+        --passes N        (cycle mode: stop after N >= 1 passes, default endless)
         --rotate-millis M (wall-clock epoch rotation period, default 900000)
         --retain-secs S   (rotation keeps flows touched in the last S
                            seconds of trace time, default 10)

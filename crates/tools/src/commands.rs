@@ -62,7 +62,10 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
     let passes = match opts.get("passes") {
         None => None,
         Some(_) if mode != "cycle" => return Err("--passes needs --mode cycle".to_string()),
-        Some(_) => Some(opts.get_num("passes", 0u64)?),
+        Some(_) => match opts.get_num("passes", 0u64)? {
+            0 => return Err("--passes must be at least 1".to_string()),
+            n => Some(n),
+        },
     };
     let shards = opts.get_num("shards", 2usize)?;
     if shards == 0 {

@@ -89,13 +89,6 @@ impl<R: Read> TraceSource<R> {
 
 /// The packet stream, whichever format it is decoded from.
 impl<R: Read> PacketSource for TraceSource<R> {
-    fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
-        match self {
-            TraceSource::Native(trace) => trace.next_packet(),
-            TraceSource::Pcap(pcap) => pcap.next_packet(),
-        }
-    }
-
     fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
         match self {
             TraceSource::Native(trace) => trace.next_chunk(buf, max),
@@ -132,17 +125,9 @@ pub fn open_boxed<R: Read + Send + 'static>(
     })
 }
 
-/// Load a whole trace from bytes. Returns the packets and the number of
-/// skipped (non-TCP) pcap records.
-pub fn load_bytes(
-    bytes: &[u8],
-    internal: (Ipv4Addr, u8),
-) -> Result<(Vec<PacketMeta>, u64), String> {
-    TraceSource::sniff(bytes, internal)?.collect(bytes.len() as u64)
-}
-
-/// Load a whole trace from a path, collected. For the commands that need
-/// random access to the packets; everything else streams ([`open_source`]).
+/// Load a whole trace from a path, collected: the packets and the number
+/// of skipped (non-TCP) pcap records. For the commands that need random
+/// access to the packets; everything else streams ([`open_source`]).
 pub fn load_file(path: &str, internal: (Ipv4Addr, u8)) -> Result<(Vec<PacketMeta>, u64), String> {
     let source = open(path, internal)?;
     source.collect(std::fs::metadata(path).map_or(0, |m| m.len()))
@@ -190,27 +175,31 @@ mod tests {
         assert!(parse_prefix("not-an-ip/8").is_err());
     }
 
+    /// Sniff and collect a trace held in memory.
+    fn load_slice(bytes: &[u8]) -> Result<(Vec<PacketMeta>, u64), String> {
+        let internal = (Ipv4Addr::new(10, 0, 0, 0), 8);
+        TraceSource::sniff(bytes, internal)?.collect(bytes.len() as u64)
+    }
+
     #[test]
     fn auto_detects_both_formats() {
         let pkts = tiny();
-        let internal = (Ipv4Addr::new(10, 0, 0, 0), 8);
         // Native bytes.
         let native = dart_packet::trace::to_bytes(&pkts);
-        let (a, skipped) = load_bytes(&native, internal).unwrap();
+        let (a, skipped) = load_slice(&native).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(a, pkts);
         // Pcap bytes.
         let mut pcap = Vec::new();
         dart_sim::replay::dump_pcap(&pkts, &mut pcap).unwrap();
-        let (b, _) = load_bytes(&pcap, internal).unwrap();
+        let (b, _) = load_slice(&pcap).unwrap();
         assert_eq!(b, pkts);
     }
 
     #[test]
     fn short_or_garbage_input_errors() {
-        let internal = (Ipv4Addr::new(10, 0, 0, 0), 8);
-        assert!(load_bytes(&[1, 2], internal).is_err());
-        assert!(load_bytes(&[0u8; 64], internal).is_err());
+        assert!(load_slice(&[1, 2]).is_err());
+        assert!(load_slice(&[0u8; 64]).is_err());
     }
 
     #[test]

@@ -139,6 +139,38 @@ fn serve_rejects_bad_recovery_flags() {
 }
 
 #[test]
+fn serve_refuses_zero_passes_and_stops_after_one() {
+    let _serving = serve_lock();
+    let trace = tmp("dartmon_serve_passes.trace");
+    run_line(&[
+        "generate",
+        &trace,
+        "--connections",
+        "20",
+        "--duration-secs",
+        "1",
+    ])
+    .expect("generate");
+    let cycle = |passes: &str| {
+        run_line(&[
+            "serve",
+            &trace,
+            "--listen",
+            "127.0.0.1:0",
+            "--mode",
+            "cycle",
+            "--passes",
+            passes,
+        ])
+    };
+    let err = cycle("0").expect_err("zero passes replayed a pass");
+    assert!(err.contains("--passes must be at least 1"), "{err}");
+    let report = cycle("1").expect("one pass");
+    assert_eq!(field(&report, "mode"), "cycle (1 passes completed)");
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
 fn a_shutdown_request_ends_an_endless_cycle_like_a_signal_would() {
     let _serving = serve_lock();
     // The signal handler itself lives in the binary (one atomic store into

@@ -4,7 +4,9 @@
 //! consumer mixes `next_packet` with `next_chunk`, the packet stream is the
 //! one `trace::from_bytes` / `load_pcap` decode from the same bytes, a torn
 //! tail is reported exactly once, and no byte sequence makes the pcap reader
-//! allocate past its fixed window.
+//! allocate past its fixed window. The sources that write their own
+//! `next_chunk` over other inputs — `SliceSource`, `CycleSource` and
+//! `Reconnecting` — are held to the same pull-mix invariance.
 
 mod common;
 
@@ -13,7 +15,8 @@ use dart::packet::parse::{synthesize_frame, PrefixClassifier};
 use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
 use dart::packet::trace::{self, TraceReader};
 use dart::packet::{
-    Direction, FlowKey, Follow, PacketMeta, PacketSource, PcapSource, SeqNum, TcpFlags,
+    CycleSource, Direction, FlowKey, Follow, PacketMeta, PacketSource, PcapSource, Reconnecting,
+    SeqNum, SliceSource, TcpFlags,
 };
 use dart::sim::replay::load_pcap;
 use proptest::prelude::*;
@@ -254,6 +257,62 @@ proptest! {
         prop_assert_eq!(errors.len(), 1, "{:?}", errors);
         prop_assert!(errors[0].contains("truncated record"), "{}", errors[0]);
         prop_assert!(load_pcap(&bytes[..cut], &classifier()).is_err());
+    }
+
+    /// However it is pulled — packet by packet, in blocks of 1, 2, 7 or
+    /// 1024, or mixed — a source yields one stream: a slice its packets; a
+    /// cycle each pass rebased by the period, including inside a block that
+    /// straddles a pass boundary (the trace is shorter than the largest
+    /// cap), with every pass counted; a recovering trace reader everything
+    /// but the records it skips.
+    #[test]
+    fn every_source_yields_one_stream_however_pulled(
+        packets in packets(40),
+        passes in 1u64..4,
+        bad in prop::collection::vec(0usize..40, 0..4),
+        lens in read_lens(),
+        pulls in pulls(),
+    ) {
+        let patterns = [vec![0], vec![1], vec![2], vec![7], vec![1024], pulls];
+        for pattern in &patterns {
+            let (streamed, errors) = drain_mixed(&mut SliceSource::new(&packets), pattern);
+            prop_assert_eq!(errors, Vec::<String>::new());
+            prop_assert_eq!(&streamed, &packets, "slice, pulls {:?}", pattern);
+
+            let mut cycle = CycleSource::with_gap(packets.clone(), 5).with_passes(passes);
+            let period = cycle.period();
+            let rebased: Vec<PacketMeta> = (0..passes)
+                .flat_map(|k| packets.iter().map(move |p| PacketMeta {
+                    ts: p.ts.saturating_add(period.saturating_mul(k)),
+                    ..*p
+                }))
+                .collect();
+            let (streamed, errors) = drain_mixed(&mut cycle, pattern);
+            prop_assert_eq!(errors, Vec::<String>::new());
+            prop_assert_eq!(&streamed, &rebased, "cycle, pulls {:?}", pattern);
+            let counted = if packets.is_empty() { 0 } else { passes };
+            prop_assert_eq!(cycle.passes_completed(), counted);
+
+            let mut damaged = trace::to_bytes(&packets);
+            let mut skipped: Vec<usize> = bad.iter().copied().filter(|&i| i < packets.len()).collect();
+            for &i in &skipped {
+                damaged[16 + i * trace::RECORD_LEN + 33] = 0xFF; // direction byte
+            }
+            let reader = TraceReader::new(tail(&damaged, &lens)).unwrap();
+            let mut recovering = Reconnecting::with_initial(reader, Box::new(|_| None));
+            let (streamed, errors) = drain_mixed(&mut recovering, pattern);
+            prop_assert_eq!(errors, Vec::<String>::new());
+            skipped.sort_unstable();
+            skipped.dedup();
+            let kept: Vec<PacketMeta> = packets
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| skipped.binary_search(i).is_err())
+                .map(|(_, p)| *p)
+                .collect();
+            prop_assert_eq!(&streamed, &kept, "reconnecting, pulls {:?}", pattern);
+            prop_assert_eq!(recovering.counters().decode_errors(), skipped.len() as u64);
+        }
     }
 
     /// Arbitrary bytes behind a valid global header: whatever lengths the
