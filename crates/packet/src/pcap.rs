@@ -132,7 +132,9 @@ impl RecordFormat {
     /// The record at the front of `data` and its length there, header
     /// included, once all of it is buffered; `Ok(None)` until then. A
     /// captured length over the snap length is corrupt, and cannot be
-    /// trusted to skip the record either.
+    /// trusted to skip the record either. Inline: the generic readers that
+    /// call it per record are instantiated downstream.
+    #[inline]
     fn record_in<'a>(&self, data: &'a [u8]) -> Result<Option<(PcapFrame<'a>, usize)>, PacketError> {
         let Some((hdr, rest)) = crate::split_head::<RECORD_HEADER_LEN>(data) else {
             return Ok(None);

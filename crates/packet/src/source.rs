@@ -147,9 +147,10 @@ impl<'a> From<&'a Vec<PacketMeta>> for SliceSource<'a> {
 /// A streaming pcap source: each record is parsed and direction-classified
 /// where it lies in the reader's window, by the parser the capture's link
 /// type selects. Frames the monitor would not see (non-TCP, fragments,
-/// truncated, malformed) are skipped and counted, matching the batch
-/// `load_pcap` semantics; only a damaged *record* or the input itself is
-/// an error.
+/// truncated, malformed) are skipped and counted, as the hardware parser
+/// would pass them through; only a damaged *record* or the input itself is
+/// an error. This is the one pcap decode loop: `dart_sim`'s `load_pcap` is
+/// this source collected.
 pub struct PcapSource<R: Read, C: DirectionClassifier> {
     reader: PcapReader<R>,
     link: LinkLayer,

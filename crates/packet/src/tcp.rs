@@ -232,7 +232,27 @@ pub mod option {
 /// Extract the RFC 7323 timestamp option `(TSval, TSecr)` from a header's
 /// raw option bytes, if present and well-formed. The walk borrows the bytes
 /// where they lie, so the frame parser runs it over the capture buffer.
-pub fn timestamps_in(mut opts: &[u8]) -> Option<(u32, u32)> {
+///
+/// The layout every stack emits, `NOP NOP kind-8 len-10` first, is read at
+/// fixed offsets; anything else takes the walk, which is the definition.
+/// Forced inline: the pcap record loop is instantiated downstream, where a
+/// plain `#[inline]` left this an out-of-line call per packet (DESIGN.md
+/// §5c, "Across the crate boundary").
+#[inline(always)]
+pub fn timestamps_in(opts: &[u8]) -> Option<(u32, u32)> {
+    if let [option::NOP, option::NOP, option::TIMESTAMPS, 10, values @ ..] = opts {
+        if let Some((values, _)) = crate::split_head::<8>(values) {
+            let tsval = u32::from_be_bytes(crate::arr(&values[0..4]));
+            let tsecr = u32::from_be_bytes(crate::arr(&values[4..8]));
+            return Some((tsval, tsecr));
+        }
+    }
+    walk_timestamps(opts)
+}
+
+/// The option walk behind [`timestamps_in`]: every option in order, each
+/// skipped by its length byte, until the timestamp option or the end.
+fn walk_timestamps(mut opts: &[u8]) -> Option<(u32, u32)> {
     while let [kind, rest @ ..] = opts {
         match *kind {
             option::EOL => return None,
@@ -301,6 +321,7 @@ impl Default for TcpHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn flags_display_and_predicates() {
@@ -390,6 +411,34 @@ mod tests {
             ..TcpHeader::default()
         };
         assert_eq!(hdr2.timestamps(), None);
+    }
+
+    /// Option bytes that mostly open with `NOP NOP kind-8`, half of those
+    /// with length 10, followed by 0–12 arbitrary bytes — the fixed-offset
+    /// arm's case, its near misses and its short tails — and otherwise any
+    /// 0–40 bytes.
+    fn option_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0u8..4,
+            any::<u8>(),
+            prop::collection::vec(any::<u8>(), 0..=12),
+            prop::collection::vec(any::<u8>(), 0..=40),
+        )
+            .prop_map(|(pick, len, tail, any)| match pick {
+                0 => [&[1, 1, 8, 10][..], &tail].concat(),
+                1 => [&[1, 1, 8, len][..], &tail].concat(),
+                2 => [&[1, 1, 8][..], &tail].concat(),
+                _ => any,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn fixed_offset_arm_equals_the_walk(opts in option_bytes()) {
+            prop_assert_eq!(timestamps_in(&opts), walk_timestamps(&opts), "{:?}", opts);
+        }
     }
 
     #[test]

@@ -106,7 +106,9 @@ fn check_header(hdr: &[u8; 16]) -> Result<(), PacketError> {
     Ok(())
 }
 
-/// Decode one `RECORD_LEN`-byte record.
+/// Decode one `RECORD_LEN`-byte record. Inline: the reader's loop is
+/// instantiated in the crate that names its input type.
+#[inline]
 fn decode_record(rec: &[u8]) -> Result<PacketMeta, PacketError> {
     let ts = Nanos::from_le_bytes(crate::arr(&rec[0..8]));
     let src_ip = u32::from_be_bytes(crate::arr(&rec[8..12]));

@@ -1,10 +1,9 @@
 //! Trace replay: feed stored traces (native or pcap) through any consumer —
 //! the `tcpreplay`-through-the-switch workflow of paper §5, in software.
 
-use dart_packet::parse::{DirectionClassifier, LinkLayer};
-use dart_packet::pcap::PcapReader;
+use dart_packet::parse::DirectionClassifier;
 use dart_packet::trace::TraceReader;
-use dart_packet::{PacketError, PacketMeta};
+use dart_packet::{PacketError, PacketMeta, PacketSource, PcapSource};
 use std::io::Read;
 
 /// A transformation applied to a captured packet sequence between loading
@@ -46,26 +45,22 @@ pub fn load_native_with<R: Read>(
 }
 
 /// Read an entire pcap capture (Ethernet or raw-IP link type), parsing
-/// IPv4/TCP frames and classifying directions. Frames the monitor does not
-/// see (non-TCP, fragments, ARP, truncated or malformed headers...) are
-/// skipped, exactly as the hardware parser would pass them through
-/// unmonitored; `skipped` counts them. A damaged record or an unsupported
-/// link type is an error.
+/// IPv4/TCP frames and classifying directions: a [`PcapSource`] collected.
+/// Frames the monitor does not see (non-TCP, fragments, ARP, truncated or
+/// malformed headers...) are skipped, exactly as the hardware parser would
+/// pass them through unmonitored; `skipped` counts them. A damaged record or
+/// an unsupported link type is an error.
 pub fn load_pcap<R: Read>(
     reader: R,
     classifier: &dyn DirectionClassifier,
 ) -> Result<(Vec<PacketMeta>, u64), PacketError> {
-    let mut pcap = PcapReader::new(reader)?;
-    let link = LinkLayer::from_linktype(pcap.link)?;
+    let mut source = PcapSource::new(reader, classifier)?;
     let mut packets = Vec::new();
-    let mut skipped = 0u64;
-    while let Some(frame) = pcap.next_frame()? {
-        match link.parse(frame.ts, frame.data, classifier) {
-            Ok(meta) => packets.push(meta),
-            Err(_) => skipped += 1,
-        }
+    let mut block = Vec::new();
+    while source.next_chunk(&mut block, 1024)? > 0 {
+        packets.extend_from_slice(&block);
     }
-    Ok((packets, skipped))
+    Ok((packets, source.skipped()))
 }
 
 /// Write packets as a pcap file (synthesized Ethernet frames).

@@ -2,16 +2,17 @@
 //! a serialised capture is cut into `read()`s — single bytes, dry spells
 //! through `Follow`, a torn tail when the tail is stopped — and however the
 //! consumer mixes `next_packet` with `next_chunk`, the packet stream is the
-//! one `trace::from_bytes` / `load_pcap` decode from the same bytes, a torn
-//! tail is reported exactly once, and no byte sequence makes the pcap reader
-//! allocate past its fixed window. The sources that write their own
+//! one `trace::from_bytes` decodes from the same bytes — for pcap, the
+//! packets the capture was synthesized from — a torn tail is reported
+//! exactly once, and no byte sequence makes the pcap reader allocate past
+//! its fixed window. The sources that write their own
 //! `next_chunk` over other inputs — `SliceSource`, `CycleSource` and
 //! `Reconnecting` — are held to the same pull-mix invariance.
 
 mod common;
 
 use common::{allocations, largest_allocation};
-use dart::packet::parse::{synthesize_frame, PrefixClassifier};
+use dart::packet::parse::{synthesize_frame, DirectionClassifier, PrefixClassifier};
 use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
 use dart::packet::trace::{self, TraceReader};
 use dart::packet::{
@@ -181,11 +182,35 @@ fn pcap_bytes(packets: &[PacketMeta], foreign: &[usize]) -> Vec<u8> {
                 _ => frame[14 + 20 + 12] = 0x40,                   // data offset 4
             }
         }
-        w.write_record(p.ts % (u64::from(u32::MAX) * 1_000_000_000), &frame)
-            .unwrap();
+        w.write_record(pcap_ts(p.ts), &frame).unwrap();
     }
     w.finish().unwrap();
     bytes
+}
+
+/// A timestamp as a pcap record keeps it: 32-bit seconds.
+fn pcap_ts(ts: u64) -> u64 {
+    ts % (u64::from(u32::MAX) * 1_000_000_000)
+}
+
+/// What `pcap_bytes(packets, foreign)` decodes to, worked out from the
+/// packets themselves: every one not in `foreign`, with the timestamp the
+/// record keeps and the direction the classifier gives, and the count of
+/// frames skipped.
+fn synthesized(packets: &[PacketMeta], foreign: &[usize]) -> (Vec<PacketMeta>, u64) {
+    let classifier = classifier();
+    let kept: Vec<PacketMeta> = packets
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !foreign.contains(i))
+        .map(|(_, p)| PacketMeta {
+            ts: pcap_ts(p.ts),
+            dir: classifier.classify(&p.flow),
+            ..*p
+        })
+        .collect();
+    let skipped = (packets.len() - kept.len()) as u64;
+    (kept, skipped)
 }
 
 proptest! {
@@ -223,14 +248,14 @@ proptest! {
     }
 
     #[test]
-    fn pcap_blocks_equal_load_pcap_however_the_input_is_cut(
+    fn pcap_blocks_equal_the_synthesized_packets_however_the_input_is_cut(
         packets in packets(120),
         foreign in prop::collection::vec(0usize..120, 0..6),
         lens in read_lens(),
         pulls in pulls(),
     ) {
         let bytes = pcap_bytes(&packets, &foreign);
-        let (reference, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
+        let (reference, skipped) = synthesized(&packets, &foreign);
         let mut source = PcapSource::new(tail(&bytes, &lens), classifier()).unwrap();
         let (streamed, errors) = drain_mixed(&mut source, &pulls);
         prop_assert_eq!(errors, Vec::<String>::new());
@@ -247,10 +272,10 @@ proptest! {
     ) {
         prop_assume!(!packets.is_empty());
         let bytes = pcap_bytes(&packets, &[]);
-        let whole = pcap_bytes(&packets[..packets.len() - 1], &[]);
+        let whole = pcap_bytes(&packets[..packets.len() - 1], &[]).len();
         let cut = bytes.len() - torn;
-        prop_assume!(cut > whole.len());
-        let (reference, _) = load_pcap(&whole[..], &classifier()).unwrap();
+        prop_assume!(cut > whole);
+        let (reference, _) = synthesized(&packets[..packets.len() - 1], &[]);
         let mut source = PcapSource::new(tail(&bytes[..cut], &lens), classifier()).unwrap();
         let (streamed, errors) = drain_mixed(&mut source, &pulls);
         prop_assert_eq!(streamed, reference);
@@ -456,7 +481,7 @@ fn steady_state_decode_allocates_nothing() {
 
 /// Damage inside a well-framed record is the network's, not the file's: a
 /// header field no IPv4/TCP packet can carry costs that one frame, counted,
-/// and the capture reads on — from both pcap decoders alike.
+/// and the capture reads on — streamed, or collected by `load_pcap`.
 #[test]
 fn a_malformed_frame_is_skipped_and_counted_not_fatal() {
     let packets = steady(50, 3);
