@@ -6,11 +6,12 @@
 //! through an installed no-op [`PacketHook`] (the chaos-injection seam),
 //! made in a loop of its own before each block enters the engine.
 //!
-//! The `serial` row is the un-sharded engine; `sharded4/*` rows run four
-//! shards under each [`FailurePolicy`]. Policies only diverge *after* a
-//! failure, so on this healthy trace they should be within noise of each
-//! other — a spread here means the policy dispatch leaked onto the hot
-//! path.
+//! The `serial` row is the un-sharded engine; `sharded4` runs four shards
+//! under the one supervision rule (respawn, then shed), and
+//! `sharded4/hooked` the same with the no-op hook. The rule acts only
+//! *after* a failure, so `sharded4` over `serial` is what the healthy path
+//! pays for the hand-off and its supervision, and `sharded4/hooked` over
+//! `sharded4` is the cost of the hook seam alone.
 //!
 //! ```text
 //! cargo bench -p dart-bench --bench supervision
@@ -19,8 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
 use dart_core::{
-    run_monitor_slice, DartConfig, DartEngine, FailurePolicy, PacketHook, ShardedConfig,
-    ShardedMonitor,
+    run_monitor_slice, DartConfig, DartEngine, PacketHook, ShardedConfig, ShardedMonitor,
 };
 use std::sync::Arc;
 
@@ -53,24 +53,14 @@ fn supervision_overhead(c: &mut Criterion) {
         });
     });
 
-    for policy in [
-        FailurePolicy::FailFast,
-        FailurePolicy::RestartShard,
-        FailurePolicy::ShedLoad,
-    ] {
-        g.bench_function(format!("sharded4/{policy}"), |b| {
-            b.iter(|| {
-                let sharded = ShardedConfig::new(cfg, 4).with_policy(policy);
-                run_sharded(sharded, None, &trace.packets)
-            });
-        });
-    }
+    g.bench_function("sharded4", |b| {
+        b.iter(|| run_sharded(ShardedConfig::new(cfg, 4), None, &trace.packets));
+    });
 
     g.bench_function("sharded4/hooked", |b| {
         b.iter(|| {
-            let sharded = ShardedConfig::new(cfg, 4).with_policy(FailurePolicy::FailFast);
             let noop: PacketHook = Arc::new(|_, _| {});
-            run_sharded(sharded, Some(noop), &trace.packets)
+            run_sharded(ShardedConfig::new(cfg, 4), Some(noop), &trace.packets)
         });
     });
 

@@ -13,16 +13,14 @@
 //! population (the design point standing in for the paper's 1.38M flows);
 //! the `frontier` block reports each backend's largest sustained multiple.
 //!
-//! Flags (all optional):
+//! Every backend is swept, each given [`FRACTION`] of the Tofino 1 SRAM
+//! budget (split PT:RT as 1:8 slots via `backend_sweep`), over campus
+//! traffic with [`MEAN_LOSS`] per-direction loss. Flags (all optional):
 //!
-//! * `--backends exact,sketch,precision` — backends to sweep (default all);
-//! * `--fraction F` — SRAM fraction of the Tofino 1 budget given to the
-//!   tables, split PT:RT as 1:8 slots via `backend_sweep` (default 6e-4);
 //! * `--multiples 1,3,10,30,100` — flow-population multiples (default);
 //! * `--base-conns N` — base connection count (default 192);
 //! * `--duration-secs N` — connection-arrival window (default 4: a churny
 //!   window long enough that exact slots leak to lossy-tail corpses);
-//! * `--mean-loss F` — mean per-direction loss probability (default 0.02);
 //! * `--iters N` — timed replays per row, best-of reported (default 2);
 //! * `--out PATH` — output path (default `BENCH_memory_frontier.json`).
 //!
@@ -32,7 +30,7 @@
 //! split-invariance of all backends is pinned by
 //! `tests/backend_conformance.rs`.
 
-use dart_core::{Backend, DartConfig, DartEngine, EngineStats, PtMode, RtMode, RttSample};
+use dart_core::{run_monitor_slice, Backend, DartConfig, DartEngine, PtMode, RtMode, RttSample};
 use dart_packet::{FlowKey, PacketMeta, SECOND};
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::TargetProfile;
@@ -43,6 +41,15 @@ use std::time::Instant;
 
 /// Batch block size: what the driver loop feeds.
 const BLOCK: usize = dart_core::DEFAULT_BLOCK_PKTS;
+
+/// The backends swept, in row order.
+const BACKENDS: [Backend; 3] = [Backend::Exact, Backend::Sketch, Backend::Precision];
+
+/// SRAM fraction of the Tofino 1 budget given to every backend's tables.
+const FRACTION: f64 = 6e-4;
+
+/// Mean per-direction loss probability of the generated traffic.
+const MEAN_LOSS: f64 = 0.02;
 
 /// The sustain floor is this fraction of the exact backend's base-load
 /// recall: "sustaining" a population multiple means still delivering
@@ -80,24 +87,18 @@ fn backend_name(b: Backend) -> &'static str {
 }
 
 struct Args {
-    backends: Vec<Backend>,
-    fraction: f64,
     multiples: Vec<usize>,
     base_conns: usize,
     duration_secs: u64,
-    mean_loss: f64,
     iters: usize,
     out: String,
 }
 
 fn parse_args() -> Result<Args, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut backends = vec![Backend::Exact, Backend::Sketch, Backend::Precision];
-    let mut fraction = 6e-4f64;
     let mut multiples: Vec<usize> = vec![1, 3, 10, 30, 100];
     let mut base_conns = 192usize;
     let mut duration_secs = 4u64;
-    let mut mean_loss = 0.02f64;
     let mut iters = 2usize;
     let mut out = "BENCH_memory_frontier.json".to_string();
     let mut i = 0;
@@ -108,25 +109,6 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("flag {} needs a value", args[i]))
         };
         match args[i].as_str() {
-            "--backends" => {
-                let v = need_value(i)?;
-                let list: Result<Vec<Backend>, _> =
-                    v.split(',').map(|s| s.trim().parse::<Backend>()).collect();
-                backends = list?;
-                if backends.is_empty() {
-                    return Err("--backends: need at least one".to_string());
-                }
-                i += 2;
-            }
-            "--fraction" => {
-                fraction = need_value(i)?
-                    .parse()
-                    .map_err(|_| "--fraction: cannot parse".to_string())?;
-                if !(fraction > 0.0 && fraction <= 1.0) {
-                    return Err("--fraction: must be in (0, 1]".to_string());
-                }
-                i += 2;
-            }
             "--multiples" => {
                 let v = need_value(i)?;
                 let list: Result<Vec<usize>, _> =
@@ -155,15 +137,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 i += 2;
             }
-            "--mean-loss" => {
-                mean_loss = need_value(i)?
-                    .parse()
-                    .map_err(|_| "--mean-loss: cannot parse".to_string())?;
-                if !(0.0..1.0).contains(&mean_loss) {
-                    return Err("--mean-loss: must be in [0, 1)".to_string());
-                }
-                i += 2;
-            }
             "--iters" => {
                 iters = need_value(i)?
                     .parse()
@@ -180,26 +153,12 @@ fn parse_args() -> Result<Args, String> {
     multiples.sort_unstable();
     multiples.dedup();
     Ok(Args {
-        backends,
-        fraction,
         multiples,
         base_conns,
         duration_secs,
-        mean_loss,
         iters: iters.max(1),
         out,
     })
-}
-
-/// One replay through the batch pipeline.
-fn run_batch(cfg: DartConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, EngineStats) {
-    let mut engine = DartEngine::new(cfg);
-    let mut samples = Vec::new();
-    for chunk in packets.chunks(BLOCK) {
-        engine.process_batch(chunk, &mut samples);
-    }
-    engine.flush();
-    (samples, *engine.stats())
 }
 
 /// Relative RTT error per emitted sample whose `(flow, eack)` the oracle
@@ -269,11 +228,11 @@ fn measure(
     oracle: &OracleReport,
     iters: usize,
 ) -> Row {
-    let (samples, stats) = run_batch(cfg, pkts);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), pkts);
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         let start = Instant::now();
-        let (s, _) = run_batch(cfg, pkts);
+        let (s, _) = run_monitor_slice(&mut DartEngine::new(cfg), pkts);
         let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(s.len(), samples.len(), "nondeterministic sample count");
         best = best.min(elapsed);
@@ -316,12 +275,9 @@ fn max_sustained(rows: &[&Row], floor: f64) -> usize {
 
 fn main() {
     let Args {
-        backends,
-        fraction,
         multiples,
         base_conns,
         duration_secs,
-        mean_loss,
         iters,
         out: out_path,
     } = match parse_args() {
@@ -333,13 +289,13 @@ fn main() {
     };
 
     let profile = TargetProfile::tofino1();
-    let configs: Vec<(Backend, DartConfig)> = backends
+    let configs: Vec<(Backend, DartConfig)> = BACKENDS
         .iter()
-        .map(|&b| (b, backend_sweep(&profile, &[fraction], b)[0]))
+        .map(|&b| (b, backend_sweep(&profile, &[FRACTION], b)[0]))
         .collect();
-    let budget_bits = (profile.sram_bits as f64 * fraction) as u64;
+    let budget_bits = (profile.sram_bits as f64 * FRACTION) as u64;
     eprintln!(
-        "SRAM budget: {budget_bits} bits ({fraction:.2e} of {}):",
+        "SRAM budget: {budget_bits} bits ({FRACTION:.2e} of {}):",
         profile.name
     );
     for (b, cfg) in &configs {
@@ -359,7 +315,7 @@ fn main() {
             connections: conns,
             duration: duration_secs * SECOND,
             seed: 0xF40_0000 + m as u64,
-            mean_loss,
+            mean_loss: MEAN_LOSS,
             reorder: 0.01,
             ..CampusConfig::default()
         })
@@ -395,18 +351,15 @@ fn main() {
     // The floor is anchored at the exact backend's recall at the base
     // population (the stand-in for the paper's 1.38M-flow design point):
     // a backend sustains a multiple while it still delivers that quality
-    // (less 5%). When the sweep excludes the exact backend, the first
-    // backend's base-load recall anchors instead.
-    let per_backend: Vec<(Backend, Vec<&Row>)> = backends
+    // (less 5%).
+    let per_backend: Vec<(Backend, Vec<&Row>)> = BACKENDS
         .iter()
         .map(|&b| (b, rows.iter().filter(|r| r.backend == b).collect()))
         .collect();
-    let anchor = per_backend
+    let anchor = rows
         .iter()
-        .find(|(b, _)| *b == Backend::Exact)
-        .or(per_backend.first())
-        .and_then(|(_, rs)| rs.first().map(|r| r.recall))
-        .unwrap_or(0.0);
+        .find(|r| r.backend == Backend::Exact)
+        .map_or(0.0, |r| r.recall);
     let floor = SUSTAIN_FRAC * anchor;
     let sustained: Vec<(Backend, usize)> = per_backend
         .iter()
@@ -435,11 +388,11 @@ fn main() {
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"scenario\": \"campus\",").unwrap();
     writeln!(json, "  \"profile\": \"{}\",", profile.name).unwrap();
-    writeln!(json, "  \"sram_fraction\": {fraction:e},").unwrap();
+    writeln!(json, "  \"sram_fraction\": {FRACTION:e},").unwrap();
     writeln!(json, "  \"sram_budget_bits\": {budget_bits},").unwrap();
     writeln!(json, "  \"base_conns\": {base_conns},").unwrap();
     writeln!(json, "  \"duration_secs\": {duration_secs},").unwrap();
-    writeln!(json, "  \"mean_loss\": {mean_loss},").unwrap();
+    writeln!(json, "  \"mean_loss\": {MEAN_LOSS},").unwrap();
     writeln!(json, "  \"batch_size\": {BLOCK},").unwrap();
     writeln!(json, "  \"iters\": {iters},").unwrap();
     writeln!(json, "  \"git_rev\": \"{git_rev}\",").unwrap();

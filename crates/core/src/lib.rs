@@ -63,7 +63,7 @@ pub mod telemetry;
 pub use backend::{PtTable, RtTable};
 pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy};
 pub use engine::{run_trace, DartEngine, EngineEvent, EventSink, RecircFilter, RecirculateAll};
-pub use error::{EngineError, FailureKind, FailurePolicy, ShardFailure};
+pub use error::{EngineError, FailureKind, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
 pub use monitor::{
     drive, drive_timed, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress,
@@ -76,8 +76,7 @@ pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};
 pub use rt_salu::SaluRangeTracker;
 pub use sample::{RttSample, SampleSink, SampleWeight};
 pub use sharded::{
-    shard_of, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun, SupervisorConfig,
-    SupervisorHealth,
+    shard_of, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun, SupervisorHealth, MAX_RESTARTS,
 };
 pub use sketch::{
     Admission, AdmissionGate, CountMinSketch, HeavyHitters, SketchPacketTracker, SketchRangeTracker,

@@ -102,8 +102,8 @@ pub struct EngineStats {
     pub spin_rejected: u64,
 
     /// Supervised-runtime counter: shard engines respawned with fresh
-    /// RT/PT state after a panic or stall (policy
-    /// [`RestartShard`](crate::FailurePolicy::RestartShard)).
+    /// RT/PT state after a worker panic (at most
+    /// [`MAX_RESTARTS`](crate::MAX_RESTARTS) per shard).
     pub shard_restarts: u64,
     /// Supervised-runtime counter: live Range Tracker flows discarded with
     /// a failed shard engine. Their in-flight measurements can no longer

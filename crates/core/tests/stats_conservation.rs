@@ -126,7 +126,7 @@ proptest! {
 
 mod degraded {
     use super::*;
-    use dart_core::{FailurePolicy, PacketHook, ShardedConfig, ShardedMonitor};
+    use dart_core::{PacketHook, ShardedConfig, ShardedMonitor};
     use std::sync::Arc;
 
     /// Silence the backtraces of injected panics (payloads starting with
@@ -156,24 +156,17 @@ mod degraded {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// A seeded mid-run shard panic under any [`FailurePolicy`] never
-        /// aborts, the runtime's books balance
-        /// (`fed == packets + monitor_miss`), and the per-engine
-        /// disposition partition still holds on the merged degraded
-        /// counters (the supervised counters live *outside* the
-        /// partition).
+        /// A seeded mid-run shard panic never aborts, respawns the shard,
+        /// the runtime's books balance (`fed == packets + monitor_miss`),
+        /// and the per-engine disposition partition still holds on the
+        /// merged degraded counters (the supervised counters live
+        /// *outside* the partition).
         #[test]
         fn degraded_runs_conserve_counters(
             raw in proptest::collection::vec(arb_packet(6), 20..300),
-            policy_idx in 0usize..3,
             panic_frac in 0.0f64..1.0,
         ) {
             quiet_injected_panics();
-            let policy = [
-                FailurePolicy::FailFast,
-                FailurePolicy::RestartShard,
-                FailurePolicy::ShedLoad,
-            ][policy_idx];
             let packets = build_trace(&raw);
             let target = (packets.len() as f64 * panic_frac) as u64;
             let hook: PacketHook = Arc::new(move |idx, _shard| {
@@ -181,18 +174,14 @@ mod degraded {
                     panic!("chaos: property panic at packet {target}");
                 }
             });
-            let cfg = ShardedConfig::new(DartConfig::default(), 3)
-                .with_batch_size(4)
-                .with_policy(policy);
+            let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(4);
             let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
             for p in &packets {
                 monitor.feed(p);
             }
-            let run = match monitor.try_into_run() {
-                Ok(run) => run,
-                Err(err) => err.into_partial(),
-            };
+            let run = monitor.into_run();
             prop_assert!(!run.failures.is_empty(), "the injected panic must be recorded");
+            prop_assert_eq!(run.stats.shard_restarts, 1);
             prop_assert_eq!(
                 run.stats.packets + run.stats.monitor_miss,
                 packets.len() as u64,

@@ -23,10 +23,7 @@
 
 use crate::diff::loss_budget;
 use crate::oracle::{run_oracle, OracleConfig, ScoreCard};
-use dart_core::{
-    DartConfig, EngineError, FailurePolicy, PacketHook, ShardFailure, ShardedConfig,
-    ShardedMonitor, ShardedRun,
-};
+use dart_core::{DartConfig, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun};
 use dart_packet::PacketMeta;
 use dart_sim::SimRng;
 use std::fmt;
@@ -89,8 +86,6 @@ pub struct ChaosConfig {
     pub batch_size: usize,
     /// Bounded-channel depth in batches — small, so backpressure is real.
     pub queue_depth: usize,
-    /// How the supervised runtime reacts to the fault.
-    pub policy: FailurePolicy,
     /// Feeder watchdog deadline (shorter than any injected stall).
     pub stall_timeout: Duration,
     /// The fault to inject.
@@ -101,7 +96,7 @@ impl ChaosConfig {
     /// A seeded mid-run panic: the poisoned packet lands in the middle
     /// half of a `trace_len`-packet trace, at a position derived from
     /// `seed`.
-    pub fn seeded_panic(seed: u64, trace_len: usize, policy: FailurePolicy) -> ChaosConfig {
+    pub fn seeded_panic(seed: u64, trace_len: usize) -> ChaosConfig {
         let mut rng = SimRng::new(seed);
         let len = trace_len.max(4) as u64;
         let at = rng.range(len / 4, 3 * len / 4);
@@ -111,7 +106,6 @@ impl ChaosConfig {
             shards: 4,
             batch_size: 8,
             queue_depth: 2,
-            policy,
             stall_timeout: Duration::from_secs(5),
             fault: RuntimeFault::PanicAt { at },
         }
@@ -119,7 +113,7 @@ impl ChaosConfig {
 
     /// A seeded worker hang that outlives the watchdog: the feeder must
     /// abandon the shard instead of blocking forever.
-    pub fn seeded_stall(seed: u64, trace_len: usize, policy: FailurePolicy) -> ChaosConfig {
+    pub fn seeded_stall(seed: u64, trace_len: usize) -> ChaosConfig {
         let mut rng = SimRng::new(seed);
         let len = trace_len.max(4) as u64;
         let at = rng.range(len / 8, len / 2);
@@ -129,7 +123,6 @@ impl ChaosConfig {
             shards: 2,
             batch_size: 1,
             queue_depth: 1,
-            policy,
             stall_timeout: Duration::from_millis(20),
             fault: RuntimeFault::StallAt { at, hold_ms: 400 },
         }
@@ -137,7 +130,7 @@ impl ChaosConfig {
 
     /// A seeded slow consumer: no failure, just sustained backpressure on
     /// the bounded hand-off rings. The run must stay healthy and lossless.
-    pub fn seeded_slow(seed: u64, policy: FailurePolicy) -> ChaosConfig {
+    pub fn seeded_slow(seed: u64) -> ChaosConfig {
         let mut rng = SimRng::new(seed);
         let every = rng.range(16, 64);
         ChaosConfig {
@@ -146,7 +139,6 @@ impl ChaosConfig {
             shards: 2,
             batch_size: 4,
             queue_depth: 1,
-            policy,
             stall_timeout: Duration::from_secs(5),
             fault: RuntimeFault::SlowEvery {
                 every,
@@ -159,7 +151,6 @@ impl ChaosConfig {
         ShardedConfig::new(self.engine, self.shards)
             .with_batch_size(self.batch_size)
             .with_queue_depth(self.queue_depth)
-            .with_policy(self.policy)
             .with_stall_timeout(self.stall_timeout)
     }
 }
@@ -191,11 +182,8 @@ pub fn chaos_hook(fault: RuntimeFault) -> PacketHook {
 pub struct ChaosReport {
     /// The configuration that produced this report.
     pub config: ChaosConfig,
-    /// The (possibly partial) merged run — under `FailFast` this is the
-    /// partial output carried by the typed error.
+    /// The merged run, degraded or not, with every failure it survived.
     pub run: ShardedRun,
-    /// The fatal failure when the policy surfaced one (`FailFast` only).
-    pub fatal: Option<ShardFailure>,
     /// Packets offered to the monitor.
     pub fed: u64,
     /// Oracle classification of every surviving sample.
@@ -220,17 +208,11 @@ impl fmt::Display for ChaosReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "chaos[{}] {} · seed {}",
-            self.config.policy, self.config.fault, self.config.seed
+            "chaos: {} · seed {} · {} failure(s) recorded",
+            self.config.fault,
+            self.config.seed,
+            self.run.failures.len()
         )?;
-        match &self.fatal {
-            Some(failure) => writeln!(f, "  surfaced: Err(ShardFailed: {failure})")?,
-            None => writeln!(
-                f,
-                "  surfaced: Ok ({} failure(s) recorded)",
-                self.run.failures.len()
-            )?,
-        }
         for failure in &self.run.failures {
             writeln!(f, "    {failure}")?;
         }
@@ -270,22 +252,12 @@ pub fn run_chaos(cfg: &ChaosConfig, packets: &[PacketMeta]) -> ChaosReport {
     for pkt in packets {
         monitor.feed(pkt);
     }
-    let (run, fatal) = match monitor.try_into_run() {
-        Ok(run) => (run, None),
-        Err(EngineError::ShardFailed { failure, partial }) => (*partial, Some(failure)),
-        Err(EngineError::FedAfterFlush) => (ShardedRun::default(), None),
-    };
-    judge(cfg, packets, run, fatal)
+    judge(cfg, packets, monitor.into_run())
 }
 
 /// Score a degraded (or healthy) run against the oracle and the
 /// conservation/soundness/bounded-loss invariants.
-fn judge(
-    cfg: &ChaosConfig,
-    packets: &[PacketMeta],
-    run: ShardedRun,
-    fatal: Option<ShardFailure>,
-) -> ChaosReport {
+fn judge(cfg: &ChaosConfig, packets: &[PacketMeta], run: ShardedRun) -> ChaosReport {
     let oracle = run_oracle(
         OracleConfig {
             syn_policy: cfg.engine.syn_policy,
@@ -306,30 +278,12 @@ fn judge(
     ChaosReport {
         config: *cfg,
         run,
-        fatal,
         fed,
         card,
         conservation_ok,
         sound,
         loss_bounded,
     }
-}
-
-/// Run the same seeded fault under all three [`FailurePolicy`] modes — the
-/// acceptance sweep `dartmon chaos` and the CI suite report.
-pub fn run_chaos_sweep(
-    seed: u64,
-    packets: &[PacketMeta],
-    fault: impl Fn(u64, usize, FailurePolicy) -> ChaosConfig,
-) -> Vec<ChaosReport> {
-    [
-        FailurePolicy::FailFast,
-        FailurePolicy::RestartShard,
-        FailurePolicy::ShedLoad,
-    ]
-    .into_iter()
-    .map(|policy| run_chaos(&fault(seed, packets.len(), policy), packets))
-    .collect()
 }
 
 /// Install (once per process) a panic hook that swallows the backtrace
@@ -375,26 +329,19 @@ mod tests {
     #[test]
     fn seeded_panic_passes_under_every_policy() {
         let packets = trace(11);
-        let reports = run_chaos_sweep(7, &packets, ChaosConfig::seeded_panic);
-        assert_eq!(reports.len(), 3);
-        for report in &reports {
-            assert!(report.pass(), "{report}");
-            assert!(
-                report.fatal.is_some() || !report.run.failures.is_empty(),
-                "the injected panic must be visible somewhere: {report}"
-            );
-        }
-        // Policy contracts: FailFast surfaces the error; the others absorb.
-        assert!(reports[0].fatal.is_some(), "{}", reports[0]);
-        assert!(reports[1].fatal.is_none(), "{}", reports[1]);
-        assert_eq!(reports[1].run.stats.shard_restarts, 1, "{}", reports[1]);
-        assert!(reports[2].fatal.is_none(), "{}", reports[2]);
+        let report = run_chaos(&ChaosConfig::seeded_panic(7, packets.len()), &packets);
+        assert!(report.pass(), "{report}");
+        // The injected panic is recorded and the shard respawned once; the
+        // rest of its 8-packet hand-off block is all the run lost.
+        assert_eq!(report.run.failures.len(), 1, "{report}");
+        assert_eq!(report.run.stats.shard_restarts, 1, "{report}");
+        assert!(report.run.stats.monitor_miss < 8, "{report}");
     }
 
     #[test]
     fn stall_is_detected_and_survived() {
         let packets = trace(12);
-        let cfg = ChaosConfig::seeded_stall(3, packets.len(), FailurePolicy::ShedLoad);
+        let cfg = ChaosConfig::seeded_stall(3, packets.len());
         let report = run_chaos(&cfg, &packets);
         assert!(report.pass(), "{report}");
         assert!(
@@ -411,11 +358,10 @@ mod tests {
     #[test]
     fn slow_consumer_backpressure_is_lossless() {
         let packets: Vec<PacketMeta> = trace(13).into_iter().take(2_000).collect();
-        let cfg = ChaosConfig::seeded_slow(5, FailurePolicy::FailFast);
+        let cfg = ChaosConfig::seeded_slow(5);
         let report = run_chaos(&cfg, &packets);
         assert!(report.pass(), "{report}");
         assert!(report.run.healthy(), "{report}");
-        assert!(report.fatal.is_none(), "{report}");
         assert_eq!(report.run.stats.monitor_miss, 0, "{report}");
         assert_eq!(report.run.stats.packets, packets.len() as u64);
     }
@@ -423,7 +369,7 @@ mod tests {
     #[test]
     fn chaos_is_deterministic() {
         let packets = trace(14);
-        let cfg = ChaosConfig::seeded_panic(21, packets.len(), FailurePolicy::RestartShard);
+        let cfg = ChaosConfig::seeded_panic(21, packets.len());
         let a = run_chaos(&cfg, &packets);
         let b = run_chaos(&cfg, &packets);
         assert_eq!(a.run.samples, b.run.samples);

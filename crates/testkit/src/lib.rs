@@ -63,8 +63,7 @@ pub mod spin_oracle;
 
 pub use broken::run_trace_skewed;
 pub use chaos::{
-    chaos_hook, quiet_chaos_panics, run_chaos, run_chaos_sweep, ChaosConfig, ChaosReport,
-    RuntimeFault,
+    chaos_hook, quiet_chaos_panics, run_chaos, ChaosConfig, ChaosReport, RuntimeFault,
 };
 pub use diff::{
     hist_within_tolerance, loss_budget, oracle_histogram, run_diff, run_diff_faulted,

@@ -135,12 +135,13 @@ Engines are resolved from the shared registry: dart, dart@sketch,
 dart@precision, dart-sharded-N, tcptrace, tcptrace-quirk, fridge, pping,
 dapper, strawman, seglist, lean, spin, dart-hist.
     chaos <input>                   inject a seeded runtime fault into the
-                                    supervised sharded engine (testkit)
+                                    supervised sharded engine (testkit): a
+                                    failed shard respawns with fresh tables,
+                                    up to 8 times, then sheds its traffic
         --fault panic|stall|slow    (default panic: a shard worker panics
-                           mid-run; stall: a worker hangs past the
-                           watchdog; slow: backpressure only, no failure)
-        --failure-policy failfast|restart|shed|all (default all: run the
-                           same fault under every degradation policy)
+                           mid-run and is respawned; stall: a worker hangs
+                           past the watchdog and is abandoned; slow:
+                           backpressure only, no failure)
         --seed X          (default 0xC405; picks the poisoned packet)
         plus the analyze engine flags (--leg/--pt/--rt/--stages/--max-recirc)
     scenarios                       adversarial scenario matrix (testkit):

@@ -7,7 +7,6 @@ use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verd
 use dart_baselines::registry::sharded_shards;
 use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
-use dart_core::FailurePolicy;
 use dart_core::{drive, run_monitor_slice, tick_every};
 use dart_core::{Backend, DartConfig, DartEngine, Leg, RttSample};
 use dart_packet::SECOND;
@@ -304,9 +303,9 @@ fn scenarios(opts: &Options) -> Result<String, String> {
 }
 
 /// `dartmon chaos`: replay a trace through the supervised sharded engine
-/// with a seeded runtime fault injected, under one or all failure
-/// policies, and report whether the degraded output held the harness
-/// invariants (conservation, soundness, bounded loss).
+/// with a seeded runtime fault injected, and report whether the degraded
+/// output held the harness invariants (conservation, soundness, bounded
+/// loss).
 fn chaos(input: &str, opts: &Options) -> Result<String, String> {
     let (packets, _) = load_file(input, internal_prefix(opts)?)?;
     let engine = engine_config(opts)?;
@@ -317,33 +316,19 @@ fn chaos(input: &str, opts: &Options) -> Result<String, String> {
             "unknown --fault {fault:?} (expected panic | stall | slow)"
         ));
     }
-    let policies: Vec<FailurePolicy> = match opts.get("failure-policy").unwrap_or("all") {
-        "all" => vec![
-            FailurePolicy::FailFast,
-            FailurePolicy::RestartShard,
-            FailurePolicy::ShedLoad,
-        ],
-        one => vec![one
-            .parse()
-            .map_err(|e: String| format!("--failure-policy: {e}"))?],
+    let mut cfg = match fault {
+        "stall" => ChaosConfig::seeded_stall(seed, packets.len()),
+        "slow" => ChaosConfig::seeded_slow(seed),
+        _ => ChaosConfig::seeded_panic(seed, packets.len()),
     };
+    cfg.engine = engine;
+    let report = run_chaos(&cfg, &packets);
     let mut out = String::new();
-    let mut all_pass = true;
-    for policy in policies {
-        let mut cfg = match fault {
-            "stall" => ChaosConfig::seeded_stall(seed, packets.len(), policy),
-            "slow" => ChaosConfig::seeded_slow(seed, policy),
-            _ => ChaosConfig::seeded_panic(seed, packets.len(), policy),
-        };
-        cfg.engine = engine;
-        let report = run_chaos(&cfg, &packets);
-        all_pass &= report.pass();
-        let _ = writeln!(out, "{report}\n");
-    }
+    let _ = writeln!(out, "{report}\n");
     let _ = writeln!(
         out,
-        "chaos verdict: {} (process survived every injected fault)",
-        if all_pass { "PASS" } else { "FAIL" }
+        "chaos verdict: {} (process survived the injected fault)",
+        if report.pass() { "PASS" } else { "FAIL" }
     );
     Ok(out)
 }
@@ -1208,18 +1193,14 @@ mod tests {
         .unwrap();
         let report = run_line(&["chaos", &path]).unwrap();
         for needle in [
-            "chaos[failfast]",
-            "chaos[restart]",
-            "chaos[shed]",
+            "chaos: panic at packet",
+            "restarts 1",
             "chaos verdict: PASS",
         ] {
             assert!(report.contains(needle), "missing {needle} in:\n{report}");
         }
-        let one = run_line(&["chaos", &path, "--failure-policy", "restart"]).unwrap();
-        assert!(one.contains("chaos[restart]"), "{one}");
-        assert!(!one.contains("chaos[failfast]"), "{one}");
-        let err = run_line(&["chaos", &path, "--failure-policy", "abort"]).unwrap_err();
-        assert!(err.contains("unknown failure policy"), "{err}");
+        let runs = report.lines().filter(|l| l.starts_with("chaos: ")).count();
+        assert_eq!(runs, 1, "one run:\n{report}");
         let err = run_line(&["chaos", &path, "--fault", "meteor"]).unwrap_err();
         assert!(err.contains("unknown --fault"), "{err}");
         let _ = std::fs::remove_file(&path);
