@@ -7,7 +7,7 @@
 //! [`SampleSink`] (updated by the engine's output) and a
 //! [`dart_core::RecircFilter`] (consulted before each recirculation).
 
-use dart_core::{PtRecord, RecircFilter, RttSample, SampleSink};
+use dart_core::{EngineEvent, PtRecord, RecircFilter, RttSample, SampleSink};
 use dart_packet::Nanos;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,7 +34,7 @@ impl MinWindow {
 }
 
 /// Updates the shared window minimum from the engine's sample stream.
-/// Forwards every sample to an inner sink.
+/// Forwards every sample and event to an inner sink.
 pub struct MinTrackingSink<S> {
     shared: Rc<RefCell<MinWindow>>,
     inner: S,
@@ -44,6 +44,10 @@ impl<S: SampleSink> SampleSink for MinTrackingSink<S> {
     fn on_sample(&mut self, sample: RttSample) {
         self.shared.borrow_mut().observe(sample.rtt, sample.ts);
         self.inner.on_sample(sample);
+    }
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        self.inner.on_event(ev);
     }
 }
 

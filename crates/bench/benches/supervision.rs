@@ -20,7 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
 use dart_core::{
-    run_monitor_slice, DartConfig, DartEngine, PacketHook, ShardedConfig, ShardedMonitor,
+    run_monitor_slice, DartConfig, DartEngine, PacketHook, RttMonitor, ShardedConfig,
+    ShardedMonitor,
 };
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ fn run_sharded(
         None => ShardedMonitor::new(cfg),
     };
     for p in packets {
-        monitor.feed(p);
+        monitor.on_packet(p, &mut Vec::new());
     }
     monitor.into_run().samples.len()
 }

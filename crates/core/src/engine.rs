@@ -7,7 +7,7 @@ use crate::filter::FlowFilter;
 use crate::packet_tracker::{PtInsert, PtRecord};
 use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
-use crate::sample::{RttSample, SampleSink};
+use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
 use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
@@ -26,36 +26,6 @@ pub(crate) const SNAP_KIND_ENGINE: u8 = 1;
 /// Bytes one record in the recirculation loop occupies in a snapshot: the
 /// PT record (24), who displaced it (12), its re-entry time and trip count.
 const RECIRC_ENTRY_WIRE_LEN: usize = 24 + 12 + 8 + 4;
-
-/// A notable per-flow event the engine can report to the analytics module
-/// beyond RTT samples: range collapses are the §3.1 congestion indicator
-/// ("Dart can be adjusted to report the frequency of measurement range
-/// collapses for a flow"), and optimistic ACKs the §7 misbehaving-receiver
-/// signal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineEvent {
-    /// A flow's measurement range collapsed.
-    RangeCollapse {
-        /// Data-direction flow key.
-        flow: dart_packet::FlowKey,
-        /// When it happened.
-        ts: Nanos,
-        /// True when inferred from a retransmitted data packet, false when
-        /// from a duplicate ACK.
-        from_retransmission: bool,
-    },
-    /// An ACK arrived for bytes beyond the right edge (§7: a receiver
-    /// trying to accelerate the sender).
-    OptimisticAck {
-        /// Data-direction flow key.
-        flow: dart_packet::FlowKey,
-        /// When it happened.
-        ts: Nanos,
-    },
-}
-
-/// Receiver of [`EngineEvent`]s.
-pub type EventSink = Box<dyn FnMut(EngineEvent)>;
 
 /// Analytics hook deciding whether an evicted record is worth recirculating
 /// (§3.3 "Preemptively discard useless samples"). Return `false` to drop the
@@ -208,7 +178,7 @@ impl BatchScratch {
 /// The Dart engine. Feed it packets in capture order — in blocks via
 /// [`DartEngine::process_batch`], or one at a time via
 /// [`DartEngine::process`], the same body over a one-packet block; it
-/// emits [`RttSample`]s into the supplied sink.
+/// emits [`RttSample`]s and [`EngineEvent`]s into the supplied sink.
 pub struct DartEngine {
     cfg: DartConfig,
     rt: RtTable,
@@ -222,7 +192,6 @@ pub struct DartEngine {
     /// Small fully-associative cache of evicted records (§7) — FIFO.
     victim_cache: VecDeque<PtRecord>,
     rt_copy: Option<RtCopy>,
-    events: Option<EventSink>,
     stats: EngineStats,
     scratch: BatchScratch,
     telemetry: Option<EngineTelemetry>,
@@ -255,7 +224,6 @@ impl DartEngine {
             flow_filter: FlowFilter::all(),
             victim_cache: VecDeque::new(),
             rt_copy: cfg.rt_copy_sync.map(RtCopy::new),
-            events: None,
             stats: EngineStats::default(),
             scratch: BatchScratch::default(),
             telemetry: None,
@@ -289,17 +257,6 @@ impl DartEngine {
             let now = self.recirc.stats();
             t.sync_recirc(self.recirc.in_flight(), &self.recirc_synced, &now);
             self.recirc_synced = now;
-        }
-    }
-
-    /// Subscribe to per-flow [`EngineEvent`]s (collapses, optimistic ACKs).
-    pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.events = Some(sink);
-    }
-
-    fn emit(&mut self, ev: EngineEvent) {
-        if let Some(sink) = &mut self.events {
-            sink(ev);
         }
     }
 
@@ -368,8 +325,8 @@ impl DartEngine {
     /// [`DartEngine::process_batch`], publishing into `at` the offset in
     /// `pkts` of the packet being matched — stored before that packet's
     /// recirculation drain, so every sample and [`EngineEvent`] it causes
-    /// is emitted while `at` names it. A caller whose sinks read `at` can
-    /// tag what they receive with a per-packet index (the sharded worker's
+    /// is emitted while `at` names it. A caller whose sink reads `at` can
+    /// tag what it receives with a per-packet index (the sharded worker's
     /// merge order) without leaving the batch pipeline.
     pub fn process_batch_at(
         &mut self,
@@ -479,11 +436,11 @@ impl DartEngine {
             self.handle_ack_at(pkt, &d.ack_rt, sink);
         }
         if d.lane & LANE_SEQ != 0 {
-            self.handle_seq_at(pkt, d.eack, &d.seq_rt);
+            self.handle_seq_at(pkt, d.eack, &d.seq_rt, sink);
         }
     }
 
-    /// Drain the recirculation loop at end of trace.
+    /// Drain the recirculation loop at end of trace (it emits nothing).
     pub fn flush(&mut self) {
         self.drain_recirc_until(Nanos::MAX);
         self.sync_telemetry();
@@ -808,7 +765,13 @@ impl DartEngine {
 
     /// The SEQ role with a pre-resolved RT location: `at` must come from
     /// `rt.locate(&pkt.flow)`.
-    fn handle_seq_at(&mut self, pkt: &PacketMeta, eack: SeqNum, at: &RtSlot) {
+    fn handle_seq_at(
+        &mut self,
+        pkt: &PacketMeta,
+        eack: SeqNum,
+        at: &RtSlot,
+        sink: &mut dyn SampleSink,
+    ) {
         let outcome = self.rt.on_seq_at(&pkt.flow, at, pkt.seq, eack, pkt.ts);
         match outcome {
             RtSeqOutcome::Created | RtSeqOutcome::Ruled(SeqVerdict::Extend) => {}
@@ -817,7 +780,7 @@ impl DartEngine {
             RtSeqOutcome::Ruled(SeqVerdict::Retransmission) => {
                 self.stats.seq_retransmission += 1;
                 self.stats.range_collapses += 1;
-                self.emit(EngineEvent::RangeCollapse {
+                sink.on_event(EngineEvent::RangeCollapse {
                     flow: pkt.flow,
                     ts: pkt.ts,
                     from_retransmission: true,
@@ -891,7 +854,7 @@ impl DartEngine {
             RtAckOutcome::Ruled(AckVerdict::DuplicateCollapse) => {
                 self.stats.ack_duplicate += 1;
                 self.stats.range_collapses += 1;
-                self.emit(EngineEvent::RangeCollapse {
+                sink.on_event(EngineEvent::RangeCollapse {
                     flow: data_flow,
                     ts: pkt.ts,
                     from_retransmission: false,
@@ -900,7 +863,7 @@ impl DartEngine {
             RtAckOutcome::Ruled(AckVerdict::Stale) => self.stats.ack_stale += 1,
             RtAckOutcome::Ruled(AckVerdict::Optimistic) => {
                 self.stats.ack_optimistic += 1;
-                self.emit(EngineEvent::OptimisticAck {
+                sink.on_event(EngineEvent::OptimisticAck {
                     flow: data_flow,
                     ts: pkt.ts,
                 });
@@ -1144,9 +1107,9 @@ impl crate::monitor::RttMonitor for DartEngine {
         self.process_batch(pkts, sink);
     }
 
-    /// Drains the recirculation loop; never emits samples (recirculated
-    /// records can only be evicted or reinserted), so a second flush finds
-    /// the loop empty and is a no-op.
+    /// Drains the recirculation loop; never emits samples or events
+    /// (recirculated records can only be evicted or reinserted), so a
+    /// second flush finds the loop empty and is a no-op.
     fn flush(&mut self, _sink: &mut dyn SampleSink) {
         DartEngine::flush(self);
     }
@@ -1691,46 +1654,59 @@ mod tests {
     /// `block start + at` reproduces the one-packet-block tags exactly.
     #[test]
     fn batch_position_names_the_emitting_packet() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use crate::sample::recording::Emission;
+        /// Tags every emission with the global index of the packet that
+        /// caused it: the block's start plus the engine's offset.
+        struct Tagging<'a> {
+            base: usize,
+            at: &'a Cell<usize>,
+            out: Vec<(usize, Emission)>,
+        }
+        impl SampleSink for Tagging<'_> {
+            fn on_sample(&mut self, s: RttSample) {
+                let at = self.base + self.at.get();
+                self.out.push((at, Emission::Sample(s)));
+            }
+            fn on_event(&mut self, ev: EngineEvent) {
+                let at = self.base + self.at.get();
+                self.out.push((at, Emission::Event(ev)));
+            }
+        }
         let pkts = mixed_trace(1000);
         let cfg = DartConfig::default()
             .with_pt(16, 4)
             .with_max_recirc(4)
             .with_leg(Leg::Both);
-        type Tagged = (Vec<(usize, RttSample)>, Vec<(usize, EngineEvent)>);
         // Feed `pkts` in blocks of `split` (0: one `process` call per
         // packet), tagging every emission with the global packet index.
-        let tagged = |split: usize| -> (Tagged, EngineStats) {
-            let at = Rc::new(Cell::new(0usize));
-            let base = Rc::new(Cell::new(0usize));
-            let events = Rc::new(RefCell::new(Vec::new()));
+        let tagged = |split: usize| -> (Vec<(usize, Emission)>, EngineStats) {
+            let at = Cell::new(0usize);
+            let mut sink = Tagging {
+                base: 0,
+                at: &at,
+                out: Vec::new(),
+            };
             let mut engine = DartEngine::new(cfg);
-            let (ev_at, ev_base, ev_out) = (at.clone(), base.clone(), events.clone());
-            engine.set_event_sink(Box::new(move |ev| {
-                ev_out.borrow_mut().push((ev_base.get() + ev_at.get(), ev));
-            }));
-            let mut samples = Vec::new();
-            let mut sink = |s: RttSample| samples.push((base.get() + at.get(), s));
             if split == 0 {
                 for (i, p) in pkts.iter().enumerate() {
-                    base.set(i);
+                    sink.base = i;
                     engine.process(p, &mut sink);
                 }
             } else {
                 for (b, block) in pkts.chunks(split).enumerate() {
-                    base.set(b * split);
+                    sink.base = b * split;
                     engine.process_batch_at(block, &mut sink, &at);
                 }
             }
-            let stats = *engine.stats();
-            drop(engine);
-            let events = events.take();
-            ((samples, events), stats)
+            (sink.out, *engine.stats())
         };
         let (reference, stats) = tagged(0);
         assert!(stats.recirc_issued > 0 && stats.dual_role_recirc > 0);
-        assert!(!reference.0.is_empty() && !reference.1.is_empty());
+        let events = reference
+            .iter()
+            .filter(|(_, e)| matches!(e, Emission::Event(_)))
+            .count();
+        assert!(events > 0 && events < reference.len(), "samples and events");
         for split in [1usize, 7, 1024] {
             assert_eq!(tagged(split).0, reference, "block split {split}");
         }

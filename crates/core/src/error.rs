@@ -29,10 +29,6 @@ pub enum FailureKind {
         /// How long the watchdog waited before declaring the stall.
         waited: Duration,
     },
-    /// A worker's event-sink handle outlived the engine, so the shard's
-    /// events were recovered by draining the shared buffer instead of
-    /// unwrapping it. Non-fatal: samples, events, and counters are intact.
-    SinkLeaked,
 }
 
 impl fmt::Display for FailureKind {
@@ -42,7 +38,6 @@ impl fmt::Display for FailureKind {
             FailureKind::Stalled { waited } => {
                 write!(f, "stalled (watchdog waited {} ms)", waited.as_millis())
             }
-            FailureKind::SinkLeaked => f.write_str("event sink leaked (events drained)"),
         }
     }
 }
@@ -86,27 +81,6 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// Error surfaced by the supervised sharded runtime instead of a panic.
-#[derive(Debug)]
-pub enum EngineError {
-    /// A packet was fed to a monitor that already flushed. The packet was
-    /// dropped without being processed; the cached merged run is
-    /// unaffected.
-    FedAfterFlush,
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::FedAfterFlush => {
-                f.write_str("packet fed to a flushed ShardedMonitor (dropped)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +103,6 @@ mod tests {
         let mut timed_otherwise = failure.clone();
         timed_otherwise.respawn_us = None;
         assert_eq!(timed_otherwise, failure);
-        assert!(EngineError::FedAfterFlush.to_string().contains("flushed"));
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod telemetry;
 
 pub use backend::{PtTable, RtTable};
 pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy};
-pub use engine::{run_trace, DartEngine, EngineEvent, EventSink, RecircFilter, RecirculateAll};
-pub use error::{EngineError, FailureKind, ShardFailure};
+pub use engine::{run_trace, DartEngine, RecircFilter, RecirculateAll};
+pub use error::{FailureKind, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
 pub use monitor::{
     drive, drive_timed, run_monitor, run_monitor_slice, tick_every, EpochRotation, Progress,
@@ -74,7 +74,7 @@ pub use pt_salu::{SaluPtSlot, SlotRecord};
 pub use range::{AckVerdict, MeasurementRange, SeqVerdict};
 pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};
 pub use rt_salu::SaluRangeTracker;
-pub use sample::{RttSample, SampleSink, SampleWeight};
+pub use sample::{EngineEvent, RttSample, SampleSink, SampleWeight};
 pub use sharded::{
     shard_of, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun, SupervisorHealth, MAX_RESTARTS,
 };

@@ -5,7 +5,11 @@
 //!
 //! A monitor consumes packets **in capture order** — one at a time via
 //! `on_packet`, or a block at a time via `on_batch` — and pushes samples
-//! into a [`SampleSink`] as it discovers them. The driver promises:
+//! into a [`SampleSink`] as it discovers them. The sink is the one way out:
+//! Dart's per-flow [`EngineEvent`](crate::EngineEvent)s (range collapses,
+//! optimistic ACKs) reach the same sink through
+//! [`SampleSink::on_event`], interleaved with the samples in emission
+//! order. The driver promises:
 //!
 //! * every packet is delivered exactly once, in order, through any mix of
 //!   `on_packet` and `on_batch` calls (blocks may be empty);
@@ -17,12 +21,13 @@
 //!
 //! The monitor promises:
 //!
-//! * samples are emitted in a deterministic order for a given input: the
-//!   same packets through the same configuration produce a byte-identical
-//!   sample stream (the differential testkit depends on this);
+//! * samples and events are emitted in a deterministic order for a given
+//!   input: the same packets through the same configuration produce a
+//!   byte-identical stream (the differential testkit depends on this);
 //! * per-packet engines emit during `on_packet`; engines that buffer
 //!   (the sharded fan-in, lean's end-of-trace estimates) emit during
-//!   `flush`, still deterministically ordered;
+//!   `flush`, still deterministically ordered — the sharded fan-in its
+//!   events too, in the serial engine's interleaving;
 //! * `stats` uses the shared [`EngineStats`] vocabulary. Baselines fill
 //!   only the counters that have a meaning for them (at minimum `packets`
 //!   and `samples`); Dart's loss-accounting counters stay zero and the

@@ -1,4 +1,4 @@
-//! RTT samples: the engine's output.
+//! RTT samples and per-flow events: the engine's output.
 
 use dart_packet::{FlowKey, Nanos, SeqNum};
 
@@ -84,13 +84,44 @@ impl RttSample {
     }
 }
 
-/// A sink receiving samples as the engine emits them.
-///
-/// The analytics module implements this; tests and the harness use
-/// `Vec<RttSample>`.
+/// A notable per-flow event the engine can report to the analytics module
+/// beyond RTT samples: range collapses are the §3.1 congestion indicator
+/// ("Dart can be adjusted to report the frequency of measurement range
+/// collapses for a flow"), and optimistic ACKs the §7 misbehaving-receiver
+/// signal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineEvent {
+    /// A flow's measurement range collapsed.
+    RangeCollapse {
+        /// Data-direction flow key.
+        flow: FlowKey,
+        /// When it happened.
+        ts: Nanos,
+        /// True when inferred from a retransmitted data packet, false when
+        /// from a duplicate ACK.
+        from_retransmission: bool,
+    },
+    /// An ACK arrived for bytes beyond the right edge (§7: a receiver
+    /// trying to accelerate the sender).
+    OptimisticAck {
+        /// Data-direction flow key.
+        flow: FlowKey,
+        /// When it happened.
+        ts: Nanos,
+    },
+}
+
+/// The one way out of a monitor: samples and [`EngineEvent`]s reach the
+/// same sink, interleaved in emission order — a packet's sample ahead of
+/// its events; a monitor that buffers delivers both at flush. The analytics
+/// module implements this; tests and the harness use `Vec<RttSample>`.
 pub trait SampleSink {
     /// Receive one sample.
     fn on_sample(&mut self, sample: RttSample);
+
+    /// Receive one event. The default drops it: most consumers want
+    /// samples only.
+    fn on_event(&mut self, _ev: EngineEvent) {}
 }
 
 impl SampleSink for Vec<RttSample> {
@@ -102,6 +133,34 @@ impl SampleSink for Vec<RttSample> {
 impl<F: FnMut(RttSample)> SampleSink for F {
     fn on_sample(&mut self, sample: RttSample) {
         self(sample)
+    }
+}
+
+/// The tests' one recording sink: everything a monitor emits, in
+/// emission order.
+#[cfg(test)]
+pub(crate) mod recording {
+    use super::{EngineEvent, RttSample, SampleSink};
+
+    /// One thing a monitor emitted.
+    #[derive(Debug, PartialEq)]
+    pub(crate) enum Emission {
+        Sample(RttSample),
+        Event(EngineEvent),
+    }
+
+    /// Keeps everything it receives, in emission order.
+    #[derive(Debug, Default)]
+    pub(crate) struct Emissions(pub(crate) Vec<Emission>);
+
+    impl SampleSink for Emissions {
+        fn on_sample(&mut self, sample: RttSample) {
+            self.0.push(Emission::Sample(sample));
+        }
+
+        fn on_event(&mut self, ev: EngineEvent) {
+            self.0.push(Emission::Event(ev));
+        }
     }
 }
 

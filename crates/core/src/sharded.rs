@@ -65,18 +65,19 @@
 //!   where serial cross-flow collisions differ from sharded ones — the
 //!   same caveat any hash-partitioned scale-out of Dart would carry.
 //!
-//! Samples and events come back over per-shard queues tagged with the
-//! global packet index and are merged deterministically — ordered by
-//! (packet index, shard id) — so a sharded run is reproducible regardless
-//! of thread scheduling, and at `shards == 1` the merge is exactly serial
-//! emission order.
+//! Each worker tags the samples and events its engine emits with the
+//! global packet index, and the flush merges them deterministically —
+//! ordered by (packet index, shard id), a packet's sample ahead of its
+//! events — so a sharded run is reproducible regardless of thread
+//! scheduling, and at `shards == 1` the merge is exactly serial emission
+//! order.
 
 use crate::config::DartConfig;
-use crate::engine::{DartEngine, EngineEvent};
-use crate::error::{EngineError, FailureKind, ShardFailure};
+use crate::engine::DartEngine;
+use crate::error::{FailureKind, ShardFailure};
 use crate::monitor::{EpochRotation, RttMonitor};
 use crate::ring::{Parcel, Ring, RingEnd, SendError};
-use crate::sample::{RttSample, SampleSink};
+use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{
@@ -84,9 +85,8 @@ use crate::telemetry::{
 };
 use dart_packet::{FlowKey, Nanos, PacketMeta};
 use dart_telemetry::{Counter, Gauge, MetricRegistry};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender as MpscSender};
 use std::sync::Arc;
@@ -486,10 +486,10 @@ fn panicked(
 /// trace (`run_monitor_slice(&mut ShardedMonitor::new(cfg), pkts)` for one
 /// in memory).
 ///
-/// Samples cannot be emitted in deterministic merge order until every
-/// worker has finished, so this monitor buffers: `on_packet` emits nothing
-/// and the whole merged stream — ordered by (global packet index, shard
-/// id), whatever the hand-off batching was — is delivered on
+/// Samples and events cannot be emitted in deterministic merge order until
+/// every worker has finished, so this monitor buffers: `on_packet` emits
+/// nothing and the whole merged stream — ordered by (global packet index,
+/// shard id), whatever the hand-off batching was — is delivered on
 /// [`RttMonitor::flush`]. Memory for results is proportional to the sample
 /// count, not the trace length; in-flight packets stay bounded by
 /// `shards × queue_depth × batch_size`.
@@ -658,31 +658,19 @@ impl ShardedMonitor {
         }
     }
 
-    /// Hand one packet to its shard (buffered into hand-off blocks).
-    ///
-    /// Never blocks past the watchdog timeout and never panics: a packet
-    /// that cannot reach a healthy engine (a shard that sheds) is dropped
-    /// into `monitor_miss`. The only error is
-    /// [`EngineError::FedAfterFlush`] — the run already ended.
-    pub fn try_feed(&mut self, pkt: &PacketMeta) -> Result<(), EngineError> {
-        self.partition(std::slice::from_ref(pkt))
-    }
-
-    /// [`ShardedMonitor::try_feed`], swallowing the post-flush case (the
-    /// packet is dropped; a debug build asserts).
-    pub fn feed(&mut self, pkt: &PacketMeta) {
-        let fed_after_flush = self.try_feed(pkt).is_err();
-        debug_assert!(!fed_after_flush, "packet fed to a flushed ShardedMonitor");
-    }
-
     /// Route `pkts` into their shards' blocks, sending each block as it
-    /// fills. Whether the run has ended or a shard has stopped measuring
-    /// is looked up once per call: a shard that dies while the call runs
-    /// still receives the rest of its packets, and its worker counts them
-    /// into `monitor_miss` itself.
-    fn partition(&mut self, pkts: &[PacketMeta]) -> Result<(), EngineError> {
+    /// fills. A packet fed after the flush is dropped (a debug build
+    /// asserts). Whether a shard has stopped measuring is looked up once
+    /// per call: a shard that dies while the call runs still receives the
+    /// rest of its packets, and its worker counts them into `monitor_miss`
+    /// itself.
+    fn partition(&mut self, pkts: &[PacketMeta]) {
+        debug_assert!(
+            self.done.is_none(),
+            "packets fed to a flushed ShardedMonitor"
+        );
         if self.done.is_some() {
-            return Err(EngineError::FedAfterFlush);
+            return;
         }
         let first = self.fed;
         self.fed += pkts.len() as u64;
@@ -700,7 +688,6 @@ impl ShardedMonitor {
                 self.dispatch(shard);
             }
         }
-        Ok(())
     }
 
     /// True while `shard` is measuring: not abandoned by the watchdog and
@@ -1007,9 +994,9 @@ impl ShardedMonitor {
         }
     }
 
-    /// Close the rings, collect the workers, and cache the merged
-    /// result.
-    fn finish(&mut self) {
+    /// Close the rings, collect the workers, hand the merged stream to
+    /// `sink`, and cache the merged result.
+    fn finish(&mut self, sink: &mut dyn SampleSink) {
         if self.done.is_some() {
             return;
         }
@@ -1042,7 +1029,7 @@ impl ShardedMonitor {
                 },
             }
         }
-        let mut run = merge(results);
+        let mut run = merge(results, sink);
         run.stats.merge(&self.feeder_extra);
         run.failures.append(&mut self.feeder_failures);
         run.failures.sort_by_key(|f| (f.shard, f.at_packet));
@@ -1054,7 +1041,7 @@ impl ShardedMonitor {
     /// when degraded: the run records its failures and keeps every sample
     /// the surviving engines produced.
     pub fn into_run(mut self) -> ShardedRun {
-        self.finish();
+        self.finish(&mut |_: RttSample| {});
         self.done.take().unwrap_or_default()
     }
 }
@@ -1071,8 +1058,10 @@ impl RttMonitor for ShardedMonitor {
         )
     }
 
+    /// Hand one packet to its shard's hand-off block, which goes out when
+    /// it is full (or at the flush): emits nothing.
     fn on_packet(&mut self, pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
-        self.feed(pkt);
+        self.partition(std::slice::from_ref(pkt));
     }
 
     /// Feed a whole block and hand it off: each packet is partitioned to
@@ -1085,8 +1074,7 @@ impl RttMonitor for ShardedMonitor {
     /// [`ShardedConfig::batch_size`] packets when it is longer than that;
     /// sample order and counters do not depend on the split.
     fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
-        let fed_after_flush = self.partition(pkts).is_err();
-        debug_assert!(!fed_after_flush, "block fed to a flushed ShardedMonitor");
+        self.partition(pkts);
         for shard in 0..self.cfg.shards {
             self.dispatch(shard);
         }
@@ -1111,18 +1099,11 @@ impl RttMonitor for ShardedMonitor {
         ShardedMonitor::restore(self, snap)
     }
 
-    /// First flush joins the workers and emits the merged sample stream;
-    /// later flushes emit nothing.
+    /// First flush joins the workers and emits the merged stream, samples
+    /// and events interleaved in serial emission order; later flushes emit
+    /// nothing.
     fn flush(&mut self, sink: &mut dyn SampleSink) {
-        let first = self.done.is_none();
-        self.finish();
-        if first {
-            if let Some(run) = &self.done {
-                for s in &run.samples {
-                    sink.on_sample(*s);
-                }
-            }
-        }
+        self.finish(sink);
     }
 
     /// Before `flush`, only the feeder-side packet count is known (shard
@@ -1137,10 +1118,6 @@ impl RttMonitor for ShardedMonitor {
         }
     }
 }
-
-/// Flush-time entries sort after every real packet index, exactly like the
-/// old end-of-trace tag, without needing to know the trace length up front.
-const FLUSH_TAG: u64 = u64::MAX;
 
 /// Everything a worker thread needs, bundled so the spawn site stays
 /// readable.
@@ -1165,6 +1142,24 @@ impl ShardCtx {
     }
 }
 
+/// The worker's one sink: tags every sample and event with the in-block
+/// offset the engine publishes into `at`.
+struct Tagging<'a> {
+    at: &'a Cell<usize>,
+    samples: &'a mut Vec<(u64, RttSample)>,
+    events: &'a mut Vec<(u64, EngineEvent)>,
+}
+
+impl SampleSink for Tagging<'_> {
+    fn on_sample(&mut self, s: RttSample) {
+        self.samples.push((self.at.get() as u64, s));
+    }
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        self.events.push((self.at.get() as u64, ev));
+    }
+}
+
 /// Swap the in-block offsets that tag `entries` for the global packet
 /// indices they stand for.
 fn retag<T>(entries: &mut [(u64, T)], idx: &[u64]) {
@@ -1179,32 +1174,17 @@ fn retag<T>(entries: &mut [(u64, T)], idx: &[u64]) {
 fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     let (shard, keep_samples) = (ctx.shard, ctx.keep_samples);
     // The engine's batch pipeline publishes the in-block offset of the
-    // packet it is matching into `at`; samples and events are tagged with
-    // it as they are emitted and re-tagged with the block's global indices
-    // when the block is done. The event sink is installed once per engine,
-    // so it shares `at` (and the buffer, across respawns) through Rc cells.
-    let at = Rc::new(Cell::new(0usize));
-    let events = Rc::new(RefCell::new(Vec::new()));
-    let install_sink = |engine: &mut DartEngine| {
-        // Without sample retention there is no merged run to feed: leave
-        // the engine's default (discarding) event sink in place too, so
-        // neither buffer grows with the stream.
-        if !keep_samples {
-            return;
-        }
-        let at = Rc::clone(&at);
-        let events = Rc::clone(&events);
-        engine.set_event_sink(Box::new(move |ev| {
-            events.borrow_mut().push((at.get() as u64, ev))
-        }));
-    };
+    // packet it is matching into `at`; the worker's sink tags samples and
+    // events with it as they are emitted, and they are re-tagged with the
+    // block's global indices when the block is done.
+    let at = Cell::new(0usize);
     let mut engine = DartEngine::new(ctx.engine_cfg);
     if let Some(tel) = ctx.hooks.tel.clone() {
         engine.attach_telemetry(tel);
     }
-    install_sink(&mut engine);
 
     let mut samples: Vec<(u64, RttSample)> = Vec::new();
+    let mut events: Vec<(u64, EngineEvent)> = Vec::new();
     let mut failures: Vec<ShardFailure> = Vec::new();
     // Counters of engines discarded by respawns.
     let mut retired = EngineStats::default();
@@ -1260,12 +1240,10 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                         for (idx, s) in &samples {
                             put_sample(&mut w, *idx, s);
                         }
-                        let evs = events.borrow();
-                        w.put_usize(evs.len());
-                        for (idx, ev) in evs.iter() {
+                        w.put_usize(events.len());
+                        for (idx, ev) in &events {
                             put_event(&mut w, *idx, ev);
                         }
-                        drop(evs);
                         engine.snapshot_into(&mut w);
                         w.into_payload()
                     }))
@@ -1311,7 +1289,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                         retired = snap_retired;
                         extra = snap_extra;
                         samples = snap_samples;
-                        *events.borrow_mut() = snap_events;
+                        events = snap_events;
                         Ok(())
                     })()
                 };
@@ -1345,21 +1323,29 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                 }
             }
             let before = engine.stats().packets;
-            let marks = (samples.len(), events.borrow().len());
+            let marks = (samples.len(), events.len());
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut sink = |s: RttSample| {
-                    if keep_samples {
-                        samples.push((at.get() as u64, s));
-                    }
+                let mut tagging = Tagging {
+                    at: &at,
+                    samples: &mut samples,
+                    events: &mut events,
+                };
+                // Without retention there is no merged run to feed, so
+                // neither buffer grows with the stream.
+                let mut discard = |_: RttSample| {};
+                let sink: &mut dyn SampleSink = if keep_samples {
+                    &mut tagging
+                } else {
+                    &mut discard
                 };
                 at.set(0);
-                engine.process_batch_at(&block.pkts[..run], &mut sink, &at);
+                engine.process_batch_at(&block.pkts[..run], sink, &at);
             }));
             if let Err(payload) = outcome {
                 failure = Some((at.get(), payload));
             }
             retag(&mut samples[marks.0..], &block.idx);
-            retag(&mut events.borrow_mut()[marks.1..], &block.idx);
+            retag(&mut events[marks.1..], &block.idx);
             if let Some((k, payload)) = failure {
                 // The batch pipeline counts a block's packets when it
                 // completes, so whichever side panicked `packets +
@@ -1385,7 +1371,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                         base.merge(&extra);
                         engine.attach_telemetry(tel.with_base(base));
                     }
-                    install_sink(&mut engine);
                     failure.respawn_us = Some(respawn.elapsed().as_micros() as u64);
                 } else {
                     ctx.hooks.mark_dead(&ctx.dead);
@@ -1406,12 +1391,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
         emptied = Some(block);
     }
     if !shedding {
-        let mark = events.borrow().len();
-        let flushed = catch_unwind(AssertUnwindSafe(|| engine.flush()));
-        for (tag, _) in &mut events.borrow_mut()[mark..] {
-            *tag = FLUSH_TAG;
-        }
-        if let Err(payload) = flushed {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| engine.flush())) {
             ctx.record(&mut failures, panicked(shard, None, payload));
             ctx.hooks.mark_dead(&ctx.dead);
         }
@@ -1426,25 +1406,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
             .with_base(EngineStats::default())
             .sync_stats(&stats);
     }
-    drop(engine); // releases its clone of the event sink's Rc
-    let events = match Rc::try_unwrap(events) {
-        Ok(cell) => cell.into_inner(),
-        Err(shared) => {
-            // A sink clone outlived the engine (it shouldn't): recover the
-            // events by draining the shared buffer and record the leak
-            // instead of panicking.
-            ctx.record(
-                &mut failures,
-                ShardFailure {
-                    shard,
-                    at_packet: None,
-                    kind: FailureKind::SinkLeaked,
-                    respawn_us: None,
-                },
-            );
-            std::mem::take(&mut *shared.borrow_mut())
-        }
-    };
     ShardResult {
         samples,
         events,
@@ -1453,12 +1414,13 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     }
 }
 
-/// Deterministic merge: order by (global packet index, shard id). A packet
-/// lives on exactly one shard, so the shard tiebreaker only orders
-/// flush-time entries; the stable sort preserves a single packet's own
-/// emission order. `None` slots are abandoned shards: they contribute
-/// all-zero per-shard counters and nothing else.
-fn merge(results: Vec<Option<ShardResult>>) -> ShardedRun {
+/// Deterministic merge: order by (global packet index, shard id), and hand
+/// the merged stream to `sink`. A packet lives on exactly one shard and the
+/// engine emits nothing at flush, so the shard id never decides; the stable
+/// sort preserves a single packet's own emission order. `None` slots are
+/// abandoned shards: they contribute all-zero per-shard counters and
+/// nothing else.
+fn merge(results: Vec<Option<ShardResult>>, sink: &mut dyn SampleSink) -> ShardedRun {
     let mut samples: Vec<(u64, usize, RttSample)> = Vec::new();
     let mut events: Vec<(u64, usize, EngineEvent)> = Vec::new();
     let mut per_shard = Vec::with_capacity(results.len());
@@ -1477,6 +1439,16 @@ fn merge(results: Vec<Option<ShardResult>>) -> ShardedRun {
     }
     samples.sort_by_key(|&(idx, shard, _)| (idx, shard));
     events.sort_by_key(|&(idx, shard, _)| (idx, shard));
+    // Serial emission order puts a packet's sample ahead of its events:
+    // only the ACK role samples, and it runs before the SEQ role.
+    let mut pending = samples.iter().peekable();
+    for &(idx, shard, ev) in &events {
+        while let Some((_, _, s)) = pending.next_if(|&&(i, sh, _)| (i, sh) <= (idx, shard)) {
+            sink.on_sample(*s);
+        }
+        sink.on_event(ev);
+    }
+    pending.for_each(|(_, _, s)| sink.on_sample(*s));
     ShardedRun {
         samples: samples.into_iter().map(|(_, _, s)| s).collect(),
         events: events.into_iter().map(|(_, _, e)| e).collect(),
@@ -1489,10 +1461,12 @@ fn merge(results: Vec<Option<ShardResult>>) -> ShardedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Leg;
     use crate::engine::run_trace;
-    use crate::monitor::run_monitor_slice;
+    use crate::monitor::{run_monitor, run_monitor_slice};
+    use crate::sample::recording::{Emission, Emissions};
     use crate::telemetry::{EPOCH_ROTATIONS, SHARD_COUNTERS};
-    use dart_packet::{Direction, Nanos, PacketBuilder};
+    use dart_packet::{Direction, Nanos, PacketBuilder, SliceSource};
 
     /// A whole-trace sharded replay through the block driver, with the
     /// full merged output (events, per-shard counters, failures).
@@ -1500,6 +1474,14 @@ mod tests {
         let mut monitor = ShardedMonitor::new(cfg);
         run_monitor_slice(&mut monitor, pkts);
         monitor.into_run()
+    }
+
+    /// Hand `pkts` over one `on_packet` call each, as a per-packet driver
+    /// does; the sharded runtime emits nothing before the flush.
+    fn feed_each(monitor: &mut ShardedMonitor, pkts: &[PacketMeta]) {
+        for p in pkts {
+            monitor.on_packet(p, &mut Vec::new());
+        }
     }
 
     fn flow(n: u32) -> FlowKey {
@@ -1612,9 +1594,7 @@ mod tests {
         let pkts = trace(30, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(16);
         let mut per_packet = ShardedMonitor::new(cfg);
-        for p in &pkts {
-            per_packet.feed(p);
-        }
+        feed_each(&mut per_packet, &pkts);
         let per_packet = per_packet.into_run();
 
         let mut monitor = ShardedMonitor::new(cfg);
@@ -1654,42 +1634,55 @@ mod tests {
         assert_eq!(RttMonitor::stats(&monitor), batch.stats);
     }
 
+    /// The sharded flush hands its sink the serial engine's interleaved
+    /// sample/event stream: exactly at one shard, and at four under an
+    /// unlimited config (no cross-flow interaction).
     #[test]
     fn events_are_merged_deterministically() {
-        // A retransmission triggers a RangeCollapse event; duplicate the
-        // data packet of a few flows.
+        // A retransmission triggers a RangeCollapse event: duplicate the
+        // data packet of every other flow, and let the rest sample cleanly.
         let mut pkts = Vec::new();
-        for fi in 0..12 {
-            let f = flow(fi);
+        for fi in 0..24 {
             let t = fi as Nanos * 1_000_000;
-            let [d, a] = data_ack(f, 0, 1460, t, 5_000_000);
-            let mut retx = d;
-            retx.ts = t + 1_000;
-            pkts.push(d);
-            pkts.push(retx);
-            pkts.push(a);
+            let [d, a] = data_ack(flow(fi), 0, 1460, t, 5_000_000);
+            pkts.extend([d, a]);
+            if fi % 2 == 0 {
+                pkts.push(PacketMeta { ts: t + 1_000, ..d });
+            }
         }
+        // One packet that samples and collapses: the server's ACK of the
+        // client's data piggybacks a retransmission of its own.
+        let f = flow(99);
+        let server = |ts: Nanos| {
+            PacketBuilder::new(f.reverse(), ts)
+                .seq(5000u32)
+                .payload(100)
+                .dir(Direction::Inbound)
+        };
+        pkts.push(data_ack(f, 0, 1460, 2_000_000, 0)[0]);
+        pkts.push(server(3_000_000).build());
+        pkts.push(server(7_000_000).ack(1460u32).build());
         pkts.sort_by_key(|p| p.ts);
-        let cfg = DartConfig::unlimited();
-        let a = replay(ShardedConfig::new(cfg, 4), &pkts);
-        let b = replay(ShardedConfig::new(cfg, 4), &pkts);
-        assert!(!a.events.is_empty(), "expected range-collapse events");
-        assert_eq!(a.events, b.events);
-        // And the merged events match the serial engine's (unlimited config:
-        // no cross-flow interaction, so the sets coincide exactly).
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut engine = DartEngine::new(cfg);
-        engine.set_event_sink(Box::new(move |ev| {
-            let _ = tx.send(ev);
-        }));
-        let mut dump = Vec::new();
-        for p in &pkts {
-            engine.process(p, &mut dump);
+        let emitted = |monitor: &mut dyn RttMonitor| {
+            let mut out = Emissions::default();
+            run_monitor(monitor, SliceSource::new(&pkts), &mut out).unwrap();
+            out.0
+        };
+        for (cfg, shards) in [
+            (DartConfig::default(), 1),
+            (DartConfig::unlimited(), 1),
+            (DartConfig::unlimited(), 4),
+        ] {
+            let cfg = cfg.with_leg(Leg::Both);
+            let serial = emitted(&mut DartEngine::new(cfg));
+            assert!(serial.windows(2).any(|w| matches!(
+                w,
+                [Emission::Sample(s), Emission::Event(EngineEvent::RangeCollapse { ts, .. })]
+                    if s.ts == *ts
+            )));
+            let sharded = emitted(&mut ShardedMonitor::new(ShardedConfig::new(cfg, shards)));
+            assert_eq!(sharded, serial, "{shards} shards over {cfg:?}");
         }
-        engine.flush();
-        drop(engine); // closes the sender so the drain below terminates
-        let serial_events: Vec<EngineEvent> = rx.try_iter().collect();
-        assert_eq!(a.events, serial_events);
     }
 
     // ---- hand-off ring tests (the ring's own contract is in `ring.rs`) ---
@@ -1756,9 +1749,7 @@ mod tests {
         let pkts = trace(30, 6);
         let target = (pkts.len() / 2) as u64;
         let mut monitor = ShardedMonitor::with_packet_hook(sup_cfg(4), panic_at(target));
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         let run = monitor.into_run();
         assert_eq!(run.stats.shard_restarts, 1);
         assert!(run.failures.len() == 1, "{:?}", run.failures);
@@ -1802,9 +1793,7 @@ mod tests {
         // Long enough that shard 1 sees more blocks than its budget.
         let pkts = trace(60, 12);
         let mut monitor = ShardedMonitor::with_packet_hook(sup_cfg(4), kill_shard(1));
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         let run = monitor.into_run();
         // Shard 1 spent its budget, then shed: the last failure respawned
         // nothing.
@@ -1840,9 +1829,7 @@ mod tests {
             .with_queue_depth(1)
             .with_stall_timeout(Duration::from_millis(10));
         let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         let run = monitor.into_run();
         assert!(
             run.failures
@@ -1858,21 +1845,24 @@ mod tests {
         assert!(run.stats.monitor_miss > 0);
     }
 
+    /// Feeding a flushed monitor is a caller bug: a debug build asserts,
+    /// a release build drops the packets and leaves the run as it was.
     #[test]
-    fn feed_after_flush_is_a_typed_error() {
+    #[cfg_attr(debug_assertions, should_panic(expected = "flushed"))]
+    fn feeding_after_flush_drops_the_packets() {
         let pkts = trace(5, 2);
-        let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 2));
-        for p in &pkts {
-            monitor.try_feed(p).expect("live monitor accepts packets");
-        }
+        let cfg = ShardedConfig::new(DartConfig::default(), 2);
+        let reference = replay(cfg, &pkts);
+        let mut monitor = ShardedMonitor::new(cfg);
+        run_monitor_slice(&mut monitor, &pkts);
+        let stats = RttMonitor::stats(&monitor);
         let mut sink = Vec::new();
-        monitor.flush(&mut sink);
-        let err = monitor
-            .try_feed(&pkts[0])
-            .expect_err("flushed monitor rejects");
-        assert!(matches!(err, EngineError::FedAfterFlush));
-        // And the cached run is unaffected.
-        assert_eq!(RttMonitor::stats(&monitor).packets, pkts.len() as u64);
+        monitor.on_batch(&pkts, &mut sink);
+        assert!(sink.is_empty());
+        assert_eq!(RttMonitor::stats(&monitor), stats);
+        let run = monitor.into_run();
+        assert_eq!(run.samples, reference.samples);
+        assert_eq!(run.stats, reference.stats);
     }
 
     #[test]
@@ -1887,9 +1877,7 @@ mod tests {
         });
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(4);
         let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         monitor.flush(&mut Vec::new());
         assert_eq!(monitor.health().healthy_shards, 1, "shard 0 sheds");
         let run = monitor.into_run();
@@ -1921,7 +1909,7 @@ mod tests {
 
         let mut monitor = ShardedMonitor::new(cfg);
         for (i, p) in pkts.iter().enumerate() {
-            monitor.feed(p);
+            monitor.on_packet(p, &mut Vec::new());
             if i == pkts.len() / 2 {
                 ShardedMonitor::rotate_epoch(&mut monitor, 0);
             }
@@ -1944,13 +1932,9 @@ mod tests {
         // 20 ACKs (the 5 ms RTT dwarfs the µs flow stagger), so cutting
         // after exchange 3's data burst leaves 20 records in flight.
         let half = 3 * 40 + 20;
-        for p in &pkts[..half] {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts[..half]);
         ShardedMonitor::rotate_epoch(&mut monitor, Nanos::MAX);
-        for p in &pkts[half..] {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts[half..]);
         let run = monitor.into_run();
         assert!(run.healthy());
         assert_eq!(run.stats.packets, pkts.len() as u64);
@@ -1972,9 +1956,7 @@ mod tests {
         assert_eq!(h.healthy_shards, 3);
         assert_eq!(h.fed, 0);
         assert!(!h.flushed);
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         assert_eq!(monitor.health().fed, pkts.len() as u64);
         let mut sink = Vec::new();
         monitor.flush(&mut sink);
@@ -1991,9 +1973,7 @@ mod tests {
         let pkts = trace(20, 6);
         let cfg = sup_cfg(4).with_batch_size(1);
         let mut monitor = ShardedMonitor::with_packet_hook(cfg, kill_shard(0));
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         let mut sink = Vec::new();
         monitor.flush(&mut sink);
         let h = monitor.health();
@@ -2046,9 +2026,7 @@ mod tests {
         let registry = MetricRegistry::new();
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(8);
         let mut monitor = ShardedMonitor::with_telemetry(cfg, &registry);
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         ShardedMonitor::rotate_epoch(&mut monitor, 0);
         let mut sink = Vec::new();
         monitor.flush(&mut sink);
@@ -2077,9 +2055,7 @@ mod tests {
         );
         let healthy = registry.gauge(SUPERVISOR_HEALTHY_SHARDS.name, &[], "");
         assert_eq!(healthy.get(), 4);
-        for p in &pkts {
-            monitor.feed(p);
-        }
+        feed_each(&mut monitor, &pkts);
         let run = monitor.into_run();
         assert!(!run.healthy());
         assert_eq!(healthy.get(), 3, "one shard died");
@@ -2103,17 +2079,13 @@ mod tests {
 
         let split = pkts.len() * 2 / 3;
         let mut a = ShardedMonitor::new(cfg);
-        for p in &pkts[..split] {
-            a.feed(p);
-        }
+        feed_each(&mut a, &pkts[..split]);
         let snap = a.checkpoint().expect("checkpoint");
         drop(a); // the crash: this side's results are never collected
 
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&snap).expect("restore");
-        for p in &pkts[split..] {
-            b.feed(p);
-        }
+        feed_each(&mut b, &pkts[split..]);
         let run = b.into_run();
         assert_eq!(run.samples, whole.samples);
         assert_eq!(run.stats, whole.stats);
@@ -2131,9 +2103,7 @@ mod tests {
         let pkts = trace(30, 6);
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(7);
         let mut m = ShardedMonitor::new(cfg);
-        for p in &pkts[..pkts.len() / 2] {
-            m.feed(p);
-        }
+        feed_each(&mut m, &pkts[..pkts.len() / 2]);
         let first = m.checkpoint().expect("checkpoint");
         let bytes = first.as_bytes().to_vec();
         let frame_at = first.as_bytes().as_ptr() as usize;
@@ -2143,9 +2113,7 @@ mod tests {
         assert_eq!(again.as_bytes(), bytes.as_slice());
         assert_eq!(again.as_bytes().as_ptr() as usize, frame_at);
         // A longer state after a shorter one leaves nothing of it behind.
-        for p in &pkts[pkts.len() / 2..] {
-            m.feed(p);
-        }
+        feed_each(&mut m, &pkts[pkts.len() / 2..]);
         m.reclaim(again);
         let later = m.checkpoint().expect("checkpoint");
         let mut b = ShardedMonitor::new(cfg);
@@ -2159,17 +2127,13 @@ mod tests {
         let split = pkts.len() / 2;
         let cfg = sup_cfg(4).with_batch_size(1);
         let mut a = ShardedMonitor::with_packet_hook(cfg, kill_shard(0));
-        for p in &pkts[..split] {
-            a.feed(p);
-        }
+        feed_each(&mut a, &pkts[..split]);
         let snap = a.checkpoint().expect("checkpoint survives a dead shard");
         drop(a);
 
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&snap).expect("restore");
-        for p in &pkts[split..] {
-            b.feed(p);
-        }
+        feed_each(&mut b, &pkts[split..]);
         let run = b.into_run();
         // The dead shard's entire history was written off into the
         // snapshot's monitor_miss (its worker-side books are
@@ -2187,14 +2151,12 @@ mod tests {
         let pkts = trace(10, 3);
         let cfg = ShardedConfig::new(DartConfig::default(), 4);
         let mut a = ShardedMonitor::new(cfg);
-        for p in &pkts {
-            a.feed(p);
-        }
+        feed_each(&mut a, &pkts);
         let snap = a.checkpoint().expect("checkpoint");
 
         // Restoring into a monitor that already saw traffic is refused.
         let mut fed = ShardedMonitor::new(cfg);
-        fed.feed(&pkts[0]);
+        feed_each(&mut fed, &pkts[..1]);
         assert!(matches!(
             fed.restore(&snap),
             Err(SnapshotError::Unsupported(_))

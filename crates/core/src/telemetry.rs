@@ -23,7 +23,7 @@
 //! rendering.
 
 use crate::monitor::{EpochRotation, RttMonitor, Stage};
-use crate::sample::{RttSample, SampleSink};
+use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::stats::EngineStats;
 use dart_switch::RecircStats;
 use dart_telemetry::{Counter, Gauge, Histogram, MetricKind, MetricRegistry};
@@ -311,6 +311,10 @@ impl SampleSink for ObservingSink<'_> {
     fn on_sample(&mut self, sample: RttSample) {
         self.rtt_ns.observe(sample.rtt);
         self.inner.on_sample(sample);
+    }
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        self.inner.on_event(ev);
     }
 }
 

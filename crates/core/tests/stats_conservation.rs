@@ -126,7 +126,7 @@ proptest! {
 
 mod degraded {
     use super::*;
-    use dart_core::{PacketHook, ShardedConfig, ShardedMonitor};
+    use dart_core::{PacketHook, RttMonitor, ShardedConfig, ShardedMonitor};
     use std::sync::Arc;
 
     /// Silence the backtraces of injected panics (payloads starting with
@@ -177,7 +177,7 @@ mod degraded {
             let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(4);
             let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
             for p in &packets {
-                monitor.feed(p);
+                monitor.on_packet(p, &mut Vec::new());
             }
             let run = monitor.into_run();
             prop_assert!(!run.failures.is_empty(), "the injected panic must be recorded");

@@ -23,7 +23,7 @@
 
 use crate::diff::loss_budget;
 use crate::oracle::{run_oracle, OracleConfig, ScoreCard};
-use dart_core::{DartConfig, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun};
+use dart_core::{DartConfig, PacketHook, RttMonitor, ShardedConfig, ShardedMonitor, ShardedRun};
 use dart_packet::PacketMeta;
 use dart_sim::SimRng;
 use std::fmt;
@@ -250,7 +250,7 @@ pub fn run_chaos(cfg: &ChaosConfig, packets: &[PacketMeta]) -> ChaosReport {
     quiet_chaos_panics();
     let mut monitor = ShardedMonitor::with_packet_hook(cfg.sharded(), chaos_hook(cfg.fault));
     for pkt in packets {
-        monitor.feed(pkt);
+        monitor.on_packet(pkt, &mut Vec::new()); // emits only at the flush
     }
     judge(cfg, packets, monitor.into_run())
 }

@@ -293,7 +293,7 @@ pub fn run_oracle(cfg: OracleConfig, packets: &[PacketMeta]) -> OracleReport {
             if let Some(st) = flows.get_mut(&data_flow) {
                 let ack_u = st.unwrap(pkt.ack);
                 let highest_sent = st.tx.keys().next_back().copied().unwrap_or(0);
-                let advances = st.acked.map_or(true, |a| ack_u > a);
+                let advances = st.acked.is_none_or(|a| ack_u > a);
                 if ack_u > highest_sent {
                     // Optimistic ACK: acknowledges bytes never seen leaving
                     // the sender. Ignored, and it does not advance the

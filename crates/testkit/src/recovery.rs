@@ -225,10 +225,10 @@ fn live(
         let pos = span.start + at.packets as usize;
         *max_ts = base_ts.max(at.newest_ts);
         if at.packets > 0 && pos < span.end {
-            if pos % cfg.rotate_every == 0 {
+            if pos.is_multiple_of(cfg.rotate_every) {
                 ShardedMonitor::rotate_epoch(monitor, max_ts.saturating_sub(SECOND));
             }
-            if pos % cfg.checkpoint_every == 0 {
+            if pos.is_multiple_of(cfg.checkpoint_every) {
                 at_checkpoint(monitor, pos);
             }
         }

@@ -3,11 +3,13 @@
 //! sharded variants): whatever an engine does internally, driving it
 //! through the trait must be indistinguishable from its batch path.
 //!
-//! Four contracts from `dart_core::monitor`'s module docs:
+//! Four contracts from `dart_core::monitor`'s module docs, each over the
+//! whole output — samples and engine events, recorded by one sink,
+//! [`Emissions`], in emission order:
 //!
 //! * **Batch/streaming equivalence** — feeding packets one at a time via
-//!   `on_packet` then flushing yields byte-identical samples and stats to
-//!   `run_monitor_slice` on a fresh instance.
+//!   `on_packet` then flushing yields byte-identical output and stats to
+//!   the block driver (`run_monitor`) on a fresh instance.
 //! * **Block-split invariance** — delivering the stream through `on_batch`
 //!   over *any* split into blocks (empty and size-1 included) is
 //!   indistinguishable from the per-packet path. For the baselines that
@@ -16,13 +18,15 @@
 //!   split of it.
 //! * **Flush idempotence** — a second `flush` emits nothing and leaves
 //!   `stats()` unchanged, through the batch path too.
-//! * **Chunked sources** — streaming through a [`PacketSource`] in bounded
-//!   chunks (`run_monitor`) equals the slice path, so traces never need
-//!   full materialization.
+//! * **Chunked sources** — streaming through a [`PacketSource`] that hands
+//!   out bounded, copied chunks equals the zero-copy slice path, so traces
+//!   never need full materialization.
 
 use dart::baselines::EngineRegistry;
-use dart::core::{run_monitor, run_monitor_slice, DartConfig, RttSample};
-use dart::packet::{FlowKey, PacketMeta, SliceSource};
+use dart::core::{
+    run_monitor, DartConfig, EngineEvent, EngineStats, RttMonitor, RttSample, SampleSink,
+};
+use dart::packet::{FlowKey, PacketError, PacketMeta, PacketSource, SliceSource};
 use dart::sim::scenario::{campus, CampusConfig};
 use dart::sim::spin::SpinFlowConfig;
 use dart::sim::spin_flow_meta;
@@ -72,6 +76,49 @@ fn engine_names(registry: &EngineRegistry) -> Vec<String> {
     names
 }
 
+/// One thing a monitor emitted.
+#[derive(Debug, PartialEq)]
+enum Emission {
+    Sample(RttSample),
+    Event(EngineEvent),
+}
+
+/// The one recording sink: everything a monitor emits, in emission order.
+#[derive(Debug, Default, PartialEq)]
+struct Emissions(Vec<Emission>);
+
+impl SampleSink for Emissions {
+    fn on_sample(&mut self, sample: RttSample) {
+        self.0.push(Emission::Sample(sample));
+    }
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        self.0.push(Emission::Event(ev));
+    }
+}
+
+/// Drive `monitor` through the block driver to the end of `source`,
+/// recording everything it emits.
+fn record(monitor: &mut dyn RttMonitor, source: impl PacketSource) -> (Vec<Emission>, EngineStats) {
+    let mut out = Emissions::default();
+    let stats = run_monitor(monitor, source, &mut out).unwrap();
+    (out.0, stats)
+}
+
+/// A source that copies the trace out through `next_chunk`, at most 97
+/// packets a pull, where the slice source lends it in place.
+struct Chunked<'a>(&'a [PacketMeta]);
+
+impl PacketSource for Chunked<'_> {
+    fn next_chunk(&mut self, buf: &mut Vec<PacketMeta>, max: usize) -> Result<usize, PacketError> {
+        let (chunk, rest) = self.0.split_at(max.min(97).min(self.0.len()));
+        buf.clear();
+        buf.extend_from_slice(chunk);
+        self.0 = rest;
+        Ok(buf.len())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -87,22 +134,23 @@ proptest! {
         let cfg = DartConfig::default();
         for name in engine_names(&registry) {
             let mut batch = registry.build(&name, &cfg).unwrap();
-            let (expected, expected_stats) = run_monitor_slice(batch.monitor.as_mut(), &pkts);
+            let (expected, expected_stats) =
+                record(batch.monitor.as_mut(), SliceSource::new(&pkts));
 
             let mut streamed = registry.build(&name, &cfg).unwrap();
-            let mut got: Vec<RttSample> = Vec::new();
+            let mut got = Emissions::default();
             for p in &pkts {
                 streamed.monitor.on_packet(p, &mut got);
             }
             streamed.monitor.flush(&mut got);
-            prop_assert_eq!(&got, &expected, "samples diverge for {}", &name);
+            prop_assert_eq!(&got.0, &expected, "output diverges for {}", &name);
             prop_assert_eq!(streamed.monitor.stats(), expected_stats,
                 "stats diverge for {}", &name);
 
             // Idempotence: flushing again must change nothing.
-            let before = got.len();
+            let before = got.0.len();
             streamed.monitor.flush(&mut got);
-            prop_assert_eq!(got.len(), before, "second flush emitted for {}", &name);
+            prop_assert_eq!(got.0.len(), before, "second flush emitted for {}", &name);
             prop_assert_eq!(streamed.monitor.stats(), expected_stats,
                 "second flush changed stats for {}", &name);
         }
@@ -123,7 +171,7 @@ proptest! {
         let cfg = DartConfig::default();
         for name in engine_names(&registry) {
             let mut per_packet = registry.build(&name, &cfg).unwrap();
-            let mut expected: Vec<RttSample> = Vec::new();
+            let mut expected = Emissions::default();
             for p in &pkts {
                 per_packet.monitor.on_packet(p, &mut expected);
             }
@@ -131,7 +179,7 @@ proptest! {
             let expected_stats = per_packet.monitor.stats();
 
             let mut batched = registry.build(&name, &cfg).unwrap();
-            let mut got: Vec<RttSample> = Vec::new();
+            let mut got = Emissions::default();
             let mut off = 0;
             let mut s = 0;
             while off < pkts.len() {
@@ -147,21 +195,21 @@ proptest! {
                 s += 1;
             }
             batched.monitor.flush(&mut got);
-            prop_assert_eq!(&got, &expected, "batched samples diverge for {}", &name);
+            prop_assert_eq!(&got, &expected, "batched output diverges for {}", &name);
             prop_assert_eq!(batched.monitor.stats(), expected_stats,
                 "batched stats diverge for {}", &name);
 
             // Flush idempotence through the batch path.
-            let before = got.len();
+            let before = got.0.len();
             batched.monitor.flush(&mut got);
-            prop_assert_eq!(got.len(), before, "second flush emitted for {}", &name);
+            prop_assert_eq!(got.0.len(), before, "second flush emitted for {}", &name);
             prop_assert_eq!(batched.monitor.stats(), expected_stats,
                 "second flush changed stats for {}", &name);
         }
     }
 
-    /// Driving a [`PacketSource`] in bounded chunks (`run_monitor`) equals
-    /// the slice path for every registered engine.
+    /// Driving a [`PacketSource`] that copies bounded chunks equals the
+    /// slice path for every registered engine.
     #[test]
     fn chunked_source_equals_slice(
         (seed, conns, loss, reorder) in trace_params()
@@ -171,16 +219,12 @@ proptest! {
         let cfg = DartConfig::default();
         for name in engine_names(&registry) {
             let mut batch = registry.build(&name, &cfg).unwrap();
-            let (expected, expected_stats) = run_monitor_slice(batch.monitor.as_mut(), &pkts);
+            let (expected, expected_stats) =
+                record(batch.monitor.as_mut(), SliceSource::new(&pkts));
 
             let mut sourced = registry.build(&name, &cfg).unwrap();
-            let mut got: Vec<RttSample> = Vec::new();
-            let stats = run_monitor(
-                sourced.monitor.as_mut(),
-                SliceSource::new(&pkts),
-                &mut got,
-            ).unwrap();
-            prop_assert_eq!(&got, &expected, "samples diverge for {}", &name);
+            let (got, stats) = record(sourced.monitor.as_mut(), Chunked(&pkts));
+            prop_assert_eq!(&got, &expected, "output diverges for {}", &name);
             prop_assert_eq!(stats, expected_stats, "stats diverge for {}", &name);
         }
     }

@@ -5,10 +5,12 @@ use dart::analytics::{CongestionConfig, CongestionMonitor};
 use dart::baselines::{
     Dapper, DapperConfig, LeanRtt, Pping, PpingConfig, Strawman, StrawmanConfig,
 };
-use dart::core::{run_monitor_slice, run_trace, DartConfig, DartEngine, EngineEvent, Leg};
+use dart::core::{
+    run_monitor, run_monitor_slice, run_trace, DartConfig, DartEngine, EngineEvent, Leg, RttSample,
+    SampleSink,
+};
+use dart::packet::SliceSource;
 use dart::sim::scenario::{campus, CampusConfig};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn trace() -> dart::sim::scenario::GeneratedTrace {
     campus(CampusConfig {
@@ -125,36 +127,46 @@ fn strawman_emits_samples_dart_refuses() {
     assert!(sm.stats().inserted as usize > dart_stats.seq_tracked as usize);
 }
 
+/// The analytics end of the engine's sink: every event goes straight to
+/// the congestion monitor.
+struct Alerting {
+    monitor: CongestionMonitor,
+    collapses: u64,
+    alerts: u64,
+}
+
+impl SampleSink for Alerting {
+    fn on_sample(&mut self, _: RttSample) {}
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        if matches!(ev, EngineEvent::RangeCollapse { .. }) {
+            self.collapses += 1;
+        }
+        if self.monitor.offer(&ev).is_some() {
+            self.alerts += 1;
+        }
+    }
+}
+
 #[test]
 fn engine_events_drive_the_congestion_monitor() {
     let t = trace();
-    let events: Rc<RefCell<Vec<EngineEvent>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = events.clone();
     let mut engine = DartEngine::new(DartConfig::unlimited());
-    engine.set_event_sink(Box::new(move |ev| sink.borrow_mut().push(ev)));
-    let _ = run_monitor_slice(&mut engine, &t.packets);
-
-    let events = events.borrow();
+    let mut sink = Alerting {
+        monitor: CongestionMonitor::new(CongestionConfig {
+            window: dart::packet::SECOND,
+            collapse_threshold: 3,
+        }),
+        collapses: 0,
+        alerts: 0,
+    };
+    run_monitor(&mut engine, SliceSource::new(&t.packets), &mut sink).unwrap();
+    let collapses = engine.stats().range_collapses;
     assert_eq!(
-        events
-            .iter()
-            .filter(|e| matches!(e, EngineEvent::RangeCollapse { .. }))
-            .count() as u64,
-        engine.stats().range_collapses,
+        sink.collapses, collapses,
         "every collapse surfaced as an event"
     );
-
-    let mut monitor = CongestionMonitor::new(CongestionConfig {
-        window: dart::packet::SECOND,
-        collapse_threshold: 3,
-    });
-    let mut alerts = 0;
-    for ev in events.iter() {
-        if monitor.offer(ev).is_some() {
-            alerts += 1;
-        }
-    }
     // The lossy campus trace has at least one flow collapsing repeatedly.
-    assert!(alerts > 0, "no congestion alerts on a lossy trace");
-    assert_eq!(monitor.total_collapses(), engine.stats().range_collapses);
+    assert!(sink.alerts > 0, "no congestion alerts on a lossy trace");
+    assert_eq!(sink.monitor.total_collapses(), collapses);
 }
