@@ -48,14 +48,6 @@ impl PrefixClassifier {
     }
 }
 
-/// A borrowed classifier classifies: a source can hold `&dyn
-/// DirectionClassifier` as its `C`.
-impl<C: DirectionClassifier + ?Sized> DirectionClassifier for &C {
-    fn classify(&self, flow: &FlowKey) -> Direction {
-        (**self).classify(flow)
-    }
-}
-
 impl DirectionClassifier for PrefixClassifier {
     fn classify(&self, flow: &FlowKey) -> Direction {
         if self.is_internal(flow.src_ip) {

@@ -8,6 +8,8 @@
 
 use crate::buffer::{ReadBuf, WINDOW_BYTES};
 use crate::error::PacketError;
+use crate::meta::PacketMeta;
+use crate::parse::synthesize_frame;
 use std::io::{Read, Write};
 
 /// Link types we emit/understand.
@@ -21,21 +23,9 @@ pub mod linktype {
 const MAGIC_US: u32 = 0xa1b2_c3d4;
 const MAGIC_NS: u32 = 0xa1b2_3c4d;
 
-/// A captured record: timestamp in nanoseconds plus the captured bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Capture timestamp, nanoseconds since the epoch of the trace.
-    pub ts: u64,
-    /// Captured frame bytes (possibly truncated to the snap length).
-    pub data: Vec<u8>,
-    /// Original (untruncated) length on the wire.
-    pub orig_len: u32,
-}
-
 /// Writes a pcap file with nanosecond timestamps.
 pub struct PcapWriter<W: Write> {
     out: W,
-    records: u64,
 }
 
 impl<W: Write> PcapWriter<W> {
@@ -48,7 +38,7 @@ impl<W: Write> PcapWriter<W> {
         out.write_all(&0u32.to_le_bytes())?; // sigfigs
         out.write_all(&65535u32.to_le_bytes())?; // snaplen
         out.write_all(&link.to_le_bytes())?;
-        Ok(PcapWriter { out, records: 0 })
+        Ok(PcapWriter { out })
     }
 
     /// Append one record.
@@ -60,13 +50,7 @@ impl<W: Write> PcapWriter<W> {
         self.out.write_all(&(data.len() as u32).to_le_bytes())?;
         self.out.write_all(&(data.len() as u32).to_le_bytes())?;
         self.out.write_all(data)?;
-        self.records += 1;
         Ok(())
-    }
-
-    /// Number of records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     /// Flush and return the underlying writer.
@@ -76,8 +60,8 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// A record borrowed from the reader's buffer: what [`PcapRecord`] holds,
-/// without the per-record allocation.
+/// A captured record, borrowed from the reader's buffer: timestamp in
+/// nanoseconds plus the captured bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PcapFrame<'a> {
     /// Capture timestamp, nanoseconds since the epoch of the trace.
@@ -259,33 +243,20 @@ impl<R: Read> PcapReader<R> {
             .record_in(self.window.take(len))?
             .map(|(frame, _)| frame))
     }
-
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PacketError> {
-        Ok(self.next_frame()?.map(|f| PcapRecord {
-            ts: f.ts,
-            data: f.data.to_vec(),
-            orig_len: f.orig_len,
-        }))
-    }
-
-    /// Iterate over all remaining records.
-    pub fn records(self) -> PcapRecords<R> {
-        PcapRecords { reader: self }
-    }
 }
 
-/// Iterator adapter over a [`PcapReader`].
-pub struct PcapRecords<R: Read> {
-    reader: PcapReader<R>,
-}
-
-impl<R: Read> Iterator for PcapRecords<R> {
-    type Item = Result<PcapRecord, PacketError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_record().transpose()
+/// Serialize a whole trace to a pcap byte vector: one synthesized Ethernet
+/// frame per packet.
+#[allow(clippy::expect_used)] // Vec<u8> writes are infallible
+pub fn to_bytes(packets: &[PacketMeta]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = PcapWriter::new(&mut buf, linktype::ETHERNET).expect("vec write cannot fail");
+    for p in packets {
+        w.write_record(p.ts, &synthesize_frame(p))
+            .expect("vec write cannot fail");
     }
+    w.finish().expect("vec write cannot fail");
+    buf
 }
 
 #[cfg(test)]
@@ -300,17 +271,15 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, linktype::ETHERNET).unwrap();
             w.write_record(1_500_000_123, &[1, 2, 3, 4]).unwrap();
             w.write_record(2_000_000_456, &[5, 6]).unwrap();
-            assert_eq!(w.records_written(), 2);
             w.finish().unwrap();
         }
-        let r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
         assert_eq!(r.link, linktype::ETHERNET);
-        let recs: Vec<_> = r.records().collect::<Result<_, _>>().unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].ts, 1_500_000_123);
-        assert_eq!(recs[0].data, vec![1, 2, 3, 4]);
-        assert_eq!(recs[1].ts, 2_000_000_456);
-        assert_eq!(recs[1].orig_len, 2);
+        let first = r.next_frame().unwrap().unwrap();
+        assert_eq!((first.ts, first.data), (1_500_000_123, &[1, 2, 3, 4][..]));
+        let second = r.next_frame().unwrap().unwrap();
+        assert_eq!((second.ts, second.orig_len), (2_000_000_456, 2));
+        assert_eq!(r.next_frame().unwrap(), None, "two frames walked");
     }
 
     #[test]
@@ -329,9 +298,8 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(0xAB);
-        let r = PcapReader::new(Cursor::new(&buf)).unwrap();
-        let recs: Vec<_> = r.records().collect::<Result<_, _>>().unwrap();
-        assert_eq!(recs[0].ts, 3_000_500_000);
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        assert_eq!(r.next_frame().unwrap().unwrap().ts, 3_000_500_000);
     }
 
     #[test]
@@ -349,11 +317,10 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes());
         buf.extend_from_slice(&2u32.to_be_bytes());
         buf.extend_from_slice(&[9, 9]);
-        let r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
         assert_eq!(r.link, linktype::ETHERNET);
-        let recs: Vec<_> = r.records().collect::<Result<_, _>>().unwrap();
-        assert_eq!(recs[0].ts, 1_000_000_007);
-        assert_eq!(recs[0].data, vec![9, 9]);
+        let frame = r.next_frame().unwrap().unwrap();
+        assert_eq!((frame.ts, frame.data), (1_000_000_007, &[9, 9][..]));
     }
 
     #[test]
@@ -374,8 +341,7 @@ mod tests {
             w.finish().unwrap();
         }
         buf.truncate(buf.len() - 2); // chop the record body
-        let r = PcapReader::new(Cursor::new(&buf)).unwrap();
-        let results: Vec<_> = r.records().collect();
-        assert!(results[0].is_err());
+        let mut r = PcapReader::new(Cursor::new(&buf)).unwrap();
+        assert!(r.next_frame().is_err());
     }
 }

@@ -20,9 +20,11 @@
 //!
 //! Every source writes one pull, [`PacketSource::next_chunk`]: fill a
 //! reusable buffer with the next block. [`PacketSource::next_block`] lends
-//! that block out as a slice — the driver loop's pull, which the zero-copy
-//! sources override to skip the buffer — and [`PacketSource::next_packet`]
-//! is the one-packet block, for tests and small tools.
+//! that block out as a slice (the driver loop's pull, which the zero-copy
+//! sources override to skip the buffer); [`PacketSource::next_packet`] is
+//! the one-packet block, for tests and small tools; and
+//! [`PacketSource::read_to_end`] drains the rest into memory, for the
+//! commands that need the whole trace.
 
 use crate::error::PacketError;
 use crate::meta::{Nanos, PacketMeta};
@@ -67,6 +69,22 @@ pub trait PacketSource {
     /// one-packet block, so it mixes freely with the block pulls.
     fn next_packet(&mut self) -> Result<Option<PacketMeta>, PacketError> {
         Ok(self.next_block(&mut Vec::new(), 1)?.first().copied())
+    }
+
+    /// Append every remaining packet to `out` and return how many, as
+    /// [`std::io::Read::read_to_end`] does for bytes: the whole-trace read,
+    /// in blocks of 1024 through [`PacketSource::next_block`].
+    /// An error ends it, with the packets decoded before it appended.
+    fn read_to_end(&mut self, out: &mut Vec<PacketMeta>) -> Result<usize, PacketError> {
+        let start = out.len();
+        let mut buf = Vec::new();
+        loop {
+            let block = self.next_block(&mut buf, 1024)?;
+            if block.is_empty() {
+                return Ok(out.len() - start);
+            }
+            out.extend_from_slice(block);
+        }
     }
 }
 
@@ -149,8 +167,8 @@ impl<'a> From<&'a Vec<PacketMeta>> for SliceSource<'a> {
 /// type selects. Frames the monitor would not see (non-TCP, fragments,
 /// truncated, malformed) are skipped and counted, as the hardware parser
 /// would pass them through; only a damaged *record* or the input itself is
-/// an error. This is the one pcap decode loop: `dart_sim`'s `load_pcap` is
-/// this source collected.
+/// an error. This is the one pcap decode loop: a whole capture is this
+/// source's [`PacketSource::read_to_end`].
 pub struct PcapSource<R: Read, C: DirectionClassifier> {
     reader: PcapReader<R>,
     link: LinkLayer,

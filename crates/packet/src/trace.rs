@@ -26,7 +26,6 @@ pub const RECORD_LEN: usize = 43;
 /// Writes a native trace stream.
 pub struct TraceWriter<W: Write> {
     out: W,
-    count: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -37,7 +36,7 @@ impl<W: Write> TraceWriter<W> {
         out.write_all(&MAGIC)?;
         out.write_all(&VERSION.to_le_bytes())?;
         out.write_all(&u64::MAX.to_le_bytes())?;
-        Ok(TraceWriter { out, count: 0 })
+        Ok(TraceWriter { out })
     }
 
     /// Append one record.
@@ -62,13 +61,7 @@ impl<W: Write> TraceWriter<W> {
             rec[39..43].copy_from_slice(&tsecr.to_le_bytes());
         }
         self.out.write_all(&rec)?;
-        self.count += 1;
         Ok(())
-    }
-
-    /// Records written so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Flush and return the underlying writer.
@@ -174,11 +167,6 @@ impl<R: Read> TraceReader<R> {
         }
         Ok(true)
     }
-
-    /// Iterate over remaining records.
-    pub fn packets(self) -> TracePackets<R> {
-        TracePackets { reader: self }
-    }
 }
 
 /// Decodes every complete buffered record, up to `max`, in one pass. The
@@ -209,19 +197,6 @@ impl<R: Read> PacketSource for TraceReader<R> {
             }
             _ => Ok(out.len()),
         }
-    }
-}
-
-/// Iterator adapter over a [`TraceReader`].
-pub struct TracePackets<R: Read> {
-    reader: TraceReader<R>,
-}
-
-impl<R: Read> Iterator for TracePackets<R> {
-    type Item = Result<PacketMeta, PacketError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.next_packet().transpose()
     }
 }
 

@@ -10,8 +10,10 @@
 //! * [`scenario::campus`] — the synthetic campus trace (the anonymized
 //!   Princeton trace substitute; see DESIGN.md §1);
 //! * [`scenario::interception`] — the §5.2 BGP interception attack;
-//! * [`scenario::syn_flood`] — the §3.1 robustness stressor;
-//! * [`replay`] — native-trace and pcap load/dump.
+//! * [`scenario::syn_flood`] — the §3.1 robustness stressor.
+//!
+//! It only generates traces: reading and writing them, native or pcap, is
+//! `dart-packet`'s.
 //!
 //! ```
 //! use dart_sim::scenario::{campus, CampusConfig};
@@ -32,7 +34,6 @@ pub mod endpoint;
 pub mod event;
 pub mod flowgen;
 pub mod netsim;
-pub mod replay;
 pub mod rng;
 pub mod scenario;
 pub mod spin;
@@ -45,7 +46,6 @@ pub use endpoint::{Action, AppSend, ConnState, Endpoint, EndpointCfg, SimPacket}
 pub use event::EventQueue;
 pub use flowgen::{Access, AddressPlan, ExternalRttModel, InternalRttModel, SizeModel};
 pub use netsim::{simulate, ConnReport, ConnSpec, Exchange, NetSim, PathParams, SimOutput};
-pub use replay::{load_native, load_native_with, load_pcap, TraceTransform};
 pub use rng::SimRng;
 pub use scenario::{
     campus, interception, syn_flood, AttackConfig, CampusConfig, ConnInfo, GeneratedTrace,

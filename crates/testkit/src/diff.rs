@@ -31,7 +31,6 @@ use crate::spin_oracle::{run_spin_oracle, SpinReport};
 use dart_baselines::{EngineRegistry, Judgement};
 use dart_core::{run_monitor_slice, DartConfig, EngineStats, RttSample};
 use dart_packet::PacketMeta;
-use dart_sim::TraceTransform;
 use dart_telemetry::histogram::{Histogram, HistogramSnapshot, BUCKETS};
 use dart_telemetry::{EventLog, MetricRegistry};
 use std::fmt;

@@ -3,8 +3,8 @@
 //!
 //! Two orthogonal fault families:
 //!
-//! * **Trace faults** ([`FaultInjector`], a [`TraceTransform`]): seeded
-//!   drop / duplicate / reorder / truncate applied to the captured packet
+//! * **Trace faults** ([`FaultInjector::apply`]): seeded drop /
+//!   duplicate / reorder / truncate applied to the captured packet
 //!   sequence *before* any consumer sees it. Because the differential
 //!   runner feeds the same faulted capture to the oracle and to every
 //!   engine, trace faults stress matching logic without breaking the
@@ -16,7 +16,7 @@
 
 use dart_core::{Backend, DartConfig};
 use dart_packet::{Nanos, PacketMeta, SignatureWidth};
-use dart_sim::{SimRng, TraceTransform};
+use dart_sim::SimRng;
 use dart_switch::TargetProfile;
 
 /// Probabilities and magnitudes for seeded trace faults.
@@ -84,9 +84,8 @@ pub struct FaultLog {
     pub truncated_to: Option<usize>,
 }
 
-/// Seeded fault injector; implements [`TraceTransform`] so it plugs into
-/// `dart_sim::load_native_with` as well as the in-memory differential
-/// runner.
+/// Seeded fault injector: rewrites a captured packet sequence before the
+/// differential runner, or any other consumer, sees it.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     cfg: FaultConfig,
@@ -102,14 +101,15 @@ impl FaultInjector {
         }
     }
 
-    /// What the most recent [`TraceTransform::apply`] call did.
+    /// What the most recent [`FaultInjector::apply`] call did.
     pub fn log(&self) -> FaultLog {
         self.log
     }
-}
 
-impl TraceTransform for FaultInjector {
-    fn apply(&mut self, mut packets: Vec<PacketMeta>) -> Vec<PacketMeta> {
+    /// Consume the captured packets and return the faulted sequence: a
+    /// pure function of the packets and the configuration (seed
+    /// included), so the same capture faults the same way every time.
+    pub fn apply(&mut self, mut packets: Vec<PacketMeta>) -> Vec<PacketMeta> {
         let cfg = self.cfg;
         let mut rng = SimRng::new(cfg.seed);
         let mut log = FaultLog::default();

@@ -11,8 +11,9 @@
 //!   set for a capture, and per-sample classification of engine output as
 //!   exact / ambiguous / impossible;
 //! * [`faults`] — seeded, deterministic trace faults (drop, duplicate,
-//!   reorder, truncate) via the `dart_sim::TraceTransform` seam, plus
-//!   doctored engine configs and `dart-switch`-derived register sweeps;
+//!   reorder, truncate) applied to a capture before any consumer sees
+//!   it, plus doctored engine configs and `dart-switch`-derived register
+//!   sweeps;
 //! * [`diff`] — the differential runner checking **soundness** (no
 //!   fabricated samples) and **bounded loss** (missed samples accounted
 //!   for by `EngineStats` counters) across serial, sharded, and baseline

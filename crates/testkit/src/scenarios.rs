@@ -24,7 +24,6 @@ use crate::faults::FaultConfig;
 use crate::spin_oracle::run_spin_oracle;
 use dart_core::Backend;
 use dart_sim::adversarial::ScenarioKind;
-use dart_sim::TraceTransform;
 use std::fmt;
 use std::path::{Path, PathBuf};
 

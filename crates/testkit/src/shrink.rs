@@ -10,8 +10,8 @@
 //! built around; a flaky predicate would shrink toward noise.
 //!
 //! Artifacts land under `tests/shrunk/` at the repository root in the
-//! native trace format, replayable with `dart_sim::load_native` or
-//! `dartmon diff --trace`.
+//! native trace format, replayable with `dartmon diff --trace` and read
+//! back whole by a `TraceReader`'s `read_to_end`.
 
 use dart_packet::{trace, PacketMeta};
 use std::path::{Path, PathBuf};
@@ -94,7 +94,7 @@ pub fn shrink_and_save(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dart_packet::{Direction, FlowKey, PacketBuilder};
+    use dart_packet::{Direction, FlowKey, PacketBuilder, PacketSource};
 
     fn pkt(i: u32) -> PacketMeta {
         PacketBuilder::new(
@@ -142,7 +142,11 @@ mod tests {
         let minimal: Vec<PacketMeta> = (0..3).map(pkt).collect();
         let path = write_artifact("testkit-selftest", &minimal).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let back = dart_sim::load_native(&bytes[..]).unwrap();
+        let mut back = Vec::new();
+        trace::TraceReader::new(&bytes[..])
+            .unwrap()
+            .read_to_end(&mut back)
+            .unwrap();
         assert_eq!(back, minimal);
         // Self-test artifacts are disposable; leave the directory clean.
         let _ = std::fs::remove_file(&path);

@@ -4,7 +4,8 @@
 //! `tests/shrunk/` when it fails.
 
 use dart_core::{DartConfig, ShardedConfig, ShardedMonitor};
-use dart_packet::PacketMeta;
+use dart_packet::trace::TraceReader;
+use dart_packet::{PacketMeta, PacketSource};
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_testkit::oracle::{run_oracle, OracleConfig, SampleClass};
 use dart_testkit::{
@@ -173,7 +174,11 @@ fn broken_engine_is_caught_and_shrunk_small() {
     // The artifact replays byte-identically through the native format.
     let path = dart_testkit::write_artifact("broken-engine-canary", &minimal).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    let back = dart_sim::load_native(&bytes[..]).unwrap();
+    let mut back = Vec::new();
+    TraceReader::new(&bytes[..])
+        .unwrap()
+        .read_to_end(&mut back)
+        .unwrap();
     assert_eq!(back, minimal);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(path.with_extension("txt"));
@@ -186,7 +191,6 @@ fn sharded_and_serial_agree_on_faulted_traces() {
     use std::collections::HashMap;
     for seed in FAULT_SEEDS {
         let mut injector = dart_testkit::FaultInjector::new(FaultConfig::stress(seed));
-        use dart_sim::TraceTransform;
         let faulted = injector.apply(trace(TRACE_SEEDS[0]));
         let (serial, _) = dart_core::run_trace(DartConfig::default(), &faulted);
         let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 4));

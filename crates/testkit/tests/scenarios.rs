@@ -7,7 +7,6 @@
 use dart_core::Backend;
 use dart_packet::PacketMeta;
 use dart_sim::adversarial::ScenarioKind;
-use dart_sim::TraceTransform;
 use dart_testkit::{
     run_diff, run_scenario, run_scenario_matrix, scenario_artifact_dir, scenario_diff_config,
     shrink_and_save, write_scorecards, FaultConfig, FaultInjector, ScenarioConfig,

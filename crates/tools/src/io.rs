@@ -1,10 +1,9 @@
 //! Trace file opening/loading/saving with format auto-detection.
 
-use dart_core::monitor::{ReadAhead, DEFAULT_BLOCK_PKTS};
+use dart_core::monitor::ReadAhead;
 use dart_packet::parse::PrefixClassifier;
 use dart_packet::trace::{TraceReader, RECORD_LEN};
 use dart_packet::{PacketError, PacketMeta, PacketSource, PcapSource};
-use dart_sim::replay::dump_pcap;
 use std::fs::File;
 use std::io::{Chain, Cursor, ErrorKind, Read};
 use std::net::Ipv4Addr;
@@ -75,14 +74,7 @@ impl<R: Read> TraceSource<R> {
             TraceSource::Pcap(_) => 0,
         };
         let mut packets = Vec::with_capacity(hint);
-        let mut block = Vec::new();
-        while self
-            .next_chunk(&mut block, DEFAULT_BLOCK_PKTS)
-            .map_err(err)?
-            > 0
-        {
-            packets.extend_from_slice(&block);
-        }
+        self.read_to_end(&mut packets).map_err(err)?;
         Ok((packets, self.skipped()))
     }
 }
@@ -137,9 +129,7 @@ pub fn load_file(path: &str, internal: (Ipv4Addr, u8)) -> Result<(Vec<PacketMeta
 /// synthesized frames, anything else the native format).
 pub fn save_file(path: &str, packets: &[PacketMeta]) -> Result<(), String> {
     let bytes = if path.ends_with(".pcap") {
-        let mut buf = Vec::new();
-        dump_pcap(packets, &mut buf).map_err(err)?;
-        buf
+        dart_packet::pcap::to_bytes(packets)
     } else {
         dart_packet::trace::to_bytes(packets)
     };
@@ -190,8 +180,7 @@ mod tests {
         assert_eq!(skipped, 0);
         assert_eq!(a, pkts);
         // Pcap bytes.
-        let mut pcap = Vec::new();
-        dart_sim::replay::dump_pcap(&pkts, &mut pcap).unwrap();
+        let pcap = dart_packet::pcap::to_bytes(&pkts);
         let (b, _) = load_slice(&pcap).unwrap();
         assert_eq!(b, pkts);
     }

@@ -153,7 +153,7 @@ mod equivalence {
     use dart_core::{drive, tick_every, DartConfig, RttSample};
     use dart_packet::parse::{synthesize_frame, PrefixClassifier};
     use dart_packet::pcap::{linktype, PcapWriter};
-    use dart_packet::{PacketMeta, SliceSource};
+    use dart_packet::{PacketMeta, PacketSource, PcapSource, SliceSource};
     use dart_telemetry::MetricRegistry;
     use dart_tools::io::{load_file, save_file};
     use std::fmt::Write as _;
@@ -408,9 +408,10 @@ mod equivalence {
         std::fs::write(&input, &bytes).expect("write");
 
         let classifier = PrefixClassifier::new([INTERNAL]);
-        let (whole, whole_skipped) =
-            dart_sim::replay::load_pcap(&bytes[..], &classifier).expect("load_pcap");
-        assert_eq!((whole.as_slice(), whole_skipped), (packets, injected));
+        let mut source = PcapSource::new(&bytes[..], classifier).expect("pcap header");
+        let mut whole = Vec::new();
+        source.read_to_end(&mut whole).expect("read_to_end");
+        assert_eq!((whole.as_slice(), source.skipped()), (packets, injected));
         let (loaded, skipped) = load_file(&input, INTERNAL).expect("load_file");
         assert_eq!((loaded.as_slice(), skipped), (packets, injected));
         let report = run_line(&["analyze", &input]).expect("analyze");

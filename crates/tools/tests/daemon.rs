@@ -183,8 +183,7 @@ fn follow_mode_tells_pcap_by_its_magic_not_by_the_file_name() {
     // fifo called `feed`) must measure alike. This is the only test in
     // this binary whose daemon polls the process-wide shutdown flag.
     let pkts = exchanges(6, 20);
-    let mut pcap = Vec::new();
-    dart_sim::replay::dump_pcap(&pkts, &mut pcap).expect("pcap bytes");
+    let pcap = dart_packet::pcap::to_bytes(&pkts);
     let serve = |name: &str| {
         let path = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
         std::fs::write(&path, &pcap).expect("write capture");

@@ -14,7 +14,7 @@
 use dart::analytics::RttDistribution;
 use dart::core::{DartConfig, DartEngine, RttSample};
 use dart::packet::parse::PrefixClassifier;
-use dart::sim::replay::{dump_pcap, load_pcap};
+use dart::packet::{pcap, PacketSource, PcapSource};
 use dart::sim::scenario::{campus, CampusConfig};
 use std::net::Ipv4Addr;
 
@@ -45,8 +45,7 @@ fn main() {
                 duration: 3 * dart::packet::SECOND,
                 ..CampusConfig::default()
             });
-            let mut buf = Vec::new();
-            dump_pcap(&trace.packets, &mut buf).expect("encode pcap");
+            let buf = pcap::to_bytes(&trace.packets);
             println!(
                 "synthesized {} packets ({} bytes of pcap)",
                 trace.len(),
@@ -56,10 +55,13 @@ fn main() {
         }
     };
 
-    let (packets, skipped) = load_pcap(&bytes[..], &classifier).expect("parse pcap");
+    let mut source = PcapSource::new(&bytes[..], classifier).expect("pcap header");
+    let mut packets = Vec::new();
+    source.read_to_end(&mut packets).expect("parse pcap");
     println!(
-        "parsed {} TCP packets ({skipped} non-TCP/unsupported skipped)\n",
-        packets.len()
+        "parsed {} TCP packets ({} non-TCP/unsupported skipped)\n",
+        packets.len(),
+        source.skipped()
     );
 
     let mut dart = DartEngine::new(DartConfig::default().with_rt(1 << 14).with_pt(1 << 13, 1));

@@ -12,7 +12,8 @@
 //!   Tracker, lazy eviction with second-chance recirculation, and the
 //!   flow-sharded parallel replay engine (`core::sharded`);
 //! * [`packet`] (`dart-packet`) — headers, flow keys, sequence arithmetic,
-//!   pcap/native trace I/O;
+//!   pcap/native trace I/O (a capture streams through a `PacketSource`, or
+//!   is read whole by its `read_to_end`);
 //! * [`switch`] (`dart-switch`) — the programmable-switch model: register
 //!   arrays, hash units, recirculation port, resource estimation;
 //! * [`analytics`] (`dart-analytics`) — min-filtering, change detection,
@@ -20,7 +21,8 @@
 //! * [`baselines`] (`dart-baselines`) — tcptrace-style ground truth,
 //!   the strawman tracker, the fridge sampler;
 //! * [`sim`] (`dart-sim`) — the deterministic TCP network simulator and
-//!   the campus / interception-attack / SYN-flood scenarios.
+//!   the campus / interception-attack / SYN-flood scenarios: it generates
+//!   traces, and [`packet`] reads and writes them.
 //!
 //! ## Quickstart
 //!

@@ -7,11 +7,14 @@
 //! exactly once, and no byte sequence makes the pcap reader allocate past
 //! its fixed window. The sources that write their own
 //! `next_chunk` over other inputs — `SliceSource`, `CycleSource` and
-//! `Reconnecting` — are held to the same pull-mix invariance.
+//! `Reconnecting` — and those that lend blocks on — `ReadAhead` and a
+//! boxed source — are held to the same pull-mix invariance, `read_to_end`
+//! among the pulls.
 
 mod common;
 
 use common::{allocations, largest_allocation};
+use dart::core::ReadAhead;
 use dart::packet::parse::{synthesize_frame, DirectionClassifier, PrefixClassifier};
 use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
 use dart::packet::trace::{self, TraceReader};
@@ -19,7 +22,6 @@ use dart::packet::{
     CycleSource, Direction, FlowKey, Follow, PacketMeta, PacketSource, PcapSource, Reconnecting,
     SeqNum, SliceSource, TcpFlags,
 };
-use dart::sim::replay::load_pcap;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::io::Read;
@@ -72,29 +74,39 @@ fn tail(bytes: &[u8], lens: &[usize]) -> Follow<Scripted> {
     Follow::new(scripted, stop).with_sleeper(Box::new(|_| {}))
 }
 
+/// The pull that is `read_to_end` rather than a block cap.
+const TO_END: usize = usize::MAX;
+
 /// Pull `source` dry the way `pulls` says (cycled): zero is `next_packet`,
-/// anything else `next_chunk` with that `max`. Returns the packets in the
-/// order yielded and every error met on the way.
+/// [`TO_END`] is `read_to_end`, anything else `next_chunk` with that
+/// `max`. Returns the packets in the order yielded and every error met on
+/// the way.
 fn drain_mixed(source: &mut dyn PacketSource, pulls: &[usize]) -> (Vec<PacketMeta>, Vec<String>) {
     let mut packets = Vec::new();
     let mut errors = Vec::new();
     let mut block = Vec::new();
     for &max in pulls.iter().cycle() {
-        let pulled = if max == 0 {
-            source.next_packet().map(|p| {
-                block.clear();
-                block.extend(p);
-                block.len()
-            })
-        } else {
-            source.next_chunk(&mut block, max)
-        };
-        match pulled {
-            Ok(0) => break,
-            Ok(n) => {
-                assert!(n <= max.max(1), "block of {n} for max {max}");
+        let before = packets.len();
+        let pulled = match max {
+            0 => source.next_packet().map(|p| {
+                packets.extend(p);
+                usize::from(p.is_some())
+            }),
+            // Appends to the stream so far, and keeps what it read before
+            // an error.
+            TO_END => source.read_to_end(&mut packets),
+            _ => source.next_chunk(&mut block, max).inspect(|&n| {
                 assert_eq!(n, block.len());
                 packets.extend_from_slice(&block);
+            }),
+        };
+        match pulled {
+            Ok(n) => {
+                assert!(n <= max.max(1), "block of {n} for max {max}");
+                assert_eq!(n, packets.len() - before, "count for max {max}");
+                if n == 0 {
+                    break;
+                }
             }
             Err(e) => {
                 errors.push(e.to_string());
@@ -154,10 +166,15 @@ fn read_lens() -> impl Strategy<Value = Vec<usize>> {
     })
 }
 
-/// Pull sizes: `next_packet` (0), small blocks, and the daemon's 1024.
+/// Pull sizes: `next_packet` (0), small blocks, the daemon's 1024, and
+/// now and then `read_to_end`.
 fn pulls() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(
-        (0usize..40).prop_map(|m| if m > 32 { 1024 } else { m }),
+        (0usize..42).prop_map(|m| match m {
+            0..=32 => m,
+            33..=39 => 1024,
+            _ => TO_END,
+        }),
         1..12,
     )
 }
@@ -245,6 +262,8 @@ proptest! {
         prop_assert_eq!(errors.len(), 1, "{:?}", errors);
         prop_assert!(errors[0].contains("truncated record"), "{}", errors[0]);
         prop_assert!(trace::from_bytes(&bytes[..cut]).is_err());
+        let mut whole = TraceReader::new(&bytes[..cut]).unwrap();
+        prop_assert!(whole.read_to_end(&mut Vec::new()).is_err());
     }
 
     #[test]
@@ -281,15 +300,18 @@ proptest! {
         prop_assert_eq!(streamed, reference);
         prop_assert_eq!(errors.len(), 1, "{:?}", errors);
         prop_assert!(errors[0].contains("truncated record"), "{}", errors[0]);
-        prop_assert!(load_pcap(&bytes[..cut], &classifier()).is_err());
+        let mut whole = PcapSource::new(&bytes[..cut], classifier()).unwrap();
+        prop_assert!(whole.read_to_end(&mut Vec::new()).is_err());
     }
 
     /// However it is pulled — packet by packet, in blocks of 1, 2, 7 or
-    /// 1024, or mixed — a source yields one stream: a slice its packets; a
-    /// cycle each pass rebased by the period, including inside a block that
-    /// straddles a pass boundary (the trace is shorter than the largest
-    /// cap), with every pass counted; a recovering trace reader everything
-    /// but the records it skips.
+    /// 1024, whole by `read_to_end`, or mixed — a source yields one stream:
+    /// a slice its packets, boxed or not; a cycle each pass rebased by the
+    /// period, including inside a block that straddles a pass boundary (the
+    /// trace is shorter than the largest cap), with every pass counted; a
+    /// recovering trace reader everything but the records it skips; a trace
+    /// reader decoded ahead on a helper thread, whose blocks are lent out
+    /// split to the cap, its trace.
     #[test]
     fn every_source_yields_one_stream_however_pulled(
         packets in packets(40),
@@ -298,11 +320,24 @@ proptest! {
         lens in read_lens(),
         pulls in pulls(),
     ) {
-        let patterns = [vec![0], vec![1], vec![2], vec![7], vec![1024], pulls];
+        let mixed_to_end = [&pulls[..], &[TO_END]].concat();
+        let patterns = [vec![0], vec![1], vec![2], vec![7], vec![1024], vec![TO_END], mixed_to_end, pulls];
+        let bytes = trace::to_bytes(&packets);
         for pattern in &patterns {
             let (streamed, errors) = drain_mixed(&mut SliceSource::new(&packets), pattern);
             prop_assert_eq!(errors, Vec::<String>::new());
             prop_assert_eq!(&streamed, &packets, "slice, pulls {:?}", pattern);
+
+            let mut boxed: Box<dyn PacketSource> = Box::new(SliceSource::new(&packets));
+            let (streamed, errors) = drain_mixed(&mut boxed, pattern);
+            prop_assert_eq!(errors, Vec::<String>::new());
+            prop_assert_eq!(&streamed, &packets, "boxed, pulls {:?}", pattern);
+
+            // No monitor threads are busy, so the helper always runs.
+            let mut ahead = ReadAhead::new(TraceReader::new(tail(&bytes, &lens)).unwrap(), 0);
+            let (streamed, errors) = drain_mixed(&mut ahead, pattern);
+            prop_assert_eq!(errors, Vec::<String>::new());
+            prop_assert_eq!(&streamed, &packets, "read-ahead, pulls {:?}", pattern);
 
             let mut cycle = CycleSource::with_gap(packets.clone(), 5).with_passes(passes);
             let period = cycle.period();
@@ -318,7 +353,7 @@ proptest! {
             let counted = if packets.is_empty() { 0 } else { passes };
             prop_assert_eq!(cycle.passes_completed(), counted);
 
-            let mut damaged = trace::to_bytes(&packets);
+            let mut damaged = bytes.clone();
             let mut skipped: Vec<usize> = bad.iter().copied().filter(|&i| i < packets.len()).collect();
             for &i in &skipped {
                 damaged[16 + i * trace::RECORD_LEN + 33] = 0xFF; // direction byte
@@ -355,8 +390,9 @@ proptest! {
         let largest = largest_allocation(|| {
             let mut source = PcapSource::new(&bytes[..], classifier()).unwrap();
             let _ = drain_mixed(&mut source, &pulls);
-            for record in PcapReader::new(&bytes[..]).unwrap().records().take(64) {
-                if record.is_err() {
+            let mut reader = PcapReader::new(&bytes[..]).unwrap();
+            for _ in 0..64 {
+                if !matches!(reader.next_frame(), Ok(Some(_))) {
                     break;
                 }
             }
@@ -384,8 +420,8 @@ fn a_hostile_record_length_is_refused_not_allocated() {
 
     let largest = largest_allocation(|| {
         let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.next_record().unwrap().unwrap().data, vec![0xAA; 60]);
-        let err = reader.next_record().unwrap_err().to_string();
+        assert_eq!(reader.next_frame().unwrap().unwrap().data, &[0xAA; 60][..]);
+        let err = reader.next_frame().unwrap_err().to_string();
         assert!(err.contains("exceeds snap length"), "{err}");
     });
     assert!(
@@ -402,7 +438,8 @@ fn a_hostile_record_length_is_refused_not_allocated() {
             .write_record(1, &vec![0xAA; incl])
             .unwrap();
         bytes[16..20].copy_from_slice(&96u32.to_le_bytes());
-        let got = PcapReader::new(&bytes[..]).unwrap().next_record();
+        let mut reader = PcapReader::new(&bytes[..]).unwrap();
+        let got = reader.next_frame();
         assert_eq!(got.is_ok(), accepted, "incl_len {incl}: {got:?}");
     }
 }
@@ -481,7 +518,7 @@ fn steady_state_decode_allocates_nothing() {
 
 /// Damage inside a well-framed record is the network's, not the file's: a
 /// header field no IPv4/TCP packet can carry costs that one frame, counted,
-/// and the capture reads on — streamed, or collected by `load_pcap`.
+/// and the capture reads on — streamed, or read whole by `read_to_end`.
 #[test]
 fn a_malformed_frame_is_skipped_and_counted_not_fatal() {
     let packets = steady(50, 3);
@@ -508,8 +545,10 @@ fn a_malformed_frame_is_skipped_and_counted_not_fatal() {
         let (streamed, errors) = drain_mixed(&mut source, &[0, 7, 1024]);
         assert_eq!(errors, Vec::<String>::new(), "{what}");
         assert_eq!((&streamed, source.skipped()), (&packets, 1), "{what}");
-        let (loaded, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
-        assert_eq!((&loaded, skipped), (&packets, 1), "{what}");
+        let mut whole = PcapSource::new(&bytes[..], classifier()).unwrap();
+        let mut loaded = Vec::new();
+        whole.read_to_end(&mut loaded).unwrap();
+        assert_eq!((&loaded, whole.skipped()), (&packets, 1), "{what}");
     }
 }
 
@@ -535,19 +574,22 @@ fn the_link_type_selects_the_parser_or_fails_the_open() {
         let (streamed, errors) = drain_mixed(&mut source, &[1024]);
         assert_eq!(errors, Vec::<String>::new(), "link type {link}");
         assert_eq!((&streamed, source.skipped()), (&packets, 0), "{link}");
-        let (loaded, skipped) = load_pcap(&bytes[..], &classifier()).unwrap();
-        assert_eq!((&loaded, skipped), (&packets, 0), "link type {link}");
-    }
-    let cooked = capture(113, 0); // LINKTYPE_LINUX_SLL
-    let refusals = [
-        PcapSource::new(&cooked[..], classifier()).err(),
-        load_pcap(&cooked[..], &classifier()).err(),
-    ];
-    for refusal in refusals {
-        let refusal = refusal.expect("refused at open").to_string();
-        assert!(
-            refusal.contains("unsupported pcap link type 113"),
-            "{refusal}"
+        let mut whole = PcapSource::new(&bytes[..], classifier()).unwrap();
+        let mut loaded = Vec::new();
+        whole.read_to_end(&mut loaded).unwrap();
+        assert_eq!(
+            (&loaded, whole.skipped()),
+            (&packets, 0),
+            "link type {link}"
         );
     }
+    let cooked = capture(113, 0); // LINKTYPE_LINUX_SLL
+    let refusal = PcapSource::new(&cooked[..], classifier())
+        .err()
+        .expect("refused at open")
+        .to_string();
+    assert!(
+        refusal.contains("unsupported pcap link type 113"),
+        "{refusal}"
+    );
 }

@@ -9,7 +9,6 @@ use dart::core::{run_monitor_slice, DartConfig};
 use dart::packet::PacketMeta;
 use dart::sim::adversarial::ScenarioKind;
 use dart::sim::scenario::{campus, CampusConfig};
-use dart::sim::TraceTransform;
 use dart_testkit::{
     hist_within_tolerance, oracle_histogram, run_oracle, snapshot_from_rows, FaultConfig,
     FaultInjector, OracleConfig,

@@ -9,7 +9,7 @@ use dart::packet::parse::{
 use dart::packet::pcap::PcapReader;
 use dart::packet::tcp::{TcpFlags, TcpHeader};
 use dart::packet::trace::TraceReader;
-use dart::packet::{FlowKey, PacketBuilder, PacketError, PacketMeta, SeqNum};
+use dart::packet::{FlowKey, PacketBuilder, PacketError, PacketMeta, PacketSource, SeqNum};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -205,9 +205,9 @@ proptest! {
     /// and always terminates.
     #[test]
     fn pcap_reader_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        if let Ok(reader) = PcapReader::new(&bytes[..]) {
-            for rec in reader.records().take(64) {
-                if rec.is_err() {
+        if let Ok(mut reader) = PcapReader::new(&bytes[..]) {
+            for _ in 0..64 {
+                if !matches!(reader.next_frame(), Ok(Some(_))) {
                     break;
                 }
             }
@@ -217,12 +217,8 @@ proptest! {
     /// Arbitrary bytes as a native trace.
     #[test]
     fn trace_reader_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        if let Ok(reader) = TraceReader::new(&bytes[..]) {
-            for rec in reader.packets().take(64) {
-                if rec.is_err() {
-                    break;
-                }
-            }
+        if let Ok(mut reader) = TraceReader::new(&bytes[..]) {
+            let _ = reader.read_to_end(&mut Vec::new());
         }
     }
 

@@ -14,10 +14,11 @@
 
 use dart::baselines::{SpinConfig, SpinMonitor};
 use dart::core::{run_monitor_slice, RttSample};
-use dart::packet::{FlowKey, PacketMeta, SeqNum, MILLISECOND};
+use dart::packet::trace::TraceReader;
+use dart::packet::{FlowKey, PacketMeta, PacketSource, SeqNum, MILLISECOND};
 use dart::sim::adversarial::ScenarioKind;
 use dart::sim::spin::SpinFlowConfig;
-use dart::sim::{spin_flow_meta, TraceTransform};
+use dart::sim::spin_flow_meta;
 use dart_testkit::{ddmin, run_spin_oracle, FaultConfig, FaultInjector, SpinClass};
 use proptest::prelude::*;
 
@@ -120,7 +121,10 @@ fn ddmin_shrinks_spin_traces_without_seq_ack_structure() {
                 "committed spin reproducer diverged from the shrinker's \
                  output; regenerate tests/shrunk/spin-mix-minimal.*"
             );
-            let back = dart::sim::load_native(&committed[..]).expect("replayable artifact");
+            let mut back = Vec::new();
+            TraceReader::new(&committed[..])
+                .and_then(|mut reader| reader.read_to_end(&mut back))
+                .expect("replayable artifact");
             assert_eq!(back, minimal);
             assert!(back.iter().all(|p| p.spin().is_some()), "spin bits lost");
         }

@@ -5,10 +5,17 @@
 use dart::baselines::{run_tcptrace, TcpTraceConfig};
 use dart::core::{run_trace, DartConfig};
 use dart::packet::parse::PrefixClassifier;
-use dart::packet::trace;
-use dart::sim::replay::{dump_pcap, load_native, load_pcap};
+use dart::packet::trace::{self, TraceReader};
+use dart::packet::{pcap, PacketError, PacketMeta, PacketSource, PcapSource};
 use dart::sim::scenario::{campus, CampusConfig};
 use std::net::Ipv4Addr;
+
+/// A whole native trace, read back through its one source.
+fn read_native(bytes: &[u8]) -> Result<Vec<PacketMeta>, PacketError> {
+    let mut packets = Vec::new();
+    TraceReader::new(bytes)?.read_to_end(&mut packets)?;
+    Ok(packets)
+}
 
 fn small_trace() -> dart::sim::scenario::GeneratedTrace {
     campus(CampusConfig {
@@ -22,7 +29,7 @@ fn small_trace() -> dart::sim::scenario::GeneratedTrace {
 fn native_round_trip_preserves_analysis_results() {
     let t = small_trace();
     let bytes = trace::to_bytes(&t.packets);
-    let restored = load_native(&bytes[..]).unwrap();
+    let restored = read_native(&bytes).unwrap();
     assert_eq!(restored, t.packets);
 
     let (direct, _) = run_trace(DartConfig::default(), &t.packets);
@@ -33,12 +40,13 @@ fn native_round_trip_preserves_analysis_results() {
 #[test]
 fn pcap_round_trip_preserves_analysis_results() {
     let t = small_trace();
-    let mut buf = Vec::new();
-    dump_pcap(&t.packets, &mut buf).unwrap();
+    let buf = pcap::to_bytes(&t.packets);
 
     let classifier = PrefixClassifier::new([(Ipv4Addr::new(10, 0, 0, 0), 8u8)]);
-    let (restored, skipped) = load_pcap(&buf[..], &classifier).unwrap();
-    assert_eq!(skipped, 0);
+    let mut source = PcapSource::new(&buf[..], classifier).unwrap();
+    let mut restored = Vec::new();
+    source.read_to_end(&mut restored).unwrap();
+    assert_eq!(source.skipped(), 0);
     assert_eq!(restored, t.packets);
 
     // Both Dart and tcptrace agree between the live and replayed copies.
@@ -55,8 +63,7 @@ fn pcap_file_is_readable_by_format_rules() {
     // The emitted file honors the nanosecond-pcap header layout: magic,
     // version 2.4, and per-record lengths that walk the file exactly.
     let t = small_trace();
-    let mut buf = Vec::new();
-    dump_pcap(&t.packets, &mut buf).unwrap();
+    let buf = pcap::to_bytes(&t.packets);
     assert_eq!(&buf[0..4], &0xa1b2_3c4du32.to_le_bytes());
     assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), 2);
     assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), 4);
@@ -76,5 +83,5 @@ fn truncated_native_trace_fails_loudly() {
     let t = small_trace();
     let mut bytes = trace::to_bytes(&t.packets);
     bytes.truncate(bytes.len() - 7);
-    assert!(load_native(&bytes[..]).is_err());
+    assert!(read_native(&bytes).is_err());
 }
