@@ -311,9 +311,10 @@ impl EngineRegistry {
             engine.attach_telemetry(EngineTelemetry::register(metrics, 0));
             Box::new(engine)
         } else if let Some(shards) = sharded_shards(name) {
-            Box::new(ShardedMonitor::with_telemetry(
+            Box::new(ShardedMonitor::spawn(
                 ShardedConfig::new(*cfg, shards),
-                metrics,
+                Some(metrics),
+                None,
             ))
         } else if let Some(entry) = self.get(name) {
             Box::new(MeteredMonitor::new(entry.build(cfg), metrics))

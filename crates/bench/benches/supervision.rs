@@ -30,14 +30,13 @@ fn run_sharded(
     hook: Option<PacketHook>,
     packets: &[dart_packet::PacketMeta],
 ) -> usize {
-    let mut monitor = match hook {
-        Some(hook) => ShardedMonitor::with_packet_hook(cfg, hook),
-        None => ShardedMonitor::new(cfg),
-    };
+    let mut monitor = ShardedMonitor::spawn(cfg, None, hook);
+    let mut samples = Vec::new();
     for p in packets {
-        monitor.on_packet(p, &mut Vec::new());
+        monitor.on_packet(p, &mut samples);
     }
-    monitor.into_run().samples.len()
+    monitor.flush(&mut samples);
+    samples.len()
 }
 
 fn supervision_overhead(c: &mut Criterion) {

@@ -7,9 +7,9 @@
 //! or stalls becomes a [`ShardFailure`] record, never a process abort: the
 //! shard is respawned, or sheds its traffic once its restart budget is
 //! spent, and every other shard keeps measuring. What happened is preserved
-//! in [`ShardedRun::failures`](crate::ShardedRun) and in the
-//! `shard_restarts` / `flows_lost` / `monitor_miss` counters of
-//! [`EngineStats`](crate::EngineStats).
+//! in [`ShardedMonitor::failures`](crate::ShardedMonitor::failures) after
+//! the flush and in the `shard_restarts` / `flows_lost` / `monitor_miss`
+//! counters of [`EngineStats`](crate::EngineStats).
 
 use std::fmt;
 use std::time::Duration;
@@ -43,7 +43,8 @@ impl fmt::Display for FailureKind {
 }
 
 /// One shard failure observed by the supervised runtime. Every failure is
-/// recorded in [`ShardedRun::failures`](crate::ShardedRun) in shard order.
+/// listed by [`ShardedMonitor::failures`](crate::ShardedMonitor::failures)
+/// in shard order.
 #[derive(Clone, Debug, Eq)]
 pub struct ShardFailure {
     /// Which shard failed.

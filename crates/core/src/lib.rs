@@ -76,7 +76,7 @@ pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};
 pub use rt_salu::SaluRangeTracker;
 pub use sample::{EngineEvent, RttSample, SampleSink, SampleWeight};
 pub use sharded::{
-    shard_of, PacketHook, ShardedConfig, ShardedMonitor, ShardedRun, SupervisorHealth, MAX_RESTARTS,
+    shard_of, PacketHook, ShardedConfig, ShardedMonitor, SupervisorHealth, MAX_RESTARTS,
 };
 pub use sketch::{
     Admission, AdmissionGate, CountMinSketch, HeavyHitters, SketchPacketTracker, SketchRangeTracker,

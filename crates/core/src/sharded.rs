@@ -40,10 +40,10 @@
 //! discarded with a failed engine in `flows_lost`, and every packet the
 //! runtime dropped without offering it to a healthy engine in
 //! `monitor_miss`, so `fed == stats.packets + stats.monitor_miss` holds for
-//! every run, degraded or not. Failures survive into
-//! [`ShardedRun::failures`] for reporting. The chaos harness in
-//! `dart-testkit` drives these paths deterministically through
-//! [`PacketHook`].
+//! every run, degraded or not. After the flush,
+//! [`ShardedMonitor::failures`] lists every failure for reporting. The
+//! chaos harness in `dart-testkit` drives these paths deterministically
+//! through [`PacketHook`].
 //!
 //! ## Fidelity
 //!
@@ -66,11 +66,12 @@
 //!   same caveat any hash-partitioned scale-out of Dart would carry.
 //!
 //! Each worker tags the samples and events its engine emits with the
-//! global packet index, and the flush merges them deterministically —
-//! ordered by (packet index, shard id), a packet's sample ahead of its
-//! events — so a sharded run is reproducible regardless of thread
-//! scheduling, and at `shards == 1` the merge is exactly serial emission
-//! order.
+//! global packet index, and the flush merges them deterministically into
+//! the sink it is given — ordered by (packet index, shard id), a packet's
+//! sample ahead of its events — so a sharded run is reproducible regardless
+//! of thread scheduling, and at `shards == 1` the merge is exactly serial
+//! emission order. The sink is the only way out: the monitor keeps no copy
+//! of the stream, only the counters and failures its accessors report.
 
 use crate::config::DartConfig;
 use crate::engine::DartEngine;
@@ -138,11 +139,12 @@ pub struct ShardedConfig {
     /// ring before declaring the worker stalled and abandoning it.
     /// Generous by default: a slow consumer is backpressure, not a failure.
     pub stall_timeout: Duration,
-    /// Retain per-packet samples and per-flow events for the merged
-    /// [`ShardedRun`]. Replays want them (`true`, the default); a
-    /// long-lived daemon that watches only counters and histograms sets
-    /// this `false` so worker memory stays bounded over an unbounded
-    /// packet stream — `stats` and telemetry are unaffected.
+    /// Retain per-packet samples and per-flow events for the flush-time
+    /// merge. Replays want them (`true`, the default); a long-lived daemon
+    /// that watches only counters and histograms sets this `false` so
+    /// worker memory stays bounded over an unbounded packet stream — the
+    /// flush then hands its sink nothing, and `stats` and telemetry are
+    /// unaffected.
     pub keep_samples: bool,
 }
 
@@ -230,35 +232,6 @@ impl SupervisorHealth {
             self.failures,
             self.flushed,
         )
-    }
-}
-
-/// Output of a sharded run: merged samples, combined counters, merged
-/// engine events, and any shard failures the supervised runtime survived,
-/// all in the deterministic (packet index, shard) order.
-#[derive(Clone, Debug, Default)]
-pub struct ShardedRun {
-    /// RTT samples from every shard, merged into serial emission order.
-    pub samples: Vec<RttSample>,
-    /// Sum of all per-shard counters (see [`EngineStats::merge`]), plus
-    /// the runtime's own restart/loss accounting.
-    pub stats: EngineStats,
-    /// Per-flow events (range collapses, optimistic ACKs) from every shard,
-    /// merged into the same deterministic order as the samples.
-    pub events: Vec<EngineEvent>,
-    /// Final counters of each individual shard, in shard order (all-zero
-    /// for a shard abandoned by the watchdog — its results are lost and
-    /// counted in `monitor_miss`).
-    pub per_shard: Vec<EngineStats>,
-    /// Every failure observed during the run, ordered by (shard, packet).
-    /// Empty on a healthy run.
-    pub failures: Vec<ShardFailure>,
-}
-
-impl ShardedRun {
-    /// True when no shard failed (the run is not degraded).
-    pub fn healthy(&self) -> bool {
-        self.failures.is_empty()
     }
 }
 
@@ -524,12 +497,17 @@ pub struct ShardedMonitor {
     /// Packets handed to each shard's ring (abandon accounting).
     sent: Vec<u64>,
     abandoned: Vec<bool>,
-    feeder_failures: Vec<ShardFailure>,
+    /// The failures the feeder observed; the flush adds the workers' and
+    /// orders them by (shard, packet).
+    failures: Vec<ShardFailure>,
     /// Runtime accounting done at the feeder (packets never offered to a
     /// healthy engine).
     feeder_extra: EngineStats,
     fed: u64,
-    done: Option<ShardedRun>,
+    /// True once the first flush has joined the workers.
+    flushed: bool,
+    /// Each shard's final counters, filled by the flush.
+    per_shard: Vec<EngineStats>,
     sup_stalls: Option<Counter>,
     /// Checkpoint buffers, kept from one checkpoint to the next: each
     /// shard's section travels to its worker inside the `Checkpoint`
@@ -544,32 +522,23 @@ pub struct ShardedMonitor {
 }
 
 impl ShardedMonitor {
-    /// Spawn the shard workers and stand ready to feed them.
+    /// Spawn the shard workers, uninstrumented, and stand ready to feed
+    /// them.
     pub fn new(cfg: ShardedConfig) -> ShardedMonitor {
         Self::spawn(cfg, None, None)
     }
 
-    /// Spawn with a per-packet [`PacketHook`] installed in every worker
-    /// (the chaos-injection seam — see the type docs).
-    pub fn with_packet_hook(cfg: ShardedConfig, hook: PacketHook) -> ShardedMonitor {
-        Self::spawn(cfg, None, Some(hook))
-    }
-
-    /// Spawn with per-shard telemetry: each worker's engine publishes
-    /// `shard`-labelled counters, RTT and batch-latency histograms, and
-    /// recirculation queue-depth gauges to `registry`, live while the
-    /// replay runs. A gauge per shard tracks the hand-off ring depth and
-    /// the supervisor publishes its health: the
+    /// Spawn the shard workers.
+    ///
+    /// With a `registry`, each worker's engine publishes `shard`-labelled
+    /// counters, RTT and batch-latency histograms, and recirculation
+    /// queue-depth gauges to it, live while the replay runs; a gauge per
+    /// shard tracks the hand-off ring depth and the supervisor publishes
+    /// its health: the
     /// [`Surface::Sharded`](crate::telemetry::Surface::Sharded) rows of
-    /// [`VOCABULARY`](crate::telemetry::VOCABULARY).
-    pub fn with_telemetry(cfg: ShardedConfig, registry: &MetricRegistry) -> ShardedMonitor {
-        Self::spawn(cfg, Some(registry), None)
-    }
-
-    /// The one constructor: spawn the workers, publishing to `registry`
-    /// when there is one (see [`ShardedMonitor::with_telemetry`]) and
-    /// running `packet_hook` in every worker when there is one (see
-    /// [`ShardedMonitor::with_packet_hook`]).
+    /// [`VOCABULARY`](crate::telemetry::VOCABULARY). With a `packet_hook`,
+    /// every worker runs it on each packet (the chaos-injection seam — see
+    /// [`PacketHook`]).
     pub fn spawn(
         cfg: ShardedConfig,
         registry: Option<&MetricRegistry>,
@@ -642,7 +611,7 @@ impl ShardedMonitor {
             live: vec![true; cfg.shards],
             sent: vec![0; cfg.shards],
             abandoned: vec![false; cfg.shards],
-            feeder_failures: Vec::new(),
+            failures: Vec::new(),
             feeder_extra: EngineStats::default(),
             cfg,
             rings,
@@ -651,7 +620,8 @@ impl ShardedMonitor {
             dead,
             worker_failures,
             fed: 0,
-            done: None,
+            flushed: false,
+            per_shard: Vec::new(),
             sup_stalls,
             section_bufs: vec![Vec::new(); cfg.shards],
             frame_buf: Vec::new(),
@@ -665,11 +635,8 @@ impl ShardedMonitor {
     /// rest of its packets, and its worker counts them into `monitor_miss`
     /// itself.
     fn partition(&mut self, pkts: &[PacketMeta]) {
-        debug_assert!(
-            self.done.is_none(),
-            "packets fed to a flushed ShardedMonitor"
-        );
-        if self.done.is_some() {
+        debug_assert!(!self.flushed, "packets fed to a flushed ShardedMonitor");
+        if self.flushed {
             return;
         }
         let first = self.fed;
@@ -750,6 +717,113 @@ impl ShardedMonitor {
         }
     }
 
+    /// Hand a written-out [`RttMonitor::snapshot`] back, so that the next
+    /// one is framed in the same buffer.
+    pub fn reclaim(&mut self, snap: Snapshot) {
+        self.frame_buf = snap.into_bytes();
+    }
+
+    /// Point-in-time health of the runtime — see [`SupervisorHealth`].
+    pub fn health(&self) -> SupervisorHealth {
+        let dead = (0..self.cfg.shards).filter(|&s| !self.is_live(s)).count();
+        SupervisorHealth {
+            shards: self.cfg.shards,
+            healthy_shards: self.cfg.shards - dead,
+            abandoned: self.abandoned.iter().filter(|a| **a).count(),
+            // Only the feeder's watchdog records a stall.
+            stalls: self
+                .failures
+                .iter()
+                .filter(|f| matches!(f.kind, FailureKind::Stalled { .. }))
+                .count() as u64,
+            fed: self.fed,
+            // The flush adds the workers' failures to the feeder's list.
+            failures: self.failures.len()
+                + if self.flushed {
+                    0
+                } else {
+                    self.worker_failures.load(Ordering::Relaxed)
+                },
+            flushed: self.flushed,
+        }
+    }
+
+    /// Each shard's final counters, in shard order, once flushed (all-zero
+    /// for a shard abandoned by the watchdog — its results are lost and
+    /// counted in `monitor_miss`); empty before the flush.
+    pub fn per_shard(&self) -> &[EngineStats] {
+        &self.per_shard
+    }
+
+    /// Every failure the run survived, ordered by (shard, packet), once
+    /// flushed; empty before the flush (when
+    /// [`ShardedMonitor::health`] counts them live) and on a healthy run.
+    pub fn failures(&self) -> &[ShardFailure] {
+        if self.flushed {
+            &self.failures
+        } else {
+            &[]
+        }
+    }
+
+    /// Watchdog expiry: record the stall, stop talking to the worker, and
+    /// write off everything it was ever sent (its results are
+    /// unrecoverable without joining a possibly-hung thread).
+    fn abandon(&mut self, shard: usize, waited: Duration, at_packet: Option<u64>, pending: u64) {
+        self.failures.push(ShardFailure {
+            shard,
+            at_packet,
+            kind: FailureKind::Stalled { waited },
+            respawn_us: None,
+        });
+        self.abandoned[shard] = true;
+        self.rings[shard] = None;
+        // Detach the stuck thread: dropping the handle lets it finish (or
+        // hang) on its own without ever blocking the supervisor.
+        self.handles[shard] = None;
+        self.hooks[shard].mark_dead(&self.dead[shard]);
+        self.feeder_extra.monitor_miss += self.sent[shard] + pending;
+        self.sent[shard] = 0;
+        if let Some(c) = &self.sup_stalls {
+            c.add(1);
+        }
+    }
+}
+
+impl RttMonitor for ShardedMonitor {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "Dart partitioned across {} symmetric-hash flow shards, supervised (respawn, then shed), deterministic fan-in merge",
+            self.cfg.shards
+        )
+    }
+
+    /// Hand one packet to its shard's hand-off block, which goes out when
+    /// it is full (or at the flush): emits nothing.
+    fn on_packet(&mut self, pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
+        self.partition(std::slice::from_ref(pkt));
+    }
+
+    /// Feed a whole block and hand it off: each packet is partitioned to
+    /// its shard's hand-off block, and every shard's partial block is
+    /// dispatched when the driver's block ends, so nothing fed here is
+    /// still on the feeder when this returns. A live driver whose blocks
+    /// run short (or that then waits on a quiet feed) cannot strand a
+    /// residue outside the shard rings. A shard's share of a driver block
+    /// goes out as one hand-off block, or several of
+    /// [`ShardedConfig::batch_size`] packets when it is longer than that;
+    /// sample order and counters do not depend on the split.
+    fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
+        self.partition(pkts);
+        for shard in 0..self.cfg.shards {
+            self.dispatch(shard);
+        }
+    }
+
     /// Ask every live shard to rotate its engine's epoch (see
     /// [`DartEngine::rotate_epoch`]): entries idle since `cutoff` are
     /// swept so table occupancy stays bounded over a long-lived run.
@@ -757,25 +831,26 @@ impl ShardedMonitor {
     /// Partial feeder buffers are dispatched first, so the rotation is
     /// ordered after every packet fed before this call. The rotation
     /// itself is asynchronous — each worker performs it when the control
-    /// message reaches the front of its queue — and its totals surface
-    /// through the per-shard telemetry (`dart_epoch_*` series), not as a
-    /// return value.
-    pub fn rotate_epoch(&mut self, cutoff: Nanos) {
-        if self.done.is_some() {
-            return;
-        }
-        for shard in 0..self.cfg.shards {
-            if !self.is_live(shard) {
-                continue;
+    /// message reaches the front of its queue — so this always returns
+    /// [`EpochRotation::default`]: the sweep's totals are published through
+    /// each shard's `dart_epoch_*` telemetry series rather than merged into
+    /// a synchronous return value.
+    fn rotate_epoch(&mut self, cutoff: Nanos) -> EpochRotation {
+        if !self.flushed {
+            for shard in 0..self.cfg.shards {
+                if !self.is_live(shard) {
+                    continue;
+                }
+                self.dispatch(shard);
+                self.send_msg(shard, ShardMsg::Rotate(cutoff));
             }
-            self.dispatch(shard);
-            self.send_msg(shard, ShardMsg::Rotate(cutoff));
         }
+        EpochRotation::default()
     }
 
     /// Checkpoint the whole runtime into one [`Snapshot`].
     ///
-    /// Mirrors [`ShardedMonitor::rotate_epoch`]'s quiescence seam: partial
+    /// Mirrors [`RttMonitor::rotate_epoch`]'s quiescence seam: partial
     /// feeder buffers are dispatched first, then a `Checkpoint` control
     /// message rides each live shard's bounded queue, so every shard
     /// serializes its engine exactly after the packets fed before this
@@ -789,8 +864,8 @@ impl ShardedMonitor {
     /// serialized `monitor_miss`, so books restored from this snapshot
     /// still satisfy the conservation law `fed == packets +
     /// monitor_miss`.
-    pub fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
-        if self.done.is_some() {
+    fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
+        if self.flushed {
             return Err(SnapshotError::Unsupported(
                 "monitor already flushed; nothing left to checkpoint".to_string(),
             ));
@@ -869,13 +944,7 @@ impl ShardedMonitor {
         Ok(w.into_snapshot())
     }
 
-    /// Hand a written-out [`ShardedMonitor::checkpoint`] back, so that the
-    /// next one is framed in the same buffer.
-    pub fn reclaim(&mut self, snap: Snapshot) {
-        self.frame_buf = snap.into_bytes();
-    }
-
-    /// Restore a [`ShardedMonitor::checkpoint`] into this (freshly
+    /// Restore a sharded [`RttMonitor::snapshot`] into this (freshly
     /// spawned, never fed) monitor: each shard section is shipped to its
     /// worker over the hand-off ring and installed before any traffic,
     /// and the feeder books (`fed`, write-offs) resume where the snapshot
@@ -883,8 +952,8 @@ impl ShardedMonitor {
     /// match; a shard whose section was written off at checkpoint time
     /// restarts fresh (its history is already in the restored
     /// `monitor_miss`).
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        if self.done.is_some() {
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+        if self.flushed {
             return Err(SnapshotError::Unsupported(
                 "monitor already flushed; cannot restore".to_string(),
             ));
@@ -943,61 +1012,14 @@ impl ShardedMonitor {
         Ok(())
     }
 
-    /// Point-in-time health of the runtime — see [`SupervisorHealth`].
-    pub fn health(&self) -> SupervisorHealth {
-        let dead = (0..self.cfg.shards).filter(|&s| !self.is_live(s)).count();
-        SupervisorHealth {
-            shards: self.cfg.shards,
-            healthy_shards: self.cfg.shards - dead,
-            abandoned: self.abandoned.iter().filter(|a| **a).count(),
-            stalls: self
-                .feeder_failures
-                .iter()
-                .filter(|f| matches!(f.kind, FailureKind::Stalled { .. }))
-                .count() as u64
-                + self.done.as_ref().map_or(0, |r| {
-                    r.failures
-                        .iter()
-                        .filter(|f| matches!(f.kind, FailureKind::Stalled { .. }))
-                        .count() as u64
-                }),
-            fed: self.fed,
-            // The flush moves the feeder's failures into the run's list.
-            failures: match &self.done {
-                Some(run) => run.failures.len(),
-                None => self.feeder_failures.len() + self.worker_failures.load(Ordering::Relaxed),
-            },
-            flushed: self.done.is_some(),
-        }
-    }
-
-    /// Watchdog expiry: record the stall, stop talking to the worker, and
-    /// write off everything it was ever sent (its results are
-    /// unrecoverable without joining a possibly-hung thread).
-    fn abandon(&mut self, shard: usize, waited: Duration, at_packet: Option<u64>, pending: u64) {
-        self.feeder_failures.push(ShardFailure {
-            shard,
-            at_packet,
-            kind: FailureKind::Stalled { waited },
-            respawn_us: None,
-        });
-        self.abandoned[shard] = true;
-        self.rings[shard] = None;
-        // Detach the stuck thread: dropping the handle lets it finish (or
-        // hang) on its own without ever blocking the supervisor.
-        self.handles[shard] = None;
-        self.hooks[shard].mark_dead(&self.dead[shard]);
-        self.feeder_extra.monitor_miss += self.sent[shard] + pending;
-        self.sent[shard] = 0;
-        if let Some(c) = &self.sup_stalls {
-            c.add(1);
-        }
-    }
-
-    /// Close the rings, collect the workers, hand the merged stream to
-    /// `sink`, and cache the merged result.
-    fn finish(&mut self, sink: &mut dyn SampleSink) {
-        if self.done.is_some() {
+    /// The first flush closes the rings, joins the workers and hands
+    /// `sink` the merged stream, samples and events interleaved in serial
+    /// emission order; later flushes emit nothing. The monitor keeps no
+    /// copy of the stream: from then on [`RttMonitor::stats`],
+    /// [`ShardedMonitor::per_shard`] and [`ShardedMonitor::failures`]
+    /// report the run.
+    fn flush(&mut self, sink: &mut dyn SampleSink) {
+        if self.flushed {
             return;
         }
         for shard in 0..self.cfg.shards {
@@ -1013,109 +1035,45 @@ impl ShardedMonitor {
         // Dropping the feeder's ends closes the rings: each worker drains
         // what is queued and returns.
         self.rings.clear();
-        let mut results: Vec<Option<ShardResult>> = Vec::with_capacity(self.cfg.shards);
+        let mut samples = Vec::new();
+        let mut events = Vec::new();
         for shard in 0..self.cfg.shards {
-            match self.handles[shard].take() {
-                None => results.push(None), // abandoned: written off already
-                Some(handle) => match handle.join() {
-                    Ok(result) => results.push(Some(result)),
-                    Err(payload) => {
-                        // Unreachable in practice (the worker closure is
-                        // catch_unwind-wrapped), kept as defense in depth.
-                        self.feeder_failures.push(panicked(shard, None, payload));
-                        self.feeder_extra.monitor_miss += self.sent[shard];
-                        results.push(None);
-                    }
-                },
-            }
+            let result = match self.handles[shard].take().map(JoinHandle::join) {
+                Some(Ok(result)) => result,
+                Some(Err(payload)) => {
+                    // Unreachable in practice (the worker closure is
+                    // catch_unwind-wrapped), kept as defense in depth.
+                    self.failures.push(panicked(shard, None, payload));
+                    self.feeder_extra.monitor_miss += self.sent[shard];
+                    ShardResult::default()
+                }
+                // Abandoned: written off already.
+                None => ShardResult::default(),
+            };
+            samples.extend(result.samples.into_iter().map(|(i, s)| (i, shard, s)));
+            events.extend(result.events.into_iter().map(|(i, e)| (i, shard, e)));
+            self.failures.extend(result.failures);
+            self.per_shard.push(result.stats);
         }
-        let mut run = merge(results, sink);
-        run.stats.merge(&self.feeder_extra);
-        run.failures.append(&mut self.feeder_failures);
-        run.failures.sort_by_key(|f| (f.shard, f.at_packet));
-        self.done = Some(run);
-    }
-
-    /// Finish the run (if not already flushed) and take the full merged
-    /// output, events, per-shard counters, and failures included — even
-    /// when degraded: the run records its failures and keeps every sample
-    /// the surviving engines produced.
-    pub fn into_run(mut self) -> ShardedRun {
-        self.finish(&mut |_: RttSample| {});
-        self.done.take().unwrap_or_default()
-    }
-}
-
-impl RttMonitor for ShardedMonitor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "Dart partitioned across {} symmetric-hash flow shards, supervised (respawn, then shed), deterministic fan-in merge",
-            self.cfg.shards
-        )
-    }
-
-    /// Hand one packet to its shard's hand-off block, which goes out when
-    /// it is full (or at the flush): emits nothing.
-    fn on_packet(&mut self, pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
-        self.partition(std::slice::from_ref(pkt));
-    }
-
-    /// Feed a whole block and hand it off: each packet is partitioned to
-    /// its shard's hand-off block, and every shard's partial block is
-    /// dispatched when the driver's block ends, so nothing fed here is
-    /// still on the feeder when this returns. A live driver whose blocks
-    /// run short (or that then waits on a quiet feed) cannot strand a
-    /// residue outside the shard rings. A shard's share of a driver block
-    /// goes out as one hand-off block, or several of
-    /// [`ShardedConfig::batch_size`] packets when it is longer than that;
-    /// sample order and counters do not depend on the split.
-    fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
-        self.partition(pkts);
-        for shard in 0..self.cfg.shards {
-            self.dispatch(shard);
-        }
-    }
-
-    /// Dispatch the rotation to every live shard.
-    ///
-    /// Always returns [`EpochRotation::default`]: the sweep happens
-    /// asynchronously on the workers, and its totals are published through
-    /// each shard's `dart_epoch_*` telemetry series rather than merged
-    /// into a synchronous return value.
-    fn rotate_epoch(&mut self, cutoff: Nanos) -> EpochRotation {
-        ShardedMonitor::rotate_epoch(self, cutoff);
-        EpochRotation::default()
-    }
-
-    fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
-        ShardedMonitor::checkpoint(self)
-    }
-
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        ShardedMonitor::restore(self, snap)
-    }
-
-    /// First flush joins the workers and emits the merged stream, samples
-    /// and events interleaved in serial emission order; later flushes emit
-    /// nothing.
-    fn flush(&mut self, sink: &mut dyn SampleSink) {
-        self.finish(sink);
+        self.failures.sort_by_key(|f| (f.shard, f.at_packet));
+        self.flushed = true;
+        merge(samples, events, sink);
     }
 
     /// Before `flush`, only the feeder-side packet count is known (shard
     /// counters live on the workers); after, the fully merged counters.
     fn stats(&self) -> EngineStats {
-        match &self.done {
-            Some(run) => run.stats,
-            None => EngineStats {
+        if !self.flushed {
+            return EngineStats {
                 packets: self.fed,
                 ..EngineStats::default()
-            },
+            };
         }
+        let mut stats = self.feeder_extra;
+        for shard in &self.per_shard {
+            stats.merge(shard);
+        }
+        stats
     }
 }
 
@@ -1414,48 +1372,28 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     }
 }
 
-/// Deterministic merge: order by (global packet index, shard id), and hand
-/// the merged stream to `sink`. A packet lives on exactly one shard and the
-/// engine emits nothing at flush, so the shard id never decides; the stable
-/// sort preserves a single packet's own emission order. `None` slots are
-/// abandoned shards: they contribute all-zero per-shard counters and
-/// nothing else.
-fn merge(results: Vec<Option<ShardResult>>, sink: &mut dyn SampleSink) -> ShardedRun {
-    let mut samples: Vec<(u64, usize, RttSample)> = Vec::new();
-    let mut events: Vec<(u64, usize, EngineEvent)> = Vec::new();
-    let mut per_shard = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    let mut stats = EngineStats::default();
-    for (shard, r) in results.into_iter().enumerate() {
-        let Some(mut r) = r else {
-            per_shard.push(EngineStats::default());
-            continue;
-        };
-        samples.extend(r.samples.into_iter().map(|(i, s)| (i, shard, s)));
-        events.extend(r.events.into_iter().map(|(i, e)| (i, shard, e)));
-        stats.merge(&r.stats);
-        failures.append(&mut r.failures);
-        per_shard.push(r.stats);
-    }
+/// Deterministic merge: order the shards' samples and events, tagged
+/// `(global packet index, shard id)`, by that tag, and hand the merged
+/// stream to `sink`. A packet lives on exactly one shard and the engine
+/// emits nothing at flush, so the shard id never decides; the stable sort
+/// preserves a single packet's own emission order.
+fn merge(
+    mut samples: Vec<(u64, usize, RttSample)>,
+    mut events: Vec<(u64, usize, EngineEvent)>,
+    sink: &mut dyn SampleSink,
+) {
     samples.sort_by_key(|&(idx, shard, _)| (idx, shard));
     events.sort_by_key(|&(idx, shard, _)| (idx, shard));
     // Serial emission order puts a packet's sample ahead of its events:
     // only the ACK role samples, and it runs before the SEQ role.
-    let mut pending = samples.iter().peekable();
-    for &(idx, shard, ev) in &events {
-        while let Some((_, _, s)) = pending.next_if(|&&(i, sh, _)| (i, sh) <= (idx, shard)) {
-            sink.on_sample(*s);
+    let mut pending = samples.into_iter().peekable();
+    for (idx, shard, ev) in events {
+        while let Some((_, _, s)) = pending.next_if(|&(i, sh, _)| (i, sh) <= (idx, shard)) {
+            sink.on_sample(s);
         }
         sink.on_event(ev);
     }
-    pending.for_each(|(_, _, s)| sink.on_sample(*s));
-    ShardedRun {
-        samples: samples.into_iter().map(|(_, _, s)| s).collect(),
-        events: events.into_iter().map(|(_, _, e)| e).collect(),
-        stats,
-        per_shard,
-        failures,
-    }
+    pending.for_each(|(_, _, s)| sink.on_sample(s));
 }
 
 #[cfg(test)]
@@ -1468,12 +1406,20 @@ mod tests {
     use crate::telemetry::{EPOCH_ROTATIONS, SHARD_COUNTERS};
     use dart_packet::{Direction, Nanos, PacketBuilder, SliceSource};
 
-    /// A whole-trace sharded replay through the block driver, with the
-    /// full merged output (events, per-shard counters, failures).
-    fn replay(cfg: ShardedConfig, pkts: &[PacketMeta]) -> ShardedRun {
+    /// A whole-trace sharded replay through the block driver: the samples
+    /// its flush emitted, and the flushed monitor, whose accessors report
+    /// the run.
+    fn replay(cfg: ShardedConfig, pkts: &[PacketMeta]) -> (Vec<RttSample>, ShardedMonitor) {
         let mut monitor = ShardedMonitor::new(cfg);
-        run_monitor_slice(&mut monitor, pkts);
-        monitor.into_run()
+        let (samples, _) = run_monitor_slice(&mut monitor, pkts);
+        (samples, monitor)
+    }
+
+    /// Flush `monitor` into a fresh vector: the samples of the whole run.
+    fn flush_samples(monitor: &mut ShardedMonitor) -> Vec<RttSample> {
+        let mut samples = Vec::new();
+        monitor.flush(&mut samples);
+        samples
     }
 
     /// Hand `pkts` over one `on_packet` call each, as a per-packet driver
@@ -1522,10 +1468,10 @@ mod tests {
     fn one_shard_is_bit_identical_to_serial() {
         let pkts = trace(40, 6);
         let (serial_samples, serial_stats) = run_trace(DartConfig::default(), &pkts);
-        let out = replay(ShardedConfig::new(DartConfig::default(), 1), &pkts);
-        assert_eq!(out.samples, serial_samples);
-        assert_eq!(out.stats, serial_stats);
-        assert!(out.healthy());
+        let (samples, out) = replay(ShardedConfig::new(DartConfig::default(), 1), &pkts);
+        assert_eq!(samples, serial_samples);
+        assert_eq!(out.stats(), serial_stats);
+        assert!(out.failures().is_empty());
     }
 
     #[test]
@@ -1533,9 +1479,9 @@ mod tests {
         let pkts = trace(50, 5);
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         for shards in [2usize, 3, 4, 8] {
-            let out = replay(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
-            assert_eq!(out.samples, serial, "shards = {shards}");
-            assert_eq!(out.stats.packets, pkts.len() as u64);
+            let (samples, out) = replay(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            assert_eq!(samples, serial, "shards = {shards}");
+            assert_eq!(out.stats().packets, pkts.len() as u64);
         }
     }
 
@@ -1552,38 +1498,38 @@ mod tests {
     #[test]
     fn shards_cover_all_packets() {
         let pkts = trace(30, 4);
-        let out = replay(ShardedConfig::new(DartConfig::default(), 4), &pkts);
-        assert_eq!(out.stats.packets, pkts.len() as u64);
-        assert_eq!(out.per_shard.len(), 4);
-        let by_shard: u64 = out.per_shard.iter().map(|s| s.packets).sum();
+        let (_, out) = replay(ShardedConfig::new(DartConfig::default(), 4), &pkts);
+        assert_eq!(out.stats().packets, pkts.len() as u64);
+        assert_eq!(out.per_shard().len(), 4);
+        let by_shard: u64 = out.per_shard().iter().map(|s| s.packets).sum();
         assert_eq!(by_shard, pkts.len() as u64);
         // Every shard must actually receive traffic (30 well-mixed flows
         // over 4 shards leave an empty shard with probability ~4·(3/4)³⁰).
-        assert!(out.per_shard.iter().all(|s| s.packets > 0));
+        assert!(out.per_shard().iter().all(|s| s.packets > 0));
     }
 
     #[test]
     fn merge_order_is_serial_emission_order() {
         let pkts = trace(25, 4);
-        let out = replay(
+        let (samples, _) = replay(
             ShardedConfig::new(DartConfig::unlimited(), 4).with_batch_size(7),
             &pkts,
         );
         // Samples must be ordered by their ACK's arrival time (ties allowed).
-        assert!(out.samples.windows(2).all(|w| w[0].ts <= w[1].ts));
+        assert!(samples.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
 
     #[test]
     fn tiny_batches_and_queues_still_complete() {
         let pkts = trace(20, 3);
-        let out = replay(
+        let (samples, _) = replay(
             ShardedConfig::new(DartConfig::unlimited(), 3)
                 .with_batch_size(1)
                 .with_queue_depth(1),
             &pkts,
         );
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
-        assert_eq!(out.samples, serial);
+        assert_eq!(samples, serial);
     }
 
     #[test]
@@ -1595,7 +1541,7 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(16);
         let mut per_packet = ShardedMonitor::new(cfg);
         feed_each(&mut per_packet, &pkts);
-        let per_packet = per_packet.into_run();
+        let per_packet_samples = flush_samples(&mut per_packet);
 
         let mut monitor = ShardedMonitor::new(cfg);
         let mut sink = Vec::new();
@@ -1607,15 +1553,15 @@ mod tests {
             assert_eq!(monitor.sent.iter().sum::<u64>(), fed);
         }
         monitor.flush(&mut sink);
-        assert_eq!(sink, per_packet.samples);
-        assert_eq!(RttMonitor::stats(&monitor), per_packet.stats);
+        assert_eq!(sink, per_packet_samples);
+        assert_eq!(monitor.stats(), per_packet.stats());
     }
 
     #[test]
     fn streaming_monitor_matches_batch_run() {
         let pkts = trace(30, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 4).with_batch_size(16);
-        let batch = replay(cfg, &pkts);
+        let (batch_samples, batch) = replay(cfg, &pkts);
 
         let mut monitor = ShardedMonitor::new(cfg);
         let mut streamed = Vec::new();
@@ -1624,14 +1570,14 @@ mod tests {
         }
         assert!(streamed.is_empty(), "sharded output is deferred to flush");
         // stats() before flush: feeder-side packet count only.
-        assert_eq!(RttMonitor::stats(&monitor).packets, pkts.len() as u64);
+        assert_eq!(monitor.stats().packets, pkts.len() as u64);
         monitor.flush(&mut streamed);
-        assert_eq!(streamed, batch.samples);
-        assert_eq!(RttMonitor::stats(&monitor), batch.stats);
+        assert_eq!(streamed, batch_samples);
+        assert_eq!(monitor.stats(), batch.stats());
         // Idempotent: a second flush emits nothing and keeps the counters.
         monitor.flush(&mut streamed);
-        assert_eq!(streamed, batch.samples);
-        assert_eq!(RttMonitor::stats(&monitor), batch.stats);
+        assert_eq!(streamed, batch_samples);
+        assert_eq!(monitor.stats(), batch.stats());
     }
 
     /// The sharded flush hands its sink the serial engine's interleaved
@@ -1712,9 +1658,9 @@ mod tests {
         assert!(monitor.rings[0].is_none());
         assert_eq!(monitor.health().healthy_shards, 0);
         monitor.on_batch(&pkts, &mut sink);
-        let run = monitor.into_run();
-        assert_eq!(run.stats.packets, 0);
-        assert_eq!(run.stats.monitor_miss, 2 * pkts.len() as u64);
+        monitor.flush(&mut sink);
+        assert_eq!(monitor.stats().packets, 0);
+        assert_eq!(monitor.stats().monitor_miss, 2 * pkts.len() as u64);
     }
 
     // ---- supervised-runtime tests -------------------------------------
@@ -1748,20 +1694,18 @@ mod tests {
     fn restart_respawns_and_accounts_losses() {
         let pkts = trace(30, 6);
         let target = (pkts.len() / 2) as u64;
-        let mut monitor = ShardedMonitor::with_packet_hook(sup_cfg(4), panic_at(target));
+        let mut monitor = ShardedMonitor::spawn(sup_cfg(4), None, Some(panic_at(target)));
         feed_each(&mut monitor, &pkts);
-        let run = monitor.into_run();
-        assert_eq!(run.stats.shard_restarts, 1);
-        assert!(run.failures.len() == 1, "{:?}", run.failures);
-        assert_eq!(run.failures[0].at_packet, Some(target));
-        assert!(run.failures[0].respawn_us.is_some(), "the respawn is timed");
+        flush_samples(&mut monitor);
+        let (stats, failures) = (monitor.stats(), monitor.failures());
+        assert_eq!(stats.shard_restarts, 1);
+        assert!(failures.len() == 1, "{failures:?}");
+        assert_eq!(failures[0].at_packet, Some(target));
+        assert!(failures[0].respawn_us.is_some(), "the respawn is timed");
         // Only the failed batch's tail is missed; everything else measured.
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
-        assert!(run.stats.monitor_miss < 8, "at most one batch lost");
-        assert!(run.stats.samples > 0);
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
+        assert!(stats.monitor_miss < 8, "at most one batch lost");
+        assert!(stats.samples > 0);
     }
 
     #[test]
@@ -1772,43 +1716,45 @@ mod tests {
         let pkts = trace(100, 12);
         let target = (pkts.len() / 2) as u64;
         let cfg = ShardedConfig::new(DartConfig::default(), 4);
-        let mut monitor = ShardedMonitor::with_packet_hook(cfg, panic_at(target));
-        run_monitor_slice(&mut monitor, &pkts);
-        let run = monitor.into_run();
-        assert_eq!(run.stats.shard_restarts, 1, "{:?}", run.failures);
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(panic_at(target)));
+        let (_, stats) = run_monitor_slice(&mut monitor, &pkts);
+        assert_eq!(stats.shard_restarts, 1, "{:?}", monitor.failures());
         assert!(
-            run.stats.monitor_miss < cfg.batch_size as u64,
+            stats.monitor_miss < cfg.batch_size as u64,
             "missed {} packets",
-            run.stats.monitor_miss
+            stats.monitor_miss
         );
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
         assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
+            monitor
+                .per_shard()
+                .iter()
+                .filter(|s| s.packets == 0)
+                .count(),
+            0
         );
-        assert_eq!(run.per_shard.iter().filter(|s| s.packets == 0).count(), 0);
     }
 
     #[test]
     fn shed_load_keeps_other_shards_measuring() {
         // Long enough that shard 1 sees more blocks than its budget.
         let pkts = trace(60, 12);
-        let mut monitor = ShardedMonitor::with_packet_hook(sup_cfg(4), kill_shard(1));
+        let mut monitor = ShardedMonitor::spawn(sup_cfg(4), None, Some(kill_shard(1)));
         feed_each(&mut monitor, &pkts);
-        let run = monitor.into_run();
+        flush_samples(&mut monitor);
+        let (stats, failures) = (monitor.stats(), monitor.failures());
         // Shard 1 spent its budget, then shed: the last failure respawned
         // nothing.
-        assert_eq!(run.stats.shard_restarts, MAX_RESTARTS as u64);
-        assert!(run.failures.iter().all(|f| f.shard == 1));
-        assert!(run.failures.last().is_some_and(|f| f.respawn_us.is_none()));
-        assert!(!run.healthy());
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
+        assert_eq!(stats.shard_restarts, MAX_RESTARTS as u64);
+        assert!(failures.iter().all(|f| f.shard == 1));
+        assert!(failures.last().is_some_and(|f| f.respawn_us.is_none()));
+        assert!(!failures.is_empty());
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
         // The dead shard's later packets were shed.
-        assert!(run.per_shard[1].monitor_miss > 0);
+        let per_shard = monitor.per_shard();
+        assert!(per_shard[1].monitor_miss > 0);
         // The three surviving shards kept measuring every one of theirs.
-        for (i, shard) in run.per_shard.iter().enumerate().filter(|(i, _)| *i != 1) {
+        for (i, shard) in per_shard.iter().enumerate().filter(|(i, _)| *i != 1) {
             assert_eq!(shard.monitor_miss, 0, "shard {i} missed packets");
             assert!(shard.samples > 0, "shard {i} produced no samples");
         }
@@ -1828,21 +1774,18 @@ mod tests {
             .with_batch_size(1)
             .with_queue_depth(1)
             .with_stall_timeout(Duration::from_millis(10));
-        let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
         feed_each(&mut monitor, &pkts);
-        let run = monitor.into_run();
+        flush_samples(&mut monitor);
+        let (stats, failures) = (monitor.stats(), monitor.failures());
         assert!(
-            run.failures
+            failures
                 .iter()
                 .any(|f| matches!(f.kind, FailureKind::Stalled { .. })),
-            "{:?}",
-            run.failures
+            "{failures:?}"
         );
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
-        assert!(run.stats.monitor_miss > 0);
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
+        assert!(stats.monitor_miss > 0);
     }
 
     /// Feeding a flushed monitor is a caller bug: a debug build asserts,
@@ -1852,17 +1795,17 @@ mod tests {
     fn feeding_after_flush_drops_the_packets() {
         let pkts = trace(5, 2);
         let cfg = ShardedConfig::new(DartConfig::default(), 2);
-        let reference = replay(cfg, &pkts);
+        let (reference_samples, reference) = replay(cfg, &pkts);
         let mut monitor = ShardedMonitor::new(cfg);
-        run_monitor_slice(&mut monitor, &pkts);
-        let stats = RttMonitor::stats(&monitor);
+        let (samples, stats) = run_monitor_slice(&mut monitor, &pkts);
         let mut sink = Vec::new();
         monitor.on_batch(&pkts, &mut sink);
         assert!(sink.is_empty());
-        assert_eq!(RttMonitor::stats(&monitor), stats);
-        let run = monitor.into_run();
-        assert_eq!(run.samples, reference.samples);
-        assert_eq!(run.stats, reference.stats);
+        assert_eq!(monitor.stats(), stats);
+        monitor.flush(&mut sink);
+        assert!(sink.is_empty());
+        assert_eq!(samples, reference_samples);
+        assert_eq!(monitor.stats(), reference.stats());
     }
 
     #[test]
@@ -1876,26 +1819,24 @@ mod tests {
             }
         });
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(4);
-        let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
         feed_each(&mut monitor, &pkts);
         monitor.flush(&mut Vec::new());
         assert_eq!(monitor.health().healthy_shards, 1, "shard 0 sheds");
-        let run = monitor.into_run();
-        assert_eq!(run.stats.shard_restarts, MAX_RESTARTS as u64);
+        let (stats, failures) = (monitor.stats(), monitor.failures());
+        assert_eq!(stats.shard_restarts, MAX_RESTARTS as u64);
         // The failure past the budget respawned nothing: the shard shed.
-        assert_eq!(run.failures.len(), MAX_RESTARTS as usize + 1);
-        assert!(run.failures.iter().all(|f| f.shard == 0));
-        assert!(run.failures[MAX_RESTARTS as usize].respawn_us.is_none());
-        assert!(!run.healthy());
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
+        assert_eq!(failures.len(), MAX_RESTARTS as usize + 1);
+        assert!(failures.iter().all(|f| f.shard == 0));
+        assert!(failures[MAX_RESTARTS as usize].respawn_us.is_none());
+        assert!(!failures.is_empty());
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
         // The shed shard's later packets were missed; the other shard kept
         // measuring every one of its own.
-        assert!(run.per_shard[0].monitor_miss > 0);
-        assert_eq!(run.per_shard[1].monitor_miss, 0);
-        assert!(run.per_shard[1].samples > 0);
+        let per_shard = monitor.per_shard();
+        assert!(per_shard[0].monitor_miss > 0);
+        assert_eq!(per_shard[1].monitor_miss, 0);
+        assert!(per_shard[1].samples > 0);
     }
 
     #[test]
@@ -1905,19 +1846,19 @@ mod tests {
         // continuously-active flows must not change the merged output.
         let pkts = trace(30, 6);
         let cfg = ShardedConfig::new(DartConfig::unlimited(), 4).with_batch_size(16);
-        let baseline = replay(cfg, &pkts);
+        let (baseline, _) = replay(cfg, &pkts);
 
         let mut monitor = ShardedMonitor::new(cfg);
         for (i, p) in pkts.iter().enumerate() {
             monitor.on_packet(p, &mut Vec::new());
             if i == pkts.len() / 2 {
-                ShardedMonitor::rotate_epoch(&mut monitor, 0);
+                monitor.rotate_epoch(0);
             }
         }
-        let run = monitor.into_run();
-        assert!(run.healthy());
-        assert_eq!(run.samples, baseline.samples);
-        assert_eq!(run.stats.packets, pkts.len() as u64);
+        let samples = flush_samples(&mut monitor);
+        assert!(monitor.failures().is_empty());
+        assert_eq!(samples, baseline);
+        assert_eq!(monitor.stats().packets, pkts.len() as u64);
     }
 
     #[test]
@@ -1933,15 +1874,16 @@ mod tests {
         // after exchange 3's data burst leaves 20 records in flight.
         let half = 3 * 40 + 20;
         feed_each(&mut monitor, &pkts[..half]);
-        ShardedMonitor::rotate_epoch(&mut monitor, Nanos::MAX);
+        monitor.rotate_epoch(Nanos::MAX);
         feed_each(&mut monitor, &pkts[half..]);
-        let run = monitor.into_run();
-        assert!(run.healthy());
-        assert_eq!(run.stats.packets, pkts.len() as u64);
-        assert!(run.stats.samples > 0, "post-rotation exchanges measured");
+        flush_samples(&mut monitor);
+        let stats = monitor.stats();
+        assert!(monitor.failures().is_empty());
+        assert_eq!(stats.packets, pkts.len() as u64);
+        assert!(stats.samples > 0, "post-rotation exchanges measured");
         let (serial, _) = run_trace(DartConfig::default(), &pkts);
         assert!(
-            (run.stats.samples as usize) < serial.len(),
+            (stats.samples as usize) < serial.len(),
             "the sweep must cost some in-flight matches"
         );
     }
@@ -1972,7 +1914,7 @@ mod tests {
     fn health_counts_dead_shards() {
         let pkts = trace(20, 6);
         let cfg = sup_cfg(4).with_batch_size(1);
-        let mut monitor = ShardedMonitor::with_packet_hook(cfg, kill_shard(0));
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(kill_shard(0)));
         feed_each(&mut monitor, &pkts);
         let mut sink = Vec::new();
         monitor.flush(&mut sink);
@@ -1986,7 +1928,7 @@ mod tests {
     fn health_reports_a_respawn_before_the_flush() {
         let pkts = trace(30, 6);
         let target = (pkts.len() / 2) as u64;
-        let mut monitor = ShardedMonitor::with_packet_hook(sup_cfg(4), panic_at(target));
+        let mut monitor = ShardedMonitor::spawn(sup_cfg(4), None, Some(panic_at(target)));
         let mut sink = Vec::new();
         monitor.on_batch(&pkts, &mut sink);
         // Every block is on a ring now; the worker records the respawn on
@@ -2011,12 +1953,23 @@ mod tests {
     fn keep_samples_off_bounds_memory_but_keeps_counters() {
         let pkts = trace(25, 5);
         let cfg = ShardedConfig::new(DartConfig::default(), 3).with_keep_samples(false);
-        let out = replay(cfg, &pkts);
-        assert!(out.samples.is_empty(), "retention off: no merged samples");
-        assert!(out.events.is_empty(), "retention off: no merged events");
-        assert_eq!(out.stats.packets, pkts.len() as u64);
-        assert!(out.stats.samples > 0, "counters still tally the samples");
-        assert!(out.healthy());
+        let mut monitor = ShardedMonitor::new(cfg);
+        let mut out = Emissions::default();
+        run_monitor(&mut monitor, SliceSource::new(&pkts), &mut out).unwrap();
+        assert!(
+            !out.0.iter().any(|e| matches!(e, Emission::Sample(_))),
+            "retention off: no merged samples"
+        );
+        assert!(
+            !out.0.iter().any(|e| matches!(e, Emission::Event(_))),
+            "retention off: no merged events"
+        );
+        assert_eq!(monitor.stats().packets, pkts.len() as u64);
+        assert!(
+            monitor.stats().samples > 0,
+            "counters still tally the samples"
+        );
+        assert!(monitor.failures().is_empty());
     }
 
     #[test]
@@ -2025,9 +1978,9 @@ mod tests {
         let pkts = trace(20, 4);
         let registry = MetricRegistry::new();
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(8);
-        let mut monitor = ShardedMonitor::with_telemetry(cfg, &registry);
+        let mut monitor = ShardedMonitor::spawn(cfg, Some(&registry), None);
         feed_each(&mut monitor, &pkts);
-        ShardedMonitor::rotate_epoch(&mut monitor, 0);
+        monitor.rotate_epoch(0);
         let mut sink = Vec::new();
         monitor.flush(&mut sink);
         let snap = registry.scrape();
@@ -2056,8 +2009,8 @@ mod tests {
         let healthy = registry.gauge(SUPERVISOR_HEALTHY_SHARDS.name, &[], "");
         assert_eq!(healthy.get(), 4);
         feed_each(&mut monitor, &pkts);
-        let run = monitor.into_run();
-        assert!(!run.healthy());
+        flush_samples(&mut monitor);
+        assert!(!monitor.failures().is_empty());
         assert_eq!(healthy.get(), 3, "one shard died");
         // The supervised counters made it into the per-shard series.
         let snap = registry.scrape();
@@ -2075,27 +2028,24 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 4).with_batch_size(7);
 
         // Reference: one uninterrupted run over the whole trace.
-        let whole = replay(cfg, &pkts);
+        let (whole_samples, whole) = replay(cfg, &pkts);
 
         let split = pkts.len() * 2 / 3;
         let mut a = ShardedMonitor::new(cfg);
         feed_each(&mut a, &pkts[..split]);
-        let snap = a.checkpoint().expect("checkpoint");
+        let snap = a.snapshot().expect("checkpoint");
         drop(a); // the crash: this side's results are never collected
 
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&snap).expect("restore");
         feed_each(&mut b, &pkts[split..]);
-        let run = b.into_run();
-        assert_eq!(run.samples, whole.samples);
-        assert_eq!(run.stats, whole.stats);
+        assert_eq!(flush_samples(&mut b), whole_samples);
+        let stats = b.stats();
+        assert_eq!(stats, whole.stats());
         // Conservation across the crash boundary: every packet fed on
         // either side of it is processed or accounted as missed.
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
-        assert!(run.healthy());
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
+        assert!(b.failures().is_empty());
     }
 
     #[test]
@@ -2104,21 +2054,22 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(7);
         let mut m = ShardedMonitor::new(cfg);
         feed_each(&mut m, &pkts[..pkts.len() / 2]);
-        let first = m.checkpoint().expect("checkpoint");
+        let first = m.snapshot().expect("checkpoint");
         let bytes = first.as_bytes().to_vec();
         let frame_at = first.as_bytes().as_ptr() as usize;
         m.reclaim(first);
         // Nothing fed in between: the same cut, written over the first.
-        let again = m.checkpoint().expect("checkpoint");
+        let again = m.snapshot().expect("checkpoint");
         assert_eq!(again.as_bytes(), bytes.as_slice());
         assert_eq!(again.as_bytes().as_ptr() as usize, frame_at);
         // A longer state after a shorter one leaves nothing of it behind.
         feed_each(&mut m, &pkts[pkts.len() / 2..]);
         m.reclaim(again);
-        let later = m.checkpoint().expect("checkpoint");
+        let later = m.snapshot().expect("checkpoint");
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&later).expect("restore");
-        assert_eq!(b.into_run().stats, replay(cfg, &pkts).stats);
+        flush_samples(&mut b);
+        assert_eq!(b.stats(), replay(cfg, &pkts).1.stats());
     }
 
     #[test]
@@ -2126,24 +2077,22 @@ mod tests {
         let pkts = trace(30, 6);
         let split = pkts.len() / 2;
         let cfg = sup_cfg(4).with_batch_size(1);
-        let mut a = ShardedMonitor::with_packet_hook(cfg, kill_shard(0));
+        let mut a = ShardedMonitor::spawn(cfg, None, Some(kill_shard(0)));
         feed_each(&mut a, &pkts[..split]);
-        let snap = a.checkpoint().expect("checkpoint survives a dead shard");
+        let snap = a.snapshot().expect("checkpoint survives a dead shard");
         drop(a);
 
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&snap).expect("restore");
         feed_each(&mut b, &pkts[split..]);
-        let run = b.into_run();
+        flush_samples(&mut b);
+        let stats = b.stats();
         // The dead shard's entire history was written off into the
         // snapshot's monitor_miss (its worker-side books are
         // unrecoverable), so conservation holds across the crash and the
         // shard restarts fresh on the other side.
-        assert_eq!(
-            run.stats.packets + run.stats.monitor_miss,
-            pkts.len() as u64
-        );
-        assert!(run.stats.monitor_miss > 0);
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
+        assert!(stats.monitor_miss > 0);
     }
 
     #[test]
@@ -2152,7 +2101,7 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 4);
         let mut a = ShardedMonitor::new(cfg);
         feed_each(&mut a, &pkts);
-        let snap = a.checkpoint().expect("checkpoint");
+        let snap = a.snapshot().expect("checkpoint");
 
         // Restoring into a monitor that already saw traffic is refused.
         let mut fed = ShardedMonitor::new(cfg);

@@ -138,7 +138,7 @@ fn sharded_hand_off() {
                 }
             })
         };
-        let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
         let mut sink = Vec::new();
         monitor.on_batch(blocks.next().expect("first block"), &mut sink);
         gate.wait();
@@ -151,7 +151,7 @@ fn sharded_hand_off() {
         monitor.on_batch(blocks.next().expect("last warm-up block"), &mut sink);
         // A checkpoint is answered only after everything sent before it
         // has been processed: the workers are idle when it returns.
-        monitor.checkpoint().expect("checkpoint");
+        monitor.snapshot().expect("checkpoint");
 
         let (requests, live) = books();
         for block in blocks {

@@ -175,19 +175,20 @@ mod degraded {
                 }
             });
             let cfg = ShardedConfig::new(DartConfig::default(), 3).with_batch_size(4);
-            let mut monitor = ShardedMonitor::with_packet_hook(cfg, hook);
+            let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
             for p in &packets {
                 monitor.on_packet(p, &mut Vec::new());
             }
-            let run = monitor.into_run();
-            prop_assert!(!run.failures.is_empty(), "the injected panic must be recorded");
-            prop_assert_eq!(run.stats.shard_restarts, 1);
+            monitor.flush(&mut Vec::new());
+            let stats = monitor.stats();
+            prop_assert!(!monitor.failures().is_empty(), "the injected panic must be recorded");
+            prop_assert_eq!(stats.shard_restarts, 1);
             prop_assert_eq!(
-                run.stats.packets + run.stats.monitor_miss,
+                stats.packets + stats.monitor_miss,
                 packets.len() as u64,
-                "runtime books must balance: {:?}", run.stats
+                "runtime books must balance: {:?}", stats
             );
-            check_conservation(&run.stats);
+            check_conservation(&stats);
         }
     }
 }

@@ -53,10 +53,3 @@ pub(crate) fn arr<const N: usize>(b: &[u8]) -> [u8; N] {
     out.copy_from_slice(&b[..N]);
     out
 }
-
-/// The first `N` bytes of `b` as an array and the bytes behind them, if it
-/// has that many: one length check, after which fixed offsets into the
-/// array need none. (`split_first_chunk`, for the crate's `rust-version`.)
-pub(crate) fn split_head<const N: usize>(b: &[u8]) -> Option<(&[u8; N], &[u8])> {
-    Some((b.get(..N)?.try_into().ok()?, &b[N..]))
-}

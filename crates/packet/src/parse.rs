@@ -123,7 +123,7 @@ pub fn parse_ethernet_frame<C: DirectionClassifier + ?Sized>(
     frame: &[u8],
     classifier: &C,
 ) -> Result<PacketMeta, PacketError> {
-    let Some((eth, packet)) = crate::split_head::<{ EthernetHeader::LEN }>(frame) else {
+    let Some((eth, packet)) = frame.split_first_chunk::<{ EthernetHeader::LEN }>() else {
         return Err(truncated("ethernet", EthernetHeader::LEN, frame.len()));
     };
     if u16::from_be_bytes([eth[12], eth[13]]) != ethertype::IPV4 {
@@ -145,7 +145,7 @@ pub fn parse_ipv4_packet<C: DirectionClassifier + ?Sized>(
     packet: &[u8],
     classifier: &C,
 ) -> Result<PacketMeta, PacketError> {
-    let Some((ip, _)) = crate::split_head::<{ Ipv4Header::MIN_LEN }>(packet) else {
+    let Some((ip, _)) = packet.split_first_chunk::<{ Ipv4Header::MIN_LEN }>() else {
         return Err(truncated("ipv4", Ipv4Header::MIN_LEN, packet.len()));
     };
     if ip[0] >> 4 != 4 {
@@ -164,7 +164,7 @@ pub fn parse_ipv4_packet<C: DirectionClassifier + ?Sized>(
     if u16::from_be_bytes([ip[6], ip[7]]) & 0x1FFF != 0 {
         return Err(unsupported("ip fragment"));
     }
-    let Some((tcp, _)) = crate::split_head::<{ TcpHeader::MIN_LEN }>(segment) else {
+    let Some((tcp, _)) = segment.split_first_chunk::<{ TcpHeader::MIN_LEN }>() else {
         return Err(truncated("tcp", TcpHeader::MIN_LEN, segment.len()));
     };
     let tcp_len = (tcp[12] >> 4) as usize * 4;

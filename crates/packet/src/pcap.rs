@@ -120,7 +120,7 @@ impl RecordFormat {
     /// call it per record are instantiated downstream.
     #[inline]
     fn record_in<'a>(&self, data: &'a [u8]) -> Result<Option<(PcapFrame<'a>, usize)>, PacketError> {
-        let Some((hdr, rest)) = crate::split_head::<RECORD_HEADER_LEN>(data) else {
+        let Some((hdr, rest)) = data.split_first_chunk::<RECORD_HEADER_LEN>() else {
             return Ok(None);
         };
         let field = |at: usize| self.u32_at(crate::arr(&hdr[at..at + 4]));

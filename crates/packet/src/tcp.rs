@@ -241,7 +241,7 @@ pub mod option {
 #[inline(always)]
 pub fn timestamps_in(opts: &[u8]) -> Option<(u32, u32)> {
     if let [option::NOP, option::NOP, option::TIMESTAMPS, 10, values @ ..] = opts {
-        if let Some((values, _)) = crate::split_head::<8>(values) {
+        if let Some((values, _)) = values.split_first_chunk::<8>() {
             let tsval = u32::from_be_bytes(crate::arr(&values[0..4]));
             let tsecr = u32::from_be_bytes(crate::arr(&values[4..8]));
             return Some((tsval, tsecr));

@@ -356,12 +356,28 @@ fn judge_engine(
     }
 }
 
-/// The one oracle-and-judge loop behind every `run_diff*` entry point:
-/// apply `fault` to the capture if there is one, run the oracle and every
-/// configured implementation over the result, and judge each against it.
-/// With `telemetry`, engines are built instrumented into the registry and
-/// the loop narrates into the event log; the report is the same either way.
-fn diff(
+/// The differential suite: apply the seeded `fault` configuration to
+/// `packets` if there is one (oracle and engines share the faulted
+/// capture — see the module docs on capture-relative truth), run the
+/// oracle and every configured implementation over the result, and judge
+/// each against it.
+///
+/// Engines are resolved through the [`EngineRegistry`]: each outcome comes
+/// from the same streaming path ([`run_monitor_slice`]) and is judged by the
+/// [`Judgement`] its registry entry declares — there is no per-engine glue
+/// here.
+///
+/// With `telemetry`, engines are built through
+/// [`EngineRegistry::build_instrumented`], so Dart runs publish their
+/// per-shard series into the registry and baselines get run-level mirrors,
+/// and the loop narrates into the event log (one entry per engine started
+/// and judged). The report is the same either way.
+///
+/// # Panics
+///
+/// Panics when a name in `cfg` is not in the registry; validate user input
+/// with [`EngineRegistry::build`] before constructing a [`DiffConfig`].
+pub fn run_diff(
     cfg: &DiffConfig,
     fault: Option<FaultConfig>,
     packets: &[PacketMeta],
@@ -430,59 +446,6 @@ fn diff(
     }
 }
 
-/// Run every configured implementation over `packets` (already faulted or
-/// clean) and judge them against the oracle.
-///
-/// Engines are resolved through the [`EngineRegistry`]: each outcome comes
-/// from the same streaming path ([`run_monitor_slice`]) and is judged by the
-/// [`Judgement`] its registry entry declares — there is no per-engine glue
-/// here.
-///
-/// # Panics
-///
-/// Panics when a name in `cfg` is not in the registry; validate user input
-/// with [`EngineRegistry::build`] before constructing a [`DiffConfig`].
-pub fn run_diff(cfg: &DiffConfig, packets: &[PacketMeta]) -> DiffReport {
-    diff(cfg, None, packets, None)
-}
-
-/// [`run_diff`] with telemetry attached: engines are built through
-/// [`EngineRegistry::build_instrumented`], so Dart runs publish their
-/// per-shard series into `metrics` and baselines get run-level mirrors,
-/// and the runner narrates progress into `events` (one entry per engine
-/// started and judged). The report is identical to [`run_diff`]'s.
-pub fn run_diff_instrumented(
-    cfg: &DiffConfig,
-    packets: &[PacketMeta],
-    metrics: &MetricRegistry,
-    events: &EventLog,
-) -> DiffReport {
-    diff(cfg, None, packets, Some((metrics, events)))
-}
-
-/// Apply a seeded fault configuration to `packets`, then run the
-/// differential suite on the faulted capture (which oracle and engines
-/// share — see the module docs on capture-relative truth).
-pub fn run_diff_faulted(
-    cfg: &DiffConfig,
-    fault: FaultConfig,
-    packets: &[PacketMeta],
-) -> DiffReport {
-    diff(cfg, Some(fault), packets, None)
-}
-
-/// [`run_diff_faulted`] through the instrumented runner (see
-/// [`run_diff_instrumented`]).
-pub fn run_diff_faulted_instrumented(
-    cfg: &DiffConfig,
-    fault: FaultConfig,
-    packets: &[PacketMeta],
-    metrics: &MetricRegistry,
-    events: &EventLog,
-) -> DiffReport {
-    diff(cfg, Some(fault), packets, Some((metrics, events)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,21 +464,26 @@ mod tests {
 
     #[test]
     fn clean_trace_passes_both_invariants() {
-        let report = run_diff(&DiffConfig::default(), &trace(1));
+        let report = run_diff(&DiffConfig::default(), None, &trace(1), None);
         assert!(report.pass(), "clean trace must pass:\n{report}");
         assert!(report.oracle_valid > 0, "campus trace has valid samples");
     }
 
     #[test]
     fn faulted_trace_still_passes() {
-        let report = run_diff_faulted(&DiffConfig::default(), FaultConfig::stress(9), &trace(2));
+        let report = run_diff(
+            &DiffConfig::default(),
+            Some(FaultConfig::stress(9)),
+            &trace(2),
+            None,
+        );
         assert!(report.pass(), "faulted trace must pass:\n{report}");
         assert!(report.faults.unwrap().dropped > 0);
     }
 
     #[test]
     fn counters_render_through_shared_formatter() {
-        let report = run_diff(&DiffConfig::default(), &trace(4));
+        let report = run_diff(&DiffConfig::default(), None, &trace(4), None);
         let text = report.counters_text();
         assert!(text.contains("counters[dart]"), "{text}");
         assert!(text.contains("packets"), "{text}");
@@ -525,10 +493,15 @@ mod tests {
     #[test]
     fn instrumented_diff_matches_plain_and_narrates() {
         let packets = trace(5);
-        let plain = run_diff(&DiffConfig::default(), &packets);
+        let plain = run_diff(&DiffConfig::default(), None, &packets, None);
         let metrics = MetricRegistry::new();
         let events = EventLog::new(64);
-        let inst = run_diff_instrumented(&DiffConfig::default(), &packets, &metrics, &events);
+        let inst = run_diff(
+            &DiffConfig::default(),
+            None,
+            &packets,
+            Some((&metrics, &events)),
+        );
         assert_eq!(
             inst.to_string(),
             plain.to_string(),
@@ -557,7 +530,7 @@ mod tests {
 
     #[test]
     fn report_renders_every_runner() {
-        let report = run_diff(&DiffConfig::default(), &trace(3));
+        let report = run_diff(&DiffConfig::default(), None, &trace(3), None);
         let text = report.to_string();
         for name in ["dart", "dart-sharded-4", "tcptrace", "fridge", "verdict"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");

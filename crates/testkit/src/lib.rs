@@ -45,7 +45,7 @@
 //!     duration: dart_packet::SECOND,
 //!     ..CampusConfig::default()
 //! });
-//! let report = run_diff(&DiffConfig::default(), &trace.packets);
+//! let report = run_diff(&DiffConfig::default(), None, &trace.packets, None);
 //! assert!(report.pass());
 //! ```
 
@@ -67,8 +67,7 @@ pub use chaos::{
     chaos_hook, quiet_chaos_panics, run_chaos, ChaosConfig, ChaosReport, RuntimeFault,
 };
 pub use diff::{
-    hist_within_tolerance, loss_budget, oracle_histogram, run_diff, run_diff_faulted,
-    run_diff_faulted_instrumented, run_diff_instrumented, snapshot_from_rows, DiffConfig,
+    hist_within_tolerance, loss_budget, oracle_histogram, run_diff, snapshot_from_rows, DiffConfig,
     DiffReport, EngineOutcome,
 };
 pub use faults::{

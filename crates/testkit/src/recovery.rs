@@ -34,8 +34,8 @@
 //! cell of the seeds × crash-points × backends matrix replays exactly.
 
 use crate::oracle::{run_oracle, OracleConfig, OracleReport, ScoreCard};
-use dart_core::sharded::{ShardedConfig, ShardedMonitor, ShardedRun};
-use dart_core::{drive, Backend, DartConfig, RttSample, Snapshot};
+use dart_core::sharded::{ShardedConfig, ShardedMonitor};
+use dart_core::{drive, Backend, DartConfig, RttMonitor, RttSample, Snapshot};
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource, SECOND};
 use dart_sim::scenario::{campus, CampusConfig};
 
@@ -208,25 +208,25 @@ pub fn recovery_trace(seed: u64) -> Vec<PacketMeta> {
 /// capture, so the second life keeps the first life's schedule. `max_ts`
 /// carries the newest timestamp across lives.
 ///
-/// A life ends the way the loop does: with its flush when the source
-/// drains, or — over a [`Killed`] source — with the source's error and no
-/// flush at all.
+/// A life ends the way the loop does: with its flush into `samples` when
+/// the source drains, or — over a [`Killed`] source — with the source's
+/// error and no flush at all.
 fn live(
     monitor: &mut ShardedMonitor,
     source: &mut dyn PacketSource,
+    samples: &mut Vec<RttSample>,
     cfg: &RecoveryConfig,
     span: std::ops::Range<usize>,
     max_ts: &mut Nanos,
     mut at_checkpoint: impl FnMut(&mut ShardedMonitor, usize),
 ) -> Result<(), PacketError> {
     let base_ts = *max_ts;
-    let mut sink: Vec<RttSample> = Vec::new();
-    drive(monitor, source, &mut sink, |monitor, at| {
+    drive(monitor, source, samples, |monitor, at| {
         let pos = span.start + at.packets as usize;
         *max_ts = base_ts.max(at.newest_ts);
         if at.packets > 0 && pos < span.end {
             if pos.is_multiple_of(cfg.rotate_every) {
-                ShardedMonitor::rotate_epoch(monitor, max_ts.saturating_sub(SECOND));
+                monitor.rotate_epoch(max_ts.saturating_sub(SECOND));
             }
             if pos.is_multiple_of(cfg.checkpoint_every) {
                 at_checkpoint(monitor, pos);
@@ -271,26 +271,27 @@ pub fn recovery_oracle(packets: &[PacketMeta]) -> OracleReport {
     )
 }
 
-/// The uncrashed reference for a cell: same engine, same rotation
-/// schedule, no crash. Shared across a seed × backend's three crash
-/// points by [`run_recovery_matrix`].
-pub fn recovery_reference(cfg: &RecoveryConfig, packets: &[PacketMeta]) -> ShardedRun {
+/// The samples of the uncrashed reference for a cell: same engine, same
+/// rotation schedule, no crash. Shared across a seed × backend's three
+/// crash points by [`run_recovery_matrix`].
+pub fn recovery_reference(cfg: &RecoveryConfig, packets: &[PacketMeta]) -> Vec<RttSample> {
     let engine = DartConfig::default().with_backend(cfg.backend);
     let scfg = ShardedConfig::new(engine, cfg.shards)
         .with_batch_size(cfg.block)
         .with_keep_samples(true);
-    let mut reference = ShardedMonitor::new(scfg);
+    let mut samples = Vec::new();
     let mut ref_ts: Nanos = 0;
     live(
-        &mut reference,
+        &mut ShardedMonitor::new(scfg),
         &mut SliceSource::new(packets),
+        &mut samples,
         cfg,
         0..packets.len(),
         &mut ref_ts,
         |_, _| {},
     )
     .expect("slice sources are infallible");
-    reference.into_run()
+    samples
 }
 
 /// Run one kill–restart cycle over `packets` and judge the outcome.
@@ -344,7 +345,7 @@ pub fn run_recovery_judged(
     cfg: &RecoveryConfig,
     packets: &[PacketMeta],
     oracle: &OracleReport,
-    reference: &ShardedRun,
+    reference: &[RttSample],
 ) -> RecoveryReport {
     let n = packets.len();
     let interval = cfg.checkpoint_every;
@@ -379,10 +380,11 @@ pub fn run_recovery_judged(
     let killed = live(
         &mut first,
         &mut Killed(&packets[..crash_at]),
+        &mut Vec::new(),
         cfg,
         0..crash_at,
         &mut max_ts,
-        |monitor, pos| match monitor.checkpoint() {
+        |monitor, pos| match monitor.snapshot() {
             Ok(snap) => durable = Some((pos, snap.into_bytes())),
             Err(e) => violations.push(format!("checkpoint at {pos} failed: {e}")),
         },
@@ -395,9 +397,9 @@ pub fn run_recovery_judged(
         CrashPoint::MidRotation => {
             // The sweep runs; the process dies before any checkpoint
             // records it. The restored state is pre-rotation.
-            ShardedMonitor::rotate_epoch(&mut first, max_ts.saturating_sub(SECOND));
+            first.rotate_epoch(max_ts.saturating_sub(SECOND));
         }
-        CrashPoint::MidCheckpointWrite => match first.checkpoint() {
+        CrashPoint::MidCheckpointWrite => match first.snapshot() {
             Ok(snap) => {
                 // Tear the frame at a seeded byte: whatever survives on
                 // disk must be rejected, not restored.
@@ -451,30 +453,32 @@ pub fn run_recovery_judged(
         );
     }
     let mut max_ts2 = max_ts;
+    let mut samples = Vec::new();
     live(
         &mut second,
         &mut SliceSource::new(&packets[crash_at..]),
+        &mut samples,
         cfg,
         crash_at..n,
         &mut max_ts2,
         |_, _| {},
     )
     .expect("slice sources are infallible");
-    let run = second.into_run();
+    let stats = second.stats();
 
     // ---- Judge.
     let lost = (crash_at - durable_at) as u64;
-    let accounted = run.stats.packets + run.stats.monitor_miss;
+    let accounted = stats.packets + stats.monitor_miss;
     let expected_accounted = (durable_at + (n - crash_at)) as u64;
     if accounted != expected_accounted {
         violations.push(format!(
             "conservation broke across the crash: accounted {accounted}, expected {expected_accounted}"
         ));
     }
-    if !run.healthy() {
-        violations.push(format!("restored run degraded: {:?}", run.failures));
+    if !second.failures().is_empty() {
+        violations.push(format!("restored run degraded: {:?}", second.failures()));
     }
-    let card = oracle.score(&run.samples);
+    let card = oracle.score(&samples);
     if card.impossible + card.cross_anchored > 0 {
         violations.push(format!(
             "{} fabricated + {} cross-anchored samples after restore",
@@ -485,7 +489,7 @@ pub fn run_recovery_judged(
     // most one future match (a lost data packet whose ACK now misses), so
     // the deficit is bounded by twice the lost window — proportional to
     // the checkpoint interval, never the history.
-    let deficit = (reference.samples.len() as u64).saturating_sub(run.samples.len() as u64);
+    let deficit = (reference.len() as u64).saturating_sub(samples.len() as u64);
     let budget = 2 * lost + 2;
     if deficit > budget {
         violations.push(format!(
@@ -500,8 +504,8 @@ pub fn run_recovery_judged(
         torn_write_detected,
         accounted,
         expected_accounted,
-        samples: run.samples.len() as u64,
-        reference_samples: reference.samples.len() as u64,
+        samples: samples.len() as u64,
+        reference_samples: reference.len() as u64,
         card,
         violations,
     }

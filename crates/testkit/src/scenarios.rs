@@ -19,7 +19,7 @@
 //! artifacts in the `ChaosReport` style land under
 //! [`scenario_artifact_dir`] for CI upload.
 
-use crate::diff::{run_diff, run_diff_faulted, DiffConfig, DiffReport};
+use crate::diff::{run_diff, DiffConfig, DiffReport};
 use crate::faults::FaultConfig;
 use crate::spin_oracle::run_spin_oracle;
 use dart_core::Backend;
@@ -140,10 +140,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let trace = cfg.kind.generate(cfg.scale, cfg.seed);
     let mut diff_cfg = scenario_diff_config();
     diff_cfg.engine = diff_cfg.engine.with_backend(cfg.backend);
-    let report = match cfg.fault {
-        Some(fault) => run_diff_faulted(&diff_cfg, fault, &trace.packets),
-        None => run_diff(&diff_cfg, &trace.packets),
-    };
+    let report = run_diff(&diff_cfg, cfg.fault, &trace.packets, None);
     // Edge truth on the capture the engines actually saw: re-apply the
     // same seeded fault (FaultInjector is deterministic in its config).
     let spin_edges = match cfg.fault {

@@ -50,7 +50,7 @@ fn backend_sweeps_pass_the_differential_matrix() {
                 baselines: true,
                 baseline_engines: vec![name.to_string()],
             };
-            let report = run_diff(&diff, &pkts);
+            let report = run_diff(&diff, None, &pkts, None);
             assert!(
                 report.pass(),
                 "{name} failed at {:?}/{:?}:\n{report}",

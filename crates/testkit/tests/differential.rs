@@ -9,8 +9,8 @@ use dart_packet::{PacketMeta, PacketSource};
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_testkit::oracle::{run_oracle, OracleConfig, SampleClass};
 use dart_testkit::{
-    apply_config_fault, ddmin, register_sweep, run_diff, run_diff_faulted, run_trace_skewed,
-    shrink_and_save, ConfigFault, DiffConfig, FaultConfig,
+    apply_config_fault, ddmin, register_sweep, run_diff, run_trace_skewed, shrink_and_save,
+    ConfigFault, DiffConfig, FaultConfig,
 };
 
 /// Pinned trace seeds; changing these invalidates the calibrated
@@ -32,12 +32,12 @@ fn trace(seed: u64) -> Vec<PacketMeta> {
 /// minimal reproducer, persist it under `tests/shrunk/`, and panic with
 /// the artifact path (CI uploads the directory).
 fn assert_diff_passes(name: &str, cfg: &DiffConfig, packets: &[PacketMeta]) {
-    let report = run_diff(cfg, packets);
+    let report = run_diff(cfg, None, packets, None);
     if report.pass() {
         return;
     }
     let shrink_cfg = cfg.clone();
-    let mut fails = move |t: &[PacketMeta]| !run_diff(&shrink_cfg, t).pass();
+    let mut fails = move |t: &[PacketMeta]| !run_diff(&shrink_cfg, None, t, None).pass();
     let (minimal, path) = shrink_and_save(name, packets, &mut fails)
         .expect("writing the shrunk reproducer must succeed");
     panic!(
@@ -63,10 +63,11 @@ fn faulted_traces_pass_for_all_engines_and_shards() {
     for trace_seed in TRACE_SEEDS {
         let packets = trace(trace_seed);
         for fault_seed in FAULT_SEEDS {
-            let report = run_diff_faulted(
+            let report = run_diff(
                 &DiffConfig::default(),
-                FaultConfig::stress(fault_seed),
+                Some(FaultConfig::stress(fault_seed)),
                 &packets,
+                None,
             );
             assert!(
                 report.pass(),
@@ -97,7 +98,7 @@ fn starved_tables_stay_sound_with_admitted_loss() {
     };
     for seed in TRACE_SEEDS {
         let packets = trace(seed);
-        let report = run_diff(&cfg, &packets);
+        let report = run_diff(&cfg, None, &packets, None);
         assert!(report.pass(), "seed {seed}:\n{report}");
         // Tiny tables must actually hurt: the oracle out-measures the
         // engine, otherwise this config exercises nothing.
@@ -121,7 +122,7 @@ fn narrow_signatures_alias_within_an_explicit_budget() {
         ..DiffConfig::default()
     };
     for seed in TRACE_SEEDS {
-        let report = run_diff(&cfg, &trace(seed));
+        let report = run_diff(&cfg, None, &trace(seed), None);
         assert!(report.pass(), "seed {seed}:\n{report}");
     }
 }

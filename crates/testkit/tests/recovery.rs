@@ -91,12 +91,12 @@ fn snapshot_restore_round_trips_byte_identical_state_on_exact() {
     let mut monitor = ShardedMonitor::new(cfg);
     let mut sink: Vec<RttSample> = Vec::new();
     monitor.on_batch(&pkts[..pkts.len() / 2], &mut sink);
-    let snap = monitor.checkpoint().expect("checkpoint");
+    let snap = monitor.snapshot().expect("checkpoint");
     drop(monitor);
 
     let mut restored = ShardedMonitor::new(cfg);
     restored.restore(&snap).expect("restore");
-    let again = restored.checkpoint().expect("re-checkpoint");
+    let again = restored.snapshot().expect("re-checkpoint");
     assert_eq!(
         snap.payload(),
         again.payload(),
@@ -126,7 +126,7 @@ fn checkpoint_pause_stays_under_ten_milliseconds_at_design_scale() {
         let mut best = Duration::MAX;
         for _ in 0..5 {
             let start = Instant::now();
-            let snap = monitor.checkpoint().expect("checkpoint");
+            let snap = monitor.snapshot().expect("checkpoint");
             best = best.min(start.elapsed());
             assert!(!snap.payload().is_empty());
         }

@@ -30,7 +30,7 @@ fn assert_scenario_passes(cfg: &ScenarioConfig) {
         capture = FaultInjector::new(fault).apply(capture);
     }
     let diff_cfg = scenario_diff_config();
-    let mut fails = move |t: &[PacketMeta]| !run_diff(&diff_cfg, t).pass();
+    let mut fails = move |t: &[PacketMeta]| !run_diff(&diff_cfg, None, t, None).pass();
     let name = format!(
         "scenario-{}-{}",
         cfg.kind,

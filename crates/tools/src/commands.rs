@@ -15,8 +15,8 @@ use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
 use dart_telemetry::{EventLog, MetricRegistry};
 use dart_testkit::{
-    run_chaos, run_diff_faulted_instrumented, run_diff_instrumented, run_scenario,
-    scenario_artifact_dir, write_scorecards, ChaosConfig, DiffConfig, FaultConfig, ScenarioConfig,
+    run_chaos, run_diff, run_scenario, scenario_artifact_dir, write_scorecards, ChaosConfig,
+    DiffConfig, FaultConfig, ScenarioConfig,
 };
 use std::fmt::Write as _;
 use std::fs::File;
@@ -767,19 +767,11 @@ fn diff(input: &str, opts: &Options) -> Result<String, String> {
     let report = {
         let metrics = MetricRegistry::new();
         let events = EventLog::new(256);
-        let report = match opts.get("fault-seed") {
-            None => run_diff_instrumented(&cfg, &packets, &metrics, &events),
-            Some(_) => {
-                let seed = opts.get_num("fault-seed", 0u64)?;
-                run_diff_faulted_instrumented(
-                    &cfg,
-                    FaultConfig::stress(seed),
-                    &packets,
-                    &metrics,
-                    &events,
-                )
-            }
-        };
+        let fault = opts
+            .get("fault-seed")
+            .map(|_| opts.get_num("fault-seed", 0u64).map(FaultConfig::stress))
+            .transpose()?;
+        let report = run_diff(&cfg, fault, &packets, Some((&metrics, &events)));
         if let Some(path) = &sinks.jsonl {
             let mut line = metrics
                 .scrape()

@@ -11,7 +11,7 @@
 //! of [`VOCABULARY`](dart_core::telemetry::VOCABULARY):
 //!
 //! * the engine's per-shard series and the supervisor gauges, via
-//!   [`ShardedMonitor::with_telemetry`];
+//!   [`ShardedMonitor::spawn`];
 //! * stage timing, via [`StageTimers`] — the clock lives in the driver
 //!   loop so the engine hot path stays timing-free;
 //! * rotation accounting, published by each shard's engine as it rotates;
@@ -56,7 +56,7 @@ use dart_core::telemetry::{
     Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_FAILURES, DAEMON_CHECKPOINT_PAUSE_NS,
     SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
 };
-use dart_core::{drive_timed, Progress, RttSample, Snapshot, StageTimers};
+use dart_core::{drive_timed, Progress, RttMonitor, RttSample, Snapshot, StageTimers};
 use dart_packet::{Nanos, PacketError, PacketSource, SourceCounters};
 use dart_telemetry::{Counter, EventLog, Histogram, HttpServer, MetricRegistry};
 use std::net::SocketAddr;
@@ -221,7 +221,7 @@ impl Checkpointer {
             return;
         };
         let start = Instant::now();
-        let result = monitor.checkpoint().and_then(|snap| {
+        let result = monitor.snapshot().and_then(|snap| {
             let written = snap.to_file(path);
             monitor.reclaim(snap);
             written
@@ -280,7 +280,7 @@ impl Daemon {
         cfg.block_pkts = cfg.block_pkts.max(1);
         let registry = MetricRegistry::new();
         let events = EventLog::new(EVENTS_CAP);
-        let mut monitor = ShardedMonitor::with_telemetry(cfg.sharded, &registry);
+        let mut monitor = ShardedMonitor::spawn(cfg.sharded, Some(&registry), None);
         let mut restored = false;
         if let Some(path) = &cfg.restore_from {
             // Restore must precede the first packet; surface any problem
@@ -373,7 +373,8 @@ impl Daemon {
             mut ckpt,
             source_watch,
         } = self;
-        let mut sink: Vec<RttSample> = Vec::new();
+        // `keep_samples` is off: the flush emits nothing to keep.
+        let mut sink = |_: RttSample| {};
         let mut carried = EngineStats::default();
         let mut rotations = 0u64;
         let mut reloads = 0u64;
@@ -391,7 +392,7 @@ impl Daemon {
             if at.packets > 0 && !at.drained {
                 if last_rotate.elapsed() >= cfg.rotate_every {
                     let cutoff = at.newest_ts.saturating_sub(cfg.retain);
-                    ShardedMonitor::rotate_epoch(monitor, cutoff);
+                    monitor.rotate_epoch(cutoff);
                     rotations += 1;
                     last_rotate = Instant::now();
                     events.info(
@@ -451,8 +452,10 @@ impl Daemon {
                 // SIGHUP analogue: retire the current monitor cleanly and
                 // spawn a fresh one into the same registry series.
                 let start = Instant::now();
-                let fresh = ShardedMonitor::with_telemetry(cfg.sharded, &registry);
-                carried.merge(&std::mem::replace(monitor, fresh).into_run().stats);
+                let fresh = ShardedMonitor::spawn(cfg.sharded, Some(&registry), None);
+                let mut retired = std::mem::replace(monitor, fresh);
+                retired.flush(&mut |_: RttSample| {});
+                carried.merge(&retired.stats());
                 let pause = start.elapsed();
                 reloads += 1;
                 last_rotate = Instant::now();

@@ -12,9 +12,10 @@
 //!   serial engine: samples, order, and every stats counter.
 
 use dart::core::{
-    run_monitor_slice, run_trace, DartConfig, RttSample, ShardedConfig, ShardedMonitor, ShardedRun,
+    run_monitor, run_trace, DartConfig, EngineEvent, RttMonitor, RttSample, SampleSink,
+    ShardedConfig, ShardedMonitor,
 };
-use dart::packet::{FlowKey, PacketMeta};
+use dart::packet::{FlowKey, PacketMeta, SliceSource};
 use dart::sim::scenario::{campus, CampusConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -47,13 +48,34 @@ fn make_trace(
     .packets
 }
 
+/// What a flush hands its sink: the samples and the events, each in
+/// emission order.
+#[derive(Default)]
+struct Emitted {
+    samples: Vec<RttSample>,
+    events: Vec<EngineEvent>,
+}
+
+impl SampleSink for Emitted {
+    fn on_sample(&mut self, s: RttSample) {
+        self.samples.push(s);
+    }
+
+    fn on_event(&mut self, ev: EngineEvent) {
+        self.events.push(ev);
+    }
+}
+
 /// A whole-trace sharded replay through the full threaded
-/// feeder/worker/merge path (at one shard too), with the merged events and
-/// per-shard counters.
-fn run_sharded(cfg: ShardedConfig, pkts: &[PacketMeta]) -> ShardedRun {
+/// feeder/worker/merge path (at one shard too): the merged stream its
+/// flush emitted, and the flushed monitor, whose accessors report the
+/// counters.
+fn run_sharded(cfg: ShardedConfig, pkts: &[PacketMeta]) -> (Emitted, ShardedMonitor) {
     let mut monitor = ShardedMonitor::new(cfg);
-    run_monitor_slice(&mut monitor, pkts);
-    monitor.into_run()
+    let mut out = Emitted::default();
+    run_monitor(&mut monitor, SliceSource::new(pkts), &mut out)
+        .expect("slice sources are infallible");
+    (out, monitor)
 }
 
 /// Per-flow sample multiset: flow → sorted (eack, rtt, ts) triples.
@@ -80,10 +102,11 @@ proptest! {
         let pkts = make_trace(seed, conns, loss, reorder);
         let (serial, serial_stats) = run_trace(DartConfig::unlimited(), &pkts);
         for shards in [1usize, 2, 4, 8] {
-            let out = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            let (out, monitor) =
+                run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
             prop_assert_eq!(&out.samples, &serial, "shards = {}", shards);
-            prop_assert_eq!(out.stats.packets, serial_stats.packets);
-            prop_assert_eq!(out.stats.samples, serial_stats.samples);
+            prop_assert_eq!(monitor.stats().packets, serial_stats.packets);
+            prop_assert_eq!(monitor.stats().samples, serial_stats.samples);
         }
     }
 
@@ -95,7 +118,7 @@ proptest! {
         let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
         let reference = per_flow(&serial);
         for shards in [2usize, 4, 8] {
-            let out = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
+            let (out, _) = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
             prop_assert_eq!(per_flow(&out.samples), reference.clone(), "shards = {}", shards);
         }
     }
@@ -107,9 +130,9 @@ proptest! {
         let pkts = make_trace(seed, conns, loss, reorder);
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 8, 1);
         let (serial, serial_stats) = run_trace(cfg, &pkts);
-        let out = run_sharded(ShardedConfig::new(cfg, 1).with_batch_size(256), &pkts);
+        let (out, monitor) = run_sharded(ShardedConfig::new(cfg, 1).with_batch_size(256), &pkts);
         prop_assert_eq!(out.samples, serial);
-        prop_assert_eq!(out.stats, serial_stats);
+        prop_assert_eq!(monitor.stats(), serial_stats);
     }
 
     /// Sharded runs are reproducible: identical output across repeated runs
@@ -122,11 +145,11 @@ proptest! {
         let pkts = make_trace(seed, conns, loss, reorder);
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 8, 1);
         let sharded = ShardedConfig::new(cfg, 4).with_batch_size(batch);
-        let a = run_sharded(sharded, &pkts);
-        let b = run_sharded(sharded, &pkts);
+        let (a, a_monitor) = run_sharded(sharded, &pkts);
+        let (b, b_monitor) = run_sharded(sharded, &pkts);
         prop_assert_eq!(a.samples, b.samples);
-        prop_assert_eq!(a.stats, b.stats);
+        prop_assert_eq!(a_monitor.stats(), b_monitor.stats());
         prop_assert_eq!(a.events, b.events);
-        prop_assert_eq!(a.per_shard, b.per_shard);
+        prop_assert_eq!(a_monitor.per_shard(), b_monitor.per_shard());
     }
 }

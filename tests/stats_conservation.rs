@@ -112,14 +112,14 @@ fn sharded_monitor_conserves_packets_across_rotations() {
         let mut monitor = ShardedMonitor::new(cfg);
         let (fed, rotations, _) = drive(&mut monitor, 4, 3, 20_000_000);
         assert!(rotations >= 4);
-        let run = monitor.into_run();
+        monitor.flush(&mut Vec::new());
+        let stats = monitor.stats();
         assert_eq!(
             fed,
-            run.stats.packets + run.stats.monitor_miss,
-            "shards={shards}: fed != processed + shed: {:?}",
-            run.stats
+            stats.packets + stats.monitor_miss,
+            "shards={shards}: fed != processed + shed: {stats:?}"
         );
-        assert!(run.stats.samples > 0, "shards={shards}: no samples");
+        assert!(stats.samples > 0, "shards={shards}: no samples");
     }
 }
 
