@@ -60,10 +60,8 @@ impl Ipv4Header {
     /// Compute the RFC 1071 header checksum over the encoded header with the
     /// checksum field zeroed.
     pub fn compute_checksum(&self) -> u16 {
-        let mut tmp = self.clone();
-        tmp.checksum = 0;
-        let mut wire = Vec::with_capacity(tmp.header_len());
-        tmp.encode_raw(&mut wire);
+        let mut wire = Vec::with_capacity(self.header_len());
+        self.encode_raw(&mut wire, 0);
         internet_checksum(&wire)
     }
 
@@ -124,7 +122,8 @@ impl Ipv4Header {
         })
     }
 
-    fn encode_raw(&self, out: &mut Vec<u8>) {
+    /// Encode onto `out` with `checksum` in the checksum field.
+    fn encode_raw(&self, out: &mut Vec<u8>, checksum: u16) {
         let padded = self.options.len().div_ceil(4) * 4;
         let ihl = ((Self::MIN_LEN + padded) / 4) as u8;
         out.put_u8((4 << 4) | ihl);
@@ -134,7 +133,7 @@ impl Ipv4Header {
         out.put_u16(self.flags_frag);
         out.put_u8(self.ttl);
         out.put_u8(self.proto);
-        out.put_u16(self.checksum);
+        out.put_u16(checksum);
         out.put_u32(u32::from(self.src));
         out.put_u32(u32::from(self.dst));
         out.extend_from_slice(&self.options);
@@ -143,11 +142,13 @@ impl Ipv4Header {
         }
     }
 
-    /// Encode onto `out` with a freshly computed checksum.
+    /// Encode onto `out` with a freshly computed checksum, summed over the
+    /// encoded bytes where they lie.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut tmp = self.clone();
-        tmp.checksum = self.compute_checksum();
-        tmp.encode_raw(out);
+        let start = out.len();
+        self.encode_raw(out, 0);
+        let sum = internet_checksum(&out[start..]);
+        out[start + 10..start + 12].copy_from_slice(&sum.to_be_bytes());
     }
 }
 

@@ -8,7 +8,7 @@ use crate::ipv4::{protocol, Ipv4Header};
 use crate::meta::{Direction, Nanos, PacketMeta};
 use crate::pcap::linktype;
 use crate::seq::SeqNum;
-use crate::tcp::{timestamps_in, TcpFlags, TcpHeader};
+use crate::tcp::{option, timestamps_in, TcpFlags, TcpHeader};
 
 /// A classifier deciding each packet's [`Direction`] relative to the monitor,
 /// typically from the source address (e.g. "10.0.0.0/8 is internal").
@@ -198,37 +198,50 @@ pub fn parse_ipv4_packet<C: DirectionClassifier + ?Sized>(
 /// Synthesize an Ethernet/IPv4/TCP frame from a [`PacketMeta`], with a dummy
 /// payload of the recorded length. Used when exporting simulated traffic to
 /// pcap for inspection with standard tools.
+///
+/// The frame is the one allocation: every header is written straight into
+/// it — the TCP header as [`TcpHeader::encode`] writes a default header with
+/// [`TcpHeader::timestamp_option`] — and the IPv4 checksum is summed over
+/// the bytes in place.
 pub fn synthesize_frame(meta: &PacketMeta) -> Vec<u8> {
     let options = match meta.tsopt {
-        Some((tsval, tsecr)) => TcpHeader::timestamp_option(tsval, tsecr),
-        None => Vec::new(),
+        Some(_) => TS_OPTION_LEN,
+        None => 0,
     };
-    let opt_padded = options.len().div_ceil(4) * 4;
-    let tcp = TcpHeader {
-        src_port: meta.flow.src_port,
-        dst_port: meta.flow.dst_port,
-        seq: meta.seq,
-        ack: meta.ack,
-        data_offset: ((TcpHeader::MIN_LEN + opt_padded) / 4) as u8,
-        flags: meta.flags,
-        options,
-        ..TcpHeader::default()
-    };
-    let total_len = (Ipv4Header::MIN_LEN + tcp.header_len()) as u16 + meta.payload_len as u16;
-    let ip = Ipv4Header {
-        total_len,
+    let headers = Ipv4Header::MIN_LEN + TcpHeader::MIN_LEN + options;
+    let payload = meta.payload_len as usize;
+    let mut frame = Vec::with_capacity(EthernetHeader::LEN + headers + payload);
+    EthernetHeader::synthetic_ipv4().encode(&mut frame);
+    Ipv4Header {
+        total_len: (headers as u16).wrapping_add(meta.payload_len as u16),
         src: meta.flow.src_ip,
         dst: meta.flow.dst_ip,
         proto: protocol::TCP,
         ..Ipv4Header::default()
-    };
-    let mut frame = Vec::with_capacity(EthernetHeader::LEN + total_len as usize);
-    EthernetHeader::synthetic_ipv4().encode(&mut frame);
-    ip.encode(&mut frame);
-    tcp.encode(&mut frame);
-    frame.resize(frame.len() + meta.payload_len as usize, 0);
+    }
+    .encode(&mut frame);
+    let defaults = TcpHeader::default();
+    let data_offset = ((TcpHeader::MIN_LEN + options) / 4) as u16;
+    frame.extend_from_slice(&meta.flow.src_port.to_be_bytes());
+    frame.extend_from_slice(&meta.flow.dst_port.to_be_bytes());
+    frame.extend_from_slice(&meta.seq.raw().to_be_bytes());
+    frame.extend_from_slice(&meta.ack.raw().to_be_bytes());
+    frame.extend_from_slice(&((data_offset << 12) | u16::from(meta.flags.0)).to_be_bytes());
+    frame.extend_from_slice(&defaults.window.to_be_bytes());
+    frame.extend_from_slice(&defaults.checksum.to_be_bytes());
+    frame.extend_from_slice(&defaults.urgent.to_be_bytes());
+    if let Some((tsval, tsecr)) = meta.tsopt {
+        frame.extend_from_slice(&[option::NOP, option::NOP, option::TIMESTAMPS, 10]);
+        frame.extend_from_slice(&tsval.to_be_bytes());
+        frame.extend_from_slice(&tsecr.to_be_bytes());
+    }
+    frame.resize(frame.len() + payload, 0);
     frame
 }
+
+/// `NOP NOP kind-8 len-10 TSval TSecr`: the timestamp option as every stack
+/// lays it out, already a multiple of four bytes.
+const TS_OPTION_LEN: usize = 12;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,9 @@
 //! retry exhaustion.
 //!
 //! The endpoint is a pure state machine: network and timer interactions are
-//! returned as [`Action`]s for the simulator to interpret, and timers use
-//! generation counters so a rearm invalidates stale firings.
+//! appended as [`Action`]s to a buffer the simulator passes in and then
+//! interprets, and timers use generation counters so a rearm invalidates
+//! stale firings.
 
 use dart_packet::{Nanos, SeqNum, TcpFlags};
 use std::collections::BTreeMap;
@@ -237,8 +238,12 @@ impl Endpoint {
         SeqNum(self.iss.wrapping_add(1).wrapping_add(off as u32))
     }
 
+    /// The ACK number to send; zero while the peer's SYN is unseen and
+    /// there is nothing to acknowledge.
     fn wire_ack(&self) -> SeqNum {
-        let p = self.peer_iss.expect("ack before SYN seen");
+        let Some(p) = self.peer_iss else {
+            return SeqNum::ZERO;
+        };
         let fin_extra = u64::from(self.peer_fin_consumed);
         SeqNum(
             p.wrapping_add(1)
@@ -250,26 +255,24 @@ impl Endpoint {
         ack.raw().wrapping_sub(self.iss.wrapping_add(1)) as u64
     }
 
-    fn seq_to_offset(&self, seq: SeqNum) -> u64 {
-        let p = self.peer_iss.expect("data before SYN seen");
-        seq.raw().wrapping_sub(p.wrapping_add(1)) as u64
+    fn seq_to_offset(peer_iss: u32, seq: SeqNum) -> u64 {
+        seq.raw().wrapping_sub(peer_iss.wrapping_add(1)) as u64
     }
 
     // --- opening ---------------------------------------------------------
 
     /// Client-side open: emit the SYN.
-    pub fn open(&mut self) -> Vec<Action> {
+    pub fn open(&mut self, acts: &mut Vec<Action>) {
         assert_eq!(self.state, ConnState::Closed);
         self.state = ConnState::SynSent;
-        let mut acts = vec![Action::Send(SimPacket {
+        acts.push(Action::Send(SimPacket {
             tsopt: None,
             seq: SeqNum(self.iss),
             ack: SeqNum::ZERO,
             flags: TcpFlags::SYN,
             len: 0,
-        })];
+        }));
         acts.push(self.arm_rto());
-        acts
     }
 
     // --- timers ----------------------------------------------------------
@@ -289,19 +292,18 @@ impl Endpoint {
     }
 
     /// Retransmission timer fired.
-    pub fn on_rto(&mut self, gen: u64) -> Vec<Action> {
+    pub fn on_rto(&mut self, gen: u64, acts: &mut Vec<Action>) {
         if gen != self.rto_gen || !self.rto_armed || self.finished() {
-            return Vec::new();
+            return;
         }
         self.retries += 1;
         if self.retries > self.cfg.max_retries {
             self.state = ConnState::Aborted;
-            return Vec::new();
+            return;
         }
         self.rto_backoff += 1;
         self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
         self.cwnd = self.cfg.mss as f64;
-        let mut acts = Vec::new();
         match self.state {
             ConnState::SynSent => acts.push(Action::Send(SimPacket {
                 tsopt: None,
@@ -327,17 +329,16 @@ impl Endpoint {
             }
         }
         acts.push(self.arm_rto());
-        acts
     }
 
     /// Delayed-ACK timer fired.
-    pub fn on_delack(&mut self, gen: u64) -> Vec<Action> {
+    pub fn on_delack(&mut self, gen: u64, acts: &mut Vec<Action>) {
         if gen != self.delack_gen || !self.delack_armed || self.finished() {
-            return Vec::new();
+            return;
         }
         self.delack_armed = false;
         self.segs_unacked = 0;
-        vec![Action::Send(self.pure_ack())]
+        acts.push(Action::Send(self.pure_ack()));
     }
 
     // --- segment construction --------------------------------------------
@@ -346,11 +347,7 @@ impl Endpoint {
         SimPacket {
             tsopt: None,
             seq: self.wire_seq(off),
-            ack: if self.peer_iss.is_some() {
-                self.wire_ack()
-            } else {
-                SeqNum::ZERO
-            },
+            ack: self.wire_ack(),
             flags: if self.peer_iss.is_some() {
                 TcpFlags::ACK | TcpFlags::PSH
             } else {
@@ -419,10 +416,10 @@ impl Endpoint {
         (self.cwnd.min((self.cfg.rwnd_segs * self.cfg.mss) as f64)) as u64
     }
 
-    fn try_send(&mut self) -> Vec<Action> {
-        let mut acts = Vec::new();
+    /// Transmit what the window admits; true when anything was sent.
+    fn try_send(&mut self, acts: &mut Vec<Action>) -> bool {
         if !matches!(self.state, ConnState::Established | ConnState::Finishing) {
-            return acts;
+            return false;
         }
         let mut sent_any = false;
         while self.snd_nxt < self.committed
@@ -452,24 +449,23 @@ impl Endpoint {
                 acts.push(self.arm_rto());
             }
         }
-        acts
+        sent_any
     }
 
     // --- segment arrival ---------------------------------------------------
 
     /// Process an arriving segment.
-    pub fn on_segment(&mut self, pkt: &SimPacket) -> Vec<Action> {
+    pub fn on_segment(&mut self, pkt: &SimPacket, acts: &mut Vec<Action>) {
         if self.finished() {
-            return Vec::new();
+            return;
         }
         if let Some(cut) = self.cutoff_after_recv {
             if self.rcv_nxt >= cut {
                 // Gone dark: swallow the segment, answer nothing.
                 self.state = ConnState::Aborted;
-                return Vec::new();
+                return;
             }
         }
-        let mut acts = Vec::new();
 
         // SYN handling.
         if pkt.flags.is_syn() {
@@ -483,7 +479,7 @@ impl Endpoint {
                     self.cancel_rto();
                     acts.push(Action::Send(self.pure_ack()));
                     self.advance_script();
-                    acts.extend(self.try_send());
+                    self.try_send(acts);
                 }
             } else {
                 // Bare SYN (we are the server).
@@ -500,13 +496,13 @@ impl Endpoint {
                     acts.push(self.arm_rto());
                 }
             }
-            return acts;
+            return;
         }
 
-        if self.peer_iss.is_none() {
+        let Some(peer_iss) = self.peer_iss else {
             // Data/ACK before any SYN: ignore (stray traffic).
-            return acts;
-        }
+            return;
+        };
 
         // ACK processing.
         if pkt.flags.is_ack() {
@@ -526,10 +522,11 @@ impl Endpoint {
                 self.dup_acks = 0;
                 self.retries = 0;
                 self.rto_backoff = 0;
-                let covered: Vec<u64> =
-                    self.outstanding.range(..ack_off).map(|(&o, _)| o).collect();
-                for o in covered {
-                    self.outstanding.remove(&o);
+                while let Some(first) = self.outstanding.first_entry() {
+                    if *first.key() >= ack_off {
+                        break;
+                    }
+                    first.remove();
                 }
                 // Congestion control.
                 if self.cwnd < self.ssthresh {
@@ -546,7 +543,7 @@ impl Endpoint {
                     acts.push(self.arm_rto());
                 }
                 // The window just opened: transmit anything now admissible.
-                acts.extend(self.try_send());
+                self.try_send(acts);
             } else if ack_off == self.snd_una
                 && pkt.len == 0
                 && !pkt.flags.is_fin()
@@ -568,7 +565,7 @@ impl Endpoint {
 
         // Data processing.
         if pkt.len > 0 {
-            let seq_off = self.seq_to_offset(pkt.seq);
+            let seq_off = Self::seq_to_offset(peer_iss, pkt.seq);
             let end = seq_off + pkt.len as u64;
             if seq_off == self.rcv_nxt {
                 self.rcv_nxt = end;
@@ -591,9 +588,7 @@ impl Endpoint {
                     self.consume_fin();
                 }
                 // Try to send (response data piggybacks our ACK).
-                let sends = self.try_send();
-                let sent_data = !sends.is_empty();
-                acts.extend(sends);
+                let sent_data = self.try_send(acts);
                 if fin_ready || filled_hole || self.segs_unacked >= self.cfg.delack_every {
                     self.segs_unacked = 0;
                     if self.delack_armed {
@@ -623,15 +618,12 @@ impl Endpoint {
             }
         } else if pkt.flags.is_fin() {
             // FIN with no data.
-            let fin_off = self.seq_to_offset(pkt.seq);
+            let fin_off = Self::seq_to_offset(peer_iss, pkt.seq);
             self.peer_fin_at = Some(fin_off);
             if fin_off == self.rcv_nxt && !self.peer_fin_consumed {
                 self.consume_fin();
                 self.advance_script();
-                let sends = self.try_send();
-                let sent = !sends.is_empty();
-                acts.extend(sends);
-                if !sent {
+                if !self.try_send(acts) {
                     acts.push(Action::Send(self.pure_ack()));
                 }
             } else if fin_off < self.rcv_nxt || self.peer_fin_consumed {
@@ -640,7 +632,7 @@ impl Endpoint {
         } else if pkt.flags.is_fin() && pkt.len > 0 {
             // FIN piggybacked on data is handled by the data path above;
             // record the FIN position for when data completes.
-            let fin_off = self.seq_to_offset(pkt.seq) + pkt.len as u64;
+            let fin_off = Self::seq_to_offset(peer_iss, pkt.seq) + pkt.len as u64;
             self.peer_fin_at = Some(fin_off);
         }
 
@@ -652,7 +644,6 @@ impl Endpoint {
                 self.state = ConnState::Done;
             }
         }
-        acts
     }
 
     fn consume_fin(&mut self) {
@@ -663,6 +654,20 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The actions one endpoint call appends.
+    fn actions(call: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+        let mut acts = Vec::new();
+        call(&mut acts);
+        acts
+    }
+
+    impl Endpoint {
+        /// The actions this endpoint answers `pkt` with.
+        fn answer(&mut self, pkt: SimPacket) -> Vec<Action> {
+            actions(|a| self.on_segment(&pkt, a))
+        }
+    }
 
     /// Drive two endpoints against each other with a perfect, zero-delay
     /// network; returns all segments exchanged (client's first).
@@ -688,7 +693,7 @@ mod tests {
                 }
             }
         };
-        handle(client.open(), true, &mut wire, &mut delacks);
+        handle(actions(|a| client.open(a)), true, &mut wire, &mut delacks);
         let mut steps = 0;
         loop {
             let Some((from_client, pkt)) = wire.pop_front() else {
@@ -697,7 +702,7 @@ mod tests {
                     break;
                 };
                 let ep = if side { &mut client } else { &mut server };
-                let acts = ep.on_delack(gen);
+                let acts = actions(|a| ep.on_delack(gen, a));
                 handle(acts, side, &mut wire, &mut delacks);
                 continue;
             };
@@ -707,7 +712,7 @@ mod tests {
             } else {
                 &mut client
             };
-            let acts = dst.on_segment(&pkt);
+            let acts = actions(|a| dst.on_segment(&pkt, a));
             handle(acts, !from_client, &mut wire, &mut delacks);
             steps += 1;
             if steps > max_steps {
@@ -790,7 +795,7 @@ mod tests {
         let cfg = EndpointCfg::default();
         let mut ep = Endpoint::new(cfg, 5, vec![], None);
         // Fake the peer handshake.
-        ep.on_segment(&SimPacket {
+        ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(100),
             ack: SeqNum::ZERO,
@@ -799,7 +804,7 @@ mod tests {
         });
         assert_eq!(ep.state, ConnState::SynRcvd);
         // Deliver segment 2 before segment 1: dup ACK expected.
-        let acts = ep.on_segment(&SimPacket {
+        let acts = ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(101 + 1000),
             ack: SeqNum(6),
@@ -812,7 +817,7 @@ mod tests {
         )));
         assert_eq!(ep.dup_acks_sent, 1);
         // Now the missing first segment: cumulative ACK jumps to 2101.
-        let acts = ep.on_segment(&SimPacket {
+        let acts = ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(101),
             ack: SeqNum(6),
@@ -838,13 +843,13 @@ mod tests {
             }],
             Some(0),
         );
-        let acts = client.open();
+        let acts = actions(|a| client.open(a));
         let Action::ArmRto { gen, after } = acts[1] else {
             panic!("expected rto arm");
         };
         assert_eq!(after, cfg.rto_initial);
         // Fire: SYN retransmitted with doubled timeout.
-        let acts = client.on_rto(gen);
+        let acts = actions(|a| client.on_rto(gen, a));
         assert!(matches!(acts[0], Action::Send(p) if p.flags.is_syn()));
         let Action::ArmRto { after: a2, .. } = acts[1] else {
             panic!();
@@ -859,7 +864,7 @@ mod tests {
             ..EndpointCfg::default()
         };
         let mut client = Endpoint::new(cfg, 7, vec![], Some(0));
-        let mut acts = client.open();
+        let mut acts = actions(|a| client.open(a));
         for _ in 0..3 {
             let gen = acts
                 .iter()
@@ -868,7 +873,7 @@ mod tests {
                     _ => None,
                 })
                 .expect("rto armed");
-            acts = client.on_rto(gen);
+            acts = actions(|a| client.on_rto(gen, a));
         }
         assert_eq!(client.state, ConnState::Aborted);
     }
@@ -877,20 +882,20 @@ mod tests {
     fn stale_timer_generations_ignored() {
         let cfg = EndpointCfg::default();
         let mut client = Endpoint::new(cfg, 7, vec![], Some(0));
-        let acts = client.open();
+        let acts = actions(|a| client.open(a));
         let Action::ArmRto { gen, .. } = acts[1] else {
             panic!();
         };
         // A rearm bumps the generation; the old timer must be a no-op.
-        let _ = client.on_rto(gen); // legitimate: produces new gen
-        assert!(client.on_rto(gen).is_empty());
+        let _ = actions(|a| client.on_rto(gen, a)); // legitimate: produces new gen
+        assert!(actions(|a| client.on_rto(gen, a)).is_empty());
     }
 
     #[test]
     fn delack_timer_flushes_pending_ack() {
         let cfg = EndpointCfg::default();
         let mut ep = Endpoint::new(cfg, 5, vec![], None);
-        ep.on_segment(&SimPacket {
+        ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(100),
             ack: SeqNum::ZERO,
@@ -898,7 +903,7 @@ mod tests {
             len: 0,
         });
         // One in-order segment: delayed-ACK armed rather than immediate ACK.
-        let acts = ep.on_segment(&SimPacket {
+        let acts = ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(101),
             ack: SeqNum(6),
@@ -913,7 +918,7 @@ mod tests {
             })
             .expect("delack armed");
         assert!(!acts.iter().any(|a| matches!(a, Action::Send(_))));
-        let acts = ep.on_delack(gen);
+        let acts = actions(|a| ep.on_delack(gen, a));
         assert!(matches!(acts[0], Action::Send(p) if p.ack == SeqNum(601)));
     }
 
@@ -926,7 +931,7 @@ mod tests {
         let cfg = EndpointCfg::default();
         let mut ep = Endpoint::new(cfg, 5, vec![], None);
         assert!(ep.keepalive().is_none(), "no keepalive before handshake");
-        ep.on_segment(&SimPacket {
+        ep.answer(SimPacket {
             tsopt: None,
             seq: SeqNum(100),
             ack: SeqNum::ZERO,

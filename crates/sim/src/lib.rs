@@ -28,10 +28,11 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adversarial;
 pub mod endpoint;
-pub mod event;
+mod event;
 pub mod flowgen;
 pub mod netsim;
 pub mod rng;
@@ -43,7 +44,6 @@ pub use adversarial::{
     InterceptionStormConfig, QuicMixConfig, ScenarioKind, WirelessTailConfig,
 };
 pub use endpoint::{Action, AppSend, ConnState, Endpoint, EndpointCfg, SimPacket};
-pub use event::EventQueue;
 pub use flowgen::{Access, AddressPlan, ExternalRttModel, InternalRttModel, SizeModel};
 pub use netsim::{simulate, ConnReport, ConnSpec, Exchange, NetSim, PathParams, SimOutput};
 pub use rng::SimRng;

@@ -154,10 +154,36 @@ enum Side {
     Server,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TimerKind {
     Rto,
     Delack,
+}
+
+/// One arm of a timer: its deadline, the event id reserved for it when it
+/// was made, and the endpoint's generation tag.
+#[derive(Clone, Copy, Debug)]
+struct Arm {
+    at: Nanos,
+    id: u64,
+    gen: u64,
+}
+
+/// What the queue holds for one timer of one endpoint.
+///
+/// Every arm bumps the endpoint's generation, so only the newest can fire:
+/// an older one pops as a no-op. An arm later than the tracked queued one
+/// therefore waits here instead of queueing — it is queued, under the id
+/// it reserved, when the tracked one pops, and arms it replaced meanwhile
+/// are never queued at all. An arm earlier than the tracked one is queued
+/// at once and tracked instead; the one it displaced stays queued and pops
+/// as the no-op it always was.
+#[derive(Clone, Copy, Debug, Default)]
+struct TimerSlot {
+    /// `(deadline, gen)` of the tracked queued event.
+    queued: Option<(Nanos, u64)>,
+    /// The newest arm, when it is later than `queued` and not yet queued.
+    deferred: Option<Arm>,
 }
 
 enum Ev {
@@ -235,6 +261,8 @@ struct ConnRuntime {
     /// monitor→client]. Links deliver in order; only explicit reorder
     /// injection may overtake.
     next_free: [Nanos; 4],
+    /// Timer bookkeeping per `[side][kind]`.
+    timers: [[TimerSlot; 2]; 2],
 }
 
 /// The simulator.
@@ -248,6 +276,44 @@ pub struct NetSim {
     extra_vps: Vec<(f64, Vec<PacketMeta>)>,
     /// Hard cap on total events (runaway guard).
     max_events: u64,
+    /// Events so far, counted as if every timer arm were queued: popped
+    /// non-timer events plus timer arms, superseded ones included.
+    events: u64,
+    /// The buffer endpoints append their actions to, reused across events.
+    acts: Vec<Action>,
+    #[cfg(test)]
+    audit: TimerAudit,
+}
+
+/// Test hook on the timer bookkeeping: what it did, and a switch back to
+/// queueing every arm, as the single heap over every event once did.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TimerAudit {
+    /// Queue every arm instead of deferring later ones.
+    eager: bool,
+    /// Arms that waited behind the tracked queued one.
+    deferred: u64,
+    /// Arms queued ahead of the tracked queued one.
+    earlier: u64,
+    /// Timer events handed to an endpoint: `(at, conn, side, kind, gen,
+    /// actions returned)`.
+    dispatched: Vec<(Nanos, usize, Side, TimerKind, u64, usize)>,
+}
+
+#[cfg(test)]
+impl TimerAudit {
+    /// Count an arm made while an arm is (`tracked`) or is not queued, and
+    /// whether it waits.
+    fn note_arm(&mut self, tracked: bool, defer: bool) -> bool {
+        let defer = defer && !self.eager;
+        if defer {
+            self.deferred += 1;
+        } else if tracked {
+            self.earlier += 1;
+        }
+        defer
+    }
 }
 
 impl NetSim {
@@ -288,6 +354,7 @@ impl NetSim {
                     established: false,
                     last_tsval: [0; 2],
                     next_free: [0; 4],
+                    timers: Default::default(),
                     spec,
                 }
             })
@@ -303,6 +370,10 @@ impl NetSim {
             trace: Vec::new(),
             extra_vps: Vec::new(),
             max_events: 2_000_000 + n_events_guess * 100_000,
+            events: 0,
+            acts: Vec::new(),
+            #[cfg(test)]
+            audit: TimerAudit::default(),
         }
     }
 
@@ -323,14 +394,25 @@ impl NetSim {
 
     /// Run to quiescence and return the captured trace + reports.
     pub fn run(mut self) -> SimOutput {
-        let mut events = 0u64;
+        self.drain();
+        self.into_output()
+    }
+
+    /// Pop and dispatch events until none is left.
+    fn drain(&mut self) {
         while let Some((now, ev)) = self.queue.pop() {
-            events += 1;
-            if events > self.max_events {
+            // A timer event was counted when it was armed.
+            if !matches!(ev, Ev::Timer { .. }) {
+                self.events += 1;
+            }
+            if self.events > self.max_events {
                 panic!("simulation exceeded event budget — runaway retransmission loop?");
             }
             self.dispatch(now, ev);
         }
+    }
+
+    fn into_output(mut self) -> SimOutput {
         // Extra-VP captures were appended as packets crossed; their
         // cross times are monotone per packet but interleave across
         // connections — sort each trace by capture time.
@@ -362,7 +444,8 @@ impl NetSim {
     fn dispatch(&mut self, now: Nanos, ev: Ev) {
         match ev {
             Ev::Open(ci) => {
-                let acts = self.conns[ci].client.open();
+                let mut acts = std::mem::take(&mut self.acts);
+                self.conns[ci].client.open(&mut acts);
                 self.apply(now, ci, Side::Client, acts);
             }
             Ev::Capture { conn, from, pkt } => self.on_capture(now, conn, from, pkt),
@@ -383,7 +466,8 @@ impl NetSim {
                         None => return, // packet to a dead server: dropped
                     },
                 };
-                let acts = ep.on_segment(&pkt);
+                let mut acts = std::mem::take(&mut self.acts);
+                ep.on_segment(&pkt, &mut acts);
                 if !c.established && c.client.state == ConnState::Established {
                     c.established = true;
                     // Schedule keep-alives once established — both sides
@@ -418,6 +502,23 @@ impl NetSim {
                 gen,
             } => {
                 let c = &mut self.conns[conn];
+                let slot = &mut c.timers[side as usize][kind as usize];
+                if slot.queued.is_some_and(|(_, g)| g == gen) {
+                    if let Some(next) = slot.deferred.take() {
+                        // Superseded, so a no-op: queue the newest arm
+                        // where it would have been all along.
+                        slot.queued = Some((next.at, next.gen));
+                        let ev = Ev::Timer {
+                            conn,
+                            side,
+                            kind,
+                            gen: next.gen,
+                        };
+                        self.queue.schedule_reserved(next.at, next.id, ev);
+                        return;
+                    }
+                    slot.queued = None;
+                }
                 let ep = match side {
                     Side::Client => &mut c.client,
                     Side::Server => match &mut c.server {
@@ -425,10 +526,15 @@ impl NetSim {
                         None => return,
                     },
                 };
-                let acts = match kind {
-                    TimerKind::Rto => ep.on_rto(gen),
-                    TimerKind::Delack => ep.on_delack(gen),
-                };
+                let mut acts = std::mem::take(&mut self.acts);
+                match kind {
+                    TimerKind::Rto => ep.on_rto(gen, &mut acts),
+                    TimerKind::Delack => ep.on_delack(gen, &mut acts),
+                }
+                #[cfg(test)]
+                self.audit
+                    .dispatched
+                    .push((now, conn, side, kind, gen, acts.len()));
                 self.apply(now, conn, side, acts);
             }
             Ev::Keepalive {
@@ -463,29 +569,44 @@ impl NetSim {
         }
     }
 
-    fn apply(&mut self, now: Nanos, conn: usize, side: Side, acts: Vec<Action>) {
-        for a in acts {
+    /// Carry out an endpoint's actions, then keep the emptied buffer for
+    /// the next call.
+    fn apply(&mut self, now: Nanos, conn: usize, side: Side, mut acts: Vec<Action>) {
+        for a in acts.drain(..) {
             match a {
                 Action::Send(pkt) => self.transmit(now, conn, side, pkt),
-                Action::ArmRto { after, gen } => self.queue.schedule(
-                    now + after,
-                    Ev::Timer {
-                        conn,
-                        side,
-                        kind: TimerKind::Rto,
-                        gen,
-                    },
-                ),
-                Action::ArmDelack { after, gen } => self.queue.schedule(
-                    now + after,
-                    Ev::Timer {
-                        conn,
-                        side,
-                        kind: TimerKind::Delack,
-                        gen,
-                    },
-                ),
+                Action::ArmRto { after, gen } => {
+                    self.arm(conn, side, TimerKind::Rto, now + after, gen)
+                }
+                Action::ArmDelack { after, gen } => {
+                    self.arm(conn, side, TimerKind::Delack, now + after, gen)
+                }
             }
+        }
+        self.acts = acts;
+    }
+
+    /// Arm a timer at `at`: reserve its event id now, and queue it unless
+    /// it can wait behind the tracked queued arm (see [`TimerSlot`]).
+    fn arm(&mut self, conn: usize, side: Side, kind: TimerKind, at: Nanos, gen: u64) {
+        self.events += 1;
+        let id = self.queue.reserve();
+        let slot = &mut self.conns[conn].timers[side as usize][kind as usize];
+        let defer = slot.queued.is_some_and(|(queued_at, _)| at >= queued_at);
+        #[cfg(test)]
+        let defer = self.audit.note_arm(slot.queued.is_some(), defer);
+        if defer {
+            slot.deferred = Some(Arm { at, id, gen });
+        } else {
+            slot.queued = Some((at, gen));
+            slot.deferred = None;
+            let ev = Ev::Timer {
+                conn,
+                side,
+                kind,
+                gen,
+            };
+            self.queue.schedule_reserved(at, id, ev);
         }
     }
 
@@ -760,6 +881,97 @@ mod tests {
             simulate(vec![spec], 42).packets
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// Lossy, jittery transfers with delayed ACKs: every new ACK re-arms
+    /// the retransmission timer to a later deadline, an ACK after a timeout
+    /// resets the back-off and re-arms it to an earlier one, the last ACK
+    /// cancels it, and data sent cancels a pending delayed ACK.
+    fn timer_specs() -> Vec<ConnSpec> {
+        (0..12u32)
+            .map(|i| {
+                let mut spec = ConnSpec::simple(
+                    flow(200 + i),
+                    u64::from(i) * MILLISECOND,
+                    2_000 + 3_000 * u64::from(i),
+                    60_000,
+                );
+                spec.path.loss_pre = 0.04;
+                spec.path.loss_post = 0.04;
+                spec.path.jitter = 0.3;
+                spec
+            })
+            .collect()
+    }
+
+    /// Run `specs` with every timer arm queued (`eager`, as the single heap
+    /// over every event did) or with later re-arms deferred; the output,
+    /// the audit, and the runaway guard's count.
+    fn audited(specs: Vec<ConnSpec>, eager: bool) -> (SimOutput, TimerAudit, u64) {
+        let mut sim = NetSim::new(specs, 9);
+        sim.audit.eager = eager;
+        sim.drain();
+        let audit = std::mem::take(&mut sim.audit);
+        let events = sim.events;
+        (sim.into_output(), audit, events)
+    }
+
+    #[test]
+    fn deferred_timers_fire_exactly_as_every_queued_arm_did() {
+        let (lazy, lazy_audit, lazy_events) = audited(timer_specs(), false);
+        let (eager, eager_audit, eager_events) = audited(timer_specs(), true);
+        assert_eq!(lazy.packets, eager.packets);
+        assert_eq!(
+            format!("{:?}", lazy.reports),
+            format!("{:?}", eager.reports)
+        );
+        // Every case occurs: re-arms to a later deadline wait, re-arms to
+        // an earlier one queue beside the arm they supersede, and cancelled
+        // timers still pop.
+        assert!(lazy_audit.deferred > 100, "{lazy_audit:?}");
+        assert!(lazy_audit.earlier > 0, "{lazy_audit:?}");
+        let no_ops = |a: &TimerAudit| a.dispatched.iter().filter(|d| d.5 == 0).count();
+        assert!(no_ops(&lazy_audit) > 0);
+        // The timers that fire fire at the same instants, in the same
+        // order, with the same generations and consequences; only no-ops
+        // went missing, and most of them did.
+        let fired = |a: &TimerAudit| {
+            let fired = a.dispatched.iter().filter(|d| d.5 > 0);
+            fired.copied().collect::<Vec<_>>()
+        };
+        assert_eq!(fired(&lazy_audit), fired(&eager_audit));
+        let mut eager_dispatched = eager_audit.dispatched.iter();
+        assert!(lazy_audit
+            .dispatched
+            .iter()
+            .all(|d| eager_dispatched.any(|e| e == d)));
+        assert!(2 * no_ops(&lazy_audit) < no_ops(&eager_audit));
+        // The runaway guard counts as if every arm were queued.
+        assert_eq!(lazy_events, eager_events);
+    }
+
+    /// A dead server: one `Open`, then six SYNs (the first and five
+    /// retries), each captured and delivered into the void, and six RTO
+    /// arms — 19 events, as a heap over every arm would pop.
+    fn dead_server() -> NetSim {
+        let mut spec = ConnSpec::simple(flow(9), 0, 300, 1000);
+        spec.server_alive = false;
+        NetSim::new(vec![spec], 2)
+    }
+
+    #[test]
+    fn the_runaway_guard_counts_every_event_a_heap_would_pop() {
+        let mut sim = dead_server();
+        sim.max_events = 19;
+        assert_eq!(sim.run().packets.len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation exceeded event budget — runaway retransmission loop?")]
+    fn a_tiny_event_budget_still_trips_the_runaway_guard() {
+        let mut sim = dead_server();
+        sim.max_events = 18;
+        sim.run();
     }
 
     #[test]

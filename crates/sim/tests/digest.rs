@@ -161,8 +161,14 @@ fn feature_specs() -> Vec<ConnSpec> {
 
 #[test]
 fn campus_default_is_pinned_at_two_seeds() {
-    assert_eq!(Digest::new().trace(&small_campus(0xDA27)), 0xb57c_b6f8_f771_6c3a);
-    assert_eq!(Digest::new().trace(&small_campus(91)), 0x47cc_4086_51a3_2545);
+    assert_eq!(
+        Digest::new().trace(&small_campus(0xDA27)),
+        0xb57c_b6f8_f771_6c3a
+    );
+    assert_eq!(
+        Digest::new().trace(&small_campus(91)),
+        0x47cc_4086_51a3_2545
+    );
 }
 
 #[test]

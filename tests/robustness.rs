@@ -2,7 +2,7 @@
 //! a monitoring device eats whatever the network feeds it.
 
 use dart::packet::ethernet::{ethertype, EthernetHeader};
-use dart::packet::ipv4::{protocol, Ipv4Header};
+use dart::packet::ipv4::{internet_checksum, protocol, Ipv4Header};
 use dart::packet::parse::{
     parse_ethernet_frame, synthesize_frame, DirectionClassifier, PrefixClassifier,
 };
@@ -55,6 +55,39 @@ fn reference_parse(
         dir: classifier.classify(&flow),
         tsopt: tcp.timestamps(),
     })
+}
+
+/// The frame export composed from the header structs' own encoders — what
+/// `synthesize_frame` was before it wrote every header into the one buffer,
+/// and the reference it must reproduce byte for byte.
+fn reference_frame(meta: &PacketMeta) -> Vec<u8> {
+    let options = match meta.tsopt {
+        Some((tsval, tsecr)) => TcpHeader::timestamp_option(tsval, tsecr),
+        None => Vec::new(),
+    };
+    let tcp = TcpHeader {
+        src_port: meta.flow.src_port,
+        dst_port: meta.flow.dst_port,
+        seq: meta.seq,
+        ack: meta.ack,
+        data_offset: ((TcpHeader::MIN_LEN + options.len()) / 4) as u8,
+        flags: meta.flags,
+        options,
+        ..TcpHeader::default()
+    };
+    let ip = Ipv4Header {
+        total_len: (Ipv4Header::MIN_LEN + tcp.header_len()) as u16 + meta.payload_len as u16,
+        src: meta.flow.src_ip,
+        dst: meta.flow.dst_ip,
+        proto: protocol::TCP,
+        ..Ipv4Header::default()
+    };
+    let mut frame = Vec::new();
+    EthernetHeader::synthetic_ipv4().encode(&mut frame);
+    ip.encode(&mut frame);
+    tcp.encode(&mut frame);
+    frame.resize(frame.len() + meta.payload_len as usize, 0);
+    frame
 }
 
 /// Both parsers over `frame`: the same packet, or the same error down to
@@ -156,6 +189,36 @@ proptest! {
     #[test]
     fn frame_parser_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = parse_ethernet_frame(0, &bytes, &classifier());
+    }
+
+    /// Any packet the simulator can describe: the frame written in one
+    /// buffer is the struct encoders' byte for byte, its IPv4 checksum
+    /// verifies, and it parses back to the packet.
+    #[test]
+    fn synthesize_frame_equals_struct_encoders(
+        addrs in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        payload_len in 0u32..3_000,
+        flags in any::<u8>(),
+        ts in (any::<bool>(), any::<u32>(), any::<u32>()),
+        at in any::<u64>(),
+    ) {
+        let flow = FlowKey::from_raw(addrs.0, addrs.2, addrs.1, addrs.3);
+        let meta = PacketMeta {
+            ts: at,
+            flow,
+            seq: SeqNum(seq),
+            ack: SeqNum(ack),
+            payload_len,
+            flags: TcpFlags(flags),
+            dir: classifier().classify(&flow),
+            tsopt: ts.0.then_some((ts.1, ts.2)),
+        };
+        let frame = synthesize_frame(&meta);
+        prop_assert_eq!(&frame, &reference_frame(&meta));
+        prop_assert_eq!(internet_checksum(&frame[EthernetHeader::LEN..][..Ipv4Header::MIN_LEN]), 0);
+        prop_assert_eq!(parse_ethernet_frame(at, &frame, &classifier()).ok(), Some(meta));
     }
 
     /// Arbitrary bytes, and a valid frame with a few bytes overwritten:
