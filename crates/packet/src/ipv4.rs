@@ -57,14 +57,6 @@ impl Ipv4Header {
         (self.total_len as usize).saturating_sub(self.header_len())
     }
 
-    /// Compute the RFC 1071 header checksum over the encoded header with the
-    /// checksum field zeroed.
-    pub fn compute_checksum(&self) -> u16 {
-        let mut wire = Vec::with_capacity(self.header_len());
-        self.encode_raw(&mut wire, 0);
-        internet_checksum(&wire)
-    }
-
     /// Decode an IPv4 header from the front of `buf`.
     pub fn decode(buf: &[u8]) -> Result<Ipv4Header, PacketError> {
         if buf.len() < Self::MIN_LEN {
@@ -122,8 +114,10 @@ impl Ipv4Header {
         })
     }
 
-    /// Encode onto `out` with `checksum` in the checksum field.
-    fn encode_raw(&self, out: &mut Vec<u8>, checksum: u16) {
+    /// Encode onto `out` with a freshly computed checksum, summed over the
+    /// encoded bytes where they lie.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         let padded = self.options.len().div_ceil(4) * 4;
         let ihl = ((Self::MIN_LEN + padded) / 4) as u8;
         out.put_u8((4 << 4) | ihl);
@@ -133,20 +127,13 @@ impl Ipv4Header {
         out.put_u16(self.flags_frag);
         out.put_u8(self.ttl);
         out.put_u8(self.proto);
-        out.put_u16(checksum);
+        out.put_u16(0); // checksum, filled in below
         out.put_u32(u32::from(self.src));
         out.put_u32(u32::from(self.dst));
         out.extend_from_slice(&self.options);
         for _ in self.options.len()..padded {
             out.push(0);
         }
-    }
-
-    /// Encode onto `out` with a freshly computed checksum, summed over the
-    /// encoded bytes where they lie.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        self.encode_raw(out, 0);
         let sum = internet_checksum(&out[start..]);
         out[start + 10..start + 12].copy_from_slice(&sum.to_be_bytes());
     }

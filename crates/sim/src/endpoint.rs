@@ -261,7 +261,8 @@ impl Endpoint {
 
     // --- opening ---------------------------------------------------------
 
-    /// Client-side open: emit the SYN.
+    /// Client-side open: emit the SYN. Like every event handler here, it
+    /// appends its actions to `acts`.
     pub fn open(&mut self, acts: &mut Vec<Action>) {
         assert_eq!(self.state, ConnState::Closed);
         self.state = ConnState::SynSent;

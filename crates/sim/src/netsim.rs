@@ -883,22 +883,26 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
-    /// Lossy, jittery transfers with delayed ACKs: every new ACK re-arms
-    /// the retransmission timer to a later deadline, an ACK after a timeout
+    /// Lossy transfers with delayed ACKs: every new ACK re-arms the
+    /// retransmission timer to a later deadline, an ACK after a timeout
     /// resets the back-off and re-arms it to an earlier one, the last ACK
-    /// cancels it, and data sent cancels a pending delayed ACK.
+    /// cancels it, and data sent cancels a pending delayed ACK. Half the
+    /// connections have no jitter and start on a 0.5 ms grid, so their
+    /// events fall on one grid and tie across connections: a timer queued
+    /// under any id but the one it reserved pops out of turn among them,
+    /// and the loss draws that follow go to other packets.
     fn timer_specs() -> Vec<ConnSpec> {
-        (0..12u32)
+        (0..40u32)
             .map(|i| {
                 let mut spec = ConnSpec::simple(
                     flow(200 + i),
-                    u64::from(i) * MILLISECOND,
-                    2_000 + 3_000 * u64::from(i),
+                    u64::from(i) * MILLISECOND / 2,
+                    2_000 + 3_000 * u64::from(i % 12),
                     60_000,
                 );
                 spec.path.loss_pre = 0.04;
                 spec.path.loss_post = 0.04;
-                spec.path.jitter = 0.3;
+                spec.path.jitter = if i % 2 == 0 { 0.0 } else { 0.3 };
                 spec
             })
             .collect()
