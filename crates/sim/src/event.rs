@@ -26,14 +26,13 @@ use dart_packet::Nanos;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// log2 of a bucket's width in ns: 65.5 µs, in which the campus trace at
-/// the churn shape schedules about a hundred events.
+/// log2 of a bucket's width in ns: 65.5 µs.
 const WIDTH_SHIFT: u32 = 16;
 /// Buckets in the ring: a 67 ms window, which holds the packet hops and
 /// delayed ACKs; retransmission timers (200 ms and up), keep-alives and
 /// arrivals wait in the overflow. Measured with `cargo bench --bench sim`:
-/// 4096 slots of this width cost the churn shape a quarter more, as the
-/// slots' buffers outgrow the cache; 512 to 2048, and widths from 2^14 to
+/// 4096 slots of this width cost the churn shape about a quarter more,
+/// 16384 about three fifths more; 512 to 2048 slots, and widths from 2^14 to
 /// 2^17 ns, are all within a few percent of this.
 const SLOTS: u64 = 1024;
 
