@@ -39,6 +39,8 @@ struct Armed {
 pub struct DapperStats {
     /// Packets offered.
     pub packets: u64,
+    /// SYN-flagged packets skipped under `-SYN`.
+    pub syn_skipped: u64,
     /// Data packets that armed the per-flow tracker.
     pub armed: u64,
     /// Data packets skipped because a packet was already armed — the
@@ -69,14 +71,24 @@ impl Dapper {
     pub fn stats(&self) -> &DapperStats {
         &self.stats
     }
+}
 
-    /// Process one packet.
-    pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
+impl RttMonitor for Dapper {
+    fn name(&self) -> &str {
+        "dapper"
+    }
+
+    fn describe(&self) -> String {
+        "Dapper: one outstanding data packet per flow, one sample per window (SOSR '17)".to_string()
+    }
+
+    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         self.stats.packets += 1;
-        if self.cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
+        if self.cfg.syn_policy.skips(pkt) {
+            self.stats.syn_skipped += 1;
             return;
         }
-        if ack_role(self.cfg.leg, pkt.dir) && pkt.is_ack() {
+        if self.cfg.leg.ack_role(pkt.dir) && pkt.is_ack() {
             let data_flow = pkt.flow.reverse();
             if let Some(armed) = self.armed.get(&data_flow).copied() {
                 // Any ACK covering the armed packet closes the sample.
@@ -92,7 +104,7 @@ impl Dapper {
                 }
             }
         }
-        if seq_role(self.cfg.leg, pkt.dir) && pkt.is_seq() {
+        if self.cfg.leg.seq_role(pkt.dir) && pkt.is_seq() {
             match self.armed.get(&pkt.flow) {
                 Some(_) => self.stats.skipped_busy += 1,
                 None => {
@@ -108,47 +120,16 @@ impl Dapper {
             }
         }
     }
-}
-
-impl RttMonitor for Dapper {
-    fn name(&self) -> &str {
-        "dapper"
-    }
-
-    fn describe(&self) -> String {
-        "Dapper: one outstanding data packet per flow, one sample per window (SOSR '17)".to_string()
-    }
-
-    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.process(pkt, sink);
-    }
 
     fn flush(&mut self, _sink: &mut dyn SampleSink) {}
 
     fn stats(&self) -> EngineStats {
         EngineStats {
             packets: self.stats.packets,
+            syn_skipped: self.stats.syn_skipped,
             samples: self.stats.samples,
             ..EngineStats::default()
         }
-    }
-}
-
-fn seq_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Outbound,
-        Leg::Internal => dir == Inbound,
-        Leg::Both => true,
-    }
-}
-
-fn ack_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Inbound,
-        Leg::Internal => dir == Outbound,
-        Leg::Both => true,
     }
 }
 
@@ -169,7 +150,7 @@ mod tests {
         let mut d = Dapper::new(DapperConfig::default());
         let mut out: Vec<RttSample> = Vec::new();
         for i in 0..5u32 {
-            d.process(
+            d.on_packet(
                 &PacketBuilder::new(f, i as u64 * 100_000)
                     .seq(i * 1000)
                     .payload(1000)
@@ -178,7 +159,7 @@ mod tests {
                 &mut out,
             );
         }
-        d.process(
+        d.on_packet(
             &PacketBuilder::new(f.reverse(), 20 * MILLISECOND)
                 .ack(5000u32)
                 .dir(Direction::Inbound)
@@ -197,7 +178,7 @@ mod tests {
         let mut out: Vec<RttSample> = Vec::new();
         for round in 0..3u32 {
             let t = round as u64 * 50 * MILLISECOND;
-            d.process(
+            d.on_packet(
                 &PacketBuilder::new(f, t)
                     .seq(round * 100)
                     .payload(100)
@@ -205,7 +186,7 @@ mod tests {
                     .build(),
                 &mut out,
             );
-            d.process(
+            d.on_packet(
                 &PacketBuilder::new(f.reverse(), t + 10 * MILLISECOND)
                     .ack(round * 100 + 100)
                     .dir(Direction::Inbound)
@@ -224,7 +205,7 @@ mod tests {
         let f = flow();
         let mut d = Dapper::new(DapperConfig::default());
         let mut out: Vec<RttSample> = Vec::new();
-        d.process(
+        d.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -232,7 +213,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        d.process(
+        d.on_packet(
             &PacketBuilder::new(f.reverse(), MILLISECOND)
                 .ack(900u32)
                 .dir(Direction::Inbound)

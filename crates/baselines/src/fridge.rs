@@ -75,6 +75,8 @@ struct Entry {
 pub struct FridgeStats {
     /// Packets offered.
     pub packets: u64,
+    /// SYN-flagged packets skipped under `-SYN`.
+    pub syn_skipped: u64,
     /// Entries inserted.
     pub inserted: u64,
     /// Incumbents evicted by collisions.
@@ -124,15 +126,25 @@ impl Fridge {
         // (1 - 1/m)^(-k) computed in log space for stability.
         (-(k as f64) * (1.0 - 1.0 / m).ln()).exp()
     }
+}
 
-    /// Process one packet, emitting weight-carrying [`RttSample`]s through
-    /// the common sink.
-    pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
+impl RttMonitor for Fridge {
+    fn name(&self) -> &str {
+        "fridge"
+    }
+
+    fn describe(&self) -> String {
+        "Fridge: evict-on-collision sampler with inverse-survival correction weights (APoCS '22)"
+            .to_string()
+    }
+
+    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         self.stats.packets += 1;
-        if self.cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
+        if self.cfg.syn_policy.skips(pkt) {
+            self.stats.syn_skipped += 1;
             return;
         }
-        if ack_role(self.cfg.leg, pkt.dir) && pkt.is_ack() {
+        if self.cfg.leg.ack_role(pkt.dir) && pkt.is_ack() {
             let data_flow = pkt.flow.reverse();
             let (sig, idx) = self.key(&data_flow, pkt.ack);
             if let Some(e) = self.table[idx] {
@@ -152,7 +164,7 @@ impl Fridge {
                 }
             }
         }
-        if seq_role(self.cfg.leg, pkt.dir) && pkt.is_seq() {
+        if self.cfg.leg.seq_role(pkt.dir) && pkt.is_seq() {
             let eack = pkt.eack();
             let (sig, idx) = self.key(&pkt.flow, eack);
             if self.table[idx].is_some() {
@@ -168,48 +180,16 @@ impl Fridge {
             self.stats.inserted += 1;
         }
     }
-}
-
-impl RttMonitor for Fridge {
-    fn name(&self) -> &str {
-        "fridge"
-    }
-
-    fn describe(&self) -> String {
-        "Fridge: evict-on-collision sampler with inverse-survival correction weights (APoCS '22)"
-            .to_string()
-    }
-
-    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.process(pkt, sink);
-    }
 
     fn flush(&mut self, _sink: &mut dyn SampleSink) {}
 
     fn stats(&self) -> EngineStats {
         EngineStats {
             packets: self.stats.packets,
+            syn_skipped: self.stats.syn_skipped,
             samples: self.stats.samples,
             ..EngineStats::default()
         }
-    }
-}
-
-fn seq_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Outbound,
-        Leg::Internal => dir == Inbound,
-        Leg::Both => true,
-    }
-}
-
-fn ack_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Inbound,
-        Leg::Internal => dir == Outbound,
-        Leg::Both => true,
     }
 }
 
@@ -230,7 +210,7 @@ mod tests {
             ..FridgeConfig::default()
         });
         let mut out: Vec<RttSample> = Vec::new();
-        fr.process(
+        fr.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -238,7 +218,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        fr.process(
+        fr.on_packet(
             &PacketBuilder::new(f.reverse(), 9_000)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -259,7 +239,7 @@ mod tests {
             ..FridgeConfig::default()
         });
         let mut out: Vec<RttSample> = Vec::new();
-        fr.process(
+        fr.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -269,7 +249,7 @@ mod tests {
         );
         // 50 intervening insertions from other flows.
         for n in 2..52 {
-            fr.process(
+            fr.on_packet(
                 &PacketBuilder::new(flow(n), 10)
                     .seq(0u32)
                     .payload(100)
@@ -278,7 +258,7 @@ mod tests {
                 &mut out,
             );
         }
-        fr.process(
+        fr.on_packet(
             &PacketBuilder::new(f.reverse(), 100_000)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -323,7 +303,7 @@ mod tests {
         let mut evictions_seen = false;
         let mut out: Vec<RttSample> = Vec::new();
         for t in 0..100u64 {
-            fr.process(
+            fr.on_packet(
                 &PacketBuilder::new(flow(t as u32), t)
                     .seq(0u32)
                     .payload(100)

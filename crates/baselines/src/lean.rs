@@ -57,29 +57,6 @@ impl LeanRtt {
         }
     }
 
-    /// Process one packet (no per-packet output — this estimator only has
-    /// aggregates).
-    pub fn process(&mut self, pkt: &PacketMeta) {
-        use dart_packet::Direction::*;
-        self.packets += 1;
-        self.last_ts = self.last_ts.max(pkt.ts);
-        let (seq_dir, ack_dir) = match self.leg {
-            Leg::External => (Outbound, Inbound),
-            Leg::Internal => (Inbound, Outbound),
-            Leg::Both => (pkt.dir, pkt.dir), // both roles active
-        };
-        if pkt.dir == seq_dir && pkt.is_seq() && !pkt.is_syn() {
-            let s = self.flows.entry(pkt.flow).or_default();
-            s.data_ts_sum += pkt.ts as u128;
-            s.data_count += 1;
-        }
-        if pkt.dir == ack_dir && pkt.is_pure_ack() {
-            let s = self.flows.entry(pkt.flow.reverse()).or_default();
-            s.ack_ts_sum += pkt.ts as u128;
-            s.ack_count += 1;
-        }
-    }
-
     /// Current estimate for one flow.
     pub fn estimate(&self, flow: &FlowKey) -> Option<LeanEstimate> {
         self.flows.get(flow).map(|s| LeanEstimate {
@@ -133,7 +110,18 @@ impl RttMonitor for LeanRtt {
     }
 
     fn on_packet(&mut self, pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
-        self.process(pkt);
+        self.packets += 1;
+        self.last_ts = self.last_ts.max(pkt.ts);
+        if self.leg.seq_role(pkt.dir) && pkt.is_seq() && !pkt.is_syn() {
+            let s = self.flows.entry(pkt.flow).or_default();
+            s.data_ts_sum += pkt.ts as u128;
+            s.data_count += 1;
+        }
+        if self.leg.ack_role(pkt.dir) && pkt.is_pure_ack() {
+            let s = self.flows.entry(pkt.flow.reverse()).or_default();
+            s.ack_ts_sum += pkt.ts as u128;
+            s.ack_count += 1;
+        }
     }
 
     fn flush(&mut self, sink: &mut dyn SampleSink) {
@@ -171,6 +159,10 @@ mod tests {
     use super::*;
     use dart_packet::{Direction, PacketBuilder, MILLISECOND};
 
+    fn feed(lean: &mut LeanRtt, pkt: &PacketMeta) {
+        lean.on_packet(pkt, &mut Vec::new());
+    }
+
     fn flow() -> FlowKey {
         FlowKey::from_raw(0x0a08_0001, 40200, 0x5db8_d822, 443)
     }
@@ -181,14 +173,16 @@ mod tests {
         let mut lean = LeanRtt::new(Leg::External);
         for i in 0..10u32 {
             let t = i as u64 * 100 * MILLISECOND;
-            lean.process(
+            feed(
+                &mut lean,
                 &PacketBuilder::new(f, t)
                     .seq(i * 100)
                     .payload(100)
                     .dir(Direction::Outbound)
                     .build(),
             );
-            lean.process(
+            feed(
+                &mut lean,
                 &PacketBuilder::new(f.reverse(), t + 20 * MILLISECOND)
                     .ack(i * 100 + 100)
                     .dir(Direction::Inbound)
@@ -209,7 +203,8 @@ mod tests {
         let mut lean = LeanRtt::new(Leg::External);
         for i in 0..10u32 {
             let t = i as u64 * 100 * MILLISECOND;
-            lean.process(
+            feed(
+                &mut lean,
                 &PacketBuilder::new(f, t)
                     .seq(i * 100)
                     .payload(100)
@@ -217,7 +212,8 @@ mod tests {
                     .build(),
             );
             if i % 2 == 1 {
-                lean.process(
+                feed(
+                    &mut lean,
                     &PacketBuilder::new(f.reverse(), t + 20 * MILLISECOND)
                         .ack(i * 100 + 100)
                         .dir(Direction::Inbound)
@@ -236,7 +232,8 @@ mod tests {
     fn no_acks_means_no_estimate() {
         let f = flow();
         let mut lean = LeanRtt::new(Leg::External);
-        lean.process(
+        feed(
+            &mut lean,
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -250,7 +247,8 @@ mod tests {
     fn syn_packets_are_ignored() {
         let f = flow();
         let mut lean = LeanRtt::new(Leg::External);
-        lean.process(
+        feed(
+            &mut lean,
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .syn()

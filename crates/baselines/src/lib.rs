@@ -29,6 +29,12 @@
 //! `tcptrace_const` — the constant-per-flow-state variant the paper actually
 //! sweeps against in §6.2 — is Dart itself with unlimited tables:
 //! `dart_core::DartConfig::unlimited()`.
+//!
+//! No engine here restates a measurement rule: which direction plays the
+//! SEQ or ACK role on a leg is `dart_core::Leg::{seq_role, ack_role}`, and
+//! which packets `-SYN` drops is `dart_core::SynPolicy::skips`, the same
+//! code Dart's decode runs. [`seglist`] holds tcptrace's per-flow segment
+//! list and sequence unwrapper.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,7 +59,7 @@ pub use histo::HistMonitor;
 pub use lean::{LeanEstimate, LeanRtt};
 pub use pping::{Pping, PpingConfig, PpingStats};
 pub use registry::{BuiltEngine, EngineEntry, EngineRegistry, Judgement};
-pub use seglist::{SegListMonitor, SegOutcome, Segment, SegmentList, SeqUnwrapper};
+pub use seglist::{SegOutcome, Segment, SegmentList, SeqUnwrapper};
 pub use spin::{SpinConfig, SpinMonitor};
 pub use strawman::{Strawman, StrawmanConfig, StrawmanStats};
-pub use tcptrace::{run_trace as run_tcptrace, TcpTrace, TcpTraceConfig, TcpTraceStats};
+pub use tcptrace::{TcpTrace, TcpTraceConfig, TcpTraceStats};

@@ -81,16 +81,26 @@ impl Pping {
     pub fn stats(&self) -> &PpingStats {
         &self.stats
     }
+}
 
-    /// Process one packet.
-    pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
+impl RttMonitor for Pping {
+    fn name(&self) -> &str {
+        "pping"
+    }
+
+    fn describe(&self) -> String {
+        "pping: RFC 7323 TSval/TSecr matching, quantized by the sender's timestamp clock"
+            .to_string()
+    }
+
+    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         self.stats.packets += 1;
         let Some((tsval, tsecr)) = pkt.tsopt else {
             self.stats.no_option += 1;
             return;
         };
         // Reverse direction: an echo closes a pending TSval.
-        if ack_role(self.cfg.leg, pkt.dir) {
+        if self.cfg.leg.ack_role(pkt.dir) {
             let data_flow = pkt.flow.reverse();
             if let Some(st) = self.flows.get_mut(&data_flow) {
                 if let Some(t0) = st.pending.remove(&tsecr) {
@@ -106,7 +116,7 @@ impl Pping {
             }
         }
         // Data direction: record first sighting of each TSval.
-        if seq_role(self.cfg.leg, pkt.dir) {
+        if self.cfg.leg.seq_role(pkt.dir) {
             let st = self.flows.entry(pkt.flow).or_default();
             if st.last_tsval_seen == Some(tsval) || st.pending.contains_key(&tsval) {
                 self.stats.tsval_repeats += 1;
@@ -123,21 +133,6 @@ impl Pping {
             }
         }
     }
-}
-
-impl RttMonitor for Pping {
-    fn name(&self) -> &str {
-        "pping"
-    }
-
-    fn describe(&self) -> String {
-        "pping: RFC 7323 TSval/TSecr matching, quantized by the sender's timestamp clock"
-            .to_string()
-    }
-
-    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.process(pkt, sink);
-    }
 
     fn flush(&mut self, _sink: &mut dyn SampleSink) {}
 
@@ -147,24 +142,6 @@ impl RttMonitor for Pping {
             samples: self.stats.samples,
             ..EngineStats::default()
         }
-    }
-}
-
-fn seq_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Outbound,
-        Leg::Internal => dir == Inbound,
-        Leg::Both => true,
-    }
-}
-
-fn ack_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Inbound,
-        Leg::Internal => dir == Outbound,
-        Leg::Both => true,
     }
 }
 
@@ -182,7 +159,7 @@ mod tests {
         let f = flow();
         let mut pp = Pping::new(PpingConfig::default());
         let mut out: Vec<RttSample> = Vec::new();
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -191,7 +168,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f.reverse(), 18 * MILLISECOND)
                 .ack(100u32)
                 .tsopt(9_000, 500)
@@ -208,7 +185,7 @@ mod tests {
         let f = flow();
         let mut pp = Pping::new(PpingConfig::default());
         let mut out: Vec<RttSample> = Vec::new();
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -216,7 +193,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f.reverse(), MILLISECOND)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -235,7 +212,7 @@ mod tests {
         let mut pp = Pping::new(PpingConfig::default());
         let mut out: Vec<RttSample> = Vec::new();
         for i in 0..5u32 {
-            pp.process(
+            pp.on_packet(
                 &PacketBuilder::new(f, i as u64 * MILLISECOND)
                     .seq(i * 100)
                     .payload(100)
@@ -246,7 +223,7 @@ mod tests {
             );
         }
         assert_eq!(pp.stats().tsval_repeats, 4);
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f.reverse(), 20 * MILLISECOND)
                 .ack(500u32)
                 .tsopt(7, 42)
@@ -269,7 +246,7 @@ mod tests {
         });
         let mut out: Vec<RttSample> = Vec::new();
         for i in 0..10u32 {
-            pp.process(
+            pp.on_packet(
                 &PacketBuilder::new(f, i as u64)
                     .seq(i)
                     .payload(1)
@@ -280,7 +257,7 @@ mod tests {
             );
         }
         // Echo of an evicted (old) TSval: no sample.
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f.reverse(), 100)
                 .ack(1u32)
                 .tsopt(0, 0)
@@ -290,7 +267,7 @@ mod tests {
         );
         assert!(out.is_empty());
         // Echo of a recent one: sample.
-        pp.process(
+        pp.on_packet(
             &PacketBuilder::new(f.reverse(), 101)
                 .ack(1u32)
                 .tsopt(0, 9)

@@ -15,7 +15,6 @@ use crate::fridge::{Fridge, FridgeConfig};
 use crate::histo::HistMonitor;
 use crate::lean::LeanRtt;
 use crate::pping::{Pping, PpingConfig};
-use crate::seglist::SegListMonitor;
 use crate::spin::{SpinConfig, SpinMonitor};
 use crate::strawman::{Strawman, StrawmanConfig};
 use crate::tcptrace::{TcpTrace, TcpTraceConfig};
@@ -92,7 +91,7 @@ pub fn sharded_shards(name: &str) -> Option<usize> {
 impl EngineRegistry {
     /// The standard registry: the engines of the comparison suite
     /// (`dart`, `dart-sharded-4`, `tcptrace`, `fridge`, `pping`, `dapper`,
-    /// `strawman`, `seglist`, `lean`), plus `tcptrace-quirk` (the Fig. 9
+    /// `strawman`, `lean`), plus `tcptrace-quirk` (the Fig. 9
     /// ground-truth variant with tcptrace's quadrant double-sample bug),
     /// the encrypted-transport family — `spin` (QUIC spin-bit edges) and
     /// `dart-hist` (snapshot-only log2 histogram export) — and the
@@ -204,12 +203,6 @@ impl EngineRegistry {
                             ..StrawmanConfig::default()
                         }))
                     },
-                },
-                EngineEntry {
-                    name: "seglist",
-                    description: "SegList: bare outstanding-segment matching",
-                    judgement: Judgement::Anchored,
-                    build: |cfg| Box::new(SegListMonitor::new(cfg.leg).with_syn(cfg.syn_policy)),
                 },
                 EngineEntry {
                     name: "lean",
@@ -366,7 +359,6 @@ mod tests {
             "pping",
             "dapper",
             "strawman",
-            "seglist",
             "lean",
             "spin",
             "dart-hist",

@@ -1,9 +1,8 @@
 //! Per-flow outstanding-segment bookkeeping with 64-bit sequence unwrapping
 //! — the unlimited-memory state `tcptrace` keeps and Dart cannot afford.
 
-use dart_core::{EngineStats, Leg, RttMonitor, RttSample, SampleSink, SynPolicy};
-use dart_packet::{FlowKey, Nanos, PacketMeta, SeqNum};
-use std::collections::{BTreeMap, HashMap};
+use dart_packet::{Nanos, SeqNum};
+use std::collections::BTreeMap;
 
 /// Unwraps 32-bit wire sequence numbers into a monotone 64-bit space, so a
 /// long flow's wraparounds are transparent (unlike Dart, which must forego
@@ -182,114 +181,6 @@ impl SegmentList {
     /// Highest unwrapped byte acknowledged so far.
     pub fn highest_acked(&self) -> u64 {
         self.highest_acked
-    }
-}
-
-/// The raw segment-list matcher as an engine of its own: per-flow
-/// [`SegmentList`] + [`SeqUnwrapper`] with almost none of tcptrace's
-/// policy knobs — no quadrant quirk, handshake packets included by default
-/// ([`with_syn`](SegListMonitor::with_syn) opts into `-SYN` so the shared
-/// registry configuration applies). The minimal unlimited-memory
-/// comparator: what you get from just keeping every in-flight byte range.
-pub struct SegListMonitor {
-    leg: Leg,
-    syn_policy: SynPolicy,
-    flows: HashMap<FlowKey, (SegmentList, SeqUnwrapper)>,
-    packets: u64,
-    syn_skipped: u64,
-    samples: u64,
-}
-
-impl SegListMonitor {
-    /// Build a matcher measuring `leg` (handshake packets included).
-    pub fn new(leg: Leg) -> SegListMonitor {
-        SegListMonitor {
-            leg,
-            syn_policy: SynPolicy::Include,
-            flows: HashMap::new(),
-            packets: 0,
-            syn_skipped: 0,
-            samples: 0,
-        }
-    }
-
-    /// Builder-style: set the handshake policy.
-    pub fn with_syn(mut self, syn_policy: SynPolicy) -> SegListMonitor {
-        self.syn_policy = syn_policy;
-        self
-    }
-
-    /// Number of flows with live state.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    fn seq_role(&self, dir: dart_packet::Direction) -> bool {
-        use dart_packet::Direction::*;
-        match self.leg {
-            Leg::External => dir == Outbound,
-            Leg::Internal => dir == Inbound,
-            Leg::Both => true,
-        }
-    }
-
-    fn ack_role(&self, dir: dart_packet::Direction) -> bool {
-        use dart_packet::Direction::*;
-        match self.leg {
-            Leg::External => dir == Inbound,
-            Leg::Internal => dir == Outbound,
-            Leg::Both => true,
-        }
-    }
-}
-
-impl RttMonitor for SegListMonitor {
-    fn name(&self) -> &str {
-        "seglist"
-    }
-
-    fn describe(&self) -> String {
-        "SegList: bare per-flow outstanding-segment matching, no policy knobs".to_string()
-    }
-
-    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.packets += 1;
-        if self.syn_policy == SynPolicy::Skip && pkt.is_syn() {
-            self.syn_skipped += 1;
-            return;
-        }
-        if self.ack_role(pkt.dir) && pkt.is_ack() {
-            let data_flow = pkt.flow.reverse();
-            if let Some((segs, unwrap)) = self.flows.get_mut(&data_flow) {
-                let ack_u = unwrap.unwrap(pkt.ack);
-                if let Some(seg) = segs.on_ack(ack_u, pkt.ts).matched {
-                    self.samples += 1;
-                    sink.on_sample(RttSample::new(
-                        data_flow,
-                        pkt.ack,
-                        pkt.ts.saturating_sub(seg.ts),
-                        pkt.ts,
-                    ));
-                }
-            }
-        }
-        if self.seq_role(pkt.dir) && pkt.is_seq() {
-            let (segs, unwrap) = self.flows.entry(pkt.flow).or_default();
-            let seq_u = unwrap.unwrap(pkt.seq);
-            let len = (pkt.eack().raw().wrapping_sub(pkt.seq.raw())) as u64;
-            segs.on_data(seq_u, seq_u + len, pkt.ts);
-        }
-    }
-
-    fn flush(&mut self, _sink: &mut dyn SampleSink) {}
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            packets: self.packets,
-            syn_skipped: self.syn_skipped,
-            samples: self.samples,
-            ..EngineStats::default()
-        }
     }
 }
 

@@ -53,6 +53,8 @@ struct Entry {
 pub struct StrawmanStats {
     /// Packets offered.
     pub packets: u64,
+    /// SYN-flagged packets skipped under `-SYN`.
+    pub syn_skipped: u64,
     /// Data packets inserted.
     pub inserted: u64,
     /// Insertions refused (collision, `evict_on_collision = false`).
@@ -103,14 +105,25 @@ impl Strawman {
             .timeout
             .is_some_and(|t| now.saturating_sub(e.ts) > t)
     }
+}
 
-    /// Process one packet.
-    pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
+impl RttMonitor for Strawman {
+    fn name(&self) -> &str {
+        "strawman"
+    }
+
+    fn describe(&self) -> String {
+        "Strawman: one (flow, eACK) hash table, timeout/evict policies, no ambiguity handling"
+            .to_string()
+    }
+
+    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
         self.stats.packets += 1;
-        if self.cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
+        if self.cfg.syn_policy.skips(pkt) {
+            self.stats.syn_skipped += 1;
             return;
         }
-        if ack_role(self.cfg.leg, pkt.dir) && pkt.is_ack() {
+        if self.cfg.leg.ack_role(pkt.dir) && pkt.is_ack() {
             let data_flow = pkt.flow.reverse();
             let (sig, idx) = self.key(&data_flow, pkt.ack);
             if let Some(e) = self.table[idx] {
@@ -126,7 +139,7 @@ impl Strawman {
                 }
             }
         }
-        if seq_role(self.cfg.leg, pkt.dir) && pkt.is_seq() {
+        if self.cfg.leg.seq_role(pkt.dir) && pkt.is_seq() {
             let eack = pkt.eack();
             let (sig, idx) = self.key(&pkt.flow, eack);
             let entry = Entry {
@@ -161,48 +174,16 @@ impl Strawman {
             }
         }
     }
-}
-
-impl RttMonitor for Strawman {
-    fn name(&self) -> &str {
-        "strawman"
-    }
-
-    fn describe(&self) -> String {
-        "Strawman: one (flow, eACK) hash table, timeout/evict policies, no ambiguity handling"
-            .to_string()
-    }
-
-    fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.process(pkt, sink);
-    }
 
     fn flush(&mut self, _sink: &mut dyn SampleSink) {}
 
     fn stats(&self) -> EngineStats {
         EngineStats {
             packets: self.stats.packets,
+            syn_skipped: self.stats.syn_skipped,
             samples: self.stats.samples,
             ..EngineStats::default()
         }
-    }
-}
-
-fn seq_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Outbound,
-        Leg::Internal => dir == Inbound,
-        Leg::Both => true,
-    }
-}
-
-fn ack_role(leg: Leg, dir: dart_packet::Direction) -> bool {
-    use dart_packet::Direction::*;
-    match leg {
-        Leg::External => dir == Inbound,
-        Leg::Internal => dir == Outbound,
-        Leg::Both => true,
     }
 }
 
@@ -227,7 +208,7 @@ mod tests {
         let f = flow(1);
         let mut s = Strawman::new(cfg(64));
         let mut out: Vec<RttSample> = Vec::new();
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -235,7 +216,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f.reverse(), 7_000)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -255,7 +236,7 @@ mod tests {
         let f = flow(2);
         let mut s = Strawman::new(cfg(64));
         let mut out: Vec<RttSample> = Vec::new();
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -263,7 +244,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f, 50_000)
                 .seq(0u32)
                 .payload(100)
@@ -271,7 +252,7 @@ mod tests {
                 .build(),
             &mut out,
         );
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f.reverse(), 60_000)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -289,7 +270,7 @@ mod tests {
         c.timeout = Some(1_000);
         let mut s = Strawman::new(c);
         let mut out: Vec<RttSample> = Vec::new();
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .payload(100)
@@ -299,7 +280,7 @@ mod tests {
         );
         // ACK arrives after the timeout: the long-RTT sample is lost — the
         // bias against long RTTs §2.3 describes.
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f.reverse(), 5_000)
                 .ack(100u32)
                 .dir(Direction::Inbound)
@@ -320,7 +301,7 @@ mod tests {
             c.timeout = None;
             let mut s = Strawman::new(c);
             let mut out: Vec<RttSample> = Vec::new();
-            s.process(
+            s.on_packet(
                 &PacketBuilder::new(fa, 0)
                     .seq(0u32)
                     .payload(100)
@@ -328,7 +309,7 @@ mod tests {
                     .build(),
                 &mut out,
             );
-            s.process(
+            s.on_packet(
                 &PacketBuilder::new(fb, 10)
                     .seq(0u32)
                     .payload(100)
@@ -346,7 +327,7 @@ mod tests {
         let f = flow(6);
         let mut s = Strawman::new(cfg(64));
         let mut out: Vec<RttSample> = Vec::new();
-        s.process(
+        s.on_packet(
             &PacketBuilder::new(f, 0)
                 .seq(0u32)
                 .syn()

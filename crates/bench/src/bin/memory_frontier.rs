@@ -78,14 +78,6 @@ struct Row {
     recirc_admission_denied: u64,
 }
 
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Exact => "exact",
-        Backend::Sketch => "sketch",
-        Backend::Precision => "precision",
-    }
-}
-
 struct Args {
     multiples: Vec<usize>,
     base_conns: usize,
@@ -300,7 +292,7 @@ fn main() {
     );
     for (b, cfg) in &configs {
         let (rt, pt) = table_slots(cfg);
-        eprintln!("  {:<9} rt={rt} slots, pt={pt} slots", backend_name(*b));
+        eprintln!("  {:<9} rt={rt} slots, pt={pt} slots", b);
     }
 
     let mut rows: Vec<Row> = Vec::new();
@@ -336,7 +328,7 @@ fn main() {
             let row = measure(cfg, backend, m, conns, &pkts, &oracle, iters);
             eprintln!(
                 "  {:<9} {:>10.0} pkts/s   recall {:>6.3}   err p50/p99 {:.4}/{:.4}   ({} samples)",
-                backend_name(backend),
+                backend,
                 row.pkts_per_sec,
                 row.recall,
                 row.rel_err_p50,
@@ -369,7 +361,7 @@ fn main() {
         "sustain floor: recall ≥ {floor:.3} ({SUSTAIN_FRAC} x exact base recall {anchor:.3})"
     );
     for &(b, max_m) in &sustained {
-        eprintln!("{:<9} sustains through {max_m}x", backend_name(b));
+        eprintln!("{:<9} sustains through {max_m}x", b);
     }
     let frontier_crossed = sustained
         .iter()
@@ -415,7 +407,7 @@ fn main() {
         writeln!(
             json,
             "    {{\"backend\": \"{}\", \"rt_slots\": {rt}, \"pt_slots\": {pt}}}{comma}",
-            backend_name(*b)
+            b
         )
         .unwrap();
     }
@@ -431,7 +423,7 @@ fn main() {
              \"valid_matched\": {}, \"recall\": {:.6}, \"rel_err_p50\": {:.6}, \
              \"rel_err_p99\": {:.6}, \"matched_pairs\": {}, \
              \"sketch_overwritten\": {}, \"recirc_admission_denied\": {}}}{comma}",
-            backend_name(r.backend),
+            r.backend,
             r.multiple,
             r.conns,
             r.packets,
@@ -466,7 +458,7 @@ fn main() {
         writeln!(
             json,
             "      {{\"backend\": \"{}\", \"max_sustained_multiple\": {max_m}}}{comma}",
-            backend_name(b)
+            b
         )
         .unwrap();
     }

@@ -1,6 +1,6 @@
 //! Configuration of a Dart engine instance.
 
-use dart_packet::{Nanos, SignatureWidth};
+use dart_packet::{Direction, Nanos, PacketMeta, SignatureWidth};
 
 /// Whether handshake packets (SYN / SYN-ACK) are monitored.
 ///
@@ -17,6 +17,15 @@ pub enum SynPolicy {
     Skip,
 }
 
+impl SynPolicy {
+    /// True when `pkt` is a handshake packet this policy ignores: the one
+    /// SYN rule every engine that honours the policy applies.
+    #[inline]
+    pub fn skips(self, pkt: &PacketMeta) -> bool {
+        self == SynPolicy::Skip && pkt.is_syn()
+    }
+}
+
 /// Which leg of the path is measured (paper §2.1, Fig. 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Leg {
@@ -30,6 +39,29 @@ pub enum Leg {
     /// Both legs simultaneously; dual-role packets cost one recirculation
     /// each, as in the hardware prototype (§5).
     Both,
+}
+
+impl Leg {
+    /// True when a data packet traveling `dir` plays the SEQ role on this
+    /// leg: the one leg→role rule every engine applies.
+    #[inline]
+    pub fn seq_role(self, dir: Direction) -> bool {
+        match self {
+            Leg::External => dir == Direction::Outbound,
+            Leg::Internal => dir == Direction::Inbound,
+            Leg::Both => true,
+        }
+    }
+
+    /// True when an ACK traveling `dir` plays the ACK role on this leg.
+    #[inline]
+    pub fn ack_role(self, dir: Direction) -> bool {
+        match self {
+            Leg::External => dir == Direction::Inbound,
+            Leg::Internal => dir == Direction::Outbound,
+            Leg::Both => true,
+        }
+    }
 }
 
 /// Range Tracker sizing.
@@ -148,9 +180,10 @@ impl std::str::FromStr for Backend {
     }
 }
 
+/// Honours width and alignment (`{:<9}`), so tables can pad the name.
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             Backend::Exact => "exact",
             Backend::Sketch => "sketch",
             Backend::Precision => "precision",
@@ -334,32 +367,11 @@ impl DartConfig {
             Backend::Exact
         }
     }
-
-    /// True when a data packet traveling `dir` should be processed as SEQ.
-    pub fn seq_role_active(&self, dir: dart_packet::Direction) -> bool {
-        use dart_packet::Direction::*;
-        match self.leg {
-            Leg::External => dir == Outbound,
-            Leg::Internal => dir == Inbound,
-            Leg::Both => true,
-        }
-    }
-
-    /// True when an ACK traveling `dir` should be processed as ACK.
-    pub fn ack_role_active(&self, dir: dart_packet::Direction) -> bool {
-        use dart_packet::Direction::*;
-        match self.leg {
-            Leg::External => dir == Inbound,
-            Leg::Internal => dir == Outbound,
-            Leg::Both => true,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dart_packet::Direction;
 
     #[test]
     fn default_matches_paper_operating_point() {
@@ -385,27 +397,24 @@ mod tests {
 
     #[test]
     fn external_leg_roles() {
-        let c = DartConfig::default();
-        assert!(c.seq_role_active(Direction::Outbound));
-        assert!(!c.seq_role_active(Direction::Inbound));
-        assert!(c.ack_role_active(Direction::Inbound));
-        assert!(!c.ack_role_active(Direction::Outbound));
+        assert!(Leg::External.seq_role(Direction::Outbound));
+        assert!(!Leg::External.seq_role(Direction::Inbound));
+        assert!(Leg::External.ack_role(Direction::Inbound));
+        assert!(!Leg::External.ack_role(Direction::Outbound));
     }
 
     #[test]
     fn internal_leg_roles_are_mirrored() {
-        let c = DartConfig::default().with_leg(Leg::Internal);
-        assert!(c.seq_role_active(Direction::Inbound));
-        assert!(c.ack_role_active(Direction::Outbound));
-        assert!(!c.seq_role_active(Direction::Outbound));
+        assert!(Leg::Internal.seq_role(Direction::Inbound));
+        assert!(Leg::Internal.ack_role(Direction::Outbound));
+        assert!(!Leg::Internal.seq_role(Direction::Outbound));
     }
 
     #[test]
     fn both_legs_activate_everything() {
-        let c = DartConfig::default().with_leg(Leg::Both);
         for d in [Direction::Inbound, Direction::Outbound] {
-            assert!(c.seq_role_active(d));
-            assert!(c.ack_role_active(d));
+            assert!(Leg::Both.seq_role(d));
+            assert!(Leg::Both.ack_role(d));
         }
     }
 

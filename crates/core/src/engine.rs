@@ -2,7 +2,7 @@
 //! eviction and second-chance recirculation (paper Fig. 3 / Fig. 5).
 
 use crate::backend::{PtTable, RtLocate, RtTable};
-use crate::config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, SynPolicy};
+use crate::config::{AdmissionMode, Backend, DartConfig, Leg, PtMode};
 use crate::filter::FlowFilter;
 use crate::packet_tracker::{PtInsert, PtRecord};
 use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
@@ -1004,19 +1004,19 @@ fn decode_and_warm<R: RtLocate>(
     stats: &mut EngineStats,
 ) -> Decoded {
     let mut d = Decoded::default();
-    if cfg.syn_policy == SynPolicy::Skip && pkt.is_syn() {
+    if cfg.syn_policy.skips(pkt) {
         d.lane = LANE_SYN_SKIP;
         stats.syn_skipped += 1;
     } else if !flow_filter.matches(&pkt.flow) {
         d.lane = LANE_FILTERED;
         stats.filtered_flows += 1;
     } else {
-        if cfg.ack_role_active(pkt.dir) && pkt.is_ack() {
+        if cfg.leg.ack_role(pkt.dir) && pkt.is_ack() {
             d.lane |= LANE_ACK;
             d.ack_rt = locate_memo(rt, memo, &pkt.flow.reverse());
             rt.prefetch(&d.ack_rt);
         }
-        if cfg.seq_role_active(pkt.dir) && pkt.is_seq() {
+        if cfg.leg.seq_role(pkt.dir) && pkt.is_seq() {
             d.lane |= LANE_SEQ;
             d.eack = pkt.eack();
             d.seq_rt = locate_memo(rt, memo, &pkt.flow);
@@ -1134,6 +1134,7 @@ impl crate::monitor::RttMonitor for DartEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SynPolicy;
     use dart_packet::{Direction, FlowKey, PacketBuilder, SeqNum};
 
     fn flow(n: u32) -> FlowKey {

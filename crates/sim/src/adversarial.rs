@@ -27,7 +27,7 @@ use crate::scenario::{
     campus, interception, syn_flood, AttackConfig, CampusConfig, GeneratedTrace, SpinInfo,
     SynFloodConfig,
 };
-use crate::spin::{spin_flow_meta, SpinFlowConfig};
+use crate::spin::{spin_flow, SpinFlowConfig};
 use dart_packet::{FlowKey, Nanos, MICROSECOND, MILLISECOND, SECOND};
 use std::net::Ipv4Addr;
 
@@ -48,7 +48,7 @@ fn mix_spin_flows(
             443,
         );
         let cfg = make(rng, flow);
-        trace.packets.extend(spin_flow_meta(cfg));
+        trace.packets.extend(spin_flow(cfg));
         trace.spin_flows.push(SpinInfo {
             flow,
             base_rtt: 2 * (cfg.int_owd + cfg.ext_owd),

@@ -51,4 +51,4 @@ pub use scenario::{
     campus, interception, syn_flood, AttackConfig, CampusConfig, ConnInfo, GeneratedTrace,
     SpinInfo, SynFloodConfig,
 };
-pub use spin::{spin_flow, spin_flow_meta, SpinFlowConfig, SpinObserver, SpinPacket};
+pub use spin::{spin_flow, SpinFlowConfig};

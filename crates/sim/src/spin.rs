@@ -5,50 +5,12 @@
 //! Mechanics: the client sends each packet with the spin bit set to the
 //! *complement* of the last bit it saw from the server; the server echoes
 //! the last bit it saw from the client. The observable bit therefore flips
-//! once per round trip in each direction, and an on-path observer can clock
-//! RTTs from edge to edge — at most one sample per RTT.
+//! once per round trip in each direction, and an on-path observer (the
+//! `spin` engine, `dart_baselines::SpinMonitor`) can clock RTTs from edge to
+//! edge — at most one sample per RTT.
 
 use crate::rng::SimRng;
 use dart_packet::{Direction, FlowKey, Nanos, PacketBuilder, PacketMeta};
-
-/// One observed QUIC-like packet (the monitor's view; QUIC exposes no
-/// sequence/ack numbers, only the spin bit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpinPacket {
-    /// Capture timestamp at the monitor.
-    pub ts: Nanos,
-    /// Flow key in the packet's direction of travel.
-    pub flow: FlowKey,
-    /// Direction relative to the monitor.
-    pub dir: Direction,
-    /// The latency spin bit.
-    pub spin: bool,
-}
-
-impl SpinPacket {
-    /// Encode into the shared [`PacketMeta`] record: the
-    /// [`dart_packet::TcpFlags::QUIC`] marker plus the spin bit, with
-    /// SEQ/ACK/payload zeroed (QUIC exposes none of them). This is how
-    /// spin flows enter mixed traces, the native trace format, and every
-    /// `RttMonitor` — TCP engines see the record as role-less.
-    pub fn to_meta(&self) -> PacketMeta {
-        PacketBuilder::new(self.flow, self.ts)
-            .dir(self.dir)
-            .quic_spin(self.spin)
-            .build()
-    }
-
-    /// Decode from a [`PacketMeta`], if it carries the QUIC marker.
-    pub fn from_meta(meta: &PacketMeta) -> Option<SpinPacket> {
-        let spin = meta.spin()?;
-        Some(SpinPacket {
-            ts: meta.ts,
-            flow: meta.flow,
-            dir: meta.dir,
-            spin,
-        })
-    }
-}
 
 /// Spin-bit flow generation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -93,7 +55,13 @@ impl Default for SpinFlowConfig {
 /// Each endpoint sends a paced stream; the spin state follows RFC 9000:
 /// the client initiates flips (complementing the server's echo), the server
 /// reflects. Packets are captured at the monitor between the two legs.
-pub fn spin_flow(cfg: SpinFlowConfig) -> Vec<SpinPacket> {
+///
+/// Each packet is a [`PacketMeta`] carrying the
+/// [`dart_packet::TcpFlags::QUIC`] marker and the spin bit, with
+/// SEQ/ACK/payload zeroed (QUIC exposes none of them): the stream merges
+/// straight into a mixed TCP/QUIC trace (sort the union by timestamp), and
+/// TCP engines see its records as role-less.
+pub fn spin_flow(cfg: SpinFlowConfig) -> Vec<PacketMeta> {
     let mut rng = SimRng::new(cfg.seed);
     let gap = 1_000_000_000 / cfg.rate_pps.max(1);
 
@@ -125,24 +93,24 @@ pub fn spin_flow(cfg: SpinFlowConfig) -> Vec<SpinPacket> {
         // Client → server packet, captured at monitor after int leg.
         let client_spin = spin_at(t);
         if !rng.chance(cfg.loss) {
-            out.push(SpinPacket {
-                ts: t + cfg.int_owd,
-                flow: cfg.flow,
-                dir: Direction::Outbound,
-                spin: client_spin,
-            });
+            out.push(
+                PacketBuilder::new(cfg.flow, t + cfg.int_owd)
+                    .dir(Direction::Outbound)
+                    .quic_spin(client_spin)
+                    .build(),
+            );
         }
         // Server → client packet sent at the same instant: echoes the
         // client bit it saw one client→server delay ago (false before
         // anything arrives).
         let server_spin = t.checked_sub(cfg.int_owd + ext_at(t)).is_some_and(spin_at);
         if !rng.chance(cfg.loss) {
-            out.push(SpinPacket {
-                ts: t + ext_at(t),
-                flow: cfg.flow.reverse(),
-                dir: Direction::Inbound,
-                spin: server_spin,
-            });
+            out.push(
+                PacketBuilder::new(cfg.flow.reverse(), t + ext_at(t))
+                    .dir(Direction::Inbound)
+                    .quic_spin(server_spin)
+                    .build(),
+            );
         }
         t += gap;
     }
@@ -150,70 +118,38 @@ pub fn spin_flow(cfg: SpinFlowConfig) -> Vec<SpinPacket> {
     out
 }
 
-/// [`spin_flow`] encoded as [`PacketMeta`] records, ready to merge into a
-/// mixed TCP/QUIC trace (sort the union by timestamp).
-pub fn spin_flow_meta(cfg: SpinFlowConfig) -> Vec<PacketMeta> {
-    spin_flow(cfg).iter().map(SpinPacket::to_meta).collect()
-}
-
-/// A spin-bit RTT observer (the in-network measurement §7 sketches):
-/// watches ONE direction of the flow and emits the time between consecutive
-/// spin-bit transitions — the spin period equals the RTT.
-#[derive(Clone, Debug)]
-pub struct SpinObserver {
-    dir: Direction,
-    last_bit: Option<bool>,
-    last_edge: Option<Nanos>,
-    /// Samples collected (period between transitions).
-    pub samples: Vec<Nanos>,
-}
-
-impl SpinObserver {
-    /// Observe the given direction.
-    pub fn new(dir: Direction) -> SpinObserver {
-        SpinObserver {
-            dir,
-            last_bit: None,
-            last_edge: None,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Offer one captured packet.
-    pub fn offer(&mut self, pkt: &SpinPacket) {
-        if pkt.dir != self.dir {
-            return;
-        }
-        if self.last_bit != Some(pkt.spin) {
-            if self.last_bit.is_some() {
-                // A transition: one spin period elapsed since the last one.
-                if let Some(prev) = self.last_edge {
-                    self.samples.push(pkt.ts - prev);
-                }
-                self.last_edge = Some(pkt.ts);
-            }
-            self.last_bit = Some(pkt.spin);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dart_baselines::{SpinConfig, SpinMonitor};
+    use dart_core::run_monitor_slice;
     use dart_packet::MILLISECOND;
+
+    /// Edge-to-edge periods of `flow` (one direction), clocked by the spin
+    /// engine with its rejection bounds opened so every period is emitted.
+    fn periods(pkts: &[PacketMeta], flow: FlowKey) -> Vec<Nanos> {
+        let mut open = SpinMonitor::new(SpinConfig {
+            min_period: 0,
+            max_period: Nanos::MAX,
+            gap_factor: 0,
+            ..SpinConfig::default()
+        });
+        let (samples, _) = run_monitor_slice(&mut open, pkts);
+        (samples.iter())
+            .filter(|s| s.flow == flow)
+            .map(|s| s.rtt)
+            .collect()
+    }
 
     #[test]
     fn spin_period_equals_rtt() {
         let cfg = SpinFlowConfig::default(); // RTT = 21 ms
         let pkts = spin_flow(cfg);
         assert!(!pkts.is_empty());
-        let mut obs = SpinObserver::new(Direction::Outbound);
-        for p in &pkts {
-            obs.offer(p);
-        }
-        assert!(obs.samples.len() >= 10, "too few spin samples");
+        let samples = periods(&pkts, cfg.flow);
+        assert!(samples.len() >= 10, "too few spin samples");
         let rtt = 21 * MILLISECOND;
-        for s in &obs.samples {
+        for s in &samples {
             // Quantized by the packet gap (5 ms at 200 pps).
             assert!(
                 (*s as i64 - rtt as i64).unsigned_abs() <= 5_000_000,
@@ -228,13 +164,11 @@ mod tests {
     fn at_most_one_sample_per_rtt() {
         // The §7/§8 limitation: however fast the packets flow, samples come
         // once per RTT. 2 s / 21 ms ≈ 95 spin periods max.
-        let pkts = spin_flow(SpinFlowConfig::default());
-        let mut obs = SpinObserver::new(Direction::Outbound);
-        for p in &pkts {
-            obs.offer(p);
-        }
+        let cfg = SpinFlowConfig::default();
+        let pkts = spin_flow(cfg);
+        let samples = periods(&pkts, cfg.flow);
         let packets_one_dir = pkts.iter().filter(|p| p.dir == Direction::Outbound).count();
-        assert!(obs.samples.len() < 100);
+        assert!(samples.len() < 100);
         assert!(packets_one_dir > 350, "plenty of packets, few samples");
     }
 
@@ -244,17 +178,12 @@ mod tests {
         // transition to the next packet: spin measurements degrade under
         // loss with no way to detect it (§7: "inferring retransmissions or
         // reordering is not possible using only the spin bit").
-        let pkts = spin_flow(SpinFlowConfig {
+        let cfg = SpinFlowConfig {
             loss: 0.3,
             ..SpinFlowConfig::default()
-        });
-        let mut obs = SpinObserver::new(Direction::Outbound);
-        for p in &pkts {
-            obs.offer(p);
-        }
+        };
         let rtt = 21 * MILLISECOND;
-        let worst = obs
-            .samples
+        let worst = periods(&spin_flow(cfg), cfg.flow)
             .iter()
             .map(|s| (*s as i64 - rtt as i64).unsigned_abs())
             .max()
@@ -274,13 +203,9 @@ mod tests {
             ext_owd_step: Some((dart_packet::SECOND, 35 * MILLISECOND)),
             ..SpinFlowConfig::default()
         };
-        let pkts = spin_flow(cfg);
-        let mut obs = SpinObserver::new(Direction::Outbound);
-        for p in &pkts {
-            obs.offer(p);
-        }
-        let early: Vec<_> = obs.samples.iter().take(10).copied().collect();
-        let late: Vec<_> = obs.samples.iter().rev().take(10).copied().collect();
+        let samples = periods(&spin_flow(cfg), cfg.flow);
+        let early: Vec<_> = samples.iter().take(10).copied().collect();
+        let late: Vec<_> = samples.iter().rev().take(10).copied().collect();
         let mean = |v: &[Nanos]| v.iter().sum::<Nanos>() / v.len().max(1) as u64;
         assert!(
             mean(&early).abs_diff(21 * MILLISECOND) <= 6 * MILLISECOND,
@@ -309,38 +234,38 @@ mod tests {
                 let t = p.ts - cfg.ext_owd;
                 (t, t >= c2s && ((t - c2s) / rtt) % 2 == 1)
             };
-            assert_eq!(p.spin, expect, "divergence at send time {send_t}");
+            assert_eq!(p.spin(), Some(expect), "divergence at send time {send_t}");
         }
     }
 
     #[test]
     fn meta_round_trip_preserves_spin() {
-        for p in spin_flow(SpinFlowConfig::default()).iter().take(50) {
-            let meta = p.to_meta();
-            assert!(meta.is_quic());
-            assert!(!meta.is_seq() && !meta.is_ack());
-            assert_eq!(SpinPacket::from_meta(&meta), Some(*p));
+        let pkts = spin_flow(SpinFlowConfig::default());
+        for p in &pkts {
+            assert!(p.is_quic());
+            assert!(!p.is_seq() && !p.is_ack());
         }
+        let bytes = dart_packet::trace::to_bytes(&pkts);
+        assert_eq!(dart_packet::trace::from_bytes(&bytes).unwrap(), pkts);
         let tcp = PacketBuilder::new(SpinFlowConfig::default().flow, 0)
             .ack(1u32)
             .build();
-        assert_eq!(SpinPacket::from_meta(&tcp), None);
+        assert_eq!(tcp.spin(), None);
     }
 
     #[test]
     fn observer_ignores_other_direction() {
-        let pkts = spin_flow(SpinFlowConfig::default());
-        let mut obs = SpinObserver::new(Direction::Inbound);
-        for p in &pkts {
-            obs.offer(p);
-        }
-        assert!(!obs.samples.is_empty());
-        // Only inbound packets contributed.
-        let inbound_edges = obs.samples.len();
-        let mut both = SpinObserver::new(Direction::Outbound);
-        for p in &pkts {
-            both.offer(p);
-        }
-        assert!(both.samples.len().abs_diff(inbound_edges) <= 2);
+        // Each direction of the flow is clocked from its own edges.
+        let cfg = SpinFlowConfig::default();
+        let pkts = spin_flow(cfg);
+        let inbound = periods(&pkts, cfg.flow.reverse());
+        assert!(!inbound.is_empty());
+        let inbound_only: Vec<PacketMeta> = (pkts.iter())
+            .filter(|p| p.dir == Direction::Inbound)
+            .copied()
+            .collect();
+        assert_eq!(periods(&inbound_only, cfg.flow.reverse()), inbound);
+        let outbound = periods(&pkts, cfg.flow);
+        assert!(outbound.len().abs_diff(inbound.len()) <= 2);
     }
 }

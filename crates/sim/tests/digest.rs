@@ -227,7 +227,7 @@ fn spin_flow_is_pinned() {
         d.u64(p.ts);
         d.flow(&p.flow);
         d.dir(p.dir);
-        d.u64(u64::from(p.spin));
+        d.u64(u64::from(p.spin().expect("spin_flow emits QUIC records")));
     }
     assert_eq!(d.0, 0x4d7a_bfdf_14df_0c1f);
 }

@@ -258,6 +258,8 @@ impl ScoreCard {
     }
 }
 
+// The oracle restates the leg→role rule instead of calling `Leg::seq_role`
+// and `Leg::ack_role`: it is the reference the engines are judged against.
 fn seq_role(leg: Leg, dir: Direction) -> bool {
     match leg {
         Leg::External => dir == Direction::Outbound,

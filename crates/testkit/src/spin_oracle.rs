@@ -266,8 +266,8 @@ mod tests {
         // fabrications, and every emitted sample Exact on a clean trace.
         use dart_baselines::{SpinConfig, SpinMonitor};
         use dart_core::run_monitor_slice;
-        use dart_sim::spin::{spin_flow_meta, SpinFlowConfig};
-        let pkts = spin_flow_meta(SpinFlowConfig {
+        use dart_sim::spin::{spin_flow, SpinFlowConfig};
+        let pkts = spin_flow(SpinFlowConfig {
             seed: 7,
             ..SpinFlowConfig::default()
         });

@@ -133,7 +133,7 @@ COMMANDS:
 
 Engines are resolved from the shared registry: dart, dart@sketch,
 dart@precision, dart-sharded-N, tcptrace, tcptrace-quirk, fridge, pping,
-dapper, strawman, seglist, lean, spin, dart-hist.
+dapper, strawman, lean, spin, dart-hist.
     chaos <input>                   inject a seeded runtime fault into the
                                     supervised sharded engine (testkit): a
                                     failed shard respawns with fresh tables,

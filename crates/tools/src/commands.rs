@@ -904,14 +904,7 @@ mod tests {
         assert!(report.contains("p50"));
 
         let report = run_line(&["compare", &path]).unwrap();
-        for name in [
-            "dart",
-            "dart-sharded-4",
-            "tcptrace",
-            "pping",
-            "seglist",
-            "lean",
-        ] {
+        for name in ["dart", "dart-sharded-4", "tcptrace", "pping", "lean"] {
             assert!(report.contains(name), "missing {name} in:\n{report}");
         }
 

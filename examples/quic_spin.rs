@@ -8,10 +8,22 @@
 //! cargo run --release --example quic_spin
 //! ```
 
-use dart::core::{run_trace, DartConfig};
-use dart::packet::{Direction, FlowKey, MILLISECOND, SECOND};
+use dart::baselines::{SpinConfig, SpinMonitor};
+use dart::core::{run_monitor_slice, run_trace, DartConfig, EngineStats};
+use dart::packet::{Direction, FlowKey, PacketMeta, MILLISECOND, SECOND};
 use dart::sim::netsim::{simulate, ConnSpec, Exchange};
-use dart::sim::spin::{spin_flow, SpinFlowConfig, SpinObserver};
+use dart::sim::spin::{spin_flow, SpinFlowConfig};
+
+/// The `spin` engine's outbound periods for `flow`, with its run counters.
+fn outbound_periods(pkts: &[PacketMeta], flow: FlowKey) -> (Vec<u64>, EngineStats) {
+    let mut spin = SpinMonitor::new(SpinConfig::default());
+    let (samples, stats) = run_monitor_slice(&mut spin, pkts);
+    let periods = (samples.iter())
+        .filter(|s| s.flow == flow)
+        .map(|s| s.rtt)
+        .collect();
+    (periods, stats)
+}
 
 fn main() {
     let rtt_ms = 21;
@@ -22,23 +34,20 @@ fn main() {
         ..SpinFlowConfig::default() // 0.5 + 10 ms one-way => 21 ms RTT
     };
     let pkts = spin_flow(spin_cfg);
-    let mut obs = SpinObserver::new(Direction::Outbound);
-    for p in &pkts {
-        obs.offer(p);
-    }
+    let (periods, _) = outbound_periods(&pkts, spin_cfg.flow);
     let pkt_count = pkts.iter().filter(|p| p.dir == Direction::Outbound).count();
     println!(
         "QUIC-like flow ({rtt_ms} ms RTT, {} outbound packets):",
         pkt_count
     );
-    println!("  spin-bit samples        : {}", obs.samples.len());
-    if !obs.samples.is_empty() {
-        let avg = obs.samples.iter().sum::<u64>() as f64 / obs.samples.len() as f64 / 1e6;
+    println!("  spin-bit samples        : {}", periods.len());
+    if !periods.is_empty() {
+        let avg = periods.iter().sum::<u64>() as f64 / periods.len() as f64 / 1e6;
         println!("  average spin period     : {avg:.2} ms");
     }
     println!(
         "  samples per 1000 packets: {:.1}",
-        obs.samples.len() as f64 / pkt_count as f64 * 1000.0
+        periods.len() as f64 / pkt_count as f64 * 1000.0
     );
 
     // --- Same path, TCP: Dart tracks every data packet ------------------
@@ -68,25 +77,23 @@ fn main() {
     );
 
     // --- Loss sensitivity -------------------------------------------------
-    println!("\nspin-bit under 20% loss (no way to detect the distortion):");
-    let lossy = spin_flow(SpinFlowConfig {
+    println!("\nspin-bit under 20% loss (the gap heuristic rejects some periods;");
+    println!(" what passes carries distortion nothing can detect):");
+    let lossy_cfg = SpinFlowConfig {
         loss: 0.2,
         duration: 4 * SECOND,
         ..SpinFlowConfig::default()
-    });
-    let mut obs = SpinObserver::new(Direction::Outbound);
-    for p in &lossy {
-        obs.offer(p);
-    }
-    let worst = obs
-        .samples
+    };
+    let (periods, stats) = outbound_periods(&spin_flow(lossy_cfg), lossy_cfg.flow);
+    let worst = periods
         .iter()
         .map(|s| (*s as i64 - (rtt_ms * 1_000_000)).unsigned_abs())
         .max()
         .unwrap_or(0);
     println!(
-        "  {} samples, worst deviation from true RTT: {:.2} ms",
-        obs.samples.len(),
+        "  {} samples ({} periods rejected in both directions), worst deviation from true RTT: {:.2} ms",
+        periods.len(),
+        stats.spin_rejected,
         worst as f64 / 1e6
     );
     println!("\n(paper §7: spin-bit RTTs can augment, but not replace, Dart's\n per-packet TCP measurement)");

@@ -2,7 +2,7 @@
 //! packet sequences where the strawman produces wrong samples, Dart
 //! refuses, and tcptrace (Karn) agrees with Dart.
 
-use dart::baselines::{run_tcptrace, Strawman, StrawmanConfig, TcpTraceConfig};
+use dart::baselines::{Strawman, StrawmanConfig, TcpTrace, TcpTraceConfig};
 use dart::core::{run_monitor_slice, run_trace, DartConfig};
 use dart::packet::{Direction, FlowKey, PacketBuilder, PacketMeta, MILLISECOND};
 
@@ -37,7 +37,7 @@ fn dart_and_tcptrace_refuse_ambiguous_retransmission_sample() {
     let trace = retransmission_trace();
     let (dart, _) = run_trace(DartConfig::unlimited(), &trace);
     assert!(dart.is_empty(), "dart must not guess: {dart:?}");
-    let (tt, _) = run_tcptrace(TcpTraceConfig::default(), &trace);
+    let (tt, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &trace);
     assert!(tt.is_empty(), "tcptrace (Karn) must not guess: {tt:?}");
 }
 
@@ -154,7 +154,7 @@ fn holes_keep_only_highest_range() {
     // edge); tcptrace gets both — the Fig 9a count gap in miniature.
     assert_eq!(dart.len(), 1);
     assert_eq!(dart[0].eack.raw(), 300);
-    let (tt, _) = run_tcptrace(TcpTraceConfig::default(), &trace);
+    let (tt, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &trace);
     assert_eq!(tt.len(), 2);
 }
 
@@ -189,6 +189,6 @@ fn wraparound_costs_dart_but_not_tcptrace() {
         dart.is_empty(),
         "dart forgoes wrap-adjacent samples: {dart:?}"
     );
-    let (tt, _) = run_tcptrace(TcpTraceConfig::default(), &trace);
+    let (tt, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &trace);
     assert_eq!(tt.len(), 2, "tcptrace unwraps and keeps both");
 }

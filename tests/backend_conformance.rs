@@ -23,7 +23,7 @@ use dart::core::{DartConfig, DartEngine, EngineStats, Leg, RttSample};
 use dart::packet::{FlowKey, PacketMeta};
 use dart::sim::scenario::{campus, CampusConfig};
 use dart::sim::spin::SpinFlowConfig;
-use dart::sim::spin_flow_meta;
+use dart::sim::spin_flow;
 use std::fmt::Write as _;
 
 /// The counter set that predates the backend seam: digests are computed
@@ -124,7 +124,7 @@ fn trace(seed: u64, connections: usize) -> Vec<PacketMeta> {
     })
     .packets;
     for i in 0..2u32 {
-        pkts.extend(spin_flow_meta(SpinFlowConfig {
+        pkts.extend(spin_flow(SpinFlowConfig {
             flow: FlowKey::from_raw(0x0a0c_0000 + i, 42_000 + i as u16, 0x5db8_d9f0 + i, 443),
             duration: dart::packet::SECOND,
             seed: seed ^ (0x51C0 + u64::from(i)),

@@ -2,8 +2,8 @@
 //! analytics, checked against the offline baselines — the whole paper
 //! pipeline in one process.
 
-use dart::baselines::{run_tcptrace, TcpTraceConfig};
-use dart::core::{run_trace, DartConfig, SynPolicy};
+use dart::baselines::{TcpTrace, TcpTraceConfig};
+use dart::core::{run_monitor_slice, run_trace, DartConfig, SynPolicy};
 use dart::sim::scenario::{campus, syn_flood, CampusConfig, SynFloodConfig};
 
 fn small_campus() -> dart::sim::scenario::GeneratedTrace {
@@ -38,14 +38,12 @@ fn dart_never_collects_more_than_tcptrace() {
     let trace = small_campus();
     for syn in [SynPolicy::Include, SynPolicy::Skip] {
         let (dart, _) = run_trace(DartConfig::unlimited().with_syn(syn), &trace.packets);
-        let (tt, _) = run_tcptrace(
-            TcpTraceConfig {
-                syn_policy: syn,
-                quadrant_quirk: true,
-                ..TcpTraceConfig::default()
-            },
-            &trace.packets,
-        );
+        let mut tcptrace = TcpTrace::new(TcpTraceConfig {
+            syn_policy: syn,
+            quadrant_quirk: true,
+            ..TcpTraceConfig::default()
+        });
+        let (tt, _) = run_monitor_slice(&mut tcptrace, &trace.packets);
         assert!(
             dart.len() <= tt.len(),
             "dart {} > tcptrace {} under {syn:?}",

@@ -29,7 +29,7 @@ use dart::core::{
 use dart::packet::{FlowKey, PacketError, PacketMeta, PacketSource, SliceSource};
 use dart::sim::scenario::{campus, CampusConfig};
 use dart::sim::spin::SpinFlowConfig;
-use dart::sim::spin_flow_meta;
+use dart::sim::spin_flow;
 use proptest::prelude::*;
 
 /// Randomized lossy/reordered campus workloads, kept small enough for a
@@ -57,7 +57,7 @@ fn make_trace(seed: u64, connections: usize, loss: f64, reorder: f64) -> Vec<Pac
     })
     .packets;
     for i in 0..2u32 {
-        pkts.extend(spin_flow_meta(SpinFlowConfig {
+        pkts.extend(spin_flow(SpinFlowConfig {
             flow: FlowKey::from_raw(0x0a0c_0000 + i, 42_000 + i as u16, 0x5db8_d9f0 + i, 443),
             duration: dart::packet::SECOND,
             seed: seed ^ (0x51C0 + i as u64),

@@ -75,9 +75,7 @@ fn lean_average_is_skewed_by_ack_thinning() {
     let t = trace();
     let (dart, _) = run_trace(DartConfig::unlimited(), &t.packets);
     let mut lean = LeanRtt::new(Leg::External);
-    for p in &t.packets {
-        lean.process(p);
-    }
+    run_monitor_slice(&mut lean, &t.packets);
     // Per-flow matched averages from Dart.
     let mut per_flow: std::collections::HashMap<_, (u64, u64)> = Default::default();
     for s in &dart {

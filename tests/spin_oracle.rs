@@ -18,7 +18,7 @@ use dart::packet::trace::TraceReader;
 use dart::packet::{FlowKey, PacketMeta, PacketSource, SeqNum, MILLISECOND};
 use dart::sim::adversarial::ScenarioKind;
 use dart::sim::spin::SpinFlowConfig;
-use dart::sim::spin_flow_meta;
+use dart::sim::spin_flow;
 use dart_testkit::{ddmin, run_spin_oracle, FaultConfig, FaultInjector, SpinClass};
 use proptest::prelude::*;
 
@@ -67,7 +67,7 @@ fn oracle_catches_fabricated_periods() {
     // The canary: a sample whose endpoints are NOT observed transitions
     // must be classified Impossible — otherwise the suite above proves
     // nothing.
-    let pkts = spin_flow_meta(SpinFlowConfig {
+    let pkts = spin_flow(SpinFlowConfig {
         seed: 42,
         ..SpinFlowConfig::default()
     });
@@ -92,7 +92,7 @@ fn ddmin_shrinks_spin_traces_without_seq_ack_structure() {
     // Satellite: the shrinker must handle captures with no SEQ/ACK
     // packets at all. Minimize "the capture still contains >= 2 edges of
     // the first flow" down to the 3-packet witness (seed, flip, flip).
-    let pkts = spin_flow_meta(SpinFlowConfig {
+    let pkts = spin_flow(SpinFlowConfig {
         seed: 7,
         loss: 0.0,
         ..SpinFlowConfig::default()
@@ -153,7 +153,7 @@ proptest! {
     ) {
         let mut pkts: Vec<PacketMeta> = Vec::new();
         for i in 0..3u32 {
-            pkts.extend(spin_flow_meta(SpinFlowConfig {
+            pkts.extend(spin_flow(SpinFlowConfig {
                 flow: FlowKey::from_raw(
                     0x0a0d_0000 + i, 43_000 + i as u16, 0x5db8_d9a0 + i, 443,
                 ),

@@ -2,8 +2,8 @@
 //! native-format and pcap round trips, and every consumer (Dart, tcptrace)
 //! produces identical results from the stored copy.
 
-use dart::baselines::{run_tcptrace, TcpTraceConfig};
-use dart::core::{run_trace, DartConfig};
+use dart::baselines::{TcpTrace, TcpTraceConfig};
+use dart::core::{run_monitor_slice, run_trace, DartConfig};
 use dart::packet::parse::PrefixClassifier;
 use dart::packet::trace::{self, TraceReader};
 use dart::packet::{pcap, PacketError, PacketMeta, PacketSource, PcapSource};
@@ -53,8 +53,8 @@ fn pcap_round_trip_preserves_analysis_results() {
     let (d1, _) = run_trace(DartConfig::default(), &t.packets);
     let (d2, _) = run_trace(DartConfig::default(), &restored);
     assert_eq!(d1, d2);
-    let (t1, _) = run_tcptrace(TcpTraceConfig::default(), &t.packets);
-    let (t2, _) = run_tcptrace(TcpTraceConfig::default(), &restored);
+    let (t1, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &t.packets);
+    let (t2, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &restored);
     assert_eq!(t1, t2);
 }
 
