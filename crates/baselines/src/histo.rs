@@ -33,7 +33,7 @@ use dart_core::{
     DartConfig, DartEngine, EngineStats, RttMonitor, RttSample, SampleSink, SampleWeight,
 };
 use dart_packet::{FlowKey, Nanos, PacketMeta, SeqNum};
-use dart_telemetry::histogram::{bucket_le, Histogram, HistogramSnapshot};
+use dart_telemetry::histogram::{bucket_le, Histogram};
 
 /// The histogram monitor: registry name `dart-hist`.
 pub struct HistMonitor {
@@ -57,11 +57,6 @@ impl HistMonitor {
     /// The sentinel flow key carried by exported bucket rows.
     pub fn bucket_flow() -> FlowKey {
         FlowKey::from_raw(0, 0, 0, 0)
-    }
-
-    /// The live histogram (non-consuming; flush still exports normally).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.hist.snapshot()
     }
 }
 
@@ -99,7 +94,7 @@ impl RttMonitor for HistMonitor {
         self.flushed = true;
         let hist = &self.hist;
         let mut bin = |s: RttSample| hist.observe(s.rtt);
-        RttMonitor::flush(&mut self.engine, &mut bin);
+        self.engine.flush(&mut bin);
         // Export: one weighted row per non-empty bucket, bucket index
         // recoverable from either `eack` or `bucket_index(rtt)`.
         let snap = self.hist.snapshot();
@@ -116,7 +111,7 @@ impl RttMonitor for HistMonitor {
     }
 
     fn stats(&self) -> EngineStats {
-        RttMonitor::stats(&self.engine)
+        self.engine.stats()
     }
 }
 

@@ -180,7 +180,7 @@ mod tests {
     use dart_core::run_monitor_slice;
     use dart_packet::{Direction, PacketBuilder};
 
-    fn run_trace(cfg: TcpTraceConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, TcpTraceStats) {
+    fn replay(cfg: TcpTraceConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, TcpTraceStats) {
         let mut tt = TcpTrace::new(cfg);
         let (samples, _) = run_monitor_slice(&mut tt, packets);
         (samples, *tt.stats())
@@ -202,7 +202,7 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(TcpTraceConfig::default(), &[d, a]);
+        let (samples, stats) = replay(TcpTraceConfig::default(), &[d, a]);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].rtt, 25_000);
         assert_eq!(stats.flows, 1);
@@ -220,7 +220,7 @@ mod tests {
             syn_policy: SynPolicy::Skip,
             ..TcpTraceConfig::default()
         };
-        let (samples, stats) = run_trace(cfg, &[syn]);
+        let (samples, stats) = replay(cfg, &[syn]);
         assert!(samples.is_empty());
         assert_eq!(stats.syn_skipped, 1);
         assert_eq!(stats.flows, 0);
@@ -240,7 +240,7 @@ mod tests {
             .syn()
             .dir(Direction::Inbound)
             .build();
-        let (samples, _) = run_trace(TcpTraceConfig::default(), &[syn, syn_ack]);
+        let (samples, _) = replay(TcpTraceConfig::default(), &[syn, syn_ack]);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].rtt, 30_000);
     }
@@ -262,7 +262,7 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(TcpTraceConfig::default(), &[d1, d2, a]);
+        let (samples, stats) = replay(TcpTraceConfig::default(), &[d1, d2, a]);
         assert!(samples.is_empty());
         assert_eq!(stats.retransmissions, 1);
     }
@@ -280,7 +280,7 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, _) = run_trace(TcpTraceConfig::default(), &[d1, a1]);
+        let (samples, _) = replay(TcpTraceConfig::default(), &[d1, a1]);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].rtt, 40_000);
     }
@@ -302,11 +302,11 @@ mod tests {
             quadrant_quirk: true,
             ..TcpTraceConfig::default()
         };
-        let (samples, stats) = run_trace(cfg, &[d, a]);
+        let (samples, stats) = replay(cfg, &[d, a]);
         assert_eq!(samples.len(), 2, "quirk duplicates the sample");
         assert_eq!(stats.quirk_samples, 1);
         // Without the quirk: exactly one sample.
-        let (samples2, _) = run_trace(TcpTraceConfig::default(), &[d, a]);
+        let (samples2, _) = replay(TcpTraceConfig::default(), &[d, a]);
         assert_eq!(samples2.len(), 1);
     }
 
@@ -337,7 +337,7 @@ mod tests {
                 .dir(Direction::Inbound)
                 .build(),
         ];
-        let (samples, _) = run_trace(TcpTraceConfig::default(), &pkts);
+        let (samples, _) = replay(TcpTraceConfig::default(), &pkts);
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].rtt, 20_000);
         assert_eq!(samples[1].rtt, 20_000);

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dart_analytics::min_discard_pair;
 use dart_baselines::{Strawman, StrawmanConfig};
 use dart_bench::{standard_trace, tcptrace_const, AccuracyReport, TraceScale};
-use dart_core::{run_monitor_slice, DartConfig, DartEngine, SynPolicy};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, RttMonitor, SynPolicy};
 use dart_packet::{SignatureWidth, MILLISECOND, SECOND};
 use std::sync::Once;
 
@@ -32,7 +32,7 @@ fn ablation_eviction(c: &mut Criterion) {
                 .with_rt(1 << 13)
                 .with_pt(slots, 1)
                 .with_max_recirc(4);
-            let (samples, stats) = dart_core::run_trace(cfg, &trace.packets);
+            let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
             quality_once("eviction", &ONCE_A, || {
                 AccuracyReport::compare(&baseline, &samples, &stats).row("dart")
             });
@@ -68,7 +68,9 @@ fn ablation_rt(c: &mut Criterion) {
     g.bench_function("with_rt", |b| {
         b.iter(|| {
             let cfg = DartConfig::default().with_rt(1 << 13).with_pt(1 << 12, 1);
-            dart_core::run_trace(cfg, &trace.packets).0.len()
+            run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets)
+                .0
+                .len()
         });
     });
     g.bench_function("without_rt_strawman", |b| {
@@ -101,9 +103,9 @@ fn ablation_discard(c: &mut Criterion) {
             let mut engine = DartEngine::with_filter(cfg, Box::new(filter));
             let mut sink = sink;
             for p in &trace.packets {
-                engine.process(p, &mut sink);
+                engine.on_packet(p, &mut sink);
             }
-            engine.flush();
+            engine.flush(&mut sink);
             quality_once("discard", &ONCE_D, || {
                 format!(
                     "filtered={} issued={}",
@@ -120,7 +122,7 @@ fn ablation_discard(c: &mut Criterion) {
                 .with_rt(1 << 13)
                 .with_pt(1 << 7, 1)
                 .with_max_recirc(4);
-            let (_, stats) = dart_core::run_trace(cfg, &trace.packets);
+            let (_, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
             stats.recirc_issued
         });
     });
@@ -142,7 +144,9 @@ fn ablation_sig_width(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = DartConfig::default().with_rt(1 << 13).with_pt(1 << 12, 1);
                 cfg.sig_width = width;
-                dart_core::run_trace(cfg, &trace.packets).0.len()
+                run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets)
+                    .0
+                    .len()
             });
         });
     }
@@ -158,7 +162,9 @@ fn ablation_syn(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let cfg = DartConfig::unlimited().with_syn(policy);
-                dart_core::run_trace(cfg, &trace.packets).0.len()
+                run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets)
+                    .0
+                    .len()
             });
         });
     }
@@ -180,7 +186,7 @@ fn ablation_victim_cache(c: &mut Criterion) {
                     .with_pt(1 << 7, 1)
                     .with_victim_cache(cache)
                     .with_max_recirc(2);
-                let (samples, stats) = dart_core::run_trace(cfg, &trace.packets);
+                let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
                 if cache == 256 {
                     quality_once("victim_cache", &ONCE_V, || {
                         format!(
@@ -213,13 +219,17 @@ fn ablation_rt_copy(c: &mut Criterion) {
             .with_max_recirc(2)
     };
     g.bench_function("recirculation", |b| {
-        b.iter(|| dart_core::run_trace(base_cfg(), &trace.packets).0.len());
+        b.iter(|| {
+            run_monitor_slice(&mut DartEngine::new(base_cfg()), &trace.packets)
+                .0
+                .len()
+        });
     });
     for sync_us in [10u64, 1000, 100_000] {
         g.bench_function(format!("rt_copy_{sync_us}us"), |b| {
             b.iter(|| {
                 let cfg = base_cfg().with_rt_copy(sync_us * 1_000);
-                let (samples, stats) = dart_core::run_trace(cfg, &trace.packets);
+                let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
                 if sync_us == 100_000 {
                     quality_once("rt_copy", &ONCE_RC, || {
                         format!(

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dart_baselines::{Fridge, FridgeConfig, Strawman, StrawmanConfig, TcpTrace, TcpTraceConfig};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{run_monitor_slice, run_trace, DartConfig};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine};
 
 fn baseline_costs(c: &mut Criterion) {
     let trace = standard_trace(TraceScale::Small);
@@ -16,7 +16,9 @@ fn baseline_costs(c: &mut Criterion) {
     g.bench_function("dart_constrained", |b| {
         b.iter(|| {
             let cfg = DartConfig::default().with_rt(1 << 13).with_pt(1 << 12, 1);
-            run_trace(cfg, &trace.packets).0.len()
+            run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets)
+                .0
+                .len()
         });
     });
 

@@ -1,7 +1,7 @@
 //! The block body's cost against block size: the same serial replay fed
-//! through `DartEngine::process` — the engine's one body over one-packet
+//! through `on_packet` — the engine's one body over one-packet
 //! blocks, the `per_packet` series and the left end of the curve — and
-//! through `process_batch` at block sizes 32, 256, and 1024. What DESIGN.md
+//! through `on_batch` at block sizes 32, 256, and 1024. What DESIGN.md
 //! §5f says blocks buy is the `batch/*` / `per_packet` ratio here; the
 //! ledger's `core.engine.exact.{batch,packet,block1}_ns_per_pkt` rows
 //! (`bash crates/perf/run.sh --trace 1`) are the full-trace numbers.
@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{DartConfig, DartEngine, RttSample};
+use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
 
 const BLOCK_SIZES: [usize; 3] = [32, 256, 1024];
 
@@ -28,9 +28,9 @@ fn batch_pipeline(c: &mut Criterion) {
             let mut engine = DartEngine::new(cfg);
             let mut samples: Vec<RttSample> = Vec::new();
             for pkt in &trace.packets {
-                engine.process(pkt, &mut samples);
+                engine.on_packet(pkt, &mut samples);
             }
-            engine.flush();
+            engine.flush(&mut samples);
             samples.len()
         });
     });
@@ -41,9 +41,9 @@ fn batch_pipeline(c: &mut Criterion) {
                 let mut engine = DartEngine::new(cfg);
                 let mut samples: Vec<RttSample> = Vec::new();
                 for chunk in trace.packets.chunks(bs) {
-                    engine.process_batch(chunk, &mut samples);
+                    engine.on_batch(chunk, &mut samples);
                 }
-                engine.flush();
+                engine.flush(&mut samples);
                 samples.len()
             });
         });

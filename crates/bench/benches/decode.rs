@@ -21,7 +21,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{DartConfig, DartEngine, RttSample};
+use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
 use dart_packet::parse::{parse_ethernet_frame, synthesize_frame, PrefixClassifier};
 use dart_packet::pcap::{linktype, PcapReader, PcapWriter};
 use dart_packet::trace::{self, TraceReader};
@@ -126,9 +126,9 @@ fn decode(c: &mut Criterion) {
             let mut engine = DartEngine::new(cfg);
             let mut samples: Vec<RttSample> = Vec::new();
             for block in trace.packets.chunks(BLOCK) {
-                engine.process_batch(block, &mut samples);
+                engine.on_batch(block, &mut samples);
             }
-            engine.flush();
+            engine.flush(&mut samples);
             samples.len()
         });
     });

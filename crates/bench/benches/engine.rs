@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dart_bench::{standard_trace, TraceScale};
-use dart_core::{run_monitor_slice, run_trace, DartConfig, ShardedConfig, ShardedMonitor};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, ShardedConfig, ShardedMonitor};
 use dart_packet::SECOND;
 use dart_sim::scenario::{campus, CampusConfig};
 
@@ -33,7 +33,11 @@ fn engine_throughput(c: &mut Criterion) {
     ];
     for (name, cfg) in configs {
         g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            b.iter(|| run_trace(*cfg, &trace.packets).0.len());
+            b.iter(|| {
+                run_monitor_slice(&mut DartEngine::new(*cfg), &trace.packets)
+                    .0
+                    .len()
+            });
         });
     }
     g.finish();
@@ -62,7 +66,11 @@ fn sharded_vs_serial(c: &mut Criterion) {
     g.sample_size(5);
 
     g.bench_function("serial", |b| {
-        b.iter(|| run_trace(cfg, &trace.packets).0.len());
+        b.iter(|| {
+            run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets)
+                .0
+                .len()
+        });
     });
     for shards in [2usize, 4, 8] {
         g.bench_with_input(

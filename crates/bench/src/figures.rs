@@ -12,7 +12,7 @@ use crate::harness::{
 };
 use crate::metrics::AccuracyReport;
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
-use dart_core::{run_trace, DartConfig, Leg};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, Leg};
 use dart_packet::{Nanos, MILLISECOND};
 use dart_sim::flowgen::is_wireless;
 use dart_sim::scenario::{interception, AttackConfig, GeneratedTrace};
@@ -160,7 +160,7 @@ pub fn fig6(scale: TraceScale, trace: &GeneratedTrace) -> Fig6 {
         .with_leg(Leg::Internal)
         .with_rt(scale.rt_large())
         .with_pt(scale.pt_fixed() * 8, 1);
-    let (samples, _) = run_trace(cfg, &trace.packets);
+    let (samples, _) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
     // On the internal leg data flows server → client, so the sample's
     // destination is the campus client.
     let (mut wired, mut wireless) = (RttDistribution::new(), RttDistribution::new());
@@ -242,7 +242,8 @@ impl Fig8 {
 pub fn fig8() -> Fig8 {
     let attack = AttackConfig::default();
     let trace = interception(attack);
-    let (samples, _) = run_trace(DartConfig::default(), &trace.packets);
+    let (samples, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &trace.packets);
     let mut det = ChangeDetector::new(ChangeDetectorConfig::default());
     let (mut suspected, mut confirmed) = (None, None);
     for s in &samples {

@@ -37,7 +37,7 @@ use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, SeqNum, SignatureWidt
 
 /// The decode half of the batch pipeline, per tracker: the one generic
 /// bound left, so `steady!` can monomorphise `decode_and_warm` over the
-/// concrete tracker it matched (see `DartEngine::process_batch`).
+/// concrete tracker it matched (see `DartEngine`'s `on_batch`).
 pub(crate) trait RtLocate {
     /// Resolve where `flow` lives. **Pure**: no table access.
     fn locate(&self, flow: &FlowKey) -> RtSlot;

@@ -2,30 +2,23 @@
 //! eviction and second-chance recirculation (paper Fig. 3 / Fig. 5).
 
 use crate::backend::{PtTable, RtLocate, RtTable};
-use crate::config::{AdmissionMode, Backend, DartConfig, Leg, PtMode};
+use crate::config::{AdmissionMode, Backend, DartConfig, Leg};
 use crate::filter::FlowFilter;
+use crate::monitor::{EpochRotation, RttMonitor};
 use crate::packet_tracker::{PtInsert, PtRecord};
 use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
-use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
-use dart_packet::flow::fnv1a_64;
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
-use dart_switch::{RecircPort, RecircStats, Recirculated};
+use dart_switch::{RecircPort, RecircStats};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
-/// Engine-kind tag leading every single-engine snapshot payload; the
-/// sharded monitor writes [`crate::sharded`]'s own tag so the two formats
-/// can never be restored into the wrong monitor shape.
-pub(crate) const SNAP_KIND_ENGINE: u8 = 1;
-
-/// Bytes one record in the recirculation loop occupies in a snapshot: the
-/// PT record (24), who displaced it (12), its re-entry time and trip count.
-const RECIRC_ENTRY_WIRE_LEN: usize = 24 + 12 + 8 + 4;
+mod codec;
 
 /// Analytics hook deciding whether an evicted record is worth recirculating
 /// (§3.3 "Preemptively discard useless samples"). Return `false` to drop the
@@ -35,9 +28,8 @@ pub trait RecircFilter {
     fn should_recirculate(&mut self, rec: &PtRecord, now: Nanos) -> bool;
 }
 
-/// A filter that recirculates everything (the default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecirculateAll;
+/// The filter [`DartEngine::new`] installs: recirculate everything.
+struct RecirculateAll;
 
 impl RecircFilter for RecirculateAll {
     fn should_recirculate(&mut self, _rec: &PtRecord, _now: Nanos) -> bool {
@@ -175,10 +167,11 @@ impl BatchScratch {
     }
 }
 
-/// The Dart engine. Feed it packets in capture order — in blocks via
-/// [`DartEngine::process_batch`], or one at a time via
-/// [`DartEngine::process`], the same body over a one-packet block; it
-/// emits [`RttSample`]s and [`EngineEvent`]s into the supplied sink.
+/// The Dart engine. Feed it packets in capture order through
+/// [`RttMonitor`] — a block per [`RttMonitor::on_batch`] call, or one
+/// packet per [`RttMonitor::on_packet`], the same body over a one-packet
+/// block; it emits [`RttSample`]s and [`EngineEvent`]s into the supplied
+/// sink.
 pub struct DartEngine {
     cfg: DartConfig,
     rt: RtTable,
@@ -242,16 +235,11 @@ impl DartEngine {
         self.sync_telemetry();
     }
 
-    /// The attached metric handles, if any.
-    pub fn telemetry(&self) -> Option<&EngineTelemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Publish the current counters to the attached metric handles (no-op
     /// without attached telemetry). Called automatically at every
-    /// [`DartEngine::process_batch`] boundary, every [`SYNC_INTERVAL_PKTS`]
-    /// packets under [`DartEngine::process`], and at flush.
-    pub fn sync_telemetry(&mut self) {
+    /// [`RttMonitor::on_batch`] boundary, every [`SYNC_INTERVAL_PKTS`]
+    /// packets under [`RttMonitor::on_packet`], and at flush.
+    pub(crate) fn sync_telemetry(&mut self) {
         if let Some(t) = &self.telemetry {
             t.sync_stats(&self.stats);
             let now = self.recirc.stats();
@@ -266,21 +254,6 @@ impl DartEngine {
         self.flow_filter = filter;
     }
 
-    /// The installed flow-selection rules.
-    pub fn flow_filter(&self) -> &FlowFilter {
-        &self.flow_filter
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &DartConfig {
-        &self.cfg
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
     /// Live Range Tracker entries.
     pub fn rt_occupancy(&self) -> usize {
         self.rt.occupancy()
@@ -291,44 +264,13 @@ impl DartEngine {
         self.pt.occupancy()
     }
 
-    /// Process one packet in capture order: the block body of
-    /// [`DartEngine::process_batch`] over a one-packet block. Telemetry is
-    /// published every [`SYNC_INTERVAL_PKTS`] packets, not per call.
-    pub fn process(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.run_block(std::slice::from_ref(pkt), sink, &Cell::new(0));
-        if self.stats.packets.is_multiple_of(SYNC_INTERVAL_PKTS) {
-            self.sync_telemetry();
-        }
-    }
-
-    /// Process a block of packets in capture order through the batch
-    /// pipeline: a software-pipelined loop that decodes packet
-    /// `i + PREFETCH_DIST` — classifying roles, pre-resolving RT locations
-    /// through a flow-locality memo, and issuing warming reads for the RT
-    /// slots it will probe — while matching packet `i` with its
-    /// already-decoded state. Decode is pure ALU work (hashing, flag
-    /// tests) and match is load-bound table work, so the two streams
-    /// overlap in the core instead of serializing per packet; the decode
-    /// ring stays L1-resident.
-    ///
-    /// Split-invariant: the same samples, [`EngineStats`] and table state
-    /// for any division of a packet stream into blocks, one-packet blocks
-    /// ([`DartEngine::process`]) included — decode computes only pure
-    /// functions of packet and configuration (RT locations do not depend
-    /// on table contents), and the match half runs in capture order. Only
-    /// the telemetry publication cadence follows the entry point: here,
-    /// once per block.
-    pub fn process_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
-        self.process_batch_at(pkts, sink, &Cell::new(0));
-    }
-
-    /// [`DartEngine::process_batch`], publishing into `at` the offset in
+    /// [`RttMonitor::on_batch`], publishing into `at` the offset in
     /// `pkts` of the packet being matched — stored before that packet's
     /// recirculation drain, so every sample and [`EngineEvent`] it causes
-    /// is emitted while `at` names it. A caller whose sink reads `at` can
-    /// tag what it receives with a per-packet index (the sharded worker's
-    /// merge order) without leaving the batch pipeline.
-    pub fn process_batch_at(
+    /// is emitted while `at` names it. The sharded worker, whose sink reads
+    /// `at`, tags what it receives with a per-packet index (its merge
+    /// order) this way without leaving the batch pipeline.
+    pub(crate) fn process_batch_at(
         &mut self,
         pkts: &[PacketMeta],
         sink: &mut dyn SampleSink,
@@ -438,329 +380,6 @@ impl DartEngine {
         if d.lane & LANE_SEQ != 0 {
             self.handle_seq_at(pkt, d.eack, &d.seq_rt, sink);
         }
-    }
-
-    /// Drain the recirculation loop at end of trace (it emits nothing).
-    pub fn flush(&mut self) {
-        self.drain_recirc_until(Nanos::MAX);
-        self.sync_telemetry();
-    }
-
-    /// Epoch rotation (control-plane): sweep RT flows idle for a whole
-    /// epoch, PT and victim-cache records sent before `cutoff`, and stale
-    /// RT-copy shadow entries, so a long-lived run's tables keep serving
-    /// the live population instead of silting up (or, in unlimited mode,
-    /// growing without bound). Records still traveling the recirculation
-    /// loop are left alone — they are transient by construction (re-entry
-    /// is one recirculation delay away) and drain with the next packets.
-    ///
-    /// Call between batches, never mid-batch. With attached telemetry the
-    /// rotation is instrumented: `dart_epoch_rotations_total`, the
-    /// carried/dropped counters, and the rotation-pause histogram.
-    pub fn rotate_epoch(&mut self, cutoff: Nanos) -> crate::monitor::EpochRotation {
-        let start = std::time::Instant::now();
-        let (flows_carried, flows_dropped) = self.rt.rotate(cutoff);
-        let (records_carried, mut records_dropped) = self.pt.rotate(cutoff);
-        let vc_before = self.victim_cache.len();
-        self.victim_cache.retain(|r| r.ts >= cutoff);
-        records_dropped += (vc_before - self.victim_cache.len()) as u64;
-        if let Some(copy) = &mut self.rt_copy {
-            copy.rotate(cutoff);
-        }
-        let rotation = crate::monitor::EpochRotation {
-            flows_carried,
-            flows_dropped,
-            records_carried,
-            records_dropped,
-        };
-        if let Some(t) = &self.telemetry {
-            let pause_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            t.observe_rotation(&rotation, pause_ns);
-        }
-        rotation
-    }
-
-    /// Identity of the configuration this engine was built from. Restoring
-    /// a snapshot into an engine with a different configuration would
-    /// silently mis-key every table (different geometry, signature width,
-    /// or backend), so both ends of the snapshot carry this fingerprint.
-    fn config_fingerprint(&self) -> u64 {
-        fnv1a_64(format!("{:?}", self.cfg).as_bytes())
-    }
-
-    /// Serialize the engine's complete measurement state — both flow
-    /// tables, the victim cache, records mid-recirculation, the RT copy,
-    /// the admission gate's heavy-hitter book, and every counter — into a
-    /// checksummed [`Snapshot`]. Control-plane only: call between batches,
-    /// never mid-batch (same quiescence contract as
-    /// [`DartEngine::rotate_epoch`]).
-    pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        let mut w = SnapWriter::framed();
-        w.put_u8(SNAP_KIND_ENGINE);
-        self.snapshot_into(&mut w);
-        Ok(w.into_snapshot())
-    }
-
-    /// Restore a [`DartEngine::snapshot`] into this engine, replacing all
-    /// measurement state. The engine must have been built from the same
-    /// configuration the snapshot was taken under
-    /// ([`SnapshotError::Mismatch`] otherwise); the snapshot's counters
-    /// replace the current ones, so the conservation law
-    /// (`fed == packets + monitor_miss`) resumes from where the
-    /// checkpointed run left off.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(snap.payload());
-        let kind = r.get_u8()?;
-        if kind != SNAP_KIND_ENGINE {
-            return Err(SnapshotError::Mismatch(format!(
-                "payload kind {kind} is not a single-engine snapshot"
-            )));
-        }
-        self.restore_from(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the engine state",
-                r.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The engine-state section of the payload (no kind tag, no framing):
-    /// the sharded monitor embeds one of these per shard inside its own
-    /// payload.
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_u64(self.config_fingerprint());
-
-        self.stats.snapshot_into(w);
-
-        match &self.rt {
-            RtTable::Exact(t) => {
-                w.put_u8(0);
-                t.snapshot_into(w);
-            }
-            RtTable::Sketch(t) => {
-                w.put_u8(1);
-                t.snapshot_into(w);
-            }
-        }
-        match &self.pt {
-            PtTable::Exact(t) => {
-                w.put_u8(0);
-                t.snapshot_into(w);
-            }
-            PtTable::Sketch(t) => {
-                w.put_u8(1);
-                t.snapshot_into(w);
-            }
-        }
-
-        w.put_usize(self.victim_cache.len());
-        for rec in &self.victim_cache {
-            rec.snapshot_into(w);
-        }
-
-        // Records mid-recirculation, plus the port's accumulated books.
-        let rstats = self.recirc.stats();
-        w.put_u64(rstats.accepted);
-        w.put_u64(rstats.refused_cap);
-        w.put_usize(rstats.max_queue_depth);
-        w.put_usize(self.recirc.in_flight());
-        for e in self.recirc.iter() {
-            e.record.rec.snapshot_into(w);
-            w.put_u64(e.record.displaced_by.sig.0);
-            w.put_u32(e.record.displaced_by.eack.0);
-            w.put_u64(e.record.ready);
-            w.put_u32(e.trips);
-        }
-
-        match &self.rt_copy {
-            None => w.put_u8(0),
-            Some(copy) => {
-                w.put_u8(1);
-                w.put_u64(copy.sync);
-                // Sorted for a deterministic byte stream (HashMap iteration
-                // order is not).
-                let mut shadow: Vec<_> = copy
-                    .shadow
-                    .iter()
-                    .map(|(sig, (range, at))| (sig.0, range.left.0, range.right.0, *at))
-                    .collect();
-                shadow.sort_unstable();
-                w.put_usize(shadow.len());
-                for (sig, left, right, at) in shadow {
-                    w.put_u64(sig);
-                    w.put_u32(left);
-                    w.put_u32(right);
-                    w.put_u64(at);
-                }
-                w.put_usize(copy.pending.len());
-                for (at, sig, range) in &copy.pending {
-                    w.put_u64(*at);
-                    w.put_u64(sig.0);
-                    w.put_u32(range.left.0);
-                    w.put_u32(range.right.0);
-                }
-            }
-        }
-
-        match &self.admission {
-            None => w.put_u8(0),
-            Some(gate) => {
-                w.put_u8(1);
-                gate.snapshot_into(w);
-            }
-        }
-    }
-
-    /// Restore the engine-state section written by
-    /// [`DartEngine::snapshot_into`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let fp = r.get_u64()?;
-        if fp != self.config_fingerprint() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot was taken under a different configuration \
-                 (fingerprint {fp:#018x}, this engine {:#018x})",
-                self.config_fingerprint()
-            )));
-        }
-
-        self.stats = EngineStats::restore_from(r)?;
-
-        let rt_tag = r.get_u8()?;
-        match (&mut self.rt, rt_tag) {
-            (RtTable::Exact(t), 0) => t.restore_from(r)?,
-            (RtTable::Sketch(t), 1) => t.restore_from(r)?,
-            (_, tag) => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "RT backend tag {tag} does not match this engine's backend"
-                )))
-            }
-        }
-        let pt_tag = r.get_u8()?;
-        match (&mut self.pt, pt_tag) {
-            (PtTable::Exact(t), 0) => t.restore_from(r)?,
-            (PtTable::Sketch(t), 1) => t.restore_from(r)?,
-            (_, tag) => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "PT backend tag {tag} does not match this engine's backend"
-                )))
-            }
-        }
-
-        // The lengths and trip counts below steer later packets (a spill, a
-        // re-insert), so what this configuration could never have produced
-        // is refused here, not trusted behind the checksum.
-        let vc = r.get_usize()?;
-        if vc > self.cfg.victim_cache {
-            return Err(SnapshotError::Corrupt(format!(
-                "{vc} victim-cache records, this engine caches at most {}",
-                self.cfg.victim_cache
-            )));
-        }
-        self.victim_cache.clear();
-        for _ in 0..vc {
-            self.victim_cache.push_back(PtRecord::restore_from(r)?);
-        }
-
-        // The depth distribution is live telemetry, not measurement state:
-        // it is not in the snapshot and restarts empty.
-        let rstats = RecircStats {
-            accepted: sane_count("recirculations accepted", r.get_u64()?)?,
-            refused_cap: sane_count("recirculations refused", r.get_u64()?)?,
-            max_queue_depth: r.get_usize()?,
-            ..RecircStats::default()
-        };
-        let depth = r.get_usize()?;
-        // Only a constrained exact PT evicts; the unlimited store and the
-        // sketch never hand a record to the recirculation loop.
-        if depth > 0 && !matches!(self.cfg.pt, PtMode::Constrained { .. }) {
-            return Err(SnapshotError::Corrupt(format!(
-                "{depth} records in recirculation, but this engine's PT never evicts"
-            )));
-        }
-        // Room for what the payload can still hold, not for what it claims.
-        let mut entries = Vec::with_capacity(depth.min(r.remaining() / RECIRC_ENTRY_WIRE_LEN));
-        for _ in 0..depth {
-            let rec = PtRecord::restore_from(r)?;
-            let displaced_by = PacketId::new(FlowSignature(r.get_u64()?), SeqNum(r.get_u32()?));
-            let ready = r.get_u64()?;
-            let trips = r.get_u32()?;
-            if trips > self.cfg.max_recirc {
-                return Err(SnapshotError::Corrupt(format!(
-                    "recirculating record on trip {trips}, the cap is {}",
-                    self.cfg.max_recirc
-                )));
-            }
-            entries.push(Recirculated {
-                record: RecircEntry {
-                    rec,
-                    displaced_by,
-                    ready,
-                },
-                trips,
-            });
-        }
-        self.recirc.restore(entries, rstats);
-        self.recirc_synced = rstats;
-
-        let copy_tag = r.get_u8()?;
-        match (&mut self.rt_copy, copy_tag) {
-            (None, 0) => {}
-            (Some(copy), 1) => {
-                let sync = r.get_u64()?;
-                if sync != copy.sync {
-                    return Err(SnapshotError::Mismatch(format!(
-                        "RT-copy sync lag {sync} ns, this engine is configured for {}",
-                        copy.sync
-                    )));
-                }
-                copy.shadow.clear();
-                let n = r.get_usize()?;
-                for _ in 0..n {
-                    let sig = FlowSignature(r.get_u64()?);
-                    let range = MeasurementRange {
-                        left: SeqNum(r.get_u32()?),
-                        right: SeqNum(r.get_u32()?),
-                    };
-                    let at = r.get_u64()?;
-                    copy.shadow.insert(sig, (range, at));
-                }
-                copy.pending.clear();
-                let n = r.get_usize()?;
-                for _ in 0..n {
-                    let at = r.get_u64()?;
-                    let sig = FlowSignature(r.get_u64()?);
-                    let range = MeasurementRange {
-                        left: SeqNum(r.get_u32()?),
-                        right: SeqNum(r.get_u32()?),
-                    };
-                    copy.pending.push_back((at, sig, range));
-                }
-            }
-            (_, tag) => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "RT-copy section tag {tag} does not match this engine"
-                )))
-            }
-        }
-
-        let gate_tag = r.get_u8()?;
-        match (&mut self.admission, gate_tag) {
-            (None, 0) => {}
-            (Some(gate), 1) => gate.restore_from(r)?,
-            (_, tag) => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "admission section tag {tag} does not match this engine"
-                )))
-            }
-        }
-
-        // The batch scratch is a pure cache (locations are pure functions
-        // of packet and geometry), but start it cold anyway.
-        self.scratch = BatchScratch::default();
-        self.sync_telemetry();
-        Ok(())
     }
 
     /// The SEQ role with a pre-resolved RT location: `at` must come from
@@ -1067,23 +686,7 @@ fn gate_admit(gate: &AdmissionGate, rec: &PtRecord) -> Admission {
     gate.admit(rec)
 }
 
-/// The one-packet-block extreme of split invariance: a fresh engine fed
-/// one [`DartEngine::process`] call per packet, then flushed. The golden
-/// and backend-conformance suites pin this stream and the irregular-split
-/// one separately, byte for byte, and compare the sharded runtime against
-/// it. Everything that is not such a comparison uses
-/// [`run_monitor_slice`](crate::monitor::run_monitor_slice).
-pub fn run_trace(cfg: DartConfig, packets: &[PacketMeta]) -> (Vec<RttSample>, EngineStats) {
-    let mut engine = DartEngine::new(cfg);
-    let mut samples = Vec::new();
-    for p in packets {
-        engine.process(p, &mut samples);
-    }
-    engine.flush();
-    (samples, *engine.stats())
-}
-
-impl crate::monitor::RttMonitor for DartEngine {
+impl RttMonitor for DartEngine {
     fn name(&self) -> &str {
         self.cfg.backend().engine_name()
     }
@@ -1097,33 +700,96 @@ impl crate::monitor::RttMonitor for DartEngine {
         format!("Dart: {tables} with lazy eviction and second-chance recirculation (SIGCOMM '22)")
     }
 
+    /// The block body of [`RttMonitor::on_batch`] over a one-packet block.
+    /// Telemetry is published every [`SYNC_INTERVAL_PKTS`] packets, not
+    /// per call.
     fn on_packet(&mut self, pkt: &PacketMeta, sink: &mut dyn SampleSink) {
-        self.process(pkt, sink);
+        self.run_block(std::slice::from_ref(pkt), sink, &Cell::new(0));
+        if self.stats.packets.is_multiple_of(SYNC_INTERVAL_PKTS) {
+            self.sync_telemetry();
+        }
     }
 
     /// One call of the block body per block, not the trait's default
-    /// per-packet loop.
+    /// per-packet loop: a software-pipelined loop that decodes packet
+    /// `i + PREFETCH_DIST` — classifying roles, pre-resolving RT locations
+    /// through a flow-locality memo, and issuing warming reads for the RT
+    /// slots it will probe — while matching packet `i` with its
+    /// already-decoded state. Decode is pure ALU work (hashing, flag
+    /// tests) and match is load-bound table work, so the two streams
+    /// overlap in the core instead of serializing per packet; the decode
+    /// ring stays L1-resident.
+    ///
+    /// Split-invariant: the same samples, [`EngineStats`] and table state
+    /// for any division of a packet stream into blocks, one-packet blocks
+    /// ([`RttMonitor::on_packet`]) included — decode computes only pure
+    /// functions of packet and configuration (RT locations do not depend
+    /// on table contents), and the match half runs in capture order. Only
+    /// the telemetry publication cadence follows the entry point: here,
+    /// once per block.
     fn on_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
-        self.process_batch(pkts, sink);
+        self.process_batch_at(pkts, sink, &Cell::new(0));
     }
 
     /// Drains the recirculation loop; never emits samples or events
     /// (recirculated records can only be evicted or reinserted), so a
     /// second flush finds the loop empty and is a no-op.
     fn flush(&mut self, _sink: &mut dyn SampleSink) {
-        DartEngine::flush(self);
+        self.drain_recirc_until(Nanos::MAX);
+        self.sync_telemetry();
     }
 
-    fn rotate_epoch(&mut self, cutoff: Nanos) -> crate::monitor::EpochRotation {
-        DartEngine::rotate_epoch(self, cutoff)
+    /// Epoch rotation (control-plane): sweep RT flows idle for a whole
+    /// epoch, PT and victim-cache records sent before `cutoff`, and stale
+    /// RT-copy shadow entries, so a long-lived run's tables keep serving
+    /// the live population instead of silting up (or, in unlimited mode,
+    /// growing without bound). Records still traveling the recirculation
+    /// loop are left alone — they are transient by construction (re-entry
+    /// is one recirculation delay away) and drain with the next packets.
+    ///
+    /// Call between batches, never mid-batch. With attached telemetry the
+    /// rotation is instrumented: `dart_epoch_rotations_total`, the
+    /// carried/dropped counters, and the rotation-pause histogram.
+    fn rotate_epoch(&mut self, cutoff: Nanos) -> EpochRotation {
+        let start = std::time::Instant::now();
+        let (flows_carried, flows_dropped) = self.rt.rotate(cutoff);
+        let (records_carried, mut records_dropped) = self.pt.rotate(cutoff);
+        let vc_before = self.victim_cache.len();
+        self.victim_cache.retain(|r| r.ts >= cutoff);
+        records_dropped += (vc_before - self.victim_cache.len()) as u64;
+        if let Some(copy) = &mut self.rt_copy {
+            copy.rotate(cutoff);
+        }
+        let rotation = EpochRotation {
+            flows_carried,
+            flows_dropped,
+            records_carried,
+            records_dropped,
+        };
+        if let Some(t) = &self.telemetry {
+            let pause_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            t.observe_rotation(&rotation, pause_ns);
+        }
+        rotation
     }
 
+    /// Serialize the engine's complete measurement state — both flow
+    /// tables, the victim cache, records mid-recirculation, the RT copy,
+    /// the admission gate's heavy-hitter book, and every counter — into a
+    /// checksummed [`Snapshot`]. Control-plane only, like
+    /// [`RttMonitor::rotate_epoch`]: call between batches, never mid-batch.
     fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
-        DartEngine::snapshot(self)
+        Ok(self.encode())
     }
 
+    /// Replace all measurement state with a [`RttMonitor::snapshot`]. The
+    /// engine must have been built from the same configuration the
+    /// snapshot was taken under ([`SnapshotError::Mismatch`] otherwise);
+    /// the snapshot's counters replace the current ones, so the
+    /// conservation law (`fed == packets + monitor_miss`) resumes from
+    /// where the checkpointed run left off.
     fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        DartEngine::restore(self, snap)
+        self.decode(snap)
     }
 
     fn stats(&self) -> EngineStats {
@@ -1135,6 +801,8 @@ impl crate::monitor::RttMonitor for DartEngine {
 mod tests {
     use super::*;
     use crate::config::SynPolicy;
+    use crate::monitor::run_monitor_slice;
+    use crate::snapshot::SnapWriter;
     use dart_packet::{Direction, FlowKey, PacketBuilder, SeqNum};
 
     fn flow(n: u32) -> FlowKey {
@@ -1162,7 +830,7 @@ mod tests {
         for cfg in [DartConfig::unlimited(), DartConfig::default()] {
             let f = flow(1);
             let pkts: Vec<_> = data_ack(f, 1000, 500, 1_000_000, 25_000_000).into();
-            let (samples, stats) = run_trace(cfg, &pkts);
+            let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
             assert_eq!(samples.len(), 1, "cfg {cfg:?}");
             assert_eq!(samples[0].rtt, 25_000_000);
             assert_eq!(samples[0].flow, f);
@@ -1190,7 +858,10 @@ mod tests {
             .ack(500u32)
             .dir(Direction::Outbound)
             .build();
-        let (samples, stats) = run_trace(DartConfig::default(), &[syn, syn_ack, hs_ack]);
+        let (samples, stats) = run_monitor_slice(
+            &mut DartEngine::new(DartConfig::default()),
+            &[syn, syn_ack, hs_ack],
+        );
         assert!(samples.is_empty());
         assert_eq!(stats.syn_skipped, 2);
         // The bare handshake ACK is an ACK for a flow we never tracked.
@@ -1212,7 +883,7 @@ mod tests {
             .dir(Direction::Inbound)
             .build();
         let cfg = DartConfig::unlimited().with_syn(SynPolicy::Include);
-        let (samples, _) = run_trace(cfg, &[syn, syn_ack]);
+        let (samples, _) = run_monitor_slice(&mut DartEngine::new(cfg), &[syn, syn_ack]);
         // The SYN-ACK acknowledges the SYN: external-leg handshake RTT.
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].rtt, 30_000_000);
@@ -1237,7 +908,10 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(DartConfig::unlimited(), &[d1, d2, ack]);
+        let (samples, stats) = run_monitor_slice(
+            &mut DartEngine::new(DartConfig::unlimited()),
+            &[d1, d2, ack],
+        );
         assert!(samples.is_empty(), "ambiguous ACK must not sample");
         assert_eq!(stats.seq_retransmission, 1);
         // Two collapses: the retransmission, then the ACK landing on the
@@ -1268,7 +942,10 @@ mod tests {
             .ack(300u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(DartConfig::unlimited(), &[d1, d2, d3, ack]);
+        let (samples, stats) = run_monitor_slice(
+            &mut DartEngine::new(DartConfig::unlimited()),
+            &[d1, d2, d3, ack],
+        );
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].eack, SeqNum(300));
         assert_eq!(samples[0].rtt, 18_000_000);
@@ -1302,7 +979,8 @@ mod tests {
             ack(100, 11_000_000), // dup ack (P2 missing at receiver)
             ack(400, 30_000_000), // P2 arrived; cumulative ack through P4
         ];
-        let (samples, stats) = run_trace(DartConfig::unlimited(), &pkts);
+        let (samples, stats) =
+            run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         assert_eq!(samples.len(), 1, "only P1's ACK may sample");
         assert_eq!(samples[0].eack, SeqNum(100));
         // Two duplicate-ACK classifications: the true dup-ACK at 100, and
@@ -1324,7 +1002,8 @@ mod tests {
             .ack(500u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(DartConfig::unlimited(), &[d, early]);
+        let (samples, stats) =
+            run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &[d, early]);
         assert!(samples.is_empty());
         assert_eq!(stats.ack_optimistic, 1);
     }
@@ -1342,9 +1021,12 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Outbound)
             .build();
-        let ext = run_trace(DartConfig::unlimited(), &[d, a]);
+        let ext = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &[d, a]);
         assert!(ext.0.is_empty());
-        let int = run_trace(DartConfig::unlimited().with_leg(Leg::Internal), &[d, a]);
+        let int = run_monitor_slice(
+            &mut DartEngine::new(DartConfig::unlimited().with_leg(Leg::Internal)),
+            &[d, a],
+        );
         assert_eq!(int.0.len(), 1);
         assert_eq!(int.0[0].rtt, 2_000_000);
     }
@@ -1365,7 +1047,7 @@ mod tests {
             .dir(Direction::Inbound)
             .build();
         let cfg = DartConfig::unlimited().with_leg(Leg::Both);
-        let (samples, stats) = run_trace(cfg, &[d1, piggy]);
+        let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &[d1, piggy]);
         assert_eq!(samples.len(), 1);
         assert_eq!(stats.dual_role_recirc, 1);
     }
@@ -1396,7 +1078,7 @@ mod tests {
             .ack(100u32)
             .dir(Direction::Inbound)
             .build();
-        let (samples, stats) = run_trace(cfg, &[da, db, aa]);
+        let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &[da, db, aa]);
         assert_eq!(stats.pt_displaced, 1);
         assert_eq!(stats.recirc_issued, 1);
         // After recirculation the old record displaced the new one (cycle
@@ -1421,7 +1103,7 @@ mod tests {
             .payload(100)
             .dir(Direction::Outbound)
             .build();
-        let (_, stats) = run_trace(cfg, &[da, db]);
+        let (_, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &[da, db]);
         assert_eq!(stats.recirc_cap_dropped, 1);
         assert_eq!(stats.recirc_issued, 0);
     }
@@ -1458,7 +1140,7 @@ mod tests {
                 .dir(Direction::Outbound)
                 .build(),
         ];
-        let (samples, stats) = run_trace(cfg, &pkts);
+        let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
         // The cycle-break kept the older record (eack=100) and dropped
         // eack=200, so the cumulative ACK finds nothing: no samples — the
         // price of a 1-slot PT.
@@ -1482,7 +1164,7 @@ mod tests {
         let mut sink: Vec<RttSample> = Vec::new();
         let fa = flow(15);
         let fb = flow(16);
-        engine.process(
+        engine.on_packet(
             &PacketBuilder::new(fa, 0)
                 .seq(0u32)
                 .payload(100)
@@ -1490,7 +1172,7 @@ mod tests {
                 .build(),
             &mut sink,
         );
-        engine.process(
+        engine.on_packet(
             &PacketBuilder::new(fb, 1)
                 .seq(0u32)
                 .payload(100)
@@ -1509,7 +1191,7 @@ mod tests {
         let mut sink: Vec<RttSample> = Vec::new();
         let fa = flow(17);
         let fb = flow(18);
-        engine.process(
+        engine.on_packet(
             &PacketBuilder::new(fa, 0)
                 .seq(0u32)
                 .payload(100)
@@ -1517,7 +1199,7 @@ mod tests {
                 .build(),
             &mut sink,
         );
-        engine.process(
+        engine.on_packet(
             &PacketBuilder::new(fb, 1)
                 .seq(0u32)
                 .payload(100)
@@ -1526,7 +1208,7 @@ mod tests {
             &mut sink,
         );
         assert_eq!(engine.stats().recirc_issued, 1);
-        engine.flush();
+        engine.flush(&mut sink);
         // The recirculated record was processed (reinserted or cycled).
         let s = engine.stats();
         assert_eq!(
@@ -1593,7 +1275,7 @@ mod tests {
 
     /// Split invariance: every division of a stream into blocks yields the
     /// samples, stats and final table state of its one-packet-block stream
-    /// (`run_trace`), for every config family (unlimited, constrained,
+    /// (an `on_packet` loop), for every config family (unlimited, constrained,
     /// multi-stage, victim cache, RT copy, both legs). The block lengths sit
     /// on both sides of each ring edge (`PREFETCH_DIST` and twice it, ± 1)
     /// beside empty and one-packet blocks, every rotation of the list moves
@@ -1615,10 +1297,13 @@ mod tests {
         const D: usize = PREFETCH_DIST;
         let split_lens = [0, 1, D - 1, D, D + 1, 2 * D - 1, 2 * D, 2 * D + 1];
         for cfg in cfgs {
-            let (expected, expected_stats) = run_trace(cfg, &pkts);
             let mut reference = DartEngine::new(cfg);
-            reference.process_batch(&pkts, &mut Vec::<RttSample>::new());
-            reference.flush();
+            let mut expected: Vec<RttSample> = Vec::new();
+            for p in &pkts {
+                reference.on_packet(p, &mut expected);
+            }
+            reference.flush(&mut expected);
+            let expected_stats = reference.stats();
             let expected_tables = reference.snapshot().unwrap();
             for rotation in 0..split_lens.len() {
                 let mut engine = DartEngine::new(cfg);
@@ -1627,7 +1312,7 @@ mod tests {
                 let mut s = rotation;
                 while !rest.is_empty() {
                     let len = split_lens[s % split_lens.len()].min(rest.len());
-                    engine.process_batch(&rest[..len], &mut got);
+                    engine.on_batch(&rest[..len], &mut got);
                     rest = &rest[len..];
                     s += 1;
                     if s == rotation + 5 {
@@ -1636,10 +1321,10 @@ mod tests {
                         assert!(engine.scratch.memo.is_empty(), "restore leaves a cold memo");
                     }
                 }
-                engine.flush();
+                engine.flush(&mut got);
                 let what = format!("rotation {rotation} of {cfg:?}");
                 assert_eq!(got, expected, "samples diverge: {what}");
-                assert_eq!(*engine.stats(), expected_stats, "stats diverge: {what}");
+                assert_eq!(engine.stats(), expected_stats, "stats diverge: {what}");
                 assert_eq!(
                     engine.snapshot().unwrap().as_bytes(),
                     expected_tables.as_bytes(),
@@ -1678,7 +1363,7 @@ mod tests {
             .with_pt(16, 4)
             .with_max_recirc(4)
             .with_leg(Leg::Both);
-        // Feed `pkts` in blocks of `split` (0: one `process` call per
+        // Feed `pkts` in blocks of `split` (0: one `on_packet` call per
         // packet), tagging every emission with the global packet index.
         let tagged = |split: usize| -> (Vec<(usize, Emission)>, EngineStats) {
             let at = Cell::new(0usize);
@@ -1691,7 +1376,7 @@ mod tests {
             if split == 0 {
                 for (i, p) in pkts.iter().enumerate() {
                     sink.base = i;
-                    engine.process(p, &mut sink);
+                    engine.on_packet(p, &mut sink);
                 }
             } else {
                 for (b, block) in pkts.chunks(split).enumerate() {
@@ -1699,7 +1384,7 @@ mod tests {
                     engine.process_batch_at(block, &mut sink, &at);
                 }
             }
-            (sink.out, *engine.stats())
+            (sink.out, engine.stats())
         };
         let (reference, stats) = tagged(0);
         assert!(stats.recirc_issued > 0 && stats.dual_role_recirc > 0);
@@ -1758,19 +1443,19 @@ mod tests {
             // Reference: one engine over the whole trace.
             let mut all = first.clone();
             all.extend(second.iter().cloned());
-            let (expected, expected_stats) = run_trace(cfg, &all);
+            let (expected, expected_stats) = run_monitor_slice(&mut DartEngine::new(cfg), &all);
 
             let mut a = DartEngine::new(cfg);
             let mut samples: Vec<RttSample> = Vec::new();
             for p in &first {
-                a.process(p, &mut samples);
+                a.on_packet(p, &mut samples);
             }
             let snap = a.snapshot().unwrap();
 
             // Restore into a fresh engine ("the restarted process").
             let mut b = DartEngine::new(cfg);
             b.restore(&snap).unwrap();
-            assert_eq!(*b.stats(), *a.stats(), "restored counters for {cfg:?}");
+            assert_eq!(b.stats(), a.stats(), "restored counters for {cfg:?}");
             assert_eq!(b.rt_occupancy(), a.rt_occupancy());
             assert_eq!(b.pt_occupancy(), a.pt_occupancy());
             // Re-snapshot is byte-identical: nothing was lost or invented.
@@ -1781,11 +1466,11 @@ mod tests {
             );
 
             for p in &second {
-                b.process(p, &mut samples);
+                b.on_packet(p, &mut samples);
             }
-            b.flush();
+            b.flush(&mut samples);
             assert_eq!(samples, expected, "samples diverge for {cfg:?}");
-            assert_eq!(*b.stats(), expected_stats, "stats diverge for {cfg:?}");
+            assert_eq!(b.stats(), expected_stats, "stats diverge for {cfg:?}");
         }
     }
 
@@ -1796,7 +1481,7 @@ mod tests {
         let mut a = DartEngine::new(DartConfig::default());
         let mut sink: Vec<RttSample> = Vec::new();
         for p in &pkts {
-            a.process(p, &mut sink);
+            a.on_packet(p, &mut sink);
         }
         let snap = a.snapshot().unwrap();
 
@@ -1856,7 +1541,7 @@ mod tests {
         // rewrite that 42-byte tail with the given records in it.
         let forge = |cfg: DartConfig, cached: &[PtRecord], looping: &[PtRecord]| {
             let mut a = DartEngine::new(cfg);
-            a.process(&data, &mut Vec::<RttSample>::new());
+            a.on_packet(&data, &mut Vec::<RttSample>::new());
             let snap = a.snapshot().unwrap();
             let payload = snap.payload();
             let tail = payload.len() - 42;
@@ -1880,7 +1565,7 @@ mod tests {
             let restored = fresh.restore(&Snapshot::from_payload(w.into_payload()));
             if restored.is_ok() {
                 // What the refusal prevents: the forged record re-enters.
-                fresh.process(&data, &mut Vec::<RttSample>::new());
+                fresh.on_packet(&data, &mut Vec::<RttSample>::new());
             }
             restored
         };
@@ -1940,12 +1625,12 @@ mod tests {
             }
         }
         let (first, second) = pkts.split_at(1500);
-        let (expected, expected_stats) = run_trace(cfg, &pkts);
+        let (expected, expected_stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
 
         let mut a = DartEngine::new(cfg);
         let mut samples: Vec<RttSample> = Vec::new();
         for p in first {
-            a.process(p, &mut samples);
+            a.on_packet(p, &mut samples);
         }
         assert!(a.recirc.in_flight() > 0, "nothing in the loop to restore");
         let snap = a.snapshot().unwrap();
@@ -1954,12 +1639,12 @@ mod tests {
         assert_eq!(b.recirc.in_flight(), a.recirc.in_flight());
         assert_eq!(b.snapshot().unwrap().as_bytes(), snap.as_bytes());
         for p in second {
-            b.process(p, &mut samples);
+            b.on_packet(p, &mut samples);
         }
-        b.flush();
+        b.flush(&mut samples);
         assert!(!expected.is_empty());
         assert_eq!(samples, expected);
-        assert_eq!(*b.stats(), expected_stats);
+        assert_eq!(b.stats(), expected_stats);
     }
 
     #[test]
@@ -1984,7 +1669,8 @@ mod tests {
                 .dir(Direction::Inbound)
                 .build(),
         ];
-        let (samples, stats) = run_trace(DartConfig::unlimited(), &pkts);
+        let (samples, stats) =
+            run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         assert!(samples.is_empty());
         assert_eq!(stats.seq_wraparound, 1);
         assert_eq!(stats.ack_stale, 1);

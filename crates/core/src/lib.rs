@@ -18,7 +18,7 @@
 //!   recirculation, cycle detection, and the analytics discard hook (§3.3).
 //!
 //! ```
-//! use dart_core::{DartConfig, DartEngine, RttSample};
+//! use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
 //! use dart_packet::{Direction, FlowKey, PacketBuilder};
 //!
 //! let flow = FlowKey::from_raw(0x0a000001, 44123, 0x5db8d822, 443);
@@ -29,8 +29,8 @@
 //!
 //! let mut engine = DartEngine::new(DartConfig::default());
 //! let mut samples: Vec<RttSample> = Vec::new();
-//! engine.process(&data, &mut samples);
-//! engine.process(&ack, &mut samples);
+//! engine.on_packet(&data, &mut samples);
+//! engine.on_packet(&ack, &mut samples);
 //! assert_eq!(samples[0].rtt, 23_000_000); // 23 ms
 //! ```
 
@@ -62,7 +62,7 @@ pub mod telemetry;
 
 pub use backend::{PtTable, RtTable};
 pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy};
-pub use engine::{run_trace, DartEngine, RecircFilter, RecirculateAll};
+pub use engine::{DartEngine, RecircFilter};
 pub use error::{FailureKind, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};
 pub use monitor::{

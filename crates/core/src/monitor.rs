@@ -47,10 +47,10 @@
 //! free. [`run_monitor`] and [`run_monitor_slice`] are `drive` with a
 //! boundary that always asks for the default block.
 //!
-//! [`run_trace`](crate::engine::run_trace) does not go through this loop:
-//! it calls `DartEngine::process` packet by packet — the engine's block
-//! body over one-packet blocks — and the golden and backend-conformance
-//! suites pin that extreme of split invariance beside an irregular split.
+//! The golden and backend-conformance suites also feed a monitor one
+//! `on_packet` call per packet (`dart_testkit::run_per_packet`) — for Dart,
+//! the engine's block body over one-packet blocks — and pin that extreme of
+//! split invariance beside this loop and an irregular split.
 
 use crate::ring::{Parcel, Ring, RingEnd};
 use crate::sample::{RttSample, SampleSink};
@@ -476,7 +476,7 @@ pub fn run_monitor_slice<M: RttMonitor + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::DartConfig;
-    use crate::engine::{run_trace, DartEngine};
+    use crate::engine::DartEngine;
     use dart_packet::{Direction, FlowKey, PacketBuilder};
 
     fn handshake_free_exchange() -> Vec<PacketMeta> {
@@ -494,14 +494,20 @@ mod tests {
         ]
     }
 
+    /// The block path agrees with one `on_packet` call per packet.
     #[test]
     fn run_monitor_matches_run_trace_for_dart() {
         let packets = handshake_free_exchange();
-        let (expect_samples, expect_stats) = run_trace(DartConfig::default(), &packets);
+        let mut reference = DartEngine::new(DartConfig::default());
+        let mut expect_samples = Vec::new();
+        for p in &packets {
+            reference.on_packet(p, &mut expect_samples);
+        }
+        reference.flush(&mut expect_samples);
         let mut engine = DartEngine::new(DartConfig::default());
         let (samples, stats) = run_monitor_slice(&mut engine, &packets);
         assert_eq!(samples, expect_samples);
-        assert_eq!(stats, expect_stats);
+        assert_eq!(stats, reference.stats());
         assert_eq!(samples.len(), 1);
     }
 
@@ -511,9 +517,9 @@ mod tests {
         let mut engine = DartEngine::new(DartConfig::default());
         let (samples, stats) = run_monitor_slice(&mut engine, &packets);
         let mut extra = Vec::new();
-        RttMonitor::flush(&mut engine, &mut extra);
+        engine.flush(&mut extra);
         assert!(extra.is_empty(), "second flush must emit nothing");
-        assert_eq!(RttMonitor::stats(&engine), stats);
+        assert_eq!(engine.stats(), stats);
         assert_eq!(samples.len(), 1);
     }
 

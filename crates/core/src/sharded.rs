@@ -56,9 +56,8 @@
 //! eviction counters at different shard counts. Consequences:
 //!
 //! * `shards == 1` is the faithful reproduction of the paper's single
-//!   pipeline: the output is **bit-identical** to
-//!   [`run_trace`](crate::engine::run_trace) — same samples, same order,
-//!   same stats.
+//!   pipeline: the output is **bit-identical** to the serial
+//!   [`DartEngine`]'s — same samples, same order, same stats.
 //! * Under [`DartConfig::unlimited`] (no collisions, no evictions) every
 //!   shard count yields exactly the serial per-flow samples.
 //! * Under constrained configs, per-flow sample *sets* remain equal except
@@ -289,7 +288,7 @@ impl Block {
 /// seam rotation and checkpointing rely on.
 enum ShardMsg {
     Block(Block),
-    /// Rotate the engine's epoch (see [`DartEngine::rotate_epoch`]).
+    /// Rotate the engine's epoch (see [`RttMonitor::rotate_epoch`]).
     Rotate(Nanos),
     /// Serialize the live engine's state section into the buffer sent
     /// along (the last checkpoint's, emptied) and reply with it.
@@ -825,7 +824,7 @@ impl RttMonitor for ShardedMonitor {
     }
 
     /// Ask every live shard to rotate its engine's epoch (see
-    /// [`DartEngine::rotate_epoch`]): entries idle since `cutoff` are
+    /// [`RttMonitor::rotate_epoch`]): entries idle since `cutoff` are
     /// swept so table occupancy stays bounded over a long-lived run.
     ///
     /// Partial feeder buffers are dispatched first, so the rotation is
@@ -1319,7 +1318,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                     restarts += 1;
                     extra.shard_restarts += 1;
                     extra.flows_lost += engine.rt_occupancy() as u64;
-                    retired.merge(engine.stats());
+                    retired.merge(&engine.stats());
                     engine = DartEngine::new(ctx.engine_cfg);
                     if let Some(tel) = ctx.hooks.tel.clone() {
                         // Base the fresh engine's published series on the
@@ -1349,13 +1348,15 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
         emptied = Some(block);
     }
     if !shedding {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| engine.flush())) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
+            RttMonitor::flush(&mut engine, &mut |_: RttSample| {})
+        })) {
             ctx.record(&mut failures, panicked(shard, None, payload));
             ctx.hooks.mark_dead(&ctx.dead);
         }
     }
     let mut stats = retired;
-    stats.merge(engine.stats());
+    stats.merge(&engine.stats());
     stats.merge(&extra);
     if let Some(tel) = &ctx.hooks.tel {
         // Publish the shard's true final totals (runtime accounting
@@ -1400,7 +1401,6 @@ fn merge(
 mod tests {
     use super::*;
     use crate::config::Leg;
-    use crate::engine::run_trace;
     use crate::monitor::{run_monitor, run_monitor_slice};
     use crate::sample::recording::{Emission, Emissions};
     use crate::telemetry::{EPOCH_ROTATIONS, SHARD_COUNTERS};
@@ -1467,7 +1467,8 @@ mod tests {
     #[test]
     fn one_shard_is_bit_identical_to_serial() {
         let pkts = trace(40, 6);
-        let (serial_samples, serial_stats) = run_trace(DartConfig::default(), &pkts);
+        let (serial_samples, serial_stats) =
+            run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &pkts);
         let (samples, out) = replay(ShardedConfig::new(DartConfig::default(), 1), &pkts);
         assert_eq!(samples, serial_samples);
         assert_eq!(out.stats(), serial_stats);
@@ -1477,7 +1478,7 @@ mod tests {
     #[test]
     fn unlimited_config_matches_serial_at_any_shard_count() {
         let pkts = trace(50, 5);
-        let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
+        let (serial, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         for shards in [2usize, 3, 4, 8] {
             let (samples, out) = replay(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
             assert_eq!(samples, serial, "shards = {shards}");
@@ -1528,7 +1529,7 @@ mod tests {
                 .with_queue_depth(1),
             &pkts,
         );
-        let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
+        let (serial, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         assert_eq!(samples, serial);
     }
 
@@ -1881,7 +1882,7 @@ mod tests {
         assert!(monitor.failures().is_empty());
         assert_eq!(stats.packets, pkts.len() as u64);
         assert!(stats.samples > 0, "post-rotation exchanges measured");
-        let (serial, _) = run_trace(DartConfig::default(), &pkts);
+        let (serial, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &pkts);
         assert!(
             (stats.samples as usize) < serial.len(),
             "the sweep must cost some in-flight matches"

@@ -22,9 +22,10 @@
 //! ```
 //!
 //! All integers little-endian. The payload is engine-defined (see
-//! [`crate::DartEngine::snapshot`]); this module only guarantees framing:
-//! a [`Snapshot`] that deserializes at all has a verified checksum, so a
-//! crash mid-checkpoint-write can never restore half a table.
+//! [`RttMonitor::snapshot`](crate::RttMonitor::snapshot)); this module only
+//! guarantees framing: a [`Snapshot`] that deserializes at all has a
+//! verified checksum, so a crash mid-checkpoint-write can never restore
+//! half a table.
 //!
 //! # Crash consistency
 //!

@@ -7,8 +7,8 @@
 //!   (one per shard; the serial engine is `shard="0"`). The engine keeps
 //!   accumulating its plain [`EngineStats`] on the hot path and *publishes*
 //!   the totals to the shared atomic counters at sync points — at every
-//!   `process_batch` boundary, every [`SYNC_INTERVAL_PKTS`] packets under
-//!   `process`, and at flush — so the per-packet cost is a predictable
+//!   `on_batch` boundary, every [`SYNC_INTERVAL_PKTS`] packets under
+//!   `on_packet`, and at flush — so the per-packet cost is a predictable
 //!   branch, not thirty atomic writes. Only the RTT histogram observes on
 //!   the hot path (one `fetch_add` per *sample*, not per packet).
 //! * [`MeteredMonitor`] wraps **any** [`RttMonitor`] from the outside: it
@@ -485,16 +485,16 @@ mod tests {
         let pkts = exchange(SYNC_INTERVAL_PKTS as u32);
         let mut sink: Vec<RttSample> = Vec::new();
         for p in &pkts[..interval - 1] {
-            engine.process(p, &mut sink);
+            engine.on_packet(p, &mut sink);
         }
         assert_eq!(published.get(), 0, "nothing published below the interval");
-        engine.process(&pkts[interval - 1], &mut sink);
+        engine.on_packet(&pkts[interval - 1], &mut sink);
         assert_eq!(published.get(), SYNC_INTERVAL_PKTS);
-        engine.process_batch(&pkts[interval..interval + 3], &mut sink);
+        engine.on_batch(&pkts[interval..interval + 3], &mut sink);
         assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 3, "block boundary");
-        engine.process(&pkts[interval + 3], &mut sink);
+        engine.on_packet(&pkts[interval + 3], &mut sink);
         assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 3, "off the interval");
-        engine.flush();
+        engine.flush(&mut sink);
         assert_eq!(published.get(), SYNC_INTERVAL_PKTS + 4, "flush publishes");
     }
 
@@ -546,7 +546,7 @@ mod tests {
         let fa = FlowKey::from_raw(0x0a00_0001, 40000, 0x5db8_d822, 443);
         let fb = FlowKey::from_raw(0x0a00_0002, 40000, 0x5db8_d822, 443);
         for (f, t) in [(fa, 0u64), (fb, 1_000)] {
-            engine.process(
+            engine.on_packet(
                 &PacketBuilder::new(f, t)
                     .seq(0u32)
                     .payload(100)
@@ -559,7 +559,7 @@ mod tests {
         assert_eq!(gauge.get(), 0, "the port publishes nothing per operation");
         engine.sync_telemetry();
         assert_eq!(gauge.get(), 1, "one record in flight after the eviction");
-        engine.flush();
+        engine.flush(&mut sink);
         assert_eq!(gauge.get(), 0, "flush drains the loop");
         let dist = registry.histogram(RECIRC_QUEUE_DEPTH_RECORDS.name, &[("shard", "0")], "");
         assert_eq!(dist.count(), 1, "one submission observed");

@@ -1,7 +1,7 @@
 //! Additional engine coverage: both-legs mode on realistic traffic, and
 //! narrow flow signatures producing measurable false-match behavior.
 
-use dart_core::{run_trace, DartConfig, Leg};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, Leg};
 use dart_packet::SignatureWidth;
 use dart_sim::scenario::{campus, CampusConfig};
 
@@ -16,9 +16,15 @@ fn trace() -> dart_sim::scenario::GeneratedTrace {
 #[test]
 fn both_legs_collects_superset_of_each_leg() {
     let t = trace();
-    let (ext, _) = run_trace(DartConfig::unlimited(), &t.packets);
-    let (int, _) = run_trace(DartConfig::unlimited().with_leg(Leg::Internal), &t.packets);
-    let (both, stats) = run_trace(DartConfig::unlimited().with_leg(Leg::Both), &t.packets);
+    let (ext, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
+    let (int, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited().with_leg(Leg::Internal)),
+        &t.packets,
+    );
+    let (both, stats) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited().with_leg(Leg::Both)),
+        &t.packets,
+    );
     // Both-legs sees (approximately) the union of work: at least as many as
     // the larger single leg, near the sum (minor interactions possible on
     // piggybacked packets).
@@ -26,7 +32,8 @@ fn both_legs_collects_superset_of_each_leg() {
     assert!(both.len() as f64 >= (ext.len() + int.len()) as f64 * 0.9);
     // Dual-role packets cost recirculations only in Both mode (§5).
     assert!(stats.dual_role_recirc > 0);
-    let (_, ext_stats) = run_trace(DartConfig::unlimited(), &t.packets);
+    let (_, ext_stats) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
     assert_eq!(ext_stats.dual_role_recirc, 0);
 }
 
@@ -36,7 +43,7 @@ fn narrow_signatures_still_work_but_collide_more() {
     let mk = |w: SignatureWidth| {
         let mut cfg = DartConfig::default().with_rt(1 << 14).with_pt(1 << 12, 1);
         cfg.sig_width = w;
-        run_trace(cfg, &t.packets)
+        run_monitor_slice(&mut DartEngine::new(cfg), &t.packets)
     };
     let (s16, stats16) = mk(SignatureWidth::W16);
     let (s32, stats32) = mk(SignatureWidth::W32);
@@ -65,7 +72,7 @@ fn rt_collision_stat_fires_when_rt_is_tiny() {
     // A 64-slot RT for hundreds of flows: collisions guaranteed; the engine
     // must degrade gracefully (fewer samples, no panic, consistent stats).
     let cfg = DartConfig::default().with_rt(64).with_pt(1 << 12, 1);
-    let (samples, stats) = run_trace(cfg, &t.packets);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &t.packets);
     assert!(stats.seq_rt_collision > 0);
     assert!(!samples.is_empty());
     assert_eq!(stats.samples as usize, samples.len());
@@ -78,7 +85,7 @@ fn zero_recirc_engine_still_functions() {
         .with_rt(1 << 12)
         .with_pt(1 << 6, 1)
         .with_max_recirc(0);
-    let (samples, stats) = run_trace(cfg, &t.packets);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &t.packets);
     assert_eq!(stats.recirc_issued, 0);
     assert!(
         stats.recirc_cap_dropped > 0,

@@ -1,7 +1,9 @@
 //! Tests for the §4/§7 engine extensions: flow-selection rules, the victim
 //! cache, and the RT-copy recirculation-avoidance approximation.
 
-use dart_core::{DartConfig, DartEngine, FlowFilter, FlowRule, Leg, RttSample};
+use dart_core::{
+    run_monitor_slice, DartConfig, DartEngine, FlowFilter, FlowRule, Leg, RttMonitor, RttSample,
+};
 use dart_packet::{Direction, FlowKey, Nanos, PacketBuilder, PacketMeta, MILLISECOND};
 use std::net::Ipv4Addr;
 
@@ -48,10 +50,10 @@ fn flow_filter_restricts_tracking() {
 
     let mut samples: Vec<RttSample> = Vec::new();
     for p in exchange(tracked, 0, 100, 0, 10 * MILLISECOND) {
-        engine.process(&p, &mut samples);
+        engine.on_packet(&p, &mut samples);
     }
     for p in exchange(ignored, 0, 100, 1_000_000, 10 * MILLISECOND) {
-        engine.process(&p, &mut samples);
+        engine.on_packet(&p, &mut samples);
     }
     assert_eq!(samples.len(), 1);
     assert_eq!(samples[0].flow, tracked);
@@ -61,7 +63,7 @@ fn flow_filter_restricts_tracking() {
     // Clearing the rules resumes full tracking at runtime.
     engine.set_flow_filter(FlowFilter::all());
     for p in exchange(ignored, 100, 100, 2_000_000, 10 * MILLISECOND) {
-        engine.process(&p, &mut samples);
+        engine.on_packet(&p, &mut samples);
     }
     assert_eq!(samples.len(), 2);
 }
@@ -97,8 +99,11 @@ fn victim_cache_rescues_evicted_records() {
         ]
     };
 
-    let (plain, plain_stats) = dart_core::run_trace(base, &mk_trace());
-    let (cached, cached_stats) = dart_core::run_trace(base.with_victim_cache(16), &mk_trace());
+    let (plain, plain_stats) = run_monitor_slice(&mut DartEngine::new(base), &mk_trace());
+    let (cached, cached_stats) = run_monitor_slice(
+        &mut DartEngine::new(base.with_victim_cache(16)),
+        &mk_trace(),
+    );
 
     assert_eq!(cached.len(), 2, "both samples collected with the cache");
     assert_eq!(cached_stats.victim_cache_hits, 1);
@@ -124,7 +129,7 @@ fn victim_cache_spills_oldest_to_recirculation() {
                 .build()
         })
         .collect();
-    let (_, stats) = dart_core::run_trace(cfg, &pkts);
+    let (_, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
     assert_eq!(stats.victim_cached, 2);
     // The spilled record went to the normal recirculation path.
     assert!(stats.recirc_issued >= 1);
@@ -151,7 +156,7 @@ fn rt_copy_avoids_recirculation_entirely() {
         ));
     }
     pkts.sort_by_key(|p| p.ts);
-    let (_, stats) = dart_core::run_trace(cfg, &pkts);
+    let (_, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
     assert_eq!(stats.recirc_issued, 0, "rt-copy replaces recirculation");
     assert!(stats.rt_copy_reinserted + stats.rt_copy_dropped > 0);
 }
@@ -183,7 +188,7 @@ fn rt_copy_staleness_can_drop_valid_records() {
             .dir(Direction::Inbound)
             .build(),
     ];
-    let (samples, stats) = dart_core::run_trace(cfg, &pkts);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
     assert_eq!(stats.rt_copy_dropped, 1);
     assert!(samples.is_empty(), "the lagging copy sacrificed the sample");
 }
@@ -226,7 +231,7 @@ fn rt_copy_follows_a_piggybacked_ack() {
             .dir(Direction::Inbound)
             .build(),
     ];
-    let (samples, stats) = dart_core::run_trace(cfg, &pkts);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
     assert_eq!(stats.dual_role_recirc, 1, "the ACK rode on a data segment");
     assert_eq!(stats.rt_copy_dropped, 1, "A's acknowledged record is dead");
     assert_eq!(stats.rt_copy_reinserted, 2);
@@ -251,11 +256,11 @@ fn features_compose_with_full_workload() {
     for round in 0..200u32 {
         let f = flow(round % 50);
         for p in exchange(f, round * 200, 200, t, 15 * MILLISECOND) {
-            engine.process(&p, &mut samples);
+            engine.on_packet(&p, &mut samples);
         }
         t += 700_000;
     }
-    engine.flush();
+    engine.flush(&mut samples);
     let s = engine.stats();
     assert!(!samples.is_empty());
     assert_eq!(s.samples as usize, samples.len());

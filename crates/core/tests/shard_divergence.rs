@@ -13,7 +13,7 @@
 //! reproduction.
 
 use dart_core::{
-    run_monitor_slice, run_trace, shard_of, DartConfig, EngineStats, RttSample, ShardedConfig,
+    run_monitor_slice, shard_of, DartConfig, DartEngine, EngineStats, RttSample, ShardedConfig,
     ShardedMonitor,
 };
 use dart_packet::{Direction, FlowKey, PacketBuilder, PacketMeta, MILLISECOND};
@@ -73,7 +73,7 @@ fn per_shard_tables_relax_pt_collision_pressure() {
     // second SEQ displaces the first flow's record, which self-destructs.
     let cfg = DartConfig::default().with_pt(1, 1).with_max_recirc(0);
 
-    let (serial_samples, serial) = run_trace(cfg, &pkts);
+    let (serial_samples, serial) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
     assert_eq!(
         serial_samples.len(),
         1,

@@ -51,7 +51,7 @@ fn cutoff_server_stops_acking() {
 
 #[test]
 fn stranded_records_squat_in_darts_pt() {
-    use dart_core::{run_trace, DartConfig};
+    use dart_core::{run_monitor_slice, DartConfig, DartEngine};
 
     let out = simulate(vec![base_spec(Some(10_000))], 2);
     let cfg = DartConfig::default().with_rt(1 << 10).with_pt(1 << 10, 1);
@@ -65,6 +65,7 @@ fn stranded_records_squat_in_darts_pt() {
     );
     // The delivered prefix still produced samples.
     assert!(!samples.is_empty());
-    let (unlimited, _) = run_trace(DartConfig::unlimited(), &out.packets);
+    let (unlimited, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
     assert!(unlimited.len() >= samples.len());
 }

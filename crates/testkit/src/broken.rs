@@ -1,7 +1,6 @@
 //! A deliberately unsound engine: the differential harness's canary.
 //!
-//! The skewed runner executes the real [`DartEngine`](dart_core::DartEngine)
-//! and then adds a
+//! The skewed runner executes the real [`DartEngine`] and then adds a
 //! constant to every emitted RTT. The resulting samples anchor to no
 //! captured transmission, so the oracle classifies them as
 //! [`Impossible`](crate::oracle::SampleClass::Impossible) — exactly the
@@ -10,7 +9,7 @@
 //! detected and (b) shrunk to a minimal reproducer; if this canary ever
 //! passes, the harness itself has rotted.
 
-use dart_core::{run_trace, DartConfig, EngineStats, RttSample};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, EngineStats, RttSample};
 use dart_packet::{Nanos, PacketMeta};
 
 /// Run the real engine, then skew every sample's RTT by `offset`
@@ -20,7 +19,7 @@ pub fn run_trace_skewed(
     offset: Nanos,
     packets: &[PacketMeta],
 ) -> (Vec<RttSample>, EngineStats) {
-    let (mut samples, stats) = run_trace(cfg, packets);
+    let (mut samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), packets);
     for s in &mut samples {
         s.rtt += offset;
     }

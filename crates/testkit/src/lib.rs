@@ -85,3 +85,23 @@ pub use scenarios::{
 };
 pub use shrink::{ddmin, shrink_and_save, shrunk_dir, write_artifact};
 pub use spin_oracle::{run_spin_oracle, SpinClass, SpinReport};
+
+use dart_core::{EngineStats, RttMonitor, RttSample};
+use dart_packet::PacketMeta;
+
+/// The one-packet-block extreme of split invariance: `monitor` fed one
+/// [`RttMonitor::on_packet`] call per packet, then flushed. The golden,
+/// backend-conformance and sharded-determinism suites pin this stream
+/// beside the block path ([`dart_core::run_monitor_slice`]) and irregular
+/// splits.
+pub fn run_per_packet<M: RttMonitor + ?Sized>(
+    monitor: &mut M,
+    packets: &[PacketMeta],
+) -> (Vec<RttSample>, EngineStats) {
+    let mut samples = Vec::new();
+    for p in packets {
+        monitor.on_packet(p, &mut samples);
+    }
+    monitor.flush(&mut samples);
+    (samples, monitor.stats())
+}

@@ -13,11 +13,11 @@
 //!   committed ddmin-minimal sketch-divergence artifact.
 
 use dart_baselines::EngineRegistry;
-use dart_core::{run_monitor_slice, Backend, DartConfig, DartEngine, RttMonitor, RttSample};
+use dart_core::{run_monitor_slice, Backend, DartConfig, DartEngine, RttMonitor};
 use dart_packet::PacketMeta;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::TargetProfile;
-use dart_testkit::{backend_sweep, run_diff, shrink_and_save, DiffConfig};
+use dart_testkit::{backend_sweep, run_diff, run_per_packet, shrink_and_save, DiffConfig};
 
 fn trace(seed: u64, connections: usize) -> Vec<PacketMeta> {
     campus(CampusConfig {
@@ -61,16 +61,6 @@ fn backend_sweeps_pass_the_differential_matrix() {
     }
 }
 
-fn streaming_run(cfg: DartConfig, pkts: &[PacketMeta]) -> (Vec<RttSample>, dart_core::EngineStats) {
-    let mut engine = DartEngine::new(cfg);
-    let mut samples = Vec::new();
-    for p in pkts {
-        engine.process(p, &mut samples);
-    }
-    engine.flush();
-    (samples, *engine.stats())
-}
-
 /// Exact parity across every construction path: the registry's `dart`
 /// entry (built through the backend seam), a directly constructed engine,
 /// and the batched `run_monitor_slice` driver must agree byte-for-byte on
@@ -82,7 +72,7 @@ fn exact_backend_is_identical_across_construction_and_batch_paths() {
         DartConfig::default(),
         DartConfig::default().with_rt(1 << 10).with_pt(256, 2),
     ] {
-        let (direct_samples, direct_stats) = streaming_run(cfg, &pkts);
+        let (direct_samples, direct_stats) = run_per_packet(&mut DartEngine::new(cfg), &pkts);
 
         let registry = EngineRegistry::standard();
         let mut built = registry.build("dart", &cfg).expect("dart is registered");
@@ -105,8 +95,11 @@ fn exact_backend_is_identical_across_construction_and_batch_paths() {
 fn with_backend_exact_is_an_identity_on_results() {
     let pkts = trace(0x1DE0, 50);
     let base = DartConfig::default().with_pt(128, 2);
-    let (a, sa) = streaming_run(base, &pkts);
-    let (b, sb) = streaming_run(base.with_backend(Backend::Exact), &pkts);
+    let (a, sa) = run_per_packet(&mut DartEngine::new(base), &pkts);
+    let (b, sb) = run_per_packet(
+        &mut DartEngine::new(base.with_backend(Backend::Exact)),
+        &pkts,
+    );
     assert_eq!(a, b);
     assert_eq!(sa, sb);
 }
@@ -116,8 +109,11 @@ fn with_backend_exact_is_an_identity_on_results() {
 /// divergence the committed reproducer pins.
 fn sketch_diverges(pkts: &[PacketMeta]) -> bool {
     let cfg_exact = DartConfig::default().with_rt(2).with_pt(2, 2);
-    let (exact, _) = streaming_run(cfg_exact, pkts);
-    let (sketch, stats) = streaming_run(cfg_exact.with_backend(Backend::Sketch), pkts);
+    let (exact, _) = run_per_packet(&mut DartEngine::new(cfg_exact), pkts);
+    let (sketch, stats) = run_per_packet(
+        &mut DartEngine::new(cfg_exact.with_backend(Backend::Sketch)),
+        pkts,
+    );
     sketch.len() < exact.len() && stats.sketch_overwritten > 0
 }
 

@@ -3,7 +3,7 @@
 //! check. CI runs exactly this (`cargo test -p dart-testkit`) and uploads
 //! `tests/shrunk/` when it fails.
 
-use dart_core::{DartConfig, ShardedConfig, ShardedMonitor};
+use dart_core::{run_monitor_slice, DartConfig, DartEngine, ShardedConfig, ShardedMonitor};
 use dart_packet::trace::TraceReader;
 use dart_packet::{PacketMeta, PacketSource};
 use dart_sim::scenario::{campus, CampusConfig};
@@ -193,9 +193,9 @@ fn sharded_and_serial_agree_on_faulted_traces() {
     for seed in FAULT_SEEDS {
         let mut injector = dart_testkit::FaultInjector::new(FaultConfig::stress(seed));
         let faulted = injector.apply(trace(TRACE_SEEDS[0]));
-        let (serial, _) = dart_core::run_trace(DartConfig::default(), &faulted);
+        let (serial, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &faulted);
         let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 4));
-        let (sharded, _) = dart_core::run_monitor_slice(&mut monitor, &faulted);
+        let (sharded, _) = run_monitor_slice(&mut monitor, &faulted);
         let count = |samples: &[dart_core::RttSample]| {
             let mut m: HashMap<_, u64> = HashMap::new();
             for s in samples {

@@ -8,7 +8,7 @@
 //! ```
 
 use dart::analytics::{PrefixAggregator, RttDistribution, Window};
-use dart::core::{run_trace, DartConfig, Leg};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, Leg};
 use dart::packet::MILLISECOND;
 use dart::sim::flowgen::is_wireless;
 use dart::sim::scenario::{campus, CampusConfig};
@@ -30,7 +30,7 @@ fn main() {
         .with_leg(Leg::Internal)
         .with_rt(1 << 14)
         .with_pt(1 << 13, 1);
-    let (internal, _) = run_trace(cfg, &trace.packets);
+    let (internal, _) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
     let mut wired = RttDistribution::new();
     let mut wireless = RttDistribution::new();
     for s in &internal {
@@ -56,7 +56,7 @@ fn main() {
 
     // --- External leg: monitor <-> Internet, aggregated per /24 ---------
     let cfg = DartConfig::default().with_rt(1 << 14).with_pt(1 << 13, 1);
-    let (external, _) = run_trace(cfg, &trace.packets);
+    let (external, _) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
     let mut agg = PrefixAggregator::new(24, Window::Time(5 * dart::packet::SECOND));
     let mut closed = Vec::new();
     for s in &external {

@@ -12,7 +12,7 @@
 //! ```
 
 use dart::analytics::{ChangeDetector, ChangeDetectorConfig, Verdict};
-use dart::core::{run_trace, DartConfig};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::sim::scenario::{interception, AttackConfig};
 
 fn main() {
@@ -28,7 +28,8 @@ fn main() {
     println!("captured {} packets at the monitor", trace.len());
 
     // Dart collects RTT samples in real time...
-    let (samples, stats) = run_trace(DartConfig::default(), &trace.packets);
+    let (samples, stats) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &trace.packets);
     println!(
         "dart collected {} samples from {} tracked data packets\n",
         samples.len(),

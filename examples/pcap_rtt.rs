@@ -12,7 +12,7 @@
 //! external leg.
 
 use dart::analytics::RttDistribution;
-use dart::core::{DartConfig, DartEngine, RttSample};
+use dart::core::{DartConfig, DartEngine, RttMonitor, RttSample};
 use dart::packet::parse::PrefixClassifier;
 use dart::packet::{pcap, PacketSource, PcapSource};
 use dart::sim::scenario::{campus, CampusConfig};
@@ -69,7 +69,7 @@ fn main() {
     let mut shown = 0;
     for p in &packets {
         let before = samples.len();
-        dart.process(p, &mut samples);
+        dart.on_packet(p, &mut samples);
         if samples.len() > before && shown < 10 {
             let s = samples.last().unwrap();
             println!(
@@ -81,7 +81,7 @@ fn main() {
             shown += 1;
         }
     }
-    dart.flush();
+    dart.flush(&mut samples);
     if samples.len() > shown {
         println!("... and {} more samples", samples.len() - shown);
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use dart::baselines::{SpinConfig, SpinMonitor};
-use dart::core::{run_monitor_slice, run_trace, DartConfig, EngineStats};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, EngineStats};
 use dart::packet::{Direction, FlowKey, PacketMeta, MILLISECOND, SECOND};
 use dart::sim::netsim::{simulate, ConnSpec, Exchange};
 use dart::sim::spin::{spin_flow, SpinFlowConfig};
@@ -63,7 +63,8 @@ fn main() {
     spec.path.int_owd = MILLISECOND / 2;
     spec.path.ext_owd = 10 * MILLISECOND;
     let out = simulate(vec![spec], 3);
-    let (samples, stats) = run_trace(DartConfig::default(), &out.packets);
+    let (samples, stats) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &out.packets);
     let data_pkts = stats.seq_tracked;
     println!("\nTCP flow on the same path, via Dart:");
     println!("  RTT samples             : {}", samples.len());

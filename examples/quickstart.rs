@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use dart::core::{run_monitor_slice, DartConfig, DartEngine};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, RttMonitor};
 use dart::sim::scenario::{campus, CampusConfig};
 
 fn main() {

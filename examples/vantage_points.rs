@@ -9,7 +9,7 @@
 //! cargo run --release --example vantage_points
 //! ```
 
-use dart::core::{run_trace, DartConfig};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::packet::{FlowKey, MILLISECOND};
 use dart::sim::netsim::{ConnSpec, NetSim};
 
@@ -47,10 +47,11 @@ fn main() {
 
     // One independent Dart per vantage point.
     let mut mins = Vec::new();
-    let (samples, _) = run_trace(DartConfig::unlimited(), &out.packets);
+    let (samples, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
     mins.push(("gateway".to_string(), min_ms(&samples)));
     for (f, t) in fractions.iter().zip(&out.vp_traces) {
-        let (samples, _) = run_trace(DartConfig::unlimited(), t);
+        let (samples, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), t);
         mins.push((format!("vp @{:.0}%", f * 100.0), min_ms(&samples)));
     }
 

@@ -27,7 +27,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dart::core::{DartConfig, DartEngine, RttSample};
+//! use dart::core::{DartConfig, DartEngine, RttMonitor, RttSample};
 //! use dart::packet::{Direction, FlowKey, PacketBuilder};
 //!
 //! // A monitor sees an outbound data packet and its returning ACK.
@@ -39,8 +39,8 @@
 //!
 //! let mut dart = DartEngine::new(DartConfig::default());
 //! let mut samples: Vec<RttSample> = Vec::new();
-//! dart.process(&data, &mut samples);
-//! dart.process(&ack, &mut samples);
+//! dart.on_packet(&data, &mut samples);
+//! dart.on_packet(&ack, &mut samples);
 //! assert_eq!(samples[0].rtt_ms(), 23.0);
 //! ```
 //!

@@ -3,7 +3,7 @@
 //! refuses, and tcptrace (Karn) agrees with Dart.
 
 use dart::baselines::{Strawman, StrawmanConfig, TcpTrace, TcpTraceConfig};
-use dart::core::{run_monitor_slice, run_trace, DartConfig};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::packet::{Direction, FlowKey, PacketBuilder, PacketMeta, MILLISECOND};
 
 fn flow() -> FlowKey {
@@ -35,7 +35,7 @@ fn retransmission_trace() -> Vec<PacketMeta> {
 #[test]
 fn dart_and_tcptrace_refuse_ambiguous_retransmission_sample() {
     let trace = retransmission_trace();
-    let (dart, _) = run_trace(DartConfig::unlimited(), &trace);
+    let (dart, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &trace);
     assert!(dart.is_empty(), "dart must not guess: {dart:?}");
     let (tt, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &trace);
     assert!(tt.is_empty(), "tcptrace (Karn) must not guess: {tt:?}");
@@ -85,7 +85,7 @@ fn reordering_inflation_is_suppressed() {
         ack(100, 12 * MILLISECOND), // dup again
         ack(400, 80 * MILLISECOND), // P2 finally arrived: cumulative ACK
     ];
-    let (dart, stats) = run_trace(DartConfig::unlimited(), &trace);
+    let (dart, stats) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &trace);
     // Only P1's honest sample; the inflated 77 ms sample for P4 is refused.
     assert_eq!(dart.len(), 1);
     assert_eq!(dart[0].rtt, 10 * MILLISECOND);
@@ -114,7 +114,7 @@ fn optimistic_acks_do_not_deflate() {
             .dir(Direction::Inbound)
             .build(),
     ];
-    let (dart, stats) = run_trace(DartConfig::unlimited(), &trace);
+    let (dart, stats) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &trace);
     assert_eq!(stats.ack_optimistic, 1);
     assert_eq!(dart.len(), 1);
     assert_eq!(dart[0].rtt, 20 * MILLISECOND, "only the honest sample");
@@ -148,7 +148,7 @@ fn holes_keep_only_highest_range() {
             .dir(Direction::Inbound)
             .build(),
     ];
-    let (dart, stats) = run_trace(DartConfig::unlimited(), &trace);
+    let (dart, stats) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &trace);
     assert_eq!(stats.seq_hole_reset, 1);
     // Only the post-hole segment samples (ack 100 is below the reset left
     // edge); tcptrace gets both — the Fig 9a count gap in miniature.
@@ -183,7 +183,7 @@ fn wraparound_costs_dart_but_not_tcptrace() {
             .dir(Direction::Inbound)
             .build(),
     ];
-    let (dart, stats) = run_trace(DartConfig::unlimited(), &trace);
+    let (dart, stats) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &trace);
     assert_eq!(stats.seq_wraparound, 1);
     assert!(
         dart.is_empty(),

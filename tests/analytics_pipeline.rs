@@ -5,7 +5,7 @@
 use dart::analytics::{
     min_discard_pair, BufferbloatConfig, BufferbloatDetector, MinFilter, PrefixAggregator, Window,
 };
-use dart::core::{run_trace, DartConfig, DartEngine, RttSample};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, RttMonitor, RttSample};
 use dart::packet::{FlowKey, MILLISECOND, SECOND};
 use dart::sim::netsim::{simulate, ConnSpec};
 use dart::sim::scenario::{campus, CampusConfig};
@@ -24,17 +24,17 @@ fn preemptive_discard_saves_recirculations_without_hurting_the_min() {
         .with_max_recirc(4);
 
     // Plain run.
-    let (plain_samples, plain_stats) = run_trace(cfg, &trace.packets);
+    let (plain_samples, plain_stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
 
     // Discard-filter run.
     let (sink, filter) = min_discard_pair(SECOND, Vec::new());
     let mut engine = DartEngine::with_filter(cfg, Box::new(filter));
     let mut sink = sink;
     for p in &trace.packets {
-        engine.process(p, &mut sink);
+        engine.on_packet(p, &mut sink);
     }
-    engine.flush();
-    let filtered_stats = *engine.stats();
+    engine.flush(&mut sink);
+    let filtered_stats = engine.stats();
     let filtered_samples = sink.into_inner();
 
     assert!(
@@ -72,7 +72,10 @@ fn prefix_aggregation_sees_every_sampled_prefix() {
         duration: 5 * SECOND,
         ..CampusConfig::default()
     });
-    let (samples, _) = run_trace(DartConfig::unlimited(), &trace.packets);
+    let (samples, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited()),
+        &trace.packets,
+    );
     let mut agg = PrefixAggregator::new(24, Window::Count(4));
     let mut total = 0u64;
     for s in &samples {
@@ -104,7 +107,8 @@ fn bufferbloat_detector_fires_on_inflating_connection() {
         specs.push(spec);
     }
     let out = simulate(specs, 99);
-    let (samples, _) = run_trace(DartConfig::unlimited(), &out.packets);
+    let (samples, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
     assert!(!samples.is_empty());
 
     let mut det = BufferbloatDetector::new(BufferbloatConfig {

@@ -4,7 +4,7 @@
 //! The golden digests under `tests/golden/exact_backend.txt` were generated
 //! from the engine *before* the `RtTable`/`PtTable` seam was introduced
 //! (same pinned traces, same configs; `streaming=` is the one-packet split
-//! — the engine has one body, `process` is a one-packet block of it — and
+//! — the engine has one body, `on_packet` is a one-packet block of it — and
 //! `batch=` an irregular one, pinned separately as bytes). Any
 //! behavioural drift in the exact backend — a reordered table probe, a
 //! changed eviction decision, a different sample or counter — changes a
@@ -19,11 +19,12 @@
 //! adding *new* counters (admission/sketch accounting) cannot disturb
 //! them.
 
-use dart::core::{DartConfig, DartEngine, EngineStats, Leg, RttSample};
+use dart::core::{DartConfig, DartEngine, EngineStats, Leg, RttMonitor, RttSample};
 use dart::packet::{FlowKey, PacketMeta};
 use dart::sim::scenario::{campus, CampusConfig};
 use dart::sim::spin::SpinFlowConfig;
 use dart::sim::spin_flow;
+use dart_testkit::run_per_packet;
 use std::fmt::Write as _;
 
 /// The counter set that predates the backend seam: digests are computed
@@ -172,24 +173,19 @@ fn config_cases() -> Vec<(&'static str, DartConfig)> {
     ]
 }
 
-/// One streaming replay digest: per-packet `process` + flush.
+/// One streaming replay digest: per-packet `on_packet` + flush.
 fn digest_streaming(cfg: DartConfig, pkts: &[PacketMeta]) -> u64 {
-    let mut engine = DartEngine::new(cfg);
-    let mut samples: Vec<RttSample> = Vec::new();
-    for p in pkts {
-        engine.process(p, &mut samples);
-    }
-    engine.flush();
+    let (samples, stats) = run_per_packet(&mut DartEngine::new(cfg), pkts);
     let mut d = Digest::new();
     d.u64(samples.len() as u64);
     for s in &samples {
         d.sample(s);
     }
-    d.stats(engine.stats());
+    d.stats(&stats);
     d.0
 }
 
-/// One batch replay digest: `process_batch` over irregular splits + flush.
+/// One batch replay digest: `on_batch` over irregular splits + flush.
 fn digest_batch(cfg: DartConfig, pkts: &[PacketMeta]) -> u64 {
     let split_lens = [256usize, 1, 0, 1024, 7, 64, 3];
     let mut engine = DartEngine::new(cfg);
@@ -197,17 +193,17 @@ fn digest_batch(cfg: DartConfig, pkts: &[PacketMeta]) -> u64 {
     let (mut off, mut s) = (0usize, 0usize);
     while off < pkts.len() {
         let len = split_lens[s % split_lens.len()].min(pkts.len() - off);
-        engine.process_batch(&pkts[off..off + len], &mut samples);
+        engine.on_batch(&pkts[off..off + len], &mut samples);
         off += len;
         s += 1;
     }
-    engine.flush();
+    engine.flush(&mut samples);
     let mut d = Digest::new();
     d.u64(samples.len() as u64);
     for s in &samples {
         d.sample(s);
     }
-    d.stats(engine.stats());
+    d.stats(&engine.stats());
     d.0
 }
 
@@ -280,27 +276,22 @@ mod split_invariance {
                     .with_pt(256, 2)
                     .with_backend(backend);
 
-                let mut streaming = DartEngine::new(cfg);
-                let mut s_samples: Vec<RttSample> = Vec::new();
-                for p in &pkts {
-                    streaming.process(p, &mut s_samples);
-                }
-                streaming.flush();
+                let (s_samples, s_stats) = run_per_packet(&mut DartEngine::new(cfg), &pkts);
 
                 let mut batch = DartEngine::new(cfg);
                 let mut b_samples: Vec<RttSample> = Vec::new();
                 let (mut off, mut s) = (0usize, 0usize);
                 while off < pkts.len() {
                     let len = splits[s % splits.len()].min(pkts.len() - off);
-                    batch.process_batch(&pkts[off..off + len], &mut b_samples);
+                    batch.on_batch(&pkts[off..off + len], &mut b_samples);
                     off += len;
                     s += 1;
                 }
-                batch.flush();
+                batch.flush(&mut b_samples);
 
                 prop_assert_eq!(
-                    digest_full(&s_samples, streaming.stats()),
-                    digest_full(&b_samples, batch.stats()),
+                    digest_full(&s_samples, &s_stats),
+                    digest_full(&b_samples, &batch.stats()),
                     "{:?} backend diverged between streaming and batch", backend
                 );
             }

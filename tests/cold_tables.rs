@@ -19,7 +19,9 @@
 mod common;
 
 use common::requested_bytes;
-use dart::core::{Backend, DartConfig, DartEngine, Leg, RttSample, Snapshot, SnapshotError};
+use dart::core::{
+    Backend, DartConfig, DartEngine, Leg, RttMonitor, RttSample, Snapshot, SnapshotError,
+};
 use dart::packet::{Direction, FlowKey, PacketBuilder, PacketMeta};
 
 include!("fixtures/traffic.rs");
@@ -61,7 +63,7 @@ fn a_parent_checkpoint_restores_and_reserialises_byte_identically() {
         let mut fed = DartEngine::new(cfg);
         let mut sink: Vec<RttSample> = Vec::new();
         for p in &traffic {
-            fed.process(p, &mut sink);
+            fed.on_packet(p, &mut sink);
         }
         let written = fed.snapshot().unwrap();
 

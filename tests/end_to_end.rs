@@ -3,7 +3,7 @@
 //! pipeline in one process.
 
 use dart::baselines::{TcpTrace, TcpTraceConfig};
-use dart::core::{run_monitor_slice, run_trace, DartConfig, SynPolicy};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine, RttMonitor, SynPolicy};
 use dart::sim::scenario::{campus, syn_flood, CampusConfig, SynFloodConfig};
 
 fn small_campus() -> dart::sim::scenario::GeneratedTrace {
@@ -17,9 +17,12 @@ fn small_campus() -> dart::sim::scenario::GeneratedTrace {
 #[test]
 fn constrained_dart_tracks_the_unlimited_baseline() {
     let trace = small_campus();
-    let (baseline, _) = run_trace(DartConfig::unlimited(), &trace.packets);
+    let (baseline, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited()),
+        &trace.packets,
+    );
     let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 10, 1);
-    let (samples, stats) = run_trace(cfg, &trace.packets);
+    let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets);
 
     assert!(!baseline.is_empty());
     let fraction = samples.len() as f64 / baseline.len() as f64;
@@ -37,7 +40,10 @@ fn dart_never_collects_more_than_tcptrace() {
     // Fig 9a's ordering must hold on any trace.
     let trace = small_campus();
     for syn in [SynPolicy::Include, SynPolicy::Skip] {
-        let (dart, _) = run_trace(DartConfig::unlimited().with_syn(syn), &trace.packets);
+        let (dart, _) = run_monitor_slice(
+            &mut DartEngine::new(DartConfig::unlimited().with_syn(syn)),
+            &trace.packets,
+        );
         let mut tcptrace = TcpTrace::new(TcpTraceConfig {
             syn_policy: syn,
             quadrant_quirk: true,
@@ -83,7 +89,7 @@ fn deterministic_end_to_end() {
     let run = || {
         let trace = small_campus();
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 9, 2);
-        run_trace(cfg, &trace.packets).0
+        run_monitor_slice(&mut DartEngine::new(cfg), &trace.packets).0
     };
     assert_eq!(run(), run());
 }
@@ -93,7 +99,10 @@ fn samples_respect_propagation_floors() {
     // With per-hop jitter of ±4%, no sample can be more than ~8% below its
     // path's base RTT; most sit above it (receiver delays add).
     let trace = small_campus();
-    let (samples, _) = run_trace(DartConfig::unlimited(), &trace.packets);
+    let (samples, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited()),
+        &trace.packets,
+    );
     let mut below = 0;
     for s in &samples {
         let conn = trace
@@ -123,9 +132,9 @@ fn both_legs_sum_to_end_to_end() {
     spec.path.ext_owd = 10 * dart::packet::MILLISECOND;
     let out = simulate(vec![spec], 7);
 
-    let (ext, _) = run_trace(DartConfig::unlimited(), &out.packets);
-    let (int, _) = run_trace(
-        DartConfig::unlimited().with_leg(Leg::Internal),
+    let (ext, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
+    let (int, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited().with_leg(Leg::Internal)),
         &out.packets,
     );
     assert!(!ext.is_empty() && !int.is_empty());

@@ -6,8 +6,8 @@ use dart::baselines::{
     Dapper, DapperConfig, LeanRtt, Pping, PpingConfig, Strawman, StrawmanConfig,
 };
 use dart::core::{
-    run_monitor, run_monitor_slice, run_trace, DartConfig, DartEngine, EngineEvent, Leg, RttSample,
-    SampleSink,
+    run_monitor, run_monitor_slice, DartConfig, DartEngine, EngineEvent, Leg, RttMonitor,
+    RttSample, SampleSink,
 };
 use dart::packet::SliceSource;
 use dart::sim::scenario::{campus, CampusConfig};
@@ -26,7 +26,7 @@ fn dart_collects_far_more_samples_than_dapper() {
     // §8: Dapper tracks one packet per window — too few samples per unit
     // time for windowed analytics.
     let t = trace();
-    let (dart, _) = run_trace(DartConfig::unlimited(), &t.packets);
+    let (dart, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
     let mut dapper = Dapper::new(DapperConfig::default());
     let (dapper_samples, _) = run_monitor_slice(&mut dapper, &t.packets);
     assert!(
@@ -45,7 +45,7 @@ fn pping_is_blind_to_optionless_flows_and_coarse_clocks() {
     // harvests the pure-ACK stream — the problem is coverage and precision,
     // not volume.)
     let t = trace();
-    let (dart, _) = run_trace(DartConfig::unlimited(), &t.packets);
+    let (dart, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
     let mut pping = Pping::new(PpingConfig::default());
     let (pping_samples, _) = run_monitor_slice(&mut pping, &t.packets);
 
@@ -73,7 +73,7 @@ fn lean_average_is_skewed_by_ack_thinning() {
     // per-flow averages on real traffic (cumulative/delayed ACKs break its
     // pairing assumption).
     let t = trace();
-    let (dart, _) = run_trace(DartConfig::unlimited(), &t.packets);
+    let (dart, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
     let mut lean = LeanRtt::new(Leg::External);
     run_monitor_slice(&mut lean, &t.packets);
     // Per-flow matched averages from Dart.
@@ -112,7 +112,8 @@ fn strawman_emits_samples_dart_refuses() {
     // On lossy traffic the strawman reports ambiguous retransmission
     // samples; Dart refuses them by design.
     let t = trace();
-    let (_, dart_stats) = run_trace(DartConfig::unlimited(), &t.packets);
+    let (_, dart_stats) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &t.packets);
     let mut sm = Strawman::new(StrawmanConfig {
         slots: 1 << 16,
         timeout: None,

@@ -2,7 +2,7 @@
 //! the path decompose the end-to-end RTT into per-segment legs, localizing
 //! where latency lives.
 
-use dart::core::{run_trace, DartConfig};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::packet::{FlowKey, MILLISECOND};
 use dart::sim::netsim::{ConnSpec, NetSim};
 
@@ -30,11 +30,12 @@ fn downstream_vantage_points_see_shorter_external_rtts() {
 
     // Run an independent Dart at each vantage point.
     let mut mins = Vec::new();
-    let (primary, _) = run_trace(DartConfig::unlimited(), &out.packets);
+    let (primary, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
     assert!(!primary.is_empty());
     mins.push(primary.iter().map(|s| s.rtt).min().unwrap());
     for vp in &out.vp_traces {
-        let (samples, _) = run_trace(DartConfig::unlimited(), vp);
+        let (samples, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), vp);
         assert!(!samples.is_empty(), "vantage point collected nothing");
         mins.push(samples.iter().map(|s| s.rtt).min().unwrap());
     }
@@ -66,8 +67,12 @@ fn leg_decomposition_localizes_latency() {
     let out = NetSim::new(specs, 12)
         .with_extra_vantage_points([0.5])
         .run();
-    let (at_monitor, _) = run_trace(DartConfig::unlimited(), &out.packets);
-    let (at_mid, _) = run_trace(DartConfig::unlimited(), &out.vp_traces[0]);
+    let (at_monitor, _) =
+        run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &out.packets);
+    let (at_mid, _) = run_monitor_slice(
+        &mut DartEngine::new(DartConfig::unlimited()),
+        &out.vp_traces[0],
+    );
     let m0 = at_monitor.iter().map(|s| s.rtt).min().unwrap();
     let m1 = at_mid.iter().map(|s| s.rtt).min().unwrap();
     // Segment RTT between the two vantage points = difference of their

@@ -3,8 +3,8 @@
 //! ones.
 
 use dart::core::{
-    run_trace, AckVerdict, DartConfig, EngineStats, MeasurementRange, PacketTracker, PtInsert,
-    PtMode, SaluRangeTracker, SeqVerdict,
+    run_monitor_slice, AckVerdict, DartConfig, DartEngine, EngineStats, MeasurementRange,
+    PacketTracker, PtInsert, PtMode, SaluRangeTracker, SeqVerdict,
 };
 use dart::packet::{
     Direction, FlowKey, PacketBuilder, PacketMeta, SeqNum, SignatureWidth, TcpFlags,
@@ -402,7 +402,7 @@ proptest! {
     /// equals the gap between that data packet's capture and the ACK's.
     #[test]
     fn every_sample_is_justified_by_the_trace(pkts in packet_stream()) {
-        let (samples, _) = run_trace(DartConfig::unlimited(), &pkts);
+        let (samples, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         // Oracle: all (eack -> ts) sightings of data packets.
         let mut sightings: HashMap<u32, Vec<u64>> = HashMap::new();
         let mut justified = vec![];
@@ -433,11 +433,11 @@ proptest! {
         pt_log in 1u32..8,
         stages in 1usize..3,
     ) {
-        let (unlimited, _) = run_trace(DartConfig::unlimited(), &pkts);
+        let (unlimited, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         let slots = 1usize << pt_log;
         prop_assume!(slots >= stages);
         let cfg = DartConfig::default().with_rt(1 << 10).with_pt(slots, stages);
-        let (constrained, _) = run_trace(cfg, &pkts);
+        let (constrained, _) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
         prop_assert!(constrained.len() <= unlimited.len());
     }
 
@@ -446,7 +446,7 @@ proptest! {
     #[test]
     fn engine_counter_consistency(pkts in packet_stream()) {
         let cfg = DartConfig::default().with_rt(1 << 8).with_pt(1 << 6, 2).with_max_recirc(3);
-        let (samples, stats) = run_trace(cfg, &pkts);
+        let (samples, stats) = run_monitor_slice(&mut DartEngine::new(cfg), &pkts);
         prop_assert_eq!(stats.packets as usize, pkts.len());
         prop_assert_eq!(stats.samples as usize, samples.len());
         prop_assert_eq!(stats.samples, stats.pt_matched);

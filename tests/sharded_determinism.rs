@@ -12,11 +12,12 @@
 //!   serial engine: samples, order, and every stats counter.
 
 use dart::core::{
-    run_monitor, run_trace, DartConfig, EngineEvent, RttMonitor, RttSample, SampleSink,
+    run_monitor, DartConfig, DartEngine, EngineEvent, RttMonitor, RttSample, SampleSink,
     ShardedConfig, ShardedMonitor,
 };
 use dart::packet::{FlowKey, PacketMeta, SliceSource};
 use dart::sim::scenario::{campus, CampusConfig};
+use dart_testkit::run_per_packet;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -100,7 +101,7 @@ proptest! {
     #[test]
     fn unlimited_sharded_equals_serial((seed, conns, loss, reorder) in trace_params()) {
         let pkts = make_trace(seed, conns, loss, reorder);
-        let (serial, serial_stats) = run_trace(DartConfig::unlimited(), &pkts);
+        let (serial, serial_stats) = run_per_packet(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         for shards in [1usize, 2, 4, 8] {
             let (out, monitor) =
                 run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
@@ -115,7 +116,7 @@ proptest! {
     #[test]
     fn per_flow_multiset_is_shard_invariant((seed, conns, loss, reorder) in trace_params()) {
         let pkts = make_trace(seed, conns, loss, reorder);
-        let (serial, _) = run_trace(DartConfig::unlimited(), &pkts);
+        let (serial, _) = run_per_packet(&mut DartEngine::new(DartConfig::unlimited()), &pkts);
         let reference = per_flow(&serial);
         for shards in [2usize, 4, 8] {
             let (out, _) = run_sharded(ShardedConfig::new(DartConfig::unlimited(), shards), &pkts);
@@ -129,7 +130,7 @@ proptest! {
     fn one_shard_threaded_is_bit_identical((seed, conns, loss, reorder) in trace_params()) {
         let pkts = make_trace(seed, conns, loss, reorder);
         let cfg = DartConfig::default().with_rt(1 << 12).with_pt(1 << 8, 1);
-        let (serial, serial_stats) = run_trace(cfg, &pkts);
+        let (serial, serial_stats) = run_per_packet(&mut DartEngine::new(cfg), &pkts);
         let (out, monitor) = run_sharded(ShardedConfig::new(cfg, 1).with_batch_size(256), &pkts);
         prop_assert_eq!(out.samples, serial);
         prop_assert_eq!(monitor.stats(), serial_stats);

@@ -77,7 +77,7 @@ fn checkpoint(cfg: DartConfig) -> Snapshot {
     let mut engine = DartEngine::new(cfg);
     let mut sink: Vec<RttSample> = Vec::new();
     for p in &traffic(0, 200) {
-        engine.process(p, &mut sink);
+        engine.on_packet(p, &mut sink);
     }
     engine.snapshot().unwrap()
 }
@@ -156,12 +156,12 @@ fn check(name: &str, cfg: DartConfig, payload: Vec<u8>) -> Result<(), TestCaseEr
     // Restored or refused half way, the engine keeps running.
     let mut sink: Vec<RttSample> = Vec::new();
     for p in &traffic(200, 320) {
-        engine.process(p, &mut sink);
+        engine.on_packet(p, &mut sink);
     }
-    engine.process_batch(&traffic(320, 400), &mut sink);
+    engine.on_batch(&traffic(320, 400), &mut sink);
     engine.rotate_epoch(350_000);
     let again = engine.snapshot().unwrap();
-    engine.flush();
+    engine.flush(&mut sink);
     if outcome.is_some_and(|o| o.is_ok()) {
         // What was accepted can be written out and accepted again.
         let mut second = DartEngine::new(cfg);

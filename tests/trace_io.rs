@@ -3,7 +3,7 @@
 //! produces identical results from the stored copy.
 
 use dart::baselines::{TcpTrace, TcpTraceConfig};
-use dart::core::{run_monitor_slice, run_trace, DartConfig};
+use dart::core::{run_monitor_slice, DartConfig, DartEngine};
 use dart::packet::parse::PrefixClassifier;
 use dart::packet::trace::{self, TraceReader};
 use dart::packet::{pcap, PacketError, PacketMeta, PacketSource, PcapSource};
@@ -32,8 +32,8 @@ fn native_round_trip_preserves_analysis_results() {
     let restored = read_native(&bytes).unwrap();
     assert_eq!(restored, t.packets);
 
-    let (direct, _) = run_trace(DartConfig::default(), &t.packets);
-    let (replayed, _) = run_trace(DartConfig::default(), &restored);
+    let (direct, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &t.packets);
+    let (replayed, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &restored);
     assert_eq!(direct, replayed);
 }
 
@@ -50,8 +50,8 @@ fn pcap_round_trip_preserves_analysis_results() {
     assert_eq!(restored, t.packets);
 
     // Both Dart and tcptrace agree between the live and replayed copies.
-    let (d1, _) = run_trace(DartConfig::default(), &t.packets);
-    let (d2, _) = run_trace(DartConfig::default(), &restored);
+    let (d1, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &t.packets);
+    let (d2, _) = run_monitor_slice(&mut DartEngine::new(DartConfig::default()), &restored);
     assert_eq!(d1, d2);
     let (t1, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &t.packets);
     let (t2, _) = run_monitor_slice(&mut TcpTrace::new(TcpTraceConfig::default()), &restored);
