@@ -6,16 +6,19 @@
 //! oracle's valid set.
 //!
 //! The question the sweep answers is the tentpole's: at a fixed SRAM
-//! fraction, how far past the exact tables' designed population can the
+//! budget, how far past the exact tables' designed population can the
 //! sketch (recency-aged) and precision (admission-gated) backends keep
 //! monitoring? A backend "sustains" a population multiple while its
 //! recall holds within 5% of the exact backend's recall at the base
 //! population (the design point standing in for the paper's 1.38M flows);
 //! the `frontier` block reports each backend's largest sustained multiple.
 //!
-//! Every backend is swept, each given [`FRACTION`] of the Tofino 1 SRAM
-//! budget (split PT:RT as 1:8 slots via `backend_sweep`), over campus
-//! traffic with [`MEAN_LOSS`] per-direction loss. Flags (all optional):
+//! Every backend is swept at one SRAM budget: what `dart_core::program`
+//! prices the exact tables at on Tofino 1 with [`PT_SLOTS`] PT slots and
+//! 8× as many RT slots. `backend_sweep` gives each other backend the
+//! largest tables, priced the same way, that this budget buys. The traffic
+//! is campus traffic with [`MEAN_LOSS`] per-direction loss. Flags (all
+//! optional):
 //!
 //! * `--multiples 1,3,10,30,100` — flow-population multiples (default);
 //! * `--base-conns N` — base connection count (default 192);
@@ -30,7 +33,9 @@
 //! split-invariance of all backends is pinned by
 //! `tests/backend_conformance.rs`.
 
-use dart_core::{run_monitor_slice, Backend, DartConfig, DartEngine, PtMode, RtMode, RttSample};
+use dart_core::{
+    program, run_monitor_slice, Backend, DartConfig, DartEngine, PtMode, RtMode, RttSample,
+};
 use dart_packet::{FlowKey, PacketMeta, SECOND};
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::TargetProfile;
@@ -45,8 +50,9 @@ const BLOCK: usize = dart_core::DEFAULT_BLOCK_PKTS;
 /// The backends swept, in row order.
 const BACKENDS: [Backend; 3] = [Backend::Exact, Backend::Sketch, Backend::Precision];
 
-/// SRAM fraction of the Tofino 1 budget given to every backend's tables.
-const FRACTION: f64 = 6e-4;
+/// PT slots of the exact tables whose priced program is every backend's
+/// SRAM budget (the RT gets 8× as many).
+const PT_SLOTS: usize = 512;
 
 /// Mean per-direction loss probability of the generated traffic.
 const MEAN_LOSS: f64 = 0.02;
@@ -281,18 +287,28 @@ fn main() {
     };
 
     let profile = TargetProfile::tofino1();
+    let price = |cfg: &DartConfig| {
+        program(cfg, &profile)
+            .expect("sweep configs are constrained")
+            .sram_bits()
+    };
     let configs: Vec<(Backend, DartConfig)> = BACKENDS
         .iter()
-        .map(|&b| (b, backend_sweep(&profile, &[FRACTION], b)[0]))
+        .map(|&b| (b, backend_sweep(&profile, &[PT_SLOTS], b)[0]))
         .collect();
-    let budget_bits = (profile.sram_bits as f64 * FRACTION) as u64;
+    let budget_bits = price(&configs[0].1);
     eprintln!(
-        "SRAM budget: {budget_bits} bits ({FRACTION:.2e} of {}):",
+        "SRAM budget: {budget_bits} bits, the exact program at RT {} / PT {PT_SLOTS} on {}:",
+        8 * PT_SLOTS,
         profile.name
     );
     for (b, cfg) in &configs {
         let (rt, pt) = table_slots(cfg);
-        eprintln!("  {:<9} rt={rt} slots, pt={pt} slots", b);
+        eprintln!(
+            "  {:<9} rt={rt} slots, pt={pt} slots, {} bits",
+            b,
+            price(cfg)
+        );
     }
 
     let mut rows: Vec<Row> = Vec::new();
@@ -373,14 +389,19 @@ fn main() {
         );
     }
 
-    let git_rev = provenance("git", &["rev-parse", "--short=12", "HEAD"]);
+    let git_rev = provenance("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
     let rustc = provenance("rustc", &["--version"]);
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
     writeln!(json, "  \"scenario\": \"campus\",").unwrap();
     writeln!(json, "  \"profile\": \"{}\",", profile.name).unwrap();
-    writeln!(json, "  \"sram_fraction\": {FRACTION:e},").unwrap();
+    writeln!(
+        json,
+        "  \"budget_geometry\": {{\"rt_slots\": {}, \"pt_slots\": {PT_SLOTS}}},",
+        8 * PT_SLOTS
+    )
+    .unwrap();
     writeln!(json, "  \"sram_budget_bits\": {budget_bits},").unwrap();
     writeln!(json, "  \"base_conns\": {base_conns},").unwrap();
     writeln!(json, "  \"duration_secs\": {duration_secs},").unwrap();
@@ -391,7 +412,10 @@ fn main() {
     writeln!(json, "  \"rustc\": \"{rustc}\",").unwrap();
     writeln!(
         json,
-        "  \"note\": \"equal SRAM budget per backend; recall = fraction of the \
+        "  \"note\": \"equal SRAM budget per backend: sram_bits is the whole data-plane \
+         program dart_core::program builds for the row's config, as dart_switch::estimate \
+         charges it (register bits plus 20% overhead, the fixed Dart tables included), \
+         and the budget is the exact backend's at budget_geometry; recall = fraction of the \
          oracle's valid sample set recovered; rel_err percentiles are over \
          emitted samples whose (flow, eack) the oracle also sampled (0 = \
          every matched sample has the oracle's RTT); a multiple is \
@@ -406,8 +430,10 @@ fn main() {
         let (rt, pt) = table_slots(cfg);
         writeln!(
             json,
-            "    {{\"backend\": \"{}\", \"rt_slots\": {rt}, \"pt_slots\": {pt}}}{comma}",
-            b
+            "    {{\"backend\": \"{}\", \"rt_slots\": {rt}, \"pt_slots\": {pt}, \
+             \"sram_bits\": {}}}{comma}",
+            b,
+            price(cfg)
         )
         .unwrap();
     }

@@ -79,9 +79,10 @@ pub enum RtMode {
     /// across `ways` independently hashed ways, with recency-based
     /// eviction: a new flow landing on a fully occupied way set overwrites
     /// the least-recently-touched occupant instead of being rejected. Under
-    /// churn this reclaims slots leaked to dead flows, stretching a fixed
-    /// SRAM budget 10×–100× further at the cost of bounded, *counted*
-    /// sample loss ([`crate::EngineStats::sketch_overwritten`]).
+    /// churn this reclaims slots leaked to dead flows, carrying about 10×
+    /// the population an exact table of the same SRAM was sized for at the
+    /// cost of bounded, *counted* sample loss
+    /// ([`crate::EngineStats::sketch_overwritten`]).
     Sketch {
         /// Total entries across all ways.
         slots: usize,
@@ -104,8 +105,8 @@ pub enum PtMode {
         stages: usize,
     },
     /// A compact fingerprint sketch: `slots` cells of `(fingerprint, ts)`
-    /// pairs — 80 bits vs. the exact record's 112 — split across `ways`
-    /// hashed ways. Insertion into a full way set overwrites the
+    /// pairs — two 32-bit registers where the exact record has three —
+    /// split across `ways` hashed ways. Insertion into a full way set overwrites the
     /// oldest-timestamp cell (counted, never recirculated); matching
     /// verifies the fingerprint before emitting a sample.
     Sketch {

@@ -15,7 +15,8 @@
 //! * [`packet_tracker::PacketTracker`] — the PT table with lazy eviction
 //!   (§3.2);
 //! * [`engine::DartEngine`] — the full pipeline with second-chance
-//!   recirculation, cycle detection, and the analytics discard hook (§3.3).
+//!   recirculation, cycle detection, and the analytics discard hook (§3.3);
+//! * [`program()`] — the data-plane program a configuration runs (Table 1).
 //!
 //! ```
 //! use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
@@ -48,6 +49,7 @@ pub mod error;
 pub mod filter;
 pub mod monitor;
 pub mod packet_tracker;
+pub mod program;
 pub mod pt_salu;
 pub mod range;
 pub mod range_tracker;
@@ -70,6 +72,7 @@ pub use monitor::{
     ReadAhead, RttMonitor, Stage, DEFAULT_BLOCK_PKTS,
 };
 pub use packet_tracker::{PacketTracker, PtInsert, PtRecord};
+pub use program::{program, Unlimited};
 pub use pt_salu::{SaluPtSlot, SlotRecord};
 pub use range::{AckVerdict, MeasurementRange, SeqVerdict};
 pub use range_tracker::{RangeTracker, RtAckOutcome, RtSeqOutcome, RtSlot};

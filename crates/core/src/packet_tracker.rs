@@ -63,6 +63,10 @@ impl Packed for PtRecord {
     }
 }
 
+/// The data-plane registers of one slot, in SALU stage order: `pt_salu`'s
+/// signature, eACK and timestamp.
+pub(crate) const PT_REGISTERS: [&str; 3] = ["pt_sig", "pt_eack", "pt_ts"];
+
 impl PtRecord {
     /// The record's identity.
     pub fn id(&self) -> PacketId {

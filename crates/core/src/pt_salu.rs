@@ -70,10 +70,10 @@ fn clear_program() -> SaluProgram {
     }
 }
 
-/// A PT slot realized as three SALU-driven registers. The signature
-/// register doubles as the occupancy indicator (0 = empty, a real
-/// deployment reserves the sentinel or keeps a validity bit — our third
-/// register in the resource model).
+/// A PT slot realized as three SALU-driven registers, the three
+/// `PT_REGISTERS` the program charges. The signature register doubles as
+/// the occupancy indicator (0 = empty; a real deployment reserves the
+/// sentinel).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SaluPtSlot {
     sig: u32,

@@ -98,6 +98,10 @@ impl Packed for RtEntry {
     }
 }
 
+/// The data-plane registers of one slot, in SALU stage order: the
+/// signature check, then `rt_salu`'s right edge before its left.
+pub(crate) const RT_REGISTERS: [&str; 3] = ["rt_sig", "rt_right", "rt_left"];
+
 /// Unlimited-mode record: the range plus the same activity generation.
 #[derive(Clone, Copy, Debug)]
 struct RtMapEntry {

@@ -2,8 +2,9 @@
 //!
 //! The exact RT/PT register tables cap the concurrent-flow population a
 //! fixed SRAM budget can carry (the paper stops at 1.38M connections).
-//! This module stretches the same memory 10×–100× further with bounded,
-//! *counted* error, following two lines of related work:
+//! This module stretches the same memory to about 10× that population
+//! (`BENCH_memory_frontier.json`) with bounded, *counted* error, following
+//! two lines of related work:
 //!
 //! * **DUNE-style sketch tables** ([`SketchRangeTracker`],
 //!   [`SketchPacketTracker`]) — set-associative ways with recency-based
@@ -248,6 +249,10 @@ impl HeavyHitters {
 // Probabilistic-recirculation admission gate (`dart@precision`)
 // ---------------------------------------------------------------------------
 
+/// The admission gate's count-min sketch: counters per row, and rows.
+pub(crate) const CMS_WIDTH: usize = 512;
+pub(crate) const CMS_DEPTH: usize = 2;
+
 /// What the admission gate decided for one evicted record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admission {
@@ -278,7 +283,7 @@ impl AdmissionGate {
     /// plus up to `hh_capacity` heavy-hitter flows unconditionally.
     pub fn new(sample_shift: u32, hh_capacity: usize, seed: u64) -> AdmissionGate {
         AdmissionGate {
-            hh: HeavyHitters::new(hh_capacity, 512, 2, seed),
+            hh: HeavyHitters::new(hh_capacity, CMS_WIDTH, CMS_DEPTH, seed),
             mask: (1u64 << sample_shift.min(63)) - 1,
             seed,
         }
@@ -304,11 +309,6 @@ impl AdmissionGate {
         } else {
             Admission::Denied
         }
-    }
-
-    /// The heavy-hitter store (reports / tests).
-    pub fn heavy_hitters(&self) -> &HeavyHitters {
-        &self.hh
     }
 
     /// Serialize the gate's identity (mask, seed) and heavy-hitter book
@@ -367,6 +367,10 @@ impl Packed for SketchRtEntry {
         }
     }
 }
+
+/// The data-plane registers of one way's slot, in SALU stage order: the
+/// exact slot's three, then the recency stamp.
+pub(crate) const SKETCH_RT_REGISTERS: [&str; 4] = ["rt_sig", "rt_right", "rt_left", "rt_recency"];
 
 /// A set-associative Range Tracker with recency eviction: `ways`
 /// independently hashed ways of `slots / ways` entries each. Where the
@@ -666,9 +670,8 @@ impl SketchRangeTracker {
 // ---------------------------------------------------------------------------
 
 /// One sketch-PT cell: a 32-bit record fingerprint plus the arrival
-/// timestamp — 80 bits against the exact record's 112 (32-bit signature +
-/// 32-bit eACK + 48-bit timestamp), a 1.4× density win before any
-/// behavioural difference.
+/// timestamp — two data-plane registers against the exact record's three
+/// (signature, eACK, timestamp; `SKETCH_PT_REGISTERS`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SketchPtCell {
     fp: u32,
@@ -691,6 +694,10 @@ impl Packed for SketchPtCell {
         }
     }
 }
+
+/// The data-plane registers of one way's cell, in SALU stage order: the
+/// fingerprint, then the timestamp.
+pub(crate) const SKETCH_PT_REGISTERS: [&str; 2] = ["pt_fp", "pt_ts"];
 
 /// A compact fingerprint Packet Tracker: `ways` seeded-CRC ways of
 /// `(fingerprint, ts)` cells. Insertion into a full way set overwrites

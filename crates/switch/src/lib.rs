@@ -3,8 +3,9 @@
 //! A behavioural model of the programmable-switch substrate Dart runs on:
 //! seeded CRC hash units, stateful register arrays with the one-access-per-
 //! traversal discipline, a bounded recirculation port, and a resource
-//! estimator that compiles a program layout against Tofino-like target
-//! profiles (regenerating the paper's Table 1).
+//! estimator and placer that compile a program layout against Tofino-like
+//! target profiles (the program itself is `dart_core::program`'s, which
+//! regenerates the paper's Table 1).
 //!
 //! The Dart engine (`dart-core`) builds its Range Tracker and Packet Tracker
 //! on [`RegisterArray`] + [`HashUnit`] and routes evicted records through
@@ -28,9 +29,9 @@ pub mod resources;
 pub mod salu;
 
 pub use hash::{crc32, HashUnit};
-pub use placement::{dart_dependencies, place, Dependency, Placement, PlacementError, StageLimits};
+pub use placement::{place, Placement, PlacementError};
 pub use profile::TargetProfile;
-pub use program::{dart_program, DartProgramParams, ProgramSpec, TableKind, TableSpec};
+pub use program::{ProgramSpec, TableKind, TableSpec};
 pub use recirc::{RecircPort, RecircStats, Recirculated, DEPTH_BUCKETS};
 pub use register::{Packed, RegisterArray, LIVE};
 pub use resources::{estimate, ResourceReport};

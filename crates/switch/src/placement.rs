@@ -3,53 +3,16 @@
 //! with — sequential dependencies ("memory once accessed cannot be
 //! revisited without recirculation") and per-stage capacity.
 //!
-//! The placer is a greedy first-fit over a dependency-ordered table list:
-//! each table goes in the earliest stage at or after its dependencies'
-//! stages with room left. Dart's RT and PT "spread across 3 component
-//! tables, and therefore 3 stages" (§4) falls out of the chained
-//! dependencies between their components.
+//! The placer is a greedy first-fit over the program's table list: each
+//! table goes in the earliest stage after its predecessor in the program's
+//! chain with room left. Dart's RT and PT "spread across 3 component
+//! tables, and therefore 3 stages" (§4) falls out of the chain their
+//! registers form.
 
 use crate::profile::TargetProfile;
 use crate::program::ProgramSpec;
 use std::collections::HashMap;
-
-/// Per-stage capacity limits used by the placer.
-#[derive(Clone, Copy, Debug)]
-pub struct StageLimits {
-    /// SRAM bits per stage.
-    pub sram_bits: u64,
-    /// TCAM bits per stage.
-    pub tcam_bits: u64,
-    /// Hash units per stage.
-    pub hash_units: u32,
-    /// Logical table IDs per stage.
-    pub logical_tables: u32,
-}
-
-impl StageLimits {
-    /// Derive per-stage limits from a target profile (even split).
-    pub fn from_profile(p: &TargetProfile) -> StageLimits {
-        StageLimits {
-            sram_bits: p.sram_bits / p.stages as u64,
-            tcam_bits: p.tcam_bits / p.stages as u64,
-            // The calibrated profiles count hash capacity in coarse blocks
-            // (see `TargetProfile` docs); physically each stage offers at
-            // least four 52-bit slices.
-            hash_units: (p.hash_units / p.stages).max(4),
-            logical_tables: (p.logical_tables / p.stages).max(1),
-        }
-    }
-}
-
-/// A sequential dependency: table `after` may only be placed in a stage
-/// strictly later than table `before` (it consumes the other's result).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Dependency {
-    /// Producing table name.
-    pub before: String,
-    /// Consuming table name.
-    pub after: String,
-}
+use std::fmt;
 
 /// The result of placing a program.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,13 +50,30 @@ pub enum PlacementError {
         /// The offending table.
         table: String,
     },
-    /// A dependency names an unknown table.
+    /// The chain names a table the program does not have.
     UnknownTable {
         /// The missing name.
         table: String,
     },
 }
 
+impl fmt::Display for PlacementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlacementError::OutOfStages { needed, available } => {
+                write!(f, "needs {needed} stages, the target has {available}")
+            }
+            PlacementError::TableTooLarge { table } => {
+                write!(f, "table {table} exceeds one stage's capacity")
+            }
+            PlacementError::UnknownTable { table } => {
+                write!(f, "the chain names unknown table {table}")
+            }
+        }
+    }
+}
+
+/// What one stage holds, or may hold.
 #[derive(Default, Clone, Copy)]
 struct StageUse {
     sram: u64,
@@ -102,43 +82,45 @@ struct StageUse {
     tables: u32,
 }
 
-/// Greedy first-fit placement of `prog` onto `target` with the given
-/// sequential `deps`.
-pub fn place(
-    prog: &ProgramSpec,
-    target: &TargetProfile,
-    deps: &[Dependency],
-) -> Result<Placement, PlacementError> {
-    let limits = StageLimits::from_profile(target);
-    // Validate dependency names.
-    for d in deps {
-        for name in [&d.before, &d.after] {
-            if !prog.tables.iter().any(|t| &t.name == name) {
-                return Err(PlacementError::UnknownTable {
-                    table: name.clone(),
-                });
-            }
-        }
+/// Greedy first-fit placement of `prog` onto `target`, each chained table
+/// strictly after its predecessor in `prog.chain`.
+pub fn place(prog: &ProgramSpec, target: &TargetProfile) -> Result<Placement, PlacementError> {
+    if let Some(name) = prog
+        .chain
+        .iter()
+        .find(|&name| !prog.tables.iter().any(|t| &t.name == name))
+    {
+        return Err(PlacementError::UnknownTable {
+            table: name.clone(),
+        });
     }
+    // An even split of the target. The calibrated profiles count hash
+    // capacity in coarse blocks (see `TargetProfile` docs); physically each
+    // stage offers at least four 52-bit slices.
+    let limit = StageUse {
+        sram: target.sram_bits / target.stages as u64,
+        tcam: target.tcam_bits / target.stages as u64,
+        hash: (target.hash_units / target.stages).max(4),
+        tables: (target.logical_tables / target.stages).max(1),
+    };
     let mut stage_of: HashMap<&str, usize> = HashMap::new();
     let mut usage: Vec<StageUse> = Vec::new();
-    let fits = |u: &StageUse, t: &crate::program::TableSpec, l: &StageLimits| {
-        let (sram, tcam) = (t.sram_bits(), t.tcam_bits());
-        u.sram + sram <= l.sram_bits
-            && u.tcam + tcam <= l.tcam_bits
-            && u.hash + t.hash_units <= l.hash_units
-            && u.tables < l.logical_tables
+    let fits = |u: &StageUse, t: &crate::program::TableSpec| {
+        u.sram + t.sram_bits() <= limit.sram
+            && u.tcam + t.tcam_bits() <= limit.tcam
+            && u.hash + t.hash_units <= limit.hash
+            && u.tables < limit.tables
     };
     for t in &prog.tables {
-        // Earliest admissible stage: strictly after every dependency.
-        let min_stage = deps
-            .iter()
-            .filter(|d| d.after == t.name)
-            .filter_map(|d| stage_of.get(d.before.as_str()).map(|s| s + 1))
-            .max()
-            .unwrap_or(0);
+        // Earliest admissible stage: strictly after its chain predecessor.
+        let min_stage = prog
+            .chain
+            .windows(2)
+            .find(|w| w[1] == t.name)
+            .and_then(|w| stage_of.get(w[0].as_str()))
+            .map_or(0, |s| s + 1);
         // Single-table feasibility.
-        if !fits(&StageUse::default(), t, &limits) {
+        if !fits(&StageUse::default(), t) {
             return Err(PlacementError::TableTooLarge {
                 table: t.name.clone(),
             });
@@ -148,7 +130,7 @@ pub fn place(
             if s >= usage.len() {
                 usage.resize(s + 1, StageUse::default());
             }
-            if fits(&usage[s], t, &limits) {
+            if fits(&usage[s], t) {
                 usage[s].sram += t.sram_bits();
                 usage[s].tcam += t.tcam_bits();
                 usage[s].hash += t.hash_units;
@@ -173,89 +155,38 @@ pub fn place(
     Ok(Placement { stages })
 }
 
-/// The sequential dependencies of the Dart program (§4): RT components
-/// chain (signature check → left edge → right edge), PT components chain
-/// and follow the RT, the analytics registers follow the PT.
-pub fn dart_dependencies(prog: &ProgramSpec) -> Vec<Dependency> {
-    let mut deps = Vec::new();
-    let dep = |a: &str, b: &str| Dependency {
-        before: a.into(),
-        after: b.into(),
-    };
-    let has = |n: &str| prog.tables.iter().any(|t| t.name == n);
-    if has("rt_left") {
-        deps.push(dep("rt_sig", "rt_left"));
-        deps.push(dep("rt_left", "rt_right"));
-    }
-    // Each PT stage chains internally and after the RT's last component.
-    for s in 0.. {
-        let sig = format!("pt_sig_{s}");
-        if !has(&sig) {
-            break;
-        }
-        deps.push(dep("rt_right", &sig));
-        deps.push(dep(&sig, &format!("pt_ts_{s}")));
-        deps.push(dep(&format!("pt_ts_{s}"), &format!("pt_valid_{s}")));
-        if s > 0 {
-            deps.push(dep(&format!("pt_valid_{}", s - 1), &format!("pt_sig_{s}")));
-        }
-    }
-    // Analytics follows the PT.
-    if has("an_min_rtt") && has("pt_valid_0") {
-        deps.push(dep("pt_valid_0", "an_min_rtt"));
-        deps.push(dep("an_min_rtt", "an_window"));
-    }
-    deps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{dart_program, DartProgramParams, TableSpec};
-
-    #[test]
-    fn dart_program_places_on_tofino1() {
-        let prog = dart_program(DartProgramParams {
-            spans_egress: true,
-            ..DartProgramParams::default()
-        });
-        let deps = dart_dependencies(&prog);
-        let placement = place(&prog, &TargetProfile::tofino1(), &deps).expect("fits");
-        assert!(placement.stages_used() <= 12);
-        // §4: RT and PT each spread across 3 stages.
-        let rt_sig = placement.stage_of("rt_sig").unwrap();
-        let rt_left = placement.stage_of("rt_left").unwrap();
-        let rt_right = placement.stage_of("rt_right").unwrap();
-        assert!(rt_sig < rt_left && rt_left < rt_right);
-        let pt_sig = placement.stage_of("pt_sig_0").unwrap();
-        assert!(pt_sig > rt_right, "PT must follow the RT");
-        assert!(placement.stage_of("pt_valid_0").unwrap() > placement.stage_of("pt_ts_0").unwrap());
-    }
+    use crate::program::TableSpec;
 
     #[test]
     fn multi_stage_pt_extends_the_chain() {
-        let prog = dart_program(DartProgramParams {
-            pt_entries: 1 << 12,
-            pt_stages: 3,
-            ..DartProgramParams::default()
-        });
-        let deps = dart_dependencies(&prog);
-        let placement = place(&prog, &TargetProfile::tofino2(), &deps).expect("fits");
+        // Three PT stages of three chained registers each.
+        let mut prog = ProgramSpec::new("pt");
+        for s in 0..3 {
+            for part in ["pt_sig", "pt_eack", "pt_ts"] {
+                prog = prog.chained(TableSpec::register(
+                    &format!("{part}_{s}"),
+                    1 << 10,
+                    136,
+                    32,
+                ));
+            }
+        }
+        let placement = place(&prog, &TargetProfile::tofino2()).expect("fits");
         // Each added PT stage costs 3 more pipeline stages in this layout.
         let first = placement.stage_of("pt_sig_0").unwrap();
-        let last = placement.stage_of("pt_valid_2").unwrap();
+        let last = placement.stage_of("pt_ts_2").unwrap();
         assert!(last >= first + 8);
     }
 
     #[test]
     fn dependency_on_unknown_table_errors() {
-        let prog = ProgramSpec::new("x").with(TableSpec::action("a"));
-        let deps = vec![Dependency {
-            before: "a".into(),
-            after: "ghost".into(),
-        }];
+        let mut prog = ProgramSpec::new("x").chained(TableSpec::action("a"));
+        prog.chain.push("ghost".into());
         assert_eq!(
-            place(&prog, &TargetProfile::tofino1(), &deps),
+            place(&prog, &TargetProfile::tofino1()),
             Err(PlacementError::UnknownTable {
                 table: "ghost".into()
             })
@@ -267,15 +198,9 @@ mod tests {
         // A chain of 15 dependent actions cannot fit 12 stages.
         let mut prog = ProgramSpec::new("chain");
         for i in 0..15 {
-            prog = prog.with(TableSpec::action(&format!("t{i}")));
+            prog = prog.chained(TableSpec::action(&format!("t{i}")));
         }
-        let deps: Vec<Dependency> = (1..15)
-            .map(|i| Dependency {
-                before: format!("t{}", i - 1),
-                after: format!("t{i}"),
-            })
-            .collect();
-        match place(&prog, &TargetProfile::tofino1(), &deps) {
+        match place(&prog, &TargetProfile::tofino1()) {
             Err(PlacementError::OutOfStages { needed, available }) => {
                 assert_eq!(needed, 15);
                 assert_eq!(available, 12);
@@ -287,7 +212,7 @@ mod tests {
     #[test]
     fn giant_table_rejected_outright() {
         let prog = ProgramSpec::new("big").with(TableSpec::register("huge", 1 << 26, 104, 32));
-        match place(&prog, &TargetProfile::tofino1(), &[]) {
+        match place(&prog, &TargetProfile::tofino1()) {
             Err(PlacementError::TableTooLarge { table }) => assert_eq!(table, "huge"),
             other => panic!("expected TableTooLarge, got {other:?}"),
         }
@@ -299,7 +224,7 @@ mod tests {
         for i in 0..5 {
             prog = prog.with(TableSpec::action(&format!("a{i}")));
         }
-        let placement = place(&prog, &TargetProfile::tofino1(), &[]).unwrap();
+        let placement = place(&prog, &TargetProfile::tofino1()).unwrap();
         assert_eq!(placement.stages_used(), 1);
     }
 }

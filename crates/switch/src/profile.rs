@@ -32,6 +32,9 @@ pub struct TargetProfile {
     /// Total input-crossbar bytes across all stages (per-stage match input
     /// width × stages).
     pub crossbar_bytes: u64,
+    /// Whether a program spans ingress and egress here (Tofino 1) or fits
+    /// in ingress alone (Tofino 2, paper §4).
+    pub spans_egress: bool,
 }
 
 impl TargetProfile {
@@ -47,6 +50,7 @@ impl TargetProfile {
             hash_units: stages * 8,
             logical_tables: stages * 14,
             crossbar_bytes: stages as u64 * 128,
+            spans_egress: true,
         }
     }
 
@@ -62,6 +66,7 @@ impl TargetProfile {
             hash_units: 42,
             logical_tables: 130,
             crossbar_bytes: stages as u64 * 92,
+            spans_egress: false,
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Resource-usage estimation: program layout × target profile → the
-//! percentage report of Table 1.
+//! percentage report of Table 1 and the placement verdict.
 
+use crate::placement::{place, PlacementError};
 use crate::profile::TargetProfile;
 use crate::program::{ProgramSpec, TableKind};
 use std::fmt;
 
-/// Percentage usage of each resource class, as Table 1 reports.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Percentage usage of each resource class, as Table 1 reports, and where
+/// the tables landed.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResourceReport {
     /// TCAM bits used / available.
     pub tcam_pct: f64,
@@ -18,20 +20,36 @@ pub struct ResourceReport {
     pub logical_tables_pct: f64,
     /// Input-crossbar bytes used / available.
     pub crossbar_pct: f64,
+    /// Pipeline stages the placement used, or why the tables do not place.
+    pub placement: Result<usize, PlacementError>,
+    /// Pipeline stages the target has.
+    pub stages: u32,
 }
 
 impl ResourceReport {
-    /// True when every resource fits on the target.
+    /// The one fit verdict: every resource class within the target's
+    /// totals, and every table placed in its stages.
     pub fn fits(&self) -> bool {
-        [
-            self.tcam_pct,
-            self.sram_pct,
-            self.hash_units_pct,
-            self.logical_tables_pct,
-            self.crossbar_pct,
-        ]
-        .iter()
-        .all(|&p| p <= 100.0)
+        self.placement.is_ok()
+            && [
+                self.tcam_pct,
+                self.sram_pct,
+                self.hash_units_pct,
+                self.logical_tables_pct,
+                self.crossbar_pct,
+            ]
+            .iter()
+            .all(|&p| p <= 100.0)
+    }
+
+    /// [`ResourceReport::fits`] in words: the stages used, or what does
+    /// not fit.
+    pub fn verdict(&self) -> String {
+        match (&self.placement, self.fits()) {
+            (Ok(n), true) => format!("fits, {n} of {} stages used", self.stages),
+            (Ok(_), false) => "does not fit: over the target's totals".to_string(),
+            (Err(e), _) => format!("does not fit: {e}"),
+        }
     }
 }
 
@@ -45,9 +63,9 @@ impl fmt::Display for ResourceReport {
     }
 }
 
-/// Estimate resource usage of `prog` on `target`.
+/// Estimate resource usage of `prog` on `target`, and place it.
 pub fn estimate(prog: &ProgramSpec, target: &TargetProfile) -> ResourceReport {
-    let sram: u64 = prog.tables.iter().map(|t| t.sram_bits()).sum();
+    let sram = prog.sram_bits();
     let tcam: u64 = prog.tables.iter().map(|t| t.tcam_bits()).sum();
     let hash: u32 = prog.hash_units();
     let logical: u32 = prog.logical_tables();
@@ -72,13 +90,15 @@ pub fn estimate(prog: &ProgramSpec, target: &TargetProfile) -> ResourceReport {
         hash_units_pct: pct(hash as f64, target.hash_units as f64),
         logical_tables_pct: pct(logical as f64, target.logical_tables as f64),
         crossbar_pct: pct(crossbar as f64, target.crossbar_bytes as f64),
+        placement: place(prog, target).map(|p| p.stages_used()),
+        stages: target.stages,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{dart_program, DartProgramParams, TableSpec};
+    use crate::program::TableSpec;
 
     #[test]
     fn empty_program_uses_nothing() {
@@ -89,57 +109,23 @@ mod tests {
     }
 
     #[test]
-    fn dart_fits_both_targets() {
-        let t1 = estimate(
-            &dart_program(DartProgramParams {
-                spans_egress: true,
-                ..DartProgramParams::default()
-            }),
-            &TargetProfile::tofino1(),
-        );
-        assert!(t1.fits(), "tofino1 report: {t1}");
-        let t2 = estimate(
-            &dart_program(DartProgramParams::default()),
-            &TargetProfile::tofino2(),
-        );
-        assert!(t2.fits(), "tofino2 report: {t2}");
-    }
-
-    #[test]
-    fn tofino1_uses_relatively_more_than_tofino2() {
-        // Table 1's qualitative shape: the Tofino 1 build is more resource
-        // hungry in SRAM/TCAM/logical tables than the Tofino 2 build.
-        let t1 = estimate(
-            &dart_program(DartProgramParams {
-                spans_egress: true,
-                ..DartProgramParams::default()
-            }),
-            &TargetProfile::tofino1(),
-        );
-        let t2 = estimate(
-            &dart_program(DartProgramParams::default()),
-            &TargetProfile::tofino2(),
-        );
-        assert!(t1.sram_pct > t2.sram_pct);
-        assert!(t1.tcam_pct > t2.tcam_pct);
-        assert!(t1.logical_tables_pct > t2.logical_tables_pct);
-    }
-
-    #[test]
     fn oversized_program_does_not_fit() {
         let prog = ProgramSpec::new("huge").with(TableSpec::register("r", 1 << 26, 104, 32));
         let r = estimate(&prog, &TargetProfile::tofino1());
         assert!(!r.fits());
         assert!(r.sram_pct > 100.0);
+        assert_eq!(
+            r.verdict(),
+            "does not fit: table r exceeds one stage's capacity"
+        );
     }
 
     #[test]
     fn report_displays_all_rows() {
-        let r = estimate(
-            &dart_program(DartProgramParams::default()),
-            &TargetProfile::tofino2(),
-        );
-        let s = r.to_string();
+        let prog = ProgramSpec::new("two")
+            .with(TableSpec::register("r", 1024, 104, 32))
+            .with(TableSpec::ternary("t", 512, 104, 16));
+        let s = estimate(&prog, &TargetProfile::tofino2()).to_string();
         for label in [
             "TCAM",
             "SRAM",

@@ -9,12 +9,12 @@
 //!   runner feeds the same faulted capture to the oracle and to every
 //!   engine, trace faults stress matching logic without breaking the
 //!   capture-relative ground truth (DESIGN.md §5b).
-//! * **Config faults** ([`ConfigFault`], [`register_sweep`]): doctored
+//! * **Config faults** ([`ConfigFault`], [`backend_sweep`]): doctored
 //!   [`DartConfig`]s that force the pressure paths — recirculation-budget
-//!   exhaustion, starved tables, narrow signatures — plus register-size
-//!   sweeps derived from `dart-switch` [`TargetProfile`] SRAM capacities.
+//!   exhaustion, starved tables, narrow signatures — plus equal-SRAM
+//!   sweeps priced by [`program`] on a `dart-switch` [`TargetProfile`].
 
-use dart_core::{Backend, DartConfig};
+use dart_core::{program, Backend, DartConfig, PtMode, RtMode};
 use dart_packet::{Nanos, PacketMeta, SignatureWidth};
 use dart_sim::SimRng;
 use dart_switch::TargetProfile;
@@ -174,51 +174,50 @@ pub fn apply_config_fault(base: DartConfig, fault: ConfigFault) -> DartConfig {
     }
 }
 
-/// Bits of one Packet Tracker record in the hardware layout: a 32-bit
-/// flow signature, 32-bit eACK, and 48-bit timestamp (paper §4's register
-/// triple).
-pub const PT_RECORD_BITS: u64 = 32 + 32 + 48;
-
-/// Derive a register-size sweep from a switch target profile: for each
-/// fraction of the profile's SRAM notionally granted to the Packet
-/// Tracker, size the PT to the largest power of two that fits (and the RT
-/// to 8× that, mirroring the default config's RT:PT ratio).
-pub fn register_sweep(profile: &TargetProfile, fractions: &[f64]) -> Vec<DartConfig> {
-    backend_sweep(profile, fractions, Backend::Exact)
-}
-
-/// Bits of one *sketch* Packet Tracker cell: a 32-bit fingerprint plus a
-/// 48-bit timestamp. The eACK is folded into the fingerprint instead of
-/// stored, so a sketch cell costs 80/112 ≈ 0.71× an exact record — the
-/// memory side of the accuracy-vs-memory frontier.
-pub const PT_SKETCH_CELL_BITS: u64 = 32 + 48;
-
-/// [`register_sweep`] generalised over flow-state backends: the same SRAM
-/// fractions, but each backend's own cell cost decides how many slots the
-/// budget buys (sketch cells are smaller, so an equal budget holds more of
-/// them), and every config is normalised through
-/// [`DartConfig::with_backend`]. Configs at the same index across backends
-/// occupy the *same* SRAM budget, which is what makes frontier points
-/// comparable.
+/// Equal-SRAM configs across flow-state backends. For each PT size in
+/// `pt_slots`, the budget is what [`program`] prices the exact backend's
+/// tables at on `profile` (one PT stage, an RT 8× the PT), and `backend`
+/// gets the largest tables that budget buys, priced the same way: RT slots
+/// and an eighth as many PT slots, each in whole way sets. Each config is
+/// within one 8 RT + 1 PT step of its budget, so configs at one index are
+/// comparable frontier points; the exact backend gets its geometry back.
 pub fn backend_sweep(
     profile: &TargetProfile,
-    fractions: &[f64],
+    pt_slots: &[usize],
     backend: Backend,
 ) -> Vec<DartConfig> {
-    let cell_bits = match backend {
-        Backend::Sketch => PT_SKETCH_CELL_BITS,
-        Backend::Exact | Backend::Precision => PT_RECORD_BITS,
+    let sized = |rt: usize, pt: usize, b: Backend| {
+        DartConfig::default()
+            .with_pt(pt, 1)
+            .with_rt(rt)
+            .with_backend(b)
     };
-    fractions
+    let price = |cfg: DartConfig| program(&cfg, profile).map_or(u64::MAX, |p| p.sram_bits());
+    pt_slots
         .iter()
-        .map(|&frac| {
-            let budget = (profile.sram_bits as f64 * frac) as u64;
-            let raw_slots = (budget / cell_bits).max(2);
-            let pt_slots = 1usize << (63 - raw_slots.leading_zeros());
-            DartConfig::default()
-                .with_pt(pt_slots, 1)
-                .with_rt(pt_slots.saturating_mul(8))
-                .with_backend(backend)
+        .map(|&pt| {
+            let budget = price(sized(8 * pt, pt, Backend::Exact));
+            let (rt_ways, pt_ways) = match sized(8 * pt, pt, backend) {
+                DartConfig {
+                    rt: RtMode::Sketch { ways: r, .. },
+                    pt: PtMode::Sketch { ways: p, .. },
+                    ..
+                } => (r, p),
+                _ => (1, 1),
+            };
+            let at = |r: usize| sized(r - r % rt_ways, r / 8 - r / 8 % pt_ways, backend);
+            // Bisect on RT slots, from the smallest whole way sets; no
+            // backend's slots cost half the exact ones.
+            let (mut fits, mut over) = (8 * pt_ways, 16 * pt + 1);
+            while over - fits > 1 {
+                let mid = (fits + over) / 2;
+                if price(at(mid)) <= budget {
+                    fits = mid;
+                } else {
+                    over = mid;
+                }
+            }
+            at(fits)
         })
         .collect()
 }
@@ -226,7 +225,6 @@ pub fn backend_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dart_core::RtMode;
     use dart_sim::scenario::{campus, CampusConfig};
 
     fn trace() -> Vec<PacketMeta> {
@@ -287,46 +285,36 @@ mod tests {
     }
 
     #[test]
-    fn backend_sweep_buys_more_sketch_slots_for_equal_sram() {
-        let fracs = [0.01, 0.1];
-        let exact = backend_sweep(&TargetProfile::tofino1(), &fracs, Backend::Exact);
-        let sketch = backend_sweep(&TargetProfile::tofino1(), &fracs, Backend::Sketch);
-        for (e, s) in exact.iter().zip(&sketch) {
-            let e_slots = match e.pt {
-                dart_core::PtMode::Constrained { slots, .. } => slots,
-                other => panic!("exact sweep produced {other:?}"),
-            };
-            let s_slots = match s.pt {
-                dart_core::PtMode::Sketch { slots, .. } => slots,
-                other => panic!("sketch sweep produced {other:?}"),
-            };
-            // Equal budget, smaller cells: never fewer slots, and the
-            // 112/80 ratio crosses a power of two at least somewhere.
-            assert!(s_slots >= e_slots);
-        }
-        // Precision shares the exact geometry; only admission differs.
-        let precision = backend_sweep(&TargetProfile::tofino1(), &fracs, Backend::Precision);
-        for (e, p) in exact.iter().zip(&precision) {
-            assert_eq!(e.pt, p.pt);
-            assert_eq!(e.rt, p.rt);
-            assert_ne!(p.admission, dart_core::AdmissionMode::All);
+    fn backend_sweep_prices_every_backend_to_one_budget() {
+        let profile = TargetProfile::tofino1();
+        let price = |cfg: &DartConfig| program(cfg, &profile).unwrap().sram_bits();
+        let budget = price(&DartConfig::default().with_rt(4096).with_pt(512, 1));
+        for backend in [Backend::Exact, Backend::Sketch, Backend::Precision] {
+            let cfg = backend_sweep(&profile, &[512], backend)[0];
+            assert_eq!(cfg.backend(), backend);
+            // One 8 RT + 1 PT step costs about a thousand bits.
+            assert!((budget - 1000..=budget).contains(&price(&cfg)), "{cfg:?}");
         }
     }
 
     #[test]
     fn register_sweep_scales_with_sram_budget() {
-        let sweep = register_sweep(&TargetProfile::tofino1(), &[0.01, 0.1, 0.5]);
-        assert_eq!(sweep.len(), 3);
-        let slots: Vec<usize> = sweep
-            .iter()
-            .map(|c| match c.pt {
-                dart_core::PtMode::Constrained { slots, .. } => slots,
-                _ => panic!("sweep must be constrained"),
-            })
-            .collect();
-        assert!(slots[0] < slots[1] && slots[1] < slots[2]);
-        assert!(slots.iter().all(|s| s.is_power_of_two()));
-        // 10% of Tofino 1 SRAM ≈ 12.6 Mb / 112 b ≈ 112k records → 2^16.
-        assert_eq!(slots[1], 1 << 16);
+        let geometries = [64, 4096, 1 << 16];
+        let sweep = backend_sweep(&TargetProfile::tofino1(), &geometries, Backend::Exact);
+        // The exact backend gets back the geometry that set its budget.
+        for (cfg, pt) in sweep.iter().zip(geometries) {
+            assert_eq!(cfg.rt, RtMode::Constrained { slots: 8 * pt });
+            assert_eq!(
+                cfg.pt,
+                PtMode::Constrained {
+                    slots: pt,
+                    stages: 1
+                }
+            );
+        }
+        // Precision pays for its gate out of the same budget.
+        let precision = backend_sweep(&TargetProfile::tofino1(), &[4096], Backend::Precision)[0];
+        assert!(matches!(precision.pt, PtMode::Constrained { slots, .. } if slots < 4096));
+        assert_ne!(precision.admission, dart_core::AdmissionMode::All);
     }
 }

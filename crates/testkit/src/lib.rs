@@ -71,8 +71,7 @@ pub use diff::{
     DiffReport, EngineOutcome,
 };
 pub use faults::{
-    apply_config_fault, backend_sweep, register_sweep, ConfigFault, FaultConfig, FaultInjector,
-    FaultLog, PT_RECORD_BITS, PT_SKETCH_CELL_BITS,
+    apply_config_fault, backend_sweep, ConfigFault, FaultConfig, FaultInjector, FaultLog,
 };
 pub use oracle::{run_oracle, OracleConfig, OracleReport, SampleClass, ScoreCard};
 pub use recovery::{

@@ -3,13 +3,15 @@
 //! check. CI runs exactly this (`cargo test -p dart-testkit`) and uploads
 //! `tests/shrunk/` when it fails.
 
-use dart_core::{run_monitor_slice, DartConfig, DartEngine, ShardedConfig, ShardedMonitor};
+use dart_core::{
+    run_monitor_slice, Backend, DartConfig, DartEngine, ShardedConfig, ShardedMonitor,
+};
 use dart_packet::trace::TraceReader;
 use dart_packet::{PacketMeta, PacketSource};
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_testkit::oracle::{run_oracle, OracleConfig, SampleClass};
 use dart_testkit::{
-    apply_config_fault, ddmin, register_sweep, run_diff, run_trace_skewed, shrink_and_save,
+    apply_config_fault, backend_sweep, ddmin, run_diff, run_trace_skewed, shrink_and_save,
     ConfigFault, DiffConfig, FaultConfig,
 };
 
@@ -130,7 +132,8 @@ fn narrow_signatures_alias_within_an_explicit_budget() {
 #[test]
 fn register_sweep_configs_all_pass() {
     let packets = trace(TRACE_SEEDS[0]);
-    for (i, engine) in register_sweep(&dart_switch::TargetProfile::tofino1(), &[0.02, 0.2])
+    let profile = dart_switch::TargetProfile::tofino1();
+    for (i, engine) in backend_sweep(&profile, &[1 << 14, 1 << 17], Backend::Exact)
         .into_iter()
         .enumerate()
     {

@@ -188,7 +188,12 @@ dapper, strawman, lean, spin, dart-hist.
         --stages/--max-recirc)
         SIGINT/SIGTERM drain through the same path as /control/shutdown
         (final checkpoint included)
-    resources                       Table-1 style resource report
+    resources                       Table-1 style resource report: prices
+                                    the data-plane program the engine flags
+                                    configure on Tofino 1 and Tofino 2 and
+                                    places it (stages used, or what does
+                                    not fit)
+        plus the analyze engine flags (--backend/--pt/--rt/--stages)
     help                            this text
 
 Input files may be classic pcap (auto-detected) or the native .trace format.

@@ -7,12 +7,12 @@ use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verd
 use dart_baselines::registry::sharded_shards;
 use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
-use dart_core::{drive, run_monitor_slice, tick_every};
+use dart_core::{drive, program, run_monitor_slice, tick_every};
 use dart_core::{Backend, DartConfig, DartEngine, Leg, RttSample};
 use dart_packet::SECOND;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
-use dart_switch::{dart_program, estimate, DartProgramParams, TargetProfile};
+use dart_switch::{estimate, TargetProfile};
 use dart_telemetry::{EventLog, MetricRegistry};
 use dart_testkit::{
     run_chaos, run_diff, run_scenario, scenario_artifact_dir, write_scorecards, ChaosConfig,
@@ -27,7 +27,7 @@ use std::net::Ipv4Addr;
 pub fn run(cmd: Command, opts: &Options) -> Result<String, String> {
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Resources => resources(),
+        Command::Resources => resources(opts),
         Command::Generate { out } => generate(&out, opts),
         Command::Analyze { input } => analyze(&input, opts),
         Command::Compare { input } => compare(&input, opts),
@@ -843,24 +843,22 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-fn resources() -> Result<String, String> {
+/// The program the engine flags configure, priced and placed on both
+/// targets.
+fn resources(opts: &Options) -> Result<String, String> {
+    let cfg = engine_config(opts)?;
     let mut out = String::new();
-    for (name, params, profile) in [
-        (
-            "Tofino 1 (ingress+egress)",
-            DartProgramParams::tofino1(),
-            TargetProfile::tofino1(),
-        ),
-        (
-            "Tofino 2 (ingress only)",
-            DartProgramParams::tofino2(),
-            TargetProfile::tofino2(),
-        ),
-    ] {
-        let report = estimate(&dart_program(params), &profile);
-        let _ = writeln!(out, "== {name} ==");
+    for target in [TargetProfile::tofino1(), TargetProfile::tofino2()] {
+        let prog = program(&cfg, &target).map_err(|e| e.to_string())?;
+        let report = estimate(&prog, &target);
+        let span = if target.spans_egress {
+            "ingress+egress"
+        } else {
+            "ingress only"
+        };
+        let _ = writeln!(out, "== {} ({span}) ==", target.name);
         let _ = writeln!(out, "{report}");
-        let _ = writeln!(out, "fits: {}\n", report.fits());
+        let _ = writeln!(out, "{}\n", report.verdict());
     }
     Ok(out)
 }
@@ -1333,13 +1331,69 @@ mod tests {
 
     #[test]
     fn resources_report_includes_both_targets() {
-        let r = run_line(&["resources"]).unwrap();
+        let r = run_line(&["resources", "--rt", "16384", "--pt", "16384"]).unwrap();
         assert!(r.contains("Tofino 1"));
         assert!(r.contains("Tofino 2"));
         // The paper's Tofino 2 build is 2^14 / 2^14 slots: the figure
         // `table1` and EXPERIMENTS.md print, not the Tofino 1 sizing's 11.3%.
         let tofino2 = r.split("Tofino 2").nth(1).unwrap();
         assert!(tofino2.contains("SRAM              2.3%"), "{r}");
+    }
+
+    fn sram_rows(report: &str) -> Vec<&str> {
+        report.lines().filter(|l| l.starts_with("SRAM")).collect()
+    }
+
+    #[test]
+    fn resources_prices_the_backend_flag() {
+        let exact = run_line(&["resources", "--backend", "exact"]).unwrap();
+        let sketch = run_line(&["resources", "--backend", "sketch"]).unwrap();
+        assert_ne!(sram_rows(&exact), sram_rows(&sketch), "{exact}\n{sketch}");
+    }
+
+    /// Every backend's `backend_sweep` config at three geometries costs its
+    /// budget to within one 8 RT + 1 PT step, and `resources` with that
+    /// config's flags prints what `program` and `estimate` price it at.
+    #[test]
+    fn resources_prices_each_backend_sweep_config() {
+        let t1 = TargetProfile::tofino1();
+        let sized = |rt: usize, pt: usize, b: Backend| {
+            DartConfig::default()
+                .with_rt(rt)
+                .with_pt(pt, 1)
+                .with_backend(b)
+        };
+        let price = |cfg: &DartConfig| program(cfg, &t1).unwrap().sram_bits();
+        for geometry in [64, 512, 4096] {
+            let budget = price(&sized(8 * geometry, geometry, Backend::Exact));
+            for backend in [Backend::Exact, Backend::Sketch, Backend::Precision] {
+                let cfg = dart_testkit::backend_sweep(&t1, &[geometry], backend)[0];
+                let (
+                    dart_core::RtMode::Constrained { slots: rt }
+                    | dart_core::RtMode::Sketch { slots: rt, .. },
+                    dart_core::PtMode::Constrained { slots: pt, .. }
+                    | dart_core::PtMode::Sketch { slots: pt, .. },
+                ) = (cfg.rt, cfg.pt)
+                else {
+                    panic!("{cfg:?} is unlimited");
+                };
+                // Four steps, so that every way set grows whole.
+                let step = (price(&sized(rt + 32, pt + 4, backend)) - price(&cfg)) / 4;
+                assert!(
+                    price(&cfg) <= budget && budget - price(&cfg) < step,
+                    "{backend} at {geometry}: {} of {budget} bits, step {step}",
+                    price(&cfg)
+                );
+                let (rt, pt, backend) = (rt.to_string(), pt.to_string(), backend.to_string());
+                let flags = ["resources", "--backend", &backend, "--rt", &rt, "--pt", &pt];
+                let out = run_line(&flags).unwrap();
+                let printed = sram_rows(&out);
+                for (i, target) in [t1, TargetProfile::tofino2()].iter().enumerate() {
+                    let report = estimate(&program(&cfg, target).unwrap(), target).to_string();
+                    assert_eq!(printed[i], sram_rows(&report)[0], "{flags:?}");
+                }
+            }
+        }
     }
 
     #[test]

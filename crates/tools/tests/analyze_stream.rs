@@ -109,6 +109,61 @@ fn remove(paths: &[&str]) {
     }
 }
 
+/// Pcap and native are two encodings of one packet stream: the same seed
+/// written both ways by the shipped binary analyses to the same packet
+/// count, sample count and percentiles, with no frame of the pcap skipped.
+#[test]
+fn pcap_and_native_analyze_agree_end_to_end() {
+    let dartmon = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dartmon"))
+            .args(args)
+            .output()
+            .expect("run dartmon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "dartmon {args:?}: {stderr}");
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let [trace, pcap] = ["trace", "pcap"].map(|ext| {
+        let path = tmp(&format!("eq.{ext}"));
+        let seed = [
+            "--seed",
+            "17",
+            "--connections",
+            "400",
+            "--duration-secs",
+            "8",
+        ];
+        dartmon(&[&["generate", path.as_str()][..], &seed].concat());
+        let report = dartmon(&["analyze", &path]);
+        remove(&[&path]);
+        report
+    });
+    // The packet count of the `input` line, the `samples` line and the
+    // percentile lines.
+    let lines = |report: &str| -> Vec<String> {
+        let percentile = |l: &str| {
+            let tag = l.split(' ').next().unwrap_or("");
+            tag.len() > 1 && tag.starts_with('p') && tag[1..].bytes().all(|b| b.is_ascii_digit())
+        };
+        report
+            .lines()
+            .filter_map(|l| match l.strip_prefix("input ") {
+                Some(input) => input
+                    .rsplit_once('(')
+                    .map(|(_, n)| n.split(", ").next().unwrap_or("").to_string()),
+                None => (l.starts_with("samples ") || percentile(l)).then(|| l.to_string()),
+            })
+            .collect()
+    };
+    assert_eq!(lines(&pcap).len(), 6, "{pcap}");
+    assert_eq!(lines(&trace), lines(&pcap));
+    assert!(
+        pcap.lines()
+            .any(|l| l.starts_with("input ") && l.contains(" packets, 0 skipped)")),
+        "{pcap}"
+    );
+}
+
 #[test]
 fn analyze_memory_does_not_scale_with_packets() {
     const SMALL: usize = 64 * 1024;

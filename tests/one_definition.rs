@@ -208,6 +208,27 @@ const BANS: &[Ban] = &[
         message: "a second whole-trace runner: use run_monitor_slice(&mut DartEngine::new(cfg), \
                   pkts), or dart_testkit::run_per_packet for one on_packet call per packet",
     },
+    // The Dart data-plane program has one description (DESIGN.md §5h):
+    // `dart_core::program` of the config that runs, priced by
+    // `dart_switch::estimate` and placed along the program's own chain.
+    Ban {
+        rule: "One cost model",
+        roots: SOURCES,
+        suffix: ".rs",
+        any: &[
+            "DartProgramParams",
+            "dart_program\\b",
+            "dart_dependencies",
+            "PT_RECORD_BITS",
+            "PT_SKETCH_CELL_BITS",
+            "register_sweep\\b",
+        ],
+        except: &[],
+        allowed: &[],
+        message: "a second description of what the Dart program costs: price \
+                  dart_core::program(cfg, target) with dart_switch::estimate, sweep with \
+                  backend_sweep",
+    },
 ];
 
 const COUNTS: &[Count] = &[
