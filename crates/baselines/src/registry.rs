@@ -88,6 +88,19 @@ pub fn sharded_shards(name: &str) -> Option<usize> {
     (n >= 1).then_some(n)
 }
 
+/// The configuration the serial Dart engine `name` runs: `dart` runs `cfg`
+/// as given, `dart@sketch` and `dart@precision` set their backend on it,
+/// as their registry entries do. `None` for any other engine.
+pub fn serial_dart_config(name: &str, cfg: &DartConfig) -> Option<DartConfig> {
+    [Backend::Exact, Backend::Sketch, Backend::Precision]
+        .into_iter()
+        .find(|b| b.engine_name() == name)
+        .map(|b| match b {
+            Backend::Exact => *cfg,
+            b => cfg.with_backend(b),
+        })
+}
+
 impl EngineRegistry {
     /// The standard registry: the engines of the comparison suite
     /// (`dart`, `dart-sharded-4`, `tcptrace`, `fridge`, `pping`, `dapper`,
@@ -290,16 +303,7 @@ impl EngineRegistry {
         metrics: &MetricRegistry,
     ) -> Result<BuiltEngine, String> {
         let judgement = self.judgement(name)?;
-        // `dart` runs the configuration as given; the other two names set
-        // their backend on it, as their registry entries do.
-        let serial_dart = [Backend::Exact, Backend::Sketch, Backend::Precision]
-            .into_iter()
-            .find(|b| b.engine_name() == name)
-            .map(|b| match b {
-                Backend::Exact => *cfg,
-                b => cfg.with_backend(b),
-            });
-        let monitor: Box<dyn RttMonitor> = if let Some(cfg) = serial_dart {
+        let monitor: Box<dyn RttMonitor> = if let Some(cfg) = serial_dart_config(name, cfg) {
             let mut engine = DartEngine::new(cfg);
             engine.attach_telemetry(EngineTelemetry::register(metrics, 0));
             Box::new(engine)

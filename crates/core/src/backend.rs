@@ -181,6 +181,14 @@ impl RtTable {
         }
     }
 
+    /// Bytes the table holds (control plane).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            RtTable::Exact(t) => t.resident_bytes(),
+            RtTable::Sketch(t) => t.resident_bytes(),
+        }
+    }
+
     /// A flow's current range, if present (tests / control plane).
     pub fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
         match self {
@@ -260,6 +268,14 @@ impl PtTable {
         match self {
             PtTable::Exact(t) => t.occupancy(),
             PtTable::Sketch(t) => t.occupancy(),
+        }
+    }
+
+    /// Bytes the table holds (control plane).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            PtTable::Exact(t) => t.resident_bytes(),
+            PtTable::Sketch(t) => t.resident_bytes(),
         }
     }
 

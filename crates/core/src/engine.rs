@@ -245,6 +245,10 @@ impl DartEngine {
             let now = self.recirc.stats();
             t.sync_recirc(self.recirc.in_flight(), &self.recirc_synced, &now);
             self.recirc_synced = now;
+            t.sync_tables([
+                (self.rt.occupancy(), self.rt.resident_bytes()),
+                (self.pt.occupancy(), self.pt.resident_bytes()),
+            ]);
         }
     }
 

@@ -315,6 +315,15 @@ impl PacketTracker {
         }
     }
 
+    /// Bytes the table holds (control-plane visibility): the register
+    /// arrays', or the unlimited map's entries at its capacity.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match &self.store {
+            PtStore::Unlimited(map) => map.capacity() * size_of::<((FlowKey, SeqNum), Nanos)>(),
+            PtStore::Constrained { stages, .. } => stages.iter().map(|s| s.resident_bytes()).sum(),
+        }
+    }
+
     /// Epoch rotation (control-plane): sweep every record whose data packet
     /// was sent before `cutoff` — an ACK that old is either lost or will
     /// produce a sample too stale to trust — returning `(carried, dropped)`

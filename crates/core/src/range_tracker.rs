@@ -347,6 +347,15 @@ impl RangeTracker {
         }
     }
 
+    /// Bytes the table holds (control-plane visibility): the register
+    /// array's, or the unlimited map's entries at its capacity.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match &self.store {
+            RtStore::Unlimited(map) => map.capacity() * size_of::<(FlowKey, RtMapEntry)>(),
+            RtStore::Constrained { slots, .. } => slots.resident_bytes(),
+        }
+    }
+
     /// Epoch rotation (control-plane): sweep every entry not touched since
     /// the previous rotation, then open a new generation. Returns
     /// `(carried, dropped)` flow counts.

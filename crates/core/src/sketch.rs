@@ -597,6 +597,11 @@ impl SketchRangeTracker {
         self.ways.iter().map(|w| w.occupancy()).sum()
     }
 
+    /// Bytes the ways hold (control-plane visibility).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.ways.iter().map(|w| w.resident_bytes()).sum()
+    }
+
     /// Read a flow's current range, if present (tests / control plane).
     pub fn peek(&mut self, flow: &FlowKey) -> Option<MeasurementRange> {
         let sig = flow.signature(self.sig_width);
@@ -831,6 +836,11 @@ impl SketchPacketTracker {
     /// Live cells (control-plane visibility).
     pub fn occupancy(&self) -> usize {
         self.ways.iter().map(|w| w.occupancy()).sum()
+    }
+
+    /// Bytes the ways hold (control-plane visibility).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.ways.iter().map(|w| w.resident_bytes()).sum()
     }
 
     /// Total cells.

@@ -89,13 +89,13 @@ const BASELINE: &[Surface] = &[Surface::Baseline];
 /// Declares one `pub const` [`Family`] per row, documented by its HELP
 /// text, and [`VOCABULARY`] over all of them in declaration order.
 macro_rules! vocabulary {
-    ($($id:ident: $kind:ident $name:literal [$($label:literal)?] $on:ident $help:literal;)*) => {
+    ($($id:ident: $kind:ident $name:literal [$($label:literal)*] $on:ident $help:literal;)*) => {
         $(
             #[doc = $help]
             pub const $id: Family = Family {
                 name: $name,
                 kind: MetricKind::$kind,
-                labels: &[$($label)?],
+                labels: &[$($label),*],
                 help: $help,
                 surfaces: $on,
             };
@@ -116,6 +116,10 @@ vocabulary! {
         "records currently in flight around the recirculation loop";
     RECIRC_QUEUE_DEPTH_RECORDS: Histogram "dart_recirc_queue_depth_records" ["shard"] ENGINE
         "recirculation queue depth observed at each submission";
+    TABLE_OCCUPIED_SLOTS: Gauge "dart_table_occupied_slots" ["shard" "table"] ENGINE
+        "occupied slots of this shard's RT or PT register arrays";
+    TABLE_RESIDENT_BYTES: Gauge "dart_table_resident_bytes" ["shard" "table"] ENGINE
+        "bytes this shard's RT or PT register arrays hold";
     EPOCH_ROTATIONS: Counter "dart_epoch_rotations_total" ["shard"] ENGINE
         "epoch rotations performed on this shard";
     EPOCH_FLOWS_CARRIED: Counter "dart_epoch_flows_carried_total" ["shard"] ENGINE
@@ -155,6 +159,10 @@ vocabulary! {
     RUN_RTT_NS: Histogram "dart_run_rtt_ns" [] BASELINE "RTT samples in nanoseconds";
 }
 
+/// The `table` label values of the `dart_table_*` gauges, in the order
+/// [`EngineTelemetry::sync_tables`] takes them.
+pub const TABLES: [&str; 2] = ["rt", "pt"];
+
 /// How many packets between periodic counter publications on the serial
 /// hot path. Scrapes between sync points read totals at most this stale;
 /// flush always publishes the exact final values.
@@ -172,6 +180,8 @@ pub struct EngineTelemetry {
     batch_ns: Histogram,
     queue_depth: Gauge,
     queue_depth_records: Histogram,
+    /// `(occupied slots, resident bytes)` of each of [`TABLES`].
+    tables: [(Gauge, Gauge); 2],
     rotations: Counter,
     rot_flows_carried: Counter,
     rot_flows_dropped: Counter,
@@ -195,6 +205,11 @@ impl EngineTelemetry {
             batch_ns: histogram(BATCH_PROCESS_NS),
             queue_depth: registry.gauge(RECIRC_QUEUE_DEPTH.name, labels, RECIRC_QUEUE_DEPTH.help),
             queue_depth_records: histogram(RECIRC_QUEUE_DEPTH_RECORDS),
+            tables: TABLES.map(|table| {
+                let labels: &[(&str, &str)] = &[("shard", &shard_label), ("table", table)];
+                let gauge = |row: Family| registry.gauge(row.name, labels, row.help);
+                (gauge(TABLE_OCCUPIED_SLOTS), gauge(TABLE_RESIDENT_BYTES))
+            }),
             rotations: counter(EPOCH_ROTATIONS),
             rot_flows_carried: counter(EPOCH_FLOWS_CARRIED),
             rot_flows_dropped: counter(EPOCH_FLOWS_DROPPED),
@@ -243,6 +258,15 @@ impl EngineTelemetry {
         self.rot_flows_dropped.add(rotation.flows_dropped);
         self.rot_records_dropped.add(rotation.records_dropped);
         self.rot_pause_ns.observe(pause_ns);
+    }
+
+    /// Publish each table's `(occupied slots, resident bytes)`, in
+    /// [`TABLES`] order.
+    pub(crate) fn sync_tables(&self, tables: [(usize, usize); 2]) {
+        for ((occupied, bytes), (slots_gauge, bytes_gauge)) in tables.iter().zip(&self.tables) {
+            slots_gauge.set(*occupied as i64);
+            bytes_gauge.set(*bytes as i64);
+        }
     }
 
     /// Publish the recirculation port's depth books: the gauge shows the

@@ -7,18 +7,35 @@
 //! requires recirculating the packet. The [`RegisterArray::rmw`] access is
 //! the only pattern the hardware supports; the per-access compute
 //! constraints live in [`crate::salu`].
+//!
+//! The array models a fixed number of slots and holds what is stored in
+//! them: a large array keeps only its occupied slots, in a map, until a
+//! quarter of them are occupied, and is a plain word array from then on.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The bit [`Packed::pack`] sets in the last word of every record it
 /// writes, so that no record — not even one whose fields are all zero — packs
 /// to the all-zero words that mean "empty slot".
 pub const LIVE: u64 = 1 << 63;
 
+/// An array whose dense form is at most this many bytes is dense from
+/// construction: the frontier geometries (an RT of 4 096 × 24 B, a PT of
+/// 512 × 32 B) never see the map.
+const DENSE_FROM_BYTES: usize = 256 << 10;
+
+/// A sparse array turns dense, once and for good, when more than
+/// `size / DENSE_SHARE` of its slots are occupied: past that point the map's
+/// buckets cost about what the word array does, and the word array's
+/// accesses are cheaper.
+const DENSE_SHARE: usize = 4;
+
 /// A record that lives in a register slot as fixed-width integer words, the
 /// way a Tofino register does (and the way `rt_salu`/`pt_salu` in
-/// `dart-core` model it): `Words` is `[u64; N]`, the slot array is a plain
-/// `Vec<[u64; N]>`, and an all-zero slot is an empty one.
+/// `dart-core` model it): `Words` is `[u64; N]`, and an all-zero slot of the
+/// dense word array is an empty one.
 pub trait Packed: Copy {
     /// The word form, `[u64; N]`.
     type Words: Copy + Default + AsRef<[u64]>;
@@ -46,11 +63,12 @@ fn get<Rec: Packed>(slot: &Rec::Words) -> Option<Rec> {
 
 /// The control plane's index of occupied slots: one bit per slot and their
 /// count, kept in step on every empty↔occupied transition. Checkpoint
-/// serialization and epoch sweeps walk the bitmap instead of the slot
-/// vector, so their cost scales with occupancy — a sparse 2^20 table walk
-/// touches 128 KiB of words, not tens of megabytes of slots (most of them
-/// pages that do not exist yet) — and the count makes `occupancy()` O(1).
-/// The data plane never reads it: there, occupancy is the slot's words.
+/// serialization and epoch sweeps walk the bitmap, in slot order, whatever
+/// form the slots are stored in, so their cost scales with occupancy — a
+/// sparse 2^20 table walk touches 128 KiB of words — and the count makes
+/// `occupancy()` O(1) and decides when a sparse array turns dense. The data
+/// plane never reads it: there, occupancy is the slot's words or the map's
+/// key.
 struct Occupancy {
     bitmap: Vec<u64>,
     count: usize,
@@ -69,50 +87,83 @@ impl Occupancy {
     }
 }
 
-/// Store `new` into `slot` — slot `idx`, which held a record iff `was`.
-/// Empty over empty stores nothing: the slot's page may still be the shared
-/// zero page, and writing zeros to it would make the kernel hand over a
-/// private one.
-#[inline]
-fn put<Rec: Packed>(
-    slot: &mut Rec::Words,
-    index: &mut Occupancy,
-    idx: usize,
-    was: bool,
-    new: Option<Rec>,
-) {
-    match new {
-        Some(value) => {
-            *slot = value.pack();
-            if !was {
-                index.mark(idx, true);
-            }
+/// The map's hasher. A slot index is a CRC output reduced to the table
+/// size, so its low bits are already uniform but its high bits are zero;
+/// hashbrown takes the bucket from the low bits and a tag from the top
+/// seven, and one odd multiply fills those. It is not keyed: the keys are
+/// indices below `size`, so flows chosen to collide can put at most
+/// `size / buckets` keys on one probe sequence — under a thousand of a
+/// 2^20-slot table, tens of 16-bucket group probes — and a fixed hash keeps
+/// the map's growth, and the bytes it reports, the same from run to run.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
-        None if was => {
-            *slot = Rec::Words::default();
-            index.mark(idx, false);
-        }
-        None => {}
+    }
+
+    #[inline]
+    fn write_u32(&mut self, idx: u32) {
+        self.0 = u64::from(idx).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
+/// The map a sparse array keeps its occupied slots' words in, by index.
+type SlotMap<W> = HashMap<u32, W, BuildHasherDefault<SlotHasher>>;
+
 /// A fixed-size register array holding one `Rec` per slot, as words.
+///
+/// It models `size` slots whatever it holds. An array whose word array
+/// would exceed 256 KiB starts *sparse* — a map from slot index to the
+/// words of the occupied slots — and turns *dense*, the word array, once
+/// and for good when more than a quarter of its slots are occupied; a
+/// smaller array is dense from construction. The form is invisible at the
+/// API: every access, walk and sweep reads and writes the same records, in
+/// the same slot order, either way.
 pub struct RegisterArray<Rec: Packed> {
     name: &'static str,
-    /// `vec![zero; size]` of plain integers reaches `alloc_zeroed`: building
-    /// the array writes nothing, and a slot no packet ever touched is a page
-    /// the kernel never had to hand over.
+    size: usize,
+    /// Dense: every slot, all-zero words for an empty one. Sparse: empty,
+    /// so that the dense access's bounds check is also the test of the
+    /// form, and a dense table pays nothing for the sparse one.
+    /// `vec![zero; size]` of plain integers reaches `alloc_zeroed`:
+    /// building it writes nothing, and a slot no packet ever touched is a
+    /// page the kernel never had to hand over.
     slots: Vec<Rec::Words>,
+    /// Sparse: the occupied slots. Dense: empty.
+    sparse: SlotMap<Rec::Words>,
+    /// An empty slot's words, for a sparse read of a slot the map lacks.
+    empty: Rec::Words,
     index: Occupancy,
 }
 
 impl<Rec: Packed> RegisterArray<Rec> {
-    /// Allocate an array of `size` empty slots.
+    /// Allocate an array of `size` empty slots. Sparse arrays allocate
+    /// only their occupancy bitmap here; dense ones their word array too,
+    /// zeroed and unwritten.
     pub fn new(name: &'static str, size: usize) -> Self {
         assert!(size > 0, "register array must have at least one slot");
+        let dense_bytes = size.saturating_mul(std::mem::size_of::<Rec::Words>());
+        let dense = dense_bytes <= DENSE_FROM_BYTES || u32::try_from(size).is_err();
         RegisterArray {
             name,
-            slots: vec![Rec::Words::default(); size],
+            size,
+            slots: if dense {
+                vec![Rec::Words::default(); size]
+            } else {
+                Vec::new()
+            },
+            sparse: SlotMap::default(),
+            empty: Rec::Words::default(),
             index: Occupancy {
                 bitmap: vec![0; size.div_ceil(64)],
                 count: 0,
@@ -127,51 +178,139 @@ impl<Rec: Packed> RegisterArray<Rec> {
 
     /// Number of slots.
     pub fn size(&self) -> usize {
-        self.slots.len()
+        self.size
+    }
+
+    /// The map key of slot `idx` of a sparse array: the bounds check the
+    /// word array's indexing makes for a dense one.
+    #[inline]
+    fn key(&self, idx: usize) -> u32 {
+        assert!(
+            idx < self.size,
+            "slot {idx} out of range for {} slots",
+            self.size
+        );
+        idx as u32
+    }
+
+    /// The words of slot `idx`, all zero for an empty one.
+    #[inline]
+    fn words(&self, idx: usize) -> &Rec::Words {
+        match self.slots.get(idx) {
+            Some(slot) => slot,
+            None => self.sparse_words(idx),
+        }
+    }
+
+    // The sparse accesses are out of line, so that the dense access every
+    // small table makes stays what it was: a bounds check and a few
+    // instructions, with the record read where it lies.
+
+    #[inline(never)]
+    fn sparse_words(&self, idx: usize) -> &Rec::Words {
+        self.sparse.get(&self.key(idx)).unwrap_or(&self.empty)
     }
 
     /// Read the slot at `idx`.
     pub fn read(&self, idx: usize) -> Option<Rec> {
-        get(&self.slots[idx])
+        get(self.words(idx))
     }
 
     /// Warm the slot at `idx` into cache without performing a register
     /// access: the batch pipeline issues these for a whole block before its
     /// match loop so the table probes overlap in the memory system.
     /// (`black_box` forces the load of every word, so a slot straddling two
-    /// cache lines warms both; the crate forbids unsafe, so an explicit
-    /// prefetch intrinsic is not available.)
+    /// cache lines warms both. The crate forbids unsafe, so an explicit
+    /// prefetch intrinsic is not available.) A sparse array does nothing
+    /// here: the warming read would be a whole map probe, the access that
+    /// follows probes again, and the map is a fraction of the word array it
+    /// stands in for.
     #[inline]
     pub fn prefetch(&self, idx: usize) {
-        std::hint::black_box(live(&self.slots[idx]));
+        if let Some(slot) = self.slots.get(idx) {
+            std::hint::black_box(live(slot));
+        }
     }
 
     /// Overwrite the slot at `idx`, returning the previous occupant.
     pub fn write(&mut self, idx: usize, value: Rec) -> Option<Rec> {
-        let slot = &mut self.slots[idx];
-        let prev = get(slot);
-        put(slot, &mut self.index, idx, prev.is_some(), Some(value));
-        prev
+        self.rmw(idx, |old| (Some(value), old))
     }
 
     /// Clear the slot at `idx`, returning the previous occupant.
     pub fn clear(&mut self, idx: usize) -> Option<Rec> {
-        let slot = &mut self.slots[idx];
-        let prev = get::<Rec>(slot);
-        put::<Rec>(slot, &mut self.index, idx, prev.is_some(), None);
-        prev
+        self.rmw(idx, |old| (None, old))
     }
 
     /// Single-traversal read-modify-write: the only pattern the hardware
     /// supports. `f` observes the current occupant and returns the new slot
     /// contents plus a result forwarded to the caller.
+    ///
+    /// An access that finds a slot empty and leaves it empty stores
+    /// nothing: a dense slot's page may still be the shared zero page, and
+    /// writing zeros to it would make the kernel hand over a private one;
+    /// a sparse array gains no key.
     pub fn rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
-        let slot = &mut self.slots[idx];
+        let Some(slot) = self.slots.get_mut(idx) else {
+            return self.sparse_rmw(idx, f);
+        };
         let old = get(slot);
-        let was = old.is_some();
         let (new, result) = f(old);
-        put(slot, &mut self.index, idx, was, new);
+        match new {
+            Some(value) => {
+                *slot = value.pack();
+                if old.is_none() {
+                    self.index.mark(idx, true);
+                }
+            }
+            None if old.is_some() => {
+                *slot = Rec::Words::default();
+                self.index.mark(idx, false);
+            }
+            None => {}
+        }
         result
+    }
+
+    /// One probe: the entry found is the one updated, filled or removed.
+    #[inline(never)]
+    fn sparse_rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
+        let (was, now, result) = match self.sparse.entry(self.key(idx)) {
+            Entry::Occupied(mut slot) => {
+                let (new, result) = f(Some(Rec::unpack(slot.get())));
+                match new {
+                    Some(value) => *slot.get_mut() = value.pack(),
+                    None => {
+                        slot.remove();
+                    }
+                }
+                (true, new.is_some(), result)
+            }
+            Entry::Vacant(slot) => {
+                let (new, result) = f(None);
+                if let Some(value) = new {
+                    slot.insert(value.pack());
+                }
+                (false, new.is_some(), result)
+            }
+        };
+        if was != now {
+            self.index.mark(idx, now);
+            if self.index.count > self.size / DENSE_SHARE {
+                self.densify();
+            }
+        }
+        result
+    }
+
+    /// Pour a sparse array into the word array, for good.
+    #[cold]
+    fn densify(&mut self) {
+        let mut slots = vec![Rec::Words::default(); self.size];
+        for (key, words) in std::mem::take(&mut self.sparse) {
+            slots[key as usize] = words;
+        }
+        self.slots = slots;
     }
 
     /// Number of occupied slots (control-plane visibility only; a real
@@ -180,6 +319,27 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// of a multi-megabyte array on top of its entry walk.
     pub fn occupancy(&self) -> usize {
         self.index.count
+    }
+
+    /// Bytes the array holds for its slots and its occupancy bitmap
+    /// (control-plane visibility only). Dense, that is the whole word array
+    /// — an upper bound on what is resident, since a page no packet stored
+    /// to never is; sparse, the map's buckets, each a key, the words and a
+    /// control byte, at hashbrown's load factor of 7/8.
+    pub fn resident_bytes(&self) -> usize {
+        let buckets = match self.sparse.capacity() {
+            0 => 0,
+            cap if cap < 8 => cap + 1,
+            cap => cap / 7 * 8,
+        };
+        std::mem::size_of_val(self.slots.as_slice())
+            + buckets * (std::mem::size_of::<(u32, Rec::Words)>() + 1)
+            + std::mem::size_of_val(self.index.bitmap.as_slice())
+    }
+
+    /// The record in occupied slot `idx` (a set bitmap bit).
+    fn occupant(&self, idx: usize) -> Rec {
+        Rec::unpack(self.words(idx))
     }
 
     /// Control-plane sweep: clear every occupied slot `keep` rejects,
@@ -193,11 +353,10 @@ impl<Rec: Packed> RegisterArray<Rec> {
             while word != 0 {
                 let idx = word_idx * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let slot = &mut self.slots[idx];
-                if keep(&Rec::unpack(slot)) {
+                if keep(&self.occupant(idx)) {
                     kept += 1;
                 } else {
-                    put::<Rec>(slot, &mut self.index, idx, true, None);
+                    self.clear(idx);
                     cleared += 1;
                 }
             }
@@ -205,9 +364,9 @@ impl<Rec: Packed> RegisterArray<Rec> {
         (kept, cleared)
     }
 
-    /// Iterate occupied slots (control-plane only). Walks the occupancy
-    /// bitmap, so the cost is proportional to `size / 64` plus the number
-    /// of occupied slots — not to the full slot vector.
+    /// Iterate occupied slots in slot order (control-plane only). Walks the
+    /// occupancy bitmap, so the cost is proportional to `size / 64` plus
+    /// the number of occupied slots — not to the full slot vector.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Rec)> + '_ {
         self.index
             .bitmap
@@ -224,15 +383,15 @@ impl<Rec: Packed> RegisterArray<Rec> {
                     Some(word_idx * 64 + bit as usize)
                 })
             })
-            .map(|idx| (idx, Rec::unpack(&self.slots[idx])))
+            .map(|idx| (idx, self.occupant(idx)))
     }
 
-    /// Control-plane slot load: place `value` at `idx`. This is the restore
-    /// half of [`RegisterArray::iter`] — the switch CPU repopulating a table
-    /// from a checkpoint, not a packet traversing the stage.
+    /// Control-plane slot load: place `value` at `idx`, in whichever form
+    /// the array is in. This is the restore half of
+    /// [`RegisterArray::iter`] — the switch CPU repopulating a table from a
+    /// checkpoint, not a packet traversing the stage.
     pub fn load(&mut self, idx: usize, value: Rec) {
-        let slot = &mut self.slots[idx];
-        put(slot, &mut self.index, idx, live(slot), Some(value));
+        self.write(idx, value);
     }
 }
 
@@ -240,7 +399,7 @@ impl<Rec: Packed> fmt::Debug for RegisterArray<Rec> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RegisterArray")
             .field("name", &self.name)
-            .field("size", &self.slots.len())
+            .field("size", &self.size)
             .finish()
     }
 }
@@ -341,64 +500,178 @@ mod tests {
         let _ = RegisterArray::<u8>::new("t", 0);
     }
 
+    /// A record as wide as [`Packed::Words`] gets, so that an array past
+    /// the dense-from-construction line stays small enough for a model
+    /// test: 1 024 slots of 256 bytes are 256 KiB.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Wide(u32);
+
+    impl Packed for Wide {
+        type Words = [u64; 32];
+        fn pack(&self) -> [u64; 32] {
+            let mut words = [0; 32];
+            words[0] = u64::from(self.0);
+            words[31] = LIVE;
+            words
+        }
+        fn unpack(words: &[u64; 32]) -> Wide {
+            Wide(words[0] as u32)
+        }
+    }
+
+    impl From<u32> for Wide {
+        fn from(v: u32) -> Wide {
+            Wide(v)
+        }
+    }
+
+    impl From<Wide> for u32 {
+        fn from(w: Wide) -> u32 {
+            w.0
+        }
+    }
+
+    /// Past the line by one bitmap word and a partial one.
+    const WIDE_SIZE: usize = 1024 + 70;
+
+    fn is_dense<Rec: Packed>(array: &RegisterArray<Rec>) -> bool {
+        !array.slots.is_empty()
+    }
+
+    #[test]
+    fn a_large_array_starts_sparse_and_turns_dense_past_a_quarter() {
+        let mut r: RegisterArray<Wide> = RegisterArray::new("t", WIDE_SIZE);
+        assert!(!is_dense(&r));
+        let bitmap = WIDE_SIZE.div_ceil(64) * 8;
+        assert_eq!(r.resident_bytes(), bitmap);
+        let quarter = WIDE_SIZE / DENSE_SHARE;
+        for idx in 0..quarter {
+            r.write(idx * 3, Wide(idx as u32));
+        }
+        assert!(!is_dense(&r));
+        assert!(r.resident_bytes() < WIDE_SIZE * 256 / 2);
+        r.load(1, Wide(7));
+        assert!(is_dense(&r));
+        assert_eq!(r.resident_bytes(), WIDE_SIZE * 256 + bitmap);
+        // Dense for good: emptying it does not bring the map back.
+        let (kept, cleared) = r.sweep(|_| false);
+        assert_eq!((kept, cleared), (0, quarter as u64 + 1));
+        assert!(is_dense(&r));
+        assert_eq!(r.read(3), None);
+        // A small array never sees the map.
+        assert!(is_dense(&RegisterArray::<Wide>::new("t", 1024)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_bounds_panics_when_sparse() {
+        let r: RegisterArray<Wide> = RegisterArray::new("t", WIDE_SIZE);
+        r.read(WIDE_SIZE);
+    }
+
+    /// Run `ops` — `(op, slot, value)`, op 0..=5 for read, write, clear,
+    /// rmw, sweep and load — against an array of `size` slots and against
+    /// the obvious model, a `Vec` of `Option`s (what the array used to be),
+    /// and require equal results, contents, occupancy and walk order.
+    fn check_against_model<Rec>(
+        size: usize,
+        ops: Vec<(u8, usize, u32)>,
+    ) -> Result<(), TestCaseError>
+    where
+        Rec: Packed + From<u32> + Into<u32>,
+    {
+        let mut array: RegisterArray<Rec> = RegisterArray::new("t", size);
+        let mut model: Vec<Option<u32>> = vec![None; size];
+        let dense_bytes = size * std::mem::size_of::<Rec::Words>();
+        prop_assert_eq!(is_dense(&array), dense_bytes <= DENSE_FROM_BYTES);
+        let read = |r: Option<Rec>| r.map(Into::into);
+        for (op, idx, value) in ops {
+            match op {
+                0 => prop_assert_eq!(read(array.read(idx)), model[idx]),
+                1 => prop_assert_eq!(
+                    read(array.write(idx, value.into())),
+                    model[idx].replace(value)
+                ),
+                2 => prop_assert_eq!(read(array.clear(idx)), model[idx].take()),
+                3 => {
+                    // One closure covering all four transitions: an empty
+                    // slot stays empty or fills, a full one empties or
+                    // changes, by the value's parity.
+                    let step = |old: Option<u32>| match (old, value % 2) {
+                        (None, 0) | (Some(_), 1) => None,
+                        (None, _) => Some(value),
+                        (Some(v), _) => Some(v.wrapping_add(value)),
+                    };
+                    let seen = array.rmw(idx, |old| {
+                        let old = read(old);
+                        (step(old).map(Rec::from), old)
+                    });
+                    prop_assert_eq!(seen, model[idx]);
+                    model[idx] = step(model[idx]);
+                }
+                4 => {
+                    let keep = |v: u32| v != value;
+                    let before = model.iter().flatten().count() as u64;
+                    for slot in &mut model {
+                        if slot.is_some_and(|v| !keep(v)) {
+                            *slot = None;
+                        }
+                    }
+                    let kept = model.iter().flatten().count() as u64;
+                    prop_assert_eq!(array.sweep(|v| keep((*v).into())), (kept, before - kept));
+                }
+                _ => {
+                    array.load(idx, value.into());
+                    model[idx] = Some(value);
+                }
+            }
+            prop_assert_eq!(array.occupancy(), model.iter().flatten().count());
+        }
+        let walked: Vec<(usize, u32)> = array.iter().map(|(idx, v)| (idx, v.into())).collect();
+        let expected: Vec<(usize, u32)> = model
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, slot)| slot.map(|v| (idx, v)))
+            .collect();
+        prop_assert_eq!(walked, expected);
+        for (idx, slot) in model.iter().enumerate() {
+            prop_assert_eq!(read(array.read(idx)), *slot);
+            prop_assert_eq!(
+                array.index.bitmap[idx / 64] >> (idx % 64) & 1 == 1,
+                slot.is_some()
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
-        /// Any sequence of accesses against the obvious model — a
-        /// `Vec` of `Option`s, which is what the array used to be — leaves
-        /// equal contents, occupancy and walk order.
+        /// Any sequence of accesses on a dense array behaves like the model.
         #[test]
         fn behaves_like_a_vec_of_options(
             ops in prop::collection::vec((0u8..6, 0usize..70, 0u32..4), 0..200),
         ) {
             const SIZE: usize = 70; // two bitmap words, the second partial
-            let mut array: RegisterArray<u32> = RegisterArray::new("t", SIZE);
-            let mut model: Vec<Option<u32>> = vec![None; SIZE];
-            for (op, idx, value) in ops {
-                match op {
-                    0 => prop_assert_eq!(array.read(idx), model[idx]),
-                    1 => prop_assert_eq!(array.write(idx, value), model[idx].replace(value)),
-                    2 => prop_assert_eq!(array.clear(idx), model[idx].take()),
-                    3 => {
-                        // One closure covering all four transitions: an empty
-                        // slot stays empty or fills, a full one empties or
-                        // changes, by the value's parity.
-                        let step = |old: Option<u32>| match (old, value % 2) {
-                            (None, 0) | (Some(_), 1) => None,
-                            (None, _) => Some(value),
-                            (Some(v), _) => Some(v.wrapping_add(value)),
-                        };
-                        let seen = array.rmw(idx, |old| (step(old), old));
-                        prop_assert_eq!(seen, model[idx]);
-                        model[idx] = step(model[idx]);
-                    }
-                    4 => {
-                        let keep = |v: &u32| *v != value;
-                        let before = model.iter().flatten().count() as u64;
-                        for slot in &mut model {
-                            if slot.is_some_and(|v| !keep(&v)) {
-                                *slot = None;
-                            }
-                        }
-                        let kept = model.iter().flatten().count() as u64;
-                        prop_assert_eq!(array.sweep(keep), (kept, before - kept));
-                    }
-                    _ => {
-                        array.load(idx, value);
-                        model[idx] = Some(value);
-                    }
-                }
-                prop_assert_eq!(array.occupancy(), model.iter().flatten().count());
-            }
-            let walked: Vec<(usize, u32)> = array.iter().collect();
-            let expected: Vec<(usize, u32)> = model
-                .iter()
-                .enumerate()
-                .filter_map(|(idx, slot)| slot.map(|v| (idx, v)))
-                .collect();
-            prop_assert_eq!(walked, expected);
-            for (idx, slot) in model.iter().enumerate() {
-                prop_assert_eq!(get::<u32>(&array.slots[idx]), *slot);
-                prop_assert_eq!(array.index.bitmap[idx / 64] >> (idx % 64) & 1 == 1, slot.is_some());
-            }
+            check_against_model::<u32>(SIZE, ops)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The same on an array that starts sparse: fills outweigh clears
+        /// and a sweep is one op in 1 000, so nearly every sequence crosses a quarter
+        /// of the slots occupied, and keep going in the dense form.
+        #[test]
+        fn behaves_like_a_vec_of_options_across_the_turn_to_dense(
+            ops in prop::collection::vec(
+                (0u16..1000, 0usize..WIDE_SIZE, 0u32..4)
+                    .prop_map(|(op, idx, value)| {
+                        let op = if op == 0 { 4 } else { [0, 1, 2, 3, 5][usize::from(op % 5)] };
+                        (op, idx, value)
+                    }),
+                800..2400,
+            ),
+        ) {
+            check_against_model::<Wide>(WIDE_SIZE, ops)?;
         }
     }
 }

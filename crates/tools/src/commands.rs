@@ -4,16 +4,17 @@
 use crate::cli::{Command, Options, USAGE};
 use crate::io::{load_file, open_boxed, open_source, parse_prefix, save_file, TraceSource};
 use dart_analytics::{ChangeDetector, ChangeDetectorConfig, RttDistribution, Verdict};
-use dart_baselines::registry::sharded_shards;
+use dart_baselines::registry::{serial_dart_config, sharded_shards};
 use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
+use dart_core::telemetry::{TABLES, TABLE_OCCUPIED_SLOTS, TABLE_RESIDENT_BYTES};
 use dart_core::{drive, program, run_monitor_slice, tick_every};
-use dart_core::{Backend, DartConfig, DartEngine, Leg, RttSample};
+use dart_core::{Backend, DartConfig, DartEngine, Leg, PtMode, RtMode, RttSample};
 use dart_packet::SECOND;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
 use dart_switch::{estimate, TargetProfile};
-use dart_telemetry::{EventLog, MetricRegistry};
+use dart_telemetry::{EventLog, MetricRegistry, MetricValue};
 use dart_testkit::{
     run_chaos, run_diff, run_scenario, scenario_artifact_dir, write_scorecards, ChaosConfig,
     DiffConfig, FaultConfig, ScenarioConfig,
@@ -661,8 +662,69 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
     let _ = writeln!(out, "range collapses   : {}", stats.range_collapses);
     let _ = writeln!(out, "optimistic ACKs   : {}", stats.ack_optimistic);
     let _ = writeln!(out, "recirc / packet   : {:.4}", stats.recirc_per_packet());
+    let engine_cfg = serial_dart_config(&engine, &cfg).unwrap_or(cfg);
+    if let Some(tables) = tables_line(&metrics, &engine_cfg) {
+        let _ = writeln!(out, "tables            : {tables}");
+    }
     out.push_str(&telemetry_note);
     Ok(out)
+}
+
+/// What the RT and the PT held at the end of a run, beside what they model:
+/// per table the slots, the occupied ones and the bytes held, read from
+/// the `dart_table_*` gauges, and the register bits `program` prices for
+/// `cfg`. A sharded run sums its shards, each of which holds the whole
+/// geometry. `None` for an engine without Dart tables.
+fn tables_line(metrics: &MetricRegistry, cfg: &DartConfig) -> Option<String> {
+    let mut shards = std::collections::BTreeSet::new();
+    let mut held = [(0i64, 0i64); TABLES.len()];
+    for s in metrics.scrape().samples {
+        let MetricValue::Gauge(value) = s.value else {
+            continue;
+        };
+        let label = |key: &str| s.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let Some(table) = TABLES
+            .iter()
+            .position(|t| label("table").is_some_and(|v| v == t))
+        else {
+            continue;
+        };
+        if s.name == TABLE_OCCUPIED_SLOTS.name {
+            held[table].0 += value;
+        } else if s.name == TABLE_RESIDENT_BYTES.name {
+            held[table].1 += value;
+        }
+        shards.extend(label("shard").cloned());
+    }
+    let shards = shards.len() as u64;
+    let slots = match (cfg.rt, cfg.pt) {
+        (
+            RtMode::Constrained { slots: rt } | RtMode::Sketch { slots: rt, .. },
+            PtMode::Constrained { slots: pt, .. } | PtMode::Sketch { slots: pt, .. },
+        ) => [rt, pt],
+        _ => return None,
+    };
+    let prog = program(cfg, &TargetProfile::tofino2()).ok()?;
+    let priced = |table: &str| -> u64 {
+        let prefix = format!("{table}_");
+        (prog.tables.iter())
+            .filter(|t| t.name.starts_with(&prefix))
+            .map(|t| t.entries * u64::from(t.value_bits))
+            .sum()
+    };
+    (shards > 0).then(|| {
+        let rows: Vec<String> = (TABLES.iter().zip(slots).zip(held))
+            .map(|((table, slots), (occupied, bytes))| {
+                format!(
+                    "{table} {occupied} of {} slots in {:.1} KiB ({} bits priced)",
+                    slots as u64 * shards,
+                    bytes as f64 / 1024.0,
+                    priced(table) * shards
+                )
+            })
+            .collect();
+        rows.join(", ")
+    })
 }
 
 /// `dartmon stats`: run one engine and print the full metric snapshot
@@ -970,6 +1032,43 @@ mod tests {
         assert!(capped.contains(&format!("shards={par}")), "{capped}");
         let err = run_line(&["analyze", &path, "--shards", "0"]).unwrap_err();
         assert!(err.contains("at least 1"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn analyze_reports_what_its_tables_hold() {
+        let path = tmp("dartmon_tables.trace");
+        run_line(&[
+            "generate",
+            &path,
+            "--connections",
+            "60",
+            "--duration-secs",
+            "2",
+        ])
+        .unwrap();
+        let tables = |extra: &[&str]| {
+            let report = run_line(&[&["analyze", path.as_str()], extra].concat()).unwrap();
+            let line = report.lines().find(|l| l.starts_with("tables "));
+            line.map(|l| l.split_once(": ").unwrap().1.to_string())
+        };
+        // Default geometry: sparse tables, priced as the program prices them.
+        let exact = tables(&[]).unwrap();
+        assert!(exact.starts_with("rt "), "{exact}");
+        assert!(exact.contains(" of 1048576 slots in "), "{exact}");
+        assert!(exact.contains("(100663296 bits priced), pt "), "{exact}");
+        assert!(exact.contains(" of 131072 slots in "), "{exact}");
+        assert!(exact.ends_with("(12582912 bits priced)"), "{exact}");
+        let sketch = tables(&["--backend", "sketch"]).unwrap();
+        assert!(sketch.contains("(134217728 bits priced)"), "{sketch}");
+        // Frontier geometry: dense from construction, 4 096 × 24 B of RT
+        // words and 64 bitmap words.
+        let frontier = tables(&["--rt", "4096", "--pt", "512"]).unwrap();
+        assert!(
+            frontier.contains(" of 4096 slots in 96.5 KiB"),
+            "{frontier}"
+        );
+        assert_eq!(tables(&["--engine", "tcptrace"]), None);
         let _ = std::fs::remove_file(&path);
     }
 

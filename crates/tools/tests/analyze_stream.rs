@@ -205,10 +205,12 @@ mod equivalence {
     use super::{campus_packets, field, remove, run_line, tmp};
     use dart_analytics::RttDistribution;
     use dart_baselines::EngineRegistry;
-    use dart_core::{drive, tick_every, DartConfig, RttSample};
+    use dart_core::telemetry::{Family, TABLE_OCCUPIED_SLOTS, TABLE_RESIDENT_BYTES};
+    use dart_core::{drive, program, tick_every, DartConfig, RttSample};
     use dart_packet::parse::{synthesize_frame, PrefixClassifier};
     use dart_packet::pcap::{linktype, PcapWriter};
     use dart_packet::{PacketMeta, PacketSource, PcapSource, SliceSource};
+    use dart_switch::TargetProfile;
     use dart_telemetry::MetricRegistry;
     use dart_tools::io::{load_file, save_file};
     use std::fmt::Write as _;
@@ -338,6 +340,36 @@ mod equivalence {
         writeln!(out, "range collapses   : {}", stats.range_collapses).unwrap();
         writeln!(out, "optimistic ACKs   : {}", stats.ack_optimistic).unwrap();
         writeln!(out, "recirc / packet   : {:.4}", stats.recirc_per_packet()).unwrap();
+        // Every shard holds the default geometry: 2^20 RT and 2^17 PT slots.
+        let held = |row: Family, table: &str| -> i64 {
+            (0..shards)
+                .map(|s| {
+                    let labels = [("shard", s.to_string()), ("table", table.to_string())];
+                    let labels = labels.each_ref().map(|(k, v)| (*k, v.as_str()));
+                    metrics.gauge(row.name, &labels, row.help).get()
+                })
+                .sum()
+        };
+        let prog = program(&cfg, &TargetProfile::tofino2()).expect("constrained tables");
+        let priced = |table: &str| -> u64 {
+            (prog.tables.iter())
+                .filter(|t| t.name.starts_with(&format!("{table}_")))
+                .map(|t| t.entries * u64::from(t.value_bits))
+                .sum()
+        };
+        let rows: Vec<String> = [("rt", 1u64 << 20), ("pt", 1 << 17)]
+            .iter()
+            .map(|&(table, slots)| {
+                format!(
+                    "{table} {} of {} slots in {:.1} KiB ({} bits priced)",
+                    held(TABLE_OCCUPIED_SLOTS, table),
+                    slots * shards as u64,
+                    held(TABLE_RESIDENT_BYTES, table) as f64 / 1024.0,
+                    priced(table) * shards as u64
+                )
+            })
+            .collect();
+        writeln!(out, "tables            : {}", rows.join(", ")).unwrap();
         writeln!(
             out,
             "metrics           : {} snapshots (every {INTERVAL} pkts) -> {}",

@@ -258,3 +258,206 @@ fn serve_follow_survives_decode_garbage_and_counts_it() {
     while dart_tools::shutdown::take() {}
     let _ = std::fs::remove_file(&trace);
 }
+
+/// One request to a daemon's plane; the response body.
+fn http(addr: &str, method: &str, path: &str) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    write!(
+        s,
+        "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).expect("read");
+    raw.split_once("\r\n\r\n")
+        .map_or("", |(_, body)| body)
+        .to_string()
+}
+
+/// Sum of every series of `family` in a Prometheus exposition.
+fn prom_sum(text: &str, family: &str) -> u64 {
+    text.lines()
+        .filter(|l| l.starts_with(family) && l[family.len()..].starts_with(['{', ' ']))
+        .filter_map(|l| l.rsplit_once(' ')?.1.parse::<u64>().ok())
+        .sum()
+}
+
+/// `flags` followed by `more`.
+fn with<'a>(flags: &[&'a str], more: &[&'a str]) -> Vec<&'a str> {
+    [flags, more].concat()
+}
+
+/// A `dartmon serve --mode follow` child tailing a fifo that this test
+/// feeds, with the address its banner names.
+struct Tail {
+    child: std::process::Child,
+    addr: String,
+    feed: std::thread::JoinHandle<std::fs::File>,
+}
+
+impl Tail {
+    /// Start `serve` on a fresh fifo at `fifo` with `flags`, and feed it
+    /// `trace` in eight slices 100 ms apart, so the run crosses several
+    /// 200 ms checkpoint boundaries while packets arrive. (A daemon parked
+    /// in `read()` on a quiet fifo reaches no boundary: fed all at once,
+    /// it would checkpoint nothing before it is killed.) The writer stays
+    /// open, as a live producer's would, until [`Tail::close_feed`].
+    fn start(fifo: &str, trace: &[u8], flags: &[&str]) -> Tail {
+        use std::io::{BufRead as _, Write as _};
+        let made = std::process::Command::new("mkfifo").arg(fifo).status();
+        assert!(made.expect("mkfifo").success(), "mkfifo {fifo}");
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dartmon"))
+            .args(["serve", fifo, "--mode", "follow", "--listen", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn dartmon serve");
+        let mut stderr = std::io::BufReader::new(child.stderr.take().expect("stderr"));
+        let mut banner = String::new();
+        stderr.read_line(&mut banner).expect("banner");
+        let addr = banner
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no plane address in {banner:?}"))
+            .to_string();
+        // Keep draining stderr so the child can never block on it.
+        std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+        let (fifo, trace) = (fifo.to_string(), trace.to_vec());
+        let feed = std::thread::spawn(move || {
+            let mut w = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&fifo)
+                .expect("open fifo for writing");
+            for slice in trace.chunks(trace.len().div_ceil(8)) {
+                w.write_all(slice).expect("feed");
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            w
+        });
+        Tail { child, addr, feed }
+    }
+
+    /// Poll `/metrics` until `done` holds of it (or 30 s pass); the last
+    /// exposition read.
+    fn await_metrics(&self, done: impl Fn(&str) -> bool) -> String {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        loop {
+            let text = http(&self.addr, "GET", "/metrics");
+            if done(&text) || std::time::Instant::now() > deadline {
+                return text;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// Close the producer's end of the fifo once the whole trace is in.
+    fn close_feed(self) -> std::process::Child {
+        drop(self.feed.join().expect("feeder"));
+        self.child
+    }
+}
+
+/// A daemon checkpointing on a 200 ms cadence is killed with SIGKILL after
+/// its feed (no drain, no shutdown checkpoint: only the cadence's last
+/// durable snapshot survives); a second incarnation restores it and drains
+/// a full feed. The report's `packets` is the conservation sum across both
+/// generations, so restored books make it exceed one feed, and it can never
+/// exceed two. Restore fills the tables through `RegisterArray::load`, so
+/// this is that path end to end, from the command line.
+#[test]
+fn a_killed_checkpointing_daemon_restores_and_refeeds() {
+    let dartmon = env!("CARGO_BIN_EXE_dartmon");
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(dartmon)
+            .args(args)
+            .output()
+            .expect("run dartmon");
+        assert!(out.status.success(), "dartmon {args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let (trace, snap) = (tmp("dartmon_kill9.trace"), tmp("dartmon_kill9.dsnp"));
+    let (fifo1, fifo2) = (tmp("dartmon_kill9-1.fifo"), tmp("dartmon_kill9-2.fifo"));
+    for path in [&snap, &fifo1, &fifo2] {
+        let _ = std::fs::remove_file(path);
+    }
+    run(&[
+        "generate",
+        &trace,
+        "--connections",
+        "120",
+        "--duration-secs",
+        "3",
+    ]);
+    let analyzed = run(&["analyze", &trace]);
+    let total: u64 = analyzed
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("input")?
+                .split_once(" (")?
+                .1
+                .split(' ')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no packet count in:\n{analyzed}"));
+    let bytes = std::fs::read(&trace).expect("trace bytes");
+    let flags = [
+        "--shards",
+        "2",
+        "--rotate-millis",
+        "1000",
+        "--retain-secs",
+        "1",
+        "--snapshot-path",
+        &snap,
+    ];
+
+    let mut first = Tail::start(
+        &fifo1,
+        &bytes,
+        &with(&flags, &["--checkpoint-millis", "200"]),
+    );
+    let books = |text: &str| {
+        prom_sum(text, "dart_shard_packets_total") + prom_sum(text, "dart_shard_monitor_miss_total")
+    };
+    let metrics = first
+        .await_metrics(|m| books(m) == total && prom_sum(m, "dart_daemon_checkpoints_total") >= 1);
+    let check = dart_telemetry::check_prometheus(&metrics);
+    assert!(check.ok(), "{:?}", check.errors);
+    first.child.kill().expect("SIGKILL");
+    let killed = first.child.wait().expect("reap");
+    assert!(!killed.success(), "{killed:?}");
+    drop(first.close_feed());
+    let written = std::fs::metadata(&snap).map(|m| m.len()).unwrap_or(0);
+    assert!(written > 0, "no durable checkpoint before the kill");
+
+    let second = Tail::start(&fifo2, &bytes, &with(&flags, &["--restore", &snap]));
+    let metrics =
+        second.await_metrics(|m| books(m) > total && m.contains("dart_shard_packets_total"));
+    let check = dart_telemetry::check_prometheus(&metrics);
+    assert!(check.ok(), "{:?}", check.errors);
+    // Let the whole second feed in before asking for the shutdown.
+    let addr = second.addr.clone();
+    let child = second.close_feed();
+    let health = http(&addr, "GET", "/healthz");
+    http(&addr, "POST", "/control/shutdown");
+    let out = child.wait_with_output().expect("second serve");
+    assert!(out.status.success(), "{out:?}");
+    let report = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert_eq!(field(&report, "restored"), "yes", "{report}");
+    assert_eq!(field(&report, "ended by"), "shutdown request", "{report}");
+    assert_eq!(field(&report, "supervisor"), "healthy", "{report}");
+    assert!(health.contains("\"healthy\":true"), "{health}");
+    let packets: u64 = field(&report, "packets").parse().expect("count");
+    assert!(
+        total < packets && packets <= 2 * total,
+        "cumulative books {packets} against one feed of {total}:\n{report}"
+    );
+    for path in [&trace, &snap, &fifo1, &fifo2] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -1,9 +1,9 @@
-//! Cold tables: a register array is plain integer words, so building an
-//! engine asks the allocator for *zeroed* memory and writes none of it — an
-//! untouched slot is a page the kernel never had to hand over — and the
-//! word form is a private matter of the array: checkpoints are field-wise,
-//! so one written before the slots were words restores, and re-serialises,
-//! byte for byte.
+//! Cold tables: a register array holds what is stored in it — a large one
+//! starts as an occupancy bitmap and an empty map, so building an engine
+//! requests next to nothing and its tables grow with their occupied slots —
+//! and the storage form is a private matter of the array: checkpoints are
+//! field-wise, so one written before the slots were words restores, and
+//! re-serialises, byte for byte.
 //!
 //! One exception since PR 23: a sketch checkpoint from before the sketch
 //! PT's fingerprint stopped being a CRC sibling of its way index is
@@ -26,23 +26,58 @@ use dart::packet::{Direction, FlowKey, PacketBuilder, PacketMeta};
 
 include!("fixtures/traffic.rs");
 
-/// At least 95 % of the bytes `DartEngine::new` requests for the default
-/// geometry of each backend arrive through `alloc_zeroed`: the tables (tens
-/// of megabytes) are handed over untouched, and what is written at
-/// construction is bookkeeping.
+/// `DartEngine::new` requests at most 1 MiB for the default geometry of
+/// each backend — 2^20 RT and 2^17 PT slots, 28 MB of words were they held
+/// dense — so construction writes at most that: a large register array
+/// starts as its occupancy bitmap and an empty map.
 #[test]
 fn building_an_engine_writes_no_table() {
     for backend in [Backend::Exact, Backend::Sketch, Backend::Precision] {
         let cfg = DartConfig::default().with_backend(backend);
         let mut engine = None;
-        let (requested, zeroed) = requested_bytes(|| engine = Some(DartEngine::new(cfg)));
+        let (requested, _) = requested_bytes(|| engine = Some(DartEngine::new(cfg)));
         assert!(
-            requested > 16 << 20,
-            "{backend}: default tables are tens of megabytes, {requested} bytes requested"
+            requested <= 1 << 20,
+            "{backend}: {requested} bytes requested at construction"
+        );
+    }
+}
+
+/// A default-geometry engine's tables grow with what is stored in them:
+/// after `fixture_traffic()`, everything the engine requested — build and
+/// run, every map growth counted — is within eight times its occupied
+/// slots' words (DESIGN.md §5f's record sizes), plus the occupancy bitmaps
+/// (one bit per slot) and 128 KiB for the rest of the engine. The word
+/// arrays alone would be 28 MB.
+#[test]
+fn tables_hold_what_is_stored() {
+    let traffic = fixture_traffic();
+    for backend in [Backend::Exact, Backend::Sketch, Backend::Precision] {
+        let cfg = DartConfig::default().with_backend(backend);
+        let mut samples = 0usize;
+        let mut engine = None;
+        let (requested, _) = requested_bytes(|| {
+            let mut fed = DartEngine::new(cfg);
+            let mut sink = |_: RttSample| samples += 1;
+            for block in traffic.chunks(64) {
+                fed.on_batch(block, &mut sink);
+            }
+            engine = Some(fed);
+        });
+        let engine = engine.unwrap();
+        let (rt_record, pt_record) = match backend {
+            Backend::Sketch => (32, 16),
+            _ => (24, 32),
+        };
+        let stored = engine.rt_occupancy() * rt_record + engine.pt_occupancy() * pt_record;
+        let bitmaps = ((1 << 20) + (1 << 17)) / 8;
+        assert!(
+            samples > 0 && stored > 0,
+            "{backend}: the traffic stored nothing"
         );
         assert!(
-            zeroed as f64 >= 0.95 * requested as f64,
-            "{backend}: {zeroed} of {requested} bytes came zeroed"
+            requested <= 8 * stored + bitmaps + (128 << 10),
+            "{backend}: {requested} bytes requested for {stored} bytes of stored records"
         );
     }
 }
