@@ -10,7 +10,7 @@ use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
@@ -779,11 +779,12 @@ impl RttMonitor for DartEngine {
 
     /// Serialize the engine's complete measurement state — both flow
     /// tables, the victim cache, records mid-recirculation, the RT copy,
-    /// the admission gate's heavy-hitter book, and every counter — into a
-    /// checksummed [`Snapshot`]. Control-plane only, like
+    /// the admission gate's heavy-hitter book, and every counter — into
+    /// `w`, in one walk. Control-plane only, like
     /// [`RttMonitor::rotate_epoch`]: call between batches, never mid-batch.
-    fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
-        Ok(self.encode())
+    fn write_snapshot(&mut self, mut w: SnapWriter) -> Result<SnapWriter, SnapshotError> {
+        self.encode(&mut w);
+        Ok(w)
     }
 
     /// Replace all measurement state with a [`RttMonitor::snapshot`]. The
@@ -806,7 +807,6 @@ mod tests {
     use super::*;
     use crate::config::SynPolicy;
     use crate::monitor::run_monitor_slice;
-    use crate::snapshot::SnapWriter;
     use dart_packet::{Direction, FlowKey, PacketBuilder, SeqNum};
 
     fn flow(n: u32) -> FlowKey {

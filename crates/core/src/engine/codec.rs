@@ -31,14 +31,12 @@ impl DartEngine {
         fnv1a_64(format!("{:?}", self.cfg).as_bytes())
     }
 
-    /// The framed single-engine snapshot behind
-    /// [`RttMonitor::snapshot`](crate::monitor::RttMonitor::snapshot): the
-    /// kind tag, then the engine-state section.
-    pub(super) fn encode(&self) -> Snapshot {
-        let mut w = SnapWriter::framed();
+    /// The single-engine snapshot payload behind
+    /// [`RttMonitor::write_snapshot`](crate::monitor::RttMonitor::write_snapshot):
+    /// the kind tag, then the engine-state section.
+    pub(super) fn encode(&self, w: &mut SnapWriter) {
         w.put_u8(SNAP_KIND_ENGINE);
-        self.snapshot_into(&mut w);
-        w.into_snapshot()
+        self.snapshot_into(w);
     }
 
     /// The inverse of [`DartEngine::encode`], behind

@@ -55,10 +55,11 @@
 use crate::ring::{Parcel, Ring, RingEnd};
 use crate::sample::{RttSample, SampleSink};
 use crate::sharded::panic_message;
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::StageTimers;
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource};
+use std::path::Path;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -134,11 +135,30 @@ pub trait RttMonitor {
     /// measurement state into a checksummed [`Snapshot`] a later process
     /// can [`RttMonitor::restore`]. Called between batches — never
     /// mid-batch — at the same quiescent points as
-    /// [`RttMonitor::rotate_epoch`]. The default refuses: baselines that
-    /// hold no restorable state (or buffer samples they could not replay)
-    /// are not checkpointable, and a daemon asked to checkpoint one should
-    /// fail loudly rather than silently persist nothing.
+    /// [`RttMonitor::rotate_epoch`]. This is
+    /// [`RttMonitor::write_snapshot`] into a [`SnapWriter::framed`] writer.
     fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
+        Ok(self.write_snapshot(SnapWriter::framed())?.into_snapshot())
+    }
+
+    /// [`RttMonitor::snapshot`] streamed to `path` instead of held: the
+    /// same bytes go through [`RttMonitor::write_snapshot`] into
+    /// `<path>.tmp` a fixed-size stage at a time, checksummed as they
+    /// pass, and the file is fsynced and renamed over `path`. Returns the
+    /// bytes written. On any error the temporary file is removed and the
+    /// previous checkpoint at `path` stays in place.
+    fn checkpoint_to(&mut self, path: &Path) -> Result<u64, SnapshotError> {
+        crate::snapshot::write_file(path, |w| self.write_snapshot(w))
+    }
+
+    /// The one serializer behind [`RttMonitor::snapshot`] and
+    /// [`RttMonitor::checkpoint_to`]: write the snapshot payload into the
+    /// framed writer `w`, whichever its sink, and hand it back. The
+    /// default refuses: baselines that hold no restorable state (or buffer
+    /// samples they could not replay) are not checkpointable, and a daemon
+    /// asked to checkpoint one should fail loudly rather than silently
+    /// persist nothing.
+    fn write_snapshot(&mut self, _w: SnapWriter) -> Result<SnapWriter, SnapshotError> {
         Err(SnapshotError::Unsupported(format!(
             "{} does not support checkpointing",
             self.name()

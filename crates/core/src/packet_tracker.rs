@@ -139,6 +139,32 @@ pub struct PacketTracker {
     store: PtStore,
 }
 
+/// What an insert does to a slot it accesses, given the slot's occupant:
+/// fill it when empty, refresh it when it holds the same identity (tracking
+/// restarted on the same byte range), and otherwise leave it be — unless
+/// `evict`, when the occupant is displaced. Displacing the record that
+/// displaced this one is a cycle (§3.2's cycle detector): the older of the
+/// two is kept, the younger dropped, and nothing recirculates. Returns the
+/// slot's new contents and, when the insert is settled, its outcome.
+fn place(
+    old: Option<PtRecord>,
+    rec: PtRecord,
+    displaced_by: Option<PacketId>,
+    evict: bool,
+) -> (Option<PtRecord>, Option<PtInsert>) {
+    match old {
+        None => (Some(rec), Some(PtInsert::Stored)),
+        Some(o) if o.id() == rec.id() => (Some(rec), Some(PtInsert::Stored)),
+        Some(o) if !evict => (Some(o), None),
+        Some(o) if displaced_by == Some(o.id()) => {
+            let kept_incumbent = o.ts <= rec.ts;
+            let keep = if kept_incumbent { o } else { rec };
+            (Some(keep), Some(PtInsert::CycleBroken { kept_incumbent }))
+        }
+        Some(o) => (Some(rec), Some(PtInsert::StoredEvicting(o))),
+    }
+}
+
 impl PacketTracker {
     /// Build a tracker in the given mode. `PtMode::Sketch` belongs to
     /// [`crate::SketchPacketTracker`]; handed one anyway, this exact
@@ -238,6 +264,9 @@ impl PacketTracker {
 
         // Probe pass: one access per stage, looking for an empty home (or a
         // duplicate of ourselves to refresh) from the entry stage onward.
+        // When the entry stage is the only stage probed, its one access
+        // also displaces.
+        let only = entry_stage + 1 == n;
         #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
         for s in entry_stage..n {
             let idx = if s == entry_stage {
@@ -245,44 +274,18 @@ impl PacketTracker {
             } else {
                 hashers[s].index(&key, size)
             };
-            match stages[s].read(idx) {
-                None => {
-                    stages[s].write(idx, rec);
-                    return PtInsert::Stored;
-                }
-                Some(o) if o.id() == rec.id() => {
-                    // Same identity (e.g. tracking restarted on the same
-                    // byte range): refresh the timestamp.
-                    stages[s].write(idx, rec);
-                    return PtInsert::Stored;
-                }
-                Some(_) => {}
+            if let Some(done) = stages[s].rmw(idx, |old| place(old, rec, displaced_by, only)) {
+                return done;
             }
         }
 
-        // Every probed slot is occupied: displace the entry-stage occupant.
-        // The probe loop above returned without finding a free slot, so the
-        // entry stage is occupied; the lint exception documents that proof.
+        // Every probed slot is occupied: displace the entry-stage occupant,
+        // a second access to the entry stage. An evicting placement always
+        // settles; the lint exception documents that proof.
         #[allow(clippy::expect_used)]
-        let occupant = stages[entry_stage]
-            .read(idx0)
-            .expect("probed occupied just above");
-        if displaced_by == Some(occupant.id()) {
-            // Cycle: the incumbent is the record that displaced us. Keep
-            // the older record, drop the younger, recirculate nothing
-            // (§3.2's cycle detector).
-            if occupant.ts <= rec.ts {
-                return PtInsert::CycleBroken {
-                    kept_incumbent: true,
-                };
-            }
-            stages[entry_stage].write(idx0, rec);
-            return PtInsert::CycleBroken {
-                kept_incumbent: false,
-            };
-        }
-        stages[entry_stage].write(idx0, rec);
-        PtInsert::StoredEvicting(occupant)
+        stages[entry_stage]
+            .rmw(idx0, |old| place(old, rec, displaced_by, true))
+            .expect("an evicting placement settles")
     }
 
     /// Match an arriving ACK: look up (flow/sig, ack) in every stage and
@@ -296,10 +299,13 @@ impl PacketTracker {
                 #[allow(clippy::needless_range_loop)] // stage index feeds the hash choice
                 for s in 0..stages.len() {
                     let idx = hashers[s].index(&key, size);
-                    let hit =
-                        matches!(stages[s].read(idx), Some(r) if r.sig == sig && r.eack == ack);
-                    if hit {
-                        return stages[s].clear(idx).map(|r| r.ts);
+                    // One access: a hit is cleared as it is read.
+                    let ts = stages[s].rmw(idx, |old| match old {
+                        Some(r) if r.sig == sig && r.eack == ack => (None, Some(r.ts)),
+                        other => (other, None),
+                    });
+                    if ts.is_some() {
+                        return ts;
                     }
                 }
                 None

@@ -290,9 +290,15 @@ enum ShardMsg {
     Block(Block),
     /// Rotate the engine's epoch (see [`RttMonitor::rotate_epoch`]).
     Rotate(Nanos),
-    /// Serialize the live engine's state section into the buffer sent
-    /// along (the last checkpoint's, emptied) and reply with it.
-    Checkpoint(MpscSender<Result<Vec<u8>, SnapshotError>>, Vec<u8>),
+    /// Count the bytes of the shard's checkpoint section and reply with
+    /// the count: the first phase of a checkpoint.
+    Measure(MpscSender<Result<usize, SnapshotError>>),
+    /// Write the shard's checkpoint section into the writer sent along and
+    /// hand the writer back: the second phase.
+    Checkpoint(
+        Box<SnapWriter>,
+        MpscSender<Result<Box<SnapWriter>, SnapshotError>>,
+    ),
     /// Replace the live engine's state with a serialized section produced
     /// by [`ShardMsg::Checkpoint`] and acknowledge over the channel.
     Restore(Vec<u8>, MpscSender<Result<(), SnapshotError>>),
@@ -508,16 +514,6 @@ pub struct ShardedMonitor {
     /// Each shard's final counters, filled by the flush.
     per_shard: Vec<EngineStats>,
     sup_stalls: Option<Counter>,
-    /// Checkpoint buffers, kept from one checkpoint to the next: each
-    /// shard's section travels to its worker inside the `Checkpoint`
-    /// message and comes back filled, and the frame returns through
-    /// [`ShardedMonitor::reclaim`]. Megabyte buffers allocated and freed
-    /// once a second walk glibc's mmap threshold up until they are carved
-    /// from the heap, where what they leave behind stays resident — the
-    /// daemon's peak RSS then depended on whether a snapshot had crossed
-    /// 4 MiB yet.
-    section_bufs: Vec<Vec<u8>>,
-    frame_buf: Vec<u8>,
 }
 
 impl ShardedMonitor {
@@ -622,8 +618,6 @@ impl ShardedMonitor {
             flushed: false,
             per_shard: Vec::new(),
             sup_stalls,
-            section_bufs: vec![Vec::new(); cfg.shards],
-            frame_buf: Vec::new(),
         }
     }
 
@@ -714,12 +708,6 @@ impl ShardedMonitor {
                 None
             }
         }
-    }
-
-    /// Hand a written-out [`RttMonitor::snapshot`] back, so that the next
-    /// one is framed in the same buffer.
-    pub fn reclaim(&mut self, snap: Snapshot) {
-        self.frame_buf = snap.into_bytes();
     }
 
     /// Point-in-time health of the runtime — see [`SupervisorHealth`].
@@ -847,37 +835,40 @@ impl RttMonitor for ShardedMonitor {
         EpochRotation::default()
     }
 
-    /// Checkpoint the whole runtime into one [`Snapshot`].
+    /// Checkpoint the whole runtime into `w`, in two phases over the
+    /// hand-off rings.
     ///
     /// Mirrors [`RttMonitor::rotate_epoch`]'s quiescence seam: partial
-    /// feeder buffers are dispatched first, then a `Checkpoint` control
+    /// feeder buffers are dispatched first, then a `Measure` control
     /// message rides each live shard's bounded queue, so every shard
-    /// serializes its engine exactly after the packets fed before this
-    /// call and before any fed after it. The feeder blocks for the
-    /// replies (watchdog-bounded), so the returned snapshot is a
-    /// consistent cut of the run.
+    /// stands exactly after the packets fed before this call and before
+    /// any fed after it. All shards measure their sections at once; the
+    /// feeder then writes its books and each measured shard, in shard
+    /// order, writes its section straight into `w` (the feeder blocks
+    /// throughout, watchdog-bounded, and sends nothing else in between, so
+    /// nothing a shard holds changes between the phases). The result is a
+    /// consistent cut of the run, and neither the feeder nor a worker ever
+    /// holds more of it than `w`'s sink keeps.
     ///
-    /// Shards that are dead, refuse (shedding), or fail to reply within
+    /// Shards that are dead, refuse (shedding), or fail to measure within
     /// the budget are written off *inside the snapshot*: their section is
     /// absent and every packet ever handed to them is added to the
     /// serialized `monitor_miss`, so books restored from this snapshot
     /// still satisfy the conservation law `fed == packets +
-    /// monitor_miss`.
-    fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
+    /// monitor_miss`. A shard that fails after measuring fails the whole
+    /// checkpoint: its length is already written.
+    fn write_snapshot(&mut self, mut w: SnapWriter) -> Result<SnapWriter, SnapshotError> {
         if self.flushed {
             return Err(SnapshotError::Unsupported(
                 "monitor already flushed; nothing left to checkpoint".to_string(),
             ));
         }
-        // Collect sections first: a shard that fails here mutates the
-        // feeder books (watchdog write-off), which are serialized after.
-        //
-        // Two passes: every live shard gets its `Checkpoint` message before
-        // any reply is awaited, so the shards serialize their tables
-        // concurrently and the feeder's pause is one table walk, not a sum
-        // over shards.
-        type SectionReply = Receiver<Result<Vec<u8>, SnapshotError>>;
-        let mut pending: Vec<Option<SectionReply>> = Vec::with_capacity(self.cfg.shards);
+        // Phase one: every live shard gets its `Measure` message before
+        // any reply is awaited, so the shards walk their tables
+        // concurrently. A shard that fails here mutates the feeder books
+        // (watchdog write-off), which are serialized after.
+        type LenReply = Receiver<Result<usize, SnapshotError>>;
+        let mut pending: Vec<Option<LenReply>> = Vec::with_capacity(self.cfg.shards);
         for shard in 0..self.cfg.shards {
             if !self.is_live(shard) {
                 pending.push(None);
@@ -885,28 +876,19 @@ impl RttMonitor for ShardedMonitor {
             }
             self.dispatch(shard);
             let (reply_tx, reply_rx) = channel();
-            let buf = std::mem::take(&mut self.section_bufs[shard]);
-            self.send_msg(shard, ShardMsg::Checkpoint(reply_tx, buf));
+            self.send_msg(shard, ShardMsg::Measure(reply_tx));
             pending.push(Some(reply_rx));
         }
         // The watchdog allows `stall_timeout` per hand-off and at most
-        // `queue_depth` messages sit ahead of ours in the queue.
+        // `queue_depth` messages sit ahead of ours in the queue. If
+        // send_msg abandoned the shard or found the worker gone, the reply
+        // sender was dropped and recv fails at once — the shard is written
+        // off like any other absent section.
         let budget = self.cfg.stall_timeout * (self.cfg.queue_depth as u32 + 1);
-        let mut sections: Vec<Option<Vec<u8>>> = Vec::with_capacity(self.cfg.shards);
-        for reply_rx in pending {
-            // If send_msg abandoned the shard (watchdog) or found the
-            // worker gone, the reply sender was dropped and recv fails
-            // immediately — the shard is written off like any other
-            // absent section.
-            match reply_rx.map(|rx| rx.recv_timeout(budget)) {
-                Some(Ok(Ok(bytes))) => sections.push(Some(bytes)),
-                Some(Ok(Err(_))) | Some(Err(_)) => sections.push(None),
-                None => sections.push(None),
-            }
-        }
-        // Framed in place: the shard state is copied exactly once on its
-        // way from the workers to the snapshot.
-        let mut w = SnapWriter::framed_in(std::mem::take(&mut self.frame_buf));
+        let sections: Vec<Option<usize>> = pending
+            .into_iter()
+            .map(|rx| rx.and_then(|rx| rx.recv_timeout(budget).ok()?.ok()))
+            .collect();
         w.put_u8(SNAP_KIND_SHARDED);
         w.put_usize(self.cfg.shards);
         w.put_u64(self.fed);
@@ -925,22 +907,38 @@ impl RttMonitor for ShardedMonitor {
             }
         }
         snap_extra.snapshot_into(&mut w);
-        // Per shard: `sent`, the presence flag, the section length.
-        let section_bytes: usize = sections.iter().flatten().map(Vec::len).sum();
+        let section_bytes: usize = sections.iter().flatten().sum();
         w.reserve(section_bytes + self.cfg.shards * (8 + 1 + 8));
+        // Phase two. Per shard: `sent`, the presence flag, the section
+        // length, then the section itself, written by the worker.
         for (shard, section) in sections.into_iter().enumerate() {
             w.put_u64(snap_sent[shard]);
-            match section {
-                Some(bytes) => {
-                    w.put_u8(1);
-                    w.put_usize(bytes.len());
-                    w.put_bytes(&bytes);
-                    self.section_bufs[shard] = bytes;
+            let Some(len) = section else {
+                w.put_u8(0);
+                continue;
+            };
+            w.put_u8(1);
+            w.put_usize(len);
+            let start = w.len();
+            let (reply_tx, reply_rx) = channel();
+            self.send_msg(shard, ShardMsg::Checkpoint(Box::new(w), reply_tx));
+            w = match reply_rx.recv_timeout(budget) {
+                Ok(Ok(back)) => *back,
+                Ok(Err(e)) => return Err(e),
+                Err(_) => {
+                    return Err(SnapshotError::Unsupported(format!(
+                        "shard {shard} failed between measuring and writing its section"
+                    )))
                 }
-                None => w.put_u8(0),
+            };
+            if w.len() - start != len {
+                return Err(SnapshotError::Corrupt(format!(
+                    "shard {shard} wrote {} section bytes after measuring {len}",
+                    w.len() - start
+                )));
             }
         }
-        Ok(w.into_snapshot())
+        Ok(w)
     }
 
     /// Restore a sharded [`RttMonitor::snapshot`] into this (freshly
@@ -1125,6 +1123,56 @@ fn retag<T>(entries: &mut [(u64, T)], idx: &[u64]) {
     }
 }
 
+/// Run one phase of a shard's checkpoint, `write`, unless the shard is
+/// shedding and holds no restorable state. Serialization only reads the
+/// tables; a panic here (there is no known path) would still leave the
+/// engine intact, but it fails the phase.
+fn checkpoint_section(
+    shard: usize,
+    shedding: bool,
+    write: impl FnOnce(),
+) -> Result<(), SnapshotError> {
+    if shedding {
+        return Err(SnapshotError::Unsupported(format!(
+            "shard {shard} is shedding and holds no restorable state"
+        )));
+    }
+    catch_unwind(AssertUnwindSafe(write)).map_err(|payload| {
+        SnapshotError::Unsupported(format!(
+            "shard {shard} checkpoint panicked: {}",
+            panic_message(payload)
+        ))
+    })
+}
+
+/// A shard's checkpoint section: its restart count, the books of the
+/// engines it retired and of its runtime accounting, the samples and
+/// events buffered for the flush-time merge (without them every sample
+/// produced since the run began would vanish in a crash even with a fresh
+/// checkpoint), then the live engine's state.
+fn write_section(
+    w: &mut SnapWriter,
+    restarts: u32,
+    retired: &EngineStats,
+    extra: &EngineStats,
+    samples: &[(u64, RttSample)],
+    events: &[(u64, EngineEvent)],
+    engine: &DartEngine,
+) {
+    w.put_u32(restarts);
+    retired.snapshot_into(w);
+    extra.snapshot_into(w);
+    w.put_usize(samples.len());
+    for (idx, s) in samples {
+        put_sample(w, *idx, s);
+    }
+    w.put_usize(events.len());
+    for (idx, ev) in events {
+        put_event(w, *idx, ev);
+    }
+    engine.snapshot_into(w);
+}
+
 /// Worker body: one engine (respawned after a panic, up to
 /// [`MAX_RESTARTS`] times), fed blocks until the ring closes, every block
 /// under panic isolation.
@@ -1176,42 +1224,23 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                 }
                 continue;
             }
-            ShardMsg::Checkpoint(reply, buf) => {
-                let res = if shedding {
-                    Err(SnapshotError::Unsupported(format!(
-                        "shard {shard} is shedding and holds no restorable state"
-                    )))
-                } else {
-                    // Serialization only reads the tables; a panic here
-                    // (there is no known path) would still leave the engine
-                    // intact, but treat it like a failed rotation anyway.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut w = SnapWriter::reusing(buf);
-                        w.put_u32(restarts);
-                        retired.snapshot_into(&mut w);
-                        extra.snapshot_into(&mut w);
-                        // Flush-time buffers: without them every sample
-                        // produced since the run began would vanish in a
-                        // crash even with a fresh checkpoint.
-                        w.put_usize(samples.len());
-                        for (idx, s) in &samples {
-                            put_sample(&mut w, *idx, s);
-                        }
-                        w.put_usize(events.len());
-                        for (idx, ev) in &events {
-                            put_event(&mut w, *idx, ev);
-                        }
-                        engine.snapshot_into(&mut w);
-                        w.into_payload()
-                    }))
-                    .map_err(|payload| {
-                        SnapshotError::Unsupported(format!(
-                            "shard {shard} checkpoint panicked: {}",
-                            panic_message(payload)
-                        ))
-                    })
-                };
-                let _ = reply.send(res);
+            ShardMsg::Measure(reply) => {
+                let mut w = SnapWriter::counter();
+                let res = checkpoint_section(shard, shedding, || {
+                    write_section(
+                        &mut w, restarts, &retired, &extra, &samples, &events, &engine,
+                    )
+                });
+                let _ = reply.send(res.map(|()| w.len()));
+                continue;
+            }
+            ShardMsg::Checkpoint(mut w, reply) => {
+                let res = checkpoint_section(shard, shedding, || {
+                    write_section(
+                        &mut w, restarts, &retired, &extra, &samples, &events, &engine,
+                    )
+                });
+                let _ = reply.send(res.map(|()| w));
                 continue;
             }
             ShardMsg::Restore(bytes, reply) => {
@@ -2050,27 +2079,32 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_buffers_are_reused_without_changing_the_bytes() {
+    fn a_streamed_checkpoint_is_the_snapshot_bytes() {
         let pkts = trace(30, 6);
         let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(7);
+        let dir = std::env::temp_dir().join(format!("dart-sharded-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.dsnp");
         let mut m = ShardedMonitor::new(cfg);
         feed_each(&mut m, &pkts[..pkts.len() / 2]);
         let first = m.snapshot().expect("checkpoint");
-        let bytes = first.as_bytes().to_vec();
-        let frame_at = first.as_bytes().as_ptr() as usize;
-        m.reclaim(first);
-        // Nothing fed in between: the same cut, written over the first.
-        let again = m.snapshot().expect("checkpoint");
-        assert_eq!(again.as_bytes(), bytes.as_slice());
-        assert_eq!(again.as_bytes().as_ptr() as usize, frame_at);
+        // Nothing fed in between: the same cut, streamed.
+        let written = m.checkpoint_to(&path).expect("streamed checkpoint");
+        assert_eq!(written, first.as_bytes().len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), first.as_bytes());
         // A longer state after a shorter one leaves nothing of it behind.
         feed_each(&mut m, &pkts[pkts.len() / 2..]);
-        m.reclaim(again);
-        let later = m.snapshot().expect("checkpoint");
+        m.checkpoint_to(&path).expect("streamed checkpoint");
+        assert_eq!(
+            Snapshot::from_file(&path).unwrap(),
+            m.snapshot().expect("checkpoint")
+        );
         let mut b = ShardedMonitor::new(cfg);
-        b.restore(&later).expect("restore");
+        b.restore(&Snapshot::from_file(&path).unwrap())
+            .expect("restore");
         flush_samples(&mut b);
         assert_eq!(b.stats(), replay(cfg, &pkts).1.stats());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

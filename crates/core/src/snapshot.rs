@@ -29,16 +29,19 @@
 //!
 //! # Crash consistency
 //!
-//! [`Snapshot::to_file`] writes a sibling temporary file, fsyncs it, and
-//! renames it over the destination — the POSIX publish idiom. A reader
-//! therefore observes either the previous complete snapshot or the new
-//! complete snapshot, never a torn one; a crash between fsync and rename
-//! leaves a stale `.tmp` that [`Snapshot::from_file`] ignores.
+//! [`Snapshot::to_file`] and the streamed
+//! [`RttMonitor::checkpoint_to`](crate::RttMonitor::checkpoint_to) write a
+//! sibling temporary file, fsync it, and rename it over the destination —
+//! the POSIX publish idiom. A reader therefore observes either the
+//! previous complete snapshot or the new complete snapshot, never a torn
+//! one; a crash between fsync and rename leaves a stale `.tmp` that
+//! [`Snapshot::from_file`] ignores, and a write that fails removes its
+//! `.tmp` itself.
 
-use dart_packet::flow::fnv1a_64;
+use dart_packet::flow::{fnv1a_64, fnv1a_64_fold, FNV1A_64_OFFSET};
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Leading magic of every snapshot file.
@@ -106,75 +109,158 @@ pub(crate) fn sane_count(what: &str, value: u64) -> Result<u64, SnapshotError> {
 const FRAME_HEADER_LEN: usize = 16;
 /// Bytes of frame behind the payload: its fnv1a-64 checksum.
 const FRAME_TRAILER_LEN: usize = 8;
+/// Bytes a file [`SnapWriter`] stages before it hands them to the file:
+/// what a checkpoint holds beside the tables, whatever their size.
+const STAGE_LEN: usize = 64 * 1024;
+/// Bytes a counting [`SnapWriter`] stages.
+const COUNT_STAGE_LEN: usize = 4 * 1024;
 
-/// Little-endian payload writer used by the per-table serializers.
-#[derive(Debug, Default)]
+/// Where a [`SnapWriter`]'s bytes go.
+#[derive(Debug)]
+enum Sink {
+    /// Kept in the writer's buffer, which is the result.
+    Vec,
+    /// Counted and dropped.
+    Count,
+    /// Written to a checkpoint's temporary file.
+    File(fs::File),
+}
+
+/// Little-endian writer of a snapshot payload, or of a whole frame around
+/// one, used by every serializer. One writer, three sinks: a `Vec` that
+/// keeps the bytes ([`SnapWriter::new`], [`SnapWriter::framed`]), a byte
+/// counter ([`SnapWriter::counter`]) and a checkpoint file
+/// ([`RttMonitor::checkpoint_to`](crate::RttMonitor::checkpoint_to)). The
+/// last two stage their bytes in a small fixed buffer (64 KiB for the
+/// file, which hashes the payload as it passes), so what they hold never
+/// grows with the state they write.
+#[derive(Debug)]
 pub struct SnapWriter {
+    /// Bytes not yet handed to the sink: all of them, for the `Vec` sink.
     buf: Vec<u8>,
-    /// Bytes reserved at the front of `buf` for the frame header: zero for
-    /// a bare payload, [`FRAME_HEADER_LEN`] for a writer that will be
-    /// framed in place.
-    reserved: usize,
+    /// `buf.len()` from which the staged bytes go to the sink (never, for
+    /// the `Vec` sink).
+    drain_at: usize,
+    /// Leading bytes of `buf` that are the frame header, not payload: a
+    /// framed writer's until its first stage is drained.
+    head: usize,
+    /// Payload bytes already handed to the sink.
+    drained: u64,
+    /// fnv1a-64 of the payload handed to the file sink so far.
+    hash: u64,
+    sink: Sink,
+    /// The first error the file sink returned; later bytes are dropped and
+    /// finishing reports it.
+    error: Option<io::Error>,
+}
+
+impl Default for SnapWriter {
+    fn default() -> SnapWriter {
+        SnapWriter::new()
+    }
 }
 
 impl SnapWriter {
-    /// Start an empty payload.
-    pub fn new() -> SnapWriter {
-        SnapWriter::default()
-    }
-
-    /// Start a payload that [`SnapWriter::into_snapshot`] frames in place:
-    /// room for the frame header is reserved ahead of the payload, so
-    /// finishing does not copy it.
-    pub fn framed() -> SnapWriter {
-        SnapWriter {
-            buf: vec![0; FRAME_HEADER_LEN],
-            reserved: FRAME_HEADER_LEN,
+    fn with_sink(sink: Sink, framed: bool) -> SnapWriter {
+        let head = if framed { FRAME_HEADER_LEN } else { 0 };
+        let drain_at = match sink {
+            Sink::Vec => usize::MAX,
+            // Counting needs no more than a cache-resident stage.
+            Sink::Count => COUNT_STAGE_LEN,
+            Sink::File(_) => STAGE_LEN,
+        };
+        // A stage has room for the widest put that crosses its end.
+        let mut buf = match sink {
+            Sink::Vec => Vec::new(),
+            _ => Vec::with_capacity(drain_at + 8),
+        };
+        // The header's payload length is patched in at the finish.
+        buf.resize(head, 0);
+        if framed {
+            buf[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+            buf[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         }
-    }
-
-    /// [`SnapWriter::new`] over the allocation of `buf`, whose contents
-    /// are discarded.
-    pub fn reusing(mut buf: Vec<u8>) -> SnapWriter {
-        buf.clear();
-        SnapWriter { buf, reserved: 0 }
-    }
-
-    /// [`SnapWriter::framed`] over the allocation of `buf`, whose contents
-    /// are discarded.
-    pub fn framed_in(mut buf: Vec<u8>) -> SnapWriter {
-        buf.clear();
-        buf.resize(FRAME_HEADER_LEN, 0);
         SnapWriter {
             buf,
-            reserved: FRAME_HEADER_LEN,
+            drain_at,
+            head,
+            drained: 0,
+            hash: FNV1A_64_OFFSET,
+            sink,
+            error: None,
         }
+    }
+
+    /// Start an empty payload, kept in memory ([`SnapWriter::into_payload`]).
+    pub fn new() -> SnapWriter {
+        SnapWriter::with_sink(Sink::Vec, false)
+    }
+
+    /// Start a frame kept in memory ([`SnapWriter::into_snapshot`]): the
+    /// header is written ahead of the payload, so finishing does not copy
+    /// it.
+    pub fn framed() -> SnapWriter {
+        SnapWriter::with_sink(Sink::Vec, true)
+    }
+
+    /// Start a payload that is only counted ([`SnapWriter::len`]): what a
+    /// section will take, without holding it.
+    pub fn counter() -> SnapWriter {
+        SnapWriter::with_sink(Sink::Count, false)
     }
 
     /// Make room, in one allocation, for `additional` more payload bytes
-    /// and the frame trailer behind them.
+    /// and the frame trailer behind them. A streaming writer holds no more
+    /// than its stage and ignores this.
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional + FRAME_TRAILER_LEN);
+        if matches!(self.sink, Sink::Vec) {
+            self.buf.reserve(additional + FRAME_TRAILER_LEN);
+        }
+    }
+
+    /// Hand the staged bytes to the sink once a stage is full.
+    #[inline]
+    fn staged(&mut self) {
+        if self.buf.len() >= self.drain_at {
+            self.drain();
+        }
+    }
+
+    /// Hand every staged byte to the sink; the file sink hashes the
+    /// payload among them.
+    fn drain(&mut self) {
+        let payload = &self.buf[self.head..];
+        self.drained += payload.len() as u64;
+        if let Sink::File(file) = &mut self.sink {
+            self.hash = fnv1a_64_fold(self.hash, payload);
+            if self.error.is_none() {
+                if let Err(e) = file.write_all(&self.buf) {
+                    self.error = Some(e);
+                }
+            }
+        }
+        self.buf.clear();
+        self.head = 0;
     }
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_fixed(&[v]);
     }
 
     /// Append a little-endian u16.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_fixed(&v.to_le_bytes());
     }
 
     /// Append a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_fixed(&v.to_le_bytes());
     }
 
     /// Append a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_fixed(&v.to_le_bytes());
     }
 
     /// Append a `usize` as a u64 (snapshots are architecture-portable).
@@ -182,36 +268,48 @@ impl SnapWriter {
         self.put_u64(v as u64);
     }
 
-    /// Append raw bytes (caller encodes the length).
-    pub fn put_bytes(&mut self, b: &[u8]) {
+    /// Append at most 8 bytes: they may cross the stage's end, by that much.
+    #[inline]
+    fn put_fixed(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+        self.staged();
+    }
+
+    /// Append raw bytes (caller encodes the length), a stage at a time.
+    pub fn put_bytes(&mut self, mut b: &[u8]) {
+        while !b.is_empty() {
+            let (now, rest) = b.split_at(b.len().min(self.drain_at - self.buf.len()));
+            self.buf.extend_from_slice(now);
+            self.staged();
+            b = rest;
+        }
     }
 
     /// Append a length-prefixed short string (u16 length).
     pub fn put_str(&mut self, s: &str) {
         debug_assert!(s.len() <= u16::MAX as usize, "snapshot string too long");
         self.put_u16(s.len() as u16);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
-    /// Finish, yielding the raw payload bytes.
+    /// Finish an in-memory payload, yielding its raw bytes.
     pub fn into_payload(mut self) -> Vec<u8> {
-        self.buf.drain(..self.reserved);
+        debug_assert!(matches!(self.sink, Sink::Vec), "not an in-memory writer");
+        self.buf.drain(..self.head);
         self.buf
     }
 
-    /// Finish as a complete [`Snapshot`] — byte-identical to
-    /// [`Snapshot::from_payload`] on the same payload. A
-    /// [`SnapWriter::framed`] writer patches the header it reserved and
-    /// appends the checksum, so the payload is never copied.
+    /// Finish as a complete in-memory [`Snapshot`]: a
+    /// [`SnapWriter::framed`] writer patches the payload length into the
+    /// header it wrote and appends the checksum, so the payload is never
+    /// copied; a bare one is framed by [`Snapshot::from_payload`].
     pub fn into_snapshot(self) -> Snapshot {
-        if self.reserved == 0 {
+        debug_assert!(matches!(self.sink, Sink::Vec), "not an in-memory writer");
+        if self.head == 0 {
             return Snapshot::from_payload(self.buf);
         }
         let mut bytes = self.buf;
         let payload_len = bytes.len() - FRAME_HEADER_LEN;
-        bytes[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        bytes[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         bytes[8..16].copy_from_slice(&(payload_len as u64).to_le_bytes());
         let checksum = fnv1a_64(&bytes[FRAME_HEADER_LEN..]);
         bytes.extend_from_slice(&checksum.to_le_bytes());
@@ -222,9 +320,30 @@ impl SnapWriter {
         }
     }
 
+    /// Finish a framed file writer: the last stage, the checksum, and the
+    /// payload length patched into the header. Returns the file and the
+    /// frame's size in bytes.
+    fn finish_file(mut self) -> Result<(fs::File, u64), SnapshotError> {
+        self.drain();
+        let (payload_len, checksum) = (self.drained, self.hash);
+        if let Some(e) = self.error {
+            return Err(e.into());
+        }
+        let Sink::File(mut file) = self.sink else {
+            unreachable!("finish_file on a writer that is not a file writer");
+        };
+        file.write_all(&checksum.to_le_bytes())?;
+        file.seek(SeekFrom::Start(8))?;
+        file.write_all(&payload_len.to_le_bytes())?;
+        Ok((
+            file,
+            (FRAME_HEADER_LEN + FRAME_TRAILER_LEN) as u64 + payload_len,
+        ))
+    }
+
     /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.reserved
+        self.drained as usize + self.buf.len() - self.head
     }
 
     /// True when no payload has been written.
@@ -355,8 +474,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Frame a finished `payload` into a snapshot by copying it behind a
-    /// header. Serializers that can, write into [`SnapWriter::framed`]
-    /// instead and skip the copy.
+    /// header. Serializers write into [`SnapWriter::framed`] instead and
+    /// skip the copy.
     pub fn from_payload(payload: Vec<u8>) -> Snapshot {
         let mut w = SnapWriter::framed();
         w.reserve(payload.len());
@@ -432,22 +551,10 @@ impl Snapshot {
     /// A crash at any point leaves either the previous snapshot or this
     /// one at `path` — never a torn file.
     pub fn to_file(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        // Publish the rename itself (best-effort: directory fsync is not
-        // available on every platform, and the rename already ordered the
-        // data).
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        publish(path, |mut file| {
+            file.write_all(&self.bytes)?;
+            Ok((file, ()))
+        })
     }
 
     /// Load and verify a snapshot file.
@@ -456,7 +563,53 @@ impl Snapshot {
     }
 }
 
-/// The sibling temporary path [`Snapshot::to_file`] stages through (same
+/// Stream a frame into `path` the way [`Snapshot::to_file`] publishes
+/// one: `fill` writes the payload into a framed writer over `<path>.tmp`,
+/// whose bytes go to the file a stage at a time, hashed as they pass.
+/// Returns the frame's size. The file is byte-identical to
+/// `to_file` of the [`SnapWriter::framed`] snapshot `fill` would write.
+pub(crate) fn write_file(
+    path: &Path,
+    fill: impl FnOnce(SnapWriter) -> Result<SnapWriter, SnapshotError>,
+) -> Result<u64, SnapshotError> {
+    publish(path, |file| {
+        fill(SnapWriter::with_sink(Sink::File(file), true))?.finish_file()
+    })
+}
+
+/// Publish `path` atomically: `write` fills a fresh `<path>.tmp` and hands
+/// the file back, which is then fsynced and renamed over `path`. On any
+/// error the temporary file is removed and whatever was at `path` stays.
+fn publish<T>(
+    path: &Path,
+    write: impl FnOnce(fs::File) -> Result<(fs::File, T), SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let tmp = tmp_path(path);
+    let published = fs::File::create(&tmp)
+        .map_err(SnapshotError::from)
+        .and_then(|file| {
+            let (file, out) = write(file)?;
+            file.sync_all()?;
+            drop(file);
+            fs::rename(&tmp, path)?;
+            Ok(out)
+        });
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return published;
+    }
+    // Publish the rename itself (best-effort: directory fsync is not
+    // available on every platform, and the rename already ordered the
+    // data).
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    published
+}
+
+/// The sibling temporary path a snapshot file is staged through (same
 /// directory, so the final rename is atomic).
 pub fn tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -541,18 +694,83 @@ mod tests {
         }
     }
 
+    /// Scratch directory unique to this process and `test`.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "dart-snapshot-test-{}-{:x}",
+            std::process::id(),
+            fnv1a_64(test.as_bytes())
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Write `payload` through a writer `reps` times over, in puts of every
+    /// width, so stages are crossed mid-put.
+    fn write_mixed(w: &mut SnapWriter, payload: &[u8], reps: usize) {
+        for i in 0..reps {
+            w.put_u8(i as u8);
+            w.put_u16(i as u16);
+            w.put_u32(i as u32);
+            w.put_u64(i as u64);
+            w.put_str("dart");
+            w.put_bytes(payload);
+        }
+    }
+
     #[test]
-    fn a_reused_buffer_writes_what_a_fresh_one_does() {
-        let payload = sample_payload();
-        let dirty = || vec![0xEE; 3 * payload.len()];
-        let mut framed = SnapWriter::framed_in(dirty());
-        framed.put_bytes(&payload);
-        assert_eq!(framed.len(), payload.len());
-        assert_eq!(framed.into_snapshot().as_bytes(), frame_by_hand(&payload));
-        let mut bare = SnapWriter::reusing(dirty());
-        assert!(bare.is_empty());
-        bare.put_bytes(&payload);
-        assert_eq!(bare.into_payload(), payload);
+    fn every_sink_writes_the_same_bytes() {
+        let dir = scratch_dir("every_sink_writes_the_same_bytes");
+        let path = dir.join("state.dsnp");
+        // Empty, under one stage, and several stages with a put wider than
+        // a stage.
+        for (payload, reps) in [
+            (Vec::new(), 0),
+            (sample_payload(), 3),
+            (vec![0xA5; 3 * STAGE_LEN + 5], 4),
+            (sample_payload(), 20_000),
+        ] {
+            let mut kept = SnapWriter::framed();
+            write_mixed(&mut kept, &payload, reps);
+            let kept = kept.into_snapshot();
+            let mut counted = SnapWriter::counter();
+            write_mixed(&mut counted, &payload, reps);
+            assert_eq!(counted.len(), kept.payload().len());
+            let written = write_file(&path, |mut w| {
+                write_mixed(&mut w, &payload, reps);
+                assert_eq!(w.len(), kept.payload().len());
+                Ok(w)
+            })
+            .unwrap();
+            assert_eq!(written, kept.as_bytes().len() as u64);
+            assert_eq!(fs::read(&path).unwrap(), kept.as_bytes());
+            assert_eq!(Snapshot::from_file(&path).unwrap(), kept);
+            assert!(!tmp_path(&path).exists());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_removes_its_temporary_file_and_keeps_the_last() {
+        let dir = scratch_dir("a_failed_write_removes_its_temporary_file");
+        let path = dir.join("state.dsnp");
+        let snap = Snapshot::from_payload(sample_payload());
+        snap.to_file(&path).unwrap();
+        // The serializer fails half-way.
+        let failed = write_file(&path, |mut w| {
+            w.put_bytes(&[7; 2 * STAGE_LEN]);
+            Err(SnapshotError::Unsupported("a shard went away".into()))
+        });
+        assert!(matches!(failed, Err(SnapshotError::Unsupported(_))));
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(Snapshot::from_file(&path).unwrap(), snap);
+        // The rename fails: the destination is a directory.
+        let taken = dir.join("taken");
+        fs::create_dir_all(taken.join("inside")).unwrap();
+        assert!(matches!(write_file(&taken, Ok), Err(SnapshotError::Io(_))));
+        assert!(matches!(snap.to_file(&taken), Err(SnapshotError::Io(_))));
+        assert!(!tmp_path(&taken).exists());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -614,12 +832,7 @@ mod tests {
 
     #[test]
     fn atomic_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!(
-            "dart-snapshot-test-{}-{:x}",
-            std::process::id(),
-            fnv1a_64(b"atomic_file_round_trip")
-        ));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("atomic_file_round_trip");
         let path = dir.join("state.dsnp");
         let snap = Snapshot::from_payload(sample_payload());
         snap.to_file(&path).unwrap();

@@ -148,6 +148,8 @@ vocabulary! {
         "checkpoint attempts that failed (engine degraded or I/O error)";
     DAEMON_CHECKPOINT_PAUSE_NS: Histogram "dart_daemon_checkpoint_pause_ns" [] SERVE
         "ingest-loop pause per checkpoint (quiesce + serialize + fsync)";
+    DAEMON_CHECKPOINT_BYTES: Gauge "dart_daemon_checkpoint_bytes" [] SERVE
+        "size of the last complete checkpoint, set once it is renamed into place";
     SOURCE_RECONNECTS: Counter "dart_source_reconnects_total" [] SERVE
         "successful packet-source reconnections";
     SOURCE_DECODE_ERRORS: Counter "dart_source_decode_errors_total" [] SERVE
@@ -160,7 +162,7 @@ vocabulary! {
 }
 
 /// The `table` label values of the `dart_table_*` gauges, in the order
-/// [`EngineTelemetry::sync_tables`] takes them.
+/// `EngineTelemetry::sync_tables` takes them.
 pub const TABLES: [&str; 2] = ["rt", "pt"];
 
 /// How many packets between periodic counter publications on the serial

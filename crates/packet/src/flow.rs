@@ -214,12 +214,21 @@ impl PacketId {
     }
 }
 
+/// The state [`fnv1a_64`] starts from: the hash of no bytes.
+pub const FNV1A_64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a hash, the base mix for flow signatures and table indexing.
 #[inline]
 pub fn fnv1a_64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_64_fold(FNV1A_64_OFFSET, data)
+}
+
+/// Continue an FNV-1a hash in state `h` over `data`, so a stream can be
+/// hashed as it passes: `fnv1a_64_fold(fnv1a_64(a), b)` is `fnv1a_64` of
+/// `a` followed by `b`.
+#[inline]
+pub fn fnv1a_64_fold(mut h: u64, data: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);

@@ -12,7 +12,7 @@
 //! * **Config faults** ([`ConfigFault`], [`backend_sweep`]): doctored
 //!   [`DartConfig`]s that force the pressure paths — recirculation-budget
 //!   exhaustion, starved tables, narrow signatures — plus equal-SRAM
-//!   sweeps priced by [`program`] on a `dart-switch` [`TargetProfile`].
+//!   sweeps priced by [`program()`] on a `dart-switch` [`TargetProfile`].
 
 use dart_core::{program, Backend, DartConfig, PtMode, RtMode};
 use dart_packet::{Nanos, PacketMeta, SignatureWidth};
@@ -175,7 +175,7 @@ pub fn apply_config_fault(base: DartConfig, fault: ConfigFault) -> DartConfig {
 }
 
 /// Equal-SRAM configs across flow-state backends. For each PT size in
-/// `pt_slots`, the budget is what [`program`] prices the exact backend's
+/// `pt_slots`, the budget is what [`program()`] prices the exact backend's
 /// tables at on `profile` (one PT stage, an RT 8× the PT), and `backend`
 /// gets the largest tables that budget buys, priced the same way: RT slots
 /// and an eighth as many PT slots, each in whole way sets. Each config is

@@ -211,6 +211,7 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
     let _ = writeln!(out, "epoch rotations   : {}", report.rotations);
     let _ = writeln!(out, "reloads           : {}", report.reloads);
     let _ = writeln!(out, "checkpoints       : {}", report.checkpoints);
+    let _ = writeln!(out, "checkpoint failures : {}", report.checkpoint_failures);
     let _ = writeln!(
         out,
         "restored          : {}",

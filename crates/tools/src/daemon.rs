@@ -53,12 +53,12 @@
 use dart_core::sharded::{ShardedConfig, ShardedMonitor, SupervisorHealth};
 use dart_core::stats::EngineStats;
 use dart_core::telemetry::{
-    Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_FAILURES, DAEMON_CHECKPOINT_PAUSE_NS,
-    SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
+    Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_BYTES, DAEMON_CHECKPOINT_FAILURES,
+    DAEMON_CHECKPOINT_PAUSE_NS, SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
 };
 use dart_core::{drive_timed, Progress, RttMonitor, RttSample, Snapshot, StageTimers};
 use dart_packet::{Nanos, PacketError, PacketSource, SourceCounters};
-use dart_telemetry::{Counter, EventLog, Histogram, HttpServer, MetricRegistry};
+use dart_telemetry::{Counter, EventLog, Gauge, Histogram, HttpServer, MetricRegistry};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -124,6 +124,9 @@ pub struct DaemonReport {
     pub reloads: u64,
     /// Checkpoints durably written (cadence + rotation + on-demand).
     pub checkpoints: u64,
+    /// Checkpoint attempts that failed (engine degraded, disk trouble):
+    /// each left the previous checkpoint in place and no temporary file.
+    pub checkpoint_failures: u64,
     /// True when the run began by restoring a snapshot.
     pub restored: bool,
     /// True when the loop ended because shutdown was requested (false:
@@ -179,15 +182,17 @@ fn counter(registry: &MetricRegistry, row: Family) -> Counter {
 }
 
 /// Writes checkpoints and keeps their books: how many, when the last one
-/// was, how long the ingest loop paused, and how many attempts failed
-/// (engine degraded, disk trouble).
+/// was, how large, how long the ingest loop paused, and how many attempts
+/// failed (engine degraded, disk trouble).
 struct Checkpointer {
     path: Option<PathBuf>,
     events: EventLog,
     written: u64,
+    failed: u64,
     last: Instant,
     written_total: Counter,
     failed_total: Counter,
+    bytes: Gauge,
     pause_ns: Histogram,
 }
 
@@ -197,9 +202,15 @@ impl Checkpointer {
             path,
             events,
             written: 0,
+            failed: 0,
             last: Instant::now(),
             written_total: counter(registry, DAEMON_CHECKPOINTS),
             failed_total: counter(registry, DAEMON_CHECKPOINT_FAILURES),
+            bytes: registry.gauge(
+                DAEMON_CHECKPOINT_BYTES.name,
+                &[],
+                DAEMON_CHECKPOINT_BYTES.help,
+            ),
             pause_ns: registry.histogram(
                 DAEMON_CHECKPOINT_PAUSE_NS.name,
                 &[],
@@ -208,9 +219,10 @@ impl Checkpointer {
         }
     }
 
-    /// Quiesce the monitor, serialize, and atomically publish a snapshot.
-    /// Failures are counted and logged, never fatal: a daemon that cannot
-    /// checkpoint is degraded, not dead.
+    /// Quiesce the monitor and stream a snapshot to disk, published
+    /// atomically ([`RttMonitor::checkpoint_to`]). Failures are counted and
+    /// logged, never fatal: a daemon that cannot checkpoint is degraded,
+    /// not dead.
     fn write(&mut self, monitor: &mut ShardedMonitor, why: &str) {
         let Some(path) = &self.path else {
             self.events.warn(
@@ -221,17 +233,14 @@ impl Checkpointer {
             return;
         };
         let start = Instant::now();
-        let result = monitor.snapshot().and_then(|snap| {
-            let written = snap.to_file(path);
-            monitor.reclaim(snap);
-            written
-        });
+        let result = monitor.checkpoint_to(path);
         let pause = start.elapsed();
         self.pause_ns.observe(pause.as_nanos() as u64);
         match result {
-            Ok(()) => {
+            Ok(bytes) => {
                 self.written += 1;
                 self.written_total.inc();
+                self.bytes.set(i64::try_from(bytes).unwrap_or(i64::MAX));
                 self.events.info(
                     "daemon",
                     "checkpoint written",
@@ -243,6 +252,7 @@ impl Checkpointer {
                 );
             }
             Err(e) => {
+                self.failed += 1;
                 self.failed_total.inc();
                 self.events.warn(
                     "daemon",
@@ -483,6 +493,7 @@ impl Daemon {
             rotations,
             reloads,
             checkpoints: ckpt.written,
+            checkpoint_failures: ckpt.failed,
             restored,
             shutdown_requested: shutdown,
             stats,

@@ -461,3 +461,49 @@ fn a_killed_checkpointing_daemon_restores_and_refeeds() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// A checkpoint that cannot be published — here the snapshot path is a
+/// directory, so the final rename fails — is counted on the exit report
+/// and leaves no temporary file behind.
+#[test]
+fn a_failed_checkpoint_is_reported_and_leaves_no_temporary_file() {
+    let dartmon = env!("CARGO_BIN_EXE_dartmon");
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(dartmon)
+            .args(args)
+            .output()
+            .expect("run dartmon");
+        assert!(out.status.success(), "dartmon {args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let (trace, taken) = (tmp("dartmon_ckpt_fail.trace"), tmp("dartmon_ckpt_fail.d"));
+    let staged = format!("{taken}.tmp");
+    let _ = std::fs::remove_file(&staged);
+    std::fs::create_dir_all(std::path::Path::new(&taken).join("inside")).expect("mkdir");
+    run(&[
+        "generate",
+        &trace,
+        "--connections",
+        "20",
+        "--duration-secs",
+        "1",
+    ]);
+    let report = run(&[
+        "serve",
+        &trace,
+        "--mode",
+        "once",
+        "--listen",
+        "127.0.0.1:0",
+        "--snapshot-path",
+        &taken,
+    ]);
+    assert_eq!(field(&report, "checkpoints"), "0", "{report}");
+    assert_eq!(field(&report, "checkpoint failures"), "1", "{report}");
+    assert!(
+        !std::path::Path::new(&staged).exists(),
+        "a failed checkpoint left {staged} behind"
+    );
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_dir_all(&taken);
+}
