@@ -78,7 +78,7 @@ fn telemetry_overhead(c: &mut Criterion) {
                 &mut SliceSource::new(&trace.packets),
                 &mut sink,
                 &stage,
-                |_, _| Some(DEFAULT_BLOCK_PKTS),
+                |_, _, _| Some(DEFAULT_BLOCK_PKTS),
             )
             .expect("slice sources are infallible");
             sink.len()

@@ -10,8 +10,8 @@
 //!
 //! What this does not hold: absolute error percentiles (at 50 k packets a
 //! p99 is a handful of samples), the Default-scale numbers EXPERIMENTS.md
-//! prints (CI regenerates and diffs those), and the two workload
-//! divergences of ROADMAP item 7(b).
+//! prints (CI regenerates and diffs those), and the two Fig 12 workload
+//! divergences ROADMAP's "Independent hash units" item is to settle.
 
 use dart_bench::figures::{self, Sweep, SweepAxis};
 use dart_bench::{standard_trace, TraceScale};

@@ -24,10 +24,11 @@
 //! * samples and events are emitted in a deterministic order for a given
 //!   input: the same packets through the same configuration produce a
 //!   byte-identical stream (the differential testkit depends on this);
-//! * per-packet engines emit during `on_packet`; engines that buffer
-//!   (the sharded fan-in, lean's end-of-trace estimates) emit during
-//!   `flush`, still deterministically ordered — the sharded fan-in its
-//!   events too, in the serial engine's interleaving;
+//! * samples are emitted while the monitor runs: per-packet engines during
+//!   `on_packet`; the sharded fan-in during `on_batch`, in drain rounds a
+//!   ring's worth of blocks behind the feed and in the serial engine's
+//!   interleaving of samples and events (`on_packet` emits nothing there),
+//!   and the rest at `flush`; lean's end-of-trace estimates at `flush`;
 //! * `stats` uses the shared [`EngineStats`] vocabulary. Baselines fill
 //!   only the counters that have a meaning for them (at minimum `packets`
 //!   and `samples`); Dart's loss-accounting counters stay zero and the
@@ -40,8 +41,10 @@
 //! [`RttMonitor::on_batch`]. Replay, the bench harness, the differential
 //! runner, the recovery matrix and the `dartmon serve` daemon all go
 //! through it; what differs between them — a progress tick, an epoch
-//! rotation, a checkpoint, a reload, a shutdown — is a decision their
-//! boundary callback takes *between* blocks, never a fork of the loop. A
+//! rotation, a drain and checkpoint, a reload, a shutdown — is a decision
+//! their boundary callback takes *between* blocks, never a fork of the
+//! loop; the callback is handed the sink, so what it drains or flushes
+//! there reaches the same stream. A
 //! monitor written against this trait therefore gets native-trace, pcap,
 //! live-tail and simulated streaming (without trace materialization) for
 //! free. [`run_monitor`] and [`run_monitor_slice`] are `drive` with a
@@ -177,8 +180,9 @@ pub trait RttMonitor {
         )))
     }
 
-    /// End of stream: emit anything buffered (sharded fan-in, end-of-trace
-    /// estimates) and settle counters. Must be idempotent.
+    /// End of stream: emit anything still held (the sharded fan-in's last
+    /// drain round, end-of-trace estimates) and settle counters. Must be
+    /// idempotent.
     fn flush(&mut self, sink: &mut dyn SampleSink);
 
     /// Counters so far, in the shared vocabulary.
@@ -222,11 +226,12 @@ pub enum Stage {
 ///
 /// # Boundary contract
 ///
-/// `boundary(monitor, progress)` runs before every pull — so also before
-/// the first, with nothing fed yet — and answers `Some(cap)`, the most
-/// packets the next block may hold (at least 1), or `None` to stop. It is
-/// the only point where the caller touches the monitor, and the monitor is
-/// quiescent there: rotate, checkpoint, replace it, or just count. When
+/// `boundary(monitor, sink, progress)` runs before every pull — so also
+/// before the first, with nothing fed yet — and answers `Some(cap)`, the
+/// most packets the next block may hold (at least 1), or `None` to stop.
+/// It is the only point where the caller touches the monitor, and the
+/// monitor is quiescent there: rotate, drain into `sink` and checkpoint,
+/// replace it (flushing the old one into `sink`), or just count. When
 /// the source reports end of stream the boundary runs once more with
 /// [`Progress::drained`] set, so a caller with work to do ahead of the
 /// flush (a final checkpoint) has one place to do it on either exit.
@@ -240,7 +245,7 @@ pub fn drive<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     monitor: &mut M,
     source: &mut S,
     sink: &mut dyn SampleSink,
-    boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+    boundary: impl FnMut(&mut M, &mut dyn SampleSink, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
     drive_loop(monitor, source, sink, None, boundary)
 }
@@ -254,7 +259,7 @@ pub fn drive_timed<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     source: &mut S,
     sink: &mut dyn SampleSink,
     stage: &StageTimers,
-    boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+    boundary: impl FnMut(&mut M, &mut dyn SampleSink, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
     drive_loop(monitor, source, sink, Some(stage), boundary)
 }
@@ -273,16 +278,16 @@ fn drive_loop<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
     source: &mut S,
     sink: &mut dyn SampleSink,
     timers: Option<&StageTimers>,
-    mut boundary: impl FnMut(&mut M, Progress) -> Option<usize>,
+    mut boundary: impl FnMut(&mut M, &mut dyn SampleSink, Progress) -> Option<usize>,
 ) -> Result<EngineStats, PacketError> {
     let mut buf = Vec::new();
     let mut at = Progress::default();
-    while let Some(cap) = boundary(monitor, at) {
+    while let Some(cap) = boundary(monitor, sink, at) {
         debug_assert!(cap > 0, "a zero cap would read as end of stream");
         let block = timed(timers, Stage::Decode, || source.next_block(&mut buf, cap))?;
         let Some(last) = block.last() else {
             at.drained = true;
-            boundary(monitor, at);
+            boundary(monitor, sink, at);
             break;
         };
         at.packets += block.len() as u64;
@@ -301,9 +306,9 @@ fn drive_loop<M: RttMonitor + ?Sized, S: PacketSource + ?Sized>(
 pub fn tick_every<M: ?Sized>(
     every: u64,
     mut tick: impl FnMut(u64),
-) -> impl FnMut(&mut M, Progress) -> Option<usize> {
+) -> impl FnMut(&mut M, &mut dyn SampleSink, Progress) -> Option<usize> {
     let every = every.max(1);
-    move |_, at| {
+    move |_, _, at| {
         if at.packets > 0 && !at.drained && at.packets.is_multiple_of(every) {
             tick(at.packets);
         }
@@ -471,7 +476,9 @@ pub fn run_monitor<M: RttMonitor + ?Sized, S: PacketSource>(
     mut source: S,
     sink: &mut dyn SampleSink,
 ) -> Result<EngineStats, PacketError> {
-    drive(monitor, &mut source, sink, |_, _| Some(DEFAULT_BLOCK_PKTS))
+    drive(monitor, &mut source, sink, |_, _, _| {
+        Some(DEFAULT_BLOCK_PKTS)
+    })
 }
 
 /// [`run_monitor`] over an in-memory trace, collecting into a fresh
@@ -657,7 +664,7 @@ mod tests {
         ]);
         let mut monitor = Recording::default();
         let mut seen = Vec::new();
-        drive(&mut monitor, &mut source, &mut Vec::new(), |_, at| {
+        drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, at| {
             seen.push(at);
             Some(DEFAULT_BLOCK_PKTS)
         })
@@ -688,7 +695,7 @@ mod tests {
         let pkts = data_stream(8);
         let mut source = Scripted::new(vec![Ok(pkts[..4].to_vec()), Ok(pkts[4..].to_vec())]);
         let mut monitor = Recording::default();
-        let stats = drive(&mut monitor, &mut source, &mut Vec::new(), |_, at| {
+        let stats = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, at| {
             (at.packets == 0).then_some(DEFAULT_BLOCK_PKTS)
         })
         .unwrap();
@@ -700,7 +707,7 @@ mod tests {
         // A stop before the first pull still flushes, exactly once.
         let mut source = Scripted::new(vec![Ok(pkts)]);
         let mut monitor = Recording::default();
-        drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| None).unwrap();
+        drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, _| None).unwrap();
         assert_eq!((source.pulls, monitor.flushes), (0, 1));
         assert!(monitor.blocks.is_empty());
     }
@@ -716,7 +723,7 @@ mod tests {
         ]);
         let mut monitor = Recording::default();
         let mut boundaries = 0;
-        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, _| {
             boundaries += 1;
             Some(DEFAULT_BLOCK_PKTS)
         })
@@ -808,7 +815,7 @@ mod tests {
                 let mut engine = DartEngine::new(DartConfig::default());
                 let mut samples: Vec<RttSample> = Vec::new();
                 let mut fed = 0;
-                let stats = drive(&mut engine, source, &mut samples, |_, at| {
+                let stats = drive(&mut engine, source, &mut samples, |_, _, at| {
                     assert!(at.packets - fed <= cap as u64, "a block over the cap");
                     fed = at.packets;
                     Some(cap)
@@ -838,7 +845,7 @@ mod tests {
         );
         let mut monitor = Recording::default();
         let mut boundaries = 0;
-        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, _| {
             boundaries += 1;
             Some(DEFAULT_BLOCK_PKTS)
         })
@@ -873,7 +880,7 @@ mod tests {
         }
         let mut source = ReadAhead::new(Panicking(data_stream(3)), 1);
         let mut monitor = Recording::default();
-        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _| {
+        let err = drive(&mut monitor, &mut source, &mut Vec::new(), |_, _, _| {
             Some(DEFAULT_BLOCK_PKTS)
         })
         .expect_err("a dead decoder is no end of stream");

@@ -27,12 +27,14 @@ pub(crate) enum SendError {
 
 struct RingState<M: Parcel> {
     queue: VecDeque<M>,
+    /// How many of the queued messages are blocks (take a spare).
+    blocks: usize,
     /// Emptied blocks on their way back to the feeder, newest last.
     spare: Vec<M::Spare>,
     closed: bool,
 }
 
-/// One hand-off: a FIFO of at most `depth` messages from the feeder to the
+/// One hand-off: a FIFO of at most `depth` blocks from the feeder to the
 /// worker, and the emptied blocks coming back. Both sides block on a
 /// condition variable instead of polling — the worker while the queue is
 /// empty, the feeder from when it is full until it is half empty — and each
@@ -41,6 +43,12 @@ struct RingState<M: Parcel> {
 /// emptied. At most `depth + 2` blocks ever exist (one filling, `depth`
 /// queued, one being processed), so once they do the hand-off allocates
 /// nothing.
+///
+/// A control message carries no block. It takes one of `depth` slots like
+/// a block does, except that one control message fits beside a full ring
+/// of blocks when no other is queued: a message the feeder keeps in flight
+/// at all times (the sharded runtime's drain) costs the worker none of its
+/// runway.
 pub(crate) struct Ring<M: Parcel> {
     state: Mutex<RingState<M>>,
     depth: usize,
@@ -73,7 +81,8 @@ impl<M: Parcel> Ring<M> {
     pub(crate) fn pair(depth: usize) -> (RingEnd<M>, RingEnd<M>) {
         let ring = Arc::new(Ring {
             state: Mutex::new(RingState {
-                queue: VecDeque::with_capacity(depth),
+                queue: VecDeque::with_capacity(depth + 2),
+                blocks: 0,
                 spare: Vec::with_capacity(depth + 2),
                 closed: false,
             }),
@@ -95,12 +104,18 @@ impl<M: Parcel> Ring<M> {
     /// sent is paid for with a spare one when the worker has returned any.
     pub(crate) fn send(&self, msg: M, timeout: Duration) -> Result<Option<M::Spare>, SendError> {
         let started = Instant::now();
+        let block = msg.takes_spare();
         let mut state = self.lock();
         loop {
             if state.closed {
                 return Err(SendError::Closed);
             }
-            if state.queue.len() < self.depth {
+            let fits = if block {
+                state.blocks < self.depth
+            } else {
+                state.queue.len() < self.depth || state.queue.len() == state.blocks
+            };
+            if fits {
                 break;
             }
             let waited = started.elapsed();
@@ -113,7 +128,8 @@ impl<M: Parcel> Ring<M> {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-        let spare = if msg.takes_spare() {
+        let spare = if block {
+            state.blocks += 1;
             state.spare.pop()
         } else {
             None
@@ -145,6 +161,9 @@ impl<M: Parcel> Ring<M> {
         state.spare.extend(emptied);
         loop {
             if let Some(msg) = state.queue.pop_front() {
+                if msg.takes_spare() {
+                    state.blocks -= 1;
+                }
                 // Likewise the feeder can only be waiting if the queue has
                 // been full, and it is woken once the queue has drained to
                 // half, not at the first free slot: it then refills several
@@ -241,6 +260,31 @@ mod tests {
         ));
         assert!(matches!(worker.recv(None), Some(Msg::Rotate(1))));
         assert!(matches!(worker.recv(None), Some(Msg::Rotate(2))));
+    }
+
+    #[test]
+    fn one_control_message_rides_beside_a_full_ring_of_blocks() {
+        let (feeder, worker) = Ring::pair(2);
+        feeder.send(block_of(0, 1), PATIENT).unwrap();
+        feeder.send(block_of(1, 1), PATIENT).unwrap();
+        // Full of blocks: no third block, but one control message fits...
+        assert!(matches!(
+            feeder.send(block_of(2, 1), Duration::ZERO),
+            Err(SendError::Stalled(_))
+        ));
+        feeder.send(Msg::Rotate(0), Duration::ZERO).unwrap();
+        // ...and only one.
+        assert!(matches!(
+            feeder.send(Msg::Rotate(1), Duration::ZERO),
+            Err(SendError::Stalled(_))
+        ));
+        // The control message holds no block slot: one block taken off
+        // makes room for the next block, ahead of which it stays queued.
+        assert!(matches!(worker.recv(None), Some(Msg::Block(_))));
+        feeder.send(block_of(2, 1), Duration::ZERO).unwrap();
+        assert!(matches!(worker.recv(None), Some(Msg::Block(b)) if b == [1]));
+        assert!(matches!(worker.recv(None), Some(Msg::Rotate(0))));
+        assert!(matches!(worker.recv(None), Some(Msg::Block(b)) if b == [2]));
     }
 
     #[test]

@@ -64,13 +64,37 @@
 //!   where serial cross-flow collisions differ from sharded ones — the
 //!   same caveat any hash-partitioned scale-out of Dart would carry.
 //!
+//! ## Drains
+//!
 //! Each worker tags the samples and events its engine emits with the
-//! global packet index, and the flush merges them deterministically into
-//! the sink it is given — ordered by (packet index, shard id), a packet's
-//! sample ahead of its events — so a sharded run is reproducible regardless
-//! of thread scheduling, and at `shards == 1` the merge is exactly serial
-//! emission order. The sink is the only way out: the monitor keeps no copy
-//! of the stream, only the counters and failures its accessors report.
+//! global packet index and holds them until the feeder asks for them. The
+//! asking is a `Drain` control message on the shard's ring, so it is
+//! ordered after every block sent before it: the worker's answer — sent on
+//! a channel of its own, made at spawn, in the buffers of its previous
+//! answer — holds every sample and event of the packets the feeder had fed
+//! when it sent the drain, and none after. A *round* goes to every shard
+//! at one feed position, its *cut*; once every shard has answered, the
+//! feeder merges the answers deterministically into its sink — ordered by
+//! (packet index, shard id), a packet's sample ahead of its events — so
+//! the rounds, concatenated, are one stream, reproducible regardless of
+//! thread scheduling and of when the rounds were cut, and at `shards == 1`
+//! exactly serial emission order.
+//!
+//! `on_batch` never waits for a round: it emits the round in flight if
+//! every answer is in, and starts the next one if none is in flight, so
+//! samples leave about one ring's worth of blocks behind the feed;
+//! `on_packet` emits nothing. [`ShardedMonitor::drain`] waits for a round
+//! cut at the present feed position; `flush` is a drain and the join. At
+//! most one drain is in flight per shard, and the ring admits that one
+//! control message beside a full ring of blocks, so the worker keeps all
+//! [`ShardedConfig::queue_depth`] blocks of runway (a drain per block
+//! would halve it) and holds what the blocks in flight emit, not what the
+//! stream has.
+//!
+//! The sink is the only way out: the monitor keeps no copy of the stream.
+//! A checkpoint holds state, never output: it is refused while anything
+//! fed is undrained, so the samples of every packet it covers have
+//! reached a sink and none is emitted again after a restore.
 
 use crate::config::DartConfig;
 use crate::engine::DartEngine;
@@ -88,7 +112,10 @@ use dart_telemetry::{Counter, Gauge, MetricRegistry};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender as MpscSender};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender as MpscSender, SyncSender,
+    TryRecvError,
+};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -138,13 +165,6 @@ pub struct ShardedConfig {
     /// ring before declaring the worker stalled and abandoning it.
     /// Generous by default: a slow consumer is backpressure, not a failure.
     pub stall_timeout: Duration,
-    /// Retain per-packet samples and per-flow events for the flush-time
-    /// merge. Replays want them (`true`, the default); a long-lived daemon
-    /// that watches only counters and histograms sets this `false` so
-    /// worker memory stays bounded over an unbounded packet stream — the
-    /// flush then hands its sink nothing, and `stats` and telemetry are
-    /// unaffected.
-    pub keep_samples: bool,
 }
 
 impl ShardedConfig {
@@ -156,7 +176,6 @@ impl ShardedConfig {
             batch_size: 1024,
             queue_depth: 16,
             stall_timeout: Duration::from_secs(5),
-            keep_samples: true,
         }
     }
 
@@ -175,12 +194,6 @@ impl ShardedConfig {
     /// Override the watchdog stall timeout.
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
-        self
-    }
-
-    /// Override sample/event retention (see [`ShardedConfig::keep_samples`]).
-    pub fn with_keep_samples(mut self, keep_samples: bool) -> Self {
-        self.keep_samples = keep_samples;
         self
     }
 }
@@ -285,9 +298,13 @@ impl Block {
 /// control message for the worker's engine. Control messages ride the same
 /// bounded queue as traffic, so each is ordered after every block
 /// dispatched before it and never preempts one mid-block — the quiescence
-/// seam rotation and checkpointing rely on.
+/// seam drains, rotation and checkpointing rely on.
 enum ShardMsg {
     Block(Block),
+    /// Send everything the worker has emitted back on the shard's answer
+    /// channel, and keep these emptied buffers of its previous answer for
+    /// what it emits next.
+    Drain(Drained),
     /// Rotate the engine's epoch (see [`RttMonitor::rotate_epoch`]).
     Rotate(Nanos),
     /// Count the bytes of the shard's checkpoint section and reply with
@@ -316,88 +333,35 @@ impl Parcel for ShardMsg {
 /// monitor kind fails loudly instead of misparsing.
 pub(crate) const SNAP_KIND_SHARDED: u8 = 2;
 
-/// Serialize one buffered `(global index, sample)` pair. Samples a worker
-/// holds for the flush-time merge would otherwise be lost across a crash,
-/// so they travel in the shard's checkpoint section.
-fn put_sample(w: &mut SnapWriter, idx: u64, s: &RttSample) {
-    w.put_u64(idx);
-    w.put_bytes(&s.flow.to_bytes());
-    w.put_u32(s.eack.raw());
-    w.put_u64(s.rtt);
-    w.put_u64(s.ts);
-    w.put_u32(s.weight.0);
+/// A worker's answer to a drain: the samples and events its engine has
+/// emitted since the previous one, each tagged with its packet's global
+/// index, in emission order, and the shard's books as they stand.
+#[derive(Default)]
+struct Drained {
+    samples: Vec<(u64, RttSample)>,
+    events: Vec<(u64, EngineEvent)>,
+    books: EngineStats,
 }
 
-fn read_sample(r: &mut SnapReader<'_>) -> Result<(u64, RttSample), SnapshotError> {
-    let idx = r.get_u64()?;
-    let flow = crate::range_tracker::flow_key_from_wire(r.get_bytes(12)?);
-    let eack = dart_packet::SeqNum(r.get_u32()?);
-    let rtt = r.get_u64()?;
-    let ts = r.get_u64()?;
-    let weight = crate::sample::SampleWeight(r.get_u32()?);
-    Ok((
-        idx,
-        RttSample {
-            flow,
-            eack,
-            rtt,
-            ts,
-            weight,
-        },
-    ))
-}
-
-/// Serialize one buffered `(global index, event)` pair (same rationale as
-/// [`put_sample`]).
-fn put_event(w: &mut SnapWriter, idx: u64, ev: &EngineEvent) {
-    w.put_u64(idx);
-    match ev {
-        EngineEvent::RangeCollapse {
-            flow,
-            ts,
-            from_retransmission,
-        } => {
-            w.put_u8(0);
-            w.put_bytes(&flow.to_bytes());
-            w.put_u64(*ts);
-            w.put_u8(u8::from(*from_retransmission));
-        }
-        EngineEvent::OptimisticAck { flow, ts } => {
-            w.put_u8(1);
-            w.put_bytes(&flow.to_bytes());
-            w.put_u64(*ts);
+impl Drained {
+    /// Buffers for the samples of the packets one round can cover: the
+    /// blocks queued behind the drain that cut it and the one the feeder
+    /// was handing off, at most one sample per packet. A round under a
+    /// driver block longer than a hand-off block can cover more, and the
+    /// buffers then grow.
+    fn for_round(cfg: &ShardedConfig) -> Drained {
+        Drained {
+            samples: Vec::with_capacity((cfg.queue_depth + 1) * cfg.batch_size),
+            ..Drained::default()
         }
     }
 }
 
-fn read_event(r: &mut SnapReader<'_>) -> Result<(u64, EngineEvent), SnapshotError> {
-    let idx = r.get_u64()?;
-    let tag = r.get_u8()?;
-    let flow = crate::range_tracker::flow_key_from_wire(r.get_bytes(12)?);
-    let ts = r.get_u64()?;
-    let ev = match tag {
-        0 => EngineEvent::RangeCollapse {
-            flow,
-            ts,
-            from_retransmission: r.get_u8()? != 0,
-        },
-        1 => EngineEvent::OptimisticAck { flow, ts },
-        _ => {
-            return Err(SnapshotError::Corrupt(format!(
-                "unknown engine-event tag {tag}"
-            )))
-        }
-    };
-    Ok((idx, ev))
-}
-
-/// What a worker sends back: index-tagged samples and events, the shard's
-/// final counters (retired engines + live engine + runtime accounting),
-/// and every failure it survived.
+/// What a worker returns when its ring closes: the shard's final counters
+/// (retired engines + live engine + runtime accounting) and every failure
+/// it survived.
 #[derive(Default)]
 struct ShardResult {
-    samples: Vec<(u64, RttSample)>,
-    events: Vec<(u64, EngineEvent)>,
     stats: EngineStats,
     failures: Vec<ShardFailure>,
 }
@@ -464,13 +428,10 @@ fn panicked(
 /// trace (`run_monitor_slice(&mut ShardedMonitor::new(cfg), pkts)` for one
 /// in memory).
 ///
-/// Samples and events cannot be emitted in deterministic merge order until
-/// every worker has finished, so this monitor buffers: `on_packet` emits
-/// nothing and the whole merged stream — ordered by (global packet index,
-/// shard id), whatever the hand-off batching was — is delivered on
-/// [`RttMonitor::flush`]. Memory for results is proportional to the sample
-/// count, not the trace length; in-flight packets stay bounded by
-/// `shards × queue_depth × batch_size`.
+/// Samples and events leave in drain rounds (module docs, "Drains"):
+/// `on_batch` emits without waiting, [`ShardedMonitor::drain`] waits, and
+/// [`RttMonitor::flush`] drains and joins. In-flight packets stay bounded
+/// by `shards × queue_depth × batch_size`.
 ///
 /// The monitor is the supervised runtime's feeder: it applies the
 /// [`ShardedConfig::stall_timeout`] watchdog on every hand-off and the
@@ -483,7 +444,8 @@ pub struct ShardedMonitor {
     /// further sends.
     rings: Vec<Option<RingEnd<ShardMsg>>>,
     /// `None` for abandoned shards: their stuck worker is detached, never
-    /// joined, and its results are written off into `monitor_miss`.
+    /// joined, and its results since its last drain answer are written
+    /// off into `monitor_miss`.
     handles: Vec<Option<JoinHandle<ShardResult>>>,
     /// The block being filled for each shard.
     bufs: Vec<Block>,
@@ -501,6 +463,26 @@ pub struct ShardedMonitor {
     worker_failures: Arc<AtomicUsize>,
     /// Packets handed to each shard's ring (abandon accounting).
     sent: Vec<u64>,
+    /// Each shard's end of its drain-answer channel.
+    answers: Vec<Receiver<Drained>>,
+    /// Each shard's answer to the round in flight once it is in, else the
+    /// emptied buffers of its last answer, to be sent with the next drain.
+    drained: Vec<Drained>,
+    /// For each shard whose answer to the round in flight is still
+    /// awaited, the packets it had been sent at the cut.
+    awaiting: Vec<Option<u64>>,
+    /// Each shard's last answer: the packets it had been sent at that cut
+    /// and its books then, which cover them. A shard the watchdog abandons
+    /// reports these, and only the packets sent after them are written off,
+    /// so its books count every sample it delivered.
+    answered: Vec<(u64, EngineStats)>,
+    /// The cut (feed position) of the round in flight, if one is.
+    round: Option<u64>,
+    /// The cut of the last completed round: every sample of the packets
+    /// fed before it has reached a sink.
+    drained_at: u64,
+    /// The merge's cursor into each shard's answer (samples, events).
+    heads: Vec<(usize, usize)>,
     abandoned: Vec<bool>,
     /// The failures the feeder observed; the flush adds the workers' and
     /// orders them by (shard, packet).
@@ -555,8 +537,12 @@ impl ShardedMonitor {
         let mut handles = Vec::with_capacity(cfg.shards);
         let mut hooks = Vec::with_capacity(cfg.shards);
         let mut dead = Vec::with_capacity(cfg.shards);
+        let mut answers = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (feeder_end, worker_end) = Ring::pair(cfg.queue_depth);
+            // One drain in flight per shard: the answer never waits.
+            let (answer_tx, answer_rx) = sync_channel(1);
+            answers.push(answer_rx);
             let shard_hooks = ShardHooks {
                 tel: registry.map(|reg| EngineTelemetry::register(reg, shard)),
                 channel: registry.map(|reg| {
@@ -569,7 +555,8 @@ impl ShardedMonitor {
             let ctx = ShardCtx {
                 shard,
                 engine_cfg: cfg.engine,
-                keep_samples: cfg.keep_samples,
+                held: Drained::for_round(&cfg),
+                answers: answer_tx,
                 hooks: shard_hooks.clone(),
                 packet_hook: packet_hook.clone(),
                 failures: Arc::clone(&worker_failures),
@@ -605,6 +592,13 @@ impl ShardedMonitor {
                 .collect(),
             live: vec![true; cfg.shards],
             sent: vec![0; cfg.shards],
+            answers,
+            drained: (0..cfg.shards).map(|_| Drained::for_round(&cfg)).collect(),
+            awaiting: vec![None; cfg.shards],
+            answered: vec![(0, EngineStats::default()); cfg.shards],
+            round: None,
+            drained_at: 0,
+            heads: vec![(0, 0); cfg.shards],
             abandoned: vec![false; cfg.shards],
             failures: Vec::new(),
             feeder_extra: EngineStats::default(),
@@ -735,9 +729,10 @@ impl ShardedMonitor {
         }
     }
 
-    /// Each shard's final counters, in shard order, once flushed (all-zero
-    /// for a shard abandoned by the watchdog — its results are lost and
-    /// counted in `monitor_miss`); empty before the flush.
+    /// Each shard's final counters, in shard order, once flushed (for a
+    /// shard abandoned by the watchdog, its books at its last drain answer —
+    /// what it was sent after that is counted in `monitor_miss`); empty
+    /// before the flush.
     pub fn per_shard(&self) -> &[EngineStats] {
         &self.per_shard
     }
@@ -753,9 +748,91 @@ impl ShardedMonitor {
         }
     }
 
+    /// Hand `sink` every sample and event of the packets fed so far: wait
+    /// for the round in flight, then for one cut at the present feed
+    /// position if that one was cut earlier. A shard that does not answer
+    /// within the budget a checkpoint's `Measure` has is abandoned, as a
+    /// stalled hand-off is. Nothing is emitted after the flush.
+    pub fn drain(&mut self, sink: &mut dyn SampleSink) {
+        if self.flushed {
+            return;
+        }
+        let budget = self.reply_budget();
+        self.collect(sink, Some(budget));
+        if self.drained_at < self.fed {
+            self.start_round();
+            self.collect(sink, Some(budget));
+        }
+    }
+
+    /// How long the feeder waits for a worker's reply to a control
+    /// message: `stall_timeout` per hand-off, and at most `queue_depth`
+    /// blocks and one control message sit ahead of it in the queue.
+    fn reply_budget(&self) -> Duration {
+        self.cfg.stall_timeout * (self.cfg.queue_depth as u32 + 1)
+    }
+
+    /// Cut a round at the present feed position: dispatch every shard's
+    /// partial block, then send each shard still connected a drain,
+    /// carrying back the buffers of its last answer.
+    fn start_round(&mut self) {
+        debug_assert!(self.round.is_none(), "one drain in flight per shard");
+        for shard in 0..self.cfg.shards {
+            self.dispatch(shard);
+        }
+        for shard in 0..self.cfg.shards {
+            if self.rings[shard].is_none() {
+                continue;
+            }
+            let buffers = std::mem::take(&mut self.drained[shard]);
+            self.send_msg(shard, ShardMsg::Drain(buffers));
+            // A send that stalled or found the worker gone answers nothing.
+            self.awaiting[shard] = self.rings[shard].is_some().then_some(self.sent[shard]);
+        }
+        self.round = Some(self.fed);
+    }
+
+    /// Take the answers to the round in flight; once every shard it went
+    /// to has answered, hand `sink` the merged round and move the drained
+    /// mark to its cut. Without a `wait` a missing answer leaves the round
+    /// in flight; with one, a shard silent that long is abandoned. A
+    /// worker that ended without answering answers nothing.
+    fn collect(&mut self, sink: &mut dyn SampleSink, wait: Option<Duration>) {
+        let Some(cut) = self.round else {
+            return;
+        };
+        for shard in 0..self.cfg.shards {
+            let Some(sent) = self.awaiting[shard] else {
+                continue;
+            };
+            let answer = match wait {
+                None => match self.answers[shard].try_recv() {
+                    Err(TryRecvError::Empty) => return,
+                    answer => answer.ok(),
+                },
+                Some(budget) => match self.answers[shard].recv_timeout(budget) {
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.abandon(shard, budget, None, 0);
+                        None
+                    }
+                    answer => answer.ok(),
+                },
+            };
+            self.awaiting[shard] = None;
+            if let Some(answer) = answer {
+                self.answered[shard] = (sent, answer.books);
+                self.drained[shard] = answer;
+            }
+        }
+        merge(&mut self.drained, &mut self.heads, sink);
+        self.round = None;
+        self.drained_at = cut;
+    }
+
     /// Watchdog expiry: record the stall, stop talking to the worker, and
-    /// write off everything it was ever sent (its results are
-    /// unrecoverable without joining a possibly-hung thread).
+    /// write off everything it was sent since its last drain answer (the
+    /// rest of its results are unrecoverable without joining a
+    /// possibly-hung thread).
     fn abandon(&mut self, shard: usize, waited: Duration, at_packet: Option<u64>, pending: u64) {
         self.failures.push(ShardFailure {
             shard,
@@ -764,13 +841,15 @@ impl ShardedMonitor {
             respawn_us: None,
         });
         self.abandoned[shard] = true;
+        self.awaiting[shard] = None;
         self.rings[shard] = None;
         // Detach the stuck thread: dropping the handle lets it finish (or
         // hang) on its own without ever blocking the supervisor.
         self.handles[shard] = None;
         self.hooks[shard].mark_dead(&self.dead[shard]);
-        self.feeder_extra.monitor_miss += self.sent[shard] + pending;
-        self.sent[shard] = 0;
+        let covered = self.answered[shard].0;
+        self.feeder_extra.monitor_miss += self.sent[shard] - covered + pending;
+        self.sent[shard] = covered;
         if let Some(c) = &self.sup_stalls {
             c.add(1);
         }
@@ -790,7 +869,7 @@ impl RttMonitor for ShardedMonitor {
     }
 
     /// Hand one packet to its shard's hand-off block, which goes out when
-    /// it is full (or at the flush): emits nothing.
+    /// it is full (or at the next drain): emits nothing.
     fn on_packet(&mut self, pkt: &PacketMeta, _sink: &mut dyn SampleSink) {
         self.partition(std::slice::from_ref(pkt));
     }
@@ -804,10 +883,21 @@ impl RttMonitor for ShardedMonitor {
     /// goes out as one hand-off block, or several of
     /// [`ShardedConfig::batch_size`] packets when it is longer than that;
     /// sample order and counters do not depend on the split.
-    fn on_batch(&mut self, pkts: &[PacketMeta], _sink: &mut dyn SampleSink) {
+    ///
+    /// Then, without waiting: if every shard has answered the drain in
+    /// flight, its round goes to `sink`; if no drain is in flight, one is
+    /// cut here, after this block.
+    fn on_batch(&mut self, pkts: &[PacketMeta], sink: &mut dyn SampleSink) {
         self.partition(pkts);
+        if self.flushed {
+            return;
+        }
         for shard in 0..self.cfg.shards {
             self.dispatch(shard);
+        }
+        self.collect(sink, None);
+        if self.round.is_none() && self.drained_at < self.fed {
+            self.start_round();
         }
     }
 
@@ -836,14 +926,16 @@ impl RttMonitor for ShardedMonitor {
     }
 
     /// Checkpoint the whole runtime into `w`, in two phases over the
-    /// hand-off rings.
+    /// hand-off rings. A checkpoint holds state, never output: it is
+    /// refused (`Unsupported`) unless the monitor has been drained
+    /// ([`ShardedMonitor::drain`]) since the last packet fed, so the
+    /// samples of every packet it covers have already reached a sink.
     ///
-    /// Mirrors [`RttMonitor::rotate_epoch`]'s quiescence seam: partial
-    /// feeder buffers are dispatched first, then a `Measure` control
-    /// message rides each live shard's bounded queue, so every shard
-    /// stands exactly after the packets fed before this call and before
-    /// any fed after it. All shards measure their sections at once; the
-    /// feeder then writes its books and each measured shard, in shard
+    /// Mirrors [`RttMonitor::rotate_epoch`]'s quiescence seam: a `Measure`
+    /// control message rides each live shard's bounded queue, so every
+    /// shard stands exactly after the packets fed before this call and
+    /// before any fed after it. All shards measure their sections at once;
+    /// the feeder then writes its books and each measured shard, in shard
     /// order, writes its section straight into `w` (the feeder blocks
     /// throughout, watchdog-bounded, and sends nothing else in between, so
     /// nothing a shard holds changes between the phases). The result is a
@@ -863,6 +955,13 @@ impl RttMonitor for ShardedMonitor {
                 "monitor already flushed; nothing left to checkpoint".to_string(),
             ));
         }
+        if self.drained_at < self.fed {
+            return Err(SnapshotError::Unsupported(format!(
+                "{} packets fed since the last drain: drain before checkpointing \
+                 (a checkpoint holds state, never output)",
+                self.fed - self.drained_at
+            )));
+        }
         // Phase one: every live shard gets its `Measure` message before
         // any reply is awaited, so the shards walk their tables
         // concurrently. A shard that fails here mutates the feeder books
@@ -874,17 +973,14 @@ impl RttMonitor for ShardedMonitor {
                 pending.push(None);
                 continue;
             }
-            self.dispatch(shard);
             let (reply_tx, reply_rx) = channel();
             self.send_msg(shard, ShardMsg::Measure(reply_tx));
             pending.push(Some(reply_rx));
         }
-        // The watchdog allows `stall_timeout` per hand-off and at most
-        // `queue_depth` messages sit ahead of ours in the queue. If
-        // send_msg abandoned the shard or found the worker gone, the reply
-        // sender was dropped and recv fails at once — the shard is written
-        // off like any other absent section.
-        let budget = self.cfg.stall_timeout * (self.cfg.queue_depth as u32 + 1);
+        // If send_msg abandoned the shard or found the worker gone, the
+        // reply sender was dropped and recv fails at once — the shard is
+        // written off like any other absent section.
+        let budget = self.reply_budget();
         let sections: Vec<Option<usize>> = pending
             .into_iter()
             .map(|rx| rx.and_then(|rx| rx.recv_timeout(budget).ok()?.ok()))
@@ -893,16 +989,17 @@ impl RttMonitor for ShardedMonitor {
         w.put_usize(self.cfg.shards);
         w.put_u64(self.fed);
         // Snapshot-local books: a shard without a section loses its
-        // worker-side state across the crash, so its packets — everything
-        // ever handed to its ring plus anything still sitting in its
-        // feeder buffer — move to `monitor_miss` in the serialized feeder
+        // worker-side state across the crash, so everything ever handed to
+        // its ring moves to `monitor_miss` in the serialized feeder
         // accounting (the live run's own books are untouched — the worker
-        // still reports at join time).
+        // still reports at join time). A drained monitor holds no packet
+        // in a feeder buffer.
+        debug_assert!(self.bufs.iter().all(Block::is_empty));
         let mut snap_extra = self.feeder_extra;
         let mut snap_sent = self.sent.clone();
         for shard in 0..self.cfg.shards {
             if sections[shard].is_none() {
-                snap_extra.monitor_miss += snap_sent[shard] + self.bufs[shard].len() as u64;
+                snap_extra.monitor_miss += snap_sent[shard];
                 snap_sent[shard] = 0;
             }
         }
@@ -977,7 +1074,7 @@ impl RttMonitor for ShardedMonitor {
         let fed = sane_count("fed", r.get_u64()?)?;
         let extra = EngineStats::restore_from(&mut r)?;
         let mut sent = vec![0u64; shards];
-        let budget = self.cfg.stall_timeout * (self.cfg.queue_depth as u32 + 1);
+        let budget = self.reply_budget();
         for (shard, slot) in sent.iter_mut().enumerate() {
             *slot = sane_count("sent", r.get_u64()?)?;
             if r.get_u8()? == 0 {
@@ -1004,36 +1101,26 @@ impl RttMonitor for ShardedMonitor {
             )));
         }
         self.fed = fed;
+        self.drained_at = fed;
         self.feeder_extra = extra;
         self.sent = sent;
         Ok(())
     }
 
-    /// The first flush closes the rings, joins the workers and hands
-    /// `sink` the merged stream, samples and events interleaved in serial
-    /// emission order; later flushes emit nothing. The monitor keeps no
-    /// copy of the stream: from then on [`RttMonitor::stats`],
+    /// The first flush drains the monitor into `sink` (see
+    /// [`ShardedMonitor::drain`]), closes the rings and joins the workers;
+    /// later flushes emit nothing. The monitor keeps no copy of the
+    /// stream: from then on [`RttMonitor::stats`],
     /// [`ShardedMonitor::per_shard`] and [`ShardedMonitor::failures`]
     /// report the run.
     fn flush(&mut self, sink: &mut dyn SampleSink) {
         if self.flushed {
             return;
         }
-        for shard in 0..self.cfg.shards {
-            if !self.is_live(shard) {
-                // The worker is not (or no longer) measuring; don't bother
-                // queueing — the drain loop would only count them anyway.
-                self.feeder_extra.monitor_miss += self.bufs[shard].len() as u64;
-                self.bufs[shard].clear();
-            } else {
-                self.dispatch(shard);
-            }
-        }
-        // Dropping the feeder's ends closes the rings: each worker drains
-        // what is queued and returns.
+        self.drain(sink);
+        // Dropping the feeder's ends closes the rings: each worker finds
+        // its queue empty and returns.
         self.rings.clear();
-        let mut samples = Vec::new();
-        let mut events = Vec::new();
         for shard in 0..self.cfg.shards {
             let result = match self.handles[shard].take().map(JoinHandle::join) {
                 Some(Ok(result)) => result,
@@ -1044,17 +1131,17 @@ impl RttMonitor for ShardedMonitor {
                     self.feeder_extra.monitor_miss += self.sent[shard];
                     ShardResult::default()
                 }
-                // Abandoned: written off already.
-                None => ShardResult::default(),
+                // Abandoned: its last answer's books, the rest written off.
+                None => ShardResult {
+                    stats: self.answered[shard].1,
+                    failures: Vec::new(),
+                },
             };
-            samples.extend(result.samples.into_iter().map(|(i, s)| (i, shard, s)));
-            events.extend(result.events.into_iter().map(|(i, e)| (i, shard, e)));
             self.failures.extend(result.failures);
             self.per_shard.push(result.stats);
         }
         self.failures.sort_by_key(|f| (f.shard, f.at_packet));
         self.flushed = true;
-        merge(samples, events, sink);
     }
 
     /// Before `flush`, only the feeder-side packet count is known (shard
@@ -1079,7 +1166,10 @@ impl RttMonitor for ShardedMonitor {
 struct ShardCtx {
     shard: usize,
     engine_cfg: DartConfig,
-    keep_samples: bool,
+    /// What the worker has emitted since its last drain.
+    held: Drained,
+    /// Where the worker answers drains.
+    answers: SyncSender<Drained>,
     hooks: ShardHooks,
     packet_hook: Option<PacketHook>,
     /// The runtime-wide count of recorded failures (see
@@ -1146,38 +1236,38 @@ fn checkpoint_section(
 }
 
 /// A shard's checkpoint section: its restart count, the books of the
-/// engines it retired and of its runtime accounting, the samples and
-/// events buffered for the flush-time merge (without them every sample
-/// produced since the run began would vanish in a crash even with a fresh
-/// checkpoint), then the live engine's state.
+/// engines it retired and of its runtime accounting, two zero counts where
+/// sample and event lists once stood (a checkpoint is taken drained, so a
+/// worker holds no output), then the live engine's state.
 fn write_section(
     w: &mut SnapWriter,
     restarts: u32,
     retired: &EngineStats,
     extra: &EngineStats,
-    samples: &[(u64, RttSample)],
-    events: &[(u64, EngineEvent)],
     engine: &DartEngine,
 ) {
     w.put_u32(restarts);
     retired.snapshot_into(w);
     extra.snapshot_into(w);
-    w.put_usize(samples.len());
-    for (idx, s) in samples {
-        put_sample(w, *idx, s);
-    }
-    w.put_usize(events.len());
-    for (idx, ev) in events {
-        put_event(w, *idx, ev);
-    }
+    w.put_usize(0);
+    w.put_usize(0);
     engine.snapshot_into(w);
+}
+
+/// A shard's books: the engines it retired, the live one, and its runtime
+/// accounting.
+fn books(retired: &EngineStats, engine: &DartEngine, extra: &EngineStats) -> EngineStats {
+    let mut stats = *retired;
+    stats.merge(&engine.stats());
+    stats.merge(extra);
+    stats
 }
 
 /// Worker body: one engine (respawned after a panic, up to
 /// [`MAX_RESTARTS`] times), fed blocks until the ring closes, every block
 /// under panic isolation.
-fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
-    let (shard, keep_samples) = (ctx.shard, ctx.keep_samples);
+fn run_shard(mut ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
+    let shard = ctx.shard;
     // The engine's batch pipeline publishes the in-block offset of the
     // packet it is matching into `at`; the worker's sink tags samples and
     // events with it as they are emitted, and they are re-tagged with the
@@ -1188,8 +1278,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
         engine.attach_telemetry(tel);
     }
 
-    let mut samples: Vec<(u64, RttSample)> = Vec::new();
-    let mut events: Vec<(u64, EngineEvent)> = Vec::new();
+    let mut held = std::mem::take(&mut ctx.held);
     let mut failures: Vec<ShardFailure> = Vec::new();
     // Counters of engines discarded by respawns.
     let mut retired = EngineStats::default();
@@ -1203,6 +1292,14 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     while let Some(msg) = ring.recv(emptied.take()) {
         let mut block = match msg {
             ShardMsg::Block(block) => block,
+            ShardMsg::Drain(emptied) => {
+                let mut answer = std::mem::replace(&mut held, emptied);
+                answer.books = books(&retired, &engine, &extra);
+                // The channel holds one answer and one drain is in flight,
+                // so this never blocks; a feeder gone has no use for it.
+                let _ = ctx.answers.try_send(answer);
+                continue;
+            }
             ShardMsg::Rotate(cutoff) => {
                 if !shedding {
                     // The engine publishes rotation counters and the pause
@@ -1225,20 +1322,17 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                 continue;
             }
             ShardMsg::Measure(reply) => {
+                debug_assert!(held.samples.is_empty() && held.events.is_empty());
                 let mut w = SnapWriter::counter();
                 let res = checkpoint_section(shard, shedding, || {
-                    write_section(
-                        &mut w, restarts, &retired, &extra, &samples, &events, &engine,
-                    )
+                    write_section(&mut w, restarts, &retired, &extra, &engine)
                 });
                 let _ = reply.send(res.map(|()| w.len()));
                 continue;
             }
             ShardMsg::Checkpoint(mut w, reply) => {
                 let res = checkpoint_section(shard, shedding, || {
-                    write_section(
-                        &mut w, restarts, &retired, &extra, &samples, &events, &engine,
-                    )
+                    write_section(&mut w, restarts, &retired, &extra, &engine)
                 });
                 let _ = reply.send(res.map(|()| w));
                 continue;
@@ -1254,15 +1348,14 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                         let snap_restarts = r.get_u32()?;
                         let snap_retired = EngineStats::restore_from(&mut r)?;
                         let snap_extra = EngineStats::restore_from(&mut r)?;
-                        let n = r.get_usize()?;
-                        let mut snap_samples = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            snap_samples.push(read_sample(&mut r)?);
-                        }
-                        let n = r.get_usize()?;
-                        let mut snap_events = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            snap_events.push(read_event(&mut r)?);
+                        for what in ["samples", "events"] {
+                            let count = r.get_usize()?;
+                            if count != 0 {
+                                return Err(SnapshotError::Unsupported(format!(
+                                    "shard {shard}'s section holds {count} undelivered {what}: \
+                                     a checkpoint holds state, never output"
+                                )));
+                            }
                         }
                         engine.restore_from(&mut r)?;
                         if r.remaining() != 0 {
@@ -1274,8 +1367,6 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                         restarts = snap_restarts;
                         retired = snap_retired;
                         extra = snap_extra;
-                        samples = snap_samples;
-                        events = snap_events;
                         Ok(())
                     })()
                 };
@@ -1309,29 +1400,21 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                 }
             }
             let before = engine.stats().packets;
-            let marks = (samples.len(), events.len());
+            let marks = (held.samples.len(), held.events.len());
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut tagging = Tagging {
                     at: &at,
-                    samples: &mut samples,
-                    events: &mut events,
-                };
-                // Without retention there is no merged run to feed, so
-                // neither buffer grows with the stream.
-                let mut discard = |_: RttSample| {};
-                let sink: &mut dyn SampleSink = if keep_samples {
-                    &mut tagging
-                } else {
-                    &mut discard
+                    samples: &mut held.samples,
+                    events: &mut held.events,
                 };
                 at.set(0);
-                engine.process_batch_at(&block.pkts[..run], sink, &at);
+                engine.process_batch_at(&block.pkts[..run], &mut tagging, &at);
             }));
             if let Err(payload) = outcome {
                 failure = Some((at.get(), payload));
             }
-            retag(&mut samples[marks.0..], &block.idx);
-            retag(&mut events[marks.1..], &block.idx);
+            retag(&mut held.samples[marks.0..], &block.idx);
+            retag(&mut held.events[marks.1..], &block.idx);
             if let Some((k, payload)) = failure {
                 // The batch pipeline counts a block's packets when it
                 // completes, so whichever side panicked `packets +
@@ -1384,9 +1467,7 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
             ctx.hooks.mark_dead(&ctx.dead);
         }
     }
-    let mut stats = retired;
-    stats.merge(&engine.stats());
-    stats.merge(&extra);
+    let stats = books(&retired, &engine, &extra);
     if let Some(tel) = &ctx.hooks.tel {
         // Publish the shard's true final totals (runtime accounting
         // included) regardless of any restart bases.
@@ -1394,36 +1475,47 @@ fn run_shard(ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
             .with_base(EngineStats::default())
             .sync_stats(&stats);
     }
-    ShardResult {
-        samples,
-        events,
-        stats,
-        failures,
-    }
+    ShardResult { stats, failures }
 }
 
-/// Deterministic merge: order the shards' samples and events, tagged
-/// `(global packet index, shard id)`, by that tag, and hand the merged
-/// stream to `sink`. A packet lives on exactly one shard and the engine
-/// emits nothing at flush, so the shard id never decides; the stable sort
-/// preserves a single packet's own emission order.
-fn merge(
-    mut samples: Vec<(u64, usize, RttSample)>,
-    mut events: Vec<(u64, usize, EngineEvent)>,
-    sink: &mut dyn SampleSink,
-) {
-    samples.sort_by_key(|&(idx, shard, _)| (idx, shard));
-    events.sort_by_key(|&(idx, shard, _)| (idx, shard));
-    // Serial emission order puts a packet's sample ahead of its events:
-    // only the ACK role samples, and it runs before the SEQ role.
-    let mut pending = samples.into_iter().peekable();
-    for (idx, shard, ev) in events {
-        while let Some((_, _, s)) = pending.next_if(|&(i, sh, _)| (i, sh) <= (idx, shard)) {
-            sink.on_sample(s);
+/// Deterministic merge of one drain round: each shard's answer holds its
+/// samples and events in emission order, tagged with global packet
+/// indices; `sink` gets them ordered by (packet index, shard id), a
+/// packet's samples ahead of its events — serial emission order, since
+/// only the ACK role samples and it runs before the SEQ role. A packet
+/// lives on exactly one shard, so the shard id never decides. `heads` is
+/// the cursor into each answer, so a merge allocates nothing; the answers
+/// are left empty for the next round.
+fn merge(answers: &mut [Drained], heads: &mut [(usize, usize)], sink: &mut dyn SampleSink) {
+    heads.fill((0, 0));
+    loop {
+        // The smallest (packet index, shard, is event) among the heads.
+        let mut next: Option<(u64, usize, bool)> = None;
+        for (shard, (answer, &(s, e))) in answers.iter().zip(heads.iter()).enumerate() {
+            let sample = answer.samples.get(s).map(|&(idx, _)| (idx, shard, false));
+            let event = answer.events.get(e).map(|&(idx, _)| (idx, shard, true));
+            for head in [sample, event].into_iter().flatten() {
+                if next.is_none_or(|n| head < n) {
+                    next = Some(head);
+                }
+            }
         }
-        sink.on_event(ev);
+        let Some((_, shard, is_event)) = next else {
+            break;
+        };
+        let (s, e) = &mut heads[shard];
+        if is_event {
+            sink.on_event(answers[shard].events[*e].1);
+            *e += 1;
+        } else {
+            sink.on_sample(answers[shard].samples[*s].1);
+            *s += 1;
+        }
     }
-    pending.for_each(|(_, _, s)| sink.on_sample(s));
+    for answer in answers {
+        answer.samples.clear();
+        answer.events.clear();
+    }
 }
 
 #[cfg(test)]
@@ -1598,7 +1690,7 @@ mod tests {
         for p in &pkts {
             monitor.on_packet(p, &mut streamed);
         }
-        assert!(streamed.is_empty(), "sharded output is deferred to flush");
+        assert!(streamed.is_empty(), "on_packet emits nothing");
         // stats() before flush: feeder-side packet count only.
         assert_eq!(monitor.stats().packets, pkts.len() as u64);
         monitor.flush(&mut streamed);
@@ -1818,6 +1910,47 @@ mod tests {
         assert!(stats.monitor_miss > 0);
     }
 
+    /// A shard abandoned by the watchdog keeps the books of its last drain
+    /// answer, and only what it was sent after that is written off: the
+    /// sink sees exactly the samples the books count.
+    #[test]
+    fn an_abandoned_shard_counts_the_samples_it_delivered() {
+        let pkts = trace(40, 30);
+        let stall = shard_of(&flow(0), 2);
+        let hook: PacketHook = Arc::new(move |idx, shard| {
+            if shard == stall && (600..700).contains(&idx) {
+                thread::sleep(Duration::from_millis(3));
+            }
+        });
+        let cfg = ShardedConfig::new(DartConfig::default(), 2)
+            .with_batch_size(16)
+            .with_queue_depth(1)
+            .with_stall_timeout(Duration::from_millis(20));
+        let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
+        let mut out = Vec::new();
+        monitor.on_batch(&pkts[..500], &mut out);
+        monitor.drain(&mut out);
+        for block in pkts[500..].chunks(64) {
+            monitor.on_batch(block, &mut out);
+        }
+        monitor.flush(&mut out);
+        let stats = monitor.stats();
+        assert!(
+            monitor
+                .failures()
+                .iter()
+                .any(|f| f.shard == stall && matches!(f.kind, FailureKind::Stalled { .. })),
+            "{:?}",
+            monitor.failures()
+        );
+        assert!(
+            monitor.per_shard()[stall].samples > 0,
+            "delivered before the stall"
+        );
+        assert_eq!(out.len() as u64, stats.samples);
+        assert_eq!(stats.packets + stats.monitor_miss, pkts.len() as u64);
+    }
+
     /// Feeding a flushed monitor is a caller bug: a debug build asserts,
     /// a release build drops the packets and leaves the run as it was.
     #[test]
@@ -1979,27 +2112,73 @@ mod tests {
         assert_eq!(h.failures, 1, "counted once across the flush");
     }
 
+    /// `on_batch` emits every round all shards have answered, without
+    /// waiting for one; `drain` waits for everything fed. Whatever the
+    /// cadence, the stream concatenated is the whole run's.
     #[test]
-    fn keep_samples_off_bounds_memory_but_keeps_counters() {
-        let pkts = trace(25, 5);
-        let cfg = ShardedConfig::new(DartConfig::default(), 3).with_keep_samples(false);
+    fn on_batch_emits_answered_rounds_and_drain_emits_the_rest() {
+        let pkts = trace(40, 12);
+        let cfg = ShardedConfig::new(DartConfig::unlimited(), 2).with_batch_size(16);
+        let (whole, _) = replay(cfg, &pkts);
         let mut monitor = ShardedMonitor::new(cfg);
-        let mut out = Emissions::default();
-        run_monitor(&mut monitor, SliceSource::new(&pkts), &mut out).unwrap();
-        assert!(
-            !out.0.iter().any(|e| matches!(e, Emission::Sample(_))),
-            "retention off: no merged samples"
-        );
-        assert!(
-            !out.0.iter().any(|e| matches!(e, Emission::Event(_))),
-            "retention off: no merged events"
-        );
-        assert_eq!(monitor.stats().packets, pkts.len() as u64);
-        assert!(
-            monitor.stats().samples > 0,
-            "counters still tally the samples"
-        );
-        assert!(monitor.failures().is_empty());
+        let mut out = Vec::new();
+        let blocks: Vec<&[PacketMeta]> = pkts.chunks(50).collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for (k, block) in blocks.iter().enumerate() {
+            monitor.on_batch(block, &mut out);
+            if k == blocks.len() / 2 {
+                // Give the workers time to answer: the next blocks emit.
+                let before = out.len();
+                while out.len() == before && Instant::now() < deadline {
+                    thread::sleep(Duration::from_millis(1));
+                    monitor.on_batch(&[], &mut out);
+                }
+                assert!(out.len() > before, "no round emitted while feeding");
+            }
+        }
+        assert!(out.len() < whole.len(), "the last round is still in flight");
+        monitor.drain(&mut out);
+        assert_eq!(out, whole, "drained");
+        assert_eq!(monitor.drained_at, pkts.len() as u64);
+        monitor.drain(&mut out);
+        monitor.flush(&mut out);
+        assert_eq!(out, whole, "nothing twice");
+        assert_eq!(monitor.stats().samples, whole.len() as u64);
+    }
+
+    #[test]
+    fn an_undrained_monitor_refuses_to_checkpoint() {
+        let pkts = trace(10, 3);
+        let mut monitor = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 2));
+        assert!(monitor.snapshot().is_ok(), "nothing fed, nothing undrained");
+        feed_each(&mut monitor, &pkts);
+        assert!(matches!(
+            monitor.snapshot(),
+            Err(SnapshotError::Unsupported(why)) if why.contains("drain")
+        ));
+        let mut out = Vec::new();
+        monitor.drain(&mut out);
+        assert!(!out.is_empty());
+        let snap = monitor.snapshot().expect("drained");
+        let mut restored = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 2));
+        restored.restore(&snap).expect("restore");
+        assert!(restored.snapshot().is_ok(), "a restored monitor is drained");
+
+        // Shard 0's section opens with its restart count and two books,
+        // then the sample count, written 0: a section that holds output
+        // is refused.
+        let mut books = SnapWriter::new();
+        EngineStats::default().snapshot_into(&mut books);
+        let books = books.len();
+        let at = (1 + 8 + 8 + books) + (8 + 1 + 8) + (4 + 2 * books);
+        let mut payload = snap.payload().to_vec();
+        assert_eq!(payload[at..at + 16], [0; 16], "sample and event counts");
+        payload[at] = 1;
+        let mut refused = ShardedMonitor::new(ShardedConfig::new(DartConfig::default(), 2));
+        assert!(matches!(
+            refused.restore(&Snapshot::from_payload(payload)),
+            Err(SnapshotError::Unsupported(why)) if why.contains("undelivered samples")
+        ));
     }
 
     #[test]
@@ -2063,13 +2242,18 @@ mod tests {
         let split = pkts.len() * 2 / 3;
         let mut a = ShardedMonitor::new(cfg);
         feed_each(&mut a, &pkts[..split]);
+        // A checkpoint follows a drain: what a emitted before it is
+        // delivered, and the checkpoint holds only state.
+        let mut samples = Vec::new();
+        a.drain(&mut samples);
         let snap = a.snapshot().expect("checkpoint");
-        drop(a); // the crash: this side's results are never collected
+        drop(a); // the crash: nothing of a's is collected after the drain
 
         let mut b = ShardedMonitor::new(cfg);
         b.restore(&snap).expect("restore");
         feed_each(&mut b, &pkts[split..]);
-        assert_eq!(flush_samples(&mut b), whole_samples);
+        samples.extend(flush_samples(&mut b));
+        assert_eq!(samples, whole_samples);
         let stats = b.stats();
         assert_eq!(stats, whole.stats());
         // Conservation across the crash boundary: every packet fed on
@@ -2087,6 +2271,7 @@ mod tests {
         let path = dir.join("state.dsnp");
         let mut m = ShardedMonitor::new(cfg);
         feed_each(&mut m, &pkts[..pkts.len() / 2]);
+        m.drain(&mut Vec::new());
         let first = m.snapshot().expect("checkpoint");
         // Nothing fed in between: the same cut, streamed.
         let written = m.checkpoint_to(&path).expect("streamed checkpoint");
@@ -2094,6 +2279,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), first.as_bytes());
         // A longer state after a shorter one leaves nothing of it behind.
         feed_each(&mut m, &pkts[pkts.len() / 2..]);
+        m.drain(&mut Vec::new());
         m.checkpoint_to(&path).expect("streamed checkpoint");
         assert_eq!(
             Snapshot::from_file(&path).unwrap(),
@@ -2114,6 +2300,7 @@ mod tests {
         let cfg = sup_cfg(4).with_batch_size(1);
         let mut a = ShardedMonitor::spawn(cfg, None, Some(kill_shard(0)));
         feed_each(&mut a, &pkts[..split]);
+        a.drain(&mut Vec::new());
         let snap = a.snapshot().expect("checkpoint survives a dead shard");
         drop(a);
 
@@ -2136,6 +2323,7 @@ mod tests {
         let cfg = ShardedConfig::new(DartConfig::default(), 4);
         let mut a = ShardedMonitor::new(cfg);
         feed_each(&mut a, &pkts);
+        a.drain(&mut Vec::new());
         let snap = a.snapshot().expect("checkpoint");
 
         // Restoring into a monitor that already saw traffic is refused.

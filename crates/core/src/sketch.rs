@@ -715,8 +715,8 @@ pub(crate) const SKETCH_PT_REGISTERS: [&str; 2] = ["pt_fp", "pt_ts"];
 /// `HashUnit` is one linear map under a different seed, so a CRC
 /// fingerprint repeats the way index in its low log2(`way_size`) bits and
 /// two cell-mates differ in only 32 − log2(`way_size`) of them (25 at
-/// `--pt 512`, which fabricated one sample in 3.4 M packets — ROADMAP
-/// item 1). With all 32 bits independent of the index the mis-match
+/// `--pt 512`, which fabricated one sample in 3.4 M packets: the
+/// sketch-fingerprint fabrication). With all 32 bits independent of the index the mis-match
 /// probability is 2⁻³² per probe of an occupied cell, `ways` probes an ACK.
 pub struct SketchPacketTracker {
     ways: Vec<RegisterArray<SketchPtCell>>,

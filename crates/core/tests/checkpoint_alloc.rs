@@ -97,7 +97,7 @@ fn wait_idle(registry: &MetricRegistry, shards: usize) {
 
 #[test]
 fn a_streamed_checkpoint_holds_no_copy_of_the_state() {
-    let cfg = ShardedConfig::new(DartConfig::default(), 2).with_keep_samples(false);
+    let cfg = ShardedConfig::new(DartConfig::default(), 2);
     let registry = MetricRegistry::new();
     let mut monitor = ShardedMonitor::spawn(cfg, Some(&registry), None);
     let mut sink: Vec<RttSample> = Vec::new();
@@ -105,6 +105,8 @@ fn a_streamed_checkpoint_holds_no_copy_of_the_state() {
         monitor.on_batch(block, &mut sink);
     }
     wait_idle(&registry, cfg.shards);
+    // A checkpoint is taken drained.
+    monitor.drain(&mut sink);
     // The monitor's first checkpoint: nothing of an earlier one is kept.
     let path =
         std::env::temp_dir().join(format!("dart-checkpoint-alloc-{}.dsnp", std::process::id()));

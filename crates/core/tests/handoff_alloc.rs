@@ -116,7 +116,7 @@ fn steady_state_hand_off_allocates_nothing() {
 
 fn sharded_hand_off() {
     for shards in [1usize, 2] {
-        let cfg = ShardedConfig::new(DartConfig::default(), shards).with_keep_samples(false);
+        let cfg = ShardedConfig::new(DartConfig::default(), shards);
         let warm_up = cfg.queue_depth + 2;
         let pkts = steady_trace(warm_up + MEASURED);
         let mut blocks = pkts.chunks(BLOCK);
@@ -139,7 +139,8 @@ fn sharded_hand_off() {
             })
         };
         let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
-        let mut sink = Vec::new();
+        let mut samples = 0u64;
+        let mut sink = |_: RttSample| samples += 1;
         monitor.on_batch(blocks.next().expect("first block"), &mut sink);
         gate.wait();
         // One block held by each worker; now `queue_depth` queued behind
@@ -149,9 +150,9 @@ fn sharded_hand_off() {
         }
         gate.wait();
         monitor.on_batch(blocks.next().expect("last warm-up block"), &mut sink);
-        // A checkpoint is answered only after everything sent before it
-        // has been processed: the workers are idle when it returns.
-        monitor.snapshot().expect("checkpoint");
+        // A drain is answered only after everything sent before it has
+        // been processed: the workers are idle when it returns.
+        monitor.drain(&mut sink);
 
         let (requests, live) = books();
         for block in blocks {
@@ -175,6 +176,7 @@ fn sharded_hand_off() {
         assert_eq!(stats.packets, pkts.len() as u64);
         assert_eq!(stats.monitor_miss, 0);
         assert!(stats.samples > 0);
+        assert_eq!(samples, stats.samples);
     }
 }
 
@@ -213,7 +215,7 @@ fn read_ahead() {
         &mut engine,
         &mut source,
         &mut |_: RttSample| samples += 1,
-        |_, _| {
+        |_, _, _| {
             pulls += 1;
             if pulls == 2 {
                 // The driver holds the first block: let every other block

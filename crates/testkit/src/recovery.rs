@@ -6,14 +6,18 @@
 //! --checkpoint-millis`) makes three promises across a `kill -9`:
 //!
 //! 1. **No fabrication** — restoring a snapshot never invents RTT
-//!    samples. Every sample the restored run emits must still classify as
+//!    samples. Every sample either life delivered must still classify as
 //!    valid against the unbounded-memory oracle run over the *full*
 //!    capture ([`crate::oracle`]).
-//! 2. **Bounded loss** — only packets that arrived after the last durable
+//! 2. **Exactly once** — a checkpoint holds state, never output: the
+//!    monitor is drained into the sink before each one, so what the first
+//!    life delivered is never delivered again, and the two lives' outputs
+//!    are disjoint.
+//! 3. **Bounded loss** — only packets that arrived after the last durable
 //!    checkpoint and before the crash are unrecoverable, so the sample
-//!    deficit versus an uncrashed reference run is proportional to one
-//!    checkpoint interval, never to the whole history.
-//! 3. **Conservation** — the restored books still balance:
+//!    deficit of both lives' output versus an uncrashed reference run is
+//!    proportional to one checkpoint interval, never to the whole history.
+//! 4. **Conservation** — the restored books still balance:
 //!    `packets + monitor_miss` equals everything fed across both lives
 //!    (the durable prefix plus the post-crash tail).
 //!
@@ -35,9 +39,10 @@
 
 use crate::oracle::{run_oracle, OracleConfig, OracleReport, ScoreCard};
 use dart_core::sharded::{ShardedConfig, ShardedMonitor};
-use dart_core::{drive, Backend, DartConfig, RttMonitor, RttSample, Snapshot};
+use dart_core::{drive, Backend, DartConfig, RttMonitor, RttSample, SampleSink, Snapshot};
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource, SECOND};
 use dart_sim::scenario::{campus, CampusConfig};
+use std::collections::HashSet;
 
 /// Where the first life dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,11 +127,12 @@ pub struct RecoveryReport {
     pub accounted: u64,
     /// What conservation demands: `durable_at + (packets − crash_at)`.
     pub expected_accounted: u64,
-    /// Samples the restored run emitted.
+    /// Samples both lives delivered: the first up to its crash, the
+    /// restored one after it.
     pub samples: u64,
     /// Samples an uncrashed reference run emits on the same schedule.
     pub reference_samples: u64,
-    /// The restored samples scored against the full-capture oracle.
+    /// Both lives' samples scored against the full-capture oracle.
     pub card: ScoreCard,
     /// Every violated invariant, human-readable. Empty means pass.
     pub violations: Vec<String>,
@@ -206,7 +212,8 @@ pub fn recovery_trace(seed: u64) -> Vec<PacketMeta> {
 /// first, as in the daemon, so a snapshot never holds entries a sweep at
 /// the same boundary retired. Both positions are measured over the full
 /// capture, so the second life keeps the first life's schedule. `max_ts`
-/// carries the newest timestamp across lives.
+/// carries the newest timestamp across lives. Samples reach `samples` as
+/// the monitor emits them, and `at_checkpoint` is handed the same sink.
 ///
 /// A life ends the way the loop does: with its flush into `samples` when
 /// the source drains, or — over a [`Killed`] source — with the source's
@@ -218,10 +225,10 @@ fn live(
     cfg: &RecoveryConfig,
     span: std::ops::Range<usize>,
     max_ts: &mut Nanos,
-    mut at_checkpoint: impl FnMut(&mut ShardedMonitor, usize),
+    mut at_checkpoint: impl FnMut(&mut ShardedMonitor, &mut dyn SampleSink, usize),
 ) -> Result<(), PacketError> {
     let base_ts = *max_ts;
-    drive(monitor, source, samples, |monitor, at| {
+    drive(monitor, source, samples, |monitor, sink, at| {
         let pos = span.start + at.packets as usize;
         *max_ts = base_ts.max(at.newest_ts);
         if at.packets > 0 && pos < span.end {
@@ -229,7 +236,7 @@ fn live(
                 monitor.rotate_epoch(max_ts.saturating_sub(SECOND));
             }
             if pos.is_multiple_of(cfg.checkpoint_every) {
-                at_checkpoint(monitor, pos);
+                at_checkpoint(monitor, sink, pos);
             }
         }
         let next_ckpt = (pos / cfg.checkpoint_every + 1) * cfg.checkpoint_every;
@@ -276,9 +283,7 @@ pub fn recovery_oracle(packets: &[PacketMeta]) -> OracleReport {
 /// crash points by [`run_recovery_matrix`].
 pub fn recovery_reference(cfg: &RecoveryConfig, packets: &[PacketMeta]) -> Vec<RttSample> {
     let engine = DartConfig::default().with_backend(cfg.backend);
-    let scfg = ShardedConfig::new(engine, cfg.shards)
-        .with_batch_size(cfg.block)
-        .with_keep_samples(true);
+    let scfg = ShardedConfig::new(engine, cfg.shards).with_batch_size(cfg.block);
     let mut samples = Vec::new();
     let mut ref_ts: Nanos = 0;
     live(
@@ -288,7 +293,7 @@ pub fn recovery_reference(cfg: &RecoveryConfig, packets: &[PacketMeta]) -> Vec<R
         cfg,
         0..packets.len(),
         &mut ref_ts,
-        |_, _| {},
+        |_, _, _| {},
     )
     .expect("slice sources are infallible");
     samples
@@ -369,24 +374,27 @@ pub fn run_recovery_judged(
     };
 
     let engine = DartConfig::default().with_backend(cfg.backend);
-    let scfg = ShardedConfig::new(engine, cfg.shards)
-        .with_batch_size(cfg.block)
-        .with_keep_samples(true);
+    let scfg = ShardedConfig::new(engine, cfg.shards).with_batch_size(cfg.block);
 
-    // ---- First life: feed to the crash point, checkpointing on the way.
+    // ---- First life: feed to the crash point, draining and checkpointing
+    // on the way, as the daemon does. What it delivers is delivered.
     let mut first = ShardedMonitor::new(scfg);
     let mut max_ts: Nanos = 0;
     let mut durable: Option<(usize, Vec<u8>)> = None;
+    let mut delivered = Vec::new();
     let killed = live(
         &mut first,
         &mut Killed(&packets[..crash_at]),
-        &mut Vec::new(),
+        &mut delivered,
         cfg,
         0..crash_at,
         &mut max_ts,
-        |monitor, pos| match monitor.snapshot() {
-            Ok(snap) => durable = Some((pos, snap.into_bytes())),
-            Err(e) => violations.push(format!("checkpoint at {pos} failed: {e}")),
+        |monitor, sink, pos| {
+            monitor.drain(sink);
+            match monitor.snapshot() {
+                Ok(snap) => durable = Some((pos, snap.into_bytes())),
+                Err(e) => violations.push(format!("checkpoint at {pos} failed: {e}")),
+            }
         },
     );
     debug_assert!(killed.is_err(), "the first life must not reach its flush");
@@ -399,24 +407,28 @@ pub fn run_recovery_judged(
             // records it. The restored state is pre-rotation.
             first.rotate_epoch(max_ts.saturating_sub(SECOND));
         }
-        CrashPoint::MidCheckpointWrite => match first.snapshot() {
-            Ok(snap) => {
-                // Tear the frame at a seeded byte: whatever survives on
-                // disk must be rejected, not restored.
-                let bytes = snap.into_bytes();
-                let cut = (mix64(cfg.seed ^ 0x7E42) % (bytes.len() as u64 - 1)) as usize + 1;
-                torn_write_detected = Snapshot::from_bytes(bytes[..cut].to_vec()).is_err();
-                if !torn_write_detected {
-                    violations.push(format!(
-                        "torn frame ({cut} of {} bytes) was accepted",
-                        bytes.len()
-                    ));
+        CrashPoint::MidCheckpointWrite => {
+            // The drain ahead of the write delivers; the write is torn.
+            first.drain(&mut delivered);
+            match first.snapshot() {
+                Ok(snap) => {
+                    // Tear the frame at a seeded byte: whatever survives
+                    // on disk must be rejected, not restored.
+                    let bytes = snap.into_bytes();
+                    let cut = (mix64(cfg.seed ^ 0x7E42) % (bytes.len() as u64 - 1)) as usize + 1;
+                    torn_write_detected = Snapshot::from_bytes(bytes[..cut].to_vec()).is_err();
+                    if !torn_write_detected {
+                        violations.push(format!(
+                            "torn frame ({cut} of {} bytes) was accepted",
+                            bytes.len()
+                        ));
+                    }
                 }
+                Err(e) => violations.push(format!("crash-point checkpoint failed: {e}")),
             }
-            Err(e) => violations.push(format!("crash-point checkpoint failed: {e}")),
-        },
+        }
     }
-    drop(first); // kill -9: no flush, no join, the first life's tail is gone
+    drop(first); // kill -9: no flush, no join, undelivered output is gone
 
     // ---- Second life: restore the last durable snapshot, feed the tail.
     let (durable_at, durable_bytes) = match durable {
@@ -461,7 +473,7 @@ pub fn run_recovery_judged(
         cfg,
         crash_at..n,
         &mut max_ts2,
-        |_, _| {},
+        |_, _, _| {},
     )
     .expect("slice sources are infallible");
     let stats = second.stats();
@@ -478,10 +490,25 @@ pub fn run_recovery_judged(
     if !second.failures().is_empty() {
         violations.push(format!("restored run degraded: {:?}", second.failures()));
     }
+    let first_life: HashSet<_> = delivered
+        .iter()
+        .map(|s| (s.flow, s.eack.raw(), s.rtt, s.ts))
+        .collect();
+    let again = samples
+        .iter()
+        .filter(|s| first_life.contains(&(s.flow, s.eack.raw(), s.rtt, s.ts)))
+        .count();
+    if again > 0 {
+        violations.push(format!(
+            "{again} samples delivered by both lives: a checkpoint carried output"
+        ));
+    }
+    delivered.extend(samples);
+    let samples = delivered;
     let card = oracle.score(&samples);
     if card.impossible + card.cross_anchored > 0 {
         violations.push(format!(
-            "{} fabricated + {} cross-anchored samples after restore",
+            "{} fabricated + {} cross-anchored samples across the restore",
             card.impossible, card.cross_anchored
         ));
     }

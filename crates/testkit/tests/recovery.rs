@@ -85,12 +85,11 @@ fn snapshot_restore_round_trips_byte_identical_state_on_exact() {
     use dart_core::{RttMonitor, RttSample};
 
     let pkts = recovery_trace(SEEDS[0]);
-    let cfg = ShardedConfig::new(DartConfig::default(), 2)
-        .with_batch_size(64)
-        .with_keep_samples(true);
+    let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(64);
     let mut monitor = ShardedMonitor::new(cfg);
     let mut sink: Vec<RttSample> = Vec::new();
     monitor.on_batch(&pkts[..pkts.len() / 2], &mut sink);
+    monitor.drain(&mut sink);
     let snap = monitor.snapshot().expect("checkpoint");
     drop(monitor);
 
@@ -123,6 +122,7 @@ fn checkpoint_pause_stays_under_ten_milliseconds_at_design_scale() {
         let mut monitor = ShardedMonitor::new(cfg);
         let mut sink: Vec<RttSample> = Vec::new();
         monitor.on_batch(&pkts, &mut sink);
+        monitor.drain(&mut sink);
         let mut best = Duration::MAX;
         for _ in 0..5 {
             let start = Instant::now();

@@ -141,9 +141,11 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
             }
         })
     };
+    // The samples themselves have no consumer here yet: the report reads
+    // the counters.
     let run = |daemon: Daemon, source: &mut dyn PacketSource| {
         daemon
-            .run(source)
+            .run(source, &mut |_: RttSample| {})
             .map_err(|e| format!("ingest {input}: {e}"))
     };
     type ModeOutcome = Result<(DaemonReport, String), String>;
@@ -582,9 +584,9 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
             built.monitor.as_mut(),
             &mut source,
             &mut sink,
-            |monitor, at| {
+            |monitor, sink, at| {
                 packets = at.packets;
-                tick(monitor, at)
+                tick(monitor, sink, at)
             },
         )
     };
@@ -742,7 +744,7 @@ fn stats_report(input: &str, opts: &Options) -> Result<String, String> {
         built.monitor.as_mut(),
         &mut source,
         &mut |_: RttSample| samples += 1,
-        |_, at| {
+        |_, _, at| {
             packets = at.packets;
             Some(DEFAULT_BLOCK_PKTS)
         },
@@ -895,7 +897,7 @@ fn detect(input: &str, opts: &Options) -> Result<String, String> {
         };
     };
     let mut engine = DartEngine::new(DartConfig::default());
-    drive(&mut engine, &mut source, &mut sink, |_, _| {
+    drive(&mut engine, &mut source, &mut sink, |_, _, _| {
         Some(DEFAULT_BLOCK_PKTS)
     })
     .map_err(|e| format!("{input}: {e}"))?;

@@ -19,6 +19,17 @@
 //! * milestones (started, rotated, reloaded, shutting down) in the bounded
 //!   [`EventLog`] served at `/events`.
 //!
+//! ## Output
+//!
+//! [`Daemon::run`] takes the caller's [`SampleSink`], and every sample and
+//! engine event of every monitor generation reaches it while the daemon
+//! runs: the sharded monitor emits its drain rounds from `on_batch`, about
+//! a ring's worth of blocks behind the feed; every checkpoint is preceded
+//! by a drain into the same sink (a checkpoint holds state, never output,
+//! so nothing it covers is emitted again after a restore); and a reload
+//! flushes the retired generation into it. `dartmon serve` passes a sink
+//! that discards.
+//!
 //! ## Boundary order
 //!
 //! Around every pull, in this order: shutdown → checkpoint request →
@@ -27,8 +38,8 @@
 //! the same boundary, so a restore never resurrects entries a sweep
 //! retired; and a shutdown is seen before the next pull, so a stopped
 //! daemon never reads input it will not process. On either exit — shutdown
-//! or a drained source — the final checkpoint is written ahead of the
-//! flush, while the shard workers still hold their state.
+//! or a drained source — the final checkpoint (and its drain) is written
+//! ahead of the flush, while the shard workers still hold their state.
 //!
 //! ## Rotation semantics
 //!
@@ -45,10 +56,11 @@
 //! `POST /control/shutdown` ends the run at the next boundary: the monitor
 //! is flushed (under the flush stage timer), final stats merged, and the
 //! server stopped. `POST /control/reload` is the SIGHUP analogue: the
-//! current monitor is flushed and a fresh one spawned against the same
-//! registry at the next boundary — series are get-or-create, so dashboards
-//! keep their identity; engine counters restart from zero, which Prometheus
-//! treats as an ordinary counter reset.
+//! current monitor is flushed into the sink and a fresh one spawned
+//! against the same registry at the next boundary — series are
+//! get-or-create, so dashboards keep their identity; engine counters
+//! restart from zero, which Prometheus treats as an ordinary counter
+//! reset.
 
 use dart_core::sharded::{ShardedConfig, ShardedMonitor, SupervisorHealth};
 use dart_core::stats::EngineStats;
@@ -56,7 +68,7 @@ use dart_core::telemetry::{
     Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_BYTES, DAEMON_CHECKPOINT_FAILURES,
     DAEMON_CHECKPOINT_PAUSE_NS, SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
 };
-use dart_core::{drive_timed, Progress, RttMonitor, RttSample, Snapshot, StageTimers};
+use dart_core::{drive_timed, Progress, RttMonitor, SampleSink, Snapshot, StageTimers};
 use dart_packet::{Nanos, PacketError, PacketSource, SourceCounters};
 use dart_telemetry::{Counter, EventLog, Gauge, Histogram, HttpServer, MetricRegistry};
 use std::net::SocketAddr;
@@ -70,9 +82,7 @@ const EVENTS_CAP: usize = 256;
 /// Configuration of a daemon run.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// The supervised engine configuration. The daemon forces
-    /// `keep_samples = false`: an unbounded stream must not accumulate a
-    /// merged sample vector (counters and histograms carry the signal).
+    /// The supervised engine configuration.
     pub sharded: ShardedConfig,
     /// Most packets pulled from the source per block.
     pub block_pkts: usize,
@@ -219,11 +229,11 @@ impl Checkpointer {
         }
     }
 
-    /// Quiesce the monitor and stream a snapshot to disk, published
-    /// atomically ([`RttMonitor::checkpoint_to`]). Failures are counted and
-    /// logged, never fatal: a daemon that cannot checkpoint is degraded,
-    /// not dead.
-    fn write(&mut self, monitor: &mut ShardedMonitor, why: &str) {
+    /// Drain the monitor into `sink`, then stream a snapshot of its state
+    /// to disk, published atomically ([`RttMonitor::checkpoint_to`]); the
+    /// pause covers both. Failures are counted and logged, never fatal: a
+    /// daemon that cannot checkpoint is degraded, not dead.
+    fn write(&mut self, monitor: &mut ShardedMonitor, sink: &mut dyn SampleSink, why: &str) {
         let Some(path) = &self.path else {
             self.events.warn(
                 "daemon",
@@ -233,6 +243,7 @@ impl Checkpointer {
             return;
         };
         let start = Instant::now();
+        monitor.drain(sink);
         let result = monitor.checkpoint_to(path);
         let pause = start.elapsed();
         self.pause_ns.observe(pause.as_nanos() as u64);
@@ -286,7 +297,6 @@ impl Daemon {
     /// Bind the observability server and spawn the shard workers. The
     /// packet loop does not start until [`Daemon::run`].
     pub fn start(mut cfg: DaemonConfig) -> std::io::Result<Daemon> {
-        cfg.sharded = cfg.sharded.with_keep_samples(false);
         cfg.block_pkts = cfg.block_pkts.max(1);
         let registry = MetricRegistry::new();
         let events = EventLog::new(EVENTS_CAP);
@@ -367,10 +377,15 @@ impl Daemon {
     }
 
     /// Drive the monitor from `source` until it drains or shutdown is
-    /// requested, then flush, stop the server, and report. The loop is
-    /// [`drive_timed`]; this supplies its boundary (see the module docs
-    /// for the order).
-    pub fn run(self, source: &mut dyn PacketSource) -> Result<DaemonReport, PacketError> {
+    /// requested, then flush, stop the server, and report. Samples and
+    /// engine events go to `sink` as the run produces them (see the module
+    /// docs). The loop is [`drive_timed`]; this supplies its boundary (see
+    /// the module docs for the order).
+    pub fn run(
+        self,
+        source: &mut dyn PacketSource,
+        sink: &mut dyn SampleSink,
+    ) -> Result<DaemonReport, PacketError> {
         let Daemon {
             cfg,
             registry,
@@ -383,8 +398,6 @@ impl Daemon {
             mut ckpt,
             source_watch,
         } = self;
-        // `keep_samples` is off: the flush emits nothing to keep.
-        let mut sink = |_: RttSample| {};
         let mut carried = EngineStats::default();
         let mut rotations = 0u64;
         let mut reloads = 0u64;
@@ -396,7 +409,7 @@ impl Daemon {
                 watch.sync();
             }
         };
-        let boundary = |monitor: &mut ShardedMonitor, at: Progress| {
+        let boundary = |monitor: &mut ShardedMonitor, sink: &mut dyn SampleSink, at: Progress| {
             // After a fed block: rotation, then the checkpoints that may
             // follow it.
             if at.packets > 0 && !at.drained {
@@ -416,12 +429,12 @@ impl Daemon {
                     // A rotation just swept state; snapshotting here means a
                     // restore never resurrects entries the sweep retired.
                     if cfg.snapshot_path.is_some() {
-                        ckpt.write(monitor, "rotation boundary");
+                        ckpt.write(monitor, sink, "rotation boundary");
                     }
                 }
                 if let Some(every) = cfg.checkpoint_every {
                     if cfg.snapshot_path.is_some() && ckpt.last.elapsed() >= every {
-                        ckpt.write(monitor, "cadence");
+                        ckpt.write(monitor, sink, "cadence");
                     }
                 }
                 sync_watch();
@@ -450,13 +463,13 @@ impl Daemon {
                 // workers: a clean shutdown leaves a snapshot a `--restore`
                 // can resume from.
                 if cfg.snapshot_path.is_some() {
-                    ckpt.write(monitor, "shutdown");
+                    ckpt.write(monitor, sink, "shutdown");
                 }
                 sync_watch();
                 return None;
             }
             if server.take_checkpoint_request() {
-                ckpt.write(monitor, "control plane");
+                ckpt.write(monitor, sink, "control plane");
             }
             if server.take_reload_request() {
                 // SIGHUP analogue: retire the current monitor cleanly and
@@ -464,7 +477,7 @@ impl Daemon {
                 let start = Instant::now();
                 let fresh = ShardedMonitor::spawn(cfg.sharded, Some(&registry), None);
                 let mut retired = std::mem::replace(monitor, fresh);
-                retired.flush(&mut |_: RttSample| {});
+                retired.flush(sink);
                 carried.merge(&retired.stats());
                 let pause = start.elapsed();
                 reloads += 1;
@@ -480,7 +493,7 @@ impl Daemon {
             }
             Some(cfg.block_pkts)
         };
-        let mut stats = drive_timed(&mut monitor, source, &mut sink, &stage, boundary)?;
+        let mut stats = drive_timed(&mut monitor, source, sink, &stage, boundary)?;
         stats.merge(&carried);
         let health = monitor.health();
         if let Ok(mut state) = state.lock() {

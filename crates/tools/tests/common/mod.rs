@@ -1,7 +1,7 @@
 //! Shared by the in-process daemon suites.
 
 use dart_core::sharded::ShardedConfig;
-use dart_core::DartConfig;
+use dart_core::{DartConfig, RttSample, SampleSink};
 use dart_packet::{Direction, FlowKey, Nanos, PacketBuilder, PacketMeta};
 use dart_tools::DaemonConfig;
 use std::time::Duration;
@@ -41,5 +41,16 @@ pub fn cfg() -> DaemonConfig {
         rotate_every: Duration::from_millis(20),
         retain: 50_000_000,
         ..DaemonConfig::default()
+    }
+}
+
+/// A sink that counts the samples reaching it: a daemon run's count must
+/// be the `samples` its report counts.
+#[derive(Default)]
+pub struct Counting(pub u64);
+
+impl SampleSink for Counting {
+    fn on_sample(&mut self, _: RttSample) {
+        self.0 += 1;
     }
 }

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{cfg, exchanges};
+use common::{cfg, exchanges, Counting};
 use dart_core::telemetry::{
     EPOCH_ROTATIONS, SHARD_COUNTERS, STAGE_DECODE_NS, SUPERVISOR_HEALTHY_SHARDS,
 };
@@ -64,7 +64,12 @@ fn drains_a_finite_source_and_accounts_every_packet() {
     let total = pkts.len() as u64;
     let daemon = Daemon::start(cfg()).expect("bind");
     let mut source = dart_packet::SliceSource::new(&pkts);
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     assert!(!report.shutdown_requested);
     assert_eq!(report.packets, total);
     assert_eq!(report.stats.packets + report.stats.monitor_miss, total);
@@ -85,7 +90,12 @@ fn rotates_on_the_wall_clock_and_serves_the_plane() {
         post(addr, "/control/shutdown");
     });
     let mut source = CycleSource::with_gap(pkts, 1_000_000);
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     server_thread.join().expect("client thread");
     assert!(report.shutdown_requested);
     assert!(report.rotations >= 2, "got {} rotations", report.rotations);
@@ -106,7 +116,12 @@ fn healthz_and_metrics_reflect_the_run_live() {
         (health, metrics, events)
     });
     let mut source = CycleSource::with_gap(pkts, 1_000_000);
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     let (health, metrics, events) = client.join().expect("client");
     let v = dart_telemetry::json::parse(health.trim()).expect("healthz is JSON");
     let sup = v.get("supervisor").expect("supervisor block");
@@ -136,7 +151,12 @@ fn reload_rebuilds_the_monitor_and_keeps_counting() {
         events
     });
     let mut source = CycleSource::with_gap(pkts, 1_000_000);
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     let events = client.join().expect("client");
     // The reload says how long the ingest loop stood still for it.
     let reloaded = events
@@ -170,7 +190,12 @@ fn follow_mode_shutdown_is_attributed_to_the_request() {
         std::thread::sleep(Duration::from_millis(50));
         post(addr, "/control/shutdown");
     });
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     client.join().expect("client");
     assert!(report.shutdown_requested, "wake-by-shutdown misattributed");
     assert_eq!(report.packets, pkts.len() as u64, "tail lost packets");
@@ -266,7 +291,12 @@ fn a_feed_that_goes_quiet_leaves_nothing_short_of_the_shards() {
         seen
     });
     let mut source = dart_packet::trace::TraceReader::new(follow).expect("header");
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     let seen = client.join().expect("client");
     assert_eq!(
         seen, fed,
@@ -276,13 +306,72 @@ fn a_feed_that_goes_quiet_leaves_nothing_short_of_the_shards() {
     assert!(report.shutdown_requested);
 }
 
+#[cfg(unix)]
+#[test]
+fn the_sink_sees_samples_while_the_feed_is_still_open() {
+    // A live stream (a socket pair standing in for the fifo) fed in
+    // slices: samples must reach the daemon's sink while the writer still
+    // holds the stream open, not at the flush.
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let pkts = exchanges(16, 200);
+    let header = dart_packet::trace::to_bytes(&[]).len();
+    let bytes = dart_packet::trace::to_bytes(&pkts);
+    let record = (bytes.len() - header) / pkts.len();
+    let (mut writer, reader) = UnixStream::pair().expect("socket pair");
+    let daemon = Daemon::start(cfg()).expect("bind");
+    let stop = daemon.server().shutdown_flag();
+    let follow = dart_packet::Follow::new(reader, Arc::clone(&stop))
+        .with_poll_interval(Duration::from_millis(1));
+    let seen = Arc::new(AtomicU64::new(0));
+    let client = {
+        let seen = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            writer.write_all(&bytes[..header]).expect("header");
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut slices = bytes[header..].chunks(200 * record);
+            while seen.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+                match slices.next() {
+                    Some(slice) => writer.write_all(slice).expect("feed"),
+                    None => std::thread::sleep(Duration::from_millis(5)),
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let seen_open = seen.load(Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
+            drop(writer);
+            seen_open
+        })
+    };
+    let mut source = dart_packet::trace::TraceReader::new(follow).expect("header");
+    let mut sink = {
+        let seen = Arc::clone(&seen);
+        move |_: dart_core::RttSample| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    let report = daemon.run(&mut source, &mut sink).expect("clean run");
+    let seen_open = client.join().expect("client");
+    assert!(
+        seen_open > 0,
+        "no sample reached the sink while the feed was open"
+    );
+    assert!(report.shutdown_requested);
+    assert_eq!(seen.load(Ordering::Relaxed), report.stats.samples);
+}
+
 #[test]
 fn in_process_shutdown_request_ends_the_loop() {
     let pkts = exchanges(6, 2);
     let daemon = Daemon::start(cfg()).expect("bind");
     daemon.server().request_shutdown();
     let mut source = CycleSource::new(pkts);
-    let report = daemon.run(&mut source).expect("clean run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("clean run");
+    assert_eq!(
+        seen.0, report.stats.samples,
+        "the sink saw what the report counts"
+    );
     assert!(report.shutdown_requested);
     assert_eq!(report.packets, 0, "shutdown observed before any block");
 }

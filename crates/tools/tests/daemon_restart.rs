@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{cfg, exchanges};
+use common::{cfg, exchanges, Counting};
 use dart_core::sharded::ShardedConfig;
 use dart_core::DartConfig;
 use dart_tools::{Daemon, DaemonConfig};
@@ -33,7 +33,9 @@ fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
     })
     .expect("bind");
     let mut source = dart_packet::SliceSource::new(&pkts[..split]);
-    let first = daemon.run(&mut source).expect("first run");
+    let mut seen = Counting::default();
+    let first = daemon.run(&mut source, &mut seen).expect("first run");
+    assert_eq!(seen.0, first.stats.samples);
     assert!(first.checkpoints >= 1, "no checkpoint written");
     assert!(!first.restored);
     assert!(snap.is_file(), "snapshot missing after shutdown");
@@ -48,7 +50,7 @@ fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
     })
     .expect("bind after restore");
     let mut source = dart_packet::SliceSource::new(&pkts[split..]);
-    let second = daemon.run(&mut source).expect("second run");
+    let second = daemon.run(&mut source, &mut seen).expect("second run");
     assert!(second.restored);
     assert_eq!(
         second.stats.packets + second.stats.monitor_miss,
@@ -57,6 +59,10 @@ fn checkpoint_then_restore_preserves_the_books_across_a_restart() {
         second.stats
     );
     assert!(second.stats.samples >= first.stats.samples);
+    // The counters resume from the checkpoint, and the checkpoint followed
+    // the first life's last drain: between them the two lives delivered
+    // each of the samples the books count, once.
+    assert_eq!(seen.0, second.stats.samples);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -76,7 +82,9 @@ fn restore_refuses_a_mismatched_snapshot() {
     })
     .expect("bind");
     let mut source = dart_packet::SliceSource::new(&pkts);
-    daemon.run(&mut source).expect("run");
+    let mut seen = Counting::default();
+    let report = daemon.run(&mut source, &mut seen).expect("run");
+    assert_eq!(seen.0, report.stats.samples);
     // Same snapshot, different shard count: must fail loudly at start.
     let err = match Daemon::start(DaemonConfig {
         sharded: ShardedConfig::new(DartConfig::default(), 4).with_batch_size(64),

@@ -203,8 +203,8 @@ fn shrunk_sketch_divergence_stays_sound() {
     assert!(card.missed() <= loss_budget(&stats));
 }
 
-/// ROADMAP item 1's geometry: both legs through a 4 096-slot RT and a
-/// 512-cell, 4-way sketch PT.
+/// The geometry of the sketch-fingerprint fabrication, since fixed: both
+/// legs through a 4 096-slot RT and a 512-cell, 4-way sketch PT.
 fn fabrication_cfg() -> DartConfig {
     DartConfig::default()
         .with_leg(Leg::Both)

@@ -1,9 +1,9 @@
 //! One serializer, any sink: a checkpoint streamed to a file through
 //! `RttMonitor::checkpoint_to` is byte for byte the frame
 //! `RttMonitor::snapshot` holds in memory — for the serial engine under
-//! every backend and for the sharded runtime at several shard counts, with
-//! and without buffered samples, and with a shard written off — and the
-//! file restores and re-serialises to the same bytes.
+//! every backend and for the sharded runtime at several shard counts, and
+//! with a shard written off — and the file restores and re-serialises to
+//! the same bytes.
 
 use dart::core::{
     Backend, DartConfig, DartEngine, PacketHook, RttMonitor, RttSample, ShardedConfig,
@@ -28,6 +28,12 @@ fn feed(monitor: &mut dyn RttMonitor, pkts: &[PacketMeta]) {
     for block in pkts[..pkts.len() * 2 / 3].chunks(256) {
         monitor.on_batch(block, &mut sink);
     }
+}
+
+/// [`feed`], then drain: a sharded checkpoint is taken drained.
+fn feed_drained(monitor: &mut ShardedMonitor, pkts: &[PacketMeta]) {
+    feed(monitor, pkts);
+    monitor.drain(&mut Vec::<RttSample>::new());
 }
 
 /// Stream `monitor`'s checkpoint to `path` and check it against the
@@ -66,20 +72,16 @@ fn a_streamed_engine_checkpoint_is_its_snapshot() {
 fn a_streamed_sharded_checkpoint_is_its_snapshot() {
     let pkts = recovery_trace(7);
     for shards in [1, 2, 4] {
-        for keep_samples in [true, false] {
-            let what = format!("{shards} shard(s), keep_samples {keep_samples}");
-            let path = scratch(&format!("sharded-{shards}-{keep_samples}"));
-            let cfg = ShardedConfig::new(DartConfig::default(), shards)
-                .with_batch_size(64)
-                .with_keep_samples(keep_samples);
-            let mut monitor = ShardedMonitor::new(cfg);
-            feed(&mut monitor, &pkts);
-            let loaded = streamed_is_held(&mut monitor, &path, &what);
-            let mut restored = ShardedMonitor::new(cfg);
-            restored.restore(&loaded).expect("restore");
-            assert_eq!(restored.snapshot().expect("re-snapshot"), loaded, "{what}");
-            std::fs::remove_file(&path).expect("clean up");
-        }
+        let what = format!("{shards} shard(s)");
+        let path = scratch(&format!("sharded-{shards}"));
+        let cfg = ShardedConfig::new(DartConfig::default(), shards).with_batch_size(64);
+        let mut monitor = ShardedMonitor::new(cfg);
+        feed_drained(&mut monitor, &pkts);
+        let loaded = streamed_is_held(&mut monitor, &path, &what);
+        let mut restored = ShardedMonitor::new(cfg);
+        restored.restore(&loaded).expect("restore");
+        assert_eq!(restored.snapshot().expect("re-snapshot"), loaded, "{what}");
+        std::fs::remove_file(&path).expect("clean up");
     }
 }
 
@@ -95,7 +97,7 @@ fn a_written_off_shard_streams_as_it_snapshots() {
         }
     });
     let mut monitor = ShardedMonitor::spawn(cfg, None, Some(hook));
-    feed(&mut monitor, &pkts);
+    feed_drained(&mut monitor, &pkts);
     let path = scratch("written-off");
     let loaded = streamed_is_held(&mut monitor, &path, "written off");
     // The checkpoint was answered after every block fed before it.

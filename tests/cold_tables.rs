@@ -103,7 +103,8 @@ fn a_parent_checkpoint_restores_and_reserialises_byte_identically() {
         let written = fed.snapshot().unwrap();
 
         // The fingerprints in `parent_sketch.dsnp`'s PT cells are CRC-32s of
-        // the same family as the way index (ROADMAP item 1's fabrication);
+        // the same family as the way index (the sketch-fingerprint
+        // fabrication, since fixed);
         // this build stores a `mix64` fingerprint under a scheme word the
         // section now opens with. So the same packets cannot write the
         // parent's bytes — they write the same cells, eight bytes longer —

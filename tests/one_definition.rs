@@ -150,6 +150,27 @@ const BANS: &[Ban] = &[
                   stats()/per_shard()/failures(), control through RttMonitor, build with new \
                   or spawn, call the one run_diff",
     },
+    // The sharded runtime emits while it runs, in drain rounds, and a
+    // checkpoint holds state, never output (DESIGN.md §5a, §5j): no
+    // switch between keeping every sample until the flush and keeping
+    // none, and no codec for samples or events held in a checkpoint.
+    Ban {
+        rule: "Checkpoints hold state, never output",
+        roots: SOURCES,
+        suffix: ".rs",
+        any: &[
+            "keep_samples",
+            "with_keep_samples",
+            "fn put_sample",
+            "fn read_sample",
+            "fn put_event",
+            "fn read_event",
+        ],
+        except: &[],
+        allowed: &[],
+        message: "samples held for the flush or carried in a checkpoint: drain the sharded \
+                  monitor into its sink (ShardedMonitor::drain) before checkpointing it",
+    },
     // Each measurement rule has one implementation (DESIGN.md §2): the
     // leg→role rule is `Leg::seq_role`/`ack_role`, the handshake rule
     // `SynPolicy::skips`, spin periods are the `spin` engine's and tcptrace

@@ -261,6 +261,7 @@ fn edited_sharded_snapshots_are_refused_or_restored_never_fatal() {
     let honest = {
         let mut monitor = ShardedMonitor::new(cfg);
         monitor.on_batch(&traffic(0, 200), &mut sink);
+        monitor.drain(&mut sink);
         let snap = monitor.snapshot().unwrap();
         monitor.flush(&mut sink);
         snap.payload().to_vec()
