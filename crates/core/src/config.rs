@@ -192,6 +192,12 @@ impl std::fmt::Display for Backend {
     }
 }
 
+/// The largest recirculation cap, 2^31 − 1. A record is refused a trip at
+/// the cap, so its trip count never exceeds the cap and fits in 31 bits:
+/// the Packet Tracker's slot keeps it beside the eACK, with its occupied
+/// bit above it.
+pub const MAX_RECIRC: u32 = (1 << 31) - 1;
+
 /// Full engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DartConfig {
@@ -206,7 +212,8 @@ pub struct DartConfig {
     /// Flow-signature width in constrained tables.
     pub sig_width: SignatureWidth,
     /// Maximum recirculations per evicted record (paper §3.2's safeguard;
-    /// swept in Fig. 13). Zero disables recirculation entirely.
+    /// swept in Fig. 13). Zero disables recirculation entirely; at most
+    /// [`MAX_RECIRC`].
     pub max_recirc: u32,
     /// Delay before a recirculated record re-enters the ingress pipeline.
     pub recirc_delay: Nanos,
@@ -284,8 +291,15 @@ impl DartConfig {
         self
     }
 
-    /// Builder-style: set the recirculation cap.
+    /// Builder-style: set the recirculation cap, `0..=MAX_RECIRC`.
+    ///
+    /// # Panics
+    /// If `n` exceeds [`MAX_RECIRC`].
     pub fn with_max_recirc(mut self, n: u32) -> Self {
+        assert!(
+            n <= MAX_RECIRC,
+            "max_recirc {n} is over {MAX_RECIRC}: a Packet Tracker record keeps its trip count in 31 bits"
+        );
         self.max_recirc = n;
         self
     }

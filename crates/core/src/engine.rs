@@ -2,7 +2,7 @@
 //! eviction and second-chance recirculation (paper Fig. 3 / Fig. 5).
 
 use crate::backend::{PtTable, RtLocate, RtTable};
-use crate::config::{AdmissionMode, Backend, DartConfig, Leg};
+use crate::config::{AdmissionMode, Backend, DartConfig, Leg, MAX_RECIRC};
 use crate::filter::FlowFilter;
 use crate::monitor::{EpochRotation, RttMonitor};
 use crate::packet_tracker::{PtInsert, PtRecord};
@@ -201,6 +201,11 @@ impl DartEngine {
 
     /// Build an engine with an analytics recirculation filter (§3.3).
     pub fn with_filter(cfg: DartConfig, filter: Box<dyn RecircFilter>) -> DartEngine {
+        assert!(
+            cfg.max_recirc <= MAX_RECIRC,
+            "max_recirc {} is over {MAX_RECIRC}",
+            cfg.max_recirc
+        );
         DartEngine {
             rt: RtTable::new(cfg.rt, cfg.sig_width),
             pt: PtTable::new(cfg.pt),

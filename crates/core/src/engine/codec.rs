@@ -173,7 +173,7 @@ impl DartEngine {
         }
         let pt_tag = r.get_u8()?;
         match (&mut self.pt, pt_tag) {
-            (PtTable::Exact(t), 0) => t.restore_from(r)?,
+            (PtTable::Exact(t), 0) => t.restore_from(r, self.cfg.max_recirc)?,
             (PtTable::Sketch(t), 1) => t.restore_from(r)?,
             (_, tag) => {
                 return Err(SnapshotError::Mismatch(format!(
@@ -194,7 +194,8 @@ impl DartEngine {
         }
         self.victim_cache.clear();
         for _ in 0..vc {
-            self.victim_cache.push_back(PtRecord::restore_from(r)?);
+            self.victim_cache
+                .push_back(PtRecord::restore_from(r, self.cfg.max_recirc)?);
         }
 
         // The depth distribution is live telemetry, not measurement state:
@@ -216,7 +217,7 @@ impl DartEngine {
         // Room for what the payload can still hold, not for what it claims.
         let mut entries = Vec::with_capacity(depth.min(r.remaining() / RECIRC_ENTRY_WIRE_LEN));
         for _ in 0..depth {
-            let rec = PtRecord::restore_from(r)?;
+            let rec = PtRecord::restore_from(r, self.cfg.max_recirc)?;
             let displaced_by = PacketId::new(FlowSignature(r.get_u64()?), SeqNum(r.get_u32()?));
             let ready = r.get_u64()?;
             let trips = r.get_u32()?;

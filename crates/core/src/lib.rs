@@ -63,7 +63,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use backend::{PtTable, RtTable};
-pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy};
+pub use config::{AdmissionMode, Backend, DartConfig, Leg, PtMode, RtMode, SynPolicy, MAX_RECIRC};
 pub use engine::{DartEngine, RecircFilter};
 pub use error::{FailureKind, ShardFailure};
 pub use filter::{FlowFilter, FlowRule, PrefixMatch};

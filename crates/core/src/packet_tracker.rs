@@ -19,7 +19,7 @@
 //!   allowing more recirculations lets each trip enter one stage later,
 //!   displacing and cleaning those squatters (Fig. 13's recovery).
 
-use crate::config::PtMode;
+use crate::config::{PtMode, MAX_RECIRC};
 use crate::range_tracker::flow_key_from_wire;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, SeqNum};
@@ -39,26 +39,28 @@ pub struct PtRecord {
     pub trips: u32,
 }
 
-/// Four words: signature, eACK beside the trip count, timestamp — 192 value
-/// bits with none to spare, so [`LIVE`] gets a word of its own.
+/// Three words: signature, eACK beside the trip count and [`LIVE`],
+/// timestamp. A record at the configuration's `max_recirc` is refused
+/// another trip, and the cap is at most [`MAX_RECIRC`] (below 2^31), so bit
+/// 31 of the trip count — bit 63 of its word — is free for [`LIVE`]:
+/// [`PacketTracker::insert_recirculated`] and a restore refuse any other.
 impl Packed for PtRecord {
-    type Words = [u64; 4];
+    type Words = [u64; 3];
 
-    fn pack(&self) -> [u64; 4] {
+    fn pack(&self) -> [u64; 3] {
         [
             self.sig.raw(),
-            u64::from(self.eack.raw()) | u64::from(self.trips) << 32,
+            u64::from(self.eack.raw()) | u64::from(self.trips) << 32 | LIVE,
             self.ts,
-            LIVE,
         ]
     }
 
-    fn unpack(w: &[u64; 4]) -> PtRecord {
+    fn unpack(w: &[u64; 3]) -> PtRecord {
         PtRecord {
             sig: FlowSignature(w[0]),
             eack: SeqNum(w[1] as u32),
             ts: w[2],
-            trips: (w[1] >> 32) as u32,
+            trips: ((w[1] & !LIVE) >> 32) as u32,
         }
     }
 }
@@ -81,14 +83,26 @@ impl PtRecord {
         w.put_u32(self.trips);
     }
 
-    /// Deserialize a record written by [`PtRecord::snapshot_into`].
-    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<PtRecord, SnapshotError> {
-        Ok(PtRecord {
+    /// Deserialize a record written by [`PtRecord::snapshot_into`],
+    /// refusing one on more trips than `max_trips`, the recirculation cap
+    /// of the configuration that could have written it.
+    pub(crate) fn restore_from(
+        r: &mut SnapReader<'_>,
+        max_trips: u32,
+    ) -> Result<PtRecord, SnapshotError> {
+        let rec = PtRecord {
             sig: FlowSignature(r.get_u64()?),
             eack: SeqNum(r.get_u32()?),
             ts: r.get_u64()?,
             trips: r.get_u32()?,
-        })
+        };
+        if rec.trips > max_trips {
+            return Err(SnapshotError::Corrupt(format!(
+                "PT record on trip {}, the cap is {max_trips}",
+                rec.trips
+            )));
+        }
+        Ok(rec)
     }
 }
 
@@ -230,11 +244,15 @@ impl PacketTracker {
     /// (`trips mod stages`), so repeated passes probe *alternate locations*
     /// (§6.2, Fig. 13) — and, crucially, displace later-stage squatters,
     /// forcing stale records out to re-validation.
+    ///
+    /// # Panics
+    /// If `rec.trips` exceeds [`MAX_RECIRC`]: the slot could not hold it.
     pub fn insert_recirculated(
         &mut self,
         rec: PtRecord,
         displaced_by: Option<PacketId>,
     ) -> PtInsert {
+        assert!(rec.trips <= MAX_RECIRC, "trip count {}", rec.trips);
         match &mut self.store {
             PtStore::Unlimited(_) => {
                 unreachable!("unlimited PT never evicts, so nothing recirculates")
@@ -397,8 +415,12 @@ impl PacketTracker {
 
     /// Replace this tracker's contents with a checkpointed state written by
     /// [`PacketTracker::snapshot_into`]. The store kind and stage geometry
-    /// must match.
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    /// must match, and no record may be on more trips than `max_trips`.
+    pub(crate) fn restore_from(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        max_trips: u32,
+    ) -> Result<(), SnapshotError> {
         let tag = r.get_u8()?;
         match (&mut self.store, tag) {
             (PtStore::Unlimited(map), 0) => {
@@ -432,7 +454,7 @@ impl PacketTracker {
                     let mut prev = None;
                     for _ in 0..count {
                         let idx = r.get_slot("PT record", size, &mut prev)?;
-                        stage.load(idx, PtRecord::restore_from(r)?);
+                        stage.load(idx, PtRecord::restore_from(r, max_trips)?);
                     }
                 }
             }
@@ -719,7 +741,7 @@ mod tests {
 
             let mut fresh = PacketTracker::new(mode);
             let mut r = crate::snapshot::SnapReader::new(&payload);
-            fresh.restore_from(&mut r).unwrap();
+            fresh.restore_from(&mut r, 0).unwrap();
             assert_eq!(r.remaining(), 0);
             assert_eq!(fresh.occupancy(), pt.occupancy());
             for n in 0..10u32 {
@@ -756,7 +778,7 @@ mod tests {
             let mut tracker = PacketTracker::new(wrong);
             assert!(
                 matches!(
-                    tracker.restore_from(&mut crate::snapshot::SnapReader::new(&payload)),
+                    tracker.restore_from(&mut crate::snapshot::SnapReader::new(&payload), 0),
                     Err(crate::snapshot::SnapshotError::Mismatch(_))
                 ),
                 "{wrong:?} must be refused"
@@ -764,12 +786,42 @@ mod tests {
         }
     }
 
+    /// A stored record's trip count is restored only up to the cap of the
+    /// configuration restoring it: a count the slot cannot hold, or one
+    /// this configuration could not have reached, is corrupt.
+    #[test]
+    fn restore_refuses_a_record_over_the_trip_cap() {
+        let mode = PtMode::Constrained {
+            slots: 64,
+            stages: 2,
+        };
+        let mut pt = PacketTracker::new(mode);
+        let mut r = rec(5, 500, 50);
+        r.trips = 3;
+        pt.insert_recirculated(r, None);
+        let mut w = crate::snapshot::SnapWriter::new();
+        pt.snapshot_into(&mut w);
+        let payload = w.into_payload();
+        let restore = |cap| {
+            PacketTracker::new(mode)
+                .restore_from(&mut crate::snapshot::SnapReader::new(&payload), cap)
+        };
+        assert!(matches!(
+            restore(2),
+            Err(crate::snapshot::SnapshotError::Corrupt(_))
+        ));
+        restore(3).unwrap();
+    }
+
     proptest::proptest! {
         /// Every field value survives the slot's word form — the all-zero
         /// record (`sig 0, eack 0, ts 0, trips 0` is legal) included, which
-        /// must not pack to the empty slot.
+        /// must not pack to the empty slot. A trip count is at most
+        /// [`MAX_RECIRC`] (the configuration refuses a larger cap, and a
+        /// record at the cap is refused a further trip), so bit 31 of it is
+        /// where [`LIVE`] lives.
         #[test]
-        fn record_words_round_trip(sig: u64, eack: u32, ts: u64, trips: u32) {
+        fn record_words_round_trip(sig: u64, eack: u32, ts: u64, trips in 0..=MAX_RECIRC) {
             for r in [
                 PtRecord { sig: FlowSignature(sig), eack: SeqNum(eack), ts, trips },
                 PtRecord { sig: FlowSignature(0), eack: SeqNum(0), ts: 0, trips: 0 },
@@ -777,11 +829,11 @@ mod tests {
                     sig: FlowSignature(u64::MAX),
                     eack: SeqNum(u32::MAX),
                     ts: u64::MAX,
-                    trips: u32::MAX,
+                    trips: MAX_RECIRC,
                 },
             ] {
                 let words = r.pack();
-                proptest::prop_assert_ne!(words, [0; 4]);
+                proptest::prop_assert_ne!(words, [0; 3]);
                 proptest::prop_assert_eq!(PtRecord::unpack(&words), r);
             }
         }

@@ -9,8 +9,10 @@
 //! constraints live in [`crate::salu`].
 //!
 //! The array models a fixed number of slots and holds what is stored in
-//! them: a large array keeps only its occupied slots, in a map, until a
-//! quarter of them are occupied, and is a plain word array from then on.
+//! them: a large array keeps only its occupied slots, split by slot index
+//! across 64 maps that grow, and shrink after a sweep, one at a time, until
+//! a quarter of its slots are occupied, and is a plain word array from then
+//! on. A growth or a shrink holds one of the 64 maps twice, never the table.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
@@ -23,14 +25,41 @@ pub const LIVE: u64 = 1 << 63;
 
 /// An array whose dense form is at most this many bytes is dense from
 /// construction: the frontier geometries (an RT of 4 096 × 24 B, a PT of
-/// 512 × 32 B) never see the map.
+/// 512 × 24 B) never see the maps.
 const DENSE_FROM_BYTES: usize = 256 << 10;
 
 /// A sparse array turns dense, once and for good, when more than
-/// `size / DENSE_SHARE` of its slots are occupied: past that point the map's
+/// `size / DENSE_SHARE` of its slots are occupied: past that point the maps'
 /// buckets cost about what the word array does, and the word array's
 /// accesses are cheaper.
 const DENSE_SHARE: usize = 4;
+
+/// The maps a sparse array's occupied slots are split across. A map that
+/// doubles holds its old buckets beside its new ones until the move ends;
+/// split 64 ways, that transient is a 64th of the store.
+const SEGMENTS: usize = 64;
+
+/// A sweep shrinks a segment to fit when it is left holding fewer than
+/// `capacity / SHRINK_SHARE` records, one segment at a time.
+const SHRINK_SHARE: usize = 4;
+
+/// The multiplier whose product's top bits pick a slot's segment. It is
+/// not [`SlotHasher`]'s: hashbrown takes a bucket from the low bits of
+/// that product and a tag from its top seven, and a segment picked from
+/// either would leave every key in a segment on a fraction of the buckets
+/// or sharing a few tags. Nor is any odd constant as good as another: the
+/// segment must not correlate with the index's low bits, which decide the
+/// bucket, and with some constants (the golden ratio's among them) a
+/// segment's indices reach half the buckets that as many random keys
+/// would. With this one they reach as many, at every table size from 2^12
+/// to 2^20 slots and every map size up to a segment's share of them.
+const SEGMENT_MUL: u64 = 0xE703_7ED1_A0B4_28DB;
+
+/// The segment slot `key` of a sparse array lives in.
+#[inline]
+fn segment(key: u32) -> usize {
+    (u64::from(key).wrapping_mul(SEGMENT_MUL) >> (64 - SEGMENTS.trailing_zeros())) as usize
+}
 
 /// A record that lives in a register slot as fixed-width integer words, the
 /// way a Tofino register does (and the way `rt_salu`/`pt_salu` in
@@ -87,14 +116,17 @@ impl Occupancy {
     }
 }
 
-/// The map's hasher. A slot index is a CRC output reduced to the table
+/// The segments' hasher. A slot index is a CRC output reduced to the table
 /// size, so its low bits are already uniform but its high bits are zero;
 /// hashbrown takes the bucket from the low bits and a tag from the top
 /// seven, and one odd multiply fills those. It is not keyed: the keys are
 /// indices below `size`, so flows chosen to collide can put at most
 /// `size / buckets` keys on one probe sequence — under a thousand of a
 /// 2^20-slot table, tens of 16-bucket group probes — and a fixed hash keeps
-/// the map's growth, and the bytes it reports, the same from run to run.
+/// the maps' growth, and the bytes they report, the same from run to run.
+/// The segment is a function of the index too, so flows chosen to land in
+/// one segment can fill at most its `size / 64` indices: that segment then
+/// grows as the single map of an unsegmented array would, never worse.
 #[derive(Default)]
 struct SlotHasher(u64);
 
@@ -117,18 +149,34 @@ impl Hasher for SlotHasher {
     }
 }
 
-/// The map a sparse array keeps its occupied slots' words in, by index.
+/// One segment of a sparse array: occupied slots' words, by index.
 type SlotMap<W> = HashMap<u32, W, BuildHasherDefault<SlotHasher>>;
+
+/// Bytes hashbrown allocates for a map of `capacity`: a power of two of
+/// buckets, each a key and the words, then one control byte per bucket
+/// and a trailing 16-byte group. `capacity()` is what the buckets hold at
+/// the load factor of 7/8 less any tombstones, so the bucket count is the
+/// power of two that capacity rounds up to.
+fn map_bytes<W>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        cap if cap < 8 => (cap + 1).next_power_of_two(),
+        cap => (cap * 8 / 7).next_power_of_two(),
+    };
+    const GROUP: usize = 16;
+    (buckets * std::mem::size_of::<(u32, W)>()).next_multiple_of(GROUP) + buckets + GROUP
+}
 
 /// A fixed-size register array holding one `Rec` per slot, as words.
 ///
 /// It models `size` slots whatever it holds. An array whose word array
-/// would exceed 256 KiB starts *sparse* — a map from slot index to the
-/// words of the occupied slots — and turns *dense*, the word array, once
-/// and for good when more than a quarter of its slots are occupied; a
-/// smaller array is dense from construction. The form is invisible at the
-/// API: every access, walk and sweep reads and writes the same records, in
-/// the same slot order, either way.
+/// would exceed 256 KiB starts *sparse* — 64 maps from slot index to the
+/// words of the occupied slots, each slot's map picked by its index — and
+/// turns *dense*, the word array, once and for good when more than a
+/// quarter of its slots are occupied; a smaller array is dense from
+/// construction. The form is invisible at the API: every access, walk and
+/// sweep reads and writes the same records, in the same slot order, either
+/// way.
 pub struct RegisterArray<Rec: Packed> {
     name: &'static str,
     size: usize,
@@ -139,8 +187,9 @@ pub struct RegisterArray<Rec: Packed> {
     /// building it writes nothing, and a slot no packet ever touched is a
     /// page the kernel never had to hand over.
     slots: Vec<Rec::Words>,
-    /// Sparse: the occupied slots. Dense: empty.
-    sparse: SlotMap<Rec::Words>,
+    /// Sparse: the occupied slots, in [`SEGMENTS`] maps. Dense: empty, no
+    /// allocation.
+    sparse: Vec<SlotMap<Rec::Words>>,
     /// An empty slot's words, for a sparse read of a slot the map lacks.
     empty: Rec::Words,
     index: Occupancy,
@@ -148,8 +197,8 @@ pub struct RegisterArray<Rec: Packed> {
 
 impl<Rec: Packed> RegisterArray<Rec> {
     /// Allocate an array of `size` empty slots. Sparse arrays allocate
-    /// only their occupancy bitmap here; dense ones their word array too,
-    /// zeroed and unwritten.
+    /// only their occupancy bitmap and their empty segments here; dense
+    /// ones their word array and bitmap, zeroed and unwritten.
     pub fn new(name: &'static str, size: usize) -> Self {
         assert!(size > 0, "register array must have at least one slot");
         let dense_bytes = size.saturating_mul(std::mem::size_of::<Rec::Words>());
@@ -162,7 +211,11 @@ impl<Rec: Packed> RegisterArray<Rec> {
             } else {
                 Vec::new()
             },
-            sparse: SlotMap::default(),
+            sparse: if dense {
+                Vec::new()
+            } else {
+                (0..SEGMENTS).map(|_| SlotMap::default()).collect()
+            },
             empty: Rec::Words::default(),
             index: Occupancy {
                 bitmap: vec![0; size.div_ceil(64)],
@@ -208,7 +261,8 @@ impl<Rec: Packed> RegisterArray<Rec> {
 
     #[inline(never)]
     fn sparse_words(&self, idx: usize) -> &Rec::Words {
-        self.sparse.get(&self.key(idx)).unwrap_or(&self.empty)
+        let key = self.key(idx);
+        self.sparse[segment(key)].get(&key).unwrap_or(&self.empty)
     }
 
     /// Read the slot at `idx`.
@@ -275,7 +329,8 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// One probe: the entry found is the one updated, filled or removed.
     #[inline(never)]
     fn sparse_rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
-        let (was, now, result) = match self.sparse.entry(self.key(idx)) {
+        let key = self.key(idx);
+        let (was, now, result) = match self.sparse[segment(key)].entry(key) {
             Entry::Occupied(mut slot) => {
                 let (new, result) = f(Some(Rec::unpack(slot.get())));
                 match new {
@@ -303,12 +358,15 @@ impl<Rec: Packed> RegisterArray<Rec> {
         result
     }
 
-    /// Pour a sparse array into the word array, for good.
+    /// Pour a sparse array into the word array, for good, a segment at a
+    /// time: each map is freed as soon as it is poured.
     #[cold]
     fn densify(&mut self) {
         let mut slots = vec![Rec::Words::default(); self.size];
-        for (key, words) in std::mem::take(&mut self.sparse) {
-            slots[key as usize] = words;
+        for map in std::mem::take(&mut self.sparse) {
+            for (key, words) in map {
+                slots[key as usize] = words;
+            }
         }
         self.slots = slots;
     }
@@ -324,16 +382,17 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// Bytes the array holds for its slots and its occupancy bitmap
     /// (control-plane visibility only). Dense, that is the whole word array
     /// — an upper bound on what is resident, since a page no packet stored
-    /// to never is; sparse, the map's buckets, each a key, the words and a
-    /// control byte, at hashbrown's load factor of 7/8.
+    /// to never is; sparse, the segment headers and the sum over segments
+    /// of each map's buckets, each a key, the words and a control byte.
     pub fn resident_bytes(&self) -> usize {
-        let buckets = match self.sparse.capacity() {
-            0 => 0,
-            cap if cap < 8 => cap + 1,
-            cap => cap / 7 * 8,
-        };
+        let maps: usize = self
+            .sparse
+            .iter()
+            .map(|map| map_bytes::<Rec::Words>(map.capacity()))
+            .sum();
         std::mem::size_of_val(self.slots.as_slice())
-            + buckets * (std::mem::size_of::<(u32, Rec::Words)>() + 1)
+            + std::mem::size_of_val(self.sparse.as_slice())
+            + maps
             + std::mem::size_of_val(self.index.bitmap.as_slice())
     }
 
@@ -345,7 +404,9 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// Control-plane sweep: clear every occupied slot `keep` rejects,
     /// returning `(kept, cleared)`. Like [`RegisterArray::occupancy`] this
     /// is a control-plane scan — the switch CPU walking the array between
-    /// epochs, not a data-plane register access.
+    /// epochs, not a data-plane register access. A sparse array then
+    /// shrinks to fit each segment left under a quarter full, one segment
+    /// at a time, so that what a rotation clears is given back.
     pub fn sweep(&mut self, mut keep: impl FnMut(&Rec) -> bool) -> (u64, u64) {
         let (mut kept, mut cleared) = (0u64, 0u64);
         for word_idx in 0..self.index.bitmap.len() {
@@ -359,6 +420,11 @@ impl<Rec: Packed> RegisterArray<Rec> {
                     self.clear(idx);
                     cleared += 1;
                 }
+            }
+        }
+        for map in &mut self.sparse {
+            if map.len() < map.capacity() / SHRINK_SHARE {
+                map.shrink_to_fit();
             }
         }
         (kept, cleared)
@@ -543,7 +609,8 @@ mod tests {
         let mut r: RegisterArray<Wide> = RegisterArray::new("t", WIDE_SIZE);
         assert!(!is_dense(&r));
         let bitmap = WIDE_SIZE.div_ceil(64) * 8;
-        assert_eq!(r.resident_bytes(), bitmap);
+        let segments = SEGMENTS * std::mem::size_of::<SlotMap<[u64; 32]>>();
+        assert_eq!(r.resident_bytes(), bitmap + segments);
         let quarter = WIDE_SIZE / DENSE_SHARE;
         for idx in 0..quarter {
             r.write(idx * 3, Wide(idx as u32));
@@ -560,6 +627,104 @@ mod tests {
         assert_eq!(r.read(3), None);
         // A small array never sees the map.
         assert!(is_dense(&RegisterArray::<Wide>::new("t", 1024)));
+    }
+
+    /// The segment is an even split of the index space, and it is not
+    /// decided by the bits hashbrown uses: the indices of one segment reach
+    /// as many buckets of a map sized for them as random keys would, and
+    /// every tag.
+    #[test]
+    fn segments_split_the_indices_evenly() {
+        const SIZE: u32 = 1 << 20;
+        let mut counts = [0u32; SEGMENTS];
+        for key in 0..SIZE {
+            counts[segment(key)] += 1;
+        }
+        let even = SIZE / SEGMENTS as u32;
+        for (seg, &n) in counts.iter().enumerate() {
+            assert!(
+                n.abs_diff(even) < even / 100,
+                "segment {seg}: {n} of {SIZE}"
+            );
+        }
+        let hash = |key: u32| {
+            let mut h = SlotHasher::default();
+            h.write_u32(key);
+            h.finish()
+        };
+        // One segment's keys, in a map of 2^14 buckets, its size alone.
+        let keys: Vec<u32> = (0..SIZE).filter(|&k| segment(k) == 5).collect();
+        let mut buckets = vec![false; 1 << 14];
+        let mut tags = [false; 128];
+        for &key in &keys {
+            buckets[(hash(key) & ((1 << 14) - 1)) as usize] = true;
+            tags[(hash(key) >> 57) as usize] = true;
+        }
+        let reached = buckets.iter().filter(|&&b| b).count();
+        // Uniform keys reach 1 − 1/e ≈ 63.2 % of as many buckets as keys.
+        assert!(reached > (1 << 14) * 62 / 100, "{reached} buckets reached");
+        assert!(tags.iter().all(|&t| t), "a tag value is never used");
+    }
+
+    /// A sweep gives back what it clears: a sparse 2^20 array that loses
+    /// 90 % of its records shrinks the segments left under a quarter full,
+    /// to at most half its bytes, and every record still reads back after
+    /// the array is filled again.
+    #[test]
+    fn a_sweep_that_clears_most_records_shrinks_the_segments() {
+        const SIZE: usize = 1 << 20;
+        const FILLED: u32 = 100_000;
+        let mut r: RegisterArray<u32> = RegisterArray::new("t", SIZE);
+        let slot = |v: u32| (v as usize).wrapping_mul(0x9E37_79B9) % SIZE;
+        for v in 0..FILLED {
+            r.write(slot(v), v);
+        }
+        assert!(!is_dense(&r));
+        let full = r.resident_bytes();
+        let stored = r.occupancy();
+        let (kept, cleared) = r.sweep(|v| v % 10 == 0);
+        assert_eq!(kept + cleared, stored as u64);
+        assert!(
+            cleared * 10 >= stored as u64 * 9 - 10,
+            "{cleared} of {stored} cleared"
+        );
+        let swept = r.resident_bytes();
+        assert!(
+            swept * 2 <= full,
+            "{full} B before the sweep, {swept} B after"
+        );
+        for v in 0..FILLED {
+            r.write(slot(v), v);
+        }
+        assert_eq!(r.occupancy(), stored);
+        for (idx, v) in r.iter() {
+            assert_eq!(slot(v), idx);
+        }
+        for v in 0..FILLED {
+            let held = r.read(slot(v)).expect("refilled");
+            assert_eq!(slot(held), slot(v));
+        }
+    }
+
+    /// `resident_bytes` is what the segments allocate: each map's buckets
+    /// from its capacity, a power of two of them however many tombstones
+    /// a map holds.
+    #[test]
+    fn map_bytes_follow_hashbrown_buckets() {
+        let mut map: SlotMap<[u64; 3]> = SlotMap::default();
+        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), 0);
+        map.insert(1, [1; 3]);
+        // Four buckets of 32 B, four control bytes and a trailing group.
+        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), 4 * 32 + 4 + 16);
+        for key in 0..28_000 {
+            map.insert(key, [1; 3]);
+        }
+        let full = 32_768 * 33 + 16;
+        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), full);
+        for key in (0..28_000).step_by(2) {
+            map.remove(&key);
+        }
+        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), full);
     }
 
     #[test]

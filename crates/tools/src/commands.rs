@@ -9,7 +9,7 @@ use dart_baselines::EngineRegistry;
 use dart_core::monitor::DEFAULT_BLOCK_PKTS;
 use dart_core::telemetry::{TABLES, TABLE_OCCUPIED_SLOTS, TABLE_RESIDENT_BYTES};
 use dart_core::{drive, program, run_monitor_slice, tick_every};
-use dart_core::{Backend, DartConfig, DartEngine, Leg, PtMode, RtMode, RttSample};
+use dart_core::{Backend, DartConfig, DartEngine, Leg, PtMode, RtMode, RttSample, MAX_RECIRC};
 use dart_packet::SECOND;
 use dart_sim::adversarial::ScenarioKind;
 use dart_sim::scenario::{campus, CampusConfig};
@@ -450,6 +450,11 @@ fn engine_config(opts: &Options) -> Result<DartConfig, String> {
     let stages = opts.get_num("stages", 1usize)?;
     let rt = opts.get_num("rt", 1usize << 20)?;
     let max_recirc = opts.get_num("max-recirc", 1u32)?;
+    if max_recirc > MAX_RECIRC {
+        return Err(format!(
+            "--max-recirc must be at most {MAX_RECIRC} (2^31 - 1), got {max_recirc}"
+        ));
+    }
     Ok(DartConfig::default()
         .with_leg(leg)
         .with_rt(rt)
@@ -1518,6 +1523,31 @@ mod tests {
         .unwrap();
         let err = run_line(&["analyze", &path, "--leg", "sideways"]).unwrap_err();
         assert!(err.contains("unknown --leg"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A Packet Tracker record keeps its trip count in 31 bits, so the cap
+    /// is refused from 2^31 up, and the largest cap it can keep runs.
+    #[test]
+    fn max_recirc_of_two_to_the_31_is_refused() {
+        let path = tmp("dartmon_max_recirc.trace");
+        run_line(&[
+            "generate",
+            &path,
+            "--connections",
+            "10",
+            "--duration-secs",
+            "1",
+        ])
+        .unwrap();
+        for over in ["2147483648", "4294967295"] {
+            let err = run_line(&["analyze", &path, "--max-recirc", over]).unwrap_err();
+            assert!(
+                err.contains("--max-recirc must be at most 2147483647"),
+                "{err}"
+            );
+        }
+        run_line(&["analyze", &path, "--max-recirc", "2147483647"]).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
