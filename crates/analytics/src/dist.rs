@@ -5,10 +5,15 @@ use dart_packet::Nanos;
 
 /// A collected set of RTT samples with percentile/CDF queries.
 ///
-/// Sorting is deferred and cached; pushes invalidate the cache.
+/// A sample under 2^32 ns (4.29 s) — every RTT a campus or WAN path shows
+/// — is kept in four bytes; a longer one goes to a second list, whose
+/// samples all rank after the short ones. Queries answer over both as over
+/// one sorted list of `u64`s. Sorting is deferred and cached; pushes
+/// invalidate the cache.
 #[derive(Clone, Debug, Default)]
 pub struct RttDistribution {
-    samples: Vec<Nanos>,
+    short: Vec<u32>,
+    long: Vec<Nanos>,
     sorted: bool,
 }
 
@@ -20,47 +25,56 @@ impl RttDistribution {
 
     /// Build from raw samples.
     pub fn from_samples(samples: impl IntoIterator<Item = Nanos>) -> RttDistribution {
+        let samples = samples.into_iter();
         let mut d = RttDistribution {
-            samples: samples.into_iter().collect(),
-            sorted: false,
+            short: Vec::with_capacity(samples.size_hint().0),
+            ..RttDistribution::default()
         };
+        samples.for_each(|rtt| d.push(rtt));
         d.ensure_sorted();
         d
     }
 
     /// Add one sample.
     pub fn push(&mut self, rtt: Nanos) {
-        self.samples.push(rtt);
+        match u32::try_from(rtt) {
+            Ok(short) => self.short.push(short),
+            Err(_) => self.long.push(rtt),
+        }
         self.sorted = false;
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.short.len() + self.long.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples.sort_unstable();
+            self.short.sort_unstable();
+            self.long.sort_unstable();
             self.sorted = true;
         }
     }
 
     /// The `p`-th percentile (0 < p ≤ 100), nearest-rank method.
     pub fn percentile(&mut self, p: f64) -> Option<Nanos> {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return None;
         }
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
         self.ensure_sorted();
-        let n = self.samples.len();
+        let n = self.len();
         let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.samples[rank - 1])
+        Some(match self.short.get(rank - 1) {
+            Some(&short) => Nanos::from(short),
+            None => self.long[rank - 1 - self.short.len()],
+        })
     }
 
     /// Median (50th percentile).
@@ -70,12 +84,13 @@ impl RttDistribution {
 
     /// Fraction of samples ≤ `x` (the empirical CDF).
     pub fn cdf_at(&mut self, x: Nanos) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         self.ensure_sorted();
-        let idx = self.samples.partition_point(|&s| s <= x);
-        idx as f64 / self.samples.len() as f64
+        let idx = self.short.partition_point(|&s| Nanos::from(s) <= x)
+            + self.long.partition_point(|&s| s <= x);
+        idx as f64 / self.len() as f64
     }
 
     /// Fraction of samples > `x` (the CCDF, Fig. 9c's tail view).
@@ -132,6 +147,7 @@ pub fn max_error_5_to_95(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dist(vals: &[u64]) -> RttDistribution {
         RttDistribution::from_samples(vals.iter().copied())
@@ -202,6 +218,62 @@ mod tests {
         let worst = max_error_5_to_95(&mut base, &mut dart).unwrap();
         // At p=95: (95-60)/95 ≈ 0.368.
         assert!(worst > 0.3, "worst error {worst}");
+    }
+
+    #[test]
+    fn an_rtt_of_five_seconds_ranks_above_every_shorter_one() {
+        let five_s = 5 * dart_packet::SECOND;
+        let under = [0, 1, 4_000_000_000, u64::from(u32::MAX)];
+        let mut d = dist(&[five_s]);
+        for &v in &under {
+            d.push(v);
+        }
+        assert_eq!(d.len(), 5);
+        assert_eq!(d.percentile(100.0), Some(five_s));
+        assert_eq!(d.percentile(80.0), Some(u64::from(u32::MAX)));
+        assert_eq!(d.percentile(1.0), Some(0));
+        assert_eq!(d.cdf_at(five_s - 1), 0.8);
+        assert_eq!(d.cdf_at(five_s), 1.0);
+    }
+
+    /// One sample in four comes from the edges of the four-byte range.
+    fn rtt() -> impl Strategy<Value = u64> {
+        (0u8..8, any::<u64>()).prop_map(|(edge, raw)| match edge {
+            0 => u64::from(u32::MAX),
+            1 => 1 << 32,
+            2 => u64::MAX,
+            3 | 4 => raw >> 32,
+            _ => raw >> (raw % 64),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn answers_as_one_sorted_list_of_u64s(
+            samples in prop::collection::vec(rtt(), 1..200),
+            probes in prop::collection::vec(rtt(), 0..16),
+        ) {
+            let mut reference = samples.clone();
+            reference.sort_unstable();
+            let n = reference.len();
+            let mut d = RttDistribution::new();
+            for &v in &samples {
+                d.push(v);
+            }
+            prop_assert_eq!(d.len(), n);
+            for p in 1..=100 {
+                let rank = ((f64::from(p) / 100.0 * n as f64).ceil() as usize).clamp(1, n);
+                prop_assert_eq!(d.percentile(f64::from(p)), Some(reference[rank - 1]));
+            }
+            let edges = [0, u64::from(u32::MAX), 1 << 32, u64::MAX];
+            for &x in probes.iter().chain(&samples).chain(&edges) {
+                let below = reference.partition_point(|&v| v <= x);
+                prop_assert_eq!(d.cdf_at(x), below as f64 / n as f64);
+            }
+            let mut built = RttDistribution::from_samples(samples.iter().copied());
+            prop_assert_eq!(built.len(), n);
+            prop_assert_eq!(built.percentile(50.0), d.percentile(50.0));
+        }
     }
 
     #[test]

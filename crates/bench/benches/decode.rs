@@ -2,9 +2,8 @@
 //! snaplen-96 capture of `standard_trace` — the shape `campus-pcap`
 //! replays — from the floor up:
 //!
-//! * `window_copy` — `Read` of the capture into a window of the readers'
-//!   size (six 1024-record native blocks), nothing decoded: the copy every
-//!   block reader pays;
+//! * `window_copy` — `Read` of the capture into a window of the pcap
+//!   reader's size, nothing decoded: the copy every block reader pays;
 //! * `next_frame` — `PcapReader::next_frame` walking the record headers;
 //! * `parse_ethernet_frame` — the wire parse and direction classification
 //!   over frames split up front, no reader at all;
@@ -23,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use dart_bench::{standard_trace, TraceScale};
 use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
 use dart_packet::parse::{parse_ethernet_frame, synthesize_frame, PrefixClassifier};
-use dart_packet::pcap::{linktype, PcapReader, PcapWriter};
+use dart_packet::pcap::{linktype, PcapReader, PcapWriter, WINDOW_BYTES};
 use dart_packet::trace::{self, TraceReader};
 use dart_packet::{PacketMeta, PacketSource, PcapSource};
 use std::io::Read;
@@ -31,8 +30,6 @@ use std::net::Ipv4Addr;
 
 /// What `campus-pcap` keeps of each frame: headers and options fit in 66.
 const SNAPLEN: usize = 96;
-/// The block readers' window: six 1024-record blocks of the native trace.
-const WINDOW_BYTES: usize = 6 * 1024 * trace::RECORD_LEN;
 const BLOCK: usize = 1024;
 
 fn classifier() -> PrefixClassifier {

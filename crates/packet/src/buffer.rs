@@ -10,13 +10,12 @@
 
 use std::io::{self, Read};
 
-/// Read-window size of the record readers: six 1024-record blocks of the
-/// native trace, so a busy feed is handed over in full blocks. A window of
-/// one block plus a record would alternate 1024- and 1-packet blocks, and
-/// every short block costs a hand-off of its own.
-pub(crate) const WINDOW_BYTES: usize = 6 * 1024 * crate::trace::RECORD_LEN;
-
-/// A fixed-capacity byte window over an input stream.
+/// A fixed-capacity byte window over an input stream. Each reader sizes
+/// its own to its records: [`crate::trace::WINDOW_BYTES`] holds two blocks
+/// of native records, [`crate::pcap::WINDOW_BYTES`] the longest pcap record
+/// accepted. Either way a busy feed is handed over in full blocks; a window
+/// of one block plus a record would alternate 1024- and 1-packet blocks,
+/// and every short block costs a hand-off of its own.
 #[derive(Debug)]
 pub(crate) struct ReadBuf {
     buf: Vec<u8>,

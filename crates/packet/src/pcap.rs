@@ -6,7 +6,7 @@
 //! workflows: simulated traces can be exported for inspection in Wireshark,
 //! and real captures can be replayed through Dart (paper §5).
 
-use crate::buffer::{ReadBuf, WINDOW_BYTES};
+use crate::buffer::ReadBuf;
 use crate::error::PacketError;
 use crate::meta::PacketMeta;
 use crate::parse::synthesize_frame;
@@ -76,7 +76,10 @@ pub struct PcapFrame<'a> {
 /// more (or zero, "unlimited"); records are still held to this.
 const MAX_SNAPLEN: u32 = 256 * 1024;
 const RECORD_HEADER_LEN: usize = 16;
-// The longest record accepted must fit the window with room to spare.
+/// The reader's window, 264 192 bytes: the longest record accepted (256 KiB
+/// and its header) with room to spare — six 1024-record blocks of the native
+/// trace.
+pub const WINDOW_BYTES: usize = 6 * 1024 * crate::trace::RECORD_LEN;
 const _: () = assert!(RECORD_HEADER_LEN + (MAX_SNAPLEN as usize) < WINDOW_BYTES);
 
 /// Reads a pcap file block by block, normalizing timestamps to nanoseconds.

@@ -9,7 +9,7 @@
 //! Format: 16-byte header (`MAGIC`, version, record count), then fixed-width
 //! little-endian records.
 
-use crate::buffer::{ReadBuf, WINDOW_BYTES};
+use crate::buffer::ReadBuf;
 use crate::error::PacketError;
 use crate::flow::FlowKey;
 use crate::meta::{Direction, Nanos, PacketMeta};
@@ -22,6 +22,8 @@ const MAGIC: [u8; 4] = *b"DART";
 const VERSION: u32 = 2;
 /// Bytes per record on disk.
 pub const RECORD_LEN: usize = 43;
+/// The reader's window: two 1024-record blocks, 88 064 bytes.
+pub(crate) const WINDOW_BYTES: usize = 2 * 1024 * RECORD_LEN;
 
 /// Writes a native trace stream.
 pub struct TraceWriter<W: Write> {
@@ -73,7 +75,7 @@ impl<W: Write> TraceWriter<W> {
 
 /// Reads a native trace stream block by block.
 ///
-/// The reader owns a reusable byte window of several 1024-record blocks and
+/// The reader owns a reusable byte window of two 1024-record blocks and
 /// asks the input for more only when no complete record is buffered, so a
 /// live tail (`TraceReader<Follow<File>>`) costs one `read()` per block of
 /// records rather than one per record, and never waits on the input while

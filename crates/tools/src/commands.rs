@@ -439,6 +439,20 @@ fn backend_flag(opts: &Options) -> Result<Backend, String> {
     }
 }
 
+/// A table-size flag: at least one slot and fewer than 2^32. A sparse
+/// register array keys its slots by `u32`, so a larger table would be a
+/// dense word array, allocated whole at start-up.
+fn table_slots(opts: &Options, flag: &str, default: usize) -> Result<usize, String> {
+    let slots = opts.get_num(flag, default)?;
+    if slots == 0 || u32::try_from(slots).is_err() {
+        return Err(format!(
+            "--{flag} must be between 1 and {} (2^32 - 1), got {slots}",
+            u32::MAX
+        ));
+    }
+    Ok(slots)
+}
+
 fn engine_config(opts: &Options) -> Result<DartConfig, String> {
     let leg = match opts.get("leg").unwrap_or("external") {
         "external" => Leg::External,
@@ -446,9 +460,17 @@ fn engine_config(opts: &Options) -> Result<DartConfig, String> {
         "both" => Leg::Both,
         other => return Err(format!("unknown --leg {other:?}")),
     };
-    let pt = opts.get_num("pt", 1usize << 17)?;
+    let pt = table_slots(opts, "pt", 1 << 17)?;
     let stages = opts.get_num("stages", 1usize)?;
-    let rt = opts.get_num("rt", 1usize << 20)?;
+    if stages == 0 {
+        return Err("--stages must be at least 1".to_string());
+    }
+    if pt < stages {
+        return Err(format!(
+            "--pt must be at least --stages ({stages}), one slot per stage, got {pt}"
+        ));
+    }
+    let rt = table_slots(opts, "rt", 1 << 20)?;
     let max_recirc = opts.get_num("max-recirc", 1u32)?;
     if max_recirc > MAX_RECIRC {
         return Err(format!(
@@ -572,8 +594,8 @@ fn analyze(input: &str, opts: &Options) -> Result<String, String> {
         "run start",
         &[("engine", &engine), ("input", input)],
     );
-    // Samples stream too: the distribution keeps 8 bytes of each, the CSV
-    // row goes to disk.
+    // Samples stream too: the distribution keeps 4 bytes of each (8 for an
+    // RTT of 4.29 s or more), the CSV row goes to disk.
     let mut dist = RttDistribution::new();
     let mut csv = opts.get("csv").map(CsvOut::create).transpose()?;
     let mut packets = 0;
@@ -1548,6 +1570,56 @@ mod tests {
             );
         }
         run_line(&["analyze", &path, "--max-recirc", "2147483647"]).unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A table geometry the engine cannot build is refused by name, where
+    /// it once reached the config builder's assertions and panicked.
+    #[test]
+    fn impossible_table_geometry_is_refused() {
+        let path = tmp("dartmon_geometry.trace");
+        run_line(&[
+            "generate",
+            &path,
+            "--connections",
+            "10",
+            "--duration-secs",
+            "1",
+        ])
+        .unwrap();
+        let refused: [(&[&str], &str); 7] = [
+            (&["--rt", "0"], "--rt must be between 1 and 4294967295"),
+            (
+                &["--rt", "4294967296"],
+                "--rt must be between 1 and 4294967295",
+            ),
+            (&["--pt", "0"], "--pt must be between 1 and 4294967295"),
+            (
+                &["--pt", "4294967296"],
+                "--pt must be between 1 and 4294967295",
+            ),
+            (&["--stages", "0"], "--stages must be at least 1"),
+            (
+                &["--pt", "4", "--stages", "8"],
+                "--pt must be at least --stages (8)",
+            ),
+            (
+                &["--pt", "7", "--stages", "8"],
+                "--pt must be at least --stages (8)",
+            ),
+        ];
+        for (flags, message) in refused {
+            for command in ["analyze", "serve", "resources"] {
+                let mut line = vec![command];
+                if command != "resources" {
+                    line.push(&path);
+                }
+                line.extend_from_slice(flags);
+                let err = run_line(&line).unwrap_err();
+                assert!(err.contains(message), "{line:?}: {err}");
+            }
+        }
+        run_line(&["analyze", &path, "--rt", "1", "--pt", "8", "--stages", "8"]).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 

@@ -401,9 +401,10 @@ proptest! {
     }
 }
 
-/// The reader's window is six 1024-record blocks of the native trace —
-/// 264 192 bytes — and outgrows the largest snap length it accepts
-/// (256 KiB plus a record header); nothing else scales with the input.
+/// The pcap reader's window — 264 192 bytes, six 1024-record blocks of the
+/// native trace — outgrows the largest snap length it accepts (256 KiB plus
+/// a record header); nothing else scales with the input. The native
+/// reader's window is a third of it.
 const ALLOCATION_CAP: usize = 6 * 1024 * 43;
 
 #[test]
