@@ -22,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use dart_bench::{standard_trace, TraceScale};
 use dart_core::{DartConfig, DartEngine, RttMonitor, RttSample};
 use dart_packet::parse::{parse_ethernet_frame, synthesize_frame, PrefixClassifier};
-use dart_packet::pcap::{linktype, PcapReader, PcapWriter, WINDOW_BYTES};
+use dart_packet::pcap::{linktype, window_bytes, PcapReader, PcapWriter, WRITER_SNAPLEN};
 use dart_packet::trace::{self, TraceReader};
 use dart_packet::{PacketMeta, PacketSource, PcapSource};
 use std::io::Read;
@@ -71,7 +71,7 @@ fn decode(c: &mut Criterion) {
     g.sample_size(20);
 
     g.bench_function("window_copy", |b| {
-        let mut window = vec![0u8; WINDOW_BYTES];
+        let mut window = vec![0u8; window_bytes(WRITER_SNAPLEN)];
         b.iter(|| {
             let mut input = &pcap[..];
             let mut bytes = 0;

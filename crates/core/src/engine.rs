@@ -10,7 +10,7 @@ use crate::range::{AckVerdict, MeasurementRange, SeqVerdict};
 use crate::range_tracker::{RtAckOutcome, RtSeqOutcome, RtSlot};
 use crate::sample::{EngineEvent, RttSample, SampleSink};
 use crate::sketch::{Admission, AdmissionGate};
-use crate::snapshot::{SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{EngineTelemetry, SYNC_INTERVAL_PKTS};
 use dart_packet::{FlowKey, FlowSignature, Nanos, PacketId, PacketMeta, SeqNum};
@@ -792,14 +792,15 @@ impl RttMonitor for DartEngine {
         Ok(w)
     }
 
-    /// Replace all measurement state with a [`RttMonitor::snapshot`]. The
-    /// engine must have been built from the same configuration the
-    /// snapshot was taken under ([`SnapshotError::Mismatch`] otherwise);
-    /// the snapshot's counters replace the current ones, so the
-    /// conservation law (`fed == packets + monitor_miss`) resumes from
-    /// where the checkpointed run left off.
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        self.decode(snap)
+    /// Replace all measurement state with a [`RttMonitor::snapshot`]
+    /// payload, read in one walk. The engine must have been built from the
+    /// same configuration the snapshot was taken under
+    /// ([`SnapshotError::Mismatch`] otherwise); the snapshot's counters
+    /// replace the current ones, so the conservation law
+    /// (`fed == packets + monitor_miss`) resumes from where the
+    /// checkpointed run left off.
+    fn read_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        self.decode(r)
     }
 
     fn stats(&self) -> EngineStats {
@@ -812,6 +813,7 @@ mod tests {
     use super::*;
     use crate::config::SynPolicy;
     use crate::monitor::run_monitor_slice;
+    use crate::snapshot::Snapshot;
     use dart_packet::{Direction, FlowKey, PacketBuilder, SeqNum};
 
     fn flow(n: u32) -> FlowKey {

@@ -7,7 +7,7 @@ use crate::backend::{PtTable, RtTable};
 use crate::config::PtMode;
 use crate::packet_tracker::PtRecord;
 use crate::range::MeasurementRange;
-use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{sane_count, SnapReader, SnapWriter, SnapshotError};
 use crate::stats::EngineStats;
 use dart_packet::flow::fnv1a_64;
 use dart_packet::{FlowSignature, PacketId, SeqNum};
@@ -40,17 +40,16 @@ impl DartEngine {
     }
 
     /// The inverse of [`DartEngine::encode`], behind
-    /// [`RttMonitor::restore`](crate::monitor::RttMonitor::restore): refuses
+    /// [`RttMonitor::read_snapshot`](crate::monitor::RttMonitor::read_snapshot): refuses
     /// another monitor's payload and any bytes past the engine state.
-    pub(super) fn decode(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(snap.payload());
+    pub(super) fn decode(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let kind = r.get_u8()?;
         if kind != SNAP_KIND_ENGINE {
             return Err(SnapshotError::Mismatch(format!(
                 "payload kind {kind} is not a single-engine snapshot"
             )));
         }
-        self.restore_from(&mut r)?;
+        self.restore_from(r)?;
         if r.remaining() != 0 {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after the engine state",

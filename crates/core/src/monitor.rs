@@ -58,7 +58,7 @@
 use crate::ring::{Parcel, Ring, RingEnd};
 use crate::sample::{RttSample, SampleSink};
 use crate::sharded::panic_message;
-use crate::snapshot::{SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::StageTimers;
 use dart_packet::{Nanos, PacketError, PacketMeta, PacketSource, SliceSource};
@@ -172,8 +172,26 @@ pub trait RttMonitor {
     /// (same engine shape, same configuration), replacing all measurement
     /// state. Counters resume from the checkpointed values, so the
     /// conservation law (`fed == packets + monitor_miss`) holds summed
-    /// across a crash boundary. Call before feeding any packets.
-    fn restore(&mut self, _snap: &Snapshot) -> Result<(), SnapshotError> {
+    /// across a crash boundary. Call before feeding any packets. This is
+    /// [`RttMonitor::read_snapshot`] from a reader over the payload.
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+        self.read_snapshot(&mut SnapReader::new(snap.payload()))
+    }
+
+    /// [`RttMonitor::restore`] from the checkpoint file at `path`, never
+    /// held whole: [`SnapReader::open`] checks the file's frame a window
+    /// at a time and refuses a torn or altered file before any state
+    /// changes, then [`RttMonitor::read_snapshot`] decodes the payload
+    /// from the same handle, a window at a time.
+    fn restore_file(&mut self, path: &Path) -> Result<(), SnapshotError> {
+        self.read_snapshot(&mut SnapReader::open(path)?)
+    }
+
+    /// The one deserializer behind [`RttMonitor::restore`] and
+    /// [`RttMonitor::restore_file`]: replace all measurement state with the
+    /// snapshot payload `r` reads, whichever its source. The default
+    /// refuses, as [`RttMonitor::write_snapshot`] does.
+    fn read_snapshot(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         Err(SnapshotError::Unsupported(format!(
             "{} does not support checkpointing",
             self.name()

@@ -102,7 +102,7 @@ use crate::error::{FailureKind, ShardFailure};
 use crate::monitor::{EpochRotation, RttMonitor};
 use crate::ring::{Parcel, Ring, RingEnd, SendError};
 use crate::sample::{EngineEvent, RttSample, SampleSink};
-use crate::snapshot::{sane_count, SnapReader, SnapWriter, Snapshot, SnapshotError};
+use crate::snapshot::{sane_count, Section, SnapReader, SnapWriter, SnapshotError};
 use crate::stats::EngineStats;
 use crate::telemetry::{
     EngineTelemetry, SHARD_CHANNEL_BATCHES, SUPERVISOR_HEALTHY_SHARDS, SUPERVISOR_STALLS,
@@ -303,8 +303,9 @@ enum ShardMsg {
     Block(Block),
     /// Send everything the worker has emitted back on the shard's answer
     /// channel, and keep these emptied buffers of its previous answer for
-    /// what it emits next.
-    Drain(Drained),
+    /// what it emits next. The books ride only on the answer, so this
+    /// message is no wider than a block.
+    Drain(Output),
     /// Rotate the engine's epoch (see [`RttMonitor::rotate_epoch`]).
     Rotate(Nanos),
     /// Count the bytes of the shard's checkpoint section and reply with
@@ -317,8 +318,9 @@ enum ShardMsg {
         MpscSender<Result<Box<SnapWriter>, SnapshotError>>,
     ),
     /// Replace the live engine's state with a serialized section produced
-    /// by [`ShardMsg::Checkpoint`] and acknowledge over the channel.
-    Restore(Vec<u8>, MpscSender<Result<(), SnapshotError>>),
+    /// by [`ShardMsg::Checkpoint`], read by the worker itself, and
+    /// acknowledge over the channel.
+    Restore(Section, MpscSender<Result<(), SnapshotError>>),
 }
 
 impl Parcel for ShardMsg {
@@ -333,28 +335,33 @@ impl Parcel for ShardMsg {
 /// monitor kind fails loudly instead of misparsing.
 pub(crate) const SNAP_KIND_SHARDED: u8 = 2;
 
-/// A worker's answer to a drain: the samples and events its engine has
-/// emitted since the previous one, each tagged with its packet's global
-/// index, in emission order, and the shard's books as they stand.
+/// The samples and events a worker's engine has emitted since its last
+/// drain, each tagged with its packet's global index, in emission order.
 #[derive(Default)]
-struct Drained {
+struct Output {
     samples: Vec<(u64, RttSample)>,
     events: Vec<(u64, EngineEvent)>,
-    books: EngineStats,
 }
 
-impl Drained {
+impl Output {
     /// Buffers for the samples of the packets one round can cover: the
     /// blocks queued behind the drain that cut it and the one the feeder
     /// was handing off, at most one sample per packet. A round under a
     /// driver block longer than a hand-off block can cover more, and the
     /// buffers then grow.
-    fn for_round(cfg: &ShardedConfig) -> Drained {
-        Drained {
+    fn for_round(cfg: &ShardedConfig) -> Output {
+        Output {
             samples: Vec::with_capacity((cfg.queue_depth + 1) * cfg.batch_size),
-            ..Drained::default()
+            ..Output::default()
         }
     }
+}
+
+/// A worker's answer to a drain: its output since the previous one, and
+/// the shard's books as they stand.
+struct Drained {
+    output: Output,
+    books: EngineStats,
 }
 
 /// What a worker returns when its ring closes: the shard's final counters
@@ -465,9 +472,10 @@ pub struct ShardedMonitor {
     sent: Vec<u64>,
     /// Each shard's end of its drain-answer channel.
     answers: Vec<Receiver<Drained>>,
-    /// Each shard's answer to the round in flight once it is in, else the
-    /// emptied buffers of its last answer, to be sent with the next drain.
-    drained: Vec<Drained>,
+    /// Each shard's output in its answer to the round in flight once it is
+    /// in, else the emptied buffers of its last answer, to be sent with the
+    /// next drain.
+    drained: Vec<Output>,
     /// For each shard whose answer to the round in flight is still
     /// awaited, the packets it had been sent at the cut.
     awaiting: Vec<Option<u64>>,
@@ -555,7 +563,7 @@ impl ShardedMonitor {
             let ctx = ShardCtx {
                 shard,
                 engine_cfg: cfg.engine,
-                held: Drained::for_round(&cfg),
+                held: Output::for_round(&cfg),
                 answers: answer_tx,
                 hooks: shard_hooks.clone(),
                 packet_hook: packet_hook.clone(),
@@ -593,7 +601,7 @@ impl ShardedMonitor {
             live: vec![true; cfg.shards],
             sent: vec![0; cfg.shards],
             answers,
-            drained: (0..cfg.shards).map(|_| Drained::for_round(&cfg)).collect(),
+            drained: (0..cfg.shards).map(|_| Output::for_round(&cfg)).collect(),
             awaiting: vec![None; cfg.shards],
             answered: vec![(0, EngineStats::default()); cfg.shards],
             round: None,
@@ -821,7 +829,7 @@ impl ShardedMonitor {
             self.awaiting[shard] = None;
             if let Some(answer) = answer {
                 self.answered[shard] = (sent, answer.books);
-                self.drained[shard] = answer;
+                self.drained[shard] = answer.output;
             }
         }
         merge(&mut self.drained, &mut self.heads, sink);
@@ -1039,14 +1047,16 @@ impl RttMonitor for ShardedMonitor {
     }
 
     /// Restore a sharded [`RttMonitor::snapshot`] into this (freshly
-    /// spawned, never fed) monitor: each shard section is shipped to its
-    /// worker over the hand-off ring and installed before any traffic,
+    /// spawned, never fed) monitor: each shard section is handed to its
+    /// worker over the hand-off ring — where it lies in the file, for a
+    /// file reader, so the worker reads it with a window of its own and
+    /// nothing holds the section — and installed before any traffic,
     /// and the feeder books (`fed`, write-offs) resume where the snapshot
     /// left them. Shard count and per-shard engine configuration must
     /// match; a shard whose section was written off at checkpoint time
     /// restarts fresh (its history is already in the restored
     /// `monitor_miss`).
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+    fn read_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         if self.flushed {
             return Err(SnapshotError::Unsupported(
                 "monitor already flushed; cannot restore".to_string(),
@@ -1057,7 +1067,6 @@ impl RttMonitor for ShardedMonitor {
                 "restore must precede feeding".to_string(),
             ));
         }
-        let mut r = SnapReader::new(snap.payload());
         let kind = r.get_u8()?;
         if kind != SNAP_KIND_SHARDED {
             return Err(SnapshotError::Mismatch(format!(
@@ -1072,7 +1081,7 @@ impl RttMonitor for ShardedMonitor {
             )));
         }
         let fed = sane_count("fed", r.get_u64()?)?;
-        let extra = EngineStats::restore_from(&mut r)?;
+        let extra = EngineStats::restore_from(r)?;
         let mut sent = vec![0u64; shards];
         let budget = self.reply_budget();
         for (shard, slot) in sent.iter_mut().enumerate() {
@@ -1081,9 +1090,9 @@ impl RttMonitor for ShardedMonitor {
                 continue; // written off at checkpoint time: starts fresh
             }
             let len = r.get_usize()?;
-            let bytes = r.get_bytes(len)?.to_vec();
+            let section = r.section(len)?;
             let (reply_tx, reply_rx) = channel();
-            self.send_msg(shard, ShardMsg::Restore(bytes, reply_tx));
+            self.send_msg(shard, ShardMsg::Restore(section, reply_tx));
             match reply_rx.recv_timeout(budget) {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => return Err(e),
@@ -1167,7 +1176,7 @@ struct ShardCtx {
     shard: usize,
     engine_cfg: DartConfig,
     /// What the worker has emitted since its last drain.
-    held: Drained,
+    held: Output,
     /// Where the worker answers drains.
     answers: SyncSender<Drained>,
     hooks: ShardHooks,
@@ -1293,8 +1302,10 @@ fn run_shard(mut ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
         let mut block = match msg {
             ShardMsg::Block(block) => block,
             ShardMsg::Drain(emptied) => {
-                let mut answer = std::mem::replace(&mut held, emptied);
-                answer.books = books(&retired, &engine, &extra);
+                let answer = Drained {
+                    output: std::mem::replace(&mut held, emptied),
+                    books: books(&retired, &engine, &extra),
+                };
                 // The channel holds one answer and one drain is in flight,
                 // so this never blocks; a feeder gone has no use for it.
                 let _ = ctx.answers.try_send(answer);
@@ -1337,13 +1348,13 @@ fn run_shard(mut ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
                 let _ = reply.send(res.map(|()| w));
                 continue;
             }
-            ShardMsg::Restore(bytes, reply) => {
+            ShardMsg::Restore(section, reply) => {
                 let res = if shedding {
                     Err(SnapshotError::Unsupported(format!(
                         "shard {shard} is shedding and cannot accept state"
                     )))
                 } else {
-                    let mut r = SnapReader::new(&bytes);
+                    let mut r = section.reader();
                     (|| {
                         let snap_restarts = r.get_u32()?;
                         let snap_retired = EngineStats::restore_from(&mut r)?;
@@ -1486,7 +1497,7 @@ fn run_shard(mut ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
 /// lives on exactly one shard, so the shard id never decides. `heads` is
 /// the cursor into each answer, so a merge allocates nothing; the answers
 /// are left empty for the next round.
-fn merge(answers: &mut [Drained], heads: &mut [(usize, usize)], sink: &mut dyn SampleSink) {
+fn merge(answers: &mut [Output], heads: &mut [(usize, usize)], sink: &mut dyn SampleSink) {
     heads.fill((0, 0));
     loop {
         // The smallest (packet index, shard, is event) among the heads.
@@ -1524,6 +1535,7 @@ mod tests {
     use crate::config::Leg;
     use crate::monitor::{run_monitor, run_monitor_slice};
     use crate::sample::recording::{Emission, Emissions};
+    use crate::snapshot::Snapshot;
     use crate::telemetry::{EPOCH_ROTATIONS, SHARD_COUNTERS};
     use dart_packet::{Direction, Nanos, PacketBuilder, SliceSource};
 
@@ -2290,6 +2302,64 @@ mod tests {
             .expect("restore");
         flush_samples(&mut b);
         assert_eq!(b.stats(), replay(cfg, &pkts).1.stats());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A restore from a file reads it a window at a time and restores what
+    /// the same bytes in memory do; a torn, truncated or altered file is
+    /// refused by the frame check, before any shard's state changes.
+    #[test]
+    fn a_damaged_checkpoint_file_is_refused_before_any_shard_changes() {
+        let pkts = trace(30, 6);
+        let cfg = ShardedConfig::new(DartConfig::default(), 2).with_batch_size(7);
+        let dir = std::env::temp_dir().join(format!("dart-sharded-damage-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, bad) = (dir.join("state.dsnp"), dir.join("bad.dsnp"));
+        let mut a = ShardedMonitor::new(cfg);
+        feed_each(&mut a, &pkts[..pkts.len() / 2]);
+        a.drain(&mut Vec::new());
+        a.checkpoint_to(&path).expect("checkpoint");
+        flush_samples(&mut a);
+        let honest = std::fs::read(&path).unwrap();
+
+        let mut restored = ShardedMonitor::new(cfg);
+        restored.restore_file(&path).expect("restore");
+        assert_eq!(restored.snapshot().unwrap().as_bytes(), honest);
+        let mut fresh = ShardedMonitor::new(cfg);
+        let n = honest.len();
+        let flip = |at: usize| {
+            let mut bytes = honest.clone();
+            bytes[at] ^= 0x10;
+            bytes
+        };
+        let damaged = [
+            ("empty", Vec::new()),
+            ("torn header", honest[..10].to_vec()),
+            ("truncated payload", honest[..n / 2].to_vec()),
+            ("truncated trailer", honest[..n - 3].to_vec()),
+            ("a byte too many", [&honest[..], &[0]].concat()),
+            ("a payload bit flipped", flip(n / 2)),
+            ("a checksum bit flipped", flip(n - 1)),
+            ("a length bit flipped", flip(9)),
+        ];
+        for (what, bytes) in damaged {
+            std::fs::write(&bad, bytes).unwrap();
+            for m in [&mut restored, &mut fresh] {
+                let before = m.snapshot().unwrap();
+                let refused = m.restore_file(&bad);
+                assert!(
+                    matches!(refused, Err(SnapshotError::Corrupt(_))),
+                    "{what}: {refused:?}"
+                );
+                assert_eq!(m.snapshot().unwrap(), before, "{what}: state changed");
+            }
+        }
+        // Nothing of the refused files reached the fresh monitor's shards.
+        fresh.restore_file(&path).expect("restore");
+        assert_eq!(fresh.snapshot().unwrap().as_bytes(), honest);
+        flush_samples(&mut restored);
+        flush_samples(&mut fresh);
+        assert_eq!(fresh.stats(), restored.stats());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

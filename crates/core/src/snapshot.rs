@@ -23,9 +23,19 @@
 //!
 //! All integers little-endian. The payload is engine-defined (see
 //! [`RttMonitor::snapshot`](crate::RttMonitor::snapshot)); this module only
-//! guarantees framing: a [`Snapshot`] that deserializes at all has a
-//! verified checksum, so a crash mid-checkpoint-write can never restore
-//! half a table.
+//! guarantees framing: a [`Snapshot`] that deserializes at all, and a
+//! [`SnapReader::open`] that opens, has a verified checksum, so a crash
+//! mid-checkpoint-write can never restore half a table.
+//!
+//! # Restoring from a file
+//!
+//! [`RttMonitor::restore_file`](crate::RttMonitor::restore_file) mirrors the
+//! streamed checkpoint: [`SnapReader::open`] hashes the file through a
+//! 16 KiB window and refuses it before any state changes unless the
+//! trailer matches; then the payload is decoded from the same handle, a
+//! window at a time, each shard's section by its own worker at its own
+//! offset. What a restore holds beside the tables is a window per reader,
+//! whatever the size of the file.
 //!
 //! # Crash consistency
 //!
@@ -35,7 +45,7 @@
 //! the POSIX publish idiom. A reader therefore observes either the
 //! previous complete snapshot or the new complete snapshot, never a torn
 //! one; a crash between fsync and rename leaves a stale `.tmp` that
-//! [`Snapshot::from_file`] ignores, and a write that fails removes its
+//! [`SnapReader::open`] ignores, and a write that fails removes its
 //! `.tmp` itself.
 
 use dart_packet::flow::{fnv1a_64, fnv1a_64_fold, FNV1A_64_OFFSET};
@@ -43,6 +53,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DSNP";
@@ -352,38 +363,155 @@ impl SnapWriter {
     }
 }
 
-/// Little-endian payload reader; every getter fails loudly on truncation
-/// instead of panicking, so a corrupt payload surfaces as
-/// [`SnapshotError::Corrupt`].
+/// Bytes a file [`SnapReader`] asks the file for at a time, and so what a
+/// restore holds beside the tables it fills: the frame check hashes the
+/// payload through this window, and each reader decodes through its own.
+const READ_WINDOW: usize = 16 * 1024;
+
+/// Where a [`SnapReader`]'s bytes come from.
+#[derive(Debug)]
+enum Source<'a> {
+    /// All in memory.
+    Slice(&'a [u8]),
+    /// Read positionally from a file, into a window that holds the bytes
+    /// being decoded and at most [`READ_WINDOW`] behind them.
+    File {
+        file: Arc<fs::File>,
+        window: Vec<u8>,
+    },
+}
+
+/// Little-endian reader of a snapshot payload, or of one range of it, used
+/// by every deserializer. One reader, two sources: a slice
+/// ([`SnapReader::new`]) and a snapshot file ([`SnapReader::open`]), which
+/// it reads a small window at a time, so a restore never holds the file.
+/// Every getter fails loudly on truncation instead of panicking, so a
+/// corrupt payload surfaces as [`SnapshotError::Corrupt`].
 #[derive(Debug)]
 pub struct SnapReader<'a> {
-    buf: &'a [u8],
+    src: Source<'a>,
+    /// Consumed bytes of the chunk in hand: the slice, or the window.
     pos: usize,
+    /// File offset of the first byte behind the window.
+    next: u64,
+    /// Bytes of the range behind the chunk in hand, not yet read (none
+    /// for a slice).
+    unread: u64,
+    /// Bytes of the range, consumed or not.
+    len: u64,
 }
 
 impl<'a> SnapReader<'a> {
     /// Read from the start of `payload`.
     pub fn new(payload: &'a [u8]) -> SnapReader<'a> {
         SnapReader {
-            buf: payload,
+            src: Source::Slice(payload),
             pos: 0,
+            next: 0,
+            unread: 0,
+            len: payload.len() as u64,
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| {
-            SnapshotError::Corrupt("snapshot length overflows the payload".into())
-        })?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "truncated snapshot payload: needed {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
+    /// Read the `len` bytes of `file` from offset `at`.
+    fn file(file: Arc<fs::File>, at: u64, len: u64) -> SnapReader<'static> {
+        let window =
+            Vec::with_capacity(READ_WINDOW.min(usize::try_from(len).unwrap_or(usize::MAX)));
+        SnapReader {
+            src: Source::File { file, window },
+            pos: 0,
+            next: at,
+            unread: len,
+            len,
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    }
+
+    /// Open the snapshot file at `path` and check its frame — magic,
+    /// version, length and the fnv1a-64 checksum of the payload — in one
+    /// pass through the reader's window; then read the payload from its
+    /// start. A torn, truncated or altered file is refused here, before
+    /// any state is decoded from it; a stale `.tmp` beside it is ignored.
+    pub fn open(path: &Path) -> Result<SnapReader<'static>, SnapshotError> {
+        let file = fs::File::open(path)?;
+        let size = file.metadata()?.len();
+        let mut r = SnapReader::file(Arc::new(file), 0, size);
+        let payload_len = check_frame(&mut r)?;
+        Ok(SnapReader::file(
+            r.into_file(),
+            FRAME_HEADER_LEN as u64,
+            payload_len,
+        ))
+    }
+
+    /// The file a file reader reads.
+    fn into_file(self) -> Arc<fs::File> {
+        match self.src {
+            Source::File { file, .. } => file,
+            Source::Slice(_) => unreachable!("into_file on a slice reader"),
+        }
+    }
+
+    /// The chunk in hand: the whole slice, or the window.
+    #[inline]
+    fn chunk(&self) -> &[u8] {
+        match &self.src {
+            Source::Slice(s) => s,
+            Source::File { window, .. } => window,
+        }
+    }
+
+    fn truncated(&self, n: usize) -> SnapshotError {
+        SnapshotError::Corrupt(format!(
+            "truncated snapshot payload: needed {n} bytes at offset {}, {} remain",
+            self.len - self.remaining() as u64,
+            self.remaining()
+        ))
+    }
+
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
+        if n > self.chunk().len() - self.pos {
+            self.fill(n)?;
+        }
+        let at = self.pos;
+        self.pos += n;
+        Ok(&self.chunk()[at..at + n])
+    }
+
+    /// Make the window hold `n` unconsumed bytes, reading as many as fit
+    /// behind the ones it has; fails when the range holds fewer.
+    #[cold]
+    fn fill(&mut self, n: usize) -> Result<(), SnapshotError> {
+        let have = self.chunk().len() - self.pos;
+        if (n - have) as u64 > self.unread {
+            return Err(self.truncated(n));
+        }
+        let Source::File { file, window } = &mut self.src else {
+            return Err(self.truncated(n));
+        };
+        window.drain(..self.pos);
+        self.pos = 0;
+        let more =
+            (n.max(READ_WINDOW) - have).min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        window.resize(have + more, 0);
+        read_exact_at(file, &mut window[have..], self.next).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                SnapshotError::Corrupt("snapshot file shrank after its frame was checked".into())
+            } else {
+                SnapshotError::Io(e)
+            }
+        })?;
+        self.next += more as u64;
+        self.unread -= more as u64;
+        Ok(())
+    }
+
+    /// Read `N` bytes.
+    #[inline]
+    fn get_array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
     /// Read one byte.
@@ -393,22 +521,17 @@ impl<'a> SnapReader<'a> {
 
     /// Read a little-endian u16.
     pub fn get_u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.get_array().map(u16::from_le_bytes)
     }
 
     /// Read a little-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.get_array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.get_array().map(u64::from_le_bytes)
     }
 
     /// Read a u64 and narrow it to `usize`, rejecting values this
@@ -440,24 +563,134 @@ impl<'a> SnapReader<'a> {
         Ok(idx)
     }
 
-    /// Read `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// Read `n` raw bytes, lent until the next read.
+    pub fn get_bytes(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
         self.take(n)
     }
 
     /// Read a length-prefixed short string written by
-    /// [`SnapWriter::put_str`].
-    pub fn get_str(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.get_u16()? as usize;
-        let b = self.take(len)?;
-        std::str::from_utf8(b)
+    /// [`SnapWriter::put_str`], lent until the next read.
+    pub fn get_str(&mut self) -> Result<&str, SnapshotError> {
+        let len = usize::from(self.get_u16()?);
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| SnapshotError::Corrupt("snapshot string is not UTF-8".into()))
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.chunk().len() - self.pos + usize::try_from(self.unread).unwrap_or(usize::MAX)
     }
+
+    /// Hand over the next `len` bytes as a [`Section`] another thread
+    /// decodes with a reader of its own: of a file, where they lie in it;
+    /// of a slice, a copy.
+    pub(crate) fn section(&mut self, len: usize) -> Result<Section, SnapshotError> {
+        if len > self.remaining() {
+            return Err(self.truncated(len));
+        }
+        let Source::File { file, window } = &mut self.src else {
+            return Ok(Section::Bytes(self.take(len)?.to_vec()));
+        };
+        let have = window.len() - self.pos;
+        let at = self.next - have as u64;
+        if len <= have {
+            self.pos += len;
+        } else {
+            let skip = (len - have) as u64;
+            window.clear();
+            self.pos = 0;
+            self.next += skip;
+            self.unread -= skip;
+        }
+        Ok(Section::File {
+            file: Arc::clone(file),
+            at,
+            len: len as u64,
+        })
+    }
+}
+
+/// A range of a payload that another thread decodes: what
+/// [`SnapReader::section`] hands over.
+#[derive(Debug)]
+pub(crate) enum Section {
+    /// Copied out of an in-memory payload.
+    Bytes(Vec<u8>),
+    /// `len` bytes at offset `at` of a checked snapshot file.
+    File {
+        file: Arc<fs::File>,
+        at: u64,
+        len: u64,
+    },
+}
+
+impl Section {
+    /// A reader of the section's bytes, from their start.
+    pub(crate) fn reader(&self) -> SnapReader<'_> {
+        match self {
+            Section::Bytes(bytes) => SnapReader::new(bytes),
+            Section::File { file, at, len } => SnapReader::file(Arc::clone(file), *at, *len),
+        }
+    }
+}
+
+/// Fill `buf` from `file` at offset `at`, leaving the file's own position
+/// alone, so that readers of one file on several threads never meet.
+#[cfg(unix)]
+fn read_exact_at(file: &fs::File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
+}
+
+/// Fill `buf` from `file` at offset `at`. Without positional reads the
+/// file's position moves, so readers of one file must take turns, which
+/// a restore does: the feeder waits for each shard's answer.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &fs::File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    use std::io::Read as _;
+    file.seek(SeekFrom::Start(at))?;
+    file.read_exact(buf)
+}
+
+/// Check the frame `r` reads, whole: magic, version, a payload length
+/// that is what the frame holds, and the payload's fnv1a-64 against the
+/// trailer, hashed a window at a time. Returns the payload's length.
+fn check_frame(r: &mut SnapReader<'_>) -> Result<u64, SnapshotError> {
+    let size = r.remaining();
+    if size < FRAME_HEADER_LEN + FRAME_TRAILER_LEN {
+        return Err(SnapshotError::Corrupt(format!(
+            "{size} bytes is shorter than the minimal frame"
+        )));
+    }
+    if r.get_array::<4>()? != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::Corrupt("bad magic (not a snapshot)".into()));
+    }
+    let version = r.get_u32()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::Mismatch(format!(
+            "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
+        )));
+    }
+    let len = r.get_u64()?;
+    let expected_total = len
+        .checked_add((FRAME_HEADER_LEN + FRAME_TRAILER_LEN) as u64)
+        .ok_or_else(|| SnapshotError::Corrupt("payload length overflows".into()))?;
+    if size as u64 != expected_total {
+        return Err(SnapshotError::Corrupt(format!(
+            "frame is {size} bytes, header promises {expected_total} (truncated write?)"
+        )));
+    }
+    let mut hash = FNV1A_64_OFFSET;
+    while r.remaining() > FRAME_TRAILER_LEN {
+        let n = (r.remaining() - FRAME_TRAILER_LEN).min(READ_WINDOW);
+        hash = fnv1a_64_fold(hash, r.take(n)?);
+    }
+    let stored = r.get_u64()?;
+    if stored != hash {
+        return Err(SnapshotError::Corrupt(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {hash:#018x}"
+        )));
+    }
+    Ok(len)
 }
 
 /// A complete framed snapshot: magic, version, length, payload, checksum.
@@ -485,50 +718,11 @@ impl Snapshot {
 
     /// Parse and verify a framed snapshot.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapshotError> {
-        if bytes.len() < 24 {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} bytes is shorter than the minimal frame",
-                bytes.len()
-            )));
-        }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic (not a snapshot)".into()));
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
-            )));
-        }
-        let len = u64::from_le_bytes([
-            bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-        ]);
-        let payload_len = usize::try_from(len)
-            .map_err(|_| SnapshotError::Corrupt(format!("payload length {len} exceeds usize")))?;
-        let expected_total = 16usize
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(8))
-            .ok_or_else(|| SnapshotError::Corrupt("payload length overflows".into()))?;
-        if bytes.len() != expected_total {
-            return Err(SnapshotError::Corrupt(format!(
-                "frame is {} bytes, header promises {expected_total} (truncated write?)",
-                bytes.len()
-            )));
-        }
-        let payload = &bytes[16..16 + payload_len];
-        let stored = u64::from_le_bytes(
-            bytes[16 + payload_len..].try_into().unwrap_or([0u8; 8]), // length verified above; unreachable
-        );
-        let computed = fnv1a_64(payload);
-        if stored != computed {
-            return Err(SnapshotError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
+        let len = check_frame(&mut SnapReader::new(&bytes))?;
         Ok(Snapshot {
+            payload_len: len as usize,
+            payload_at: FRAME_HEADER_LEN,
             bytes,
-            payload_at: 16,
-            payload_len,
         })
     }
 
@@ -557,9 +751,19 @@ impl Snapshot {
         })
     }
 
-    /// Load and verify a snapshot file.
+    /// Load a snapshot file into memory: [`SnapReader::open`] checks it,
+    /// and its payload is copied into a frame. A restore reads the file
+    /// through the reader instead
+    /// ([`RttMonitor::restore_file`](crate::RttMonitor::restore_file)).
     pub fn from_file(path: &Path) -> Result<Snapshot, SnapshotError> {
-        Snapshot::from_bytes(fs::read(path)?)
+        let mut r = SnapReader::open(path)?;
+        let mut w = SnapWriter::framed();
+        w.reserve(r.remaining());
+        while r.remaining() > 0 {
+            let n = r.remaining().min(READ_WINDOW);
+            w.put_bytes(r.get_bytes(n)?);
+        }
+        Ok(w.into_snapshot())
     }
 }
 
@@ -847,6 +1051,104 @@ mod tests {
             Snapshot::from_file(&path).unwrap().payload(),
             &[9u8; 64][..]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Read back what [`write_mixed`] wrote, `reps` times over.
+    fn read_mixed(r: &mut SnapReader<'_>, payload: &[u8], reps: usize) {
+        for i in 0..reps {
+            assert_eq!(r.get_u8().unwrap(), i as u8);
+            assert_eq!(r.get_u16().unwrap(), i as u16);
+            assert_eq!(r.get_u32().unwrap(), i as u32);
+            assert_eq!(r.get_u64().unwrap(), i as u64);
+            assert_eq!(r.get_str().unwrap(), "dart");
+            assert_eq!(r.get_bytes(payload.len()).unwrap(), payload);
+        }
+        assert_eq!(r.remaining(), 0);
+        assert!(matches!(r.get_u8(), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_file_reader_reads_what_a_slice_reader_does() {
+        let dir = scratch_dir("a_file_reader_reads_what_a_slice_reader_does");
+        let path = dir.join("state.dsnp");
+        // Gets that cross the window's end, and one wider than the window.
+        for (payload, reps) in [
+            (Vec::new(), 0),
+            (sample_payload(), 3),
+            (sample_payload(), 5_000),
+            (vec![0xA5; 3 * READ_WINDOW + 5], 3),
+        ] {
+            let written = write_file(&path, |mut w| {
+                write_mixed(&mut w, &payload, reps);
+                Ok(w)
+            })
+            .unwrap();
+            let mut r = SnapReader::open(&path).unwrap();
+            assert_eq!(r.remaining() as u64, written - 24);
+            read_mixed(&mut r, &payload, reps);
+            let kept = Snapshot::from_file(&path).unwrap();
+            read_mixed(&mut SnapReader::new(kept.payload()), &payload, reps);
+            // A section is the same bytes, read by a reader of its own,
+            // wherever it starts and however long it is.
+            for start in [0, 1, READ_WINDOW - 3, READ_WINDOW + 7] {
+                let len = kept
+                    .payload()
+                    .len()
+                    .saturating_sub(start)
+                    .min(2 * READ_WINDOW + 1);
+                if start > kept.payload().len() {
+                    continue;
+                }
+                let mut file = SnapReader::open(&path).unwrap();
+                let mut slice = SnapReader::new(kept.payload());
+                for r in [&mut file, &mut slice] {
+                    r.get_bytes(start).unwrap();
+                    let section = r.section(len).unwrap();
+                    let mut inner = section.reader();
+                    assert_eq!(inner.remaining(), len);
+                    assert_eq!(
+                        inner.get_bytes(len).unwrap(),
+                        &kept.payload()[start..start + len]
+                    );
+                    assert_eq!(r.remaining(), kept.payload().len() - start - len);
+                    assert!(r.section(r.remaining() + 1).is_err());
+                }
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_file_is_refused_by_open() {
+        let dir = scratch_dir("a_damaged_file_is_refused_by_open");
+        let path = dir.join("state.dsnp");
+        let honest = Snapshot::from_payload(vec![0x5A; 2 * READ_WINDOW + 9]);
+        let bytes = honest.as_bytes();
+        let n = bytes.len();
+        let mut cases = vec![bytes[..n - 1].to_vec(), [bytes, &[0]].concat()];
+        for cut in [0, 3, 16, 23, n / 2] {
+            cases.push(bytes[..cut].to_vec());
+        }
+        for at in [0, 4, 8, 16, n / 2, n - 8, n - 1] {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1;
+            cases.push(flipped);
+        }
+        for damaged in cases {
+            fs::write(&path, &damaged).unwrap();
+            let opened = SnapReader::open(&path);
+            assert!(opened.is_err(), "{} bytes opened", damaged.len());
+            assert_eq!(
+                format!("{:?}", Snapshot::from_bytes(damaged).err()),
+                format!("{:?}", opened.err()),
+                "the file and the slice are refused alike"
+            );
+        }
+        assert!(matches!(
+            SnapReader::open(&dir.join("absent.dsnp")),
+            Err(SnapshotError::Io(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

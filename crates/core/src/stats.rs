@@ -175,8 +175,13 @@ impl EngineStats {
         let mut stats = EngineStats::default();
         let rows = r.get_u32()?;
         for _ in 0..rows {
-            let name = r.get_str()?;
-            let value = sane_count(name, r.get_u64()?)?;
+            // A row is a `put_str` name and its value, read in one piece:
+            // a file reader lends a name only until its next read.
+            let len = usize::from(r.get_u16()?);
+            let (name, value) = r.get_bytes(len + 8)?.split_at(len);
+            let name = std::str::from_utf8(name)
+                .map_err(|_| SnapshotError::Corrupt("snapshot string is not UTF-8".into()))?;
+            let value = sane_count(name, u64::from_le_bytes(value.try_into().unwrap_or([0; 8])))?;
             let _ = stats.set_metric(name, value);
         }
         Ok(stats)

@@ -12,10 +12,13 @@ use std::io::{self, Read};
 
 /// A fixed-capacity byte window over an input stream. Each reader sizes
 /// its own to its records: [`crate::trace::WINDOW_BYTES`] holds two blocks
-/// of native records, [`crate::pcap::WINDOW_BYTES`] the longest pcap record
-/// accepted. Either way a busy feed is handed over in full blocks; a window
-/// of one block plus a record would alternate 1024- and 1-packet blocks,
-/// and every short block costs a hand-off of its own.
+/// of native records, and a pcap reader's ([`crate::pcap::window_bytes`])
+/// one record of the snap length its capture declares, never less than
+/// the native window, or the longest record accepted
+/// ([`crate::pcap::WINDOW_BYTES`]) when the capture declares none. A busy
+/// native feed is handed over in full blocks; a window of one block plus a
+/// record would alternate 1024- and 1-packet blocks, and every short block
+/// costs a hand-off of its own.
 #[derive(Debug)]
 pub(crate) struct ReadBuf {
     buf: Vec<u8>,

@@ -22,6 +22,8 @@ pub mod linktype {
 
 const MAGIC_US: u32 = 0xa1b2_c3d4;
 const MAGIC_NS: u32 = 0xa1b2_3c4d;
+/// The snap length [`PcapWriter`] declares, whatever it is handed.
+pub const WRITER_SNAPLEN: u32 = 65_535;
 
 /// Writes a pcap file with nanosecond timestamps.
 pub struct PcapWriter<W: Write> {
@@ -36,7 +38,7 @@ impl<W: Write> PcapWriter<W> {
         out.write_all(&4u16.to_le_bytes())?; // version minor
         out.write_all(&0i32.to_le_bytes())?; // thiszone
         out.write_all(&0u32.to_le_bytes())?; // sigfigs
-        out.write_all(&65535u32.to_le_bytes())?; // snaplen
+        out.write_all(&WRITER_SNAPLEN.to_le_bytes())?;
         out.write_all(&link.to_le_bytes())?;
         Ok(PcapWriter { out })
     }
@@ -74,21 +76,38 @@ pub struct PcapFrame<'a> {
 
 /// Longest capture length the reader accepts. A global header may declare
 /// more (or zero, "unlimited"); records are still held to this.
-const MAX_SNAPLEN: u32 = 256 * 1024;
+pub const MAX_SNAPLEN: u32 = 256 * 1024;
 const RECORD_HEADER_LEN: usize = 16;
-/// The reader's window, 264 192 bytes: the longest record accepted (256 KiB
-/// and its header) with room to spare — six 1024-record blocks of the native
-/// trace.
+/// The window of a reader whose header declares no snap length, or one
+/// over [`MAX_SNAPLEN`]: 264 192 bytes, the longest record accepted (256
+/// KiB and its header) with room to spare — six 1024-record blocks of the
+/// native trace.
 pub const WINDOW_BYTES: usize = 6 * 1024 * crate::trace::RECORD_LEN;
 const _: () = assert!(RECORD_HEADER_LEN + (MAX_SNAPLEN as usize) < WINDOW_BYTES);
 
+/// The window of a reader whose global header declares `snaplen`: one
+/// record of that length and its header, and a byte to spare (a fill
+/// always has room to read), but never less than the native reader's two
+/// blocks (88 064 bytes). A longer record is refused before it is waited
+/// for, so it never needs the room. A header that declares 0 or more than
+/// [`MAX_SNAPLEN`] gets [`WINDOW_BYTES`].
+pub fn window_bytes(snaplen: u32) -> usize {
+    match snaplen {
+        1..=MAX_SNAPLEN => {
+            (RECORD_HEADER_LEN + snaplen as usize + 1).max(crate::trace::WINDOW_BYTES)
+        }
+        _ => WINDOW_BYTES,
+    }
+}
+
 /// Reads a pcap file block by block, normalizing timestamps to nanoseconds.
 ///
-/// Records are decoded out of one reusable byte window, and the input is
+/// Records are decoded out of one reusable byte window, sized by the
+/// capture's declared snap length ([`window_bytes`]), and the input is
 /// read only when the next record is not completely buffered. A record
 /// whose header claims more than the capture's snap length is corrupt
 /// ([`PacketError::BadTrace`]) — its length is never trusted with an
-/// allocation.
+/// allocation, nor with the window.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     input: R,
@@ -165,7 +184,8 @@ impl<R: Read> PcapReader<R> {
             nanos,
             snaplen: MAX_SNAPLEN,
         };
-        let format = match unlimited.u32_at(crate::arr(&hdr[16..20])) {
+        let declared = unlimited.u32_at(crate::arr(&hdr[16..20]));
+        let format = match declared {
             0 => unlimited,
             declared => RecordFormat {
                 snaplen: declared.min(MAX_SNAPLEN),
@@ -175,7 +195,7 @@ impl<R: Read> PcapReader<R> {
         let link = format.u32_at(crate::arr(&hdr[20..24]));
         Ok(PcapReader {
             input,
-            window: ReadBuf::with_capacity(WINDOW_BYTES),
+            window: ReadBuf::with_capacity(window_bytes(declared)),
             format,
             link,
         })

@@ -237,7 +237,25 @@ fn serve(input: &str, opts: &Options) -> Result<String, String> {
             "degraded"
         }
     );
+    let peak = match peak_rss_kib() {
+        Some(kib) => format!("{kib} KiB"),
+        None => "unknown".to_string(),
+    };
+    let _ = writeln!(
+        out,
+        "memory            : peak RSS {peak} (VmHWM), tables {:.1} KiB resident",
+        report.tables_bytes as f64 / 1024.0
+    );
     Ok(out)
+}
+
+/// This process's peak resident set, `VmHWM` in `/proc/self/status`:
+/// what a daemon's whole life has held at most. `None` where there is no
+/// such file.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// `dartmon scenarios`: run the adversarial scenario matrix — generated
@@ -1397,6 +1415,12 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("supervisor        : healthy"), "{report}");
+        let memory = report
+            .lines()
+            .find(|l| l.starts_with("memory            : peak RSS "))
+            .unwrap_or_else(|| panic!("no memory line: {report}"));
+        assert!(memory.contains(" (VmHWM), tables "), "{memory}");
+        assert!(memory.ends_with(" KiB resident"), "{memory}");
         let _ = std::fs::remove_file(&path);
     }
 

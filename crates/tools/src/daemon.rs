@@ -66,9 +66,10 @@ use dart_core::sharded::{ShardedConfig, ShardedMonitor, SupervisorHealth};
 use dart_core::stats::EngineStats;
 use dart_core::telemetry::{
     Family, DAEMON_CHECKPOINTS, DAEMON_CHECKPOINT_BYTES, DAEMON_CHECKPOINT_FAILURES,
-    DAEMON_CHECKPOINT_PAUSE_NS, SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS,
+    DAEMON_CHECKPOINT_PAUSE_NS, SOURCE_DECODE_ERRORS, SOURCE_IO_ERRORS, SOURCE_RECONNECTS, TABLES,
+    TABLE_RESIDENT_BYTES,
 };
-use dart_core::{drive_timed, Progress, RttMonitor, SampleSink, Snapshot, StageTimers};
+use dart_core::{drive_timed, Progress, RttMonitor, SampleSink, StageTimers};
 use dart_packet::{Nanos, PacketError, PacketSource, SourceCounters};
 use dart_telemetry::{Counter, EventLog, Gauge, Histogram, HttpServer, MetricRegistry};
 use std::net::SocketAddr;
@@ -148,6 +149,9 @@ pub struct DaemonReport {
     pub health: SupervisorHealth,
     /// Where the observability server was listening.
     pub addr: SocketAddr,
+    /// Bytes the last monitor's tables held at the end, summed over its
+    /// shards (`dart_table_resident_bytes`).
+    pub tables_bytes: u64,
 }
 
 /// Daemon-level state the `/healthz` provider renders alongside the
@@ -306,14 +310,12 @@ impl Daemon {
             // Restore must precede the first packet; surface any problem
             // (missing file, checksum, geometry mismatch) as a bind-time
             // error rather than silently starting cold.
-            Snapshot::from_file(path)
-                .and_then(|snap| monitor.restore(&snap))
-                .map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("restore {}: {e}", path.display()),
-                    )
-                })?;
+            monitor.restore_file(path).map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("restore {}: {e}", path.display()),
+                )
+            })?;
             restored = true;
             events.info(
                 "daemon",
@@ -499,6 +501,16 @@ impl Daemon {
         if let Ok(mut state) = state.lock() {
             state.health = health;
         }
+        // The gauges' own handles: a scrape would build the whole
+        // exposition to read a few of its rows.
+        let row = TABLE_RESIDENT_BYTES;
+        let tables_bytes = (0..cfg.sharded.shards)
+            .flat_map(|shard| TABLES.map(|table| (shard.to_string(), table)))
+            .map(|(shard, table)| {
+                let labels = [("shard", shard.as_str()), ("table", table)];
+                registry.gauge(row.name, &labels, row.help).get().max(0) as u64
+            })
+            .sum();
         let addr = server.addr();
         server.stop();
         Ok(DaemonReport {
@@ -512,6 +524,7 @@ impl Daemon {
             stats,
             health,
             addr,
+            tables_bytes,
         })
     }
 }

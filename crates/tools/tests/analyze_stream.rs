@@ -174,7 +174,10 @@ fn analyze_memory_does_not_scale_with_packets() {
         let path = tmp(&format!("mem_{n}.trace"));
         save_file(&path, &packets[..n]).expect("save");
         let (report, peak) = peak_live_heap(|| {
-            run_line(&["analyze", &path, "--rt", "4096", "--pt", "512"]).expect("analyze")
+            run_line(&[
+                "analyze", &path, "--rt", "4096", "--pt", "512", "--leg", "both",
+            ])
+            .expect("analyze")
         });
         remove(&[&path]);
         assert!(
@@ -185,13 +188,20 @@ fn analyze_memory_does_not_scale_with_packets() {
     };
     let (small_samples, small_peak) = analyze(SMALL);
     let (large_samples, large_peak) = analyze(LARGE);
-    assert!(large_samples > small_samples);
+    // Both legs, so that the extra packets bring some 89 k extra samples:
+    // at 4 B each, well past the slack below.
+    assert!(
+        large_samples >= small_samples + 65_536,
+        "{small_samples} samples at {SMALL} packets, {large_samples} at {LARGE}"
+    );
     // The distribution keeps 4 bytes per sample (none of these RTTs reaches
-    // 4.29 s) in a `Vec` that doubles, so up to 8 per sample at the peak;
-    // the tables, the read window and the report are the same for both. A
-    // materialised trace would add some 80 bytes for each of the 448 k
-    // extra packets — 35 MB over this bound.
-    let allowed = 8 * (large_samples - small_samples) + 64 * 1024;
+    // 4.29 s) in a `Vec` that doubles, so for each slot of the next power
+    // of two at or above the count; the tables, the read window and the
+    // report are the same for both. Eight bytes per sample would rise
+    // twice as far, 393 KB over this bound, and a materialised trace would
+    // add some 80 bytes for each of the 448 k extra packets, 35 MB over it.
+    let slots = |n: usize| n.next_power_of_two().max(4);
+    let allowed = 4 * (slots(large_samples) - slots(small_samples)) + 64 * 1024;
     assert!(
         large_peak <= small_peak + allowed,
         "peak live heap {small_peak} B at {SMALL} packets, {large_peak} B at {LARGE}: \

@@ -507,3 +507,34 @@ fn a_failed_checkpoint_is_reported_and_leaves_no_temporary_file() {
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_dir_all(&taken);
 }
+
+/// The CLI cannot build `DartConfig::unlimited()`: `--rt 0` (and `--pt 0`)
+/// are refused before anything starts, so `serve` never checkpoints the
+/// unlimited tables, whose snapshot sorts their entries into a copy first.
+#[test]
+fn serve_refuses_unlimited_tables() {
+    let trace = tmp("dartmon_serve_unlimited.trace");
+    run_line(&[
+        "generate",
+        &trace,
+        "--connections",
+        "5",
+        "--duration-secs",
+        "1",
+    ])
+    .expect("generate");
+    for flag in ["--rt", "--pt"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dartmon"))
+            .args(["serve", &trace, flag, "0", "--listen", "127.0.0.1:0"])
+            .output()
+            .expect("run dartmon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {out:?}");
+        assert!(
+            stderr.contains(&format!("{flag} must be between 1 and 4294967295")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} 0 reported a run: {out:?}");
+    }
+    let _ = std::fs::remove_file(&trace);
+}

@@ -16,7 +16,7 @@ mod common;
 use common::{allocations, largest_allocation};
 use dart::core::ReadAhead;
 use dart::packet::parse::{synthesize_frame, DirectionClassifier, PrefixClassifier};
-use dart::packet::pcap::{linktype, PcapReader, PcapWriter};
+use dart::packet::pcap::{linktype, window_bytes, PcapReader, PcapWriter, MAX_SNAPLEN};
 use dart::packet::trace::{self, TraceReader};
 use dart::packet::{
     CycleSource, Direction, FlowKey, Follow, PacketMeta, PacketSource, PcapSource, Reconnecting,
@@ -401,11 +401,101 @@ proptest! {
     }
 }
 
-/// The pcap reader's window — 264 192 bytes, six 1024-record blocks of the
-/// native trace — outgrows the largest snap length it accepts (256 KiB plus
-/// a record header); nothing else scales with the input. The native
-/// reader's window is a third of it.
+/// The pcap reader's widest window — 264 192 bytes, six 1024-record blocks
+/// of the native trace, for a header that declares no snap length or one
+/// over the 256 KiB the reader accepts — outgrows the longest record it
+/// accepts (256 KiB plus a record header); nothing else scales with the
+/// input. A declared snap length narrows the window to one record of that
+/// length, down to the native reader's two blocks, a third of it.
 const ALLOCATION_CAP: usize = 6 * 1024 * 43;
+
+/// A raw-IP capture whose global header declares `snaplen`, holding one
+/// record of `len` bytes for each of `lens`.
+fn capture(snaplen: u32, lens: &[usize]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = PcapWriter::new(&mut bytes, linktype::RAW).unwrap();
+    for (i, &len) in lens.iter().enumerate() {
+        w.write_record(i as u64, &vec![0xA5; len]).unwrap();
+    }
+    w.finish().unwrap();
+    bytes[16..20].copy_from_slice(&snaplen.to_le_bytes());
+    bytes
+}
+
+/// The window follows the header's snap length S: 16 + S + 1 bytes, never
+/// under the native reader's 88 064. A record of exactly S bytes reads —
+/// whole or however the input is cut — and S + 1 is refused with the error
+/// any longer record gets; a header that declares 0, or more than the
+/// 256 KiB accepted, keeps the 264 192-byte window.
+#[test]
+fn the_pcap_window_follows_the_declared_snap_length() {
+    let native = 2 * 1024 * trace::RECORD_LEN;
+    assert_eq!(native, 88_064);
+    for snaplen in [1u32, 96, 1500, 65_535, 88_047, 88_048, 200_000, MAX_SNAPLEN] {
+        let s = snaplen as usize;
+        let window = window_bytes(snaplen);
+        assert_eq!(window, (16 + s + 1).max(native), "snaplen {snaplen}");
+        let bytes = capture(snaplen, &[s, s.min(3), s + 1]);
+        for lens in [vec![bytes.len()], vec![4093], vec![1, 1, 0, 7]] {
+            if lens == [1, 1, 0, 7] && s > 2000 {
+                continue; // byte-sized reads of a 256 KiB record are slow, not different
+            }
+            let input = tail(&bytes, &lens);
+            let mut reader = None;
+            let largest = largest_allocation(|| reader = Some(PcapReader::new(input)));
+            assert_eq!(largest, window, "snaplen {snaplen}: the window allocated");
+            let mut reader = reader.unwrap().unwrap();
+            assert_eq!(reader.next_frame().unwrap().unwrap().data.len(), s);
+            assert_eq!(reader.next_frame().unwrap().unwrap().data.len(), s.min(3));
+            let err = reader.next_frame().unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "bad trace file: record length {} exceeds snap length {snaplen}",
+                    s + 1
+                ),
+                "snaplen {snaplen}, reads of {lens:?}"
+            );
+        }
+    }
+    for snaplen in [0, MAX_SNAPLEN + 1, u32::MAX] {
+        assert_eq!(window_bytes(snaplen), 264_192, "snaplen {snaplen}");
+        let bytes = capture(snaplen, &[60]);
+        let largest = largest_allocation(|| {
+            let mut reader = PcapReader::new(&bytes[..]).unwrap();
+            assert_eq!(reader.next_frame().unwrap().unwrap().data.len(), 60);
+        });
+        assert_eq!(largest, ALLOCATION_CAP, "snaplen {snaplen}");
+    }
+}
+
+/// A snaplen-96 capture, the shape `campus-pcap` replays, tailed through
+/// `Follow` in single bytes with dry spells and in reads wider than the
+/// window, yields the packets it was written from.
+#[test]
+fn a_tailed_snaplen_96_capture_reads_through_its_narrow_window() {
+    let packets = steady(3000, 3);
+    let mut bytes = Vec::new();
+    let mut w = PcapWriter::new(&mut bytes, linktype::ETHERNET).unwrap();
+    for p in &packets {
+        let frame = synthesize_frame(p);
+        w.write_record(p.ts, &frame[..frame.len().min(96)]).unwrap();
+    }
+    w.finish().unwrap();
+    bytes[16..20].copy_from_slice(&96u32.to_le_bytes());
+    let (reference, _) = synthesized(&packets, &[]);
+    for lens in [
+        vec![1, 1, 1, 0, 1, 1, 1],
+        vec![100_000],
+        vec![112 * 786 + 5, 0],
+    ] {
+        let mut source = PcapSource::new(tail(&bytes, &lens), classifier()).unwrap();
+        let (streamed, errors) = drain_mixed(&mut source, &[1024, 0, 7]);
+        assert_eq!(errors, Vec::<String>::new(), "reads of {lens:?}");
+        assert_eq!(streamed, reference, "reads of {lens:?}");
+        assert_eq!(source.skipped(), 0);
+    }
+}
 
 #[test]
 fn a_hostile_record_length_is_refused_not_allocated() {
@@ -485,11 +575,13 @@ fn single_byte_reads_with_dry_spells_lose_nothing() {
 /// in particular nothing per packet, timestamp option or not.
 #[test]
 fn steady_state_decode_allocates_nothing() {
-    // Short payloads, so that one window holds more than one block.
+    // Empty payloads, so that one window holds a whole block: 82-byte pcap
+    // records, and the window a capture declaring 65 535 gets is 88 064
+    // bytes.
     let packets: Vec<PacketMeta> = steady(10_000, 1)
         .into_iter()
         .map(|p| PacketMeta {
-            payload_len: 24,
+            payload_len: 0,
             ..p
         })
         .collect();
