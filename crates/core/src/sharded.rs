@@ -337,24 +337,12 @@ pub(crate) const SNAP_KIND_SHARDED: u8 = 2;
 
 /// The samples and events a worker's engine has emitted since its last
 /// drain, each tagged with its packet's global index, in emission order.
+/// The buffers start empty and grow to what rounds deliver; a drain hands
+/// them back and forth, so they are reused, not rebuilt.
 #[derive(Default)]
 struct Output {
     samples: Vec<(u64, RttSample)>,
     events: Vec<(u64, EngineEvent)>,
-}
-
-impl Output {
-    /// Buffers for the samples of the packets one round can cover: the
-    /// blocks queued behind the drain that cut it and the one the feeder
-    /// was handing off, at most one sample per packet. A round under a
-    /// driver block longer than a hand-off block can cover more, and the
-    /// buffers then grow.
-    fn for_round(cfg: &ShardedConfig) -> Output {
-        Output {
-            samples: Vec::with_capacity((cfg.queue_depth + 1) * cfg.batch_size),
-            ..Output::default()
-        }
-    }
 }
 
 /// A worker's answer to a drain: its output since the previous one, and
@@ -563,7 +551,7 @@ impl ShardedMonitor {
             let ctx = ShardCtx {
                 shard,
                 engine_cfg: cfg.engine,
-                held: Output::for_round(&cfg),
+                held: Output::default(),
                 answers: answer_tx,
                 hooks: shard_hooks.clone(),
                 packet_hook: packet_hook.clone(),
@@ -601,7 +589,7 @@ impl ShardedMonitor {
             live: vec![true; cfg.shards],
             sent: vec![0; cfg.shards],
             answers,
-            drained: (0..cfg.shards).map(|_| Output::for_round(&cfg)).collect(),
+            drained: (0..cfg.shards).map(|_| Output::default()).collect(),
             awaiting: vec![None; cfg.shards],
             answered: vec![(0, EngineStats::default()); cfg.shards],
             round: None,
@@ -1301,7 +1289,12 @@ fn run_shard(mut ctx: ShardCtx, ring: RingEnd<ShardMsg>) -> ShardResult {
     while let Some(msg) = ring.recv(emptied.take()) {
         let mut block = match msg {
             ShardMsg::Block(block) => block,
-            ShardMsg::Drain(emptied) => {
+            ShardMsg::Drain(mut emptied) => {
+                // The buffers kept are at least as large as the ones
+                // handed back, so a round's growth is paid once, not once
+                // per buffer.
+                emptied.samples.reserve(held.samples.capacity());
+                emptied.events.reserve(held.events.capacity());
                 let answer = Drained {
                     output: std::mem::replace(&mut held, emptied),
                     books: books(&retired, &engine, &extra),

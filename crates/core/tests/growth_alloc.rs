@@ -1,11 +1,11 @@
 //! No table holds its growth twice: a default-geometry engine fed the
 //! `campus-native` trace, then rotated, then checkpointed, never raises the
 //! live heap's high-water mark more than a fixed bound above where each of
-//! those steps starts or ends, whichever is higher. A sparse register
-//! array grows — and shrinks after a sweep — one of its 64 segments at a
-//! time, so the old buckets a map keeps beside its new ones while it moves
-//! them are a 64th of the table; and the tables' own books
-//! (`dart_table_resident_bytes`) are what the allocator holds for them.
+//! those steps starts or ends, whichever is higher. A packed register
+//! array grows — and shrinks after a sweep — one arena of 256 slots at a
+//! time, so what a growth holds twice is one arena's records, never the
+//! table; and the tables' own books (`dart_table_resident_bytes`) are what
+//! the allocator holds for them.
 //!
 //! One test only: the counters below are process-wide, so nothing else may
 //! run in this binary while it measures.
@@ -63,9 +63,9 @@ static ALLOCATOR: Counting = Counting;
 
 /// What a step's live-heap peak may exceed the higher of the live heaps it
 /// starts and ends with by: the checkpoint's 64 KiB stage fits, a table's
-/// whole growth does not. With one map per table the feed overshot by
-/// 637 968 B, the Packet Tracker map's last doubling (its 0.67 MB of old
-/// buckets beside the new 1.31 MB).
+/// whole growth does not. With one hash map per table the feed overshot
+/// by 637 968 B, the Packet Tracker map's last doubling (its 0.67 MB of
+/// old buckets beside the new 1.31 MB).
 const BOUND: isize = 128 << 10;
 
 /// What the engine holds beside its two tables: the batch scratch, the

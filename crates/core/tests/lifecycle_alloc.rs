@@ -9,7 +9,8 @@
 //! the retiring monitor's state and what a fresh monitor holds. A restore
 //! reads the checkpoint a window at a time, so the file's size is not in
 //! the bound: holding it whole, as `fs::read` did, overshoots by more than
-//! the file.
+//! the file. A fresh monitor holds under 1 MB beside its tables: its drain
+//! buffers start empty and grow to what rounds deliver.
 //!
 //! One test only: the counters below are process-wide, so nothing else may
 //! run in this binary while it measures.
@@ -68,7 +69,7 @@ static ALLOCATOR: Counting = Counting;
 
 /// What a step's live heap may peak at above the rest state of the
 /// monitors alive in it. A restore's two 16 KiB read windows (the feeder's
-/// and the worker's) fit, with room for a table segment's growth; the
+/// and the worker's) fit, with room for a table arena's growth; the
 /// checkpoint file, 357 802 B, does not.
 const BOUND: isize = 64 << 10;
 
@@ -76,6 +77,9 @@ const BOUND: isize = 64 << 10;
 /// shard counts its section through a 4 KiB stage of its own, with the
 /// replies that carry them (73 030 B measured).
 const CHECKPOINT_BOUND: isize = BOUND + (12 << 10);
+
+/// What a fresh monitor may hold beside its tables: under 1 MB.
+const FRESH_REST: isize = 1_000_000;
 
 const SHARDS: usize = 2;
 
@@ -198,6 +202,13 @@ fn every_step_of_a_daemons_life_peaks_within_64_kib_of_its_tables() {
     eprintln!(
         "checkpoint file {file} B; a fresh monitor holds {fresh_held} B, {} B of it tables",
         probe.tables()
+    );
+    // Beside its tables: the rings, the engines' rest and drain buffers
+    // that start empty.
+    let beside = fresh_held - probe.tables();
+    assert!(
+        beside < FRESH_REST,
+        "a fresh monitor holds {beside} B beside its tables (bound {FRESH_REST} B)"
     );
     drop(probe);
 

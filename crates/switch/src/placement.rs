@@ -11,7 +11,7 @@
 
 use crate::profile::TargetProfile;
 use crate::program::ProgramSpec;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The result of placing a program.
@@ -103,7 +103,7 @@ pub fn place(prog: &ProgramSpec, target: &TargetProfile) -> Result<Placement, Pl
         hash: (target.hash_units / target.stages).max(4),
         tables: (target.logical_tables / target.stages).max(1),
     };
-    let mut stage_of: HashMap<&str, usize> = HashMap::new();
+    let mut stage_of: BTreeMap<&str, usize> = BTreeMap::new();
     let mut usage: Vec<StageUse> = Vec::new();
     let fits = |u: &StageUse, t: &crate::program::TableSpec| {
         u.sram + t.sram_bits() <= limit.sram

@@ -9,62 +9,35 @@
 //! constraints live in [`crate::salu`].
 //!
 //! The array models a fixed number of slots and holds what is stored in
-//! them: a large array keeps only its occupied slots, split by slot index
-//! across 64 maps that grow, and shrink after a sweep, one at a time, until
-//! a quarter of its slots are occupied, and is a plain word array from then
-//! on. A growth or a shrink holds one of the 64 maps twice, never the table.
+//! them: a large array keeps its occupied slots' records packed in slot
+//! order, found through its occupancy bitmap by one popcount, in arenas of
+//! 256 slots that grow, and shrink after a sweep, each on its own, so a
+//! growth or a shrink holds one arena twice, never the table. A small
+//! array is a plain word array.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The bit [`Packed::pack`] sets in the last word of every record it
 /// writes, so that no record — not even one whose fields are all zero — packs
 /// to the all-zero words that mean "empty slot".
 pub const LIVE: u64 = 1 << 63;
 
-/// An array whose dense form is at most this many bytes is dense from
-/// construction: the frontier geometries (an RT of 4 096 × 24 B, a PT of
-/// 512 × 24 B) never see the maps.
+/// An array whose word array is at most this many bytes is that word array:
+/// the frontier geometries (an RT of 4 096 × 24 B, a PT of 512 × 24 B) run
+/// near full, where a packed arena's shifts are longest, and packed their
+/// engine pass is ≈ 30 % slower (DESIGN.md §5f, "Cold tables").
 const DENSE_FROM_BYTES: usize = 256 << 10;
 
-/// A sparse array turns dense, once and for good, when more than
-/// `size / DENSE_SHARE` of its slots are occupied: past that point the maps'
-/// buckets cost about what the word array does, and the word array's
-/// accesses are cheaper.
-const DENSE_SHARE: usize = 4;
-
-/// The maps a sparse array's occupied slots are split across. A map that
-/// doubles holds its old buckets beside its new ones until the move ends;
-/// split 64 ways, that transient is a 64th of the store.
-const SEGMENTS: usize = 64;
-
-/// A sweep shrinks a segment to fit when it is left holding fewer than
-/// `capacity / SHRINK_SHARE` records, one segment at a time.
-const SHRINK_SHARE: usize = 4;
-
-/// The multiplier whose product's top bits pick a slot's segment. It is
-/// not [`SlotHasher`]'s: hashbrown takes a bucket from the low bits of
-/// that product and a tag from its top seven, and a segment picked from
-/// either would leave every key in a segment on a fraction of the buckets
-/// or sharing a few tags. Nor is any odd constant as good as another: the
-/// segment must not correlate with the index's low bits, which decide the
-/// bucket, and with some constants (the golden ratio's among them) a
-/// segment's indices reach half the buckets that as many random keys
-/// would. With this one they reach as many, at every table size from 2^12
-/// to 2^20 slots and every map size up to a segment's share of them.
-const SEGMENT_MUL: u64 = 0xE703_7ED1_A0B4_28DB;
-
-/// The segment slot `key` of a sparse array lives in.
-#[inline]
-fn segment(key: u32) -> usize {
-    (u64::from(key).wrapping_mul(SEGMENT_MUL) >> (64 - SEGMENTS.trailing_zeros())) as usize
-}
+/// The 64-slot groups that share one arena of a packed array. It sets both
+/// costs of the layout: an insert or a clear shifts at most the
+/// `64 * GROUPS` records of one arena, and beside the bitmap each arena
+/// costs a `Vec` header and each group its start, 1 bit per slot at 4.
+const GROUPS: usize = 4;
 
 /// A record that lives in a register slot as fixed-width integer words, the
 /// way a Tofino register does (and the way `rt_salu`/`pt_salu` in
 /// `dart-core` model it): `Words` is `[u64; N]`, and an all-zero slot of the
-/// dense word array is an empty one.
+/// word array is an empty one.
 pub trait Packed: Copy {
     /// The word form, `[u64; N]`.
     type Words: Copy + Default + AsRef<[u64]>;
@@ -90,14 +63,22 @@ fn get<Rec: Packed>(slot: &Rec::Words) -> Option<Rec> {
     live(slot).then(|| Rec::unpack(slot))
 }
 
-/// The control plane's index of occupied slots: one bit per slot and their
-/// count, kept in step on every empty↔occupied transition. Checkpoint
-/// serialization and epoch sweeps walk the bitmap, in slot order, whatever
-/// form the slots are stored in, so their cost scales with occupancy — a
-/// sparse 2^20 table walk touches 128 KiB of words — and the count makes
-/// `occupancy()` O(1) and decides when a sparse array turns dense. The data
-/// plane never reads it: there, occupancy is the slot's words or the map's
-/// key.
+/// The positions of `word`'s set bits, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize);
+        word &= word.wrapping_sub(1);
+        bit
+    })
+}
+
+/// One bit per slot and their count, kept in step on every empty↔occupied
+/// transition. It is a packed array's index — a slot's record is ranked
+/// among its group's set bits — and the control plane's: checkpoint
+/// serialization and epoch sweeps walk the bitmap, in slot order, so their
+/// cost scales with occupancy (a 2^20 table walk touches 128 KiB of
+/// words), and the count makes `occupancy()` O(1). A word array's data
+/// plane never reads it: there, occupancy is the slot's words.
 struct Occupancy {
     bitmap: Vec<u64>,
     count: usize,
@@ -116,109 +97,73 @@ impl Occupancy {
     }
 }
 
-/// The segments' hasher. A slot index is a CRC output reduced to the table
-/// size, so its low bits are already uniform but its high bits are zero;
-/// hashbrown takes the bucket from the low bits and a tag from the top
-/// seven, and one odd multiply fills those. It is not keyed: the keys are
-/// indices below `size`, so flows chosen to collide can put at most
-/// `size / buckets` keys on one probe sequence — under a thousand of a
-/// 2^20-slot table, tens of 16-bucket group probes — and a fixed hash keeps
-/// the maps' growth, and the bytes they report, the same from run to run.
-/// The segment is a function of the index too, so flows chosen to land in
-/// one segment can fill at most its `size / 64` indices: that segment then
-/// grows as the single map of an unsegmented array would, never worse.
-#[derive(Default)]
-struct SlotHasher(u64);
-
-impl Hasher for SlotHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, idx: u32) {
-        self.0 = u64::from(idx).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One segment of a sparse array: occupied slots' words, by index.
-type SlotMap<W> = HashMap<u32, W, BuildHasherDefault<SlotHasher>>;
-
-/// Bytes hashbrown allocates for a map of `capacity`: a power of two of
-/// buckets, each a key and the words, then one control byte per bucket
-/// and a trailing 16-byte group. `capacity()` is what the buckets hold at
-/// the load factor of 7/8 less any tombstones, so the bucket count is the
-/// power of two that capacity rounds up to.
-fn map_bytes<W>(capacity: usize) -> usize {
-    let buckets = match capacity {
-        0 => return 0,
-        cap if cap < 8 => (cap + 1).next_power_of_two(),
-        cap => (cap * 8 / 7).next_power_of_two(),
-    };
-    const GROUP: usize = 16;
-    (buckets * std::mem::size_of::<(u32, W)>()).next_multiple_of(GROUP) + buckets + GROUP
-}
-
 /// A fixed-size register array holding one `Rec` per slot, as words.
 ///
 /// It models `size` slots whatever it holds. An array whose word array
-/// would exceed 256 KiB starts *sparse* — 64 maps from slot index to the
-/// words of the occupied slots, each slot's map picked by its index — and
-/// turns *dense*, the word array, once and for good when more than a
-/// quarter of its slots are occupied; a smaller array is dense from
-/// construction. The form is invisible at the API: every access, walk and
-/// sweep reads and writes the same records, in the same slot order, either
-/// way.
+/// would exceed 256 KiB is *packed*: each group of 64 slots is one word of
+/// the occupancy bitmap, and its occupied slots' records sit in slot order
+/// in the arena its [`GROUPS`] groups share, from the group's start on, so
+/// slot `64g + b` is at `start + popcount(word & ((1 << b) − 1))` — one
+/// bitmap load, one popcount, one record load, at any occupancy. A smaller
+/// array is the word array. The form is chosen at construction and
+/// invisible at the API: every access, walk and sweep reads and writes the
+/// same records, in the same slot order, either way.
 pub struct RegisterArray<Rec: Packed> {
     name: &'static str,
     size: usize,
-    /// Dense: every slot, all-zero words for an empty one. Sparse: empty,
-    /// so that the dense access's bounds check is also the test of the
-    /// form, and a dense table pays nothing for the sparse one.
+    /// Word array: every slot, all-zero words for an empty one. Packed:
+    /// empty, so that the word array's bounds check is also the test of
+    /// the form, and a word array pays nothing for the other one.
     /// `vec![zero; size]` of plain integers reaches `alloc_zeroed`:
     /// building it writes nothing, and a slot no packet ever touched is a
     /// page the kernel never had to hand over.
     slots: Vec<Rec::Words>,
-    /// Sparse: the occupied slots, in [`SEGMENTS`] maps. Dense: empty, no
-    /// allocation.
-    sparse: Vec<SlotMap<Rec::Words>>,
-    /// An empty slot's words, for a sparse read of a slot the map lacks.
+    /// Packed: one arena per [`GROUPS`] groups, their records in slot
+    /// order. Word array: empty.
+    arenas: Vec<Vec<Rec::Words>>,
+    /// Packed: per group, the position of its first record in its arena.
+    starts: Vec<u16>,
+    /// Packed: the buffers of arenas that emptied, cleared, for the next
+    /// empty arena that fills, so that records coming and going across the
+    /// table reuse a buffer instead of allocating one per arena they touch.
+    spare: Vec<Vec<Rec::Words>>,
+    /// The records the arenas and the spare buffers have room for, summed
+    /// as they grow and shrink.
+    room: usize,
+    /// An empty slot's words, for a packed read of an unoccupied slot.
     empty: Rec::Words,
     index: Occupancy,
 }
 
 impl<Rec: Packed> RegisterArray<Rec> {
-    /// Allocate an array of `size` empty slots. Sparse arrays allocate
-    /// only their occupancy bitmap and their empty segments here; dense
-    /// ones their word array and bitmap, zeroed and unwritten.
+    /// Allocate an array of `size` empty slots. A packed array allocates
+    /// its bitmap, its group starts and its empty arenas' headers here; a
+    /// word array its words and bitmap, zeroed and unwritten.
     pub fn new(name: &'static str, size: usize) -> Self {
+        let dense = size.saturating_mul(std::mem::size_of::<Rec::Words>()) <= DENSE_FROM_BYTES;
+        Self::with_form(name, size, dense)
+    }
+
+    fn with_form(name: &'static str, size: usize, dense: bool) -> Self {
         assert!(size > 0, "register array must have at least one slot");
-        let dense_bytes = size.saturating_mul(std::mem::size_of::<Rec::Words>());
-        let dense = dense_bytes <= DENSE_FROM_BYTES || u32::try_from(size).is_err();
+        let groups = size.div_ceil(64);
+        let (slots, arenas, starts) = if dense {
+            (vec![Rec::Words::default(); size], Vec::new(), Vec::new())
+        } else {
+            let arenas = vec![Vec::new(); groups.div_ceil(GROUPS)];
+            (Vec::new(), arenas, vec![0; groups])
+        };
         RegisterArray {
             name,
             size,
-            slots: if dense {
-                vec![Rec::Words::default(); size]
-            } else {
-                Vec::new()
-            },
-            sparse: if dense {
-                Vec::new()
-            } else {
-                (0..SEGMENTS).map(|_| SlotMap::default()).collect()
-            },
+            slots,
+            arenas,
+            starts,
+            spare: Vec::new(),
+            room: 0,
             empty: Rec::Words::default(),
             index: Occupancy {
-                bitmap: vec![0; size.div_ceil(64)],
+                bitmap: vec![0; groups],
                 count: 0,
             },
         }
@@ -234,35 +179,41 @@ impl<Rec: Packed> RegisterArray<Rec> {
         self.size
     }
 
-    /// The map key of slot `idx` of a sparse array: the bounds check the
-    /// word array's indexing makes for a dense one.
-    #[inline]
-    fn key(&self, idx: usize) -> u32 {
-        assert!(
-            idx < self.size,
-            "slot {idx} out of range for {} slots",
-            self.size
-        );
-        idx as u32
-    }
-
     /// The words of slot `idx`, all zero for an empty one.
     #[inline]
     fn words(&self, idx: usize) -> &Rec::Words {
         match self.slots.get(idx) {
             Some(slot) => slot,
-            None => self.sparse_words(idx),
+            None => self.packed_words(idx),
         }
     }
 
-    // The sparse accesses are out of line, so that the dense access every
-    // small table makes stays what it was: a bounds check and a few
+    // The packed accesses are out of line, so that the access every word
+    // array makes stays what it was: a bounds check and a few
     // instructions, with the record read where it lies.
 
+    /// Where slot `idx` of a packed array has its record, or would have
+    /// it: its arena, the position there, and whether it is occupied.
+    #[inline]
+    fn locate(&self, idx: usize) -> (usize, usize, bool) {
+        assert!(
+            idx < self.size,
+            "slot {idx} out of range for {} slots",
+            self.size
+        );
+        let (group, bit) = (idx / 64, idx % 64);
+        let word = self.index.bitmap[group];
+        let rank = (word & ((1u64 << bit) - 1)).count_ones() as usize;
+        let at = usize::from(self.starts[group]) + rank;
+        (group / GROUPS, at, word >> bit & 1 == 1)
+    }
+
     #[inline(never)]
-    fn sparse_words(&self, idx: usize) -> &Rec::Words {
-        let key = self.key(idx);
-        self.sparse[segment(key)].get(&key).unwrap_or(&self.empty)
+    fn packed_words(&self, idx: usize) -> &Rec::Words {
+        match self.locate(idx) {
+            (arena, at, true) => &self.arenas[arena][at],
+            _ => &self.empty,
+        }
     }
 
     /// Read the slot at `idx`.
@@ -275,10 +226,10 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// match loop so the table probes overlap in the memory system.
     /// (`black_box` forces the load of every word, so a slot straddling two
     /// cache lines warms both. The crate forbids unsafe, so an explicit
-    /// prefetch intrinsic is not available.) A sparse array does nothing
-    /// here: the warming read would be a whole map probe, the access that
-    /// follows probes again, and the map is a fraction of the word array it
-    /// stands in for.
+    /// prefetch intrinsic is not available.) A packed array does nothing
+    /// here: where its record lies is known only after the bitmap word is
+    /// loaded, and its bitmap and arenas are a fraction of the word array
+    /// they stand in for.
     #[inline]
     pub fn prefetch(&self, idx: usize) {
         if let Some(slot) = self.slots.get(idx) {
@@ -301,12 +252,12 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// contents plus a result forwarded to the caller.
     ///
     /// An access that finds a slot empty and leaves it empty stores
-    /// nothing: a dense slot's page may still be the shared zero page, and
+    /// nothing: a word array's page may still be the shared zero page, and
     /// writing zeros to it would make the kernel hand over a private one;
-    /// a sparse array gains no key.
+    /// a packed arena does not move.
     pub fn rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
         let Some(slot) = self.slots.get_mut(idx) else {
-            return self.sparse_rmw(idx, f);
+            return self.packed_rmw(idx, f);
         };
         let old = get(slot);
         let (new, result) = f(old);
@@ -326,49 +277,52 @@ impl<Rec: Packed> RegisterArray<Rec> {
         result
     }
 
-    /// One probe: the entry found is the one updated, filled or removed.
+    /// One lookup: an update writes the record where it lies; a fill or an
+    /// empty shifts the records after it in its arena by one and moves the
+    /// later starts of that arena.
     #[inline(never)]
-    fn sparse_rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
-        let key = self.key(idx);
-        let (was, now, result) = match self.sparse[segment(key)].entry(key) {
-            Entry::Occupied(mut slot) => {
-                let (new, result) = f(Some(Rec::unpack(slot.get())));
-                match new {
-                    Some(value) => *slot.get_mut() = value.pack(),
-                    None => {
-                        slot.remove();
-                    }
+    fn packed_rmw<R>(&mut self, idx: usize, f: impl FnOnce(Option<Rec>) -> (Option<Rec>, R)) -> R {
+        let (arena, at, held) = self.locate(idx);
+        let records = &mut self.arenas[arena];
+        let old = held.then(|| Rec::unpack(&records[at]));
+        let (new, result) = f(old);
+        match new {
+            Some(value) if held => records[at] = value.pack(),
+            Some(value) => {
+                if records.capacity() == 0 {
+                    *records = self.spare.pop().unwrap_or_default();
                 }
-                (true, new.is_some(), result)
-            }
-            Entry::Vacant(slot) => {
-                let (new, result) = f(None);
-                if let Some(value) = new {
-                    slot.insert(value.pack());
+                let room = records.capacity();
+                if records.len() == room {
+                    // Doubling from one record, so that an arena of one
+                    // record holds one.
+                    records.reserve_exact(room.max(1));
                 }
-                (false, new.is_some(), result)
+                records.insert(at, value.pack());
+                self.room += records.capacity() - room;
+                self.shift(idx, true);
             }
-        };
-        if was != now {
-            self.index.mark(idx, now);
-            if self.index.count > self.size / DENSE_SHARE {
-                self.densify();
+            None if held => {
+                records.remove(at);
+                if records.is_empty() {
+                    self.spare.push(std::mem::take(records));
+                }
+                self.shift(idx, false);
             }
+            None => {}
         }
         result
     }
 
-    /// Pour a sparse array into the word array, for good, a segment at a
-    /// time: each map is freed as soon as it is poured.
-    #[cold]
-    fn densify(&mut self) {
-        let mut slots = vec![Rec::Words::default(); self.size];
-        for map in std::mem::take(&mut self.sparse) {
-            for (key, words) in map {
-                slots[key as usize] = words;
-            }
+    /// Mark slot `idx` of a packed array filled or emptied, and move the
+    /// starts of the groups after it in its arena by the one record.
+    fn shift(&mut self, idx: usize, filled: bool) {
+        self.index.mark(idx, filled);
+        let group = idx / 64;
+        let end = ((group / GROUPS + 1) * GROUPS).min(self.starts.len());
+        for start in &mut self.starts[group + 1..end] {
+            *start = if filled { *start + 1 } else { *start - 1 };
         }
-        self.slots = slots;
     }
 
     /// Number of occupied slots (control-plane visibility only; a real
@@ -380,19 +334,17 @@ impl<Rec: Packed> RegisterArray<Rec> {
     }
 
     /// Bytes the array holds for its slots and its occupancy bitmap
-    /// (control-plane visibility only). Dense, that is the whole word array
-    /// — an upper bound on what is resident, since a page no packet stored
-    /// to never is; sparse, the segment headers and the sum over segments
-    /// of each map's buckets, each a key, the words and a control byte.
+    /// (control-plane visibility only): what the allocator holds for it.
+    /// A word array's is the whole word array — an upper bound on what is
+    /// resident, since a page no packet stored to never is; a packed
+    /// array's, the arenas' headers and the records they have room for,
+    /// and a start per group.
     pub fn resident_bytes(&self) -> usize {
-        let maps: usize = self
-            .sparse
-            .iter()
-            .map(|map| map_bytes::<Rec::Words>(map.capacity()))
-            .sum();
         std::mem::size_of_val(self.slots.as_slice())
-            + std::mem::size_of_val(self.sparse.as_slice())
-            + maps
+            + std::mem::size_of_val(self.arenas.as_slice())
+            + self.spare.capacity() * std::mem::size_of::<Vec<Rec::Words>>()
+            + self.room * std::mem::size_of::<Rec::Words>()
+            + std::mem::size_of_val(self.starts.as_slice())
             + std::mem::size_of_val(self.index.bitmap.as_slice())
     }
 
@@ -404,29 +356,63 @@ impl<Rec: Packed> RegisterArray<Rec> {
     /// Control-plane sweep: clear every occupied slot `keep` rejects,
     /// returning `(kept, cleared)`. Like [`RegisterArray::occupancy`] this
     /// is a control-plane scan — the switch CPU walking the array between
-    /// epochs, not a data-plane register access. A sparse array then
-    /// shrinks to fit each segment left under a quarter full, one segment
-    /// at a time, so that what a rotation clears is given back.
+    /// epochs, not a data-plane register access. A packed array compacts
+    /// each arena in one pass and shrinks it to fit, one arena at a time,
+    /// so that what a rotation clears is given back.
     pub fn sweep(&mut self, mut keep: impl FnMut(&Rec) -> bool) -> (u64, u64) {
         let (mut kept, mut cleared) = (0u64, 0u64);
-        for word_idx in 0..self.index.bitmap.len() {
-            let mut word = self.index.bitmap[word_idx];
-            while word != 0 {
-                let idx = word_idx * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                if keep(&self.occupant(idx)) {
-                    kept += 1;
-                } else {
-                    self.clear(idx);
-                    cleared += 1;
+        if self.arenas.is_empty() {
+            for group in 0..self.index.bitmap.len() {
+                for bit in set_bits(self.index.bitmap[group]) {
+                    let idx = group * 64 + bit;
+                    if keep(&self.occupant(idx)) {
+                        kept += 1;
+                    } else {
+                        self.clear(idx);
+                        cleared += 1;
+                    }
                 }
             }
+            return (kept, cleared);
         }
-        for map in &mut self.sparse {
-            if map.len() < map.capacity() / SHRINK_SHARE {
-                map.shrink_to_fit();
+        let Self {
+            arenas,
+            starts,
+            spare,
+            room,
+            index,
+            ..
+        } = self;
+        for (arena, records) in arenas.iter_mut().enumerate() {
+            // Kept records move down over the cleared, in slot order.
+            let (mut from, mut to) = (0, 0);
+            let groups = arena * GROUPS..((arena + 1) * GROUPS).min(starts.len());
+            for (start, word) in starts[groups.clone()]
+                .iter_mut()
+                .zip(&mut index.bitmap[groups])
+            {
+                *start = to as u16;
+                for bit in set_bits(*word) {
+                    let record = records[from];
+                    from += 1;
+                    if keep(&Rec::unpack(&record)) {
+                        records[to] = record;
+                        to += 1;
+                        kept += 1;
+                    } else {
+                        *word &= !(1 << bit);
+                        cleared += 1;
+                    }
+                }
             }
+            *room -= records.capacity();
+            records.truncate(to);
+            records.shrink_to_fit();
+            *room += records.capacity();
         }
+        *room -= spare.iter().map(Vec::capacity).sum::<usize>();
+        *spare = Vec::new();
+        index.count -= cleared as usize;
         (kept, cleared)
     }
 
@@ -438,24 +424,13 @@ impl<Rec: Packed> RegisterArray<Rec> {
             .bitmap
             .iter()
             .enumerate()
-            .flat_map(|(word_idx, &bits)| {
-                let mut word = bits;
-                std::iter::from_fn(move || {
-                    if word == 0 {
-                        return None;
-                    }
-                    let bit = word.trailing_zeros();
-                    word &= word - 1;
-                    Some(word_idx * 64 + bit as usize)
-                })
-            })
+            .flat_map(|(group, &word)| set_bits(word).map(move |bit| group * 64 + bit))
             .map(|idx| (idx, self.occupant(idx)))
     }
 
-    /// Control-plane slot load: place `value` at `idx`, in whichever form
-    /// the array is in. This is the restore half of
-    /// [`RegisterArray::iter`] — the switch CPU repopulating a table from a
-    /// checkpoint, not a packet traversing the stage.
+    /// Control-plane slot load: place `value` at `idx`. This is the restore
+    /// half of [`RegisterArray::iter`] — the switch CPU repopulating a
+    /// table from a checkpoint, not a packet traversing the stage.
     pub fn load(&mut self, idx: usize, value: Rec) {
         self.write(idx, value);
     }
@@ -567,8 +542,8 @@ mod tests {
     }
 
     /// A record as wide as [`Packed::Words`] gets, so that an array past
-    /// the dense-from-construction line stays small enough for a model
-    /// test: 1 024 slots of 256 bytes are 256 KiB.
+    /// the word-array line stays small enough for a model test: 1 024
+    /// slots of 256 bytes are 256 KiB.
     #[derive(Clone, Copy, Debug, PartialEq)]
     struct Wide(u32);
 
@@ -597,79 +572,32 @@ mod tests {
         }
     }
 
-    /// Past the line by one bitmap word and a partial one.
+    /// Past the line by one bitmap word and a partial one: five arenas,
+    /// the last of two groups, the second of them partial.
     const WIDE_SIZE: usize = 1024 + 70;
 
-    fn is_dense<Rec: Packed>(array: &RegisterArray<Rec>) -> bool {
-        !array.slots.is_empty()
+    fn is_packed<Rec: Packed>(array: &RegisterArray<Rec>) -> bool {
+        array.slots.is_empty()
     }
 
+    /// The form follows the size, and a packed array built empty holds its
+    /// bitmap, a start per group and its arenas' headers, nothing else.
     #[test]
-    fn a_large_array_starts_sparse_and_turns_dense_past_a_quarter() {
-        let mut r: RegisterArray<Wide> = RegisterArray::new("t", WIDE_SIZE);
-        assert!(!is_dense(&r));
-        let bitmap = WIDE_SIZE.div_ceil(64) * 8;
-        let segments = SEGMENTS * std::mem::size_of::<SlotMap<[u64; 32]>>();
-        assert_eq!(r.resident_bytes(), bitmap + segments);
-        let quarter = WIDE_SIZE / DENSE_SHARE;
-        for idx in 0..quarter {
-            r.write(idx * 3, Wide(idx as u32));
-        }
-        assert!(!is_dense(&r));
-        assert!(r.resident_bytes() < WIDE_SIZE * 256 / 2);
-        r.load(1, Wide(7));
-        assert!(is_dense(&r));
-        assert_eq!(r.resident_bytes(), WIDE_SIZE * 256 + bitmap);
-        // Dense for good: emptying it does not bring the map back.
-        let (kept, cleared) = r.sweep(|_| false);
-        assert_eq!((kept, cleared), (0, quarter as u64 + 1));
-        assert!(is_dense(&r));
-        assert_eq!(r.read(3), None);
-        // A small array never sees the map.
-        assert!(is_dense(&RegisterArray::<Wide>::new("t", 1024)));
+    fn the_form_follows_the_size() {
+        let r: RegisterArray<Wide> = RegisterArray::new("t", WIDE_SIZE);
+        assert!(is_packed(&r));
+        let groups = WIDE_SIZE.div_ceil(64);
+        let headers = groups.div_ceil(GROUPS) * std::mem::size_of::<Vec<[u64; 32]>>();
+        assert_eq!(r.resident_bytes(), groups * 8 + groups * 2 + headers);
+        let small: RegisterArray<Wide> = RegisterArray::new("t", 1024);
+        assert!(!is_packed(&small));
+        assert_eq!(small.resident_bytes(), 1024 * 256 + 16 * 8);
     }
 
-    /// The segment is an even split of the index space, and it is not
-    /// decided by the bits hashbrown uses: the indices of one segment reach
-    /// as many buckets of a map sized for them as random keys would, and
-    /// every tag.
-    #[test]
-    fn segments_split_the_indices_evenly() {
-        const SIZE: u32 = 1 << 20;
-        let mut counts = [0u32; SEGMENTS];
-        for key in 0..SIZE {
-            counts[segment(key)] += 1;
-        }
-        let even = SIZE / SEGMENTS as u32;
-        for (seg, &n) in counts.iter().enumerate() {
-            assert!(
-                n.abs_diff(even) < even / 100,
-                "segment {seg}: {n} of {SIZE}"
-            );
-        }
-        let hash = |key: u32| {
-            let mut h = SlotHasher::default();
-            h.write_u32(key);
-            h.finish()
-        };
-        // One segment's keys, in a map of 2^14 buckets, its size alone.
-        let keys: Vec<u32> = (0..SIZE).filter(|&k| segment(k) == 5).collect();
-        let mut buckets = vec![false; 1 << 14];
-        let mut tags = [false; 128];
-        for &key in &keys {
-            buckets[(hash(key) & ((1 << 14) - 1)) as usize] = true;
-            tags[(hash(key) >> 57) as usize] = true;
-        }
-        let reached = buckets.iter().filter(|&&b| b).count();
-        // Uniform keys reach 1 − 1/e ≈ 63.2 % of as many buckets as keys.
-        assert!(reached > (1 << 14) * 62 / 100, "{reached} buckets reached");
-        assert!(tags.iter().all(|&t| t), "a tag value is never used");
-    }
-
-    /// A sweep gives back what it clears: a sparse 2^20 array that loses
-    /// 90 % of its records shrinks the segments left under a quarter full,
-    /// to at most half its bytes, and every record still reads back after
-    /// the array is filled again.
+    /// A sweep gives back what it clears: a packed 2^20 array that loses
+    /// 90 % of its records shrinks its arenas to fit, to at most half its
+    /// bytes, and every record still reads back after the array is filled
+    /// again.
     #[test]
     fn a_sweep_that_clears_most_records_shrinks_the_segments() {
         const SIZE: usize = 1 << 20;
@@ -679,7 +607,7 @@ mod tests {
         for v in 0..FILLED {
             r.write(slot(v), v);
         }
-        assert!(!is_dense(&r));
+        assert!(is_packed(&r));
         let full = r.resident_bytes();
         let stored = r.occupancy();
         let (kept, cleared) = r.sweep(|v| v % 10 == 0);
@@ -693,6 +621,7 @@ mod tests {
             swept * 2 <= full,
             "{full} B before the sweep, {swept} B after"
         );
+        assert_eq!(r.room, r.occupancy());
         for v in 0..FILLED {
             r.write(slot(v), v);
         }
@@ -706,27 +635,6 @@ mod tests {
         }
     }
 
-    /// `resident_bytes` is what the segments allocate: each map's buckets
-    /// from its capacity, a power of two of them however many tombstones
-    /// a map holds.
-    #[test]
-    fn map_bytes_follow_hashbrown_buckets() {
-        let mut map: SlotMap<[u64; 3]> = SlotMap::default();
-        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), 0);
-        map.insert(1, [1; 3]);
-        // Four buckets of 32 B, four control bytes and a trailing group.
-        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), 4 * 32 + 4 + 16);
-        for key in 0..28_000 {
-            map.insert(key, [1; 3]);
-        }
-        let full = 32_768 * 33 + 16;
-        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), full);
-        for key in (0..28_000).step_by(2) {
-            map.remove(&key);
-        }
-        assert_eq!(map_bytes::<[u64; 3]>(map.capacity()), full);
-    }
-
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_bounds_panics_when_sparse() {
@@ -735,20 +643,20 @@ mod tests {
     }
 
     /// Run `ops` — `(op, slot, value)`, op 0..=5 for read, write, clear,
-    /// rmw, sweep and load — against an array of `size` slots and against
-    /// the obvious model, a `Vec` of `Option`s (what the array used to be),
-    /// and require equal results, contents, occupancy and walk order.
+    /// rmw, sweep and load — against `array` and against the obvious
+    /// model, a `Vec` of `Option`s (what the array used to be), and require
+    /// equal results, contents, occupancy and walk order; of a packed
+    /// array, also that each group's start counts the records before it in
+    /// its arena, and that the arenas and spare buffers hold what
+    /// `resident_bytes` says.
     fn check_against_model<Rec>(
-        size: usize,
+        mut array: RegisterArray<Rec>,
         ops: Vec<(u8, usize, u32)>,
     ) -> Result<(), TestCaseError>
     where
         Rec: Packed + From<u32> + Into<u32>,
     {
-        let mut array: RegisterArray<Rec> = RegisterArray::new("t", size);
-        let mut model: Vec<Option<u32>> = vec![None; size];
-        let dense_bytes = size * std::mem::size_of::<Rec::Words>();
-        prop_assert_eq!(is_dense(&array), dense_bytes <= DENSE_FROM_BYTES);
+        let mut model: Vec<Option<u32>> = vec![None; array.size()];
         let read = |r: Option<Rec>| r.map(Into::into);
         for (op, idx, value) in ops {
             match op {
@@ -806,37 +714,91 @@ mod tests {
                 slot.is_some()
             );
         }
+        for (group, &start) in array.starts.iter().enumerate() {
+            let first = group / GROUPS * GROUPS;
+            let before: u32 = array.index.bitmap[first..group]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum();
+            prop_assert_eq!(u32::from(start), before);
+        }
+        let buffers = || array.arenas.iter().chain(&array.spare);
+        prop_assert_eq!(array.room, buffers().map(Vec::capacity).sum::<usize>());
+        prop_assert!(array.spare.iter().all(Vec::is_empty));
+        let held: usize = array.arenas.iter().map(Vec::len).sum();
+        prop_assert_eq!(
+            held,
+            if is_packed(&array) {
+                array.occupancy()
+            } else {
+                0
+            }
+        );
         Ok(())
     }
 
+    /// Ops where fills outweigh clears and a sweep is one op in `sweep_one_in`.
+    fn filling_ops(
+        size: usize,
+        sweep_one_in: u16,
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<(u8, usize, u32)>> {
+        prop::collection::vec(
+            (0..sweep_one_in, 0..size, 0u32..4).prop_map(|(op, idx, value)| {
+                let op = if op == 0 {
+                    4
+                } else {
+                    [0, 1, 2, 3, 5][usize::from(op % 5)]
+                };
+                (op, idx, value)
+            }),
+            len,
+        )
+    }
+
+    /// Three arenas and a partial one: 3 × 256 + 70 slots.
+    const SPAN: usize = 3 * 64 * GROUPS + 70;
+
     proptest! {
-        /// Any sequence of accesses on a dense array behaves like the model.
+        /// Any sequence of accesses on a word array behaves like the model.
         #[test]
         fn behaves_like_a_vec_of_options(
             ops in prop::collection::vec((0u8..6, 0usize..70, 0u32..4), 0..200),
         ) {
             const SIZE: usize = 70; // two bitmap words, the second partial
-            check_against_model::<u32>(SIZE, ops)?;
+            check_against_model::<u32>(RegisterArray::new("t", SIZE), ops)?;
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// The same on an array that starts sparse: fills outweigh clears
-        /// and a sweep is one op in 1 000, so nearly every sequence crosses a quarter
-        /// of the slots occupied, and keep going in the dense form.
+        /// The same on a packed array spanning several arenas, the last
+        /// group partial, under any mix of accesses.
         #[test]
-        fn behaves_like_a_vec_of_options_across_the_turn_to_dense(
-            ops in prop::collection::vec(
-                (0u16..1000, 0usize..WIDE_SIZE, 0u32..4)
-                    .prop_map(|(op, idx, value)| {
-                        let op = if op == 0 { 4 } else { [0, 1, 2, 3, 5][usize::from(op % 5)] };
-                        (op, idx, value)
-                    }),
-                800..2400,
-            ),
+        fn behaves_like_a_vec_of_options_across_arenas(
+            ops in prop::collection::vec((0u8..6, 0usize..SPAN, 0u32..4), 0..1200),
         ) {
-            check_against_model::<Wide>(WIDE_SIZE, ops)?;
+            check_against_model::<u32>(RegisterArray::with_form("t", SPAN, false), ops)?;
+        }
+
+        /// Fills outweigh clears and a sweep is one op in 200, so the
+        /// arenas run near full, where an insert shifts the most records,
+        /// and are swept and refilled.
+        #[test]
+        fn behaves_like_a_vec_of_options_when_inserts_dominate(
+            ops in filling_ops(SPAN, 200, 1500..4000),
+        ) {
+            check_against_model::<u32>(RegisterArray::with_form("t", SPAN, false), ops)?;
+        }
+
+        /// The widest record, on an array packed by its size.
+        #[test]
+        fn behaves_like_a_vec_of_options_with_wide_records(
+            ops in filling_ops(WIDE_SIZE, 1000, 800..2400),
+        ) {
+            let array = RegisterArray::new("t", WIDE_SIZE);
+            prop_assert!(is_packed(&array));
+            check_against_model::<Wide>(array, ops)?;
         }
     }
 }

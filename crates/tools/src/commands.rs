@@ -457,9 +457,7 @@ fn backend_flag(opts: &Options) -> Result<Backend, String> {
     }
 }
 
-/// A table-size flag: at least one slot and fewer than 2^32. A sparse
-/// register array keys its slots by `u32`, so a larger table would be a
-/// dense word array, allocated whole at start-up.
+/// A table-size flag: at least one slot and fewer than 2^32.
 fn table_slots(opts: &Options, flag: &str, default: usize) -> Result<usize, String> {
     let slots = opts.get_num(flag, default)?;
     if slots == 0 || u32::try_from(slots).is_err() {
@@ -1100,7 +1098,7 @@ mod tests {
             let line = report.lines().find(|l| l.starts_with("tables "));
             line.map(|l| l.split_once(": ").unwrap().1.to_string())
         };
-        // Default geometry: sparse tables, priced as the program prices them.
+        // Default geometry: packed tables, priced as the program prices them.
         let exact = tables(&[]).unwrap();
         assert!(exact.starts_with("rt "), "{exact}");
         assert!(exact.contains(" of 1048576 slots in "), "{exact}");
@@ -1109,8 +1107,8 @@ mod tests {
         assert!(exact.ends_with("(12582912 bits priced)"), "{exact}");
         let sketch = tables(&["--backend", "sketch"]).unwrap();
         assert!(sketch.contains("(134217728 bits priced)"), "{sketch}");
-        // Frontier geometry: dense from construction, 4 096 × 24 B of RT
-        // words and 64 bitmap words.
+        // Frontier geometry: word arrays, 4 096 × 24 B of RT words and 64
+        // bitmap words.
         let frontier = tables(&["--rt", "4096", "--pt", "512"]).unwrap();
         assert!(
             frontier.contains(" of 4096 slots in 96.5 KiB"),

@@ -1,6 +1,7 @@
 //! Cold tables: a register array holds what is stored in it — a large one
-//! starts as an occupancy bitmap and an empty map, so building an engine
-//! requests next to nothing and its tables grow with their occupied slots —
+//! starts as an occupancy bitmap, a start per 64 slots and empty arenas, so
+//! building an engine requests next to nothing and its tables grow with
+//! their occupied slots —
 //! and the storage form is a private matter of the array: checkpoints are
 //! field-wise, so one written before the slots were words restores, and
 //! re-serialises, byte for byte.
@@ -29,7 +30,8 @@ include!("fixtures/traffic.rs");
 /// `DartEngine::new` requests at most 1 MiB for the default geometry of
 /// each backend — 2^20 RT and 2^17 PT slots, 28 MB of words were they held
 /// dense — so construction writes at most that: a large register array
-/// starts as its occupancy bitmap and an empty map.
+/// starts as its occupancy bitmap, its group starts and its empty arenas'
+/// headers, 2 bits per slot.
 #[test]
 fn building_an_engine_writes_no_table() {
     for backend in [Backend::Exact, Backend::Sketch, Backend::Precision] {
@@ -45,7 +47,7 @@ fn building_an_engine_writes_no_table() {
 
 /// A default-geometry engine's tables grow with what is stored in them:
 /// after `fixture_traffic()`, everything the engine requested — build and
-/// run, every map growth counted — is within eight times its occupied
+/// run, every arena growth counted — is within eight times its occupied
 /// slots' words (DESIGN.md §5f's record sizes), plus the occupancy bitmaps
 /// (one bit per slot) and 128 KiB for the rest of the engine. The word
 /// arrays alone would be 28 MB.

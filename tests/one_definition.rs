@@ -250,6 +250,25 @@ const BANS: &[Ban] = &[
                   dart_core::program(cfg, target) with dart_switch::estimate, sweep with \
                   backend_sweep",
     },
+    // A register array is its word array or its occupancy-ranked arenas,
+    // chosen by size at construction (DESIGN.md §5f); no hashed form and no
+    // turn between forms.
+    Ban {
+        rule: "One register representation",
+        roots: &["crates/switch/src/"],
+        suffix: ".rs",
+        any: &[
+            "HashMap",
+            "SlotHasher",
+            "SEGMENT_MUL",
+            "densify",
+            "DENSE_SHARE",
+        ],
+        except: &[],
+        allowed: &[],
+        message: "a second sparse register form: keep occupied records in the \
+                  occupancy-ranked arenas of RegisterArray",
+    },
 ];
 
 const COUNTS: &[Count] = &[
